@@ -1,10 +1,12 @@
 """Pipeline orchestration: one INI config, staged subcommands, cached outputs.
 
-Every stage output is content-addressed by a digest of the config keys that
-influence it, so rerunning with an unchanged config performs no work and
-changing any relevant key writes to a fresh location. All randomness flows
-from explicit seeds in the config; artifact files contain no timestamps or
-absolute paths, which keeps reruns byte-identical.
+Every stage output is content-addressed by a digest of its input files
+(the six dataset files, and the scripted fixture where a backend reads one)
+and of the config keys that influence it, so rerunning with unchanged inputs
+performs no work and changing any relevant file or key writes to a fresh
+location. All randomness flows from explicit seeds in the config; artifact
+files contain no timestamps or absolute paths, which keeps reruns
+byte-identical.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -19,13 +21,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .discriminator import BackendError, RemoteConfig, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from .evaluation import EvalOptions, evaluate
 from .instructions import BuildOptions, build_eval_set, build_finetune_set
-from .kg import DataError, KnowledgeGraph, load_kg
+from .kg import DATASET_FILES, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
 
 logger = logging.getLogger(__name__)
@@ -114,6 +116,7 @@ class PipelineConfig:
     remote: RemoteConfig
     limit_triples: int
     audit: bool
+    file_hashes: dict = field(default_factory=dict)  # path -> sha256, see content_hash
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig:
@@ -224,8 +227,33 @@ def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig
     )
 
 
+def content_hash(cfg: PipelineConfig, path: str) -> str | None:
+    """sha256 of a file, or None when there is none; each file is read once per config."""
+    if path not in cfg.file_hashes:
+        digest = None
+        if os.path.isfile(path):
+            sha = hashlib.sha256()
+            with open(path, "rb") as f:
+                for block in iter(lambda: f.read(1 << 20), b""):
+                    sha.update(block)
+            digest = sha.hexdigest()
+        cfg.file_hashes[path] = digest
+    return cfg.file_hashes[path]
+
+
 def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
-    payload = {"dataset_dir": cfg.dataset_dir}
+    """Address of a stage output: the input file contents and the config sections it depends on."""
+    if not os.path.isdir(cfg.dataset_dir):
+        raise DataError(f"dataset directory not found: {cfg.dataset_dir}")
+    dataset = {}
+    for name in DATASET_FILES:
+        path = os.path.join(cfg.dataset_dir, name)
+        dataset[name] = content_hash(cfg, path)
+        if dataset[name] is None:
+            raise DataError(f"missing dataset file: {path}")
+    payload = {"dataset": dataset}
+    if "backend" in sections and cfg.backend_kind == "scripted":
+        payload["scripted_file"] = content_hash(cfg, cfg.scripted_file)
     for section in sections:
         payload[section] = cfg.values[section]
     blob = json.dumps(payload, sort_keys=True)
@@ -238,12 +266,6 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
-    if not os.path.isdir(cfg.dataset_dir):
-        raise DataError(f"dataset directory not found: {cfg.dataset_dir}")
-    return load_kg(cfg.dataset_dir)
-
-
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
     """Train the embedding checkpoint if its content address is absent."""
     os.makedirs(cfg.workdir, exist_ok=True)
@@ -253,7 +275,8 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
     if os.path.isfile(ckpt) and os.path.isfile(manifest):
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
-    kg = kg or _load_graph(cfg)
+    if kg is None:
+        kg = load_kg(cfg.dataset_dir)
     logger.info(
         "training embeddings: %d entities, %d relations, %d train triples",
         kg.num_entities, kg.num_relations, len(kg.train),
@@ -296,7 +319,7 @@ def cmd_build(cfg: PipelineConfig, which: str) -> int:
         logger.info("%s set up to date: %s", which, outdir)
         print(f"output: {outdir}")
         return 0
-    kg = _load_graph(cfg)
+    kg = load_kg(cfg.dataset_dir)
     _check_m(cfg, kg)
     table = EmbeddingTable.load(ensure_embeddings(cfg, kg))
     os.makedirs(outdir, exist_ok=True)
@@ -346,7 +369,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             print(f.read(), end="")
         return 0
     backend = _make_backend(cfg)
-    kg = _load_graph(cfg)
+    kg = load_kg(cfg.dataset_dir)
     _check_m(cfg, kg)
     table = EmbeddingTable.load(ensure_embeddings(cfg, kg))
     os.makedirs(outdir, exist_ok=True)

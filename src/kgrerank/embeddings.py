@@ -203,12 +203,12 @@ def pair_loss_and_grads(
 
 def _sample_negatives(
     positives: np.ndarray,
-    num_entities: int,
-    train_set: frozenset,
+    kg: KnowledgeGraph,
     k: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Corrupt head or tail uniformly; redraw corruptions that are training facts."""
+    num_entities = kg.num_entities
     neg = np.repeat(positives, k, axis=0)
     n = neg.shape[0]
     corrupt_head = rng.integers(0, 2, size=n).astype(bool)
@@ -216,9 +216,7 @@ def _sample_negatives(
     neg[~corrupt_head, 2] = rng.integers(0, num_entities, size=int((~corrupt_head).sum()))
     # dense tiny graphs may have no clean corruption; give up after a bound
     for _ in range(50):
-        clash = np.fromiter(
-            (tuple(row) in train_set for row in neg.tolist()), dtype=bool, count=n
-        )
+        clash = kg.in_train(neg)
         if not clash.any():
             break
         redraw = rng.integers(0, num_entities, size=int(clash.sum()))
@@ -241,10 +239,10 @@ def train(
     Pass a list as ``epoch_losses`` to collect the mean per-pair loss of each
     epoch.
     """
-    if not kg.train:
+    if len(kg.train) == 0:
         raise DataError("cannot train on an empty train split")
     table = init_embeddings(kg, config)
-    triples = np.asarray([t for t in kg.train], dtype=np.int64)
+    triples = kg.train
     rng = np.random.default_rng((config.seed, 1))
     k = config.negatives_per_positive
     lr = config.learning_rate
@@ -255,7 +253,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             pos = triples[order[start : start + config.batch_size]]
             pos_rep = np.repeat(pos, k, axis=0)
-            neg = _sample_negatives(pos, kg.num_entities, kg.train_set, k, rng)
+            neg = _sample_negatives(pos, kg, k, rng)
             loss, e_idx, e_grads, r_idx, r_grads = _hinge_step(
                 table, pos_rep, neg, config.margin
             )

@@ -186,7 +186,7 @@ def evaluate(
     triples = kg.test
     if options.limit_triples:
         triples = triples[: options.limit_triples]
-    if not triples:
+    if len(triples) == 0:
         raise ValueError("evaluation requires a non-empty test split")
 
     work = []

@@ -23,14 +23,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .embeddings import TAIL, EmbeddingTable, VectorFileWriter
-from .kg import KnowledgeGraph, Triple, neighbors
+from .kg import KnowledgeGraph, Triple
 from .ranking import (
     ConfidenceParams,
     Query,
     RankedQuery,
     queries_for_triple,
     rank_query,
-    sample_confidence,
+    survives_truncation,
 )
 
 logger = logging.getLogger(__name__)
@@ -93,17 +93,18 @@ def rc_sample_neighbors(
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     pool = _neighbor_pool(kg, q)
-    pool.sort(key=lambda item: (-cooc.count(item[1].relation, q.relation), item[1].relation, item[0]))
-    return [fact for _, fact in pool[:gamma]]
+    rel = pool[:, 1]
+    order = np.lexsort((np.arange(len(pool)), rel, -cooc[rel, q.relation]))
+    return [Triple(*fact) for fact in pool[order[:gamma]].tolist()]
 
 
-def _neighbor_pool(kg: KnowledgeGraph, q: Query) -> list[tuple[int, Triple]]:
-    gold_fact = q.completed(q.gold) if q.gold is not None else None
-    return [
-        (pos, fact)
-        for pos, fact in enumerate(neighbors(kg, q.known))
-        if fact != gold_fact
-    ]
+def _neighbor_pool(kg: KnowledgeGraph, q: Query) -> np.ndarray:
+    """Train facts incident to the known entity, in file order, without the gold fact."""
+    pool = kg.train[kg.incident_rows(q.known)]
+    if q.gold is not None:
+        h, r, t = q.completed(q.gold)
+        pool = pool[(pool[:, 0] != h) | (pool[:, 1] != r) | (pool[:, 2] != t)]
+    return pool
 
 
 def _uniform_sample_neighbors(
@@ -114,7 +115,7 @@ def _uniform_sample_neighbors(
     if k == 0:
         return []
     picks = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i][1] for i in picks]
+    return [Triple(*fact) for fact in pool[picks].tolist()]
 
 
 def render_fact(kg: KnowledgeGraph, fact: Triple) -> str:
@@ -350,7 +351,7 @@ def build_finetune_set(
     The remaining 10% is written untruncated to the holdout files for
     hyperparameter selection. The train split is never used here.
     """
-    if not kg.valid:
+    if len(kg.valid) == 0:
         raise ValueError("finetune building requires a non-empty validation split")
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(len(kg.valid))
@@ -366,7 +367,7 @@ def build_finetune_set(
             kg, table, ((i, kg.valid[i]) for i in part1), params, options, "valid"
         ):
             seen += 1
-            if sample_confidence(rq, params) > params.beta:
+            if survives_truncation(rq, params):
                 w.write(sample, vectors)
         kept = w.count
         chars = w.prompt_chars

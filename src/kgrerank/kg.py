@@ -6,13 +6,19 @@ Datasets are directories of UTF-8 text files: ``train.txt`` / ``valid.txt`` /
 names, and ``entity2textlong.txt`` maps identifiers to descriptions.
 Dense integer ids are assigned by order of first appearance in the text
 files, so id assignment is independent of triple order.
+
+In memory every split is an ``(n, 3)`` int64 array of ``(head, relation,
+tail)`` rows in file order, with later duplicates dropped. The indexes are
+arrays too: the filter sets are all true facts sorted by ``(head, relation)``
+and by ``(relation, tail)`` and searched with ``searchsorted``, the
+adjacency is a CSR list of train row numbers per entity, and negative
+sampling tests membership in the sorted train keys ``(h·R + r)·E + t``.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +31,14 @@ TEST_FILE = "test.txt"
 ENTITY_NAME_FILE = "entity2text.txt"
 ENTITY_DESC_FILE = "entity2textlong.txt"
 RELATION_NAME_FILE = "relation2text.txt"
+DATASET_FILES = (
+    ENTITY_NAME_FILE,
+    ENTITY_DESC_FILE,
+    RELATION_NAME_FILE,
+    TRAIN_FILE,
+    VALID_FILE,
+    TEST_FILE,
+)
 
 
 class DataError(Exception):
@@ -37,28 +51,19 @@ class Triple(NamedTuple):
     tail: int
 
 
-class CooccurrenceTable:
-    """Symmetric relation co-occurrence counts over train-split incidence.
-
-    ``count(r, s)`` for r != s is the number of entities incident (as head
-    or tail of a training fact) to both r and s; the diagonal ``count(r, r)``
-    is the number of entities incident to r.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def count(self, r1: int, r2: int) -> int:
-        return int(self.matrix[r1, r2])
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class KnowledgeGraph:
     """Immutable multi-relational graph with text attributes and indexes.
 
     Construction validates ids, enforces split disjointness, deduplicates
-    triples within a split, and precomputes the adjacency lists, the
-    all-splits truth set used by filtered ranking, and the relation
-    co-occurrence table.
+    triples within a split, and precomputes the adjacency, the all-splits
+    filter index used by filtered ranking, and the relation co-occurrence
+    matrix. Splits may be given as ``(n, 3)`` arrays or as sequences of
+    triples.
     """
 
     def __init__(
@@ -68,9 +73,9 @@ class KnowledgeGraph:
         entity_descriptions: Sequence[str],
         relation_keys: Sequence[str],
         relation_names: Sequence[str],
-        train: Iterable[Triple],
-        valid: Iterable[Triple],
-        test: Iterable[Triple],
+        train: Iterable[Triple] | np.ndarray,
+        valid: Iterable[Triple] | np.ndarray,
+        test: Iterable[Triple] | np.ndarray,
     ):
         if not (len(entity_keys) == len(entity_names) == len(entity_descriptions)):
             raise DataError("entity tables have inconsistent lengths")
@@ -81,41 +86,46 @@ class KnowledgeGraph:
         self.entity_descriptions = list(entity_descriptions)
         self.relation_keys = list(relation_keys)
         self.relation_names = list(relation_names)
+        if self.num_entities**2 * self.num_relations >= 2**63:
+            raise DataError("graph too large for int64 triple keys")
 
-        self.train = self._dedup([Triple(*t) for t in train], "train")
-        self.valid = self._dedup([Triple(*t) for t in valid], "valid")
-        self.test = self._dedup([Triple(*t) for t in test], "test")
-        for split_name, triples in (("train", self.train), ("valid", self.valid), ("test", self.test)):
-            for t in triples:
-                if not (0 <= t.head < self.num_entities and 0 <= t.tail < self.num_entities):
-                    raise DataError(f"{split_name}: entity id out of range in {t}")
-                if not (0 <= t.relation < self.num_relations):
-                    raise DataError(f"{split_name}: relation id out of range in {t}")
+        splits, keys = [], []
+        for name, triples in (("train", train), ("valid", valid), ("test", test)):
+            rows = self._checked(triples, name)
+            rows, split_keys = self._dedup(rows, name)
+            splits.append(_readonly(rows))
+            keys.append(split_keys)
+        self.train, self.valid, self.test = splits
 
-        train_set = frozenset(self.train)
-        valid_set = frozenset(self.valid)
-        test_set = frozenset(self.test)
-        if train_set & valid_set or train_set & test_set or valid_set & test_set:
+        # each split is duplicate-free, so a repeated key is shared by two splits
+        all_keys = np.sort(np.concatenate(keys))
+        if (all_keys[1:] == all_keys[:-1]).any():
             raise DataError("splits share triples; they must be disjoint")
-        self.train_set = train_set
-        self.all_true = train_set | valid_set | test_set
+        self._train_keys = _readonly(np.sort(keys[0]))
 
-        adjacency: list[list[Triple]] = [[] for _ in range(self.num_entities)]
-        for t in self.train:
-            adjacency[t.head].append(t)
-            if t.tail != t.head:
-                adjacency[t.tail].append(t)
-        self.adjacency = adjacency
+        # filter index: every true fact keyed by (h, r) with its tail, sorted
+        # by (h, r) then t, and keyed by (r, t) with its head
+        n_e = self.num_entities
+        self._tail_keys = _readonly(all_keys // n_e)
+        self._tail_ids = _readonly(all_keys % n_e)
+        every = np.concatenate(splits)
+        head_keys = np.sort((every[:, 1] * n_e + every[:, 2]) * n_e + every[:, 0])
+        self._head_keys = _readonly(head_keys // n_e)
+        self._head_ids = _readonly(head_keys % n_e)
 
-        true_tails: dict[tuple[int, int], set[int]] = defaultdict(set)
-        true_heads: dict[tuple[int, int], set[int]] = defaultdict(set)
-        for h, r, t in self.all_true:
-            true_tails[(h, r)].add(t)
-            true_heads[(r, t)].add(h)
-        self.true_tails = dict(true_tails)
-        self.true_heads = dict(true_heads)
+        # CSR adjacency: train row numbers per entity, in file order; a
+        # self-loop is listed once
+        rows = np.arange(len(self.train), dtype=np.int64)
+        loop = self.train[:, 0] == self.train[:, 2]
+        ends = np.concatenate([self.train[:, 0], self.train[~loop, 2]])
+        facts = np.concatenate([rows, rows[~loop]])
+        order = np.argsort(ends * max(len(self.train), 1) + facts)
+        self._adj_facts = _readonly(facts[order])
+        self._adj_offsets = _readonly(
+            np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n_e))])
+        )
 
-        self.cooc = build_cooccurrence(self)
+        self.cooc = _readonly(build_cooccurrence(self))
 
     @property
     def num_entities(self) -> int:
@@ -125,47 +135,92 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relation_keys)
 
-    @staticmethod
-    def _dedup(triples: list[Triple], split_name: str) -> list[Triple]:
-        seen: set[Triple] = set()
-        out = []
-        for t in triples:
-            if t in seen:
-                continue
-            seen.add(t)
-            out.append(t)
-        dropped = len(triples) - len(out)
+    def known_tails(self, head: int, relation: int) -> np.ndarray:
+        """Sorted ids t with (head, relation, t) true in any split."""
+        key = head * self.num_relations + relation
+        lo, hi = np.searchsorted(self._tail_keys, (key, key + 1))
+        return self._tail_ids[lo:hi]
+
+    def known_heads(self, relation: int, tail: int) -> np.ndarray:
+        """Sorted ids h with (h, relation, tail) true in any split."""
+        key = relation * self.num_entities + tail
+        lo, hi = np.searchsorted(self._head_keys, (key, key + 1))
+        return self._head_ids[lo:hi]
+
+    def in_train(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each (h, r, t) row of an ``(n, 3)`` id array is a training fact."""
+        keys = self._keys(rows)
+        pos = np.searchsorted(self._train_keys, keys)
+        hit = np.zeros(len(keys), dtype=bool)
+        inside = pos < len(self._train_keys)
+        hit[inside] = self._train_keys[pos[inside]] == keys[inside]
+        return hit
+
+    def incident_rows(self, entity: int) -> np.ndarray:
+        """Train row numbers of the facts incident to ``entity``, ascending."""
+        if not 0 <= entity < self.num_entities:
+            raise ValueError(f"entity id {entity} out of range [0, {self.num_entities})")
+        return self._adj_facts[self._adj_offsets[entity] : self._adj_offsets[entity + 1]]
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """One int64 per (h, r, t) row: (h·R + r)·E + t, which sorts by (h, r) then t."""
+        return (rows[:, 0] * self.num_relations + rows[:, 1]) * self.num_entities + rows[:, 2]
+
+    def _checked(self, triples, split_name: str) -> np.ndarray:
+        rows = np.array(
+            triples if isinstance(triples, np.ndarray) else list(triples), dtype=np.int64, order="C"
+        )
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise DataError(f"{split_name}: expected (head, relation, tail) rows, got shape {rows.shape}")
+        ent = rows[:, [0, 2]]
+        bad_entity = ((ent < 0) | (ent >= self.num_entities)).any(axis=1)
+        bad = bad_entity | (rows[:, 1] < 0) | (rows[:, 1] >= self.num_relations)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "entity" if bad_entity[i] else "relation"
+            raise DataError(f"{split_name}: {what} id out of range in {Triple(*rows[i].tolist())}")
+        return rows
+
+    def _dedup(self, rows: np.ndarray, split_name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Rows without later duplicates, in file order, and their keys."""
+        keys = self._keys(rows)
+        _, first = np.unique(keys, return_index=True)
+        dropped = len(rows) - len(first)
         if dropped:
             logger.warning("%s split: dropped %d duplicated triple(s)", split_name, dropped)
-        return out
+            first.sort()
+            rows, keys = rows[first], keys[first]
+        return rows, keys
 
 
 def neighbors(kg: KnowledgeGraph, entity: int) -> tuple[Triple, ...]:
     """Training facts incident to ``entity``, in train-file order."""
-    if not 0 <= entity < kg.num_entities:
-        raise ValueError(f"entity id {entity} out of range [0, {kg.num_entities})")
-    return tuple(kg.adjacency[entity])
+    return tuple(Triple(*row) for row in kg.train[kg.incident_rows(entity)].tolist())
 
 
-def build_cooccurrence(kg: KnowledgeGraph) -> CooccurrenceTable:
-    """Count, for every relation pair, the entities incident to both."""
-    n = kg.num_relations
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for facts in kg.adjacency:
-        rels = sorted({f.relation for f in facts})
-        for i, r1 in enumerate(rels):
-            matrix[r1, r1] += 1
-            for r2 in rels[i + 1 :]:
-                matrix[r1, r2] += 1
-                matrix[r2, r1] += 1
-    return CooccurrenceTable(matrix)
+def build_cooccurrence(kg: KnowledgeGraph) -> np.ndarray:
+    """``C[r, s]``: the entities incident to both r and s as head or tail of a training fact.
+
+    With the entity-by-relation incidence matrix B, ``C = BᵀB``, so the
+    diagonal ``C[r, r]`` is the number of entities incident to r. The
+    product runs in floating point, which BLAS accelerates; every partial
+    sum is an integer no larger than the entity count, so it is exact while
+    that count is below 2**24 in float32 (2**53 in float64).
+    """
+    dtype = np.float32 if kg.num_entities < 2**24 else np.float64
+    incidence = np.zeros((kg.num_entities, kg.num_relations), dtype=dtype)
+    incidence[kg.train[:, 0], kg.train[:, 1]] = 1
+    incidence[kg.train[:, 2], kg.train[:, 1]] = 1
+    return (incidence.T @ incidence).astype(np.int64)
 
 
 def _read_lines(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n").rstrip("\r") for line in f]
+    with open(path, encoding="utf-8") as f:  # universal newlines: every line end reads as "\n"
+        return f.read().split("\n")
 
 
 def _read_text_table(path: str) -> list[tuple[str, str]]:
@@ -184,8 +239,10 @@ def _read_text_table(path: str) -> list[tuple[str, str]]:
     return rows
 
 
-def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str, int]) -> list[Triple]:
-    triples = []
+def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str, int]) -> np.ndarray:
+    heads: list[int] = []
+    rels: list[int] = []
+    tails: list[int] = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line:
             continue
@@ -193,14 +250,15 @@ def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str,
         if len(fields) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
         h, r, t = fields
-        if h not in entity_ids:
-            raise DataError(f"{path}:{lineno}: unknown entity {h!r}")
-        if t not in entity_ids:
-            raise DataError(f"{path}:{lineno}: unknown entity {t!r}")
-        if r not in relation_ids:
-            raise DataError(f"{path}:{lineno}: unknown relation {r!r}")
-        triples.append(Triple(entity_ids[h], relation_ids[r], entity_ids[t]))
-    return triples
+        try:
+            heads.append(entity_ids[h])
+            tails.append(entity_ids[t])
+            rels.append(relation_ids[r])
+        except KeyError:
+            for kind, key, ids in (("entity", h, entity_ids), ("entity", t, entity_ids), ("relation", r, relation_ids)):
+                if key not in ids:
+                    raise DataError(f"{path}:{lineno}: unknown {kind} {key!r}") from None
+    return np.array([heads, rels, tails], dtype=np.int64).T
 
 
 def load_kg(dataset_dir: str) -> KnowledgeGraph:
@@ -248,6 +306,6 @@ def write_kg(kg: KnowledgeGraph, out_dir: str) -> None:
             name,
             (
                 f"{kg.entity_keys[h]}\t{kg.relation_keys[r]}\t{kg.entity_keys[t]}"
-                for h, r, t in triples
+                for h, r, t in triples.tolist()
             ),
         )

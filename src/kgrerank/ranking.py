@@ -72,12 +72,12 @@ def rank_query(
     gold_score = float(scores[q.gold]) if q.gold is not None else None
     if filtered:
         if q.direction == TAIL:
-            known_true = kg.true_tails.get((q.known, q.relation), ())
+            known_true = kg.known_tails(q.known, q.relation)
         else:
-            known_true = kg.true_heads.get((q.relation, q.known), ())
-        for e in known_true:
-            if e != q.gold:
-                scores[e] = -np.inf
+            known_true = kg.known_heads(q.relation, q.known)
+        if q.gold is not None:
+            known_true = known_true[known_true != q.gold]
+        scores[known_true] = -np.inf
     order = np.argsort(-scores, kind="stable")  # stable: ties fall to smaller ids
     gold_rank = None
     if q.gold is not None:
@@ -95,7 +95,7 @@ def rank_query(
 
 def queries_for_triple(triple: Triple) -> tuple[Query, Query]:
     """The tail- and head-prediction queries derived from one fact."""
-    h, r, t = triple
+    h, r, t = (int(x) for x in triple)
     return (
         Query(known=h, relation=r, direction=TAIL, gold=t),
         Query(known=t, relation=r, direction=HEAD, gold=h),
@@ -139,11 +139,16 @@ def sample_confidence(rq: RankedQuery, params: ConfidenceParams) -> float:
     )
 
 
+def survives_truncation(rq: RankedQuery, params: ConfidenceParams) -> bool:
+    """The truncation predicate: confidence strictly exceeds beta."""
+    return sample_confidence(rq, params) > params.beta
+
+
 def truncate_samples(
     rqs: Iterable[RankedQuery], params: ConfidenceParams
 ) -> list[RankedQuery]:
-    """Keep queries whose confidence strictly exceeds beta, preserving order."""
-    return [rq for rq in rqs if sample_confidence(rq, params) > params.beta]
+    """Keep queries that survive truncation, preserving order."""
+    return [rq for rq in rqs if survives_truncation(rq, params)]
 
 
 def write_candidates(path: str, rqs: Iterable[RankedQuery]) -> int:

@@ -52,8 +52,10 @@ def brute_force_rank(table, kg, q, m, filtered=True):
         h, r, t = q.completed(e)
         scores[e] = brute_force_score(table, h, r, t)
     if filtered:
+        # the truth set comes from the splits themselves, not from a library index
+        true_facts = {tuple(f) for split in (kg.train, kg.valid, kg.test) for f in split.tolist()}
         for e in range(kg.num_entities):
-            if e != q.gold and q.completed(e) in kg.all_true:
+            if e != q.gold and tuple(q.completed(e)) in true_facts:
                 scores[e] = float("-inf")
     order = sorted(range(kg.num_entities), key=lambda e: (-scores[e], e))
     gold_rank = order.index(q.gold) + 1 if q.gold is not None else None
@@ -62,15 +64,16 @@ def brute_force_rank(table, kg, q, m, filtered=True):
 
 def brute_force_cooc(kg):
     counts = np.zeros((kg.num_relations, kg.num_relations), dtype=np.int64)
+    train = [Triple(*f) for f in kg.train.tolist()]
     for r1 in range(kg.num_relations):
         for r2 in range(kg.num_relations):
             n = 0
             for e in range(kg.num_entities):
                 has_r1 = any(
-                    f.relation == r1 and e in (f.head, f.tail) for f in kg.train
+                    f.relation == r1 and e in (f.head, f.tail) for f in train
                 )
                 has_r2 = any(
-                    f.relation == r2 and e in (f.head, f.tail) for f in kg.train
+                    f.relation == r2 and e in (f.head, f.tail) for f in train
                 )
                 if has_r1 and has_r2:
                     n += 1

@@ -234,7 +234,7 @@ def test_prompt_shape(tmp_path, toy_kg, toy_table):
         assert rec["prompt"].count("[QUERY]") == 1
         assert rec["prompt"].count("[ENTITY]") == params.m
         assert parse_candidate_names(rec["prompt"]) == rec["candidate_names"]
-    for fact in toy_kg.valid + toy_kg.test:
+    for fact in np.concatenate([toy_kg.valid, toy_kg.test]):
         for q in queries_for_triple(fact):
             facts = rc_sample_neighbors(toy_kg, toy_kg.cooc, q, gamma=10)
             assert q.completed(q.gold) not in facts

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import time
 
 import pytest
@@ -80,6 +81,39 @@ def test_stage_digest_ignores_workdir(tmp_path, toy_dir):
     assert stage_digest(a, "embedder") == stage_digest(b, "embedder")
     c = load_config(write_config(tmp_path / "c.ini", toy_dir, tmp_path / "wc"), ["embedder.seed=9"])
     assert stage_digest(a, "embedder") != stage_digest(c, "embedder")
+
+
+def test_editing_a_dataset_file_in_place_retrains(tmp_path, toy_dir):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(toy_dir, dataset)
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", dataset, workdir)
+    assert main(["train-embeddings", "--config", cfg]) == 0
+    before = {e for e in os.listdir(workdir) if e.endswith(".ckpt")}
+    train_file = dataset / "train.txt"
+    lines = train_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    train_file.write_text("".join(lines[:-1]), encoding="utf-8")  # drop one fact
+    assert main(["train-embeddings", "--config", cfg]) == 0
+    after = {e for e in os.listdir(workdir) if e.endswith(".ckpt")}
+    assert len(before) == 1 and len(after - before) == 1
+
+
+def test_editing_the_scripted_fixture_in_place_reevaluates(tmp_path, toy_dir):
+    workdir = tmp_path / "w"
+    fixture = tmp_path / "outputs.tsv"
+    fixture.write_text("test-0-tail\tentity 1\n", encoding="utf-8")
+    cfg = write_config(
+        tmp_path / "run.ini",
+        toy_dir,
+        workdir,
+        extra=f"\n[backend]\nkind = scripted\nscripted_file = {fixture}\n",
+    )
+    assert main(["evaluate", "--config", cfg]) == 0
+    fixture.write_text("test-0-tail\tentity 2\n", encoding="utf-8")
+    assert main(["evaluate", "--config", cfg]) == 0
+    reports = [e for e in os.listdir(workdir) if e.startswith("report-")]
+    checkpoints = [e for e in os.listdir(workdir) if e.endswith(".ckpt")]
+    assert len(reports) == 2 and len(checkpoints) == 1
 
 
 def test_main_usage_errors_exit_1(capsys):

@@ -180,7 +180,7 @@ def test_train_separates_true_from_corrupted():
             h = int(rng.integers(0, CHAIN.num_entities))
         else:
             t = int(rng.integers(0, CHAIN.num_entities))
-        if (h, r, t) in CHAIN.train_set:
+        if [h, r, t] in CHAIN.train.tolist():
             continue
         corrupted.append(table.score(h, r, t))
     assert np.mean(true_scores) > np.mean(corrupted)

@@ -23,7 +23,7 @@ from kgrerank.instructions import (
     render_fact,
     render_prompt,
 )
-from kgrerank.kg import KnowledgeGraph, Triple
+from kgrerank.kg import KnowledgeGraph, Triple, neighbors
 from kgrerank.ranking import ConfidenceParams, Query, rank_query
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_prompt.txt")
@@ -128,7 +128,7 @@ def test_rc_sampling_matches_independent_ordering(case):
     cooc = brute_force_cooc(kg)
     pool = [
         (pos, f)
-        for pos, f in enumerate(kg.adjacency[q.known])
+        for pos, f in enumerate(neighbors(kg, q.known))
         if f != q.completed(q.gold)
     ]
     expected = [
@@ -151,7 +151,7 @@ def test_neighbor_sampling_is_subset_without_gold(case, rc_on, seed):
     rq = rank_query(table, kg, q, m=min(3, kg.num_entities))
     options = BuildOptions(gamma=gamma, rc_sampling=rc_on, neighbor_seed=seed)
     sample, _ = build_sample(kg, table, rq, options, "s-0", query_index=0)
-    rendered_neighbors = {render_fact(kg, f) for f in kg.adjacency[q.known]}
+    rendered_neighbors = {render_fact(kg, f) for f in neighbors(kg, q.known)}
     assert len(sample.neighbor_texts) <= gamma
     assert set(sample.neighbor_texts) <= rendered_neighbors
     assert render_fact(kg, q.completed(q.gold)) not in sample.neighbor_texts

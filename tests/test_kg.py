@@ -55,14 +55,15 @@ def test_load_assigns_ids_by_text_file_order(tmp_path):
     assert kg.num_relations == 2
     assert kg.entity_names == ["alpha", "beta", "gamma entity"]
     assert kg.entity_descriptions == ["", "the second entity", ""]
-    assert kg.train == [Triple(2, 1, 0)]
-    assert kg.all_true == {Triple(2, 1, 0)}
+    assert kg.train.tolist() == [[2, 1, 0]]
+    assert kg.known_tails(2, 1).tolist() == [0]
+    assert kg.known_heads(1, 0).tolist() == [2]
 
 
 def test_load_empty_split_is_fine(tmp_path):
     root = write_dataset(tmp_path / "d", ENTITIES, RELATIONS, [], [], [])
     kg = load_kg(root)
-    assert kg.train == [] and kg.valid == [] and kg.test == []
+    assert kg.train.shape == kg.valid.shape == kg.test.shape == (0, 3)
 
 
 def test_load_missing_file(tmp_path):
@@ -75,8 +76,8 @@ def test_load_missing_file(tmp_path):
 def test_load_malformed_line(tmp_path):
     root = write_dataset(tmp_path / "d", ENTITIES, RELATIONS, [], [], [])
     with open(os.path.join(root, "train.txt"), "w") as f:
-        f.write("/e/a\t/r/x\n")
-    with pytest.raises(DataError, match="3 tab-separated"):
+        f.write("/e/a\t/r/x\t/e/b\n\n\n/e/a\t/r/x\n")
+    with pytest.raises(DataError, match=r"train\.txt:4: expected 3 tab-separated fields, got 2"):
         load_kg(root)
 
 
@@ -84,8 +85,29 @@ def test_load_malformed_line(tmp_path):
 def test_load_dangling_reference_is_hard_error(tmp_path, split):
     root = write_dataset(tmp_path / "d", ENTITIES, RELATIONS, [], [], [])
     with open(os.path.join(root, split), "w") as f:
-        f.write("/e/a\t/r/x\t/e/unknown\n")
-    with pytest.raises(DataError, match="unknown entity"):
+        f.write("\n/e/a\t/r/x\t/e/unknown\n")
+    with pytest.raises(DataError, match=rf"{split}:2: unknown entity '/e/unknown'"):
+        load_kg(root)
+
+
+def test_load_unknown_relation(tmp_path):
+    root = write_dataset(tmp_path / "d", ENTITIES, RELATIONS, [], [], [])
+    with open(os.path.join(root, "valid.txt"), "w") as f:
+        f.write("/e/a\t/r/x\t/e/b\n/e/b\t/r/nope\t/e/c\n")
+    with pytest.raises(DataError, match=r"valid\.txt:2: unknown relation '/r/nope'"):
+        load_kg(root)
+
+
+def test_load_rejects_a_fact_shared_by_two_split_files(tmp_path):
+    root = write_dataset(
+        tmp_path / "d",
+        ENTITIES,
+        RELATIONS,
+        train=[("/e/a", "/r/x", "/e/b"), ("/e/b", "/r/y", "/e/c")],
+        valid=[("/e/c", "/r/x", "/e/a")],
+        test=[("/e/b", "/r/y", "/e/c")],
+    )
+    with pytest.raises(DataError, match="disjoint"):
         load_kg(root)
 
 
@@ -94,13 +116,13 @@ def test_duplicate_triples_deduplicated_with_warning(tmp_path, caplog):
         tmp_path / "d",
         ENTITIES,
         RELATIONS,
-        train=[("/e/a", "/r/x", "/e/b"), ("/e/a", "/r/x", "/e/b")],
+        train=[("/e/a", "/r/x", "/e/b"), ("/e/c", "/r/y", "/e/a"), ("/e/a", "/r/x", "/e/b")],
         valid=[],
         test=[],
     )
     with caplog.at_level(logging.WARNING):
         kg = load_kg(root)
-    assert len(kg.train) == 1
+    assert kg.train.tolist() == [[0, 0, 1], [2, 1, 0]]  # file order, first occurrence kept
     assert any("duplicated" in rec.message for rec in caplog.records)
 
 
@@ -128,22 +150,22 @@ def test_cooccurrence_counts_shared_entities():
         train=[(0, 0, 1), (0, 1, 2), (3, 0, 4), (3, 1, 5), (0, 2, 6)],
     )
     cooc = kg.cooc
-    assert cooc.count(0, 1) == 2  # e1 and e4 touch both r1 and r2
-    assert cooc.count(0, 2) == 1  # only e1 touches both r1 and r3
-    assert cooc.count(1, 2) == 1
-    assert np.array_equal(cooc.matrix, cooc.matrix.T)
-    assert np.array_equal(cooc.matrix, brute_force_cooc(kg))
+    assert cooc[0, 1] == 2  # e1 and e4 touch both r1 and r2
+    assert cooc[0, 2] == 1  # only e1 touches both r1 and r3
+    assert cooc[1, 2] == 1
+    assert np.array_equal(cooc, cooc.T)
+    assert np.array_equal(cooc, brute_force_cooc(kg))
 
 
 def test_cooccurrence_single_relation():
     kg = build_kg(3, 1, train=[(0, 0, 1), (1, 0, 2)])
-    assert kg.cooc.matrix.shape == (1, 1)
-    assert kg.cooc.count(0, 0) == 3
+    assert kg.cooc.shape == (1, 1)
+    assert kg.cooc[0, 0] == 3
 
 
 def test_cooccurrence_disjoint_supports():
     kg = build_kg(4, 2, train=[(0, 0, 1), (2, 1, 3)])
-    assert kg.cooc.count(0, 1) == 0
+    assert kg.cooc[0, 1] == 0
 
 
 @st.composite
@@ -155,8 +177,6 @@ def small_kg(draw):
     for _ in range(n_facts):
         h = draw(st.integers(min_value=0, max_value=n_e - 1))
         t = draw(st.integers(min_value=0, max_value=n_e - 1))
-        if h == t:
-            continue
         r = draw(st.integers(min_value=0, max_value=n_r - 1))
         facts.add((h, r, t))
     return build_kg(n_e, n_r, train=sorted(facts))
@@ -166,17 +186,25 @@ def small_kg(draw):
 @given(small_kg())
 def test_cooccurrence_matches_quadratic_oracle(kg):
     table = build_cooccurrence(kg)
-    assert np.array_equal(table.matrix, brute_force_cooc(kg))
-    diag = np.diag(table.matrix)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, brute_force_cooc(kg))
+    diag = np.diag(table)
     upper = np.minimum.outer(diag, diag)
-    assert (table.matrix <= upper).all()
+    assert (table <= upper).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_kg())
 def test_neighbor_lengths_sum_to_twice_train(kg):
-    total = sum(len(neighbors(kg, e)) for e in range(kg.num_entities))
-    assert total == 2 * len(kg.train)
+    lists = [neighbors(kg, e) for e in range(kg.num_entities)]
+    loops = [Triple(*f) for f in kg.train.tolist() if f[0] == f[2]]
+    assert sum(map(len, lists)) == 2 * len(kg.train) - len(loops)
+    for fact in loops:
+        assert lists[fact.head].count(fact) == 1
+    # each entity's list is its facts in train-file order
+    train = [Triple(*f) for f in kg.train.tolist()]
+    for e, facts in enumerate(lists):
+        assert list(facts) == [f for f in train if e in (f.head, f.tail)]
 
 
 SAFE_TEXT = st.text(
@@ -220,9 +248,9 @@ def test_round_trip_preserves_ids_and_triples(tmp_path_factory, data):
     assert back.entity_keys == kg.entity_keys
     assert back.entity_names == kg.entity_names
     assert back.relation_keys == kg.relation_keys
-    assert back.train == kg.train
-    assert back.valid == kg.valid
-    assert back.test == kg.test
+    assert np.array_equal(back.train, kg.train)
+    assert np.array_equal(back.valid, kg.valid)
+    assert np.array_equal(back.test, kg.test)
 
 
 def test_fb15k237_statistics(fb15k237_dir):

@@ -18,6 +18,7 @@ from kgrerank.ranking import (
     queries_for_triple,
     rank_query,
     sample_confidence,
+    survives_truncation,
     truncate_samples,
     write_candidates,
 )
@@ -74,7 +75,7 @@ def test_exact_translation_ranks_first():
 
 def test_ranking_matches_brute_force_including_filtering():
     table, kg, rng = random_setup(seed=0)
-    all_facts = kg.train + kg.valid + kg.test
+    all_facts = np.concatenate([kg.train, kg.valid, kg.test])
     for i in range(20):
         fact = all_facts[int(rng.integers(0, len(all_facts)))]
         q = queries_for_triple(fact)[i % 2]
@@ -101,8 +102,9 @@ def test_filtering_excludes_known_true_but_never_gold():
     q = queries_for_triple(fact)[0]
     rq = rank_query(table, kg, q, m=kg.num_entities)
     competitors = {
-        t for (h, r), tails in kg.true_tails.items() if (h, r) == (q.known, q.relation)
-        for t in tails
+        t
+        for h, r, t in np.concatenate([kg.train, kg.valid, kg.test]).tolist()
+        if (h, r) == (q.known, q.relation)
     }
     for e in competitors - {q.gold}:
         pos = rq.ranking.tolist().index(e)
@@ -112,7 +114,7 @@ def test_filtering_excludes_known_true_but_never_gold():
 
 def test_filtered_gold_rank_never_worse_than_unfiltered():
     table, kg, _ = random_setup(seed=8)
-    for fact in (kg.train + kg.valid + kg.test)[:12]:
+    for fact in np.concatenate([kg.train, kg.valid, kg.test])[:12]:
         for q in queries_for_triple(fact):
             filtered = rank_query(table, kg, q, m=3, filtered=True)
             unfiltered = rank_query(table, kg, q, m=3, filtered=False)
@@ -190,6 +192,7 @@ def test_truncate_boundary_is_strict():
     rq = synthetic_rq(gold_rank=20, gold_score=-9.0, topm_scores=[-1.0, -2.0, -3.0])
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
     assert sample_confidence(rq, params) == params.beta
+    assert not survives_truncation(rq, params)
     assert truncate_samples([rq], params) == []
 
 
@@ -220,7 +223,7 @@ def test_confidence_ranges(seed):
     table, kg, _ = random_setup(seed=seed, n_entities=8)
     alpha = 0.7
     params = ConfidenceParams(m=4, alpha=alpha, beta=0.0)
-    for fact in (kg.train + kg.valid + kg.test)[:6]:
+    for fact in np.concatenate([kg.train, kg.valid, kg.test])[:6]:
         for q in queries_for_triple(fact):
             rq = rank_query(table, kg, q, m=4)
             g = global_confidence(rq)
@@ -261,3 +264,47 @@ def test_candidate_dump_is_deterministic(tmp_path):
         write_candidates(path, rqs)
         digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
     assert digests[0] == digests[1]
+
+
+@st.composite
+def multi_answer_case(draw):
+    """A graph whose (h, r) and (r, t) keys have several answers spread over the splits."""
+    n_e = draw(st.integers(min_value=4, max_value=12))
+    n_r = draw(st.integers(min_value=1, max_value=3))
+    ent = st.integers(0, n_e - 1)
+    rel = st.integers(0, n_r - 1)
+    split_of: dict = {}
+    # one (h, r) key and one (r, t) key with three or more answers, dealt round-robin to the splits
+    hub, hub_rel = draw(ent), draw(rel)
+    tails = draw(st.lists(ent, min_size=3, max_size=n_e, unique=True))
+    for i, t in enumerate(tails):
+        split_of.setdefault((hub, hub_rel, t), i % 3)
+    sink, sink_rel = draw(ent), draw(rel)
+    heads = draw(st.lists(ent, min_size=3, max_size=n_e, unique=True))
+    for i, h in enumerate(heads):
+        split_of.setdefault((h, sink_rel, sink), i % 3)
+    for fact, split in draw(st.lists(st.tuples(st.tuples(ent, rel, ent), st.integers(0, 2)), max_size=20)):
+        split_of.setdefault(fact, split)
+    splits = [[f for f, s in split_of.items() if s == k] for k in range(3)]
+    kg = build_kg(n_e, n_r, *splits)
+    # integer-valued vectors make exact score ties common
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = EmbeddingTable(
+        rng.integers(-1, 2, size=(n_e, 2)).astype(float),
+        rng.integers(-1, 2, size=(n_r, 2)).astype(float),
+        draw(st.sampled_from(["L1", "L2"])),
+    )
+    return table, kg, draw(st.integers(min_value=1, max_value=n_e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_answer_case())
+def test_filtered_ranking_matches_brute_force_on_multi_answer_keys(case):
+    table, kg, m = case
+    for fact in np.concatenate([kg.train, kg.valid, kg.test]):
+        for q in queries_for_triple(fact):
+            rq = rank_query(table, kg, q, m=m)
+            order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
+            assert rq.ranking.tolist() == order
+            assert rq.topm_ids == topm
+            assert rq.gold_rank == gold_rank
