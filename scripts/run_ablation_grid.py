@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 
-from kgrerank.cli import load_config, main as cli_main, stage_digest
+from kgrerank.cli import load_config, main as cli_main, stage_output
 
 VARIANTS = [
     ("full", []),
@@ -38,10 +38,7 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
         cfg = load_config(args.config, overrides)
-        digest = stage_digest(cfg, "embedder", "ranker", "instruct", "backend", "eval")
-        report = json.load(
-            open(os.path.join(cfg.workdir, f"report-{digest}", "report.json"))
-        )
+        report = json.load(open(os.path.join(stage_output(cfg, "report"), "report.json")))
         rows.append((label, report))
 
     print()

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 
-from kgrerank.cli import load_config, main as cli_main, stage_digest
+from kgrerank.cli import load_config, main as cli_main, stage_output
 
 
 def main():
@@ -29,8 +29,7 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
         cfg = load_config(args.config, [f"ranker.beta={beta}"])
-        digest = stage_digest(cfg, "embedder", "ranker", "instruct")
-        summary_path = os.path.join(cfg.workdir, f"finetune-{digest}", "summary.json")
+        summary_path = os.path.join(stage_output(cfg, "finetune"), "summary.json")
         summary = json.load(open(summary_path))
         print(
             f"{beta:8.3f} {summary['queries']:8d} {summary['kept']:8d} {summary['dropped']:8d}"

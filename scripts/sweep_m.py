@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 
-from kgrerank.cli import load_config, main as cli_main, stage_digest
+from kgrerank.cli import load_config, main as cli_main, stage_output
 
 
 def main():
@@ -24,10 +24,7 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
         cfg = load_config(args.config, [f"ranker.m={m}"])
-        digest = stage_digest(cfg, "embedder", "ranker", "instruct")
-        summary = json.load(
-            open(os.path.join(cfg.workdir, f"eval-{digest}", "summary.json"))
-        )
+        summary = json.load(open(os.path.join(stage_output(cfg, "eval"), "summary.json")))
         print(f"{m:6d} {summary['written']:8d} {summary['mean_prompt_chars']:18.1f}")
 
 

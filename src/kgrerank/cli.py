@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .discriminator import BackendError, RemoteConfig, make_backend
@@ -260,8 +261,38 @@ def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+# stage -> the config sections its output depends on
+_STAGE_SECTIONS = {
+    "embeddings": ("embedder",),
+    "finetune": ("embedder", "ranker", "instruct"),
+    "eval": ("embedder", "ranker", "instruct"),
+    "report": ("embedder", "ranker", "instruct", "backend", "eval"),
+}
+
+
+def stage_output(cfg: PipelineConfig, stage: str) -> str:
+    """Where a stage writes: ``<workdir>/<stage>-<digest>``, a directory or, for
+    ``embeddings``, the stem of the checkpoint and its manifest."""
+    digest = stage_digest(cfg, *_STAGE_SECTIONS[stage])
+    return os.path.join(cfg.workdir, f"{stage}-{digest}")
+
+
+@contextmanager
+def _atomic_open(path: str):
+    """A text file written under a temporary name beside ``path`` and renamed into
+    place on success, so a crash never leaves a partial file under the final name."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -269,9 +300,9 @@ def _write_json(path: str, payload: dict) -> None:
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
     """Train the embedding checkpoint if its content address is absent."""
     os.makedirs(cfg.workdir, exist_ok=True)
-    digest = stage_digest(cfg, "embedder")
-    ckpt = os.path.join(cfg.workdir, f"embeddings-{digest}.ckpt")
-    manifest = os.path.join(cfg.workdir, f"embeddings-{digest}.json")
+    stem = stage_output(cfg, "embeddings")
+    ckpt = stem + ".ckpt"
+    manifest = stem + ".json"
     if os.path.isfile(ckpt) and os.path.isfile(manifest):
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
@@ -287,7 +318,7 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
         manifest,
         {
             "stage": "train-embeddings",
-            "config_digest": digest,
+            "config_digest": stem.rsplit("-", 1)[1],
             "seed": cfg.train.seed,
             "entities": kg.num_entities,
             "relations": kg.num_relations,
@@ -312,8 +343,7 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
 
 
 def cmd_build(cfg: PipelineConfig, which: str) -> int:
-    digest = stage_digest(cfg, "embedder", "ranker", "instruct")
-    outdir = os.path.join(cfg.workdir, f"{which}-{digest}")
+    outdir = stage_output(cfg, which)
     summary_path = os.path.join(outdir, "summary.json")
     if os.path.isfile(summary_path):
         logger.info("%s set up to date: %s", which, outdir)
@@ -359,8 +389,7 @@ def _make_backend(cfg: PipelineConfig):
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
-    digest = stage_digest(cfg, "embedder", "ranker", "instruct", "backend", "eval")
-    outdir = os.path.join(cfg.workdir, f"report-{digest}")
+    outdir = stage_output(cfg, "report")
     report_json = os.path.join(outdir, "report.json")
     report_txt = os.path.join(outdir, "report.txt")
     if os.path.isfile(report_json) and os.path.isfile(report_txt):
@@ -381,7 +410,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     report = evaluate(kg, table, backend, cfg.params, options, cfg.build)
     _write_json(report_json, report.as_dict())
     table_text = report.format_table() + "\n"
-    with open(report_txt, "w", encoding="utf-8") as f:
+    with _atomic_open(report_txt) as f:
         f.write(table_text)
     print(table_text, end="")
     return 0

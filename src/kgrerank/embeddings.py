@@ -313,6 +313,8 @@ def read_vector_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     if len(payload) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
     data = np.frombuffer(payload, dtype="<f8").copy()
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: holds NaN or infinite values")
     entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
     relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
     return entity_vecs, relation_vecs, _NORM_NAMES[norm_code]

@@ -4,7 +4,9 @@ For every test triple both completion directions are ranked, a selection
 prompt is built, the backend picks a candidate (or abstains), the selected
 entity is moved to the top of the ranking with all other relative positions
 preserved, and MRR / Hits@k of the gold answer are computed over the new
-ranks, per direction and pooled.
+ranks, per direction and pooled. Moving one entity to the top shifts the
+gold by at most one place, so the new rank follows from two base ranks (see
+``moved_rank``) and no full ranking is ever built.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instructions import BuildOptions, build_sample
+from .instructions import BuildOptions, build_sample, numbered_queries
 from .kg import KnowledgeGraph
-from .ranking import ConfidenceParams, queries_for_triple, rank_query
+from .ranking import ConfidenceParams, RankedQuery, queries_for_triple, rank_query
 
 logger = logging.getLogger(__name__)
 
@@ -98,18 +100,20 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def rerank(ranking: np.ndarray, selection, candidate_ids: list[int]) -> np.ndarray:
-    """Move the selected candidate to the front; keep all other order."""
-    if not selection.chosen:
-        return np.array(ranking, copy=True)
-    if not 0 <= selection.index < len(candidate_ids):
-        raise ValueError(f"selection index {selection.index} out of range")
-    chosen = candidate_ids[selection.index]
-    ranking = np.asarray(ranking)
-    out = np.empty_like(ranking)
-    out[0] = chosen
-    out[1:] = ranking[ranking != chosen]
-    return out
+def moved_rank(rq: RankedQuery, chosen: int | None) -> int:
+    """The gold's rank once ``chosen`` moves to the top; None moves nothing.
+
+    With ``rg`` the gold's base rank and ``rc`` the chosen candidate's: the
+    gold becomes first if chosen, keeps ``rg`` if the chosen entity already
+    stood above it, and otherwise slips one place.
+    """
+    rg = rq.gold_rank
+    if chosen is None:
+        return rg
+    if chosen == rq.query.gold:
+        return 1
+    rc = rq.topm_ids.index(chosen) + 1
+    return rg if rc < rg else rg + 1
 
 
 def metrics(gold_ranks) -> DirectionMetrics:
@@ -142,15 +146,12 @@ class _QueryOutcome:
 
 
 def _evaluate_one(kg, table, backend, params, build_options, item) -> _QueryOutcome:
-    i, q, offset = item
+    sample_id, query_index, q = item
     rq = rank_query(table, kg, q, params.m)
-    sample_id = f"test-{i}-{q.direction}"
-    sample, _vectors = build_sample(
-        kg, table, rq, build_options, sample_id, query_index=2 * i + offset
-    )
+    sample, _vectors = build_sample(kg, table, rq, build_options, sample_id, query_index)
     sel = backend.select(sample)
-    reranked = rerank(rq.ranking, sel, sample.candidate_ids)
-    final_rank = int(np.nonzero(reranked == q.gold)[0][0]) + 1
+    if sel.chosen and not 0 <= sel.index < len(sample.candidate_ids):
+        raise ValueError(f"selection index {sel.index} out of range")
     selected_id = sample.candidate_ids[sel.index] if sel.chosen else None
     collision = (
         sel.chosen
@@ -164,7 +165,7 @@ def _evaluate_one(kg, table, backend, params, build_options, item) -> _QueryOutc
         relation=q.relation,
         gold=q.gold,
         base_rank=rq.gold_rank,
-        final_rank=final_rank,
+        final_rank=moved_rank(rq, selected_id),
         selection_index=sel.index,
         selected_id=selected_id,
         in_topm=rq.gold_rank <= params.m,
@@ -189,10 +190,7 @@ def evaluate(
     if len(triples) == 0:
         raise ValueError("evaluation requires a non-empty test split")
 
-    work = []
-    for i, triple in enumerate(triples):
-        for offset, q in enumerate(queries_for_triple(triple)):
-            work.append((i, q, offset))
+    work = list(numbered_queries(enumerate(triples), "test"))
 
     workers = options.threads
     # remote backends carry an in-flight request cap that bounds parallelism

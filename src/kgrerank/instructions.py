@@ -223,23 +223,13 @@ def build_sample(
     return sample, vectors
 
 
-def iter_triple_samples(
-    kg: KnowledgeGraph,
-    table: EmbeddingTable,
-    indexed_triples: Iterable[tuple[int, Triple]],
-    params: ConfidenceParams,
-    options: BuildOptions,
-    id_prefix: str,
-) -> Iterator[tuple[RankedQuery, InstructionSample, np.ndarray]]:
-    """Rank and assemble both directions of each (original_index, triple)."""
+def numbered_queries(
+    indexed_triples: Iterable[tuple[int, Triple]], id_prefix: str
+) -> Iterator[tuple[str, int, Query]]:
+    """(sample id, query index, query) for both directions of each (original_index, triple)."""
     for i, triple in indexed_triples:
         for offset, q in enumerate(queries_for_triple(triple)):
-            rq = rank_query(table, kg, q, params.m)
-            sample_id = f"{id_prefix}-{i}-{q.direction}"
-            sample, vectors = build_sample(
-                kg, table, rq, options, sample_id, query_index=2 * i + offset
-            )
-            yield rq, sample, vectors
+            yield f"{id_prefix}-{i}-{q.direction}", 2 * i + offset, q
 
 
 class InstructionWriter:
@@ -281,6 +271,23 @@ class InstructionWriter:
         self.close()
 
 
+def _write_samples(
+    w: InstructionWriter,
+    kg: KnowledgeGraph,
+    table: EmbeddingTable,
+    params: ConfidenceParams,
+    options: BuildOptions,
+    indexed_triples: Iterable[tuple[int, Triple]],
+    id_prefix: str,
+    truncate: bool,
+) -> None:
+    """Rank each query and write its sample; with ``truncate``, build it only if it survives."""
+    for sample_id, query_index, q in numbered_queries(indexed_triples, id_prefix):
+        rq = rank_query(table, kg, q, params.m)
+        if not truncate or survives_truncation(rq, params):
+            w.write(*build_sample(kg, table, rq, options, sample_id, query_index))
+
+
 def read_instruction_records(path: str) -> list[dict]:
     records = []
     with open(path, encoding="utf-8") as f:
@@ -318,10 +325,7 @@ def build_eval_set(
     """One untruncated sample per direction for every test triple."""
     source = kg.test if triples is None else triples
     with InstructionWriter(instructions_path, sidecar_path, table.dim, table.norm) as w:
-        for _, sample, vectors in iter_triple_samples(
-            kg, table, enumerate(source), params, options, id_prefix
-        ):
-            w.write(sample, vectors)
+        _write_samples(w, kg, table, params, options, enumerate(source), id_prefix, truncate=False)
         written = w.count
         chars = w.prompt_chars
     summary = _options_summary(params, options)
@@ -359,16 +363,9 @@ def build_finetune_set(
     part1 = sorted(int(i) for i in perm[:cut])
     part2 = sorted(int(i) for i in perm[cut:])
 
-    kept = 0
-    seen = 0
-    chars = 0
     with InstructionWriter(instructions_path, sidecar_path, table.dim, table.norm) as w:
-        for rq, sample, vectors in iter_triple_samples(
-            kg, table, ((i, kg.valid[i]) for i in part1), params, options, "valid"
-        ):
-            seen += 1
-            if survives_truncation(rq, params):
-                w.write(sample, vectors)
+        part = ((i, kg.valid[i]) for i in part1)
+        _write_samples(w, kg, table, params, options, part, "valid", truncate=True)
         kept = w.count
         chars = w.prompt_chars
     if kept == 0:
@@ -377,19 +374,17 @@ def build_finetune_set(
     with InstructionWriter(
         holdout_instructions_path, holdout_sidecar_path, table.dim, table.norm
     ) as w:
-        for _, sample, vectors in iter_triple_samples(
-            kg, table, ((i, kg.valid[i]) for i in part2), params, options, "valid"
-        ):
-            w.write(sample, vectors)
+        part = ((i, kg.valid[i]) for i in part2)
+        _write_samples(w, kg, table, params, options, part, "valid", truncate=False)
         holdout = w.count
 
     summary = _options_summary(params, options)
     summary.update(
         {
             "valid_triples": len(kg.valid),
-            "queries": seen,
+            "queries": 2 * len(part1),
             "kept": kept,
-            "dropped": seen - kept,
+            "dropped": 2 * len(part1) - kept,
             "holdout_queries": holdout,
             "mean_prompt_chars": (chars / kept) if kept else 0.0,
             "split_seed": split_seed,

@@ -1,17 +1,17 @@
-"""Filtered full-entity ranking, top-m candidates, and confidence scoring.
+"""Filtered ranking: top-m candidates, the gold's rank, and confidence scoring.
 
 Filtering replaces the scores of entities that complete a known-true triple
-(other than the gold answer) with -inf before sorting, so the ranking always
-remains a permutation of all entities and the gold rank is always defined.
-Ties break toward the smaller entity id.
+(other than the gold answer) with -inf, so the gold rank is always defined.
+Nothing is sorted in full: the gold's rank is counted and the top-m come from
+a partition, both as positions in the order "score descending, ties to the
+smaller entity id". The counts need scores that are never NaN, so
+checkpoints holding NaN or infinite values are refused on load.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Query:
 @dataclass
 class RankedQuery:
     query: Query
-    ranking: np.ndarray  # all entity ids, best first
     topm_ids: list[int]
     topm_scores: list[float]
     gold_rank: int | None
@@ -65,11 +64,10 @@ def rank_query(
     m: int,
     filtered: bool = True,
 ) -> RankedQuery:
-    """Rank every entity for the query, filtered against known-true triples."""
+    """The top-m entities and the gold's rank, filtered against known-true triples."""
     if not 1 <= m <= kg.num_entities:
         raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
     scores = table.score_candidates(q.known, q.relation, q.direction)
-    gold_score = float(scores[q.gold]) if q.gold is not None else None
     if filtered:
         if q.direction == TAIL:
             known_true = kg.known_tails(q.known, q.relation)
@@ -78,14 +76,18 @@ def rank_query(
         if q.gold is not None:
             known_true = known_true[known_true != q.gold]
         scores[known_true] = -np.inf
-    order = np.argsort(-scores, kind="stable")  # stable: ties fall to smaller ids
-    gold_rank = None
+    gold_rank = gold_score = None
     if q.gold is not None:
-        gold_rank = int(np.nonzero(order == q.gold)[0][0]) + 1
-    topm = order[:m]
+        g = scores[q.gold]
+        gold_score = float(g)
+        gold_rank = int(np.count_nonzero(scores > g) + np.count_nonzero(scores[: q.gold] == g)) + 1
+    # everything above the m-th best score, sorted; then the ties at it, in id order
+    mth = np.partition(scores, kg.num_entities - m)[kg.num_entities - m]
+    above = np.flatnonzero(scores > mth)
+    above = above[np.argsort(-scores[above], kind="stable")]
+    topm = np.concatenate([above, np.flatnonzero(scores == mth)[: m - len(above)]])
     return RankedQuery(
         query=q,
-        ranking=order,
         topm_ids=[int(e) for e in topm],
         topm_scores=[float(s) for s in scores[topm]],
         gold_rank=gold_rank,
@@ -142,36 +144,3 @@ def sample_confidence(rq: RankedQuery, params: ConfidenceParams) -> float:
 def survives_truncation(rq: RankedQuery, params: ConfidenceParams) -> bool:
     """The truncation predicate: confidence strictly exceeds beta."""
     return sample_confidence(rq, params) > params.beta
-
-
-def truncate_samples(
-    rqs: Iterable[RankedQuery], params: ConfidenceParams
-) -> list[RankedQuery]:
-    """Keep queries that survive truncation, preserving order."""
-    return [rq for rq in rqs if survives_truncation(rq, params)]
-
-
-def write_candidates(path: str, rqs: Iterable[RankedQuery]) -> int:
-    """Dump per-query candidate records as JSON lines; returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for rq in rqs:
-            record = {
-                "direction": rq.query.direction,
-                "known": rq.query.known,
-                "relation": rq.query.relation,
-                "gold": rq.query.gold,
-                "gold_rank": rq.gold_rank,
-                "topm": [[e, s] for e, s in zip(rq.topm_ids, rq.topm_scores)],
-            }
-            f.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
-            n += 1
-    return n
-
-
-def iter_candidates(path: str) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

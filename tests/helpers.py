@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
-co-occurrence is a quadratic scan, and gradients come from central finite
-differences.
+move-to-top rebuilds the whole permutation, co-occurrence is a quadratic
+scan, and gradients come from central finite differences.
 """
 
 from __future__ import annotations
@@ -60,6 +60,20 @@ def brute_force_rank(table, kg, q, m, filtered=True):
     order = sorted(range(kg.num_entities), key=lambda e: (-scores[e], e))
     gold_rank = order.index(q.gold) + 1 if q.gold is not None else None
     return order, order[:m], gold_rank
+
+
+def rerank(ranking, selection, candidate_ids):
+    """Move-to-top oracle: the selected candidate goes first, all other order is kept."""
+    if not selection.chosen:
+        return np.array(ranking, copy=True)
+    if not 0 <= selection.index < len(candidate_ids):
+        raise ValueError(f"selection index {selection.index} out of range")
+    chosen = candidate_ids[selection.index]
+    ranking = np.asarray(ranking)
+    out = np.empty_like(ranking)
+    out[0] = chosen
+    out[1:] = ranking[ranking != chosen]
+    return out
 
 
 def brute_force_cooc(kg):

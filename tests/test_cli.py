@@ -1,12 +1,16 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from kgrerank.cli import ConfigError, load_config, main, stage_digest
+from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import read_instruction_records
 
 FAST_EMBEDDER = """
@@ -362,3 +366,77 @@ def test_inspect_prints_prompt(tmp_path, toy_dir, capsys):
     assert "[QUERY]" in out
     assert main(["inspect", "--file", path, "--index", "1"]) == 0
     assert main(["inspect", "--file", path, "--id", "missing"]) == 2
+
+
+def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["train-embeddings", "--config", cfg]) == 0
+    ckpt = workdir_file(tmp_path / "w", "embeddings-")
+    assert ckpt.endswith(".ckpt")
+    table = EmbeddingTable.load(ckpt)
+    table.entity_vecs[3] = np.nan
+    table.save(ckpt)
+    assert main(["build-eval", "--config", cfg]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch):
+    import kgrerank.cli as cli
+
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    calls = []
+    original = cli.build_eval_set
+
+    def build(*args, **kwargs):
+        summary = original(*args, **kwargs)
+        calls.append(summary)
+        if len(calls) == 1:  # json.dump fails after writing the other keys
+            summary["zz_unserializable"] = object()
+        return summary
+
+    monkeypatch.setattr(cli, "build_eval_set", build)
+    with pytest.raises(TypeError):
+        main(["build-eval", "--config", cfg])
+    outdir = workdir_file(tmp_path / "w", "eval-")
+    assert sorted(os.listdir(outdir)) == ["instructions.jsonl", "instructions.sidecar"]
+    assert main(["build-eval", "--config", cfg]) == 0
+    assert len(calls) == 2
+    assert json.load(open(os.path.join(outdir, "summary.json")))["written"] == 24
+
+
+def run_script(name, args, monkeypatch, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    module.main()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_sweep_beta_script(tmp_path, toy_dir, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    lines = run_script("sweep_beta", ["--config", cfg, "--betas", "0,1.0"], monkeypatch, capsys)
+    rows = [row for row in map(str.split, lines) if row[:1] in (["0.000"], ["1.000"])]
+    assert rows[0][1:] == ["20", "20", "0"]  # beta 0 keeps every query
+    assert int(rows[1][2]) <= 20 and int(rows[1][2]) + int(rows[1][3]) == 20
+
+
+def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    lines = run_script("sweep_m", ["--config", cfg, "--ms", "2,9"], monkeypatch, capsys)
+    rows = [row for row in map(str.split, lines) if row[:1] in (["2"], ["9"])]
+    assert [(r[0], r[1]) for r in rows] == [("2", "24"), ("9", "24")]
+    assert float(rows[0][2]) < float(rows[1][2])
+
+
+def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    lines = run_script("run_ablation_grid", ["--config", cfg, "--backend", "oracle"], monkeypatch, capsys)
+    table = lines[lines.index("") + 1 :]
+    assert table[0].split()[0] == "variant"
+    assert [line[:22].strip() for line in table[1:]] == [
+        "full", "no description", "no neighbors", "uniform neighbors", "shuffled candidates"
+    ]
+    reports = [e for e in os.listdir(tmp_path / "w") if e.startswith("report-")]
+    assert len(reports) == 5

@@ -1,10 +1,13 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_force_rank, build_kg, rerank
 from kgrerank.discriminator import (
     ABSTAIN,
     FirstCandidateBackend,
@@ -17,9 +20,10 @@ from kgrerank.evaluation import (
     base_model_metrics,
     evaluate,
     metrics,
-    rerank,
 )
-from kgrerank.ranking import ConfidenceParams
+from kgrerank.embeddings import EmbeddingTable
+from kgrerank.instructions import BuildOptions, build_sample, numbered_queries
+from kgrerank.ranking import ConfidenceParams, rank_query
 
 PARAMS = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
 
@@ -221,3 +225,59 @@ def test_evaluate_requires_test_triples(toy_table):
     kg = build_kg(4, 1, train=[(0, 0, 1)])
     with pytest.raises(ValueError):
         evaluate(kg, toy_table, OracleBackend(), PARAMS)
+
+
+@st.composite
+def rerank_case(draw):
+    """A small graph with a non-empty test split and integer vectors, so scores tie often."""
+    n_e = draw(st.integers(min_value=2, max_value=12))
+    n_r = draw(st.integers(min_value=1, max_value=3))
+    fact = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_r - 1), st.integers(0, n_e - 1))
+    facts = draw(st.lists(fact, min_size=1, max_size=30, unique=True))
+    splits = [draw(st.integers(0, 2)) for _ in facts[1:]] + [2]
+    kg = build_kg(n_e, n_r, *[[f for f, k in zip(facts, splits) if k == s] for s in range(3)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = EmbeddingTable(
+        rng.integers(-1, 2, size=(n_e, 2)).astype(float),
+        rng.integers(-1, 2, size=(n_r, 2)).astype(float),
+        draw(st.sampled_from(["L1", "L2"])),
+    )
+    m = draw(st.integers(min_value=1, max_value=n_e))
+    options = BuildOptions(shuffle_candidates=draw(st.booleans()), shuffle_seed=draw(st.integers(0, 9)))
+    return kg, table, m, options
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=rerank_case(),
+    backend=st.sampled_from([OracleBackend(), FirstCandidateBackend(), ScriptedBackend({})]),
+)
+def test_rank_arithmetic_equals_permutation_then_rerank(case, backend):
+    kg, table, m, options = case
+    params = ConfidenceParams(m=m, alpha=1.0, beta=0.05)
+    with tempfile.TemporaryDirectory() as tmp:
+        audit = os.path.join(tmp, "audit.jsonl")
+        evaluate(kg, table, backend, params, EvalOptions(audit_path=audit), options)
+        rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
+    queries = list(numbered_queries(enumerate(kg.test), "test"))
+    assert len(rows) == len(queries)
+    for row, (sample_id, query_index, q) in zip(rows, queries):
+        order, topm, _ = brute_force_rank(table, kg, q, m)
+        rq = rank_query(table, kg, q, m)
+        assert rq.topm_ids == topm
+        sample, _ = build_sample(kg, table, rq, options, sample_id, query_index)
+        moved = rerank(np.array(order), backend.select(sample), sample.candidate_ids).tolist()
+        assert row["id"] == sample_id
+        assert row["base_rank"] == order.index(q.gold) + 1
+        assert row["final_rank"] == moved.index(q.gold) + 1
+
+
+def test_out_of_range_selection_is_rejected(toy_kg, toy_table):
+    class OutOfRange:
+        name = "out-of-range"
+
+        def select(self, sample):
+            return Selection(len(sample.candidate_ids))
+
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate(toy_kg, toy_table, OutOfRange(), PARAMS)

@@ -390,3 +390,25 @@ def test_instruction_records_carry_the_documented_fields(tmp_path, toy_kg, toy_t
         "gold_rank",
         "knowledge_ref_offsets",
     ]
+
+
+def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_table, monkeypatch):
+    import kgrerank.instructions as instructions
+
+    built = []
+    original = instructions.build_sample
+
+    def counting(*args, **kwargs):
+        built.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(instructions, "build_sample", counting)
+    params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
+    summary = build_finetune_set(
+        toy_kg, toy_table, params, BuildOptions(), split_seed=3, **finetune_paths(tmp_path)
+    )
+    assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
+    assert len(built) == summary["kept"] + summary["holdout_queries"]
+    written = read_instruction_records(str(tmp_path / "ft.jsonl"))
+    written += read_instruction_records(str(tmp_path / "holdout.jsonl"))
+    assert built == [rec["id"] for rec in written]

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -13,14 +12,11 @@ from kgrerank.ranking import (
     Query,
     RankedQuery,
     global_confidence,
-    iter_candidates,
     local_confidence,
     queries_for_triple,
     rank_query,
     sample_confidence,
     survives_truncation,
-    truncate_samples,
-    write_candidates,
 )
 
 
@@ -48,16 +44,20 @@ def random_setup(seed, n_entities=10, n_relations=2, dim=4):
     return table, kg, rng
 
 
-def synthetic_rq(gold_rank, gold_score, topm_scores, m=None, n_entities=30):
+def synthetic_rq(gold_rank, gold_score, topm_scores):
     """Hand-built RankedQuery for confidence arithmetic tests."""
     return RankedQuery(
         query=Query(known=0, relation=0, direction="tail", gold=1),
-        ranking=np.arange(n_entities),
         topm_ids=list(range(len(topm_scores))),
         topm_scores=list(topm_scores),
         gold_rank=gold_rank,
         gold_score=gold_score,
     )
+
+
+def kept(rqs, params):
+    """The queries that survive truncation, in order."""
+    return [rq for rq in rqs if survives_truncation(rq, params)]
 
 
 def test_exact_translation_ranks_first():
@@ -81,7 +81,7 @@ def test_ranking_matches_brute_force_including_filtering():
         q = queries_for_triple(fact)[i % 2]
         rq = rank_query(table, kg, q, m=5)
         order, topm, gold_rank = brute_force_rank(table, kg, q, m=5)
-        assert rq.ranking.tolist() == order
+        assert rank_query(table, kg, q, m=kg.num_entities).topm_ids == order
         assert rq.topm_ids == topm
         assert rq.gold_rank == gold_rank
 
@@ -91,9 +91,23 @@ def test_identical_vectors_tie_breaks_to_smaller_id():
     table = EmbeddingTable(vecs, np.array([[1.0, 1.0]]), "L2")
     kg = build_kg(4, 1, train=[])
     rq = rank_query(table, kg, Query(0, 0, "tail", gold=2), m=4)
-    pos2 = rq.ranking.tolist().index(2)
-    pos3 = rq.ranking.tolist().index(3)
+    pos2 = rq.topm_ids.index(2)
+    pos3 = rq.topm_ids.index(3)
     assert pos2 < pos3  # entities 2 and 3 are bit-identical
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("gold", [0, 2, 3, 4, 6])
+def test_ties_at_the_mth_score_go_to_smaller_ids(m, gold):
+    # 2, 3, 4 tie for best and 1, 5, 6 tie behind entity 0, so several m cut inside a tie
+    vecs = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.0, 0.0], [4.0, 0.0], [4.0, 0.0]])
+    table = EmbeddingTable(vecs, np.array([[1.0, 0.0]]), "L2")
+    kg = build_kg(7, 1, train=[(0, 0, 3)])  # 3 is filtered unless it is the gold
+    q = Query(0, 0, "tail", gold=gold)
+    rq = rank_query(table, kg, q, m=m)
+    order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
+    assert rq.topm_ids == topm
+    assert rq.gold_rank == gold_rank
 
 
 def test_filtering_excludes_known_true_but_never_gold():
@@ -107,7 +121,7 @@ def test_filtering_excludes_known_true_but_never_gold():
         if (h, r) == (q.known, q.relation)
     }
     for e in competitors - {q.gold}:
-        pos = rq.ranking.tolist().index(e)
+        pos = rq.topm_ids.index(e)
         assert rq.topm_scores[pos] == float("-inf")
     assert math.isfinite(rq.gold_score)
 
@@ -183,8 +197,7 @@ def test_sample_confidence_examples():
 
 def test_truncate_beta_zero_keeps_everything():
     rqs = [synthetic_rq(r, -float(r), [-1.0, -2.0, -3.0]) for r in (1, 2, 3, 50)]
-    kept = truncate_samples(rqs, ConfidenceParams(m=3, alpha=1.0, beta=0.0))
-    assert kept == rqs
+    assert kept(rqs, ConfidenceParams(m=3, alpha=1.0, beta=0.0)) == rqs
 
 
 def test_truncate_boundary_is_strict():
@@ -193,14 +206,13 @@ def test_truncate_boundary_is_strict():
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
     assert sample_confidence(rq, params) == params.beta
     assert not survives_truncation(rq, params)
-    assert truncate_samples([rq], params) == []
 
 
 def consistent_rq(rank):
     """Synthetic query whose gold score agrees with its rank."""
     window = [-1.0, -2.0, -3.0]
     gold_score = window[rank - 1] if rank <= 3 else -3.0 - rank
-    return synthetic_rq(rank, gold_score, window, n_entities=max(30, rank + 1))
+    return synthetic_rq(rank, gold_score, window)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,7 +224,7 @@ def test_truncate_kept_count_monotone_in_beta(ranks):
     counts = []
     for beta in (0.0, 0.05, 0.5, 1.0, 2.0):
         params = ConfidenceParams(m=3, alpha=1.0, beta=beta)
-        counts.append(len(truncate_samples(rqs, params)))
+        counts.append(len(kept(rqs, params)))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] == len(rqs)
 
@@ -232,38 +244,6 @@ def test_confidence_ranges(seed):
             assert 0 < g <= 1
             assert 0 <= l <= 1
             assert 0 < c <= 1 + alpha
-
-
-def test_candidate_dump_round_trip(tmp_path):
-    table, kg, _ = random_setup(seed=2)
-    rqs = [
-        rank_query(table, kg, q, m=4)
-        for fact in kg.test[:3]
-        for q in queries_for_triple(fact)
-    ]
-    path = str(tmp_path / "candidates.jsonl")
-    assert write_candidates(path, rqs) == len(rqs)
-    records = list(iter_candidates(path))
-    assert len(records) == len(rqs)
-    for rec, rq in zip(records, rqs):
-        assert rec["direction"] == rq.query.direction
-        assert rec["known"] == rq.query.known
-        assert rec["relation"] == rq.query.relation
-        assert rec["gold"] == rq.query.gold
-        assert rec["gold_rank"] == rq.gold_rank
-        assert [e for e, _ in rec["topm"]] == rq.topm_ids
-        assert [s for _, s in rec["topm"]] == rq.topm_scores
-
-
-def test_candidate_dump_is_deterministic(tmp_path):
-    table, kg, _ = random_setup(seed=2)
-    rqs = [rank_query(table, kg, queries_for_triple(kg.test[0])[0], m=4)]
-    digests = []
-    for name in ("a.jsonl", "b.jsonl"):
-        path = str(tmp_path / name)
-        write_candidates(path, rqs)
-        digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
-    assert digests[0] == digests[1]
 
 
 @st.composite
@@ -305,6 +285,6 @@ def test_filtered_ranking_matches_brute_force_on_multi_answer_keys(case):
         for q in queries_for_triple(fact):
             rq = rank_query(table, kg, q, m=m)
             order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
-            assert rq.ranking.tolist() == order
+            assert rank_query(table, kg, q, m=kg.num_entities).topm_ids == order
             assert rq.topm_ids == topm
             assert rq.gold_rank == gold_rank
