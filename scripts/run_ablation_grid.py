@@ -38,8 +38,8 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
         cfg = load_config(args.config, overrides)
-        report = json.load(open(os.path.join(stage_output(cfg, "report"), "report.json")))
-        rows.append((label, report))
+        with open(os.path.join(stage_output(cfg, "report"), "report.json")) as f:
+            rows.append((label, json.load(f)))
 
     print()
     print(f"{'variant':22s} {'MRR':>8s} {'Hits@1':>8s} {'Hits@3':>8s} {'Hits@10':>8s} {'abstain':>8s}")

@@ -12,8 +12,8 @@ import logging
 import time
 
 from kgrerank.embeddings import TrainConfig, train
-from kgrerank.evaluation import base_model_metrics
 from kgrerank.kg import load_kg
+from kgrerank.ranking import base_model_metrics
 
 
 def main():

@@ -29,8 +29,8 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
         cfg = load_config(args.config, [f"ranker.beta={beta}"])
-        summary_path = os.path.join(stage_output(cfg, "finetune"), "summary.json")
-        summary = json.load(open(summary_path))
+        with open(os.path.join(stage_output(cfg, "finetune"), "summary.json")) as f:
+            summary = json.load(f)
         print(
             f"{beta:8.3f} {summary['queries']:8d} {summary['kept']:8d} {summary['dropped']:8d}"
         )

@@ -24,7 +24,8 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
         cfg = load_config(args.config, [f"ranker.m={m}"])
-        summary = json.load(open(os.path.join(stage_output(cfg, "eval"), "summary.json")))
+        with open(os.path.join(stage_output(cfg, "eval"), "summary.json")) as f:
+            summary = json.load(f)
         print(f"{m:6d} {summary['written']:8d} {summary['mean_prompt_chars']:18.1f}")
 
 

@@ -163,11 +163,11 @@ def attach_knowledge(sample, params: AdapterParams, sidecar_vectors: np.ndarray)
     The result has one row per placeholder: the [QUERY] vector followed by
     one row per [ENTITY] slot, in prompt order.
     """
-    out = np.empty((len(sample.knowledge_refs), params.d2), dtype=np.float64)
-    for row, ref in enumerate(sample.knowledge_refs):
+    out = np.empty((len(sample.knowledge_ref_offsets), params.d2), dtype=np.float64)
+    for row, ref in enumerate(sample.knowledge_ref_offsets):
         if not 0 <= ref < sidecar_vectors.shape[0]:
             raise DataError(
-                f"sample {sample.sample_id}: knowledge ref {ref} outside sidecar "
+                f"sample {sample.id}: knowledge ref {ref} outside sidecar "
                 f"of {sidecar_vectors.shape[0]} vectors"
             )
         out[row] = project(params, sidecar_vectors[ref])

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 from .discriminator import BackendError, RemoteConfig, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from .evaluation import EvalOptions, evaluate
-from .instructions import BuildOptions, build_eval_set, build_finetune_set
+from .instructions import (
+    BuildOptions,
+    InstructionSample,
+    build_eval_set,
+    build_finetune_set,
+    read_instruction_records,
+)
 from .kg import DATASET_FILES, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
 
@@ -342,13 +348,14 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
-def cmd_build(cfg: PipelineConfig, which: str) -> int:
+def ensure_build(cfg: PipelineConfig, which: str) -> str:
+    """Build the ``finetune`` or ``eval`` set if its content address has no
+    ``summary.json`` yet; return its directory."""
     outdir = stage_output(cfg, which)
     summary_path = os.path.join(outdir, "summary.json")
     if os.path.isfile(summary_path):
         logger.info("%s set up to date: %s", which, outdir)
-        print(f"output: {outdir}")
-        return 0
+        return outdir
     kg = load_kg(cfg.dataset_dir)
     _check_m(cfg, kg)
     table = EmbeddingTable.load(ensure_embeddings(cfg, kg))
@@ -376,7 +383,11 @@ def cmd_build(cfg: PipelineConfig, which: str) -> int:
         )
     _write_json(summary_path, summary)
     logger.info("%s summary: %s", which, summary)
-    print(f"output: {outdir}")
+    return outdir
+
+
+def cmd_build(cfg: PipelineConfig, which: str) -> int:
+    print(f"output: {ensure_build(cfg, which)}")
     return 0
 
 
@@ -398,16 +409,17 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             print(f.read(), end="")
         return 0
     backend = _make_backend(cfg)
-    kg = load_kg(cfg.dataset_dir)
-    _check_m(cfg, kg)
-    table = EmbeddingTable.load(ensure_embeddings(cfg, kg))
+    evaldir = ensure_build(cfg, "eval")
+    with open(os.path.join(evaldir, "summary.json"), encoding="utf-8") as f:
+        summary = json.load(f)
+    records = read_instruction_records(os.path.join(evaldir, "instructions.jsonl"))
     os.makedirs(outdir, exist_ok=True)
     options = EvalOptions(
         limit_triples=cfg.limit_triples,
         audit_path=os.path.join(outdir, "audit.jsonl") if cfg.audit else None,
         threads=cfg.threads,
     )
-    report = evaluate(kg, table, backend, cfg.params, options, cfg.build)
+    report = evaluate([InstructionSample(**r) for r in records], summary, backend, options)
     _write_json(report_json, report.as_dict())
     table_text = report.format_table() + "\n"
     with _atomic_open(report_txt) as f:
@@ -417,8 +429,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def cmd_inspect(path: str, sample_id: str | None, index: int | None) -> int:
-    from .instructions import read_instruction_records
-
     if not os.path.isfile(path):
         raise DataError(f"instruction file not found: {path}")
     records = read_instruction_records(path)

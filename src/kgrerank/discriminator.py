@@ -5,21 +5,20 @@ an abstention. Free-text outputs (scripted fixtures, remote completions)
 are grounded strictly within the sample's candidate list: exact normalized
 match first, then earliest candidate whose name occurs inside the output,
 otherwise abstain. Abstention keeps evaluation total: the base ranking is
-simply left unchanged.
+simply left unchanged. A remote request that still fails after its retries
+is an error, not an abstention, so a dead endpoint cannot pass for a model
+that never answers.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from dataclasses import dataclass
 
 import requests
 
-from .instructions import InstructionSample, render_prompt
-
-logger = logging.getLogger(__name__)
+from .instructions import InstructionSample
 
 
 class BackendError(Exception):
@@ -100,7 +99,7 @@ class ScriptedBackend:
         return cls(outputs)
 
     def select(self, sample: InstructionSample) -> Selection:
-        text = self.outputs.get(sample.sample_id)
+        text = self.outputs.get(sample.id)
         if text is None:
             return ABSTAIN
         return ground(text, sample)
@@ -132,7 +131,7 @@ def remote_request(sample: InstructionSample, config: RemoteConfig) -> str:
         headers["Authorization"] = f"Bearer {token}"
     payload = {
         "model": config.model,
-        "messages": [{"role": "user", "content": render_prompt(sample)}],
+        "messages": [{"role": "user", "content": sample.prompt}],
     }
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
@@ -160,7 +159,8 @@ def remote_request(sample: InstructionSample, config: RemoteConfig) -> str:
 
 
 class RemoteBackend:
-    """Grounds completions from an HTTP generation service; abstains on failure."""
+    """Grounds completions from an HTTP generation service; a request that still
+    fails after its retries raises :class:`BackendError`."""
 
     name = "remote"
 
@@ -170,12 +170,7 @@ class RemoteBackend:
         self.config = config
 
     def select(self, sample: InstructionSample) -> Selection:
-        try:
-            text = remote_request(sample, self.config)
-        except BackendError as exc:
-            logger.warning("sample %s: remote request failed: %s", sample.sample_id, exc)
-            return ABSTAIN
-        return ground(text, sample)
+        return ground(remote_request(sample, self.config), sample)
 
 
 def make_backend(

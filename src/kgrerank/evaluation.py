@@ -1,44 +1,29 @@
-"""Rerank-then-score evaluation under the filtered ranking protocol.
+"""Scoring an eval set: backend selection, move-to-top, filtered metrics.
 
-For every test triple both completion directions are ranked, a selection
-prompt is built, the backend picks a candidate (or abstains), the selected
-entity is moved to the top of the ranking with all other relative positions
-preserved, and MRR / Hits@k of the gold answer are computed over the new
-ranks, per direction and pooled. Moving one entity to the top shifts the
-gold by at most one place, so the new rank follows from two base ranks (see
-``moved_rank``) and no full ranking is ever built.
+``evaluate`` takes the samples that ``build_eval_set`` wrote (both
+directions of every test triple, in file order); it reads no graph and ranks
+nothing. Each sample goes to the backend, which picks a candidate or
+abstains, and the pick moves to the top of the base ranking with all other
+relative positions preserved. Moving one entity to the top shifts the gold
+by at most one place, so the new rank follows from the gold's base rank and
+the chosen candidate's, both recorded in the sample (see ``moved_rank``).
+MRR / Hits@k of the gold are reported per direction and pooled, next to the
+base model's.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .instructions import BuildOptions, build_sample, numbered_queries
-from .kg import KnowledgeGraph
-from .ranking import ConfidenceParams, RankedQuery, queries_for_triple, rank_query
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class DirectionMetrics:
-    mrr: float
-    hits1: float
-    hits3: float
-    hits10: float
-
-    def as_dict(self) -> dict:
-        return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3, "hits10": self.hits10}
+from .instructions import InstructionSample
+from .ranking import DirectionMetrics, metrics
 
 
 @dataclass
 class EvalOptions:
-    limit_triples: int = 0  # 0 evaluates the whole test split
+    limit_triples: int = 0  # N > 0 scores the first 2N samples: the first N test triples
     audit_path: str | None = None
     threads: int = 1
 
@@ -100,97 +85,66 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def moved_rank(rq: RankedQuery, chosen: int | None) -> int:
-    """The gold's rank once ``chosen`` moves to the top; None moves nothing.
+def moved_rank(gold_rank: int, chosen_rank: int | None) -> int:
+    """The gold's rank once the candidate of base rank ``chosen_rank`` moves to
+    the top; None (an abstention) moves nothing.
 
-    With ``rg`` the gold's base rank and ``rc`` the chosen candidate's: the
-    gold becomes first if chosen, keeps ``rg`` if the chosen entity already
-    stood above it, and otherwise slips one place.
+    The gold becomes first if chosen (the two ranks are then equal), keeps its
+    rank if the chosen entity already stood above it, and otherwise slips one
+    place.
     """
-    rg = rq.gold_rank
-    if chosen is None:
-        return rg
-    if chosen == rq.query.gold:
+    if chosen_rank is None:
+        return gold_rank
+    if chosen_rank == gold_rank:
         return 1
-    rc = rq.topm_ids.index(chosen) + 1
-    return rg if rc < rg else rg + 1
-
-
-def metrics(gold_ranks) -> DirectionMetrics:
-    ranks = np.asarray(list(gold_ranks), dtype=np.float64)
-    if ranks.size == 0:
-        raise ValueError("metrics need at least one rank")
-    if (ranks < 1).any():
-        raise ValueError("ranks must be >= 1")
-    return DirectionMetrics(
-        mrr=float((1.0 / ranks).mean()),
-        hits1=float((ranks <= 1).mean()),
-        hits3=float((ranks <= 3).mean()),
-        hits10=float((ranks <= 10).mean()),
-    )
+    return gold_rank if chosen_rank < gold_rank else gold_rank + 1
 
 
 @dataclass
 class _QueryOutcome:
-    sample_id: str
-    direction: str
-    known: int
-    relation: int
-    gold: int
-    base_rank: int
-    final_rank: int
+    sample: InstructionSample
     selection_index: int | None
     selected_id: int | None
-    in_topm: bool
+    final_rank: int
     name_collision: bool
 
 
-def _evaluate_one(kg, table, backend, params, build_options, item) -> _QueryOutcome:
-    sample_id, query_index, q = item
-    rq = rank_query(table, kg, q, params.m)
-    sample, _vectors = build_sample(kg, table, rq, build_options, sample_id, query_index)
+def _evaluate_one(backend, sample: InstructionSample) -> _QueryOutcome:
     sel = backend.select(sample)
-    if sel.chosen and not 0 <= sel.index < len(sample.candidate_ids):
+    if not sel.chosen:
+        return _QueryOutcome(sample, None, None, sample.gold_rank, False)
+    if not 0 <= sel.index < len(sample.candidate_ids):
         raise ValueError(f"selection index {sel.index} out of range")
-    selected_id = sample.candidate_ids[sel.index] if sel.chosen else None
-    collision = (
-        sel.chosen
-        and selected_id != q.gold
-        and sample.candidate_names[sel.index] == sample.gold_name
-    )
+    selected_id = sample.candidate_ids[sel.index]
     return _QueryOutcome(
-        sample_id=sample_id,
-        direction=q.direction,
-        known=q.known,
-        relation=q.relation,
-        gold=q.gold,
-        base_rank=rq.gold_rank,
-        final_rank=moved_rank(rq, selected_id),
+        sample=sample,
         selection_index=sel.index,
         selected_id=selected_id,
-        in_topm=rq.gold_rank <= params.m,
-        name_collision=bool(collision),
+        final_rank=moved_rank(sample.gold_rank, sample.candidate_ranks[sel.index]),
+        name_collision=(
+            selected_id != sample.gold_id and sample.candidate_names[sel.index] == sample.gold_name
+        ),
     )
 
 
 def evaluate(
-    kg: KnowledgeGraph,
-    table,
+    samples: list[InstructionSample],
+    summary: dict,
     backend,
-    params: ConfidenceParams,
     options: EvalOptions | None = None,
-    build_options: BuildOptions | None = None,
 ) -> EvalReport:
-    """Run the full rerank protocol over the test split."""
-    options = options or EvalOptions()
-    build_options = build_options or BuildOptions()
-    triples = kg.test
-    if options.limit_triples:
-        triples = triples[: options.limit_triples]
-    if len(triples) == 0:
-        raise ValueError("evaluation requires a non-empty test split")
+    """Score an eval set with ``backend``.
 
-    work = list(numbered_queries(enumerate(triples), "test"))
+    ``samples`` and ``summary`` are what ``build_eval_set`` wrote: the
+    instruction records and the summary, whose m, alpha, beta and gamma head
+    the report. A backend error ends the run; queries still queued are not
+    sent.
+    """
+    options = options or EvalOptions()
+    if options.limit_triples:
+        samples = samples[: 2 * options.limit_triples]
+    if not samples:
+        raise ValueError("evaluation requires a non-empty test split")
 
     workers = options.threads
     # remote backends carry an in-flight request cap that bounds parallelism
@@ -198,17 +152,13 @@ def evaluate(
     if cap:
         workers = min(workers, cap)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda item: _evaluate_one(kg, table, backend, params, build_options, item),
-                    work,
-                )
-            )
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            outcomes = list(pool.map(lambda sample: _evaluate_one(backend, sample), samples))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        outcomes = [
-            _evaluate_one(kg, table, backend, params, build_options, item) for item in work
-        ]
+        outcomes = [_evaluate_one(backend, sample) for sample in samples]
 
     if options.audit_path:
         with open(options.audit_path, "w", encoding="utf-8") as f:
@@ -216,12 +166,12 @@ def evaluate(
                 f.write(
                     json.dumps(
                         {
-                            "id": o.sample_id,
-                            "direction": o.direction,
-                            "known": o.known,
-                            "relation": o.relation,
-                            "gold": o.gold,
-                            "base_rank": o.base_rank,
+                            "id": o.sample.id,
+                            "direction": o.sample.direction,
+                            "known": o.sample.known,
+                            "relation": o.sample.relation,
+                            "gold": o.sample.gold_id,
+                            "base_rank": o.sample.gold_rank,
                             "selection": o.selection_index,
                             "selected_id": o.selected_id,
                             "final_rank": o.final_rank,
@@ -234,45 +184,22 @@ def evaluate(
                 )
 
     def split(direction):
-        return [o for o in outcomes if o.direction == direction]
+        return [o for o in outcomes if o.sample.direction == direction]
 
     head, tail = split("head"), split("tail")
     return EvalReport(
         backend=getattr(backend, "name", type(backend).__name__),
-        m=params.m,
-        alpha=params.alpha,
-        beta=params.beta,
-        gamma=build_options.gamma,
+        m=summary["m"],
+        alpha=summary["alpha"],
+        beta=summary["beta"],
+        gamma=summary["gamma"],
         queries=len(outcomes),
         abstentions=sum(1 for o in outcomes if o.selection_index is None),
-        gold_in_topm=sum(1 for o in outcomes if o.in_topm),
+        gold_in_topm=sum(1 for o in outcomes if o.sample.gold_rank <= summary["m"]),
         head=metrics(o.final_rank for o in head),
         tail=metrics(o.final_rank for o in tail),
         combined=metrics(o.final_rank for o in outcomes),
-        base_head=metrics(o.base_rank for o in head),
-        base_tail=metrics(o.base_rank for o in tail),
-        base_combined=metrics(o.base_rank for o in outcomes),
+        base_head=metrics(o.sample.gold_rank for o in head),
+        base_tail=metrics(o.sample.gold_rank for o in tail),
+        base_combined=metrics(o.sample.gold_rank for o in outcomes),
     )
-
-
-def base_model_metrics(
-    kg: KnowledgeGraph,
-    table,
-    m: int,
-    limit_triples: int = 0,
-) -> dict:
-    """Filtered metrics of the scorer itself, without prompts or reranking."""
-    triples = kg.test
-    if limit_triples:
-        triples = triples[:limit_triples]
-    per_direction: dict[str, list[int]] = {"head": [], "tail": []}
-    for triple in triples:
-        for q in queries_for_triple(triple):
-            rq = rank_query(table, kg, q, m)
-            per_direction[q.direction].append(rq.gold_rank)
-    pooled = per_direction["head"] + per_direction["tail"]
-    return {
-        "head": metrics(per_direction["head"]),
-        "tail": metrics(per_direction["tail"]),
-        "combined": metrics(pooled),
-    }

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -66,18 +66,21 @@ class BuildOptions:
 
 @dataclass
 class InstructionSample:
-    sample_id: str
+    """One selection query, field for field the line of an instruction file
+    (``vars(sample)`` is the record, ``InstructionSample(**record)`` reads it back)."""
+
+    id: str
     direction: str
-    query_text: str
-    description_text: str
-    neighbor_texts: list[str]
+    known: int
+    relation: int
+    prompt: str
+    gold_name: str
+    gold_id: int
     candidate_ids: list[int]
     candidate_names: list[str]
-    gold_id: int
-    gold_name: str
-    gold_rank: int | None
-    knowledge_refs: list[int] = field(default_factory=list)
-    source_query: Query | None = None
+    candidate_ranks: list[int]  # each candidate's base rank, in prompt order
+    gold_rank: int
+    knowledge_ref_offsets: list[int]
 
 
 def rc_sample_neighbors(
@@ -136,16 +139,18 @@ def query_text_for(kg: KnowledgeGraph, q: Query) -> str:
     )
 
 
-def render_prompt(sample: InstructionSample) -> str:
-    blocks = [sample.query_text]
-    if sample.description_text:
-        blocks.append(DESCRIPTION_PREFIX + sample.description_text)
-    if sample.neighbor_texts:
-        blocks.append(NEIGHBORS_HEADER + "\n" + "\n".join(sample.neighbor_texts))
+def render_prompt(
+    query_text: str, description_text: str, neighbor_texts: list[str], candidate_names: list[str]
+) -> str:
+    blocks = [query_text]
+    if description_text:
+        blocks.append(DESCRIPTION_PREFIX + description_text)
+    if neighbor_texts:
+        blocks.append(NEIGHBORS_HEADER + "\n" + "\n".join(neighbor_texts))
     blocks.append(
         CANDIDATES_HEADER
         + "\n"
-        + "\n".join(name + ENTITY_PLACEHOLDER for name in sample.candidate_names)
+        + "\n".join(name + ENTITY_PLACEHOLDER for name in candidate_names)
     )
     blocks.append(DIRECTIVE)
     return "\n\n".join(blocks)
@@ -195,41 +200,39 @@ def build_sample(
             rng = np.random.default_rng((options.neighbor_seed, query_index))
             neighbor_facts = _uniform_sample_neighbors(kg, q, options.gamma, rng)
 
-    candidate_ids = list(rq.topm_ids)
+    # position k of the top-m holds base rank k + 1
+    candidate_ranks = list(range(1, len(rq.topm_ids) + 1))
     if options.shuffle_candidates:
         rng = np.random.default_rng((options.shuffle_seed, query_index))
-        perm = rng.permutation(len(candidate_ids))
-        candidate_ids = [candidate_ids[i] for i in perm]
+        candidate_ranks = [candidate_ranks[i] for i in rng.permutation(len(candidate_ranks))]
+    candidate_ids = [rq.topm_ids[rank - 1] for rank in candidate_ranks]
 
     vectors = np.empty((len(candidate_ids) + 1, table.dim), dtype=np.float64)
     vectors[0] = table.query_vector(q.known, q.relation, q.direction)
     for row, ent in enumerate(candidate_ids, start=1):
         vectors[row] = table.entity_vector(ent)
 
+    candidate_names = [kg.entity_names[e] for e in candidate_ids]
     sample = InstructionSample(
-        sample_id=sample_id,
+        id=sample_id,
         direction=q.direction,
-        query_text=query_text_for(kg, q),
-        description_text=description,
-        neighbor_texts=[render_fact(kg, f) for f in neighbor_facts],
-        candidate_ids=candidate_ids,
-        candidate_names=[kg.entity_names[e] for e in candidate_ids],
-        gold_id=q.gold,
+        known=q.known,
+        relation=q.relation,
+        prompt=render_prompt(
+            query_text_for(kg, q),
+            description,
+            [render_fact(kg, f) for f in neighbor_facts],
+            candidate_names,
+        ),
         gold_name=kg.entity_names[q.gold],
+        gold_id=q.gold,
+        candidate_ids=candidate_ids,
+        candidate_names=candidate_names,
+        candidate_ranks=candidate_ranks,
         gold_rank=rq.gold_rank,
-        knowledge_refs=list(range(len(candidate_ids) + 1)),
-        source_query=q,
+        knowledge_ref_offsets=list(range(len(candidate_ids) + 1)),
     )
     return sample, vectors
-
-
-def numbered_queries(
-    indexed_triples: Iterable[tuple[int, Triple]], id_prefix: str
-) -> Iterator[tuple[str, int, Query]]:
-    """(sample id, query index, query) for both directions of each (original_index, triple)."""
-    for i, triple in indexed_triples:
-        for offset, q in enumerate(queries_for_triple(triple)):
-            yield f"{id_prefix}-{i}-{q.direction}", 2 * i + offset, q
 
 
 class InstructionWriter:
@@ -243,22 +246,10 @@ class InstructionWriter:
 
     def write(self, sample: InstructionSample, vectors: np.ndarray) -> None:
         base = self._sidecar.append(vectors)
-        sample.knowledge_refs = list(range(base, base + vectors.shape[0]))
-        prompt = render_prompt(sample)
-        record = {
-            "id": sample.sample_id,
-            "direction": sample.direction,
-            "prompt": prompt,
-            "gold_name": sample.gold_name,
-            "gold_id": sample.gold_id,
-            "candidate_ids": sample.candidate_ids,
-            "candidate_names": sample.candidate_names,
-            "gold_rank": sample.gold_rank,
-            "knowledge_ref_offsets": sample.knowledge_refs,
-        }
-        self._f.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+        sample.knowledge_ref_offsets = list(range(base, base + vectors.shape[0]))
+        self._f.write(json.dumps(vars(sample), ensure_ascii=False, separators=(",", ":")) + "\n")
         self.count += 1
-        self.prompt_chars += len(prompt)
+        self.prompt_chars += len(sample.prompt)
 
     def close(self) -> None:
         self._f.close()
@@ -281,11 +272,14 @@ def _write_samples(
     id_prefix: str,
     truncate: bool,
 ) -> None:
-    """Rank each query and write its sample; with ``truncate``, build it only if it survives."""
-    for sample_id, query_index, q in numbered_queries(indexed_triples, id_prefix):
-        rq = rank_query(table, kg, q, params.m)
-        if not truncate or survives_truncation(rq, params):
-            w.write(*build_sample(kg, table, rq, options, sample_id, query_index))
+    """Rank both directions of each (original index, triple) and write their samples,
+    with ``truncate`` only those that survive. Ids are ``<prefix>-<index>-<direction>``."""
+    for i, triple in indexed_triples:
+        for k, q in enumerate(queries_for_triple(triple)):
+            rq = rank_query(table, kg, q, params.m)
+            if not truncate or survives_truncation(rq, params):
+                sample_id = f"{id_prefix}-{i}-{q.direction}"
+                w.write(*build_sample(kg, table, rq, options, sample_id, 2 * i + k))
 
 
 def read_instruction_records(path: str) -> list[dict]:

@@ -1,4 +1,5 @@
-"""Filtered ranking: top-m candidates, the gold's rank, and confidence scoring.
+"""Filtered ranking: top-m candidates, the gold's rank, confidence scoring, and
+the MRR / Hits@k of gold ranks.
 
 Filtering replaces the scores of entities that complete a known-true triple
 (other than the gold answer) with -inf, so the gold rank is always defined.
@@ -41,6 +42,17 @@ class RankedQuery:
     topm_scores: list[float]
     gold_rank: int | None
     gold_score: float | None
+
+
+@dataclass(frozen=True)
+class DirectionMetrics:
+    mrr: float
+    hits1: float
+    hits3: float
+    hits10: float
+
+    def as_dict(self) -> dict:
+        return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3, "hits10": self.hits10}
 
 
 @dataclass
@@ -144,3 +156,40 @@ def sample_confidence(rq: RankedQuery, params: ConfidenceParams) -> float:
 def survives_truncation(rq: RankedQuery, params: ConfidenceParams) -> bool:
     """The truncation predicate: confidence strictly exceeds beta."""
     return sample_confidence(rq, params) > params.beta
+
+
+def metrics(gold_ranks) -> DirectionMetrics:
+    ranks = np.asarray(list(gold_ranks), dtype=np.float64)
+    if ranks.size == 0:
+        raise ValueError("metrics need at least one rank")
+    if (ranks < 1).any():
+        raise ValueError("ranks must be >= 1")
+    return DirectionMetrics(
+        mrr=float((1.0 / ranks).mean()),
+        hits1=float((ranks <= 1).mean()),
+        hits3=float((ranks <= 3).mean()),
+        hits10=float((ranks <= 10).mean()),
+    )
+
+
+def base_model_metrics(
+    kg: KnowledgeGraph,
+    table,
+    m: int,
+    limit_triples: int = 0,
+) -> dict:
+    """Filtered metrics of the scorer itself, without prompts or reranking."""
+    triples = kg.test
+    if limit_triples:
+        triples = triples[:limit_triples]
+    per_direction: dict[str, list[int]] = {"head": [], "tail": []}
+    for triple in triples:
+        for q in queries_for_triple(triple):
+            rq = rank_query(table, kg, q, m)
+            per_direction[q.direction].append(rq.gold_rank)
+    pooled = per_direction["head"] + per_direction["tail"]
+    return {
+        "head": metrics(per_direction["head"]),
+        "tail": metrics(per_direction["tail"]),
+        "combined": metrics(pooled),
+    }

@@ -1,4 +1,5 @@
-"""Shared test utilities: in-memory graph construction and independent oracles.
+"""Shared test utilities: in-memory graphs, eval sets read back from disk, and
+independent oracles.
 
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
@@ -9,9 +10,17 @@ scan, and gradients come from central finite differences.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
+from kgrerank.instructions import (
+    BuildOptions,
+    InstructionSample,
+    build_eval_set,
+    read_instruction_records,
+)
 from kgrerank.kg import KnowledgeGraph, Triple
 
 
@@ -32,6 +41,15 @@ def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=Non
         [Triple(*t) for t in valid],
         [Triple(*t) for t in test],
     )
+
+
+def eval_samples(kg, table, params, options=None, triples=None):
+    """(samples, summary) of the eval set that ``build_eval_set`` writes, read back from disk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("instructions.jsonl", "instructions.sidecar")]
+        summary = build_eval_set(kg, table, params, options or BuildOptions(), *paths, triples=triples)
+        records = read_instruction_records(paths[0])
+    return [InstructionSample(**r) for r in records], summary
 
 
 def brute_force_score(table, h, r, t):

@@ -14,13 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_rank, build_kg, central_diff, rel_err
+from helpers import brute_force_rank, build_kg, central_diff, eval_samples, rel_err
 from kgrerank.adapter import AdapterParams, project, project_grad
 from kgrerank.cli import main
 from kgrerank.datasets import find_benchmark_dir
 from kgrerank.discriminator import FirstCandidateBackend, OracleBackend
 from kgrerank.embeddings import EmbeddingTable, TrainConfig, train
-from kgrerank.evaluation import EvalOptions, base_model_metrics, evaluate
+from kgrerank.evaluation import evaluate
 from kgrerank.instructions import (
     BuildOptions,
     build_eval_set,
@@ -34,6 +34,7 @@ from kgrerank.ranking import (
     ConfidenceParams,
     Query,
     RankedQuery,
+    base_model_metrics,
     local_confidence,
     queries_for_triple,
     rank_query,
@@ -102,12 +103,13 @@ def test_ranking_oracle_equivalence():
 
 
 def assert_identities(kg, table, params, tolerance=1e-12):
-    first = evaluate(kg, table, FirstCandidateBackend(), params)
+    eval_set = eval_samples(kg, table, params)
+    first = evaluate(*eval_set, FirstCandidateBackend())
     base = base_model_metrics(kg, table, m=params.m)
     for got, expected in ((first.head, base["head"]), (first.tail, base["tail"]), (first.combined, base["combined"])):
         for attr in ("mrr", "hits1", "hits3", "hits10"):
             assert abs(getattr(got, attr) - getattr(expected, attr)) <= tolerance
-    oracle = evaluate(kg, table, OracleBackend(), params)
+    oracle = evaluate(*eval_set, OracleBackend())
     assert oracle.combined.hits1 == oracle.gold_in_topm / oracle.queries
     assert oracle.combined.hits10 >= first.combined.hits10
 
@@ -120,7 +122,7 @@ def test_metric_identity_chain(chain_kg, chain_table):
 @criterion("oracle Hits@1 equals candidate recall on the toy fixture")
 def test_oracle_identity_toy(toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
-    report = evaluate(toy_kg, toy_table, OracleBackend(), params)
+    report = evaluate(*eval_samples(toy_kg, toy_table, params), OracleBackend())
     assert report.combined.hits1 == report.gold_in_topm / report.queries
 
 
@@ -133,14 +135,13 @@ def test_metric_identity_fb15k237():
     kg = load_kg(dataset)
     table = train(kg, TrainConfig(dim=64, learning_rate=0.01, epochs=1, batch_size=2048, seed=0))
     params = ConfidenceParams(m=20, alpha=1.0, beta=0.05)
-    first = evaluate(
-        kg, table, FirstCandidateBackend(), params, EvalOptions(limit_triples=500)
-    )
+    eval_set = eval_samples(kg, table, params, triples=kg.test[:500])
+    first = evaluate(*eval_set, FirstCandidateBackend())
     base = base_model_metrics(kg, table, m=20, limit_triples=500)
     assert first.queries == 1000
     for attr in ("mrr", "hits1", "hits3", "hits10"):
         assert abs(getattr(first.combined, attr) - getattr(base["combined"], attr)) <= 1e-12
-    oracle = evaluate(kg, table, OracleBackend(), params, EvalOptions(limit_triples=500))
+    oracle = evaluate(*eval_set, OracleBackend())
     assert oracle.combined.hits1 == oracle.gold_in_topm / oracle.queries
     assert time.monotonic() - start < 300
 

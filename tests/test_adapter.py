@@ -127,17 +127,18 @@ def test_init_adapter_defaults_and_determinism():
 
 def make_sample(refs):
     return InstructionSample(
-        sample_id="s-0",
+        id="s-0",
         direction="tail",
-        query_text="Query: q?[QUERY]",
-        description_text="",
-        neighbor_texts=[],
+        known=0,
+        relation=0,
+        prompt="Query: q?[QUERY]",
+        gold_name="c0",
+        gold_id=0,
         candidate_ids=list(range(len(refs) - 1)),
         candidate_names=[f"c{i}" for i in range(len(refs) - 1)],
-        gold_id=0,
-        gold_name="c0",
+        candidate_ranks=list(range(1, len(refs))),
         gold_rank=1,
-        knowledge_refs=list(refs),
+        knowledge_ref_offsets=list(refs),
     )
 
 
@@ -148,7 +149,7 @@ def test_attach_knowledge_projects_in_placeholder_order():
     sample = make_sample([4, 2, 9, 0])
     out = attach_knowledge(sample, params, sidecar)
     assert out.shape == (4, 2)
-    for row, ref in enumerate(sample.knowledge_refs):
+    for row, ref in enumerate(sample.knowledge_ref_offsets):
         np.testing.assert_array_equal(out[row], project(params, sidecar[ref]))
 
 

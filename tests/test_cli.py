@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import shutil
+import socket
 import sys
 import time
 
@@ -262,8 +263,8 @@ def test_scripted_reports_share_a_digest_across_workdirs(tmp_path, toy_dir):
 
 def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
     # echoing every gold name through a scripted backend must behave like the
-    # oracle even when candidates are shuffled, because sample ids and the
-    # per-query shuffle are derived identically in build-eval and evaluate
+    # oracle even when candidates are shuffled: evaluate scores the records
+    # build-eval wrote and moves each pick by its recorded base rank
     workdir = tmp_path / "w"
     cfg = write_config(
         tmp_path / "run.ini",
@@ -293,6 +294,55 @@ def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
     )
     report = json.load(open(workdir_file(workdir, "report-", "report.json")))
     assert report["combined"]["hits1"] == report["candidate_recall"]
+
+
+def test_evaluate_after_build_eval_loads_no_graph_or_checkpoint(tmp_path, toy_dir, monkeypatch):
+    import kgrerank.cli as cli
+
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["build-eval", "--config", cfg]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate must read the eval set, not the graph or the checkpoint")
+
+    monkeypatch.setattr(cli, "load_kg", refuse)
+    monkeypatch.setattr(EmbeddingTable, "load", refuse)
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
+
+
+def test_evaluate_in_a_fresh_workdir_builds_the_eval_set(tmp_path, toy_dir):
+    outputs = []
+    for run, commands in (("fresh", ["evaluate"]), ("staged", ["build-eval", "evaluate"])):
+        workdir = tmp_path / run
+        cfg = write_config(tmp_path / f"{run}.ini", toy_dir, workdir)
+        for command in commands:
+            assert main([command, "--config", cfg]) == 0
+        assert os.path.isfile(workdir_file(workdir, "eval-", "summary.json"))
+        eval_dir = os.path.basename(workdir_file(workdir, "eval-"))
+        outputs.append((eval_dir, open(workdir_file(workdir, "report-", "report.json"), "rb").read()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_dead_remote_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, capsys, threads):
+    with socket.socket() as s:  # bound, then closed: nothing listens on the port
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    workdir = tmp_path / "w"
+    cfg = write_config(
+        tmp_path / "run.ini",
+        toy_dir,
+        workdir,
+        extra=(
+            f"\n[backend]\nkind = remote\nendpoint = http://127.0.0.1:{port}/v1/chat/completions\n"
+            "model = m\nretries = 0\ntimeout = 5\n"
+        ),
+    )
+    assert main(["evaluate", "--config", cfg, "--set", f"pipeline.threads={threads}"]) == 3
+    assert "backend error" in capsys.readouterr().err
+    report_dir = workdir_file(workdir, "report-")
+    assert not any(name.startswith("report") for name in os.listdir(report_dir))
 
 
 def test_evaluate_missing_scripted_file_exits_3(tmp_path, toy_dir, capsys):

@@ -27,17 +27,18 @@ from kgrerank.instructions import InstructionSample
 def sample_with(names, gold_index=0, sample_id="test-0-tail"):
     ids = list(range(100, 100 + len(names)))
     return InstructionSample(
-        sample_id=sample_id,
+        id=sample_id,
         direction="tail",
-        query_text="Query: the incomplete fact (a, r, ?[QUERY]) is missing its tail entity.",
-        description_text="",
-        neighbor_texts=[],
+        known=0,
+        relation=0,
+        prompt="Query: the incomplete fact (a, r, ?[QUERY]) is missing its tail entity.",
+        gold_name=names[gold_index] if gold_index is not None else "missing",
+        gold_id=ids[gold_index] if gold_index is not None else -1,
         candidate_ids=ids,
         candidate_names=list(names),
-        gold_id=ids[gold_index] if gold_index is not None else -1,
-        gold_name=names[gold_index] if gold_index is not None else "missing",
+        candidate_ranks=list(range(1, len(names) + 1)),
         gold_rank=1,
-        knowledge_refs=list(range(len(names) + 1)),
+        knowledge_ref_offsets=list(range(len(names) + 1)),
     )
 
 
@@ -145,11 +146,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     behavior = "echo"
     text = "fixed answer"
     requests_seen = 0
+    last_body = b""
 
     def do_POST(self):
         type(self).requests_seen += 1
         length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
+        type(self).last_body = self.rfile.read(length)
         if type(self).behavior == "error":
             self.send_response(500)
             self.end_headers()
@@ -191,8 +193,11 @@ def remote_config(endpoint, **overrides):
 
 def test_remote_request_echoes_server_text(http_server):
     _Handler.text = "Los Angeles"
-    out = remote_request(sample_with(["Los Angeles"]), remote_config(http_server))
+    sample = sample_with(["Los Angeles"])
+    out = remote_request(sample, remote_config(http_server))
     assert out == "Los Angeles"
+    sent = json.loads(_Handler.last_body)
+    assert sent["messages"] == [{"role": "user", "content": sample.prompt}]  # the stored prompt, verbatim
 
 
 def test_remote_request_surfaces_repeated_server_errors(http_server):
@@ -214,12 +219,13 @@ def test_remote_request_rejects_malformed_body(http_server):
         remote_request(sample_with(["x"]), remote_config(http_server, retries=0))
 
 
-def test_remote_backend_grounds_and_abstains_on_failure(http_server, caplog):
+def test_remote_backend_grounds_and_raises_on_failure(http_server):
     _Handler.text = "beta"
     backend = RemoteBackend(remote_config(http_server))
     assert backend.select(sample_with(["alpha", "beta"])) == Selection(1)
     _Handler.behavior = "error"
-    assert backend.select(sample_with(["alpha", "beta"])) == ABSTAIN
+    with pytest.raises(BackendError, match="after 3 attempt"):
+        backend.select(sample_with(["alpha", "beta"]))
 
 
 def test_remote_request_unconfigured_endpoint():

@@ -7,25 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_rank, build_kg, rerank
+from helpers import brute_force_rank, build_kg, eval_samples, rerank
 from kgrerank.discriminator import (
     ABSTAIN,
+    BackendError,
     FirstCandidateBackend,
     OracleBackend,
     ScriptedBackend,
     Selection,
 )
-from kgrerank.evaluation import (
-    EvalOptions,
-    base_model_metrics,
-    evaluate,
-    metrics,
-)
+from kgrerank.evaluation import EvalOptions, evaluate
 from kgrerank.embeddings import EmbeddingTable
-from kgrerank.instructions import BuildOptions, build_sample, numbered_queries
-from kgrerank.ranking import ConfidenceParams, rank_query
+from kgrerank.instructions import BuildOptions
+from kgrerank.ranking import ConfidenceParams, Query, base_model_metrics, metrics, queries_for_triple
 
 PARAMS = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
+
+
+@pytest.fixture(scope="module")
+def toy_set(toy_kg, toy_table):
+    """(samples, summary) of the toy graph's eval set."""
+    return eval_samples(toy_kg, toy_table, PARAMS)
 
 
 def test_rerank_moves_selection_to_front():
@@ -107,8 +109,8 @@ def test_metrics_are_ordered_and_bounded(ranks):
     assert 0 < dm.mrr <= 1
 
 
-def test_first_candidate_report_equals_base_metrics(toy_kg, toy_table):
-    report = evaluate(toy_kg, toy_table, FirstCandidateBackend(), PARAMS)
+def test_first_candidate_report_equals_base_metrics(toy_kg, toy_table, toy_set):
+    report = evaluate(*toy_set, FirstCandidateBackend())
     base = base_model_metrics(toy_kg, toy_table, m=PARAMS.m)
     for got, expected in (
         (report.combined, base["combined"]),
@@ -121,37 +123,45 @@ def test_first_candidate_report_equals_base_metrics(toy_kg, toy_table):
     assert report.abstentions == 0
 
 
-def test_oracle_hits1_equals_candidate_recall(toy_kg, toy_table):
-    report = evaluate(toy_kg, toy_table, OracleBackend(), PARAMS)
+def test_oracle_hits1_equals_candidate_recall(toy_set):
+    report = evaluate(*toy_set, OracleBackend())
     assert report.combined.hits1 == report.gold_in_topm / report.queries
 
 
-def test_oracle_never_hurts_hits10(toy_kg, toy_table):
-    oracle = evaluate(toy_kg, toy_table, OracleBackend(), PARAMS)
-    first = evaluate(toy_kg, toy_table, FirstCandidateBackend(), PARAMS)
+def test_oracle_never_hurts_hits10(toy_set):
+    oracle = evaluate(*toy_set, OracleBackend())
+    first = evaluate(*toy_set, FirstCandidateBackend())
     assert oracle.combined.hits10 >= first.combined.hits10
 
 
-def test_all_abstaining_backend_matches_base(toy_kg, toy_table):
-    report = evaluate(toy_kg, toy_table, ScriptedBackend({}), PARAMS)
+def test_all_abstaining_backend_matches_base(toy_set):
+    report = evaluate(*toy_set, ScriptedBackend({}))
     assert report.abstentions == report.queries
     assert report.combined == report.base_combined
 
 
-def test_limit_triples(toy_kg, toy_table):
+def test_limit_triples(tmp_path, toy_set):
+    paths = {n: str(tmp_path / f"{n}.jsonl") for n in ("full", "limited")}
+    evaluate(*toy_set, OracleBackend(), EvalOptions(audit_path=paths["full"]))
     report = evaluate(
-        toy_kg, toy_table, OracleBackend(), PARAMS, EvalOptions(limit_triples=3)
+        *toy_set, OracleBackend(), EvalOptions(limit_triples=3, audit_path=paths["limited"])
     )
     assert report.queries == 6
+    full = open(paths["full"], encoding="utf-8").readlines()
+    limited = open(paths["limited"], encoding="utf-8").readlines()
+    assert limited == full[:6]
+    assert [json.loads(row)["id"] for row in limited] == [
+        f"test-{i}-{d}" for i in range(3) for d in ("tail", "head")
+    ]
 
 
-def test_threading_does_not_change_report(toy_kg, toy_table):
-    sequential = evaluate(toy_kg, toy_table, OracleBackend(), PARAMS, EvalOptions(threads=1))
-    threaded = evaluate(toy_kg, toy_table, OracleBackend(), PARAMS, EvalOptions(threads=4))
+def test_threading_does_not_change_report(toy_set):
+    sequential = evaluate(*toy_set, OracleBackend(), EvalOptions(threads=1))
+    threaded = evaluate(*toy_set, OracleBackend(), EvalOptions(threads=4))
     assert sequential.as_dict() == threaded.as_dict()
 
 
-def test_in_flight_cap_bounds_concurrency(toy_kg, toy_table):
+def test_in_flight_cap_bounds_concurrency(toy_set):
     import threading
     import time as time_mod
     from dataclasses import dataclass
@@ -179,15 +189,13 @@ def test_in_flight_cap_bounds_concurrency(toy_kg, toy_table):
             return ABSTAIN
 
     backend = CountingBackend()
-    evaluate(toy_kg, toy_table, backend, PARAMS, EvalOptions(threads=8))
+    evaluate(*toy_set, backend, EvalOptions(threads=8))
     assert backend.peak <= 2
 
 
-def test_audit_file_rows(tmp_path, toy_kg, toy_table):
+def test_audit_file_rows(tmp_path, toy_set):
     audit = str(tmp_path / "audit.jsonl")
-    report = evaluate(
-        toy_kg, toy_table, OracleBackend(), PARAMS, EvalOptions(audit_path=audit)
-    )
+    report = evaluate(*toy_set, OracleBackend(), EvalOptions(audit_path=audit))
     rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
     assert len(rows) == report.queries
     for row in rows:
@@ -209,8 +217,8 @@ def test_audit_file_rows(tmp_path, toy_kg, toy_table):
             assert row["final_rank"] == 1  # oracle only ever promotes the gold
 
 
-def test_report_dict_and_table(toy_kg, toy_table):
-    report = evaluate(toy_kg, toy_table, OracleBackend(), PARAMS)
+def test_report_dict_and_table(toy_set):
+    report = evaluate(*toy_set, OracleBackend())
     payload = report.as_dict()
     assert payload["backend"] == "oracle"
     assert payload["m"] == PARAMS.m
@@ -220,11 +228,9 @@ def test_report_dict_and_table(toy_kg, toy_table):
 
 
 def test_evaluate_requires_test_triples(toy_table):
-    from helpers import build_kg
-
     kg = build_kg(4, 1, train=[(0, 0, 1)])
-    with pytest.raises(ValueError):
-        evaluate(kg, toy_table, OracleBackend(), PARAMS)
+    with pytest.raises(ValueError, match="non-empty test split"):
+        evaluate(*eval_samples(kg, toy_table, ConfidenceParams(m=3)), OracleBackend())
 
 
 @st.composite
@@ -254,25 +260,58 @@ def rerank_case(draw):
 )
 def test_rank_arithmetic_equals_permutation_then_rerank(case, backend):
     kg, table, m, options = case
-    params = ConfidenceParams(m=m, alpha=1.0, beta=0.05)
+    samples, summary = eval_samples(kg, table, ConfidenceParams(m=m, alpha=1.0, beta=0.05), options)
     with tempfile.TemporaryDirectory() as tmp:
         audit = os.path.join(tmp, "audit.jsonl")
-        evaluate(kg, table, backend, params, EvalOptions(audit_path=audit), options)
+        evaluate(samples, summary, backend, EvalOptions(audit_path=audit))
         rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
-    queries = list(numbered_queries(enumerate(kg.test), "test"))
-    assert len(rows) == len(queries)
-    for row, (sample_id, query_index, q) in zip(rows, queries):
+    assert len(rows) == len(samples) == 2 * len(kg.test)
+    for i, (row, sample) in enumerate(zip(rows, samples)):
+        q = Query(sample.known, sample.relation, sample.direction, sample.gold_id)
+        assert q == queries_for_triple(kg.test[i // 2])[i % 2]
         order, topm, _ = brute_force_rank(table, kg, q, m)
-        rq = rank_query(table, kg, q, m)
-        assert rq.topm_ids == topm
-        sample, _ = build_sample(kg, table, rq, options, sample_id, query_index)
+        assert sorted(sample.candidate_ranks) == list(range(1, m + 1))
+        assert [topm[rank - 1] for rank in sample.candidate_ranks] == sample.candidate_ids
         moved = rerank(np.array(order), backend.select(sample), sample.candidate_ids).tolist()
-        assert row["id"] == sample_id
+        assert row["id"] == sample.id == f"test-{i // 2}-{q.direction}"
         assert row["base_rank"] == order.index(q.gold) + 1
         assert row["final_rank"] == moved.index(q.gold) + 1
 
 
-def test_out_of_range_selection_is_rejected(toy_kg, toy_table):
+def test_shuffled_oracle_report_equals_unshuffled(toy_kg, toy_table, toy_set):
+    shuffled = eval_samples(toy_kg, toy_table, PARAMS, BuildOptions(shuffle_candidates=True, shuffle_seed=3))
+    assert [s.candidate_ids for s in shuffled[0]] != [s.candidate_ids for s in toy_set[0]]
+    report = evaluate(*shuffled, OracleBackend())
+    assert report.as_dict() == evaluate(*toy_set, OracleBackend()).as_dict()
+    assert report.combined.hits1 == report.gold_in_topm / report.queries
+
+
+def test_a_backend_error_ends_evaluation_and_drops_queued_queries(toy_set):
+    import threading
+    import time as time_mod
+
+    class FailsFirst:
+        name = "fails-first"
+
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.calls = 0
+
+        def select(self, sample):
+            with self._lock:
+                self.calls += 1
+            if sample.id == "test-0-tail":
+                raise BackendError("request failed after 1 attempt(s)")
+            time_mod.sleep(0.05)
+            return ABSTAIN
+
+    backend = FailsFirst()
+    with pytest.raises(BackendError):
+        evaluate(*toy_set, backend, EvalOptions(threads=2))
+    assert backend.calls < len(toy_set[0]) // 2  # the queued queries were cancelled, not sent
+
+
+def test_out_of_range_selection_is_rejected(toy_set):
     class OutOfRange:
         name = "out-of-range"
 
@@ -280,4 +319,4 @@ def test_out_of_range_selection_is_rejected(toy_kg, toy_table):
             return Selection(len(sample.candidate_ids))
 
     with pytest.raises(ValueError, match="out of range"):
-        evaluate(toy_kg, toy_table, OutOfRange(), PARAMS)
+        evaluate(*toy_set, OutOfRange())

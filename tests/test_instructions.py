@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from helpers import brute_force_cooc, build_kg
 from kgrerank.embeddings import EmbeddingTable, read_vector_file
 from kgrerank.instructions import (
+    DESCRIPTION_PREFIX,
+    NEIGHBORS_HEADER,
     BuildOptions,
     InstructionSample,
     build_eval_set,
@@ -59,27 +61,27 @@ def film_kg():
     )
 
 
-def film_sample(**overrides):
+def film_prompt(**overrides):
     kg = film_kg()
     q = Query(known=0, relation=0, direction="tail", gold=1)
-    fields = dict(
-        sample_id="golden-0-tail",
-        direction="tail",
+    parts = dict(
         query_text=query_text_for(kg, q),
         description_text=kg.entity_descriptions[0],
         neighbor_texts=[
             render_fact(kg, f) for f in rc_sample_neighbors(kg, kg.cooc, q, gamma=2)
         ],
-        candidate_ids=[1, 4, 2],
         candidate_names=["English Language", "French Language", "United States of America"],
-        gold_id=1,
-        gold_name="English Language",
-        gold_rank=1,
-        knowledge_refs=[0, 1, 2, 3],
-        source_query=q,
     )
-    fields.update(overrides)
-    return InstructionSample(**fields)
+    parts.update(overrides)
+    return render_prompt(**parts)
+
+
+def neighbor_lines(prompt):
+    """The fact lines of a prompt's neighbor block, none when it has no such block."""
+    for block in prompt.split("\n\n"):
+        if block.startswith(NEIGHBORS_HEADER + "\n"):
+            return block.split("\n")[1:]
+    return []
 
 
 def test_rc_sampling_orders_by_cooccurrence():
@@ -152,25 +154,26 @@ def test_neighbor_sampling_is_subset_without_gold(case, rc_on, seed):
     options = BuildOptions(gamma=gamma, rc_sampling=rc_on, neighbor_seed=seed)
     sample, _ = build_sample(kg, table, rq, options, "s-0", query_index=0)
     rendered_neighbors = {render_fact(kg, f) for f in neighbors(kg, q.known)}
-    assert len(sample.neighbor_texts) <= gamma
-    assert set(sample.neighbor_texts) <= rendered_neighbors
-    assert render_fact(kg, q.completed(q.gold)) not in sample.neighbor_texts
+    listed = neighbor_lines(sample.prompt)
+    assert len(listed) <= gamma
+    assert set(listed) <= rendered_neighbors
+    assert render_fact(kg, q.completed(q.gold)) not in listed
 
 
 def test_render_golden_file():
-    rendered = render_prompt(film_sample())
+    rendered = film_prompt()
     with open(GOLDEN_PATH, encoding="utf-8") as f:
         assert rendered == f.read()
 
 
 def test_render_counts_placeholders():
-    prompt = render_prompt(film_sample())
+    prompt = film_prompt()
     assert prompt.count("[QUERY]") == 1
     assert prompt.count("[ENTITY]") == 3
 
 
 def test_render_without_description_or_neighbors_keeps_query_and_candidates():
-    prompt = render_prompt(film_sample(description_text="", neighbor_texts=[]))
+    prompt = film_prompt(description_text="", neighbor_texts=[])
     assert "Description:" not in prompt
     assert "Known facts:" not in prompt
     assert prompt.count("[ENTITY]") == 3
@@ -178,9 +181,9 @@ def test_render_without_description_or_neighbors_keeps_query_and_candidates():
 
 
 def test_dropping_sections_changes_only_that_block():
-    full = render_prompt(film_sample())
-    no_desc = render_prompt(film_sample(description_text=""))
-    no_neigh = render_prompt(film_sample(neighbor_texts=[]))
+    full = film_prompt()
+    no_desc = film_prompt(description_text="")
+    no_neigh = film_prompt(neighbor_texts=[])
     blocks = full.split("\n\n")
     assert no_desc == "\n\n".join(b for b in blocks if not b.startswith("Description: "))
     assert no_neigh == "\n\n".join(b for b in blocks if not b.startswith("Known facts:"))
@@ -195,16 +198,13 @@ def test_head_prediction_places_query_slot_first():
 
 
 def test_parse_recovers_candidate_order():
-    sample = film_sample()
-    assert parse_candidate_names(render_prompt(sample)) == sample.candidate_names
+    names = ["English Language", "French Language", "United States of America"]
+    assert parse_candidate_names(film_prompt(candidate_names=names)) == names
 
 
 def test_parse_handles_awkward_names():
-    sample = film_sample(
-        candidate_names=["Newark, New Jersey", "", "weird [QUERY] name", "worse[ENTITY]"],
-        candidate_ids=[1, 2, 3, 4],
-    )
-    assert parse_candidate_names(render_prompt(sample)) == sample.candidate_names
+    names = ["Newark, New Jersey", "", "weird [QUERY] name", "worse[ENTITY]"]
+    assert parse_candidate_names(film_prompt(candidate_names=names)) == names
 
 
 def test_parse_rejects_prompt_without_candidates():
@@ -217,9 +217,8 @@ def test_full_candidate_list_renders_twenty_entity_slots(toy_kg, toy_table):
     q = Query(known=0, relation=0, direction="tail", gold=1)
     rq = rank_query(toy_table, toy_kg, q, m=20)
     sample, vectors = build_sample(toy_kg, toy_table, rq, BuildOptions(), "s-0", 0)
-    prompt = render_prompt(sample)
-    assert prompt.count("[ENTITY]") == 20
-    assert prompt.count("[QUERY]") == 1
+    assert sample.prompt.count("[ENTITY]") == 20
+    assert sample.prompt.count("[QUERY]") == 1
     assert vectors.shape == (21, toy_table.dim)
 
 
@@ -228,7 +227,8 @@ def test_description_truncated_to_limit(toy_kg, toy_table):
     rq = rank_query(toy_table, toy_kg, q, m=3)
     options = BuildOptions(max_description_chars=5)
     sample, _ = build_sample(toy_kg, toy_table, rq, options, "s-0", 0)
-    assert sample.description_text == toy_kg.entity_descriptions[1][:5]
+    description = DESCRIPTION_PREFIX + toy_kg.entity_descriptions[1][:5]
+    assert description in sample.prompt.split("\n\n")
 
 
 def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
@@ -241,6 +241,9 @@ def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
     )
     assert sorted(shuffled.candidate_ids) == sorted(plain.candidate_ids)
     assert shuffled.candidate_ids != plain.candidate_ids or len(plain.candidate_ids) == 1
+    assert plain.candidate_ranks == list(range(1, params.m + 1))
+    assert [rq.topm_ids[r - 1] for r in shuffled.candidate_ranks] == shuffled.candidate_ids
+    assert parse_candidate_names(shuffled.prompt) == shuffled.candidate_names
     np.testing.assert_array_equal(shuf_vecs[0], plain_vecs[0])  # query row pinned first
     for row, ent in enumerate(shuffled.candidate_ids, start=1):
         np.testing.assert_array_equal(shuf_vecs[row], toy_table.entity_vector(ent))
@@ -382,14 +385,21 @@ def test_instruction_records_carry_the_documented_fields(tmp_path, toy_kg, toy_t
     assert list(record) == [
         "id",
         "direction",
+        "known",
+        "relation",
         "prompt",
         "gold_name",
         "gold_id",
         "candidate_ids",
         "candidate_names",
+        "candidate_ranks",
         "gold_rank",
         "knowledge_ref_offsets",
     ]
+    assert vars(InstructionSample(**record)) == record
+    h, r, t = toy_kg.test[0].tolist()
+    assert (record["id"], record["known"], record["relation"], record["gold_id"]) == ("test-0-tail", h, r, t)
+    assert record["candidate_ranks"] == [1, 2, 3]
 
 
 def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_table, monkeypatch):
