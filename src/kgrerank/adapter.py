@@ -5,7 +5,9 @@ activation, W1 has 2*d1 rows: the first half drives the gate
 silu(z_gate) and the second half the value stream, combined as
 silu(z_gate) * z_up. The plain "silu" variant uses d1 rows and no gate.
 Exact reverse-mode gradients are provided so the layer can be checked
-against finite differences and trained externally.
+against finite differences and trained externally. ``attach_knowledge``
+projects the knowledge vectors of an instruction sample, read from the
+embedding checkpoint by the entity and relation ids that the sample holds.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import EmbeddingTable
 from .kg import DataError
 
 ADAPTER_MAGIC = b"KGA1"
@@ -157,20 +160,25 @@ def project_grad(params: AdapterParams, e: np.ndarray, upstream: np.ndarray) -> 
     )
 
 
-def attach_knowledge(sample, params: AdapterParams, sidecar_vectors: np.ndarray) -> np.ndarray:
-    """Project a sample's referenced vectors in placeholder order (query first).
+def attach_knowledge(sample, params: AdapterParams, table: EmbeddingTable) -> np.ndarray:
+    """Project a sample's knowledge vectors in placeholder order.
 
-    The result has one row per placeholder: the [QUERY] vector followed by
-    one row per [ENTITY] slot, in prompt order.
+    The result has one row per placeholder: the [QUERY] row projects
+    ``table.query_vector(known, relation, direction)``, then one row per
+    [ENTITY] slot projects the entity vector of each of ``candidate_ids``,
+    in prompt order. ``table`` is the checkpoint the sample's set was built
+    from; an id outside it is a :class:`DataError` (numpy would wrap a
+    negative one).
     """
-    out = np.empty((len(sample.knowledge_ref_offsets), params.d2), dtype=np.float64)
-    for row, ref in enumerate(sample.knowledge_ref_offsets):
-        if not 0 <= ref < sidecar_vectors.shape[0]:
-            raise DataError(
-                f"sample {sample.id}: knowledge ref {ref} outside sidecar "
-                f"of {sidecar_vectors.shape[0]} vectors"
-            )
-        out[row] = project(params, sidecar_vectors[ref])
+    refs = [("entity", e, len(table.entity_vecs)) for e in (sample.known, *sample.candidate_ids)]
+    refs.append(("relation", sample.relation, len(table.relation_vecs)))
+    for kind, ref, count in refs:
+        if not 0 <= ref < count:
+            raise DataError(f"sample {sample.id}: {kind} id {ref} outside the checkpoint's [0, {count})")
+    out = np.empty((len(sample.candidate_ids) + 1, params.d2), dtype=np.float64)
+    out[0] = project(params, table.query_vector(sample.known, sample.relation, sample.direction))
+    for row, ent in enumerate(sample.candidate_ids, start=1):
+        out[row] = project(params, table.entity_vector(ent))
     return out
 
 

@@ -28,11 +28,12 @@ from .discriminator import BackendError, RemoteConfig, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from .evaluation import EvalOptions, evaluate
 from .instructions import (
+    TEMPLATE_VERSION,
     BuildOptions,
-    InstructionSample,
     build_eval_set,
     build_finetune_set,
     read_instruction_records,
+    read_samples,
 )
 from .kg import DATASET_FILES, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
@@ -179,6 +180,13 @@ def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig
         raise ConfigError("ranker.local_norm must be 'minmax' or 'raw'")
     if be["kind"] not in _BACKEND_KINDS:
         raise ConfigError(f"backend.kind must be one of {_BACKEND_KINDS}")
+    # each of these would run without complaint and do the wrong thing
+    if ev["limit_triples"] < 0:
+        raise ConfigError("eval.limit_triples must be >= 0")
+    if be["retries"] < 0:
+        raise ConfigError("backend.retries must be >= 0")
+    if not be["backoff"] >= 0:
+        raise ConfigError("backend.backoff must be >= 0")
     try:
         train_config = TrainConfig(
             dim=emb["dim"],
@@ -261,6 +269,8 @@ def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
     payload = {"dataset": dataset}
     if "backend" in sections and cfg.backend_kind == "scripted":
         payload["scripted_file"] = content_hash(cfg, cfg.scripted_file)
+    if "instruct" in sections:  # a new prompt or record layout is a new set
+        payload["template_version"] = TEMPLATE_VERSION
     for section in sections:
         payload[section] = cfg.values[section]
     blob = json.dumps(payload, sort_keys=True)
@@ -350,7 +360,8 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
 
 def ensure_build(cfg: PipelineConfig, which: str) -> str:
     """Build the ``finetune`` or ``eval`` set if its content address has no
-    ``summary.json`` yet; return its directory."""
+    ``summary.json`` yet; return its directory. The summary names the
+    checkpoint whose vectors the records' ids refer to."""
     outdir = stage_output(cfg, which)
     summary_path = os.path.join(outdir, "summary.json")
     if os.path.isfile(summary_path):
@@ -358,7 +369,8 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
         return outdir
     kg = load_kg(cfg.dataset_dir)
     _check_m(cfg, kg)
-    table = EmbeddingTable.load(ensure_embeddings(cfg, kg))
+    ckpt = ensure_embeddings(cfg, kg)
+    table = EmbeddingTable.load(ckpt)
     os.makedirs(outdir, exist_ok=True)
     if which == "finetune":
         summary = build_finetune_set(
@@ -368,9 +380,7 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
             cfg.build,
             cfg.split_seed,
             instructions_path=os.path.join(outdir, "instructions.jsonl"),
-            sidecar_path=os.path.join(outdir, "instructions.sidecar"),
             holdout_instructions_path=os.path.join(outdir, "holdout.jsonl"),
-            holdout_sidecar_path=os.path.join(outdir, "holdout.sidecar"),
         )
     else:
         summary = build_eval_set(
@@ -379,8 +389,8 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
             cfg.params,
             cfg.build,
             instructions_path=os.path.join(outdir, "instructions.jsonl"),
-            sidecar_path=os.path.join(outdir, "instructions.sidecar"),
         )
+    summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
     _write_json(summary_path, summary)
     logger.info("%s summary: %s", which, summary)
     return outdir
@@ -412,14 +422,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     evaldir = ensure_build(cfg, "eval")
     with open(os.path.join(evaldir, "summary.json"), encoding="utf-8") as f:
         summary = json.load(f)
-    records = read_instruction_records(os.path.join(evaldir, "instructions.jsonl"))
+    samples = read_samples(os.path.join(evaldir, "instructions.jsonl"))
     os.makedirs(outdir, exist_ok=True)
     options = EvalOptions(
         limit_triples=cfg.limit_triples,
         audit_path=os.path.join(outdir, "audit.jsonl") if cfg.audit else None,
         threads=cfg.threads,
     )
-    report = evaluate([InstructionSample(**r) for r in records], summary, backend, options)
+    report = evaluate(samples, summary, backend, options)
     _write_json(report_json, report.as_dict())
     table_text = report.format_table() + "\n"
     with _atomic_open(report_txt) as f:
@@ -446,7 +456,6 @@ def cmd_inspect(path: str, sample_id: str | None, index: int | None) -> int:
     print(f"direction: {record['direction']}")
     print(f"gold: {record['gold_name']} (id {record['gold_id']}, rank {record['gold_rank']})")
     print(f"candidates: {record['candidate_ids']}")
-    print(f"knowledge refs: {record['knowledge_ref_offsets']}")
     print("prompt:")
     print(record["prompt"])
     return 0

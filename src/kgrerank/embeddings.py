@@ -108,7 +108,7 @@ class EmbeddingTable:
         return self.entity_vecs[entity]
 
     def save(self, path: str) -> None:
-        write_vector_file(path, self.entity_vecs, self.norm, relation_vecs=self.relation_vecs)
+        write_vector_file(path, self.entity_vecs, self.relation_vecs, self.norm)
 
     @classmethod
     def load(cls, path: str) -> "EmbeddingTable":
@@ -275,18 +275,11 @@ def train(
 
 
 def write_vector_file(
-    path: str,
-    entity_vecs: np.ndarray,
-    norm: str,
-    relation_vecs: np.ndarray | None = None,
+    path: str, entity_vecs: np.ndarray, relation_vecs: np.ndarray, norm: str
 ) -> None:
     """Binary vector file: fixed header then row-major little-endian float64."""
     ev = np.ascontiguousarray(entity_vecs, dtype="<f8")
-    rv = (
-        np.ascontiguousarray(relation_vecs, dtype="<f8")
-        if relation_vecs is not None
-        else np.zeros((0, ev.shape[1]), dtype="<f8")
-    )
+    rv = np.ascontiguousarray(relation_vecs, dtype="<f8")
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, 1, ev.shape[0], rv.shape[0], ev.shape[1], _NORM_CODES[norm]
     )
@@ -318,40 +311,3 @@ def read_vector_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
     relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
     return entity_vecs, relation_vecs, _NORM_NAMES[norm_code]
-
-
-class VectorFileWriter:
-    """Streaming writer for the vector file format (count fixed on close)."""
-
-    def __init__(self, path: str, dim: int, norm: str):
-        self.path = path
-        self.dim = dim
-        self.norm = norm
-        self.count = 0
-        self._f = open(path, "wb")
-        self._f.write(_HEADER.pack(CHECKPOINT_MAGIC, 1, 0, 0, dim, _NORM_CODES[norm]))
-
-    def append(self, vectors: np.ndarray) -> int:
-        """Write rows, returning the offset of the first one."""
-        rows = np.ascontiguousarray(vectors, dtype="<f8")
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {rows.shape[1]}")
-        first = self.count
-        self._f.write(rows.tobytes())
-        self.count += rows.shape[0]
-        return first
-
-    def close(self) -> None:
-        self._f.seek(0)
-        self._f.write(
-            _HEADER.pack(CHECKPOINT_MAGIC, 1, self.count, 0, self.dim, _NORM_CODES[self.norm])
-        )
-        self._f.close()
-
-    def __enter__(self) -> "VectorFileWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

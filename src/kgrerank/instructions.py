@@ -8,9 +8,15 @@ chosen by relation co-occurrence with the query relation (or uniformly at
 random when that is disabled), capped at ``gamma`` facts, and never include
 the query's own gold fact.
 
-The template below is versioned: any wording change must bump
-``TEMPLATE_VERSION`` because golden tests and downstream parsers rely on
-the exact byte layout.
+A record holds ids, not vectors: the knowledge vectors of a sample are the
+query vector of (``known``, ``relation``, ``direction``) and the entity
+vector of each of ``candidate_ids``, read from the checkpoint that the set's
+``summary.json`` names (see :func:`kgrerank.adapter.attach_knowledge`).
+
+The template and the record layout are versioned: any change to the wording
+or to the record's fields must bump ``TEMPLATE_VERSION``. Golden tests and
+downstream parsers rely on the exact byte layout, and the stage digests
+include the version, so sets cached under an old one are never served.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .embeddings import TAIL, EmbeddingTable, VectorFileWriter
-from .kg import KnowledgeGraph, Triple
+from .embeddings import TAIL, EmbeddingTable
+from .kg import DataError, KnowledgeGraph, Triple
 from .ranking import (
     ConfidenceParams,
     Query,
@@ -35,7 +41,7 @@ from .ranking import (
 
 logger = logging.getLogger(__name__)
 
-TEMPLATE_VERSION = 1
+TEMPLATE_VERSION = 2
 QUERY_PLACEHOLDER = "[QUERY]"
 ENTITY_PLACEHOLDER = "[ENTITY]"
 QUERY_TEXT_TAIL = "Query: the incomplete fact ({head}, {relation}, ?[QUERY]) is missing its tail entity."
@@ -80,7 +86,6 @@ class InstructionSample:
     candidate_names: list[str]
     candidate_ranks: list[int]  # each candidate's base rank, in prompt order
     gold_rank: int
-    knowledge_ref_offsets: list[int]
 
 
 def rc_sample_neighbors(
@@ -173,13 +178,12 @@ def parse_candidate_names(prompt: str) -> list[str]:
 
 def build_sample(
     kg: KnowledgeGraph,
-    table: EmbeddingTable,
     rq: RankedQuery,
     options: BuildOptions,
     sample_id: str,
     query_index: int,
-) -> tuple[InstructionSample, np.ndarray]:
-    """Assemble one sample plus its knowledge vectors (query row first).
+) -> InstructionSample:
+    """Assemble one sample from a ranked query.
 
     ``query_index`` seeds the per-query randomness (candidate shuffling and
     uniform neighbor sampling) so output is independent of processing order.
@@ -207,13 +211,8 @@ def build_sample(
         candidate_ranks = [candidate_ranks[i] for i in rng.permutation(len(candidate_ranks))]
     candidate_ids = [rq.topm_ids[rank - 1] for rank in candidate_ranks]
 
-    vectors = np.empty((len(candidate_ids) + 1, table.dim), dtype=np.float64)
-    vectors[0] = table.query_vector(q.known, q.relation, q.direction)
-    for row, ent in enumerate(candidate_ids, start=1):
-        vectors[row] = table.entity_vector(ent)
-
     candidate_names = [kg.entity_names[e] for e in candidate_ids]
-    sample = InstructionSample(
+    return InstructionSample(
         id=sample_id,
         direction=q.direction,
         known=q.known,
@@ -230,30 +229,24 @@ def build_sample(
         candidate_names=candidate_names,
         candidate_ranks=candidate_ranks,
         gold_rank=rq.gold_rank,
-        knowledge_ref_offsets=list(range(len(candidate_ids) + 1)),
     )
-    return sample, vectors
 
 
 class InstructionWriter:
-    """Writes the JSONL instruction file and its vector sidecar in lockstep."""
+    """Writes a JSONL instruction file, one sample per line."""
 
-    def __init__(self, instructions_path: str, sidecar_path: str, dim: int, norm: str):
+    def __init__(self, instructions_path: str):
         self._f = open(instructions_path, "w", encoding="utf-8")
-        self._sidecar = VectorFileWriter(sidecar_path, dim, norm)
         self.count = 0
         self.prompt_chars = 0
 
-    def write(self, sample: InstructionSample, vectors: np.ndarray) -> None:
-        base = self._sidecar.append(vectors)
-        sample.knowledge_ref_offsets = list(range(base, base + vectors.shape[0]))
+    def write(self, sample: InstructionSample) -> None:
         self._f.write(json.dumps(vars(sample), ensure_ascii=False, separators=(",", ":")) + "\n")
         self.count += 1
         self.prompt_chars += len(sample.prompt)
 
     def close(self) -> None:
         self._f.close()
-        self._sidecar.close()
 
     def __enter__(self) -> "InstructionWriter":
         return self
@@ -279,17 +272,26 @@ def _write_samples(
             rq = rank_query(table, kg, q, params.m)
             if not truncate or survives_truncation(rq, params):
                 sample_id = f"{id_prefix}-{i}-{q.direction}"
-                w.write(*build_sample(kg, table, rq, options, sample_id, 2 * i + k))
+                w.write(build_sample(kg, rq, options, sample_id, 2 * i + k))
+
+
+def read_samples(path: str) -> list[InstructionSample]:
+    """The samples of an instruction file. A line that is not a record of this
+    layout (say, one written before ``TEMPLATE_VERSION`` changed) is a
+    :class:`DataError` naming the file and line."""
+    samples = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    samples.append(InstructionSample(**json.loads(line)))
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}:{lineno}: not an instruction record: {exc}") from None
+    return samples
 
 
 def read_instruction_records(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return [vars(sample) for sample in read_samples(path)]
 
 
 def _options_summary(params: ConfidenceParams, options: BuildOptions) -> dict:
@@ -312,13 +314,12 @@ def build_eval_set(
     params: ConfidenceParams,
     options: BuildOptions,
     instructions_path: str,
-    sidecar_path: str,
     id_prefix: str = "test",
     triples: list[Triple] | None = None,
 ) -> dict:
     """One untruncated sample per direction for every test triple."""
     source = kg.test if triples is None else triples
-    with InstructionWriter(instructions_path, sidecar_path, table.dim, table.norm) as w:
+    with InstructionWriter(instructions_path) as w:
         _write_samples(w, kg, table, params, options, enumerate(source), id_prefix, truncate=False)
         written = w.count
         chars = w.prompt_chars
@@ -340,13 +341,11 @@ def build_finetune_set(
     options: BuildOptions,
     split_seed: int,
     instructions_path: str,
-    sidecar_path: str,
     holdout_instructions_path: str,
-    holdout_sidecar_path: str,
 ) -> dict:
     """Confidence-truncated samples from 90% of the validation split.
 
-    The remaining 10% is written untruncated to the holdout files for
+    The remaining 10% is written untruncated to the holdout file for
     hyperparameter selection. The train split is never used here.
     """
     if len(kg.valid) == 0:
@@ -357,7 +356,7 @@ def build_finetune_set(
     part1 = sorted(int(i) for i in perm[:cut])
     part2 = sorted(int(i) for i in perm[cut:])
 
-    with InstructionWriter(instructions_path, sidecar_path, table.dim, table.norm) as w:
+    with InstructionWriter(instructions_path) as w:
         part = ((i, kg.valid[i]) for i in part1)
         _write_samples(w, kg, table, params, options, part, "valid", truncate=True)
         kept = w.count
@@ -365,9 +364,7 @@ def build_finetune_set(
     if kept == 0:
         logger.warning("truncation at beta=%s kept no finetune samples", params.beta)
 
-    with InstructionWriter(
-        holdout_instructions_path, holdout_sidecar_path, table.dim, table.norm
-    ) as w:
+    with InstructionWriter(holdout_instructions_path) as w:
         part = ((i, kg.valid[i]) for i in part2)
         _write_samples(w, kg, table, params, options, part, "valid", truncate=False)
         holdout = w.count

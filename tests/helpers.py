@@ -15,12 +15,7 @@ import tempfile
 
 import numpy as np
 
-from kgrerank.instructions import (
-    BuildOptions,
-    InstructionSample,
-    build_eval_set,
-    read_instruction_records,
-)
+from kgrerank.instructions import BuildOptions, build_eval_set, read_samples
 from kgrerank.kg import KnowledgeGraph, Triple
 
 
@@ -46,10 +41,10 @@ def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=Non
 def eval_samples(kg, table, params, options=None, triples=None):
     """(samples, summary) of the eval set that ``build_eval_set`` writes, read back from disk."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, name) for name in ("instructions.jsonl", "instructions.sidecar")]
-        summary = build_eval_set(kg, table, params, options or BuildOptions(), *paths, triples=triples)
-        records = read_instruction_records(paths[0])
-    return [InstructionSample(**r) for r in records], summary
+        path = os.path.join(tmp, "instructions.jsonl")
+        summary = build_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
+        samples = read_samples(path)
+    return samples, summary
 
 
 def brute_force_score(table, h, r, t):

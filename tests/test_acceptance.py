@@ -226,9 +226,9 @@ def test_adapter_zero_case():
 @criterion("prompt shape: placeholder counts, parse round-trip, no gold leakage")
 def test_prompt_shape(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
-    paths = [str(tmp_path / n) for n in ("eval.jsonl", "eval.sidecar")]
-    build_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), *paths)
-    records = read_instruction_records(paths[0])
+    path = str(tmp_path / "eval.jsonl")
+    build_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), path)
+    records = read_instruction_records(path)
     assert len(records) == 2 * len(toy_kg.test)
     for rec in records:
         assert rec["prompt"].count("[QUERY]") == 1
@@ -259,9 +259,11 @@ def test_pipeline_determinism(tmp_path, toy_dir):
         blob = hashlib.sha256()
         for entry in sorted(os.listdir(workdir)):
             full = os.path.join(workdir, entry)
+            if entry.endswith(".ckpt"):
+                blob.update(open(full, "rb").read())
             if os.path.isdir(full):
                 for name in sorted(os.listdir(full)):
-                    if name.endswith((".jsonl", ".sidecar")) or name.startswith("report"):
+                    if name.endswith(".jsonl") or name.startswith(("report", "summary")):
                         blob.update(open(os.path.join(full, name), "rb").read())
         digests.append(blob.hexdigest())
     assert digests[0] == digests[1]

@@ -11,6 +11,7 @@ from kgrerank.adapter import (
     project_grad,
     save_adapter,
 )
+from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import InstructionSample
 from kgrerank.kg import DataError
 
@@ -125,39 +126,53 @@ def test_init_adapter_defaults_and_determinism():
     assert a.w1.shape == (8, 6)  # gate + value rows
 
 
-def make_sample(refs):
+def make_sample(known, candidate_ids, relation=0, direction="tail"):
     return InstructionSample(
         id="s-0",
-        direction="tail",
-        known=0,
-        relation=0,
+        direction=direction,
+        known=known,
+        relation=relation,
         prompt="Query: q?[QUERY]",
         gold_name="c0",
-        gold_id=0,
-        candidate_ids=list(range(len(refs) - 1)),
-        candidate_names=[f"c{i}" for i in range(len(refs) - 1)],
-        candidate_ranks=list(range(1, len(refs))),
+        gold_id=candidate_ids[0],
+        candidate_ids=list(candidate_ids),
+        candidate_names=[f"c{i}" for i in candidate_ids],
+        candidate_ranks=list(range(1, len(candidate_ids) + 1)),
         gold_rank=1,
-        knowledge_ref_offsets=list(refs),
     )
+
+
+def knowledge_table():
+    rng = np.random.default_rng(7)
+    return EmbeddingTable(rng.normal(size=(10, 3)), rng.normal(size=(2, 3)), "L2")
 
 
 def test_attach_knowledge_projects_in_placeholder_order():
     params = random_params(3, 4, 2, seed=6)
-    rng = np.random.default_rng(7)
-    sidecar = rng.normal(size=(10, 3))
-    sample = make_sample([4, 2, 9, 0])
-    out = attach_knowledge(sample, params, sidecar)
-    assert out.shape == (4, 2)
-    for row, ref in enumerate(sample.knowledge_ref_offsets):
-        np.testing.assert_array_equal(out[row], project(params, sidecar[ref]))
+    table = knowledge_table()
+    for direction, sign in (("tail", 1.0), ("head", -1.0)):
+        out = attach_knowledge(make_sample(4, [2, 9, 0], 1, direction), params, table)
+        assert out.shape == (4, 2)
+        query = table.entity_vecs[4] + sign * table.relation_vecs[1]
+        np.testing.assert_array_equal(out[0], project(params, query))
+        for row, ent in enumerate([2, 9, 0], start=1):
+            np.testing.assert_array_equal(out[row], project(params, table.entity_vecs[ent]))
 
 
 def test_attach_knowledge_missing_ref_is_error():
+    # ids come from a file; a negative one must not wrap around to the last row
     params = random_params(3, 4, 2, seed=6)
-    sidecar = np.zeros((2, 3))
-    with pytest.raises(DataError):
-        attach_knowledge(make_sample([0, 5]), params, sidecar)
+    table = knowledge_table()
+    for known, candidates, relation, bad in (
+        (10, [0, 1], 0, "entity id 10"),
+        (-1, [0, 1], 0, "entity id -1"),
+        (0, [1, 10], 0, "entity id 10"),
+        (0, [-1, 1], 0, "entity id -1"),
+        (0, [1, 2], 2, "relation id 2"),
+        (0, [1, 2], -1, "relation id -1"),
+    ):
+        with pytest.raises(DataError, match=bad):
+            attach_knowledge(make_sample(known, candidates, relation), params, table)
 
 
 @pytest.mark.parametrize("activation", ["swiglu", "silu"])

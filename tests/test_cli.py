@@ -88,6 +88,44 @@ def test_stage_digest_ignores_workdir(tmp_path, toy_dir):
     assert stage_digest(a, "embedder") != stage_digest(c, "embedder")
 
 
+def test_template_version_readdresses_instruction_sets(tmp_path, toy_dir, monkeypatch):
+    import kgrerank.cli as cli
+
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
+    before = {stage: cli.stage_output(cfg, stage) for stage in ("embeddings", "finetune", "eval", "report")}
+    monkeypatch.setattr(cli, "TEMPLATE_VERSION", cli.TEMPLATE_VERSION + 1)
+    after = {stage: cli.stage_output(cfg, stage) for stage in before}
+    assert after["embeddings"] == before["embeddings"]
+    for stage in ("finetune", "eval", "report"):
+        assert after[stage] != before[stage]
+
+
+def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["build-eval", "--config", cfg]) == 0
+    path = workdir_file(tmp_path / "w", "eval-", "instructions.jsonl")
+    lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["knowledge_ref_offsets"] = [0, 1, 2, 3, 4, 5]  # a key this layout does not have
+    lines[2] = json.dumps(record) + "\n"
+    open(path, "w", encoding="utf-8").write("".join(lines))
+    assert main(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3:" in err and "knowledge_ref_offsets" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override", ["eval.limit_triples=-13", "backend.retries=-1", "backend.backoff=-0.5"]
+)
+def test_values_that_would_do_the_wrong_thing_are_config_errors(tmp_path, toy_dir, capsys, override):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    assert main(["evaluate", "--config", cfg, "--set", override]) == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (workdir.exists() and any(e.startswith("eval-") for e in os.listdir(workdir)))
+
+
 def test_editing_a_dataset_file_in_place_retrains(tmp_path, toy_dir):
     dataset = tmp_path / "dataset"
     shutil.copytree(toy_dir, dataset)
@@ -382,10 +420,12 @@ def test_full_pipeline_runs_are_byte_identical(tmp_path, toy_dir):
         cfg = write_config(tmp_path / f"{run}.ini", toy_dir, workdir)
         for command in ("train-embeddings", "build-finetune", "build-eval", "evaluate"):
             assert main([command, "--config", cfg]) == 0
-        blob = b""
+        ckpt = workdir_file(workdir, "embeddings-")
+        assert ckpt.endswith(".ckpt")
+        blob = open(ckpt, "rb").read()
         for prefix, names in (
-            ("finetune-", ("instructions.jsonl", "instructions.sidecar", "holdout.jsonl", "holdout.sidecar")),
-            ("eval-", ("instructions.jsonl", "instructions.sidecar")),
+            ("finetune-", ("instructions.jsonl", "holdout.jsonl", "summary.json")),
+            ("eval-", ("instructions.jsonl", "summary.json")),
             ("report-", ("report.json",)),
         ):
             for name in names:
@@ -448,7 +488,7 @@ def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch)
     with pytest.raises(TypeError):
         main(["build-eval", "--config", cfg])
     outdir = workdir_file(tmp_path / "w", "eval-")
-    assert sorted(os.listdir(outdir)) == ["instructions.jsonl", "instructions.sidecar"]
+    assert sorted(os.listdir(outdir)) == ["instructions.jsonl"]
     assert main(["build-eval", "--config", cfg]) == 0
     assert len(calls) == 2
     assert json.load(open(os.path.join(outdir, "summary.json")))["written"] == 24

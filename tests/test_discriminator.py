@@ -38,7 +38,6 @@ def sample_with(names, gold_index=0, sample_id="test-0-tail"):
         candidate_names=list(names),
         candidate_ranks=list(range(1, len(names) + 1)),
         gold_rank=1,
-        knowledge_ref_offsets=list(range(len(names) + 1)),
     )
 
 

@@ -8,10 +8,8 @@ from kgrerank.embeddings import (
     EmbeddingTable,
     TrainConfig,
     TrainingDiverged,
-    VectorFileWriter,
     init_embeddings,
     pair_loss_and_grads,
-    read_vector_file,
     train,
 )
 from kgrerank.kg import DataError
@@ -230,20 +228,6 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert back.norm == "L1"
     assert back.entity_vecs.tobytes() == table.entity_vecs.tobytes()
     assert back.relation_vecs.tobytes() == table.relation_vecs.tobytes()
-
-
-def test_vector_file_writer_streams_rows(tmp_path):
-    rng = np.random.default_rng(1)
-    rows = rng.normal(size=(7, 4))
-    path = str(tmp_path / "vectors.bin")
-    with VectorFileWriter(path, dim=4, norm="L2") as w:
-        assert w.append(rows[:3]) == 0
-        assert w.append(rows[3]) == 3
-        assert w.append(rows[4:]) == 4
-    vecs, rels, norm = read_vector_file(path)
-    assert norm == "L2"
-    assert rels.shape == (0, 4)
-    assert vecs.tobytes() == np.ascontiguousarray(rows).tobytes()
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_cooc, build_kg
-from kgrerank.embeddings import EmbeddingTable, read_vector_file
+from kgrerank.adapter import attach_knowledge, init_adapter, project
+from kgrerank.cli import main
+from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import (
     DESCRIPTION_PREFIX,
     NEIGHBORS_HEADER,
@@ -22,10 +24,11 @@ from kgrerank.instructions import (
     query_text_for,
     rc_sample_neighbors,
     read_instruction_records,
+    read_samples,
     render_fact,
     render_prompt,
 )
-from kgrerank.kg import KnowledgeGraph, Triple, neighbors
+from kgrerank.kg import KnowledgeGraph, Triple, load_kg, neighbors
 from kgrerank.ranking import ConfidenceParams, Query, rank_query
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_prompt.txt")
@@ -152,7 +155,7 @@ def test_neighbor_sampling_is_subset_without_gold(case, rc_on, seed):
     )
     rq = rank_query(table, kg, q, m=min(3, kg.num_entities))
     options = BuildOptions(gamma=gamma, rc_sampling=rc_on, neighbor_seed=seed)
-    sample, _ = build_sample(kg, table, rq, options, "s-0", query_index=0)
+    sample = build_sample(kg, rq, options, "s-0", query_index=0)
     rendered_neighbors = {render_fact(kg, f) for f in neighbors(kg, q.known)}
     listed = neighbor_lines(sample.prompt)
     assert len(listed) <= gamma
@@ -216,17 +219,17 @@ def test_full_candidate_list_renders_twenty_entity_slots(toy_kg, toy_table):
     # m equal to the whole entity set still renders one slot per candidate
     q = Query(known=0, relation=0, direction="tail", gold=1)
     rq = rank_query(toy_table, toy_kg, q, m=20)
-    sample, vectors = build_sample(toy_kg, toy_table, rq, BuildOptions(), "s-0", 0)
+    sample = build_sample(toy_kg, rq, BuildOptions(), "s-0", 0)
     assert sample.prompt.count("[ENTITY]") == 20
     assert sample.prompt.count("[QUERY]") == 1
-    assert vectors.shape == (21, toy_table.dim)
+    assert attach_knowledge(sample, init_adapter(toy_table.dim, d2=4), toy_table).shape == (21, 4)
 
 
 def test_description_truncated_to_limit(toy_kg, toy_table):
     q = Query(known=1, relation=0, direction="tail", gold=2)
     rq = rank_query(toy_table, toy_kg, q, m=3)
     options = BuildOptions(max_description_chars=5)
-    sample, _ = build_sample(toy_kg, toy_table, rq, options, "s-0", 0)
+    sample = build_sample(toy_kg, rq, options, "s-0", 0)
     description = DESCRIPTION_PREFIX + toy_kg.entity_descriptions[1][:5]
     assert description in sample.prompt.split("\n\n")
 
@@ -235,73 +238,72 @@ def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.0)
     q = Query(known=0, relation=0, direction="tail", gold=1)
     rq = rank_query(toy_table, toy_kg, q, m=params.m)
-    plain, plain_vecs = build_sample(toy_kg, toy_table, rq, BuildOptions(), "s", 3)
-    shuffled, shuf_vecs = build_sample(
-        toy_kg, toy_table, rq, BuildOptions(shuffle_candidates=True, shuffle_seed=5), "s", 3
-    )
+    plain = build_sample(toy_kg, rq, BuildOptions(), "s", 3)
+    shuffled = build_sample(toy_kg, rq, BuildOptions(shuffle_candidates=True, shuffle_seed=5), "s", 3)
     assert sorted(shuffled.candidate_ids) == sorted(plain.candidate_ids)
     assert shuffled.candidate_ids != plain.candidate_ids or len(plain.candidate_ids) == 1
     assert plain.candidate_ranks == list(range(1, params.m + 1))
     assert [rq.topm_ids[r - 1] for r in shuffled.candidate_ranks] == shuffled.candidate_ids
     assert parse_candidate_names(shuffled.prompt) == shuffled.candidate_names
-    np.testing.assert_array_equal(shuf_vecs[0], plain_vecs[0])  # query row pinned first
-    for row, ent in enumerate(shuffled.candidate_ids, start=1):
-        np.testing.assert_array_equal(shuf_vecs[row], toy_table.entity_vector(ent))
+    adapter = init_adapter(toy_table.dim, d2=4)
+    plain_rows = attach_knowledge(plain, adapter, toy_table)
+    shuffled_rows = attach_knowledge(shuffled, adapter, toy_table)
+    np.testing.assert_array_equal(shuffled_rows[0], plain_rows[0])  # query row pinned first
+    for slot, rank in enumerate(shuffled.candidate_ranks, start=1):
+        np.testing.assert_array_equal(shuffled_rows[slot], plain_rows[rank])
 
 
-def test_build_eval_set_counts_and_sidecar(tmp_path, toy_kg, toy_table):
+def test_build_eval_set_counts_and_candidates(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.05)
-    paths = [str(tmp_path / n) for n in ("eval.jsonl", "eval.sidecar")]
-    summary = build_eval_set(toy_kg, toy_table, params, BuildOptions(), *paths)
-    records = read_instruction_records(paths[0])
+    path = str(tmp_path / "eval.jsonl")
+    summary = build_eval_set(toy_kg, toy_table, params, BuildOptions(), path)
+    records = read_instruction_records(path)
+    assert os.listdir(tmp_path) == ["eval.jsonl"]  # no file beside the records
     assert summary["written"] == 2 * len(toy_kg.test)
     assert len(records) == 2 * len(toy_kg.test)
-    vectors, _, _ = read_vector_file(paths[1])
-    assert vectors.shape == (len(records) * (params.m + 1), toy_table.dim)
     for rec in records:
         assert len(rec["candidate_ids"]) == params.m
         assert rec["prompt"].count("[ENTITY]") == params.m
         assert rec["prompt"].count("[QUERY]") == 1
         assert parse_candidate_names(rec["prompt"]) == rec["candidate_names"]
-        offsets = rec["knowledge_ref_offsets"]
-        assert len(offsets) == params.m + 1
-        assert offsets == list(range(offsets[0], offsets[0] + params.m + 1))
 
 
-def test_build_eval_shuffled_sidecar_follows_candidate_order(tmp_path, toy_kg, toy_table):
+def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.05)
-    paths = [str(tmp_path / n) for n in ("eval.jsonl", "eval.sidecar")]
-    build_eval_set(
-        toy_kg,
-        toy_table,
-        params,
-        BuildOptions(shuffle_candidates=True, shuffle_seed=11),
-        *paths,
-    )
-    records = read_instruction_records(paths[0])
-    vectors, _, _ = read_vector_file(paths[1])
-    for rec in records:
-        offsets = rec["knowledge_ref_offsets"]
-        for slot, ent in enumerate(rec["candidate_ids"], start=1):
-            np.testing.assert_array_equal(
-                vectors[offsets[slot]], toy_table.entity_vector(ent)
-            )
+    adapter = init_adapter(toy_table.dim, d2=5, seed=2)
+    sets = {}
+    for name, options in (
+        ("plain", BuildOptions()),
+        ("shuffled", BuildOptions(shuffle_candidates=True, shuffle_seed=11)),
+    ):
+        path = str(tmp_path / f"{name}.jsonl")
+        build_eval_set(toy_kg, toy_table, params, options, path)
+        sets[name] = read_samples(path)
+    moved = 0
+    for plain, shuffled in zip(sets["plain"], sets["shuffled"]):
+        rows = attach_knowledge(shuffled, adapter, toy_table)
+        query = toy_table.query_vector(shuffled.known, shuffled.relation, shuffled.direction)
+        np.testing.assert_array_equal(rows[0], project(adapter, query))
+        plain_rows = attach_knowledge(plain, adapter, toy_table)
+        for slot, (ent, rank) in enumerate(zip(shuffled.candidate_ids, shuffled.candidate_ranks), start=1):
+            np.testing.assert_array_equal(rows[slot], project(adapter, toy_table.entity_vecs[ent]))
+            np.testing.assert_array_equal(rows[slot], plain_rows[rank])
+        moved += shuffled.candidate_ids != plain.candidate_ids
+    assert moved > 0  # the shuffle reorders some lists
 
 
 def test_build_eval_drop_neighbors(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
-    paths = [str(tmp_path / n) for n in ("eval.jsonl", "eval.sidecar")]
-    build_eval_set(toy_kg, toy_table, params, BuildOptions(drop_neighbors=True), *paths)
-    for rec in read_instruction_records(paths[0]):
+    path = str(tmp_path / "eval.jsonl")
+    build_eval_set(toy_kg, toy_table, params, BuildOptions(drop_neighbors=True), path)
+    for rec in read_instruction_records(path):
         assert "Known facts:" not in rec["prompt"]
 
 
 def finetune_paths(root):
     return dict(
         instructions_path=str(root / "ft.jsonl"),
-        sidecar_path=str(root / "ft.sidecar"),
         holdout_instructions_path=str(root / "holdout.jsonl"),
-        holdout_sidecar_path=str(root / "holdout.sidecar"),
     )
 
 
@@ -370,17 +372,23 @@ def test_finetune_build_is_byte_deterministic(tmp_path, toy_kg, toy_table):
         )
         blob = b"".join(
             open(os.path.join(root, n), "rb").read()
-            for n in ("ft.jsonl", "ft.sidecar", "holdout.jsonl", "holdout.sidecar")
+            for n in ("ft.jsonl", "holdout.jsonl")
         )
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
 
 
-def test_instruction_records_carry_the_documented_fields(tmp_path, toy_kg, toy_table):
-    params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
-    paths = [str(tmp_path / n) for n in ("eval.jsonl", "eval.sidecar")]
-    build_eval_set(toy_kg, toy_table, params, BuildOptions(), *paths)
-    with open(paths[0], encoding="utf-8") as f:
+def test_instruction_records_carry_the_documented_fields(tmp_path, toy_dir):
+    workdir = tmp_path / "w"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[pipeline]\ndataset_dir = {toy_dir}\nworkdir = {workdir}\n"
+        "[embedder]\ndim = 8\nepochs = 2\n[ranker]\nm = 3\n",
+        encoding="utf-8",
+    )
+    assert main(["build-eval", "--config", str(cfg)]) == 0
+    (evaldir,) = [workdir / e for e in os.listdir(workdir) if e.startswith("eval-")]
+    with open(evaldir / "instructions.jsonl", encoding="utf-8") as f:
         record = json.loads(f.readline())
     assert list(record) == [
         "id",
@@ -394,12 +402,17 @@ def test_instruction_records_carry_the_documented_fields(tmp_path, toy_kg, toy_t
         "candidate_names",
         "candidate_ranks",
         "gold_rank",
-        "knowledge_ref_offsets",
     ]
     assert vars(InstructionSample(**record)) == record
-    h, r, t = toy_kg.test[0].tolist()
+    kg = load_kg(toy_dir)
+    h, r, t = kg.test[0].tolist()
     assert (record["id"], record["known"], record["relation"], record["gold_id"]) == ("test-0-tail", h, r, t)
     assert record["candidate_ranks"] == [1, 2, 3]
+    # the summary names the checkpoint the ids refer to: a file beside the set's directory
+    summary = json.load(open(evaldir / "summary.json", encoding="utf-8"))
+    assert summary["checkpoint"] == os.path.basename(summary["checkpoint"])
+    assert summary["checkpoint"].endswith(".ckpt")
+    assert os.path.isfile(workdir / summary["checkpoint"])
 
 
 def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_table, monkeypatch):
@@ -409,7 +422,7 @@ def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_tab
     original = instructions.build_sample
 
     def counting(*args, **kwargs):
-        built.append(args[4])
+        built.append(args[3])  # the sample id
         return original(*args, **kwargs)
 
     monkeypatch.setattr(instructions, "build_sample", counting)
