@@ -187,6 +187,10 @@ def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig
         raise ConfigError("backend.retries must be >= 0")
     if not be["backoff"] >= 0:
         raise ConfigError("backend.backoff must be >= 0")
+    if not be["timeout"] > 0:
+        raise ConfigError("backend.timeout must be > 0")
+    if be["in_flight"] < 1:
+        raise ConfigError("backend.in_flight must be >= 1")
     try:
         train_config = TrainConfig(
             dim=emb["dim"],

@@ -7,9 +7,9 @@ negatives with plain SGD, renormalizing entity vectors to unit L2 norm
 after every epoch.
 
 Downstream code only relies on ``score``, ``score_candidates``,
-``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
-scorer can replace :class:`EmbeddingTable` without touching the ranking,
-prompt-building, or evaluation modules.
+``coarse_distances``, ``query_vector``, ``entity_vector``, and checkpoint IO,
+so an alternative scorer can replace :class:`EmbeddingTable` without touching
+the ranking, prompt-building, or evaluation modules.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ CHECKPOINT_MAGIC = b"KGE1"
 _HEADER = struct.Struct("<4sIQQQB")
 _NORM_CODES = {"L1": 1, "L2": 2}
 _NORM_NAMES = {v: k for k, v in _NORM_CODES.items()}
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 HEAD = "head"  # predict the head: (?, r, t), known entity is t
 TAIL = "tail"  # predict the tail: (h, r, ?), known entity is h
@@ -80,17 +83,53 @@ class EmbeddingTable:
         u = self.entity_vecs[h] + self.relation_vecs[r] - self.entity_vecs[t]
         return float(-_residual_norm(u, self.norm))
 
-    def score_candidates(self, known: int, relation: int, direction: str) -> np.ndarray:
-        """Scores of all entities substituted into the missing slot."""
+    def score_candidates(
+        self, known: int, relation: int, direction: str, entities: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Scores of all entities (or of ``entities``, an id array) substituted
+        into the missing slot. An entity's score does not depend on which others
+        are scored with it."""
         rel = self.relation_vecs[relation]
+        candidates = self.entity_vecs if entities is None else self.entity_vecs[entities]
         # grouping matches score() so single and vectorized paths agree bitwise
         if direction == TAIL:
-            u = (self.entity_vecs[known] + rel) - self.entity_vecs
+            u = (self.entity_vecs[known] + rel) - candidates
         elif direction == HEAD:
-            u = (self.entity_vecs + rel) - self.entity_vecs[known]
+            u = (candidates + rel) - self.entity_vecs[known]
         else:
             raise ValueError(f"unknown direction {direction!r}")
         return -_residual_norm(u, self.norm)
+
+    def coarse_distances(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Every entity's distance from each of a block of ``(known, relation,
+        direction)`` queries, and each row's error bound.
+
+        For row i and entities a, b, ``dist[i, a] < dist[i, b] - bound[i]``
+        implies that ``score_candidates`` of query i scores a strictly above b.
+        L2 rows are squared distances ``|q|^2 - 2 q.e + |e|^2`` from one matrix
+        product, with q = e_known + r (tail) or e_known - r (head), and the
+        bound is ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument
+        is in :mod:`kgrerank.ranking`. A bound that overflows is inf. L1 has no
+        such product: its rows are the exact negated scores, with bound 0.
+        """
+        if self.norm == "L1":
+            dist = np.empty((len(queries), len(self.entity_vecs)))
+            for row, (known, relation, direction) in zip(dist, queries):
+                np.negative(self.score_candidates(known, relation, direction), out=row)
+            return dist, np.zeros(len(queries))
+        known, relation, direction = zip(*queries)
+        sign = np.where(np.asarray(direction) == TAIL, 1.0, -1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
+            q_sq = np.einsum("ij,ij->i", q, q)
+            e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
+            dist = q @ self.entity_vecs.T
+            dist *= -2.0
+            dist += q_sq[:, None]
+            dist += e_sq
+            reach = (np.sqrt(q_sq) + np.sqrt(e_sq.max())) ** 2
+            bound = 16 * (self.dim + 4) * (_EPS * reach + _TINY)
+        return dist, bound
 
     def query_vector(self, known: int, relation: int, direction: str) -> np.ndarray:
         """Translational composition of a completion query.

@@ -35,7 +35,7 @@ from .ranking import (
     Query,
     RankedQuery,
     queries_for_triple,
-    rank_query,
+    rank_queries,
     survives_truncation,
 )
 
@@ -267,12 +267,14 @@ def _write_samples(
 ) -> None:
     """Rank both directions of each (original index, triple) and write their samples,
     with ``truncate`` only those that survive. Ids are ``<prefix>-<index>-<direction>``."""
-    for i, triple in indexed_triples:
-        for k, q in enumerate(queries_for_triple(triple)):
-            rq = rank_query(table, kg, q, params.m)
-            if not truncate or survives_truncation(rq, params):
-                sample_id = f"{id_prefix}-{i}-{q.direction}"
-                w.write(build_sample(kg, rq, options, sample_id, 2 * i + k))
+    queries = [
+        (i, k, q) for i, triple in indexed_triples for k, q in enumerate(queries_for_triple(triple))
+    ]
+    ranked = rank_queries(table, kg, (q for _, _, q in queries), params.m)
+    for (i, k, q), rq in zip(queries, ranked):
+        if not truncate or survives_truncation(rq, params):
+            sample_id = f"{id_prefix}-{i}-{q.direction}"
+            w.write(build_sample(kg, rq, options, sample_id, 2 * i + k))
 
 
 def read_samples(path: str) -> list[InstructionSample]:

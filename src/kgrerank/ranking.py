@@ -7,17 +7,54 @@ Nothing is sorted in full: the gold's rank is counted and the top-m come from
 a partition, both as positions in the order "score descending, ties to the
 smaller entity id". The counts need scores that are never NaN, so
 checkpoints holding NaN or infinite values are refused on load.
+
+``rank_query`` scores every entity exactly, one query at a time.
+``rank_queries`` returns the same rankings bit for bit, but scores most
+entities only approximately, a block of queries at a time: its L2 first pass
+(``EmbeddingTable.coarse_distances``) computes squared distances as
+``|q|^2 - 2 q.e + |e|^2`` with one matrix product, while the exact scores
+(``score_candidates``) are ``-sqrt(sum(u * u))`` of the residual u. Only the
+entities whose first-pass value lies within the bound
+``delta = 16 (dim + 4) (eps R^2 + tiny)``, ``R = |q| + max |e|``, of the
+m-th value or of the gold's get exact scores (see ``rank_queries``). Why a
+first-pass gap above delta fixes the order of the exact scores, with unit
+roundoff u = eps / 2 and n = dim:
+
+- Against the real squared distance, the residual formula's sum of squares
+  is off by at most (n + 6) u R^2 (1 + O(nu)): each u_i carries two
+  roundings, which moves u by at most 3 u R, and a sum of n rounded
+  products is within n u (1 + O(nu)) of its absolute value in any order.
+- The first pass is off by at most (n + 4) u R^2 (1 + O(nu)): forming q
+  rounds once (2 u R^2), the dot products and both norms obey the same
+  sum bound, with or without fused multiply-adds, and the two additions
+  round once each.
+- So a first-pass gap above delta leaves the two exact sums of squares apart
+  by more than delta - 2 (2n + 10) u R^2 >= 136 u R^2. ``sqrt`` is monotone
+  and correctly rounded, so sums that far apart (more than 8 u R^2) keep
+  their strict order after it. The rest of the margin covers the rounding
+  of delta and of the comparisons themselves; the ``tiny`` term covers
+  underflow.
+
+L1 has no such product: its first pass is the exact broadcast, with
+delta = 0, so the same steps select the same entities from exact values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .embeddings import HEAD, TAIL, EmbeddingTable
 from .kg import KnowledgeGraph, Triple
+
+# The first pass of rank_queries holds one block of queries x entities float64
+# distances; capping it at 4 MiB (36 queries at 14,541 entities) keeps the
+# memory of ranking flat in the number of queries.
+BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -69,6 +106,50 @@ class ConfidenceParams:
             raise ValueError("alpha and beta must be >= 0")
 
 
+def _check_m(kg: KnowledgeGraph, m: int) -> None:
+    if not 1 <= m <= kg.num_entities:
+        raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
+
+
+def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
+    """The entities filtered out of q's ranking: known-true completions other than the gold."""
+    if q.direction == TAIL:
+        known_true = kg.known_tails(q.known, q.relation)
+    else:
+        known_true = kg.known_heads(q.relation, q.known)
+    if q.gold is not None:
+        known_true = known_true[known_true != q.gold]
+    return known_true
+
+
+def _count_and_select(
+    q: Query, scores: np.ndarray, m: int, ids: np.ndarray | None = None, above: int = 0
+) -> RankedQuery:
+    """The gold's rank and the top-m from exact filtered scores of the entities
+    ``ids`` (ascending; all entities when None). ``above`` counts the entities
+    outside ``ids`` that are known to score strictly above the gold; every
+    entity outside ``ids`` is known to score strictly below the m-th best."""
+    gold_rank = gold_score = None
+    if q.gold is not None:
+        gold_pos = q.gold if ids is None else int(np.searchsorted(ids, q.gold))
+        g = scores[gold_pos]
+        gold_score = float(g)
+        ties_before = np.count_nonzero(scores[:gold_pos] == g)
+        gold_rank = above + int(np.count_nonzero(scores > g) + ties_before) + 1
+    # everything above the m-th best score, sorted; then the ties at it, in id order
+    mth = np.partition(scores, len(scores) - m)[len(scores) - m]
+    above_mth = np.flatnonzero(scores > mth)
+    above_mth = above_mth[np.argsort(-scores[above_mth], kind="stable")]
+    topm = np.concatenate([above_mth, np.flatnonzero(scores == mth)[: m - len(above_mth)]])
+    return RankedQuery(
+        query=q,
+        topm_ids=[int(e) for e in (topm if ids is None else ids[topm])],
+        topm_scores=[float(s) for s in scores[topm]],
+        gold_rank=gold_rank,
+        gold_score=gold_score,
+    )
+
+
 def rank_query(
     table: EmbeddingTable,
     kg: KnowledgeGraph,
@@ -77,34 +158,56 @@ def rank_query(
     filtered: bool = True,
 ) -> RankedQuery:
     """The top-m entities and the gold's rank, filtered against known-true triples."""
-    if not 1 <= m <= kg.num_entities:
-        raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
+    _check_m(kg, m)
     scores = table.score_candidates(q.known, q.relation, q.direction)
     if filtered:
-        if q.direction == TAIL:
-            known_true = kg.known_tails(q.known, q.relation)
-        else:
-            known_true = kg.known_heads(q.relation, q.known)
-        if q.gold is not None:
-            known_true = known_true[known_true != q.gold]
-        scores[known_true] = -np.inf
-    gold_rank = gold_score = None
-    if q.gold is not None:
-        g = scores[q.gold]
-        gold_score = float(g)
-        gold_rank = int(np.count_nonzero(scores > g) + np.count_nonzero(scores[: q.gold] == g)) + 1
-    # everything above the m-th best score, sorted; then the ties at it, in id order
-    mth = np.partition(scores, kg.num_entities - m)[kg.num_entities - m]
-    above = np.flatnonzero(scores > mth)
-    above = above[np.argsort(-scores[above], kind="stable")]
-    topm = np.concatenate([above, np.flatnonzero(scores == mth)[: m - len(above)]])
-    return RankedQuery(
-        query=q,
-        topm_ids=[int(e) for e in topm],
-        topm_scores=[float(s) for s in scores[topm]],
-        gold_rank=gold_rank,
-        gold_score=gold_score,
-    )
+        scores[_known_true(kg, q)] = -np.inf
+    return _count_and_select(q, scores, m)
+
+
+def rank_queries(
+    table: EmbeddingTable, kg: KnowledgeGraph, queries: Iterable[Query], m: int
+) -> Iterator[RankedQuery]:
+    """``rank_query`` of each of ``queries``, in order, bit for bit; filtered.
+
+    Queries are taken a block at a time (see ``BLOCK_BYTES``). The block's
+    first pass, ``table.coarse_distances``, gives every entity a distance d
+    and each query a bound delta such that d_a < d_b - delta guarantees that
+    a's exact score is strictly above b's. Filtered entities get d = inf.
+    With t the m-th smallest d and d_g the gold's, exact scores are computed
+    only for the entities with d <= t + delta or |d - d_g| <= delta:
+
+    - every entity with d > t + delta lies strictly below each of the (at
+      least) m entities with d <= t, so it is neither in the top-m nor tied with the m-th;
+    - every entity with d < d_g - delta scores strictly above the gold and
+      every one with d > d_g + delta strictly below it, so only the band
+      around d_g needs an exact comparison.
+
+    The counting and tie rules then run on exact scores of that set, which is
+    what ``rank_query`` sees of the same entities. A query falls back to
+    ``rank_query`` when t, delta or d_g is not finite: m reaches past the
+    unfiltered entities into the -inf ties, or a value or the bound overflowed.
+    """
+    _check_m(kg, m)
+    rows = max(1, BLOCK_BYTES // (8 * kg.num_entities))
+    it = iter(queries)
+    while block := list(itertools.islice(it, rows)):
+        dist, bound = table.coarse_distances([(q.known, q.relation, q.direction) for q in block])
+        for q, d, delta in zip(block, dist, bound):
+            d[_known_true(kg, q)] = np.inf
+            t = np.partition(d, m - 1)[m - 1]
+            dg = d[q.gold] if q.gold is not None else 0.0
+            if not np.isfinite([t, delta, dg]).all():
+                yield rank_query(table, kg, q, m)
+                continue
+            near = d <= t + delta
+            above = 0
+            if q.gold is not None:
+                near |= np.abs(d - dg) <= delta
+                above = int(np.count_nonzero((d < dg - delta) & ~near))
+            ids = np.flatnonzero(near)
+            scores = table.score_candidates(q.known, q.relation, q.direction, ids)
+            yield _count_and_select(q, scores, m, ids, above)
 
 
 def queries_for_triple(triple: Triple) -> tuple[Query, Query]:
@@ -183,10 +286,9 @@ def base_model_metrics(
     if limit_triples:
         triples = triples[:limit_triples]
     per_direction: dict[str, list[int]] = {"head": [], "tail": []}
-    for triple in triples:
-        for q in queries_for_triple(triple):
-            rq = rank_query(table, kg, q, m)
-            per_direction[q.direction].append(rq.gold_rank)
+    queries = (q for triple in triples for q in queries_for_triple(triple))
+    for rq in rank_queries(table, kg, queries, m):
+        per_direction[rq.query.direction].append(rq.gold_rank)
     pooled = per_direction["head"] + per_direction["tail"]
     return {
         "head": metrics(per_direction["head"]),

@@ -1,10 +1,12 @@
 import hashlib
+import http.server
 import importlib.util
 import json
 import os
 import shutil
 import socket
 import sys
+import threading
 import time
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from kgrerank.cli import ConfigError, load_config, main, stage_digest
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import read_instruction_records
+from kgrerank.kg import load_kg
+from kgrerank.ranking import metrics, queries_for_triple, rank_query
 
 FAST_EMBEDDER = """
 [embedder]
@@ -116,7 +120,16 @@ def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["eval.limit_triples=-13", "backend.retries=-1", "backend.backoff=-0.5"]
+    "override",
+    [
+        "eval.limit_triples=-13",
+        "backend.retries=-1",
+        "backend.backoff=-0.5",
+        "backend.timeout=-1",
+        "backend.timeout=0",
+        "backend.timeout=nan",
+        "backend.in_flight=0",
+    ],
 )
 def test_values_that_would_do_the_wrong_thing_are_config_errors(tmp_path, toy_dir, capsys, override):
     workdir = tmp_path / "w"
@@ -383,6 +396,93 @@ def test_dead_remote_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, ca
     assert not any(name.startswith("report") for name in os.listdir(report_dir))
 
 
+class _Stub(http.server.ThreadingHTTPServer):
+    """A chat-completion endpoint whose n-th request (from 1) gets ``reply(n)``:
+    a status, ``"malformed"`` for a 200 whose body is not JSON, or ``"timeout"``
+    for no answer before the client gives up."""
+
+    def __init__(self, reply):
+        super().__init__(("127.0.0.1", 0), _StubHandler)
+        self.reply = reply
+        self.requests = 0
+        self.lock = threading.Lock()
+
+    @property
+    def endpoint(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.requests += 1
+            reply = self.server.reply(self.server.requests)
+        if reply == "timeout":  # hang up once the client has given up
+            time.sleep(1.0)
+            self.close_connection = True
+            return
+        body = json.dumps({"choices": [{"message": {"content": "entity 1"}}]}).encode()
+        if reply == "malformed":
+            body = b"{not json"
+        elif reply != 200:
+            body = b'{"error": "busy"}'
+        self.send_response(200 if reply == "malformed" else reply)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def evaluate_against_stub(tmp_path, toy_dir, reply, timeout=5.0):
+    """(exit code, the stub, names in the report directory) of one evaluate."""
+    stub = _Stub(reply)
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    try:
+        workdir = tmp_path / "w"
+        cfg = write_config(
+            tmp_path / "run.ini",
+            toy_dir,
+            workdir,
+            extra=(
+                f"\n[backend]\nkind = remote\nendpoint = {stub.endpoint}\n"
+                f"model = m\nretries = 1\nbackoff = 0\ntimeout = {timeout}\n"
+            ),
+        )
+        code = main(["evaluate", "--config", cfg])
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    return code, stub, os.listdir(workdir_file(workdir, "report-"))
+
+
+def test_a_retried_server_error_still_gives_a_clean_report(tmp_path, toy_dir):
+    code, stub, names = evaluate_against_stub(tmp_path, toy_dir, lambda n: 500 if n == 1 else 200)
+    assert code == 0
+    assert stub.requests == 24 + 1  # every query once, and one retry
+    assert {"report.json", "report.txt"} <= set(names)
+    assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
+
+
+@pytest.mark.parametrize("reply", [500, 429, "malformed", "timeout"])
+def test_a_failing_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, capsys, reply):
+    timeout = 0.2 if reply == "timeout" else 5.0
+    code, stub, names = evaluate_against_stub(tmp_path, toy_dir, lambda n: reply, timeout)
+    assert code == 3
+    assert "backend error" in capsys.readouterr().err
+    if reply != "timeout":  # a timed-out request may not have reached the stub yet
+        assert stub.requests == (1 if reply == "malformed" else 2)  # a malformed body is not retried
+    assert not any(name.startswith("report") for name in names)
+
+
 def test_evaluate_missing_scripted_file_exits_3(tmp_path, toy_dir, capsys):
     cfg = write_config(
         tmp_path / "run.ini",
@@ -518,6 +618,16 @@ def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
     rows = [row for row in map(str.split, lines) if row[:1] in (["2"], ["9"])]
     assert [(r[0], r[1]) for r in rows] == [("2", "24"), ("9", "24")]
     assert float(rows[0][2]) < float(rows[1][2])
+
+
+def test_run_benchmark_transe_script(tmp_path, toy_dir, monkeypatch, capsys):
+    ckpt = str(tmp_path / "table.ckpt")
+    args = ["--dataset", toy_dir, "--epochs", "5", "--dim", "8", "--m", "5", "--checkpoint", ckpt]
+    lines = run_script("run_benchmark_transe", args, monkeypatch, capsys)
+    combined = next(line.split() for line in lines if line.startswith("combined"))
+    kg, table = load_kg(toy_dir), EmbeddingTable.load(ckpt)
+    ranks = [rank_query(table, kg, q, 5).gold_rank for t in kg.test for q in queries_for_triple(t)]
+    assert combined[1:3] == ["MRR", f"{metrics(ranks).mrr:.4f}"]
 
 
 def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):

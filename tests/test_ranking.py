@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_rank, build_kg
+from kgrerank import ranking
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.ranking import (
     ConfidenceParams,
@@ -14,6 +16,7 @@ from kgrerank.ranking import (
     global_confidence,
     local_confidence,
     queries_for_triple,
+    rank_queries,
     rank_query,
     sample_confidence,
     survives_truncation,
@@ -288,3 +291,50 @@ def test_filtered_ranking_matches_brute_force_on_multi_answer_keys(case):
             assert rank_query(table, kg, q, m=kg.num_entities).topm_ids == order
             assert rq.topm_ids == topm
             assert rq.gold_rank == gold_rank
+
+
+@st.composite
+def block_case(draw):
+    """A multi-answer graph whose table has duplicated entity rows and rows one
+    ulp apart (ties and near-ties inside the first pass's error bound), with m
+    up to the entity count and a small block size."""
+    table, kg, m = draw(multi_answer_case())
+    ev = table.entity_vecs
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, kg.num_entities - 1)), draw(st.integers(0, kg.num_entities - 1))
+        ev[dst] = ev[src]
+        if draw(st.booleans()):
+            col = draw(st.integers(0, ev.shape[1] - 1))
+            ev[dst, col] = np.nextafter(ev[dst, col], draw(st.sampled_from([-np.inf, np.inf])))
+    m = draw(st.sampled_from([m, kg.num_entities]))
+    return table, kg, m, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_case())
+def test_rank_queries_equals_rank_query_and_brute_force(case):
+    table, kg, m, rows = case
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    with mock.patch.object(ranking, "BLOCK_BYTES", rows * 8 * kg.num_entities):
+        blocked = list(rank_queries(table, kg, iter(queries), m))
+    assert len(blocked) == len(queries)
+    for q, rq in zip(queries, blocked):
+        assert rq == rank_query(table, kg, q, m)
+        order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
+        assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
+
+
+def test_rank_queries_rescores_only_near_the_cut_and_the_gold():
+    # 1 and 2 are one ulp apart, far closer than the first pass can tell apart
+    step = np.nextafter(1.0, 2.0)
+    vecs = np.array([[0.0, 0.0], [1.0, 0.0], [step, 0.0], [5.0, 5.0], [-4.0, 3.0], [9.0, 9.0]])
+    table = EmbeddingTable(vecs, np.array([[1.0, 0.0]]), "L2")
+    kg = build_kg(6, 1, train=[])
+    q = Query(0, 0, "tail", gold=4)
+    rescored = []
+    score = table.score_candidates
+    with mock.patch.object(table, "score_candidates", lambda *a: rescored.append(a[3]) or score(*a)):
+        (rq,) = rank_queries(table, kg, [q], m=1)
+    assert rq == rank_query(table, kg, q, m=1)
+    assert rq.topm_ids == [1]
+    assert [ids.tolist() for ids in rescored] == [[1, 2, 4]]
