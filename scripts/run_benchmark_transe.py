@@ -39,7 +39,7 @@ def main():
         learning_rate=args.learning_rate,
         margin=args.margin,
         epochs=args.epochs,
-        negatives_per_positive=args.negatives,
+        negatives=args.negatives,
         batch_size=args.batch_size,
         norm=args.norm,
         seed=args.seed,

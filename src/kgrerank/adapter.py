@@ -1,29 +1,21 @@
 """Projection of scorer embeddings into a target hidden space.
 
-The map is e_hat = W2 @ act(W1 @ e + b1) + b2. With the default gated
-activation, W1 has 2*d1 rows: the first half drives the gate
-silu(z_gate) and the second half the value stream, combined as
-silu(z_gate) * z_up. The plain "silu" variant uses d1 rows and no gate.
-Exact reverse-mode gradients are provided so the layer can be checked
-against finite differences and trained externally. ``attach_knowledge``
+The map is e_hat = W2 @ (silu(z_gate) * z_up) + b2 with z = W1 @ e + b1:
+W1 has 2*d1 rows, the first half drives the gate and the second half the
+value stream. Exact reverse-mode gradients are provided so the layer can be
+checked against finite differences and trained externally. ``attach_knowledge``
 projects the knowledge vectors of an instruction sample, read from the
 embedding checkpoint by the entity and relation ids that the sample holds.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .kg import DataError
-
-ADAPTER_MAGIC = b"KGA1"
-_HEADER = struct.Struct("<4sIQQQB")
-_ACTIVATION_CODES = {"swiglu": 1, "silu": 2}
-_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 
 
 @dataclass
@@ -32,18 +24,12 @@ class AdapterParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    activation: str = "swiglu"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATION_CODES:
-            raise ValueError(f"activation must be one of {sorted(_ACTIVATION_CODES)}")
         rows = self.w1.shape[0]
-        if self.activation == "swiglu":
-            if rows % 2:
-                raise ValueError("swiglu needs an even number of W1 rows (gate + value)")
-            d1 = rows // 2
-        else:
-            d1 = rows
+        if rows % 2:
+            raise ValueError("W1 needs an even number of rows (gate + value)")
+        d1 = rows // 2
         if self.b1.shape != (rows,):
             raise ValueError(f"b1 must have shape ({rows},)")
         if self.w2.shape[1] != d1:
@@ -80,22 +66,19 @@ def init_adapter(
     d0: int,
     d2: int = 4096,
     d1: int | None = None,
-    activation: str = "swiglu",
     seed: int = 0,
 ) -> AdapterParams:
     """Seeded uniform init; d1 defaults to d2 // 2."""
     if d1 is None:
         d1 = max(1, d2 // 2)
     rng = np.random.default_rng(seed)
-    rows = 2 * d1 if activation == "swiglu" else d1
     s1 = 1.0 / np.sqrt(d0)
     s2 = 1.0 / np.sqrt(d1)
     return AdapterParams(
-        w1=rng.uniform(-s1, s1, size=(rows, d0)),
-        b1=np.zeros(rows),
+        w1=rng.uniform(-s1, s1, size=(2 * d1, d0)),
+        b1=np.zeros(2 * d1),
         w2=rng.uniform(-s2, s2, size=(d2, d1)),
         b2=np.zeros(d2),
-        activation=activation,
     )
 
 
@@ -118,11 +101,8 @@ def project(params: AdapterParams, e: np.ndarray) -> np.ndarray:
     if e.shape != (params.d0,):
         raise ValueError(f"expected input shape ({params.d0},), got {e.shape}")
     z = params.w1 @ e + params.b1
-    if params.activation == "swiglu":
-        gate, up = z[: params.d1], z[params.d1 :]
-        hidden = _silu(gate) * up
-    else:
-        hidden = _silu(z)
+    gate, up = z[: params.d1], z[params.d1 :]
+    hidden = _silu(gate) * up
     return params.w2 @ hidden + params.b2
 
 
@@ -136,20 +116,14 @@ def project_grad(params: AdapterParams, e: np.ndarray, upstream: np.ndarray) -> 
         raise ValueError(f"expected upstream shape ({params.d2},), got {upstream.shape}")
 
     z = params.w1 @ e + params.b1
-    if params.activation == "swiglu":
-        gate, up = z[: params.d1], z[params.d1 :]
-        sg = _sigmoid(gate)
-        silu_gate = gate * sg
-        hidden = silu_gate * up
-        d_hidden = params.w2.T @ upstream
-        d_gate = d_hidden * up * (sg + gate * sg * (1.0 - sg))
-        d_up = d_hidden * silu_gate
-        d_z = np.concatenate([d_gate, d_up])
-    else:
-        sg = _sigmoid(z)
-        hidden = z * sg
-        d_hidden = params.w2.T @ upstream
-        d_z = d_hidden * (sg + z * sg * (1.0 - sg))
+    gate, up = z[: params.d1], z[params.d1 :]
+    sg = _sigmoid(gate)
+    silu_gate = gate * sg
+    hidden = silu_gate * up
+    d_hidden = params.w2.T @ upstream
+    d_gate = d_hidden * up * (sg + gate * sg * (1.0 - sg))
+    d_up = d_hidden * silu_gate
+    d_z = np.concatenate([d_gate, d_up])
 
     return AdapterGrads(
         w1=np.outer(d_z, e),
@@ -181,42 +155,3 @@ def attach_knowledge(sample, params: AdapterParams, table: EmbeddingTable) -> np
         out[row] = project(params, table.entity_vector(ent))
     return out
 
-
-def save_adapter(params: AdapterParams, path: str) -> None:
-    header = _HEADER.pack(
-        ADAPTER_MAGIC, 1, params.d0, params.d1, params.d2,
-        _ACTIVATION_CODES[params.activation],
-    )
-    with open(path, "wb") as f:
-        f.write(header)
-        for arr in (params.w1, params.b1, params.w2, params.b2):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_adapter(path: str) -> AdapterParams:
-    with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise DataError(f"{path}: truncated header")
-        magic, version, d0, d1, d2, act_code = _HEADER.unpack(header)
-        if magic != ADAPTER_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        if version != 1:
-            raise DataError(f"{path}: unsupported version {version}")
-        if act_code not in _ACTIVATION_NAMES:
-            raise DataError(f"{path}: unknown activation code {act_code}")
-        activation = _ACTIVATION_NAMES[act_code]
-        rows = 2 * d1 if activation == "swiglu" else d1
-        payload = f.read()
-    sizes = [rows * d0, rows, d2 * d1, d2]
-    if len(payload) != sum(sizes) * 8:
-        raise DataError(f"{path}: expected {sum(sizes) * 8} payload bytes, got {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8").copy()
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return AdapterParams(
-        w1=parts[0].reshape(rows, d0),
-        b1=parts[1],
-        w2=parts[2].reshape(d2, d1),
-        b2=parts[3],
-        activation=activation,
-    )

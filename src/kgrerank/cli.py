@@ -22,11 +22,12 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import get_type_hints
 
-from .discriminator import BackendError, RemoteConfig, make_backend
+from .discriminator import BackendConfig, BackendError, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
-from .evaluation import EvalOptions, evaluate
+from .evaluation import evaluate
 from .instructions import (
     TEMPLATE_VERSION,
     BuildOptions,
@@ -52,79 +53,50 @@ def _to_bool(raw: str) -> bool:
     try:
         return _BOOLEAN[raw.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {raw!r}") from None
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
-# section -> key -> (caster, default); None default means the key is required
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "pipeline": {
-        "dataset_dir": (str, None),
-        "workdir": (str, None),
-        "threads": (int, 1),
-    },
-    "embedder": {
-        "dim": (int, 100),
-        "learning_rate": (float, 0.01),
-        "margin": (float, 1.0),
-        "epochs": (int, 1000),
-        "batch_size": (int, 1024),
-        "negatives": (int, 1),
-        "norm": (str, "L2"),
-        "seed": (int, 0),
-    },
-    "ranker": {
-        "m": (int, 20),
-        "alpha": (float, 1.0),
-        "beta": (float, 0.05),
-        "local_norm": (str, "minmax"),
-    },
-    "instruct": {
-        "gamma": (int, 10),
-        "max_description_chars": (int, 512),
-        "drop_description": (_to_bool, False),
-        "drop_neighbors": (_to_bool, False),
-        "rc_sampling": (_to_bool, True),
-        "shuffle_candidates": (_to_bool, False),
-        "shuffle_seed": (int, 0),
-        "neighbor_seed": (int, 0),
-        "split_seed": (int, 0),
-    },
-    "backend": {
-        "kind": (str, "oracle"),
-        "endpoint": (str, ""),
-        "model": (str, ""),
-        "timeout": (float, 30.0),
-        "retries": (int, 2),
-        "backoff": (float, 0.5),
-        "auth_token_env": (str, "KGRERANK_API_TOKEN"),
-        "in_flight": (int, 4),
-        "scripted_file": (str, ""),
-    },
-    "eval": {
-        "limit_triples": (int, 0),
-        "audit": (_to_bool, False),
-    },
-}
+_CASTS = {int: int, float: float, str: str, bool: _to_bool}
 
-_BACKEND_KINDS = ("oracle", "first_candidate", "scripted", "remote")
+
+@dataclass
+class PipelineOptions:
+    """The ``[pipeline]`` config section."""
+
+    dataset_dir: str
+    workdir: str
+    threads: int = 1  # per-query parallelism in evaluate
+
+
+@dataclass
+class EvalOptions:
+    """The ``[eval]`` config section."""
+
+    limit_triples: int = 0  # N > 0 scores only the first N test triples
+    audit: bool = False  # write a per-query audit.jsonl beside the report
+
+    def __post_init__(self):
+        if self.limit_triples < 0:
+            raise ValueError("limit_triples must be >= 0")
 
 
 @dataclass
 class PipelineConfig:
-    dataset_dir: str
-    workdir: str
-    threads: int
-    values: dict  # typed {section: {key: value}}, the digest source
-    train: TrainConfig
-    params: ConfidenceParams
-    build: BuildOptions
-    split_seed: int
-    backend_kind: str
-    scripted_file: str
-    remote: RemoteConfig
-    limit_triples: int
-    audit: bool
+    """A parsed config: one field per INI section, named after it."""
+
+    pipeline: PipelineOptions
+    embedder: TrainConfig
+    ranker: ConfidenceParams
+    instruct: BuildOptions
+    backend: BackendConfig
+    eval: EvalOptions
     file_hashes: dict = field(default_factory=dict)  # path -> sha256, see content_hash
+
+
+# section -> its dataclass, which is its schema: the field names are the keys,
+# the annotations (int, float, str, bool) the casts, the defaults the defaults,
+# and a field without a default is a required key. __post_init__ checks values.
+_SECTIONS = {name: cls for name, cls in get_type_hints(PipelineConfig).items() if name != "file_hashes"}
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig:
@@ -137,12 +109,13 @@ def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    raw: dict[str, dict[str, str]] = {s: {} for s in _SCHEMA}
+    keys = {section: {f.name for f in fields(cls)} for section, cls in _SECTIONS.items()}
+    raw: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             raw[section][key] = value
 
@@ -151,99 +124,29 @@ def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, value = item.split("=", 1)
         section, key = dotted.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if key not in keys.get(section, ()):
             raise ConfigError(f"unknown config key {section}.{key}")
         raw[section][key] = value
 
-    values: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        values[section] = {}
-        for key, (cast, default) in keys.items():
-            if key in raw[section]:
-                try:
-                    values[section][key] = cast(raw[section][key])
-                except ConfigError:
-                    raise
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-            elif default is None:
-                raise ConfigError(f"missing required config key {section}.{key}")
-            else:
-                values[section][key] = default
+    return PipelineConfig(**{s: _load_section(s, cls, raw[s]) for s, cls in _SECTIONS.items()})
 
-    emb = values["embedder"]
-    rk = values["ranker"]
-    ins = values["instruct"]
-    be = values["backend"]
-    ev = values["eval"]
-    if rk["local_norm"] not in ("minmax", "raw"):
-        raise ConfigError("ranker.local_norm must be 'minmax' or 'raw'")
-    if be["kind"] not in _BACKEND_KINDS:
-        raise ConfigError(f"backend.kind must be one of {_BACKEND_KINDS}")
-    # each of these would run without complaint and do the wrong thing
-    if ev["limit_triples"] < 0:
-        raise ConfigError("eval.limit_triples must be >= 0")
-    if be["retries"] < 0:
-        raise ConfigError("backend.retries must be >= 0")
-    if not be["backoff"] >= 0:
-        raise ConfigError("backend.backoff must be >= 0")
-    if not be["timeout"] > 0:
-        raise ConfigError("backend.timeout must be > 0")
-    if be["in_flight"] < 1:
-        raise ConfigError("backend.in_flight must be >= 1")
+
+def _load_section(section: str, cls, raw: dict[str, str]):
+    """A section's dataclass from its raw strings, each cast by its field's annotation."""
+    types = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            try:
+                values[f.name] = _CASTS[types[f.name]](raw[f.name])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{f.name}: {exc}") from exc
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required config key {section}.{f.name}")
     try:
-        train_config = TrainConfig(
-            dim=emb["dim"],
-            learning_rate=emb["learning_rate"],
-            margin=emb["margin"],
-            epochs=emb["epochs"],
-            negatives_per_positive=emb["negatives"],
-            batch_size=emb["batch_size"],
-            norm=emb["norm"],
-            seed=emb["seed"],
-        )
-        params = ConfidenceParams(
-            m=rk["m"],
-            alpha=rk["alpha"],
-            beta=rk["beta"],
-            normalize_local=rk["local_norm"] == "minmax",
-        )
-        build = BuildOptions(
-            gamma=ins["gamma"],
-            max_description_chars=ins["max_description_chars"],
-            drop_description=ins["drop_description"],
-            drop_neighbors=ins["drop_neighbors"],
-            rc_sampling=ins["rc_sampling"],
-            shuffle_candidates=ins["shuffle_candidates"],
-            shuffle_seed=ins["shuffle_seed"],
-            neighbor_seed=ins["neighbor_seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return PipelineConfig(
-        dataset_dir=values["pipeline"]["dataset_dir"],
-        workdir=values["pipeline"]["workdir"],
-        threads=values["pipeline"]["threads"],
-        values=values,
-        train=train_config,
-        params=params,
-        build=build,
-        split_seed=ins["split_seed"],
-        backend_kind=be["kind"],
-        scripted_file=be["scripted_file"],
-        remote=RemoteConfig(
-            endpoint=be["endpoint"],
-            model=be["model"],
-            timeout=be["timeout"],
-            retries=be["retries"],
-            backoff=be["backoff"],
-            auth_token_env=be["auth_token_env"],
-            in_flight=be["in_flight"],
-        ),
-        limit_triples=ev["limit_triples"],
-        audit=ev["audit"],
-    )
+        return cls(**values)
+    except ValueError as exc:  # the dataclass's range checks name the key
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def content_hash(cfg: PipelineConfig, path: str) -> str | None:
@@ -262,21 +165,22 @@ def content_hash(cfg: PipelineConfig, path: str) -> str | None:
 
 def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
     """Address of a stage output: the input file contents and the config sections it depends on."""
-    if not os.path.isdir(cfg.dataset_dir):
-        raise DataError(f"dataset directory not found: {cfg.dataset_dir}")
+    dataset_dir = cfg.pipeline.dataset_dir
+    if not os.path.isdir(dataset_dir):
+        raise DataError(f"dataset directory not found: {dataset_dir}")
     dataset = {}
     for name in DATASET_FILES:
-        path = os.path.join(cfg.dataset_dir, name)
+        path = os.path.join(dataset_dir, name)
         dataset[name] = content_hash(cfg, path)
         if dataset[name] is None:
             raise DataError(f"missing dataset file: {path}")
     payload = {"dataset": dataset}
-    if "backend" in sections and cfg.backend_kind == "scripted":
-        payload["scripted_file"] = content_hash(cfg, cfg.scripted_file)
+    if "backend" in sections and cfg.backend.kind == "scripted":
+        payload["scripted_file"] = content_hash(cfg, cfg.backend.scripted_file)
     if "instruct" in sections:  # a new prompt or record layout is a new set
         payload["template_version"] = TEMPLATE_VERSION
     for section in sections:
-        payload[section] = cfg.values[section]
+        payload[section] = asdict(getattr(cfg, section))
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
@@ -294,7 +198,7 @@ def stage_output(cfg: PipelineConfig, stage: str) -> str:
     """Where a stage writes: ``<workdir>/<stage>-<digest>``, a directory or, for
     ``embeddings``, the stem of the checkpoint and its manifest."""
     digest = stage_digest(cfg, *_STAGE_SECTIONS[stage])
-    return os.path.join(cfg.workdir, f"{stage}-{digest}")
+    return os.path.join(cfg.pipeline.workdir, f"{stage}-{digest}")
 
 
 @contextmanager
@@ -319,7 +223,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
     """Train the embedding checkpoint if its content address is absent."""
-    os.makedirs(cfg.workdir, exist_ok=True)
+    os.makedirs(cfg.pipeline.workdir, exist_ok=True)
     stem = stage_output(cfg, "embeddings")
     ckpt = stem + ".ckpt"
     manifest = stem + ".json"
@@ -327,23 +231,23 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
     if kg is None:
-        kg = load_kg(cfg.dataset_dir)
+        kg = load_kg(cfg.pipeline.dataset_dir)
     logger.info(
         "training embeddings: %d entities, %d relations, %d train triples",
         kg.num_entities, kg.num_relations, len(kg.train),
     )
-    table = train(kg, cfg.train)
+    table = train(kg, cfg.embedder)
     table.save(ckpt)
     _write_json(
         manifest,
         {
             "stage": "train-embeddings",
             "config_digest": stem.rsplit("-", 1)[1],
-            "seed": cfg.train.seed,
+            "seed": cfg.embedder.seed,
             "entities": kg.num_entities,
             "relations": kg.num_relations,
-            "dim": cfg.train.dim,
-            "norm": cfg.train.norm,
+            "dim": cfg.embedder.dim,
+            "norm": cfg.embedder.norm,
         },
     )
     return ckpt
@@ -356,9 +260,9 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 
 def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
-    if cfg.params.m > kg.num_entities:
+    if cfg.ranker.m > kg.num_entities:
         raise ConfigError(
-            f"ranker.m = {cfg.params.m} exceeds the {kg.num_entities} entities in the graph"
+            f"ranker.m = {cfg.ranker.m} exceeds the {kg.num_entities} entities in the graph"
         )
 
 
@@ -371,7 +275,7 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
     if os.path.isfile(summary_path):
         logger.info("%s set up to date: %s", which, outdir)
         return outdir
-    kg = load_kg(cfg.dataset_dir)
+    kg = load_kg(cfg.pipeline.dataset_dir)
     _check_m(cfg, kg)
     ckpt = ensure_embeddings(cfg, kg)
     table = EmbeddingTable.load(ckpt)
@@ -380,9 +284,8 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
         summary = build_finetune_set(
             kg,
             table,
-            cfg.params,
-            cfg.build,
-            cfg.split_seed,
+            cfg.ranker,
+            cfg.instruct,
             instructions_path=os.path.join(outdir, "instructions.jsonl"),
             holdout_instructions_path=os.path.join(outdir, "holdout.jsonl"),
         )
@@ -390,8 +293,8 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
         summary = build_eval_set(
             kg,
             table,
-            cfg.params,
-            cfg.build,
+            cfg.ranker,
+            cfg.instruct,
             instructions_path=os.path.join(outdir, "instructions.jsonl"),
         )
     summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
@@ -405,14 +308,6 @@ def cmd_build(cfg: PipelineConfig, which: str) -> int:
     return 0
 
 
-def _make_backend(cfg: PipelineConfig):
-    return make_backend(
-        cfg.backend_kind,
-        scripted_file=cfg.scripted_file or None,
-        remote=cfg.remote,
-    )
-
-
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     outdir = stage_output(cfg, "report")
     report_json = os.path.join(outdir, "report.json")
@@ -422,18 +317,23 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         with open(report_txt, encoding="utf-8") as f:
             print(f.read(), end="")
         return 0
-    backend = _make_backend(cfg)
+    backend = make_backend(cfg.backend)
     evaldir = ensure_build(cfg, "eval")
     with open(os.path.join(evaldir, "summary.json"), encoding="utf-8") as f:
         summary = json.load(f)
     samples = read_samples(os.path.join(evaldir, "instructions.jsonl"))
     os.makedirs(outdir, exist_ok=True)
-    options = EvalOptions(
-        limit_triples=cfg.limit_triples,
-        audit_path=os.path.join(outdir, "audit.jsonl") if cfg.audit else None,
-        threads=cfg.threads,
+    threads = cfg.pipeline.threads
+    if cfg.backend.kind == "remote":  # the remote backend caps its requests in flight
+        threads = min(threads, cfg.backend.in_flight)
+    report = evaluate(
+        samples,
+        summary,
+        backend,
+        limit_triples=cfg.eval.limit_triples,
+        audit_path=os.path.join(outdir, "audit.jsonl") if cfg.eval.audit else None,
+        threads=threads,
     )
-    report = evaluate(samples, summary, backend, options)
     _write_json(report_json, report.as_dict())
     table_text = report.format_table() + "\n"
     with _atomic_open(report_txt) as f:

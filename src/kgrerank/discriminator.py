@@ -12,6 +12,7 @@ that never answers.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -105,18 +106,38 @@ class ScriptedBackend:
         return ground(text, sample)
 
 
+_BACKEND_KINDS = ("oracle", "first_candidate", "scripted", "remote")
+
+
 @dataclass
-class RemoteConfig:
-    endpoint: str
-    model: str
+class BackendConfig:
+    """The ``[backend]`` config section: which backend selects, and the remote
+    backend's transport settings."""
+
+    kind: str = "oracle"
+    endpoint: str = ""
+    model: str = ""
     timeout: float = 30.0
     retries: int = 2
     backoff: float = 0.5
     auth_token_env: str = "KGRERANK_API_TOKEN"
-    in_flight: int = 4
+    in_flight: int = 4  # the remote backend's cap on concurrent requests
+    scripted_file: str = ""
+
+    def __post_init__(self):
+        if self.kind not in _BACKEND_KINDS:
+            raise ValueError(f"kind must be one of {_BACKEND_KINDS}")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be finite and >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be finite and > 0")
+        if self.in_flight < 1:
+            raise ValueError("in_flight must be >= 1")
 
 
-def remote_request(sample: InstructionSample, config: RemoteConfig) -> str:
+def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
     """Single-turn chat-completion request; returns the first message text.
 
     Transport errors, 5xx responses, and rate limits are retried with
@@ -164,7 +185,7 @@ class RemoteBackend:
 
     name = "remote"
 
-    def __init__(self, config: RemoteConfig):
+    def __init__(self, config: BackendConfig):
         if not config.endpoint:
             raise BackendError("remote backend requires an endpoint URL")
         self.config = config
@@ -173,21 +194,13 @@ class RemoteBackend:
         return ground(remote_request(sample, self.config), sample)
 
 
-def make_backend(
-    kind: str,
-    scripted_file: str | None = None,
-    remote: RemoteConfig | None = None,
-):
-    if kind == "oracle":
-        return OracleBackend()
-    if kind == "first_candidate":
-        return FirstCandidateBackend()
-    if kind == "scripted":
-        if not scripted_file:
+def make_backend(config: BackendConfig):
+    if config.kind == "scripted":
+        if not config.scripted_file:
             raise BackendError("scripted backend requires a fixture file")
-        return ScriptedBackend.from_file(scripted_file)
-    if kind == "remote":
-        if remote is None:
-            raise BackendError("remote backend requires remote settings")
-        return RemoteBackend(remote)
-    raise BackendError(f"unknown backend kind {kind!r}")
+        return ScriptedBackend.from_file(config.scripted_file)
+    if config.kind == "remote":
+        return RemoteBackend(config)
+    if config.kind == "first_candidate":
+        return FirstCandidateBackend()
+    return OracleBackend()

@@ -15,6 +15,7 @@ the ranking, prompt-building, or evaluation modules.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -42,28 +43,30 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """The ``[embedder]`` config section."""
+
     dim: int = 100
     learning_rate: float = 0.01
     margin: float = 1.0
     epochs: int = 1000
-    negatives_per_positive: int = 1
     batch_size: int = 1024
+    negatives: int = 1  # corrupted triples per observed one
     norm: str = "L2"
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0 < self.margin < math.inf:
+            raise ValueError("margin must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.negatives_per_positive < 1:
-            raise ValueError("negatives_per_positive must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.negatives < 1:
+            raise ValueError("negatives must be >= 1")
         if self.norm not in _NORM_CODES:
             raise ValueError(f"norm must be one of {sorted(_NORM_CODES)}")
 
@@ -283,7 +286,7 @@ def train(
     table = init_embeddings(kg, config)
     triples = kg.train
     rng = np.random.default_rng((config.seed, 1))
-    k = config.negatives_per_positive
+    k = config.negatives
     lr = config.learning_rate
 
     for epoch in range(config.epochs):

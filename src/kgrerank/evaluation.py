@@ -22,13 +22,6 @@ from .ranking import DirectionMetrics, metrics
 
 
 @dataclass
-class EvalOptions:
-    limit_triples: int = 0  # N > 0 scores the first 2N samples: the first N test triples
-    audit_path: str | None = None
-    threads: int = 1
-
-
-@dataclass
 class EvalReport:
     backend: str
     m: int
@@ -131,28 +124,25 @@ def evaluate(
     samples: list[InstructionSample],
     summary: dict,
     backend,
-    options: EvalOptions | None = None,
+    limit_triples: int = 0,
+    audit_path: str | None = None,
+    threads: int = 1,
 ) -> EvalReport:
-    """Score an eval set with ``backend``.
+    """Score an eval set with ``backend``, ``threads`` samples at a time.
 
     ``samples`` and ``summary`` are what ``build_eval_set`` wrote: the
     instruction records and the summary, whose m, alpha, beta and gamma head
-    the report. A backend error ends the run; queries still queued are not
-    sent.
+    the report. ``limit_triples`` N > 0 scores the first 2N samples, the
+    first N test triples. ``audit_path`` names a per-query audit file to
+    write. A backend error ends the run; queries still queued are not sent.
     """
-    options = options or EvalOptions()
-    if options.limit_triples:
-        samples = samples[: 2 * options.limit_triples]
+    if limit_triples:
+        samples = samples[: 2 * limit_triples]
     if not samples:
         raise ValueError("evaluation requires a non-empty test split")
 
-    workers = options.threads
-    # remote backends carry an in-flight request cap that bounds parallelism
-    cap = getattr(getattr(backend, "config", None), "in_flight", 0)
-    if cap:
-        workers = min(workers, cap)
-    if workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
+    if threads > 1:
+        pool = ThreadPoolExecutor(max_workers=threads)
         try:
             outcomes = list(pool.map(lambda sample: _evaluate_one(backend, sample), samples))
         finally:
@@ -160,8 +150,8 @@ def evaluate(
     else:
         outcomes = [_evaluate_one(backend, sample) for sample in samples]
 
-    if options.audit_path:
-        with open(options.audit_path, "w", encoding="utf-8") as f:
+    if audit_path:
+        with open(audit_path, "w", encoding="utf-8") as f:
             for o in outcomes:
                 f.write(
                     json.dumps(

@@ -54,6 +54,9 @@ DIRECTIVE = "Select the answer to the query from the candidates above and reply 
 
 @dataclass
 class BuildOptions:
+    """The ``[instruct]`` config section: prompt contents, their ablations and
+    the seeds of every random choice in building a set."""
+
     gamma: int = 10
     max_description_chars: int = 512
     drop_description: bool = False
@@ -62,6 +65,7 @@ class BuildOptions:
     shuffle_candidates: bool = False
     shuffle_seed: int = 0
     neighbor_seed: int = 0
+    split_seed: int = 0  # the 9:1 split of the validation triples in build_finetune_set
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -341,7 +345,6 @@ def build_finetune_set(
     table: EmbeddingTable,
     params: ConfidenceParams,
     options: BuildOptions,
-    split_seed: int,
     instructions_path: str,
     holdout_instructions_path: str,
 ) -> dict:
@@ -352,7 +355,7 @@ def build_finetune_set(
     """
     if len(kg.valid) == 0:
         raise ValueError("finetune building requires a non-empty validation split")
-    rng = np.random.default_rng(split_seed)
+    rng = np.random.default_rng(options.split_seed)
     perm = rng.permutation(len(kg.valid))
     cut = (len(kg.valid) * 9) // 10
     part1 = sorted(int(i) for i in perm[:cut])
@@ -380,7 +383,7 @@ def build_finetune_set(
             "dropped": 2 * len(part1) - kept,
             "holdout_queries": holdout,
             "mean_prompt_chars": (chars / kept) if kept else 0.0,
-            "split_seed": split_seed,
+            "split_seed": options.split_seed,
         }
     )
     return summary

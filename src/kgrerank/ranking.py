@@ -94,16 +94,23 @@ class DirectionMetrics:
 
 @dataclass
 class ConfidenceParams:
+    """The ``[ranker]`` config section: candidate-list size and the truncation
+    predicate's weights."""
+
     m: int = 20
     alpha: float = 1.0
     beta: float = 0.05
-    normalize_local: bool = True
+    local_norm: str = "minmax"  # or "raw": the unnormalized gold score
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if self.local_norm not in ("minmax", "raw"):
+            raise ValueError("local_norm must be 'minmax' or 'raw'")
 
 
 def _check_m(kg: KnowledgeGraph, m: int) -> None:
@@ -150,18 +157,11 @@ def _count_and_select(
     )
 
 
-def rank_query(
-    table: EmbeddingTable,
-    kg: KnowledgeGraph,
-    q: Query,
-    m: int,
-    filtered: bool = True,
-) -> RankedQuery:
+def rank_query(table: EmbeddingTable, kg: KnowledgeGraph, q: Query, m: int) -> RankedQuery:
     """The top-m entities and the gold's rank, filtered against known-true triples."""
     _check_m(kg, m)
     scores = table.score_candidates(q.known, q.relation, q.direction)
-    if filtered:
-        scores[_known_true(kg, q)] = -np.inf
+    scores[_known_true(kg, q)] = -np.inf
     return _count_and_select(q, scores, m)
 
 
@@ -252,7 +252,7 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
 
 def sample_confidence(rq: RankedQuery, params: ConfidenceParams) -> float:
     return global_confidence(rq) + params.alpha * local_confidence(
-        rq, params.m, params.normalize_local
+        rq, params.m, params.local_norm == "minmax"
     )
 
 

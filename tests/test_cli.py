@@ -1,8 +1,11 @@
+import configparser
+import dataclasses
 import hashlib
 import http.server
 import importlib.util
 import json
 import os
+import typing
 import shutil
 import socket
 import sys
@@ -12,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from kgrerank.cli import ConfigError, load_config, main, stage_digest
+from kgrerank import cli, discriminator
+from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import read_instruction_records
 from kgrerank.kg import load_kg
@@ -54,11 +58,11 @@ def workdir_file(workdir, prefix, name=None):
 def test_load_config_defaults_and_overrides(tmp_path, toy_dir):
     cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     cfg = load_config(cfg_path, overrides=["ranker.beta=0.5", "instruct.gamma=2"])
-    assert cfg.params.m == 5
-    assert cfg.params.beta == 0.5
-    assert cfg.build.gamma == 2
-    assert cfg.train.epochs == 40
-    assert cfg.backend_kind == "oracle"
+    assert cfg.ranker.m == 5
+    assert cfg.ranker.beta == 0.5
+    assert cfg.instruct.gamma == 2
+    assert cfg.embedder.epochs == 40
+    assert cfg.backend.kind == "oracle"
 
 
 def test_load_config_rejects_unknown_key(tmp_path, toy_dir):
@@ -92,9 +96,73 @@ def test_stage_digest_ignores_workdir(tmp_path, toy_dir):
     assert stage_digest(a, "embedder") != stage_digest(c, "embedder")
 
 
-def test_template_version_readdresses_instruction_sets(tmp_path, toy_dir, monkeypatch):
-    import kgrerank.cli as cli
+@pytest.mark.parametrize(
+    "overrides, addresses",
+    [
+        ([], ("embeddings-e0dae0a7aebd", "finetune-a6e73c2c110a", "eval-a6e73c2c110a", "report-ff80ea777f60")),
+        (
+            [
+                "embedder.negatives=2",
+                "ranker.local_norm=raw",
+                "instruct.drop_neighbors=true",
+                "instruct.split_seed=3",
+                "backend.kind=remote",
+                "backend.timeout=12",
+                "eval.audit=yes",
+            ],
+            ("embeddings-49946a47ee7c", "finetune-60efb4d52c5f", "eval-60efb4d52c5f", "report-7f66cfeebb4d"),
+        ),
+    ],
+)
+def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
+    # golden values: a change to the digest payload re-addresses every cached stage output
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"), overrides)
+    stages = ("embeddings", "finetune", "eval", "report")
+    assert tuple(os.path.basename(stage_output(cfg, stage)) for stage in stages) == addresses
 
+
+def test_readme_config_reference_matches_the_schema():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    block = readme.split("## Config reference", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read_string(block)
+    assert set(parser.sections()) == set(cli._SECTIONS)
+    for section, cls in cli._SECTIONS.items():
+        fields = dataclasses.fields(cls)
+        assert set(parser[section]) == {f.name for f in fields}, section
+        types = typing.get_type_hints(cls)
+        for f in fields:
+            if f.default is not dataclasses.MISSING:
+                documented = cli._CASTS[types[f.name]](parser[section][f.name])
+                assert documented == f.default, f"{section}.{f.name}"
+
+
+def test_in_flight_cap_bounds_concurrency(tmp_path, toy_dir, monkeypatch):
+    lock = threading.Lock()
+    active = peak = 0
+
+    def counting_request(sample, config):
+        nonlocal active, peak
+        with lock:
+            active += 1
+            peak = max(peak, active)
+        time.sleep(0.01)
+        with lock:
+            active -= 1
+        return ""
+
+    monkeypatch.setattr(discriminator, "remote_request", counting_request)
+    cfg = write_config(
+        tmp_path / "run.ini",
+        toy_dir,
+        tmp_path / "w",
+        extra="\n[backend]\nkind = remote\nendpoint = http://127.0.0.1:1/unused\nin_flight = 2\n",
+    )
+    assert main(["evaluate", "--config", cfg, "--set", "pipeline.threads=8"]) == 0
+    assert peak == 2
+
+
+def test_template_version_readdresses_instruction_sets(tmp_path, toy_dir, monkeypatch):
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
     before = {stage: cli.stage_output(cfg, stage) for stage in ("embeddings", "finetune", "eval", "report")}
     monkeypatch.setattr(cli, "TEMPLATE_VERSION", cli.TEMPLATE_VERSION + 1)
@@ -129,6 +197,16 @@ def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
         "backend.timeout=0",
         "backend.timeout=nan",
         "backend.in_flight=0",
+        "ranker.alpha=nan",
+        "ranker.beta=nan",
+        "embedder.learning_rate=nan",
+        "embedder.margin=nan",
+        "ranker.alpha=inf",
+        "ranker.beta=inf",
+        "embedder.learning_rate=inf",
+        "embedder.margin=inf",
+        "backend.timeout=inf",
+        "backend.backoff=inf",
     ],
 )
 def test_values_that_would_do_the_wrong_thing_are_config_errors(tmp_path, toy_dir, capsys, override):
@@ -348,8 +426,6 @@ def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
 
 
 def test_evaluate_after_build_eval_loads_no_graph_or_checkpoint(tmp_path, toy_dir, monkeypatch):
-    import kgrerank.cli as cli
-
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["build-eval", "--config", cfg]) == 0
 
@@ -571,8 +647,6 @@ def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):
 
 
 def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch):
-    import kgrerank.cli as cli
-
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     calls = []
     original = cli.build_eval_set

@@ -12,8 +12,8 @@ from kgrerank.discriminator import (
     BackendError,
     FirstCandidateBackend,
     OracleBackend,
+    BackendConfig,
     RemoteBackend,
-    RemoteConfig,
     ScriptedBackend,
     Selection,
     ground,
@@ -131,14 +131,14 @@ def test_scripted_backend_missing_file():
 
 
 def test_make_backend_kinds():
-    assert isinstance(make_backend("oracle"), OracleBackend)
-    assert isinstance(make_backend("first_candidate"), FirstCandidateBackend)
+    assert isinstance(make_backend(BackendConfig(kind="oracle")), OracleBackend)
+    assert isinstance(make_backend(BackendConfig(kind="first_candidate")), FirstCandidateBackend)
     with pytest.raises(BackendError):
-        make_backend("scripted")
+        make_backend(BackendConfig(kind="scripted"))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        BackendConfig(kind="unknown-kind")
     with pytest.raises(BackendError):
-        make_backend("unknown-kind")
-    with pytest.raises(BackendError):
-        make_backend("remote", remote=RemoteConfig(endpoint="", model="m"))
+        make_backend(BackendConfig(kind="remote", endpoint="", model="m"))
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
@@ -187,7 +187,7 @@ def http_server():
 def remote_config(endpoint, **overrides):
     defaults = dict(endpoint=endpoint, model="test-model", timeout=2.0, retries=2, backoff=0.01)
     defaults.update(overrides)
-    return RemoteConfig(**defaults)
+    return BackendConfig(kind="remote", **defaults)
 
 
 def test_remote_request_echoes_server_text(http_server):
@@ -229,4 +229,4 @@ def test_remote_backend_grounds_and_raises_on_failure(http_server):
 
 def test_remote_request_unconfigured_endpoint():
     with pytest.raises(BackendError):
-        remote_request(sample_with(["x"]), RemoteConfig(endpoint="", model="m"))
+        remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="", model="m"))

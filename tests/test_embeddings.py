@@ -198,7 +198,7 @@ def test_train_loss_windows_non_increasing():
         margin=1.0,
         epochs=100,
         batch_size=8,
-        negatives_per_positive=16,
+        negatives=16,
         seed=2,
     )
     losses: list[float] = []
@@ -255,7 +255,7 @@ def test_query_vector_composition():
         {"learning_rate": 0.0},
         {"margin": -1.0},
         {"epochs": -1},
-        {"negatives_per_positive": 0},
+        {"negatives": 0},
         {"batch_size": 0},
         {"norm": "L3"},
     ],

@@ -16,7 +16,7 @@ from kgrerank.discriminator import (
     ScriptedBackend,
     Selection,
 )
-from kgrerank.evaluation import EvalOptions, evaluate
+from kgrerank.evaluation import evaluate
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import BuildOptions
 from kgrerank.ranking import ConfidenceParams, Query, base_model_metrics, metrics, queries_for_triple
@@ -142,10 +142,8 @@ def test_all_abstaining_backend_matches_base(toy_set):
 
 def test_limit_triples(tmp_path, toy_set):
     paths = {n: str(tmp_path / f"{n}.jsonl") for n in ("full", "limited")}
-    evaluate(*toy_set, OracleBackend(), EvalOptions(audit_path=paths["full"]))
-    report = evaluate(
-        *toy_set, OracleBackend(), EvalOptions(limit_triples=3, audit_path=paths["limited"])
-    )
+    evaluate(*toy_set, OracleBackend(), audit_path=paths["full"])
+    report = evaluate(*toy_set, OracleBackend(), limit_triples=3, audit_path=paths["limited"])
     assert report.queries == 6
     full = open(paths["full"], encoding="utf-8").readlines()
     limited = open(paths["limited"], encoding="utf-8").readlines()
@@ -156,46 +154,14 @@ def test_limit_triples(tmp_path, toy_set):
 
 
 def test_threading_does_not_change_report(toy_set):
-    sequential = evaluate(*toy_set, OracleBackend(), EvalOptions(threads=1))
-    threaded = evaluate(*toy_set, OracleBackend(), EvalOptions(threads=4))
+    sequential = evaluate(*toy_set, OracleBackend(), threads=1)
+    threaded = evaluate(*toy_set, OracleBackend(), threads=4)
     assert sequential.as_dict() == threaded.as_dict()
-
-
-def test_in_flight_cap_bounds_concurrency(toy_set):
-    import threading
-    import time as time_mod
-    from dataclasses import dataclass
-
-    @dataclass
-    class _Cfg:
-        in_flight: int = 2
-
-    class CountingBackend:
-        name = "counting"
-
-        def __init__(self):
-            self.config = _Cfg()
-            self._lock = threading.Lock()
-            self._active = 0
-            self.peak = 0
-
-        def select(self, sample):
-            with self._lock:
-                self._active += 1
-                self.peak = max(self.peak, self._active)
-            time_mod.sleep(0.002)
-            with self._lock:
-                self._active -= 1
-            return ABSTAIN
-
-    backend = CountingBackend()
-    evaluate(*toy_set, backend, EvalOptions(threads=8))
-    assert backend.peak <= 2
 
 
 def test_audit_file_rows(tmp_path, toy_set):
     audit = str(tmp_path / "audit.jsonl")
-    report = evaluate(*toy_set, OracleBackend(), EvalOptions(audit_path=audit))
+    report = evaluate(*toy_set, OracleBackend(), audit_path=audit)
     rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
     assert len(rows) == report.queries
     for row in rows:
@@ -263,7 +229,7 @@ def test_rank_arithmetic_equals_permutation_then_rerank(case, backend):
     samples, summary = eval_samples(kg, table, ConfidenceParams(m=m, alpha=1.0, beta=0.05), options)
     with tempfile.TemporaryDirectory() as tmp:
         audit = os.path.join(tmp, "audit.jsonl")
-        evaluate(samples, summary, backend, EvalOptions(audit_path=audit))
+        evaluate(samples, summary, backend, audit_path=audit)
         rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
     assert len(rows) == len(samples) == 2 * len(kg.test)
     for i, (row, sample) in enumerate(zip(rows, samples)):
@@ -307,7 +273,7 @@ def test_a_backend_error_ends_evaluation_and_drops_queued_queries(toy_set):
 
     backend = FailsFirst()
     with pytest.raises(BackendError):
-        evaluate(*toy_set, backend, EvalOptions(threads=2))
+        evaluate(*toy_set, backend, threads=2)
     assert backend.calls < len(toy_set[0]) // 2  # the queued queries were cancelled, not sent
 
 

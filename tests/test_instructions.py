@@ -321,7 +321,7 @@ def test_finetune_split_is_nine_to_one(tmp_path):
     )
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.0)
     summary = build_finetune_set(
-        kg, table, params, BuildOptions(), split_seed=0, **finetune_paths(tmp_path)
+        kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
     )
     assert summary["valid_triples"] == 100
     assert summary["queries"] == 180  # 90 triples, both directions
@@ -333,7 +333,7 @@ def test_finetune_truncation_can_empty_output(tmp_path, toy_kg, toy_table, caplo
     params = ConfidenceParams(m=3, alpha=1.0, beta=1e9)
     with caplog.at_level(logging.WARNING):
         summary = build_finetune_set(
-            toy_kg, toy_table, params, BuildOptions(), split_seed=0, **finetune_paths(tmp_path)
+            toy_kg, toy_table, params, BuildOptions(), **finetune_paths(tmp_path)
         )
     assert summary["kept"] == 0
     assert read_instruction_records(str(tmp_path / "ft.jsonl")) == []
@@ -354,7 +354,7 @@ def test_finetune_default_truncation_keeps_gold_in_candidates(tmp_path):
     table = EmbeddingTable(rng.normal(size=(40, 4)), rng.normal(size=(2, 4)), "L2")
     params = ConfidenceParams(m=20, alpha=1.0, beta=0.05)
     summary = build_finetune_set(
-        kg, table, params, BuildOptions(), split_seed=0, **finetune_paths(tmp_path)
+        kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
     for rec in read_instruction_records(str(tmp_path / "ft.jsonl")):
@@ -368,7 +368,7 @@ def test_finetune_build_is_byte_deterministic(tmp_path, toy_kg, toy_table):
         root = tmp_path / run
         root.mkdir()
         build_finetune_set(
-            toy_kg, toy_table, params, BuildOptions(), split_seed=3, **finetune_paths(root)
+            toy_kg, toy_table, params, BuildOptions(split_seed=3), **finetune_paths(root)
         )
         blob = b"".join(
             open(os.path.join(root, n), "rb").read()
@@ -428,7 +428,7 @@ def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_tab
     monkeypatch.setattr(instructions, "build_sample", counting)
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
     summary = build_finetune_set(
-        toy_kg, toy_table, params, BuildOptions(), split_seed=3, **finetune_paths(tmp_path)
+        toy_kg, toy_table, params, BuildOptions(split_seed=3), **finetune_paths(tmp_path)
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
     assert len(built) == summary["kept"] + summary["holdout_queries"]
