@@ -6,7 +6,8 @@ and of the config keys that influence it, so rerunning with unchanged inputs
 performs no work and changing any relevant file or key writes to a fresh
 location. All randomness flows from explicit seeds in the config; artifact
 files contain no timestamps or absolute paths, which keeps reruns
-byte-identical.
+byte-identical. Each output is built under ``<address>.tmp`` and renamed to
+its address when done, so a crash never leaves an entry at a stage address.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -20,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -196,27 +198,35 @@ _STAGE_SECTIONS = {
 
 def stage_output(cfg: PipelineConfig, stage: str) -> str:
     """Where a stage writes: ``<workdir>/<stage>-<digest>``, a directory or, for
-    ``embeddings``, the stem of the checkpoint and its manifest."""
+    ``embeddings``, the stem of the checkpoint ``<stem>.ckpt``."""
     digest = stage_digest(cfg, *_STAGE_SECTIONS[stage])
     return os.path.join(cfg.pipeline.workdir, f"{stage}-{digest}")
 
 
 @contextmanager
-def _atomic_open(path: str):
-    """A text file written under a temporary name beside ``path`` and renamed into
-    place on success, so a crash never leaves a partial file under the final name."""
+def _publish(path: str):
+    """Yield a temporary name beside the stage address ``path`` to build a file
+    or a directory under. On success one rename puts it at ``path``, replacing
+    any incomplete entry there; on failure it is removed."""
     tmp = path + ".tmp"
+    _remove(tmp)  # left by a killed run
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            yield f
+        yield tmp
+        _remove(path)  # a partial directory an older version left behind
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        _remove(tmp)
+
+
+def _remove(path: str) -> None:
+    if os.path.isdir(path) and not os.path.islink(path):
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        os.remove(path)
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with _atomic_open(path) as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -224,10 +234,8 @@ def _write_json(path: str, payload: dict) -> None:
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
     """Train the embedding checkpoint if its content address is absent."""
     os.makedirs(cfg.pipeline.workdir, exist_ok=True)
-    stem = stage_output(cfg, "embeddings")
-    ckpt = stem + ".ckpt"
-    manifest = stem + ".json"
-    if os.path.isfile(ckpt) and os.path.isfile(manifest):
+    ckpt = stage_output(cfg, "embeddings") + ".ckpt"
+    if os.path.isfile(ckpt):
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
     if kg is None:
@@ -237,19 +245,8 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
         kg.num_entities, kg.num_relations, len(kg.train),
     )
     table = train(kg, cfg.embedder)
-    table.save(ckpt)
-    _write_json(
-        manifest,
-        {
-            "stage": "train-embeddings",
-            "config_digest": stem.rsplit("-", 1)[1],
-            "seed": cfg.embedder.seed,
-            "entities": kg.num_entities,
-            "relations": kg.num_relations,
-            "dim": cfg.embedder.dim,
-            "norm": cfg.embedder.norm,
-        },
-    )
+    with _publish(ckpt) as tmp:
+        table.save(tmp)
     return ckpt
 
 
@@ -267,38 +264,38 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
 
 
 def ensure_build(cfg: PipelineConfig, which: str) -> str:
-    """Build the ``finetune`` or ``eval`` set if its content address has no
-    ``summary.json`` yet; return its directory. The summary names the
-    checkpoint whose vectors the records' ids refer to."""
+    """Build the ``finetune`` or ``eval`` set if its content address is absent;
+    return its directory. The set's ``summary.json`` names the checkpoint whose
+    vectors the records' ids refer to."""
     outdir = stage_output(cfg, which)
-    summary_path = os.path.join(outdir, "summary.json")
-    if os.path.isfile(summary_path):
+    if os.path.isfile(os.path.join(outdir, "summary.json")):
         logger.info("%s set up to date: %s", which, outdir)
         return outdir
     kg = load_kg(cfg.pipeline.dataset_dir)
     _check_m(cfg, kg)
     ckpt = ensure_embeddings(cfg, kg)
     table = EmbeddingTable.load(ckpt)
-    os.makedirs(outdir, exist_ok=True)
-    if which == "finetune":
-        summary = build_finetune_set(
-            kg,
-            table,
-            cfg.ranker,
-            cfg.instruct,
-            instructions_path=os.path.join(outdir, "instructions.jsonl"),
-            holdout_instructions_path=os.path.join(outdir, "holdout.jsonl"),
-        )
-    else:
-        summary = build_eval_set(
-            kg,
-            table,
-            cfg.ranker,
-            cfg.instruct,
-            instructions_path=os.path.join(outdir, "instructions.jsonl"),
-        )
-    summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
-    _write_json(summary_path, summary)
+    with _publish(outdir) as tmp:
+        os.mkdir(tmp)
+        if which == "finetune":
+            summary = build_finetune_set(
+                kg,
+                table,
+                cfg.ranker,
+                cfg.instruct,
+                instructions_path=os.path.join(tmp, "instructions.jsonl"),
+                holdout_instructions_path=os.path.join(tmp, "holdout.jsonl"),
+            )
+        else:
+            summary = build_eval_set(
+                kg,
+                table,
+                cfg.ranker,
+                cfg.instruct,
+                instructions_path=os.path.join(tmp, "instructions.jsonl"),
+            )
+        summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
+        _write_json(os.path.join(tmp, "summary.json"), summary)
     logger.info("%s summary: %s", which, summary)
     return outdir
 
@@ -310,9 +307,8 @@ def cmd_build(cfg: PipelineConfig, which: str) -> int:
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     outdir = stage_output(cfg, "report")
-    report_json = os.path.join(outdir, "report.json")
     report_txt = os.path.join(outdir, "report.txt")
-    if os.path.isfile(report_json) and os.path.isfile(report_txt):
+    if os.path.isfile(report_txt):
         logger.info("report up to date: %s", outdir)
         with open(report_txt, encoding="utf-8") as f:
             print(f.read(), end="")
@@ -322,22 +318,23 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     with open(os.path.join(evaldir, "summary.json"), encoding="utf-8") as f:
         summary = json.load(f)
     samples = read_samples(os.path.join(evaldir, "instructions.jsonl"))
-    os.makedirs(outdir, exist_ok=True)
     threads = cfg.pipeline.threads
     if cfg.backend.kind == "remote":  # the remote backend caps its requests in flight
         threads = min(threads, cfg.backend.in_flight)
-    report = evaluate(
-        samples,
-        summary,
-        backend,
-        limit_triples=cfg.eval.limit_triples,
-        audit_path=os.path.join(outdir, "audit.jsonl") if cfg.eval.audit else None,
-        threads=threads,
-    )
-    _write_json(report_json, report.as_dict())
-    table_text = report.format_table() + "\n"
-    with _atomic_open(report_txt) as f:
-        f.write(table_text)
+    with _publish(outdir) as tmp:
+        os.mkdir(tmp)
+        report = evaluate(
+            samples,
+            summary,
+            backend,
+            limit_triples=cfg.eval.limit_triples,
+            audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
+            threads=threads,
+        )
+        _write_json(os.path.join(tmp, "report.json"), report.as_dict())
+        table_text = report.format_table() + "\n"
+        with open(os.path.join(tmp, "report.txt"), "w", encoding="utf-8") as f:
+            f.write(table_text)
     print(table_text, end="")
     return 0
 

@@ -1,8 +1,7 @@
-"""Synthetic dataset builders and benchmark directory discovery.
+"""Synthetic dataset builders: small graphs written in the dataset file format.
 
-Benchmark datasets (FB15K-237, WN18RR) are looked up under the directory
-named by the KGRERANK_DATA environment variable, falling back to ./data.
-They are never downloaded automatically.
+Benchmark datasets (FB15K-237, WN18RR) are never bundled or downloaded; the
+data-gated tests look them up under ``$KGRERANK_DATA`` (default ``./data``).
 """
 
 from __future__ import annotations
@@ -94,15 +93,3 @@ def make_synthetic_dataset(
     _write(os.path.join(out_dir, VALID_FILE), rows(triples[n_train : n_train + n_valid]))
     _write(os.path.join(out_dir, TEST_FILE), rows(triples[n_train + n_valid :]))
     return out_dir
-
-
-def find_benchmark_dir(name: str) -> str | None:
-    """Path of a locally provided benchmark dataset, or None."""
-    root = os.environ.get("KGRERANK_DATA", "data")
-    path = os.path.join(root, name)
-    if all(
-        os.path.isfile(os.path.join(path, f))
-        for f in (TRAIN_FILE, VALID_FILE, TEST_FILE, ENTITY_NAME_FILE, RELATION_NAME_FILE)
-    ):
-        return path
-    return None

@@ -171,9 +171,12 @@ def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
         if resp.status_code != 200:
             raise BackendError(f"server returned {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):  # null for a refusal or a tool call
+            raise BackendError(f"malformed completion response: content is not text: {content!r:.80}")
+        return content
     raise BackendError(
         f"request failed after {config.retries + 1} attempt(s): {last_error}"
     ) from last_error

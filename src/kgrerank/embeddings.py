@@ -225,24 +225,6 @@ def _hinge_step(
     return loss_sum, entity_idx, entity_grads, relation_idx, relation_grads
 
 
-def pair_loss_and_grads(
-    table: EmbeddingTable,
-    pos: tuple[int, int, int],
-    neg: tuple[int, int, int],
-    margin: float,
-) -> tuple[float, dict[tuple[str, int], np.ndarray]]:
-    """Loss and accumulated per-vector gradients for one (positive, negative) pair."""
-    pos_arr = np.asarray([pos], dtype=np.int64)
-    neg_arr = np.asarray([neg], dtype=np.int64)
-    loss, e_idx, e_grads, r_idx, r_grads = _hinge_step(table, pos_arr, neg_arr, margin)
-    grads: dict[tuple[str, int], np.ndarray] = {}
-    for kind, idx, rows in (("entity", e_idx, e_grads), ("relation", r_idx, r_grads)):
-        for i, row in zip(idx.tolist(), rows):
-            key = (kind, i)
-            grads[key] = grads.get(key, 0.0) + row
-    return loss, grads
-
-
 def _sample_negatives(
     positives: np.ndarray,
     kg: KnowledgeGraph,

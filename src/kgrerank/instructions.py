@@ -165,21 +165,6 @@ def render_prompt(
     return "\n\n".join(blocks)
 
 
-def parse_candidate_names(prompt: str) -> list[str]:
-    """Recover the ordered candidate names from a rendered prompt."""
-    for block in prompt.split("\n\n"):
-        lines = block.split("\n")
-        if lines[0] != CANDIDATES_HEADER:
-            continue
-        names = []
-        for line in lines[1:]:
-            if not line.endswith(ENTITY_PLACEHOLDER):
-                raise ValueError(f"malformed candidate line: {line!r}")
-            names.append(line[: -len(ENTITY_PLACEHOLDER)])
-        return names
-    raise ValueError("prompt has no candidate block")
-
-
 def build_sample(
     kg: KnowledgeGraph,
     rq: RankedQuery,

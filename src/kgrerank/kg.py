@@ -284,28 +284,3 @@ def load_kg(dataset_dir: str) -> KnowledgeGraph:
     return KnowledgeGraph(
         entity_keys, entity_names, descriptions, relation_keys, relation_names, train, valid, test
     )
-
-
-def write_kg(kg: KnowledgeGraph, out_dir: str) -> None:
-    """Serialize a graph back to the dataset file format (round-trip safe)."""
-    os.makedirs(out_dir, exist_ok=True)
-
-    def dump(name: str, lines: Iterable[str]) -> None:
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-            for line in lines:
-                f.write(line + "\n")
-
-    dump(ENTITY_NAME_FILE, (f"{k}\t{n}" for k, n in zip(kg.entity_keys, kg.entity_names)))
-    dump(
-        ENTITY_DESC_FILE,
-        (f"{k}\t{d}" for k, d in zip(kg.entity_keys, kg.entity_descriptions) if d),
-    )
-    dump(RELATION_NAME_FILE, (f"{k}\t{n}" for k, n in zip(kg.relation_keys, kg.relation_names)))
-    for name, triples in ((TRAIN_FILE, kg.train), (VALID_FILE, kg.valid), (TEST_FILE, kg.test)):
-        dump(
-            name,
-            (
-                f"{kg.entity_keys[h]}\t{kg.relation_keys[r]}\t{kg.entity_keys[t]}"
-                for h, r, t in triples.tolist()
-            ),
-        )

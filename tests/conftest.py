@@ -1,6 +1,7 @@
 import pytest
 
-from kgrerank.datasets import find_benchmark_dir, make_chain_dataset, make_synthetic_dataset
+from helpers import find_benchmark_dir
+from kgrerank.datasets import make_chain_dataset, make_synthetic_dataset
 from kgrerank.embeddings import TrainConfig, train
 from kgrerank.kg import load_kg
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: in-memory graphs, eval sets read back from disk, and
-independent oracles.
+"""Shared test utilities: in-memory graphs, datasets written back to disk,
+eval sets read back from disk, prompt parsing, and independent oracles.
 
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
@@ -15,8 +15,24 @@ import tempfile
 
 import numpy as np
 
-from kgrerank.instructions import BuildOptions, build_eval_set, read_samples
-from kgrerank.kg import KnowledgeGraph, Triple
+from kgrerank.embeddings import _hinge_step
+from kgrerank.instructions import (
+    CANDIDATES_HEADER,
+    ENTITY_PLACEHOLDER,
+    BuildOptions,
+    build_eval_set,
+    read_samples,
+)
+from kgrerank.kg import (
+    ENTITY_DESC_FILE,
+    ENTITY_NAME_FILE,
+    RELATION_NAME_FILE,
+    TEST_FILE,
+    TRAIN_FILE,
+    VALID_FILE,
+    KnowledgeGraph,
+    Triple,
+)
 
 
 def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=None):
@@ -38,6 +54,43 @@ def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=Non
     )
 
 
+def write_kg(kg, out_dir):
+    """Serialize a graph back to the dataset file format (round-trip safe)."""
+    os.makedirs(out_dir, exist_ok=True)
+
+    def dump(name, lines):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            for line in lines:
+                f.write(line + "\n")
+
+    dump(ENTITY_NAME_FILE, (f"{k}\t{n}" for k, n in zip(kg.entity_keys, kg.entity_names)))
+    dump(
+        ENTITY_DESC_FILE,
+        (f"{k}\t{d}" for k, d in zip(kg.entity_keys, kg.entity_descriptions) if d),
+    )
+    dump(RELATION_NAME_FILE, (f"{k}\t{n}" for k, n in zip(kg.relation_keys, kg.relation_names)))
+    for name, triples in ((TRAIN_FILE, kg.train), (VALID_FILE, kg.valid), (TEST_FILE, kg.test)):
+        dump(
+            name,
+            (
+                f"{kg.entity_keys[h]}\t{kg.relation_keys[r]}\t{kg.entity_keys[t]}"
+                for h, r, t in triples.tolist()
+            ),
+        )
+
+
+def find_benchmark_dir(name):
+    """Path of a benchmark dataset placed under $KGRERANK_DATA (default ./data), or None."""
+    root = os.environ.get("KGRERANK_DATA", "data")
+    path = os.path.join(root, name)
+    if all(
+        os.path.isfile(os.path.join(path, f))
+        for f in (TRAIN_FILE, VALID_FILE, TEST_FILE, ENTITY_NAME_FILE, RELATION_NAME_FILE)
+    ):
+        return path
+    return None
+
+
 def eval_samples(kg, table, params, options=None, triples=None):
     """(samples, summary) of the eval set that ``build_eval_set`` writes, read back from disk."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -45,6 +98,21 @@ def eval_samples(kg, table, params, options=None, triples=None):
         summary = build_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
         samples = read_samples(path)
     return samples, summary
+
+
+def parse_candidate_names(prompt):
+    """Recover the ordered candidate names from a rendered prompt."""
+    for block in prompt.split("\n\n"):
+        lines = block.split("\n")
+        if lines[0] != CANDIDATES_HEADER:
+            continue
+        names = []
+        for line in lines[1:]:
+            if not line.endswith(ENTITY_PLACEHOLDER):
+                raise ValueError(f"malformed candidate line: {line!r}")
+            names.append(line[: -len(ENTITY_PLACEHOLDER)])
+        return names
+    raise ValueError("prompt has no candidate block")
 
 
 def brute_force_score(table, h, r, t):
@@ -106,6 +174,20 @@ def brute_force_cooc(kg):
                     n += 1
             counts[r1, r2] = n
     return counts
+
+
+def pair_loss_and_grads(table, pos, neg, margin):
+    """Loss and accumulated per-vector gradients for one (positive, negative)
+    pair, from the training step's own hinge, for the finite-difference check."""
+    pos_arr = np.asarray([pos], dtype=np.int64)
+    neg_arr = np.asarray([neg], dtype=np.int64)
+    loss, e_idx, e_grads, r_idx, r_grads = _hinge_step(table, pos_arr, neg_arr, margin)
+    grads = {}
+    for kind, idx, rows in (("entity", e_idx, e_grads), ("relation", r_idx, r_grads)):
+        for i, row in zip(idx.tolist(), rows):
+            key = (kind, i)
+            grads[key] = grads.get(key, 0.0) + row
+    return loss, grads
 
 
 def rel_err(a, b):

@@ -14,17 +14,23 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_rank, build_kg, central_diff, eval_samples, rel_err
+from helpers import (
+    brute_force_rank,
+    build_kg,
+    central_diff,
+    eval_samples,
+    find_benchmark_dir,
+    parse_candidate_names,
+    rel_err,
+)
 from kgrerank.adapter import AdapterParams, project, project_grad
 from kgrerank.cli import main
-from kgrerank.datasets import find_benchmark_dir
 from kgrerank.discriminator import FirstCandidateBackend, OracleBackend
 from kgrerank.embeddings import EmbeddingTable, TrainConfig, train
 from kgrerank.evaluation import evaluate
 from kgrerank.instructions import (
     BuildOptions,
     build_eval_set,
-    parse_candidate_names,
     read_instruction_records,
     rc_sample_neighbors,
     render_fact,

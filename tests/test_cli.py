@@ -5,6 +5,7 @@ import http.server
 import importlib.util
 import json
 import os
+import re
 import typing
 import shutil
 import socket
@@ -468,14 +469,14 @@ def test_dead_remote_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, ca
     )
     assert main(["evaluate", "--config", cfg, "--set", f"pipeline.threads={threads}"]) == 3
     assert "backend error" in capsys.readouterr().err
-    report_dir = workdir_file(workdir, "report-")
-    assert not any(name.startswith("report") for name in os.listdir(report_dir))
+    assert not any(name.startswith("report-") for name in os.listdir(workdir))
 
 
 class _Stub(http.server.ThreadingHTTPServer):
     """A chat-completion endpoint whose n-th request (from 1) gets ``reply(n)``:
-    a status, ``"malformed"`` for a 200 whose body is not JSON, or ``"timeout"``
-    for no answer before the client gives up."""
+    a status, ``"malformed"`` for a 200 whose body is not JSON, ``"null"`` for
+    a 200 whose message content is null (a refusal or a tool call), or
+    ``"timeout"`` for no answer before the client gives up."""
 
     def __init__(self, reply):
         super().__init__(("127.0.0.1", 0), _StubHandler)
@@ -503,9 +504,11 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         body = json.dumps({"choices": [{"message": {"content": "entity 1"}}]}).encode()
         if reply == "malformed":
             body = b"{not json"
+        elif reply == "null":
+            body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
         elif reply != 200:
             body = b'{"error": "busy"}'
-        self.send_response(200 if reply == "malformed" else reply)
+        self.send_response(200 if reply in ("malformed", "null") else reply)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -516,7 +519,7 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
 
 def evaluate_against_stub(tmp_path, toy_dir, reply, timeout=5.0):
-    """(exit code, the stub, names in the report directory) of one evaluate."""
+    """(exit code, the stub, names in the workdir) of one evaluate."""
     stub = _Stub(reply)
     thread = threading.Thread(target=stub.serve_forever, daemon=True)
     thread.start()
@@ -537,26 +540,26 @@ def evaluate_against_stub(tmp_path, toy_dir, reply, timeout=5.0):
         stub.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
-    return code, stub, os.listdir(workdir_file(workdir, "report-"))
+    return code, stub, os.listdir(workdir)
 
 
 def test_a_retried_server_error_still_gives_a_clean_report(tmp_path, toy_dir):
     code, stub, names = evaluate_against_stub(tmp_path, toy_dir, lambda n: 500 if n == 1 else 200)
     assert code == 0
     assert stub.requests == 24 + 1  # every query once, and one retry
-    assert {"report.json", "report.txt"} <= set(names)
+    assert {"report.json", "report.txt"} <= set(os.listdir(workdir_file(tmp_path / "w", "report-")))
     assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
 
 
-@pytest.mark.parametrize("reply", [500, 429, "malformed", "timeout"])
+@pytest.mark.parametrize("reply", [500, 429, "malformed", "null", "timeout"])
 def test_a_failing_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, capsys, reply):
     timeout = 0.2 if reply == "timeout" else 5.0
     code, stub, names = evaluate_against_stub(tmp_path, toy_dir, lambda n: reply, timeout)
     assert code == 3
     assert "backend error" in capsys.readouterr().err
     if reply != "timeout":  # a timed-out request may not have reached the stub yet
-        assert stub.requests == (1 if reply == "malformed" else 2)  # a malformed body is not retried
-    assert not any(name.startswith("report") for name in names)
+        assert stub.requests == (1 if reply in ("malformed", "null") else 2)  # a malformed body is not retried
+    assert not any(name.startswith("report-") for name in names)
 
 
 def test_evaluate_missing_scripted_file_exits_3(tmp_path, toy_dir, capsys):
@@ -596,9 +599,11 @@ def test_full_pipeline_runs_are_byte_identical(tmp_path, toy_dir):
         cfg = write_config(tmp_path / f"{run}.ini", toy_dir, workdir)
         for command in ("train-embeddings", "build-finetune", "build-eval", "evaluate"):
             assert main([command, "--config", cfg]) == 0
-        ckpt = workdir_file(workdir, "embeddings-")
-        assert ckpt.endswith(".ckpt")
-        blob = open(ckpt, "rb").read()
+        # one entry per stage address, and nothing else: no manifest, no *.tmp
+        entries = sorted(os.listdir(workdir))
+        patterns = (r"embeddings-[0-9a-f]{12}\.ckpt", r"eval-[0-9a-f]{12}", r"finetune-[0-9a-f]{12}", r"report-[0-9a-f]{12}")
+        assert len(entries) == 4 and all(map(re.fullmatch, patterns, entries)), entries
+        blob = open(workdir_file(workdir, "embeddings-"), "rb").read()
         for prefix, names in (
             ("finetune-", ("instructions.jsonl", "holdout.jsonl", "summary.json")),
             ("eval-", ("instructions.jsonl", "summary.json")),
@@ -661,11 +666,79 @@ def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch)
     monkeypatch.setattr(cli, "build_eval_set", build)
     with pytest.raises(TypeError):
         main(["build-eval", "--config", cfg])
-    outdir = workdir_file(tmp_path / "w", "eval-")
-    assert sorted(os.listdir(outdir)) == ["instructions.jsonl"]
+    assert not any(name.startswith("eval-") for name in os.listdir(tmp_path / "w"))
     assert main(["build-eval", "--config", cfg]) == 0
     assert len(calls) == 2
-    assert json.load(open(os.path.join(outdir, "summary.json")))["written"] == 24
+    assert json.load(open(workdir_file(tmp_path / "w", "eval-", "summary.json")))["written"] == 24
+
+
+def _raises_after(original):
+    """``original``, which raises once it has written what it writes."""
+
+    def partway(*args, **kwargs):
+        original(*args, **kwargs)
+        raise RuntimeError("killed partway")
+
+    return partway
+
+
+@pytest.mark.parametrize(
+    "command, owner, target, prefix, marker",
+    [
+        ("train-embeddings", cli, "train", "embeddings-", None),
+        ("train-embeddings", cli.EmbeddingTable, "save", "embeddings-", None),
+        ("build-finetune", cli, "build_finetune_set", "finetune-", "summary.json"),
+        ("build-eval", cli, "build_eval_set", "eval-", "summary.json"),
+        ("evaluate", cli, "evaluate", "report-", "report.txt"),
+    ],
+    ids=["train", "save", "build-finetune", "build-eval", "evaluate"],
+)
+def test_a_stage_that_fails_partway_leaves_nothing_at_its_address(
+    tmp_path, toy_dir, monkeypatch, command, owner, target, prefix, marker
+):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir, extra="\n[eval]\naudit = true\n")
+    monkeypatch.setattr(owner, target, _raises_after(getattr(owner, target)))
+    with pytest.raises(RuntimeError, match="killed partway"):
+        main([command, "--config", cfg])
+    assert not [e for e in os.listdir(workdir) if e.startswith(prefix) or e.endswith(".tmp")]
+    monkeypatch.undo()
+    assert main([command, "--config", cfg]) == 0
+    output = workdir_file(workdir, prefix)
+    assert os.path.isfile(os.path.join(output, marker) if marker else output)
+    assert not [e for e in os.listdir(workdir) if e.endswith(".tmp")]
+
+
+def _tree(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {
+        os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+        for d, _, files in os.walk(root)
+        for name in files
+    }
+
+
+def test_a_rerun_replaces_what_an_interrupted_run_left(tmp_path, toy_dir):
+    stale = tmp_path / "stale"
+    cfg_path = write_config(tmp_path / "stale.ini", toy_dir, stale)
+    cfg = load_config(cfg_path)
+    # what earlier versions left: an empty report directory after a dead
+    # endpoint, an eval set whose build failed before its summary, and the
+    # temporaries of killed runs
+    os.makedirs(stage_output(cfg, "report"))
+    os.makedirs(stage_output(cfg, "eval"))
+    with open(os.path.join(stage_output(cfg, "eval"), "instructions.jsonl"), "w") as f:
+        f.write('{"id": "test-0-ta')
+    os.makedirs(stage_output(cfg, "finetune") + ".tmp")
+    with open(os.path.join(stage_output(cfg, "finetune") + ".tmp", "instructions.jsonl"), "w") as f:
+        f.write("{")
+    with open(stage_output(cfg, "embeddings") + ".ckpt.tmp", "wb") as f:
+        f.write(b"KGE")
+    fresh_cfg = write_config(tmp_path / "fresh.ini", toy_dir, tmp_path / "fresh")
+    for path in (fresh_cfg, cfg_path):
+        for command in ("train-embeddings", "build-finetune", "build-eval", "evaluate"):
+            assert main([command, "--config", path]) == 0
+    assert _tree(stale) == _tree(tmp_path / "fresh")
 
 
 def run_script(name, args, monkeypatch, capsys):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_score, build_kg, central_diff, rel_err
+from helpers import brute_force_score, build_kg, central_diff, pair_loss_and_grads, rel_err
 from kgrerank.embeddings import (
     EmbeddingTable,
     TrainConfig,
     TrainingDiverged,
     init_embeddings,
-    pair_loss_and_grads,
     train,
 )
 from kgrerank.kg import DataError

@@ -8,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg
+from helpers import brute_force_cooc, build_kg, parse_candidate_names
 from kgrerank.adapter import attach_knowledge, init_adapter, project
 from kgrerank.cli import main
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import (
     DESCRIPTION_PREFIX,
     NEIGHBORS_HEADER,
+    TEMPLATE_VERSION,
     BuildOptions,
     InstructionSample,
     build_eval_set,
     build_finetune_set,
     build_sample,
-    parse_candidate_names,
     query_text_for,
     rc_sample_neighbors,
     read_instruction_records,
@@ -167,6 +167,11 @@ def test_render_golden_file():
     rendered = film_prompt()
     with open(GOLDEN_PATH, encoding="utf-8") as f:
         assert rendered == f.read()
+
+
+def test_readme_states_the_template_version():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    assert f"Template version {TEMPLATE_VERSION}." in readme
 
 
 def test_render_counts_placeholders():

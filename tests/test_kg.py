@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg
+from helpers import brute_force_cooc, build_kg, find_benchmark_dir, write_kg
 from kgrerank.kg import (
     DataError,
     KnowledgeGraph,
@@ -14,7 +14,6 @@ from kgrerank.kg import (
     build_cooccurrence,
     load_kg,
     neighbors,
-    write_kg,
 )
 
 
@@ -263,8 +262,6 @@ def test_fb15k237_statistics(fb15k237_dir):
 
 
 def test_wn18rr_statistics():
-    from kgrerank.datasets import find_benchmark_dir
-
     path = find_benchmark_dir("WN18RR")
     if path is None:
         pytest.skip("WN18RR dataset not available (set KGRERANK_DATA)")

@@ -1,0 +1,64 @@
+"""``src/`` holds only what the pipeline runs: every public top-level function,
+class and method of ``kgrerank`` is referenced from ``src/``, ``scripts/`` or
+``perfbench/``. Code that only the tests call belongs in ``tests/helpers.py``.
+
+A name counts as referenced when code there uses it (a name, an attribute or
+an import) or a string there names it: the tracer in ``perfbench/`` patches
+targets by their dotted names, and docstrings point readers to the adapter's
+``attach_knowledge``.
+"""
+
+import ast
+import glob
+import os
+import re
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+# the adapter surface that the README advertises to an outside finetuner
+ALLOWED = {"init_adapter", "project_grad"}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read(), filename=path)
+
+
+def public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name
+
+
+def referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+
+
+def unreferenced_public_names():
+    users = [
+        path
+        for pattern in ("src/kgrerank/*.py", "scripts/*.py", "perfbench/*.py")
+        for path in glob.glob(os.path.join(ROOT, pattern))
+    ]
+    referenced = {name for path in users for name in referenced_names(_parse(path))}
+    unreferenced = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "kgrerank", "*.py")):
+        module = os.path.basename(path)[:-3]
+        unreferenced |= {f"{module}.{name}" for name in public_definitions(_parse(path)) if name not in referenced}
+    return {name for name in unreferenced if name.rsplit(".", 1)[1] not in ALLOWED}
+
+
+def test_every_public_definition_in_src_is_used_outside_the_tests():
+    assert unreferenced_public_names() == set()
