@@ -60,8 +60,8 @@ def main():
     print(f"ranked test split in {time.monotonic() - start:.0f}s")
     for label in ("head", "tail", "combined"):
         dm = base[label]
-        print(f"{label:9s} MRR {dm.mrr:.4f}  Hits@1 {dm.hits1:.4f}  "
-              f"Hits@3 {dm.hits3:.4f}  Hits@10 {dm.hits10:.4f}")
+        print(f"{label:9s} MRR {dm['mrr']:.4f}  Hits@1 {dm['hits1']:.4f}  "
+              f"Hits@3 {dm['hits3']:.4f}  Hits@10 {dm['hits10']:.4f}")
 
 
 if __name__ == "__main__":

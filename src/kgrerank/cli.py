@@ -29,7 +29,7 @@ from typing import get_type_hints
 
 from .discriminator import BackendConfig, BackendError, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
-from .evaluation import evaluate
+from .evaluation import evaluate, format_table
 from .instructions import (
     TEMPLATE_VERSION,
     BuildOptions,
@@ -68,6 +68,10 @@ class PipelineOptions:
     dataset_dir: str
     workdir: str
     threads: int = 1  # per-query parallelism in evaluate
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -331,8 +335,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
             threads=threads,
         )
-        _write_json(os.path.join(tmp, "report.json"), report.as_dict())
-        table_text = report.format_table() + "\n"
+        _write_json(os.path.join(tmp, "report.json"), report)
+        table_text = format_table(report) + "\n"
         with open(os.path.join(tmp, "report.txt"), "w", encoding="utf-8") as f:
             f.write(table_text)
     print(table_text, end="")

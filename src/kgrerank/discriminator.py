@@ -1,13 +1,14 @@
 """Candidate-selection policies standing in for a finetuned language model.
 
-Every backend maps an instruction sample to either one candidate index or
-an abstention. Free-text outputs (scripted fixtures, remote completions)
-are grounded strictly within the sample's candidate list: exact normalized
-match first, then earliest candidate whose name occurs inside the output,
-otherwise abstain. Abstention keeps evaluation total: the base ranking is
-simply left unchanged. A remote request that still fails after its retries
-is an error, not an abstention, so a dead endpoint cannot pass for a model
-that never answers.
+Every backend's ``select(sample)`` returns the index of one candidate in
+``sample.candidate_ids``, or None to abstain; that plain value is all that
+passes to evaluation. Free-text outputs (scripted fixtures, remote
+completions) are grounded strictly within the sample's candidate list: exact
+normalized match first, then earliest candidate whose name occurs inside the
+output, otherwise abstain. Abstention keeps evaluation total: the base
+ranking is simply left unchanged. A remote request that still fails after its
+retries is an error, not an abstention, so a dead endpoint cannot pass for a
+model that never answers.
 """
 
 from __future__ import annotations
@@ -26,33 +27,21 @@ class BackendError(Exception):
     """Backend setup or transport failure."""
 
 
-@dataclass(frozen=True)
-class Selection:
-    index: int | None  # candidate position, or None for abstain
-
-    @property
-    def chosen(self) -> bool:
-        return self.index is not None
-
-
-ABSTAIN = Selection(None)
-
-
 def normalize_answer(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-def ground(output_text: str, sample: InstructionSample) -> Selection:
-    """Map free text onto the candidate list; abstain when nothing matches."""
+def ground(output_text: str, sample: InstructionSample) -> int | None:
+    """Map free text onto a candidate index; None (abstain) when nothing matches."""
     out = normalize_answer(output_text)
     names = [normalize_answer(n) for n in sample.candidate_names]
     for i, name in enumerate(names):
         if name == out:
-            return Selection(i)
+            return i
     for i, name in enumerate(names):
         if name and name in out:
-            return Selection(i)
-    return ABSTAIN
+            return i
+    return None
 
 
 class OracleBackend:
@@ -60,10 +49,10 @@ class OracleBackend:
 
     name = "oracle"
 
-    def select(self, sample: InstructionSample) -> Selection:
+    def select(self, sample: InstructionSample) -> int | None:
         if sample.gold_id in sample.candidate_ids:
-            return Selection(sample.candidate_ids.index(sample.gold_id))
-        return ABSTAIN
+            return sample.candidate_ids.index(sample.gold_id)
+        return None
 
 
 class FirstCandidateBackend:
@@ -71,8 +60,8 @@ class FirstCandidateBackend:
 
     name = "first_candidate"
 
-    def select(self, sample: InstructionSample) -> Selection:
-        return Selection(0)
+    def select(self, sample: InstructionSample) -> int:
+        return 0
 
 
 class ScriptedBackend:
@@ -99,10 +88,10 @@ class ScriptedBackend:
                 outputs[sample_id] = text
         return cls(outputs)
 
-    def select(self, sample: InstructionSample) -> Selection:
+    def select(self, sample: InstructionSample) -> int | None:
         text = self.outputs.get(sample.id)
         if text is None:
-            return ABSTAIN
+            return None
         return ground(text, sample)
 
 
@@ -193,7 +182,7 @@ class RemoteBackend:
             raise BackendError("remote backend requires an endpoint URL")
         self.config = config
 
-    def select(self, sample: InstructionSample) -> Selection:
+    def select(self, sample: InstructionSample) -> int | None:
         return ground(remote_request(sample, self.config), sample)
 
 

@@ -6,10 +6,10 @@ minimizes the margin ranking loss between observed facts and corrupted
 negatives with plain SGD, renormalizing entity vectors to unit L2 norm
 after every epoch.
 
-Downstream code only relies on ``score``, ``score_candidates``,
-``coarse_distances``, ``query_vector``, ``entity_vector``, and checkpoint IO,
-so an alternative scorer can replace :class:`EmbeddingTable` without touching
-the ranking, prompt-building, or evaluation modules.
+Downstream code only relies on ``score_candidates``, ``coarse_distances``,
+``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
+scorer can replace :class:`EmbeddingTable` without touching the ranking,
+prompt-building, or evaluation modules.
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return int(self.entity_vecs.shape[1])
 
-    def score(self, h: int, r: int, t: int) -> float:
-        """Negated residual norm of (h, r, t); higher is more plausible."""
-        u = self.entity_vecs[h] + self.relation_vecs[r] - self.entity_vecs[t]
-        return float(-_residual_norm(u, self.norm))
-
     def score_candidates(
         self, known: int, relation: int, direction: str, entities: np.ndarray | None = None
     ) -> np.ndarray:
@@ -94,7 +89,7 @@ class EmbeddingTable:
         are scored with it."""
         rel = self.relation_vecs[relation]
         candidates = self.entity_vecs if entities is None else self.entity_vecs[entities]
-        # grouping matches score() so single and vectorized paths agree bitwise
+        # (h + r) - t in both directions: a triple scores the same whichever slot is missing
         if direction == TAIL:
             u = (self.entity_vecs[known] + rel) - candidates
         elif direction == HEAD:

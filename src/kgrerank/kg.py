@@ -195,11 +195,6 @@ class KnowledgeGraph:
         return rows, keys
 
 
-def neighbors(kg: KnowledgeGraph, entity: int) -> tuple[Triple, ...]:
-    """Training facts incident to ``entity``, in train-file order."""
-    return tuple(Triple(*row) for row in kg.train[kg.incident_rows(entity)].tolist())
-
-
 def build_cooccurrence(kg: KnowledgeGraph) -> np.ndarray:
     """``C[r, s]``: the entities incident to both r and s as head or tail of a training fact.
 

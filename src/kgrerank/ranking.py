@@ -81,17 +81,6 @@ class RankedQuery:
     gold_score: float | None
 
 
-@dataclass(frozen=True)
-class DirectionMetrics:
-    mrr: float
-    hits1: float
-    hits3: float
-    hits10: float
-
-    def as_dict(self) -> dict:
-        return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3, "hits10": self.hits10}
-
-
 @dataclass
 class ConfidenceParams:
     """The ``[ranker]`` config section: candidate-list size and the truncation
@@ -261,18 +250,19 @@ def survives_truncation(rq: RankedQuery, params: ConfidenceParams) -> bool:
     return sample_confidence(rq, params) > params.beta
 
 
-def metrics(gold_ranks) -> DirectionMetrics:
+def metrics(gold_ranks) -> dict:
+    """The MRR and Hits@1/3/10 of gold ranks: ``{"mrr", "hits1", "hits3", "hits10"}``."""
     ranks = np.asarray(list(gold_ranks), dtype=np.float64)
     if ranks.size == 0:
         raise ValueError("metrics need at least one rank")
     if (ranks < 1).any():
         raise ValueError("ranks must be >= 1")
-    return DirectionMetrics(
-        mrr=float((1.0 / ranks).mean()),
-        hits1=float((ranks <= 1).mean()),
-        hits3=float((ranks <= 3).mean()),
-        hits10=float((ranks <= 10).mean()),
-    )
+    return {
+        "mrr": float((1.0 / ranks).mean()),
+        "hits1": float((ranks <= 1).mean()),
+        "hits3": float((ranks <= 3).mean()),
+        "hits10": float((ranks <= 10).mean()),
+    }
 
 
 def base_model_metrics(
@@ -281,7 +271,8 @@ def base_model_metrics(
     m: int,
     limit_triples: int = 0,
 ) -> dict:
-    """Filtered metrics of the scorer itself, without prompts or reranking."""
+    """Filtered metrics of the scorer itself, without prompts or reranking:
+    the ``metrics`` of the head, the tail and the pooled gold ranks."""
     triples = kg.test
     if limit_triples:
         triples = triples[:limit_triples]

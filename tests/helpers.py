@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from kgrerank.embeddings import _hinge_step
+from kgrerank.embeddings import _hinge_step, _residual_norm
 from kgrerank.instructions import (
     CANDIDATES_HEADER,
     ENTITY_PLACEHOLDER,
@@ -52,6 +52,11 @@ def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=Non
         [Triple(*t) for t in valid],
         [Triple(*t) for t in test],
     )
+
+
+def neighbors(kg, entity):
+    """Training facts incident to ``entity``, in train-file order."""
+    return tuple(Triple(*row) for row in kg.train[kg.incident_rows(entity)].tolist())
 
 
 def write_kg(kg, out_dir):
@@ -115,6 +120,13 @@ def parse_candidate_names(prompt):
     raise ValueError("prompt has no candidate block")
 
 
+def score(table, h, r, t):
+    """The table's score of one triple: the negated residual norm, grouped as
+    ``score_candidates`` groups it, so the two agree bitwise."""
+    u = table.entity_vecs[h] + table.relation_vecs[r] - table.entity_vecs[t]
+    return float(-_residual_norm(u, table.norm))
+
+
 def brute_force_score(table, h, r, t):
     eh = table.entity_vecs[h]
     er = table.relation_vecs[r]
@@ -144,12 +156,13 @@ def brute_force_rank(table, kg, q, m, filtered=True):
 
 
 def rerank(ranking, selection, candidate_ids):
-    """Move-to-top oracle: the selected candidate goes first, all other order is kept."""
-    if not selection.chosen:
+    """Move-to-top oracle: the candidate at index ``selection`` goes first, all
+    other order is kept; None (an abstention) keeps the ranking."""
+    if selection is None:
         return np.array(ranking, copy=True)
-    if not 0 <= selection.index < len(candidate_ids):
-        raise ValueError(f"selection index {selection.index} out of range")
-    chosen = candidate_ids[selection.index]
+    if not 0 <= selection < len(candidate_ids):
+        raise ValueError(f"selection index {selection} out of range")
+    chosen = candidate_ids[selection]
     ranking = np.asarray(ranking)
     out = np.empty_like(ranking)
     out[0] = chosen

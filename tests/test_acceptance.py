@@ -112,12 +112,12 @@ def assert_identities(kg, table, params, tolerance=1e-12):
     eval_set = eval_samples(kg, table, params)
     first = evaluate(*eval_set, FirstCandidateBackend())
     base = base_model_metrics(kg, table, m=params.m)
-    for got, expected in ((first.head, base["head"]), (first.tail, base["tail"]), (first.combined, base["combined"])):
+    for got, expected in ((first["head"], base["head"]), (first["tail"], base["tail"]), (first["combined"], base["combined"])):
         for attr in ("mrr", "hits1", "hits3", "hits10"):
-            assert abs(getattr(got, attr) - getattr(expected, attr)) <= tolerance
+            assert abs(got[attr] - expected[attr]) <= tolerance
     oracle = evaluate(*eval_set, OracleBackend())
-    assert oracle.combined.hits1 == oracle.gold_in_topm / oracle.queries
-    assert oracle.combined.hits10 >= first.combined.hits10
+    assert oracle["combined"]["hits1"] == oracle["gold_in_topm"] / oracle["queries"]
+    assert oracle["combined"]["hits10"] >= first["combined"]["hits10"]
 
 
 @criterion("first_candidate evaluation reproduces base metrics on the chain fixture")
@@ -129,7 +129,7 @@ def test_metric_identity_chain(chain_kg, chain_table):
 def test_oracle_identity_toy(toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
     report = evaluate(*eval_samples(toy_kg, toy_table, params), OracleBackend())
-    assert report.combined.hits1 == report.gold_in_topm / report.queries
+    assert report["combined"]["hits1"] == report["gold_in_topm"] / report["queries"]
 
 
 @criterion("first_candidate and oracle identities hold on a 1000-query FB15K-237 subsample")
@@ -144,11 +144,11 @@ def test_metric_identity_fb15k237():
     eval_set = eval_samples(kg, table, params, triples=kg.test[:500])
     first = evaluate(*eval_set, FirstCandidateBackend())
     base = base_model_metrics(kg, table, m=20, limit_triples=500)
-    assert first.queries == 1000
+    assert first["queries"] == 1000
     for attr in ("mrr", "hits1", "hits3", "hits10"):
-        assert abs(getattr(first.combined, attr) - getattr(base["combined"], attr)) <= 1e-12
+        assert abs(first["combined"][attr] - base["combined"][attr]) <= 1e-12
     oracle = evaluate(*eval_set, OracleBackend())
-    assert oracle.combined.hits1 == oracle.gold_in_topm / oracle.queries
+    assert oracle["combined"]["hits1"] == oracle["gold_in_topm"] / oracle["queries"]
     assert time.monotonic() - start < 300
 
 
@@ -332,5 +332,5 @@ def test_transe_fb15k237_benchmark():
     table = train(kg, TrainConfig())  # library defaults: d=100, lr=0.01, 1000 epochs
     base = base_model_metrics(kg, table, m=20)
     combined = base["combined"]
-    assert abs(combined.mrr - 0.312) <= 0.03
-    assert abs(combined.hits10 - 0.510) <= 0.04
+    assert abs(combined["mrr"] - 0.312) <= 0.03
+    assert abs(combined["hits10"] - 0.510) <= 0.04

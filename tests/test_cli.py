@@ -198,6 +198,8 @@ def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
         "backend.timeout=0",
         "backend.timeout=nan",
         "backend.in_flight=0",
+        "pipeline.threads=0",
+        "pipeline.threads=-3",
         "ranker.alpha=nan",
         "ranker.beta=nan",
         "embedder.learning_rate=nan",
@@ -774,7 +776,7 @@ def test_run_benchmark_transe_script(tmp_path, toy_dir, monkeypatch, capsys):
     combined = next(line.split() for line in lines if line.startswith("combined"))
     kg, table = load_kg(toy_dir), EmbeddingTable.load(ckpt)
     ranks = [rank_query(table, kg, q, 5).gold_rank for t in kg.test for q in queries_for_triple(t)]
-    assert combined[1:3] == ["MRR", f"{metrics(ranks).mrr:.4f}"]
+    assert combined[1:3] == ["MRR", f"{metrics(ranks)['mrr']:.4f}"]
 
 
 def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrerank.discriminator import (
-    ABSTAIN,
     BackendError,
     FirstCandidateBackend,
     OracleBackend,
     BackendConfig,
     RemoteBackend,
     ScriptedBackend,
-    Selection,
     ground,
     make_backend,
     normalize_answer,
@@ -43,63 +41,63 @@ def sample_with(names, gold_index=0, sample_id="test-0-tail"):
 
 def test_oracle_selects_gold_position():
     sample = sample_with([f"c{i}" for i in range(10)], gold_index=7)
-    assert OracleBackend().select(sample) == Selection(7)
+    assert OracleBackend().select(sample) == 7
 
 
 def test_oracle_abstains_when_gold_missing():
     sample = sample_with(["a", "b", "c"], gold_index=None)
-    assert OracleBackend().select(sample) == ABSTAIN
+    assert OracleBackend().select(sample) is None
 
 
 def test_first_candidate_always_picks_zero():
     sample = sample_with(["x", "y"], gold_index=1)
-    assert FirstCandidateBackend().select(sample) == Selection(0)
+    assert FirstCandidateBackend().select(sample) == 0
 
 
 def test_ground_exact_match_by_position():
     sample = sample_with(["Paris", "Berkeley", "New York City", "Los Angeles"], gold_index=3)
-    assert ground("Los Angeles", sample) == Selection(3)
+    assert ground("Los Angeles", sample) == 3
 
 
 def test_ground_substring_fallback():
     sample = sample_with(["Paris", "Female"], gold_index=1)
-    assert ground("the answer is Female.", sample) == Selection(1)
+    assert ground("the answer is Female.", sample) == 1
 
 
 def test_ground_substring_earliest_candidate_wins():
     # "male" occurs inside "female", so the earlier candidate fires on wrapped
     # output; an exact copy of the later name still grounds exactly
     sample = sample_with(["Male", "Female"])
-    assert ground("the answer is Female.", sample) == Selection(0)
-    assert ground("Female", sample) == Selection(1)
+    assert ground("the answer is Female.", sample) == 0
+    assert ground("Female", sample) == 1
 
 
 def test_ground_exact_beats_substring():
     # substring-first would pick "b" (index 0) out of the output "a b"
     sample = sample_with(["b", "a b"])
-    assert ground("a b", sample) == Selection(1)
+    assert ground("a b", sample) == 1
 
 
 def test_ground_unmatched_output_abstains():
     sample = sample_with(["alpha", "beta"])
-    assert ground("something else entirely", sample) == ABSTAIN
+    assert ground("something else entirely", sample) is None
 
 
 def test_ground_duplicate_names_take_smallest_index():
     sample = sample_with(["dup", "dup", "other"])
-    assert ground("dup", sample) == Selection(0)
-    assert ground("answer: dup!", sample) == Selection(0)
+    assert ground("dup", sample) == 0
+    assert ground("answer: dup!", sample) == 0
 
 
 def test_ground_empty_candidate_name_never_substring_matches():
     sample = sample_with(["", "real name"])
-    assert ground("real name", sample) == Selection(1)
-    assert ground("", sample) == Selection(0)  # exact match on empty output only
+    assert ground("real name", sample) == 1
+    assert ground("", sample) == 0  # exact match on empty output only
 
 
 def test_ground_case_and_whitespace_folding():
     sample = sample_with(["Los  Angeles"])
-    assert ground("  los angeles \n", sample) == Selection(0)
+    assert ground("  los angeles \n", sample) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,9 +118,9 @@ def test_scripted_backend_from_file(tmp_path):
     path = tmp_path / "outputs.tsv"
     path.write_text("test-0-tail\tbeta\ntest-1-head\tno match here\n", encoding="utf-8")
     backend = ScriptedBackend.from_file(str(path))
-    assert backend.select(sample_with(["alpha", "beta"], sample_id="test-0-tail")) == Selection(1)
-    assert backend.select(sample_with(["alpha", "beta"], sample_id="test-1-head")) == ABSTAIN
-    assert backend.select(sample_with(["alpha"], sample_id="test-9-tail")) == ABSTAIN
+    assert backend.select(sample_with(["alpha", "beta"], sample_id="test-0-tail")) == 1
+    assert backend.select(sample_with(["alpha", "beta"], sample_id="test-1-head")) is None
+    assert backend.select(sample_with(["alpha"], sample_id="test-9-tail")) is None
 
 
 def test_scripted_backend_missing_file():
@@ -221,7 +219,7 @@ def test_remote_request_rejects_malformed_body(http_server):
 def test_remote_backend_grounds_and_raises_on_failure(http_server):
     _Handler.text = "beta"
     backend = RemoteBackend(remote_config(http_server))
-    assert backend.select(sample_with(["alpha", "beta"])) == Selection(1)
+    assert backend.select(sample_with(["alpha", "beta"])) == 1
     _Handler.behavior = "error"
     with pytest.raises(BackendError, match="after 3 attempt"):
         backend.select(sample_with(["alpha", "beta"]))

@@ -8,20 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_rank, build_kg, eval_samples, rerank
+from kgrerank.cli import _write_json
 from kgrerank.discriminator import (
-    ABSTAIN,
     BackendError,
     FirstCandidateBackend,
     OracleBackend,
     ScriptedBackend,
-    Selection,
 )
-from kgrerank.evaluation import evaluate
+from kgrerank.evaluation import evaluate, format_table
 from kgrerank.embeddings import EmbeddingTable
-from kgrerank.instructions import BuildOptions
+from kgrerank.instructions import BuildOptions, InstructionSample
 from kgrerank.ranking import ConfidenceParams, Query, base_model_metrics, metrics, queries_for_triple
 
 PARAMS = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_report")
 
 
 @pytest.fixture(scope="module")
@@ -32,19 +32,19 @@ def toy_set(toy_kg, toy_table):
 
 def test_rerank_moves_selection_to_front():
     ranking = np.array([10, 11, 12, 13])
-    out = rerank(ranking, Selection(0), candidate_ids=[12])
+    out = rerank(ranking, 0, candidate_ids=[12])
     assert out.tolist() == [12, 10, 11, 13]
 
 
 def test_rerank_selecting_leader_is_identity():
     ranking = np.array([10, 11, 12, 13])
-    out = rerank(ranking, Selection(0), candidate_ids=[10, 11])
+    out = rerank(ranking, 0, candidate_ids=[10, 11])
     assert out.tolist() == [10, 11, 12, 13]
 
 
 def test_rerank_abstain_is_identity():
     ranking = np.array([3, 1, 2])
-    out = rerank(ranking, ABSTAIN, candidate_ids=[1])
+    out = rerank(ranking, None, candidate_ids=[1])
     assert out.tolist() == [3, 1, 2]
     out[0] = 99  # returned array is a copy
     assert ranking[0] == 3
@@ -52,7 +52,7 @@ def test_rerank_abstain_is_identity():
 
 def test_rerank_bad_index_rejected():
     with pytest.raises(ValueError):
-        rerank(np.array([1, 2]), Selection(5), candidate_ids=[1])
+        rerank(np.array([1, 2]), 5, candidate_ids=[1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -66,7 +66,7 @@ def test_rerank_is_permutation_with_bounded_shift(n, pick, seed):
     rng = np.random.default_rng(seed)
     ranking = rng.permutation(n) + 100
     selected = int(ranking[pick])
-    out = rerank(ranking, Selection(0), candidate_ids=[selected])
+    out = rerank(ranking, 0, candidate_ids=[selected])
     assert sorted(out.tolist()) == sorted(ranking.tolist())
     assert out[0] == selected
     # every non-selected entity moves by at most one position
@@ -80,18 +80,18 @@ def test_rerank_is_permutation_with_bounded_shift(n, pick, seed):
 
 def test_metrics_examples():
     dm = metrics([1, 2, 4])
-    assert dm.mrr == pytest.approx((1 + 0.5 + 0.25) / 3)
-    assert dm.hits1 == pytest.approx(1 / 3)
-    assert dm.hits3 == pytest.approx(2 / 3)
-    assert dm.hits10 == 1.0
+    assert dm["mrr"] == pytest.approx((1 + 0.5 + 0.25) / 3)
+    assert dm["hits1"] == pytest.approx(1 / 3)
+    assert dm["hits3"] == pytest.approx(2 / 3)
+    assert dm["hits10"] == 1.0
 
     perfect = metrics([1, 1, 1])
-    assert (perfect.mrr, perfect.hits1, perfect.hits3, perfect.hits10) == (1, 1, 1, 1)
+    assert (perfect["mrr"], perfect["hits1"], perfect["hits3"], perfect["hits10"]) == (1, 1, 1, 1)
 
     single = metrics([10])
-    assert single.mrr == pytest.approx(0.1)
-    assert single.hits3 == 0.0
-    assert single.hits10 == 1.0
+    assert single["mrr"] == pytest.approx(0.1)
+    assert single["hits3"] == 0.0
+    assert single["hits10"] == 1.0
 
 
 def test_metrics_reject_empty_and_bad_ranks():
@@ -105,46 +105,46 @@ def test_metrics_reject_empty_and_bad_ranks():
 @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=40))
 def test_metrics_are_ordered_and_bounded(ranks):
     dm = metrics(ranks)
-    assert 0 <= dm.hits1 <= dm.hits3 <= dm.hits10 <= 1
-    assert 0 < dm.mrr <= 1
+    assert 0 <= dm["hits1"] <= dm["hits3"] <= dm["hits10"] <= 1
+    assert 0 < dm["mrr"] <= 1
 
 
 def test_first_candidate_report_equals_base_metrics(toy_kg, toy_table, toy_set):
     report = evaluate(*toy_set, FirstCandidateBackend())
     base = base_model_metrics(toy_kg, toy_table, m=PARAMS.m)
     for got, expected in (
-        (report.combined, base["combined"]),
-        (report.head, base["head"]),
-        (report.tail, base["tail"]),
+        (report["combined"], base["combined"]),
+        (report["head"], base["head"]),
+        (report["tail"], base["tail"]),
     ):
         for attr in ("mrr", "hits1", "hits3", "hits10"):
-            assert abs(getattr(got, attr) - getattr(expected, attr)) <= 1e-12
-    assert report.combined == report.base_combined
-    assert report.abstentions == 0
+            assert abs(got[attr] - expected[attr]) <= 1e-12
+    assert report["combined"] == report["base"]["combined"]
+    assert report["abstentions"] == 0
 
 
 def test_oracle_hits1_equals_candidate_recall(toy_set):
     report = evaluate(*toy_set, OracleBackend())
-    assert report.combined.hits1 == report.gold_in_topm / report.queries
+    assert report["combined"]["hits1"] == report["gold_in_topm"] / report["queries"]
 
 
 def test_oracle_never_hurts_hits10(toy_set):
     oracle = evaluate(*toy_set, OracleBackend())
     first = evaluate(*toy_set, FirstCandidateBackend())
-    assert oracle.combined.hits10 >= first.combined.hits10
+    assert oracle["combined"]["hits10"] >= first["combined"]["hits10"]
 
 
 def test_all_abstaining_backend_matches_base(toy_set):
     report = evaluate(*toy_set, ScriptedBackend({}))
-    assert report.abstentions == report.queries
-    assert report.combined == report.base_combined
+    assert report["abstentions"] == report["queries"]
+    assert report["combined"] == report["base"]["combined"]
 
 
 def test_limit_triples(tmp_path, toy_set):
     paths = {n: str(tmp_path / f"{n}.jsonl") for n in ("full", "limited")}
     evaluate(*toy_set, OracleBackend(), audit_path=paths["full"])
     report = evaluate(*toy_set, OracleBackend(), limit_triples=3, audit_path=paths["limited"])
-    assert report.queries == 6
+    assert report["queries"] == 6
     full = open(paths["full"], encoding="utf-8").readlines()
     limited = open(paths["limited"], encoding="utf-8").readlines()
     assert limited == full[:6]
@@ -156,14 +156,14 @@ def test_limit_triples(tmp_path, toy_set):
 def test_threading_does_not_change_report(toy_set):
     sequential = evaluate(*toy_set, OracleBackend(), threads=1)
     threaded = evaluate(*toy_set, OracleBackend(), threads=4)
-    assert sequential.as_dict() == threaded.as_dict()
+    assert sequential == threaded
 
 
 def test_audit_file_rows(tmp_path, toy_set):
     audit = str(tmp_path / "audit.jsonl")
     report = evaluate(*toy_set, OracleBackend(), audit_path=audit)
     rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
-    assert len(rows) == report.queries
+    assert len(rows) == report["queries"]
     for row in rows:
         assert set(row) == {
             "id",
@@ -185,11 +185,10 @@ def test_audit_file_rows(tmp_path, toy_set):
 
 def test_report_dict_and_table(toy_set):
     report = evaluate(*toy_set, OracleBackend())
-    payload = report.as_dict()
-    assert payload["backend"] == "oracle"
-    assert payload["m"] == PARAMS.m
-    assert 0 <= payload["combined"]["hits1"] <= payload["combined"]["hits3"] <= payload["combined"]["hits10"] <= 1
-    text = report.format_table()
+    assert report["backend"] == "oracle"
+    assert report["m"] == PARAMS.m
+    assert 0 <= report["combined"]["hits1"] <= report["combined"]["hits3"] <= report["combined"]["hits10"] <= 1
+    text = format_table(report)
     assert "MRR" in text and "combined" in text
 
 
@@ -248,8 +247,8 @@ def test_shuffled_oracle_report_equals_unshuffled(toy_kg, toy_table, toy_set):
     shuffled = eval_samples(toy_kg, toy_table, PARAMS, BuildOptions(shuffle_candidates=True, shuffle_seed=3))
     assert [s.candidate_ids for s in shuffled[0]] != [s.candidate_ids for s in toy_set[0]]
     report = evaluate(*shuffled, OracleBackend())
-    assert report.as_dict() == evaluate(*toy_set, OracleBackend()).as_dict()
-    assert report.combined.hits1 == report.gold_in_topm / report.queries
+    assert report == evaluate(*toy_set, OracleBackend())
+    assert report["combined"]["hits1"] == report["gold_in_topm"] / report["queries"]
 
 
 def test_a_backend_error_ends_evaluation_and_drops_queued_queries(toy_set):
@@ -269,7 +268,7 @@ def test_a_backend_error_ends_evaluation_and_drops_queued_queries(toy_set):
             if sample.id == "test-0-tail":
                 raise BackendError("request failed after 1 attempt(s)")
             time_mod.sleep(0.05)
-            return ABSTAIN
+            return None
 
     backend = FailsFirst()
     with pytest.raises(BackendError):
@@ -282,7 +281,69 @@ def test_out_of_range_selection_is_rejected(toy_set):
         name = "out-of-range"
 
         def select(self, sample):
-            return Selection(len(sample.candidate_ids))
+            return len(sample.candidate_ids)
 
     with pytest.raises(ValueError, match="out of range"):
         evaluate(*toy_set, OutOfRange())
+
+
+def golden_eval_set():
+    """(samples, summary) of six hand-made samples, m = 4: three test triples,
+    both directions. Candidate names repeat, so a pick can be a non-gold
+    candidate that bears the gold's name, and one gold lies outside the top-m."""
+
+    def sample(i, direction, gold_id, gold_name, gold_rank, candidates):
+        ids, names, ranks = (list(column) for column in zip(*candidates))
+        return InstructionSample(
+            id=f"test-{i}-{direction}",
+            direction=direction,
+            known=10 + i,
+            relation=i % 2,
+            prompt=f"prompt {i} {direction}",
+            gold_name=gold_name,
+            gold_id=gold_id,
+            candidate_ids=ids,
+            candidate_names=names,
+            candidate_ranks=ranks,
+            gold_rank=gold_rank,
+        )
+
+    french = [(5, "paris", 4), (1, "nice", 1), (3, "lyon", 2), (8, "paris", 3)]
+    italian = [(7, "rome", 1), (2, "milan", 2), (9, "turin", 3), (4, "pisa", 4)]
+    springfield = [(11, "shelbyville", 1), (12, "springfield", 2), (13, "ogdenville", 3), (14, "capital city", 4)]
+    samples = [
+        sample(0, "tail", 3, "lyon", 2, french),
+        sample(0, "head", 8, "paris", 3, french),
+        sample(1, "tail", 7, "rome", 1, italian),
+        sample(1, "head", 2, "milan", 2, italian),
+        sample(2, "tail", 6, "springfield", 12, springfield),
+        sample(2, "head", 13, "ogdenville", 3, springfield),
+    ]
+    return samples, {"m": 4, "alpha": 1.0, "beta": 0.05, "gamma": 2}
+
+
+GOLDEN_OUTPUTS = {
+    "test-0-tail": "Lyon",  # the gold: to the top
+    "test-0-head": "Paris",  # the first "paris" is not the gold, which slips one place
+    "test-1-head": "I do not know",  # no candidate matches: abstain
+    "test-2-tail": "the answer is Springfield",  # a namesake of the gold outside the top-m
+    "test-2-head": "Capital City",  # ranked below the gold, which slips one place
+}  # test-1-tail has no output: abstain
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_golden_report_bytes(tmp_path, threads):
+    """report.json, report.txt and audit.jsonl of a scripted run that picks,
+    abstains and collides, byte for byte. The metrics come from integer ranks,
+    so the bytes do not depend on the BLAS."""
+    audit = tmp_path / "audit.jsonl"
+    report = evaluate(
+        *golden_eval_set(), ScriptedBackend(GOLDEN_OUTPUTS), audit_path=str(audit), threads=threads
+    )
+    _write_json(str(tmp_path / "report.json"), report)
+    (tmp_path / "report.txt").write_text(format_table(report) + "\n", encoding="utf-8")
+    for name in ("report.json", "report.txt", "audit.jsonl"):
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read(), name
+    rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    assert [row["name_collision"] for row in rows] == [False, True, False, False, True, False]

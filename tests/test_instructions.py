@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg, parse_candidate_names
+from helpers import brute_force_cooc, build_kg, neighbors, parse_candidate_names
 from kgrerank.adapter import attach_knowledge, init_adapter, project
 from kgrerank.cli import main
 from kgrerank.embeddings import EmbeddingTable
@@ -28,7 +28,7 @@ from kgrerank.instructions import (
     render_fact,
     render_prompt,
 )
-from kgrerank.kg import KnowledgeGraph, Triple, load_kg, neighbors
+from kgrerank.kg import KnowledgeGraph, Triple, load_kg
 from kgrerank.ranking import ConfidenceParams, Query, rank_query
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_prompt.txt")

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg, find_benchmark_dir, write_kg
+from helpers import brute_force_cooc, build_kg, find_benchmark_dir, neighbors, write_kg
 from kgrerank.kg import (
     DataError,
     KnowledgeGraph,
     Triple,
     build_cooccurrence,
     load_kg,
-    neighbors,
 )
 
 

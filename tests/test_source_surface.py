@@ -3,9 +3,11 @@ class and method of ``kgrerank`` is referenced from ``src/``, ``scripts/`` or
 ``perfbench/``. Code that only the tests call belongs in ``tests/helpers.py``.
 
 A name counts as referenced when code there uses it (a name, an attribute or
-an import) or a string there names it: the tracer in ``perfbench/`` patches
-targets by their dotted names, and docstrings point readers to the adapter's
-``attach_knowledge``.
+an import) or a string there names it in a dotted path: the tracer in
+``perfbench/`` patches targets such as ``ranking.rank_query`` and
+``EmbeddingTable.save`` by those names, and docstrings point readers to
+``adapter.attach_knowledge``. A bare word in a string (a label, a word of
+prose) is no reference.
 """
 
 import ast
@@ -15,8 +17,9 @@ import re
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
-# the adapter surface that the README advertises to an outside finetuner
-ALLOWED = {"init_adapter", "project_grad"}
+# the adapter surface that the README advertises to an outside finetuner, and
+# the argparse hook that cli._Parser overrides
+ALLOWED = {"init_adapter", "project_grad", "error"}
 
 
 def _parse(path):
@@ -43,7 +46,8 @@ def referenced_names(tree):
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield from re.findall(r"\w+", node.value)
+            for path in re.findall(r"\w+(?:\.\w+)+", node.value):
+                yield from path.split(".")
 
 
 def unreferenced_public_names():
