@@ -193,6 +193,7 @@ def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
 
 # stage -> the config sections its output depends on
 _STAGE_SECTIONS = {
+    "graph": (),
     "embeddings": ("embedder",),
     "finetune": ("embedder", "ranker", "instruct"),
     "eval": ("embedder", "ranker", "instruct"),
@@ -202,7 +203,8 @@ _STAGE_SECTIONS = {
 
 def stage_output(cfg: PipelineConfig, stage: str) -> str:
     """Where a stage writes: ``<workdir>/<stage>-<digest>``, a directory or, for
-    ``embeddings``, the stem of the checkpoint ``<stem>.ckpt``."""
+    ``embeddings``, the stem of the checkpoint ``<stem>.ckpt``. ``graph`` holds
+    the parsed triple arrays and depends on the dataset files alone."""
     digest = stage_digest(cfg, *_STAGE_SECTIONS[stage])
     return os.path.join(cfg.pipeline.workdir, f"{stage}-{digest}")
 
@@ -235,6 +237,19 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
+def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
+    """The dataset's graph, whose triple files are parsed once per workdir: the
+    first load publishes the parsed arrays at the ``graph`` address, and later
+    loads read them from there."""
+    cache = stage_output(cfg, "graph")
+    if os.path.isdir(cache):
+        return load_kg(cfg.pipeline.dataset_dir, cache)
+    os.makedirs(cfg.pipeline.workdir, exist_ok=True)
+    with _publish(cache) as tmp:
+        os.mkdir(tmp)
+        return load_kg(cfg.pipeline.dataset_dir, tmp)
+
+
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
     """Train the embedding checkpoint if its content address is absent."""
     os.makedirs(cfg.pipeline.workdir, exist_ok=True)
@@ -243,7 +258,7 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
     if kg is None:
-        kg = load_kg(cfg.pipeline.dataset_dir)
+        kg = _load_graph(cfg)
     logger.info(
         "training embeddings: %d entities, %d relations, %d train triples",
         kg.num_entities, kg.num_relations, len(kg.train),
@@ -275,7 +290,7 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
     if os.path.isfile(os.path.join(outdir, "summary.json")):
         logger.info("%s set up to date: %s", which, outdir)
         return outdir
-    kg = load_kg(cfg.pipeline.dataset_dir)
+    kg = _load_graph(cfg)
     _check_m(cfg, kg)
     ckpt = ensure_embeddings(cfg, kg)
     table = EmbeddingTable.load(ckpt)

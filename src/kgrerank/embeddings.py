@@ -4,7 +4,9 @@ A triple (h, r, t) is scored as the negated L1 or L2 norm of the residual
 e_h + e_r - e_t, so higher scores mean more plausible facts. Training
 minimizes the margin ranking loss between observed facts and corrupted
 negatives with plain SGD, renormalizing entity vectors to unit L2 norm
-after every epoch.
+after every epoch. Each batch's gradient rows are added to the tables one
+at a time in batch order, exactly as ``np.add.at`` adds them; a faster
+scatter must keep that order, or the checkpoint bytes change.
 
 Downstream code only relies on ``score_candidates``, ``coarse_distances``,
 ``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
@@ -220,6 +222,24 @@ def _hinge_step(
     return loss_sum, entity_idx, entity_grads, relation_idx, relation_grads
 
 
+def _scatter_add(table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
+    """``np.add.at(table, rows, grads)``, bit for bit, through a flat 1-D index.
+
+    ``ufunc.at`` applies ``a[i] += v`` once per index, in index order. Element
+    ``(r, d)`` of the C-contiguous ``table`` is element ``r * dim + d`` of its
+    flat view, and the flat index lists row ``rows[i]``'s ``dim`` elements for
+    i = 0, 1, ... in turn. So each element receives the same additions, in
+    the same order, as from the 2-D call, and the result is bit-equal by
+    construction. It is faster because numpy's ``add.at`` has a fast path for
+    a 1-D index into a 1-D array.
+    """
+    if not table.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    dim = table.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(table.reshape(-1), flat, grads.ravel())
+
+
 def _sample_negatives(
     positives: np.ndarray,
     kg: KnowledgeGraph,
@@ -277,8 +297,8 @@ def train(
                 table, pos_rep, neg, config.margin
             )
             total += loss
-            np.add.at(table.entity_vecs, e_idx, -lr * e_grads)
-            np.add.at(table.relation_vecs, r_idx, -lr * r_grads)
+            _scatter_add(table.entity_vecs, e_idx, -lr * e_grads)
+            _scatter_add(table.relation_vecs, r_idx, -lr * r_grads)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: {total!r} "

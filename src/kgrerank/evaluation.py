@@ -18,6 +18,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 
 from .instructions import InstructionSample
+from .kg import DataError
 from .ranking import metrics
 
 
@@ -63,7 +64,7 @@ def evaluate(
     if limit_triples:
         samples = samples[: 2 * limit_triples]
     if not samples:
-        raise ValueError("evaluation requires a non-empty test split")
+        raise DataError("evaluation requires a non-empty test split")
 
     if threads > 1:
         pool = ThreadPoolExecutor(max_workers=threads)

@@ -339,7 +339,7 @@ def build_finetune_set(
     hyperparameter selection. The train split is never used here.
     """
     if len(kg.valid) == 0:
-        raise ValueError("finetune building requires a non-empty validation split")
+        raise DataError("finetune building requires a non-empty validation split")
     rng = np.random.default_rng(options.split_seed)
     perm = rng.permutation(len(kg.valid))
     cut = (len(kg.valid) * 9) // 10

@@ -13,6 +13,11 @@ arrays too: the filter sets are all true facts sorted by ``(head, relation)``
 and by ``(relation, tail)`` and searched with ``searchsorted``, the
 adjacency is a CSR list of train row numbers per entity, and negative
 sampling tests membership in the sorted train keys ``(h·R + r)·E + t``.
+
+Parsing the triple files line by line is most of a load. ``load_kg`` can
+keep the parsed split arrays as ``.npy`` files in a directory its caller
+addresses by the dataset's content, and read them from there on the next
+load; the text tables are always read and the graph is always validated.
 """
 
 from __future__ import annotations
@@ -256,8 +261,17 @@ def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str,
     return np.array([heads, rels, tails], dtype=np.int64).T
 
 
-def load_kg(dataset_dir: str) -> KnowledgeGraph:
-    """Load and validate a dataset directory."""
+def load_kg(dataset_dir: str, cache_dir: str | None = None) -> KnowledgeGraph:
+    """Load and validate a dataset directory.
+
+    ``cache_dir`` is a directory for the parsed triple arrays, one
+    ``<split>.npy`` per split. When it holds all three they stand in for the
+    per-line parse of the triple files; otherwise the parse runs and its
+    arrays are saved there once the graph built from them has validated.
+    Either way the text tables are read and the constructor checks ranges,
+    duplicates and disjointness. The caller must key the directory by the
+    dataset files' content: a hit does not look at the triple files.
+    """
     ent_rows = _read_text_table(os.path.join(dataset_dir, ENTITY_NAME_FILE))
     rel_rows = _read_text_table(os.path.join(dataset_dir, RELATION_NAME_FILE))
     entity_keys = [k for k, _ in ent_rows]
@@ -273,9 +287,21 @@ def load_kg(dataset_dir: str) -> KnowledgeGraph:
             raise DataError(f"{ENTITY_DESC_FILE}: description for unknown entity {key!r}")
         descriptions[entity_ids[key]] = text
 
-    train = _read_triples(os.path.join(dataset_dir, TRAIN_FILE), entity_ids, relation_ids)
-    valid = _read_triples(os.path.join(dataset_dir, VALID_FILE), entity_ids, relation_ids)
-    test = _read_triples(os.path.join(dataset_dir, TEST_FILE), entity_ids, relation_ids)
-    return KnowledgeGraph(
-        entity_keys, entity_names, descriptions, relation_keys, relation_names, train, valid, test
+    cached = []
+    if cache_dir:
+        cached = [os.path.join(cache_dir, f"{name}.npy") for name in ("train", "valid", "test")]
+    hit = bool(cached) and all(map(os.path.isfile, cached))
+    if hit:
+        splits = [np.load(path, allow_pickle=False) for path in cached]
+    else:
+        splits = [
+            _read_triples(os.path.join(dataset_dir, name), entity_ids, relation_ids)
+            for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
+        ]
+    kg = KnowledgeGraph(
+        entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits
     )
+    if cached and not hit:
+        for path, rows in zip(cached, splits):
+            np.save(path, rows)
+    return kg

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from kgrerank import cli, discriminator
+from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import read_instruction_records
@@ -220,19 +221,40 @@ def test_values_that_would_do_the_wrong_thing_are_config_errors(tmp_path, toy_di
     assert not (workdir.exists() and any(e.startswith("eval-") for e in os.listdir(workdir)))
 
 
-def test_editing_a_dataset_file_in_place_retrains(tmp_path, toy_dir):
+def _count_parses(monkeypatch):
+    """The name of every triple file parsed from now on, one per parse."""
+    parsed = []
+    original = kg_module._read_triples
+
+    def counting(path, *args):
+        parsed.append(os.path.basename(path))
+        return original(path, *args)
+
+    monkeypatch.setattr(kg_module, "_read_triples", counting)
+    return parsed
+
+
+def test_editing_a_dataset_file_in_place_retrains(tmp_path, toy_dir, monkeypatch):
     dataset = tmp_path / "dataset"
     shutil.copytree(toy_dir, dataset)
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", dataset, workdir)
     assert main(["train-embeddings", "--config", cfg]) == 0
     before = {e for e in os.listdir(workdir) if e.endswith(".ckpt")}
+    graphs = {e for e in os.listdir(workdir) if e.startswith("graph-")}
     train_file = dataset / "train.txt"
     lines = train_file.read_text(encoding="utf-8").splitlines(keepends=True)
     train_file.write_text("".join(lines[:-1]), encoding="utf-8")  # drop one fact
+    parsed = _count_parses(monkeypatch)
     assert main(["train-embeddings", "--config", cfg]) == 0
     after = {e for e in os.listdir(workdir) if e.endswith(".ckpt")}
     assert len(before) == 1 and len(after - before) == 1
+    # the parsed triples move to a new address, parsed from the edited file
+    new_graphs = {e for e in os.listdir(workdir) if e.startswith("graph-")} - graphs
+    assert len(graphs) == 1 and len(new_graphs) == 1
+    assert sorted(parsed) == ["test.txt", "train.txt", "valid.txt"]
+    cached = np.load(os.path.join(workdir, new_graphs.pop(), "train.npy"))
+    assert len(cached) == len(lines) - 1
 
 
 def test_editing_the_scripted_fixture_in_place_reevaluates(tmp_path, toy_dir):
@@ -603,10 +625,17 @@ def test_full_pipeline_runs_are_byte_identical(tmp_path, toy_dir):
             assert main([command, "--config", cfg]) == 0
         # one entry per stage address, and nothing else: no manifest, no *.tmp
         entries = sorted(os.listdir(workdir))
-        patterns = (r"embeddings-[0-9a-f]{12}\.ckpt", r"eval-[0-9a-f]{12}", r"finetune-[0-9a-f]{12}", r"report-[0-9a-f]{12}")
-        assert len(entries) == 4 and all(map(re.fullmatch, patterns, entries)), entries
+        patterns = (
+            r"embeddings-[0-9a-f]{12}\.ckpt",
+            r"eval-[0-9a-f]{12}",
+            r"finetune-[0-9a-f]{12}",
+            r"graph-[0-9a-f]{12}",
+            r"report-[0-9a-f]{12}",
+        )
+        assert len(entries) == 5 and all(map(re.fullmatch, patterns, entries)), entries
         blob = open(workdir_file(workdir, "embeddings-"), "rb").read()
         for prefix, names in (
+            ("graph-", ("train.npy", "valid.npy", "test.npy")),
             ("finetune-", ("instructions.jsonl", "holdout.jsonl", "summary.json")),
             ("eval-", ("instructions.jsonl", "summary.json")),
             ("report-", ("report.json",)),
@@ -726,7 +755,7 @@ def test_a_rerun_replaces_what_an_interrupted_run_left(tmp_path, toy_dir):
     cfg = load_config(cfg_path)
     # what earlier versions left: an empty report directory after a dead
     # endpoint, an eval set whose build failed before its summary, and the
-    # temporaries of killed runs
+    # temporaries of killed runs, the parsed graph's among them
     os.makedirs(stage_output(cfg, "report"))
     os.makedirs(stage_output(cfg, "eval"))
     with open(os.path.join(stage_output(cfg, "eval"), "instructions.jsonl"), "w") as f:
@@ -736,11 +765,78 @@ def test_a_rerun_replaces_what_an_interrupted_run_left(tmp_path, toy_dir):
         f.write("{")
     with open(stage_output(cfg, "embeddings") + ".ckpt.tmp", "wb") as f:
         f.write(b"KGE")
+    os.makedirs(stage_output(cfg, "graph") + ".tmp")
+    with open(os.path.join(stage_output(cfg, "graph") + ".tmp", "train.npy"), "wb") as f:
+        f.write(b"\x93NUM")
     fresh_cfg = write_config(tmp_path / "fresh.ini", toy_dir, tmp_path / "fresh")
     for path in (fresh_cfg, cfg_path):
         for command in ("train-embeddings", "build-finetune", "build-eval", "evaluate"):
             assert main([command, "--config", path]) == 0
     assert _tree(stale) == _tree(tmp_path / "fresh")
+
+
+def test_the_triple_files_are_parsed_once_per_workdir(tmp_path, toy_dir, monkeypatch):
+    parsed = _count_parses(monkeypatch)
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    for command in ("train-embeddings", "build-finetune", "build-eval"):
+        assert main([command, "--config", cfg]) == 0
+    assert sorted(parsed) == ["test.txt", "train.txt", "valid.txt"]
+
+
+def test_a_graph_read_from_the_cache_equals_the_parsed_graph(tmp_path, toy_dir, monkeypatch):
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
+    first = cli._load_graph(cfg)
+    assert sorted(os.listdir(stage_output(cfg, "graph"))) == ["test.npy", "train.npy", "valid.npy"]
+    parsed = _count_parses(monkeypatch)
+    cached = cli._load_graph(cfg)
+    assert parsed == []
+    reference = load_kg(toy_dir)
+    for graph in (first, cached):  # the miss returns what it parsed, the hit what it read
+        for split in ("train", "valid", "test"):
+            assert getattr(graph, split).tobytes() == getattr(reference, split).tobytes()
+            assert getattr(graph, split).shape == getattr(reference, split).shape
+        for h in range(reference.num_entities):
+            assert np.array_equal(graph.incident_rows(h), reference.incident_rows(h))
+            for r in range(reference.num_relations):
+                assert np.array_equal(graph.known_tails(h, r), reference.known_tails(h, r))
+                assert np.array_equal(graph.known_heads(r, h), reference.known_heads(r, h))
+        assert np.array_equal(graph.cooc, reference.cooc)
+        assert graph.entity_names == reference.entity_names
+        assert graph.entity_descriptions == reference.entity_descriptions
+
+
+@pytest.mark.parametrize(
+    "split, line, message",
+    [
+        ("test.txt", "E0\tR0", r"test\.txt:13: expected 3 tab-separated fields"),
+        ("valid.txt", None, "splits share triples"),
+    ],
+    ids=["bad-line", "not-disjoint"],
+)
+def test_a_dataset_that_fails_to_load_leaves_no_graph(tmp_path, toy_dir, capsys, split, line, message):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(toy_dir, dataset)
+    if line is None:  # a training fact, which the valid split may not repeat
+        line = (dataset / "train.txt").read_text(encoding="utf-8").splitlines()[0]
+    with open(dataset / split, "a", encoding="utf-8") as f:
+        f.write(line + "\n")
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", dataset, workdir)
+    assert main(["train-embeddings", "--config", cfg]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not [e for e in os.listdir(workdir) if e.startswith("graph-")]
+
+
+@pytest.mark.parametrize(
+    "command, emptied", [("build-finetune", "valid.txt"), ("evaluate", "test.txt")]
+)
+def test_an_empty_split_is_a_data_error(tmp_path, toy_dir, capsys, command, emptied):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(toy_dir, dataset)
+    (dataset / emptied).write_text("", encoding="utf-8")
+    cfg = write_config(tmp_path / "run.ini", dataset, tmp_path / "w")
+    assert main([command, "--config", cfg]) == 2
+    assert re.search(r"^data error: .*non-empty", capsys.readouterr().err, re.MULTILINE)
 
 
 def run_script(name, args, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from kgrerank.embeddings import (
     EmbeddingTable,
     TrainConfig,
     TrainingDiverged,
+    _scatter_add,
     init_embeddings,
     train,
 )
@@ -205,6 +208,62 @@ def test_train_loss_windows_non_increasing():
     windows = [np.mean(losses[i : i + 10]) for i in range(0, cfg.epochs, 10)]
     for earlier, later in zip(windows, windows[1:]):
         assert later <= earlier
+
+
+@st.composite
+def scatter_case(draw):
+    """A table, scatter rows and gradient rows of mixed magnitude (1e-200 to
+    1e200, either sign) with zeros of both signs. One row repeats hundreds of
+    times, as a frequent relation does in a batch."""
+    n_rows = draw(st.integers(min_value=1, max_value=12))
+    dim = draw(st.integers(min_value=1, max_value=6))
+    repeats = draw(st.integers(min_value=100, max_value=400))
+    others = draw(st.integers(min_value=0, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = rng.permutation(
+        np.concatenate([np.full(repeats, draw(st.integers(0, n_rows - 1))), rng.integers(0, n_rows, others)])
+    )
+
+    def values(shape):
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-200, 201, size=shape)
+        zero = rng.random(shape) < 0.2
+        v[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+        return v
+
+    return values((n_rows, dim)), rows.astype(np.int64), values((len(rows), dim))
+
+
+@given(scatter_case())
+@settings(max_examples=60, deadline=None)
+def test_scatter_add_is_bit_equal_to_add_at(case):
+    table, rows, grads = case
+    expected = table.copy()
+    np.add.at(expected, rows, grads)
+    _scatter_add(table, rows, grads)
+    assert table.tobytes() == expected.tobytes()
+
+
+def _pinned_graph():
+    rng = np.random.default_rng(11)
+    relations = rng.choice(3, size=300, p=[0.8, 0.15, 0.05])
+    facts = np.stack([rng.integers(0, 40, 300), relations, rng.integers(0, 40, 300)], axis=1)
+    return build_kg(40, 3, train=[tuple(t) for t in facts.tolist() if t[0] != t[2]])
+
+
+# sha256 of the trained vectors as computed with np.add.at scattering rows;
+# an epoch change that is not bit-exact changes them
+@pytest.mark.parametrize(
+    "norm, digest",
+    [
+        ("L1", "01ed4484f460b7d4e15dc6d640e6a94c08232e52c472d8cbed495fed927a0f5e"),
+        ("L2", "f15c5076a58d15d71c40651106ad54472c66fb6c7b4fc5a2cf66ef417dd01c01"),
+    ],
+    ids=["L1", "L2"],
+)
+def test_trained_bytes_are_pinned(norm, digest):
+    cfg = TrainConfig(dim=10, learning_rate=0.05, epochs=4, batch_size=128, negatives=2, seed=5, norm=norm)
+    table = train(_pinned_graph(), cfg)
+    assert hashlib.sha256(table.entity_vecs.tobytes() + table.relation_vecs.tobytes()).hexdigest() == digest
 
 
 def test_train_empty_split_rejected():

@@ -18,6 +18,7 @@ from kgrerank.discriminator import (
 from kgrerank.evaluation import evaluate, format_table
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import BuildOptions, InstructionSample
+from kgrerank.kg import DataError
 from kgrerank.ranking import ConfidenceParams, Query, base_model_metrics, metrics, queries_for_triple
 
 PARAMS = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
@@ -194,7 +195,7 @@ def test_report_dict_and_table(toy_set):
 
 def test_evaluate_requires_test_triples(toy_table):
     kg = build_kg(4, 1, train=[(0, 0, 1)])
-    with pytest.raises(ValueError, match="non-empty test split"):
+    with pytest.raises(DataError, match="non-empty test split"):
         evaluate(*eval_samples(kg, toy_table, ConfidenceParams(m=3)), OracleBackend())
 
 
