@@ -2,8 +2,10 @@
 """Run the ablation grid: full prompts, dropped sections, uniform neighbor
 sampling, and shuffled candidate order, all against one config and backend.
 
-Each variant evaluates into its own content-addressed report directory, so
-reruns reuse finished work.
+Takes the stages' --config and repeatable --set; each --set applies to every
+variant, so --set backend.kind=oracle evaluates the whole grid with that
+backend. Each variant evaluates into its own content-addressed report
+directory, so reruns reuse finished work.
 """
 
 import argparse
@@ -23,16 +25,16 @@ VARIANTS = [
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", required=True)
+    parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument(
-        "--backend", default=None, help="override backend.kind for every variant"
+        "--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE",
+        help="override a config key in every variant (repeatable)",
     )
     args = parser.parse_args()
 
     rows = []
-    for label, overrides in VARIANTS:
-        if args.backend:
-            overrides = overrides + [f"backend.kind={args.backend}"]
+    for label, variant in VARIANTS:
+        overrides = args.overrides + variant
         flags = [f"--set={o}" for o in overrides]
         rc = cli_main(["evaluate", "--config", args.config, *flags])
         if rc != 0:

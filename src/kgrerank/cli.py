@@ -28,7 +28,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .discriminator import BackendConfig, BackendError, make_backend
-from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
+from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, is_whole_checkpoint, train
 from .evaluation import evaluate, format_table
 from .instructions import (
     TEMPLATE_VERSION,
@@ -237,7 +237,7 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
+def load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
     """The dataset's graph, whose triple files are parsed once per workdir: the
     first load publishes the parsed arrays at the ``graph`` address, and later
     loads read them from there."""
@@ -251,14 +251,15 @@ def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
 
 
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
-    """Train the embedding checkpoint if its content address is absent."""
+    """Train the embedding checkpoint if its content address is absent, or
+    holds a file shorter or longer than its header declares."""
     os.makedirs(cfg.pipeline.workdir, exist_ok=True)
     ckpt = stage_output(cfg, "embeddings") + ".ckpt"
-    if os.path.isfile(ckpt):
+    if os.path.isfile(ckpt) and is_whole_checkpoint(ckpt):
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
     if kg is None:
-        kg = _load_graph(cfg)
+        kg = load_graph(cfg)
     logger.info(
         "training embeddings: %d entities, %d relations, %d train triples",
         kg.num_entities, kg.num_relations, len(kg.train),
@@ -290,7 +291,7 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
     if os.path.isfile(os.path.join(outdir, "summary.json")):
         logger.info("%s set up to date: %s", which, outdir)
         return outdir
-    kg = _load_graph(cfg)
+    kg = load_graph(cfg)
     _check_m(cfg, kg)
     ckpt = ensure_embeddings(cfg, kg)
     table = EmbeddingTable.load(ckpt)
@@ -437,10 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, TrainingDiverged) as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -350,3 +351,15 @@ def read_vector_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
     relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
     return entity_vecs, relation_vecs, _NORM_NAMES[norm_code]
+
+
+def is_whole_checkpoint(path: str) -> bool:
+    """Whether the file at ``path`` is as long as its header declares. Older
+    versions saved a checkpoint in place, so a crash could leave one cut short
+    at its address; the pipeline takes such a file for absent and retrains."""
+    with open(path, "rb") as f:
+        header = f.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        return False
+    _, _, n_ent, n_rel, dim, _ = _HEADER.unpack(header)
+    return os.path.getsize(path) == _HEADER.size + (n_ent + n_rel) * dim * 8

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -286,17 +286,9 @@ def read_instruction_records(path: str) -> list[dict]:
 
 
 def _options_summary(params: ConfidenceParams, options: BuildOptions) -> dict:
-    return {
-        "m": params.m,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "gamma": options.gamma,
-        "template_version": TEMPLATE_VERSION,
-        "drop_description": options.drop_description,
-        "drop_neighbors": options.drop_neighbors,
-        "rc_sampling": options.rc_sampling,
-        "shuffle_candidates": options.shuffle_candidates,
-    }
+    """Every ``[ranker]`` and ``[instruct]`` value that built a set (the two
+    sections share no key), and the template version."""
+    return {**asdict(params), **asdict(options), "template_version": TEMPLATE_VERSION}
 
 
 def build_eval_set(
@@ -305,24 +297,20 @@ def build_eval_set(
     params: ConfidenceParams,
     options: BuildOptions,
     instructions_path: str,
-    id_prefix: str = "test",
     triples: list[Triple] | None = None,
 ) -> dict:
     """One untruncated sample per direction for every test triple."""
     source = kg.test if triples is None else triples
     with InstructionWriter(instructions_path) as w:
-        _write_samples(w, kg, table, params, options, enumerate(source), id_prefix, truncate=False)
+        _write_samples(w, kg, table, params, options, enumerate(source), "test", truncate=False)
         written = w.count
         chars = w.prompt_chars
-    summary = _options_summary(params, options)
-    summary.update(
-        {
-            "queries": written,
-            "written": written,
-            "mean_prompt_chars": (chars / written) if written else 0.0,
-        }
-    )
-    return summary
+    return {
+        **_options_summary(params, options),
+        "queries": written,
+        "written": written,
+        "mean_prompt_chars": (chars / written) if written else 0.0,
+    }
 
 
 def build_finetune_set(
@@ -359,16 +347,12 @@ def build_finetune_set(
         _write_samples(w, kg, table, params, options, part, "valid", truncate=False)
         holdout = w.count
 
-    summary = _options_summary(params, options)
-    summary.update(
-        {
-            "valid_triples": len(kg.valid),
-            "queries": 2 * len(part1),
-            "kept": kept,
-            "dropped": 2 * len(part1) - kept,
-            "holdout_queries": holdout,
-            "mean_prompt_chars": (chars / kept) if kept else 0.0,
-            "split_seed": options.split_seed,
-        }
-    )
-    return summary
+    return {
+        **_options_summary(params, options),
+        "valid_triples": len(kg.valid),
+        "queries": 2 * len(part1),
+        "kept": kept,
+        "dropped": 2 * len(part1) - kept,
+        "holdout_queries": holdout,
+        "mean_prompt_chars": (chars / kept) if kept else 0.0,
+    }

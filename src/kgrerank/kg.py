@@ -108,15 +108,13 @@ class KnowledgeGraph:
             raise DataError("splits share triples; they must be disjoint")
         self._train_keys = _readonly(np.sort(keys[0]))
 
-        # filter index: every true fact keyed by (h, r) with its tail, sorted
-        # by (h, r) then t, and keyed by (r, t) with its head
+        # filter index: every true fact's key (h·R + r)·E + t, sorted, and
+        # its head-ordered key (r·E + t)·E + h, sorted; the facts of one
+        # (h, r) or (r, t) form one run of E consecutive key values
         n_e = self.num_entities
-        self._tail_keys = _readonly(all_keys // n_e)
-        self._tail_ids = _readonly(all_keys % n_e)
+        self._all_keys = _readonly(all_keys)
         every = np.concatenate(splits)
-        head_keys = np.sort((every[:, 1] * n_e + every[:, 2]) * n_e + every[:, 0])
-        self._head_keys = _readonly(head_keys // n_e)
-        self._head_ids = _readonly(head_keys % n_e)
+        self._head_keys = _readonly(np.sort((every[:, 1] * n_e + every[:, 2]) * n_e + every[:, 0]))
 
         # CSR adjacency: train row numbers per entity, in file order; a
         # self-loop is listed once
@@ -142,15 +140,15 @@ class KnowledgeGraph:
 
     def known_tails(self, head: int, relation: int) -> np.ndarray:
         """Sorted ids t with (head, relation, t) true in any split."""
-        key = head * self.num_relations + relation
-        lo, hi = np.searchsorted(self._tail_keys, (key, key + 1))
-        return self._tail_ids[lo:hi]
+        base = (head * self.num_relations + relation) * self.num_entities
+        lo, hi = np.searchsorted(self._all_keys, (base, base + self.num_entities))
+        return self._all_keys[lo:hi] - base
 
     def known_heads(self, relation: int, tail: int) -> np.ndarray:
         """Sorted ids h with (h, relation, tail) true in any split."""
-        key = relation * self.num_entities + tail
-        lo, hi = np.searchsorted(self._head_keys, (key, key + 1))
-        return self._head_ids[lo:hi]
+        base = (relation * self.num_entities + tail) * self.num_entities
+        lo, hi = np.searchsorted(self._head_keys, (base, base + self.num_entities))
+        return self._head_keys[lo:hi] - base
 
     def in_train(self, rows: np.ndarray) -> np.ndarray:
         """Whether each (h, r, t) row of an ``(n, 3)`` id array is a training fact."""

@@ -4,6 +4,7 @@ import hashlib
 import http.server
 import importlib.util
 import json
+import logging
 import os
 import re
 import typing
@@ -682,6 +683,43 @@ def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cut", [lambda b: b[: len(b) // 2], lambda b: b[:3], lambda b: b + bytes(8)], ids=["halved", "header", "longer"]
+)
+def test_a_checkpoint_of_the_wrong_size_is_retrained(tmp_path, toy_dir, cut):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["train-embeddings", "--config", cfg]) == 0
+    ckpt = workdir_file(tmp_path / "w", "embeddings-")
+    with open(ckpt, "rb") as f:
+        whole = f.read()
+    with open(ckpt, "wb") as f:  # what a crash in an older version's in-place save left
+        f.write(cut(whole))
+    assert main(["build-eval", "--config", cfg]) == 0
+    with open(ckpt, "rb") as f:
+        assert f.read() == whole
+
+
+def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir):
+    sets = [
+        "ranker.m=4", "ranker.alpha=0.5", "ranker.beta=0.25", "ranker.local_norm=raw",
+        "instruct.gamma=3", "instruct.max_description_chars=40", "instruct.drop_description=true",
+        "instruct.drop_neighbors=true", "instruct.rc_sampling=false", "instruct.shuffle_candidates=true",
+        "instruct.shuffle_seed=4", "instruct.neighbor_seed=5", "instruct.split_seed=6",
+    ]
+    ranker, instruct = (dataclasses.fields(cli._SECTIONS[s]) for s in ("ranker", "instruct"))
+    assert not {f.name for f in ranker} & {f.name for f in instruct}
+    assert len(sets) == len(ranker) + len(instruct)  # every key set away from its default
+    cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    cfg = load_config(cfg_path, sets)
+    for which in ("finetune", "eval"):
+        assert main([f"build-{which}", "--config", cfg_path, *(f"--set={s}" for s in sets)]) == 0
+        with open(os.path.join(stage_output(cfg, which), "summary.json"), encoding="utf-8") as f:
+            summary = json.load(f)
+        for section, fields in (("ranker", ranker), ("instruct", instruct)):
+            for f in fields:
+                assert summary[f.name] == getattr(getattr(cfg, section), f.name), (which, f.name)
+
+
 def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     calls = []
@@ -785,10 +823,10 @@ def test_the_triple_files_are_parsed_once_per_workdir(tmp_path, toy_dir, monkeyp
 
 def test_a_graph_read_from_the_cache_equals_the_parsed_graph(tmp_path, toy_dir, monkeypatch):
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
-    first = cli._load_graph(cfg)
+    first = cli.load_graph(cfg)
     assert sorted(os.listdir(stage_output(cfg, "graph"))) == ["test.npy", "train.npy", "valid.npy"]
     parsed = _count_parses(monkeypatch)
-    cached = cli._load_graph(cfg)
+    cached = cli.load_graph(cfg)
     assert parsed == []
     reference = load_kg(toy_dir)
     for graph in (first, cached):  # the miss returns what it parsed, the hit what it read
@@ -866,8 +904,10 @@ def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
 
 
 def test_run_benchmark_transe_script(tmp_path, toy_dir, monkeypatch, capsys):
-    ckpt = str(tmp_path / "table.ckpt")
-    args = ["--dataset", toy_dir, "--epochs", "5", "--dim", "8", "--m", "5", "--checkpoint", ckpt]
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    sets = ["embedder.epochs=5", "embedder.dim=8"]
+    ckpt = stage_output(load_config(cfg, sets), "embeddings") + ".ckpt"
+    args = ["--config", cfg, "--set", sets[0], "--set", sets[1]]
     lines = run_script("run_benchmark_transe", args, monkeypatch, capsys)
     combined = next(line.split() for line in lines if line.startswith("combined"))
     kg, table = load_kg(toy_dir), EmbeddingTable.load(ckpt)
@@ -875,9 +915,32 @@ def test_run_benchmark_transe_script(tmp_path, toy_dir, monkeypatch, capsys):
     assert combined[1:3] == ["MRR", f"{metrics(ranks)['mrr']:.4f}"]
 
 
+def test_a_benchmark_rerun_reuses_the_staged_checkpoint_and_graph(tmp_path, toy_dir, monkeypatch, capsys, caplog):
+    caplog.set_level(logging.DEBUG, logger="kgrerank.embeddings")
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    trained = []
+    original = cli.train
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(1) or original(*args, **kwargs))
+    parsed = _count_parses(monkeypatch)
+
+    def metric_rows(lines):
+        return [line for line in lines if line.split()[:1] in (["head"], ["tail"], ["combined"])]
+
+    first = metric_rows(run_script("run_benchmark_transe", ["--config", cfg], monkeypatch, capsys))
+    assert (len(trained), len(parsed)) == (1, 3)
+    assert "epoch 39 mean loss" in caplog.text  # the mean loss of the last of 40 epochs
+    del trained[:], parsed[:]
+    second = metric_rows(run_script("run_benchmark_transe", ["--config", cfg], monkeypatch, capsys))
+    assert (trained, parsed) == ([], [])
+    assert second == first and len(second) == 3
+    kg, table = load_kg(toy_dir), EmbeddingTable.load(stage_output(load_config(cfg), "embeddings") + ".ckpt")
+    ranks = [rank_query(table, kg, q, 5).gold_rank for t in kg.test for q in queries_for_triple(t)]
+    assert second[2].split()[1:3] == ["MRR", f"{metrics(ranks)['mrr']:.4f}"]
+
+
 def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    lines = run_script("run_ablation_grid", ["--config", cfg, "--backend", "oracle"], monkeypatch, capsys)
+    lines = run_script("run_ablation_grid", ["--config", cfg, "--set", "backend.kind=oracle"], monkeypatch, capsys)
     table = lines[lines.index("") + 1 :]
     assert table[0].split()[0] == "variant"
     assert [line[:22].strip() for line in table[1:]] == [

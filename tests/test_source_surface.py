@@ -1,6 +1,9 @@
 """``src/`` holds only what the pipeline runs: every public top-level function,
 class and method of ``kgrerank`` is referenced from ``src/``, ``scripts/`` or
 ``perfbench/``. Code that only the tests call belongs in ``tests/helpers.py``.
+And the scripts use ``kgrerank`` through its public names, and set config
+values through the stages' ``--config`` and ``--set``, never through flags of
+their own that copy a config key.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -14,6 +17,9 @@ import ast
 import glob
 import os
 import re
+from dataclasses import fields
+
+from kgrerank.cli import _SECTIONS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -66,3 +72,38 @@ def unreferenced_public_names():
 
 def test_every_public_definition_in_src_is_used_outside_the_tests():
     assert unreferenced_public_names() == set()
+
+
+def script_paths():
+    """The scripts that read a config: all but the dataset generator."""
+    paths = glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+    return sorted(p for p in paths if os.path.basename(p) != "make_toy_dataset.py")
+
+
+def declared_flags(tree):
+    """Each option string of an ``add_argument`` call, with ``-`` read as ``_``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and str(arg.value).startswith("-"):
+                    yield arg.value.lstrip("-").replace("-", "_")
+
+
+def test_no_script_declares_a_config_key_as_a_flag():
+    schema = set(_SECTIONS) | {f.name for cls in _SECTIONS.values() for f in fields(cls)}
+    clashes = {
+        os.path.basename(path): sorted(set(declared_flags(_parse(path))) & schema) for path in script_paths()
+    }
+    assert {script: flags for script, flags in clashes.items() if flags} == {}
+
+
+def test_no_script_imports_a_private_kgrerank_name():
+    private = {
+        (os.path.basename(path), alias.name)
+        for path in glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kgrerank")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == set()
