@@ -13,12 +13,14 @@ model that never answers.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .instructions import InstructionSample
 
@@ -143,24 +145,29 @@ def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
         "model": config.model,
         "messages": [{"role": "user", "content": sample.prompt}],
     }
+    try:
+        request = urllib.request.Request(config.endpoint, json.dumps(payload).encode(), headers)
+    except ValueError as exc:  # no URL scheme
+        raise BackendError(f"bad endpoint URL: {exc}") from exc
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
             time.sleep(config.backoff * 2 ** (attempt - 1))
         try:
-            resp = requests.post(
-                config.endpoint, json=payload, headers=headers, timeout=config.timeout
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=config.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # a status outside 2xx; an OSError, so caught first
+            status, body = exc.code, _error_body(exc)
+        except (OSError, http.client.HTTPException) as exc:  # refused, reset, timed out
             last_error = exc
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = BackendError(f"server returned {resp.status_code}")
+        if status == 429 or status >= 500:
+            last_error = BackendError(f"server returned {status}")
             continue
-        if resp.status_code != 200:
-            raise BackendError(f"server returned {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            raise BackendError(f"server returned {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):  # null for a refusal or a tool call
@@ -169,6 +176,16 @@ def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
     raise BackendError(
         f"request failed after {config.retries + 1} attempt(s): {last_error}"
     ) from last_error
+
+
+def _error_body(exc: urllib.error.HTTPError) -> bytes:
+    """The body of an error response, or b"" when reading it fails."""
+    try:
+        return exc.read()
+    except (OSError, http.client.HTTPException):
+        return b""
+    finally:
+        exc.close()
 
 
 class RemoteBackend:

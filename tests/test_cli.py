@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import glob
 import hashlib
 import http.server
 import importlib.util
@@ -576,14 +577,15 @@ def test_a_retried_server_error_still_gives_a_clean_report(tmp_path, toy_dir):
     assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
 
 
-@pytest.mark.parametrize("reply", [500, 429, "malformed", "null", "timeout"])
+@pytest.mark.parametrize("reply", [500, 429, 400, 201, "malformed", "null", "timeout"])
 def test_a_failing_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, capsys, reply):
     timeout = 0.2 if reply == "timeout" else 5.0
     code, stub, names = evaluate_against_stub(tmp_path, toy_dir, lambda n: reply, timeout)
     assert code == 3
     assert "backend error" in capsys.readouterr().err
     if reply != "timeout":  # a timed-out request may not have reached the stub yet
-        assert stub.requests == (1 if reply in ("malformed", "null") else 2)  # a malformed body is not retried
+        # a malformed body, a client error and any other success than 200 are not retried
+        assert stub.requests == (1 if reply in ("malformed", "null", 400, 201) else 2)
     assert not any(name.startswith("report-") for name in names)
 
 
@@ -889,18 +891,26 @@ def run_script(name, args, monkeypatch, capsys):
 
 def test_sweep_beta_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    lines = run_script("sweep_beta", ["--config", cfg, "--betas", "0,1.0"], monkeypatch, capsys)
+    args = ["--config", cfg, "--betas", "0,1.0", "--set", "instruct.drop_neighbors=true"]
+    lines = run_script("sweep_beta", args, monkeypatch, capsys)
     rows = [row for row in map(str.split, lines) if row[:1] in (["0.000"], ["1.000"])]
     assert rows[0][1:] == ["20", "20", "0"]  # beta 0 keeps every query
     assert int(rows[1][2]) <= 20 and int(rows[1][2]) + int(rows[1][3]) == 20
+    summaries = [json.load(open(path)) for path in glob.glob(str(tmp_path / "w" / "finetune-*" / "summary.json"))]
+    assert sorted(s["beta"] for s in summaries) == [0.0, 1.0]
+    assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every beta
 
 
 def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    lines = run_script("sweep_m", ["--config", cfg, "--ms", "2,9"], monkeypatch, capsys)
+    args = ["--config", cfg, "--ms", "2,9", "--set", "instruct.drop_neighbors=true"]
+    lines = run_script("sweep_m", args, monkeypatch, capsys)
     rows = [row for row in map(str.split, lines) if row[:1] in (["2"], ["9"])]
     assert [(r[0], r[1]) for r in rows] == [("2", "24"), ("9", "24")]
     assert float(rows[0][2]) < float(rows[1][2])
+    summaries = [json.load(open(path)) for path in glob.glob(str(tmp_path / "w" / "eval-*" / "summary.json"))]
+    assert sorted(s["m"] for s in summaries) == [2, 9]
+    assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every m
 
 
 def test_run_benchmark_transe_script(tmp_path, toy_dir, monkeypatch, capsys):

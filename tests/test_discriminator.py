@@ -144,14 +144,22 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     text = "fixed answer"
     requests_seen = 0
     last_body = b""
+    last_headers = None
 
     def do_POST(self):
         type(self).requests_seen += 1
+        type(self).last_headers = self.headers
         length = int(self.headers.get("Content-Length", 0))
         type(self).last_body = self.rfile.read(length)
         if type(self).behavior == "error":
             self.send_response(500)
             self.end_headers()
+            return
+        if type(self).behavior == "cut":  # a 400 whose body ends before its declared length
+            self.send_response(400)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b"partial")
             return
         if type(self).behavior == "slow":
             time.sleep(1.0)
@@ -180,6 +188,7 @@ def http_server():
     _Handler.requests_seen = 0
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def remote_config(endpoint, **overrides):
@@ -195,6 +204,18 @@ def test_remote_request_echoes_server_text(http_server):
     assert out == "Los Angeles"
     sent = json.loads(_Handler.last_body)
     assert sent["messages"] == [{"role": "user", "content": sample.prompt}]  # the stored prompt, verbatim
+
+
+def test_remote_request_sends_the_token_only_when_it_is_set(http_server, monkeypatch):
+    config = remote_config(http_server, auth_token_env="KGRERANK_TEST_TOKEN")
+    monkeypatch.setenv("KGRERANK_TEST_TOKEN", "s3cret")
+    remote_request(sample_with(["x"]), config)
+    assert _Handler.last_headers["Authorization"] == "Bearer s3cret"
+    assert _Handler.last_headers["Content-Type"] == "application/json"
+    monkeypatch.delenv("KGRERANK_TEST_TOKEN")
+    remote_request(sample_with(["x"]), config)
+    assert "Authorization" not in _Handler.last_headers
+    assert _Handler.requests_seen == 2
 
 
 def test_remote_request_surfaces_repeated_server_errors(http_server):
@@ -216,6 +237,13 @@ def test_remote_request_rejects_malformed_body(http_server):
         remote_request(sample_with(["x"]), remote_config(http_server, retries=0))
 
 
+def test_an_unreadable_error_body_is_a_backend_error_without_retry(http_server):
+    _Handler.behavior = "cut"
+    with pytest.raises(BackendError, match="server returned 400"):
+        remote_request(sample_with(["x"]), remote_config(http_server, retries=2))
+    assert _Handler.requests_seen == 1
+
+
 def test_remote_backend_grounds_and_raises_on_failure(http_server):
     _Handler.text = "beta"
     backend = RemoteBackend(remote_config(http_server))
@@ -228,3 +256,5 @@ def test_remote_backend_grounds_and_raises_on_failure(http_server):
 def test_remote_request_unconfigured_endpoint():
     with pytest.raises(BackendError):
         remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="", model="m"))
+    with pytest.raises(BackendError, match="bad endpoint URL"):  # no scheme
+        remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="/v1/chat", model="m"))

@@ -17,7 +17,10 @@ import ast
 import glob
 import os
 import re
+import sys
 from dataclasses import fields
+
+import pytest
 
 from kgrerank.cli import _SECTIONS
 
@@ -107,3 +110,29 @@ def test_no_script_imports_a_private_kgrerank_name():
         if alias.name.startswith("_")
     }
     assert private == set()
+
+
+def imported_modules(tree):
+    """The top-level name of each module an import names; a relative import is ``kgrerank``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "kgrerank" if node.level else node.module.split(".")[0]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    foreign = {
+        (os.path.basename(path), module)
+        for path in glob.glob(os.path.join(ROOT, "src", "kgrerank", "*.py"))
+        for module in imported_modules(_parse(path))
+        if module not in sys.stdlib_module_names | {"numpy", "kgrerank"}
+    }
+    assert foreign == set()
+
+
+def test_numpy_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
