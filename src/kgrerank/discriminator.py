@@ -19,6 +19,7 @@ import math
 import os
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
@@ -137,18 +138,21 @@ def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
     """
     if not config.endpoint:
         raise BackendError("remote backend requires an endpoint URL")
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(config.auth_token_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
+    headers = {"Content-Type": "application/json", "User-Agent": "kgrerank"}
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": sample.prompt}],
     }
     try:
+        parts = urllib.parse.urlsplit(config.endpoint)
+        if parts.scheme not in ("http", "https") or not parts.netloc:  # urlopen also reads file: and data:
+            raise ValueError(f"{config.endpoint!r} is not an http(s) URL")
         request = urllib.request.Request(config.endpoint, json.dumps(payload).encode(), headers)
-    except ValueError as exc:  # no URL scheme
+    except ValueError as exc:
         raise BackendError(f"bad endpoint URL: {exc}") from exc
+    token = os.environ.get(config.auth_token_env, "")
+    if token:  # unredirected: a redirect, to any host, does not carry the token
+        request.add_unredirected_header("Authorization", f"Bearer {token}")
     last_error: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:

@@ -1,3 +1,4 @@
+import contextlib
 import http.server
 import json
 import threading
@@ -145,6 +146,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     requests_seen = 0
     last_body = b""
     last_headers = None
+    location = ""
 
     def do_POST(self):
         type(self).requests_seen += 1
@@ -153,6 +155,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         type(self).last_body = self.rfile.read(length)
         if type(self).behavior == "error":
             self.send_response(500)
+            self.end_headers()
+            return
+        if type(self).behavior == "redirect":
+            self.send_response(302)
+            self.send_header("Location", type(self).location)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         if type(self).behavior == "cut":  # a 400 whose body ends before its declared length
@@ -179,16 +187,33 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+class _RedirectTarget(_Handler):
+    """A second server, reached by following _Handler's redirect as a GET."""
+
+    behavior = "echo"
+
+    def do_GET(self):
+        self.do_POST()
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def http_server():
     _Handler.behavior = "echo"
     _Handler.requests_seen = 0
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+    with _serving(_Handler) as url:
+        yield url
 
 
 def remote_config(endpoint, **overrides):
@@ -212,10 +237,24 @@ def test_remote_request_sends_the_token_only_when_it_is_set(http_server, monkeyp
     remote_request(sample_with(["x"]), config)
     assert _Handler.last_headers["Authorization"] == "Bearer s3cret"
     assert _Handler.last_headers["Content-Type"] == "application/json"
+    assert _Handler.last_headers["User-Agent"] == "kgrerank"
     monkeypatch.delenv("KGRERANK_TEST_TOKEN")
     remote_request(sample_with(["x"]), config)
     assert "Authorization" not in _Handler.last_headers
     assert _Handler.requests_seen == 2
+
+
+def test_a_redirect_does_not_carry_the_token(http_server, monkeypatch):
+    monkeypatch.setenv("KGRERANK_TEST_TOKEN", "s3cret")
+    _RedirectTarget.requests_seen = 0
+    _Handler.text = "beta"
+    with _serving(_RedirectTarget) as target:
+        _Handler.behavior, _Handler.location = "redirect", target
+        out = remote_request(sample_with(["x"]), remote_config(http_server, auth_token_env="KGRERANK_TEST_TOKEN"))
+    assert out == "beta"
+    assert _Handler.last_headers["Authorization"] == "Bearer s3cret"
+    assert _RedirectTarget.requests_seen == 1
+    assert "Authorization" not in _RedirectTarget.last_headers
 
 
 def test_remote_request_surfaces_repeated_server_errors(http_server):
@@ -258,3 +297,6 @@ def test_remote_request_unconfigured_endpoint():
         remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="", model="m"))
     with pytest.raises(BackendError, match="bad endpoint URL"):  # no scheme
         remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="/v1/chat", model="m"))
+    for endpoint in ("data:,x", "file:///dev/null", "http:/v1/chat"):  # not http(s), or no host
+        with pytest.raises(BackendError, match="bad endpoint URL"):
+            remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint=endpoint, model="m"))
