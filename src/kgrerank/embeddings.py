@@ -8,10 +8,11 @@ after every epoch. Each batch's gradient rows are added to the tables one
 at a time in batch order, exactly as ``np.add.at`` adds them; a faster
 scatter must keep that order, or the checkpoint bytes change.
 
-Downstream code only relies on ``score_candidates``, ``coarse_distances``,
-``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
-scorer can replace :class:`EmbeddingTable` without touching the ranking,
-prompt-building, or evaluation modules.
+Downstream code only relies on ``score_candidates``, ``coarse_distances``
+(the first pass of ranking, for L2 tables only), ``query_vector``,
+``entity_vector``, and checkpoint IO, so an alternative scorer can replace
+:class:`EmbeddingTable` without touching the ranking, prompt-building, or
+evaluation modules.
 """
 
 from __future__ import annotations
@@ -102,22 +103,19 @@ class EmbeddingTable:
         return -_residual_norm(u, self.norm)
 
     def coarse_distances(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """Every entity's distance from each of a block of ``(known, relation,
-        direction)`` queries, and each row's error bound.
+        """Every entity's squared L2 distance from each of a block of ``(known,
+        relation, direction)`` queries, and each row's error bound.
 
         For row i and entities a, b, ``dist[i, a] < dist[i, b] - bound[i]``
         implies that ``score_candidates`` of query i scores a strictly above b.
-        L2 rows are squared distances ``|q|^2 - 2 q.e + |e|^2`` from one matrix
-        product, with q = e_known + r (tail) or e_known - r (head), and the
-        bound is ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument
-        is in :mod:`kgrerank.ranking`. A bound that overflows is inf. L1 has no
-        such product: its rows are the exact negated scores, with bound 0.
+        The rows are ``|q|^2 - 2 q.e + |e|^2`` from one matrix product, with
+        q = e_known + r (tail) or e_known - r (head), and the bound is
+        ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument is in
+        :mod:`kgrerank.ranking`. A bound that overflows is inf. An L1 table
+        has no such product, and this is an error on one.
         """
-        if self.norm == "L1":
-            dist = np.empty((len(queries), len(self.entity_vecs)))
-            for row, (known, relation, direction) in zip(dist, queries):
-                np.negative(self.score_candidates(known, relation, direction), out=row)
-            return dist, np.zeros(len(queries))
+        if self.norm != "L2":
+            raise ValueError(f"coarse_distances needs an L2 table, not {self.norm}")
         known, relation, direction = zip(*queries)
         sign = np.where(np.asarray(direction) == TAIL, 1.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -55,7 +55,7 @@ DIRECTIVE = "Select the answer to the query from the candidates above and reply 
 @dataclass
 class BuildOptions:
     """The ``[instruct]`` config section: prompt contents, their ablations and
-    the seeds of every random choice in building a set."""
+    the seed of every random choice in building a set."""
 
     gamma: int = 10
     max_description_chars: int = 512
@@ -63,9 +63,7 @@ class BuildOptions:
     drop_neighbors: bool = False
     rc_sampling: bool = True
     shuffle_candidates: bool = False
-    shuffle_seed: int = 0
-    neighbor_seed: int = 0
-    split_seed: int = 0  # the 9:1 split of the validation triples in build_finetune_set
+    seed: int = 0  # candidate shuffling, uniform neighbors, and the 9:1 validation split
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -92,10 +90,8 @@ class InstructionSample:
     gold_rank: int
 
 
-def rc_sample_neighbors(
-    kg: KnowledgeGraph, cooc, q: Query, gamma: int
-) -> list[Triple]:
-    """Neighbor facts of the known entity ranked by relation co-occurrence.
+def rc_sample_neighbors(kg: KnowledgeGraph, q: Query, gamma: int) -> list[Triple]:
+    """Neighbor facts of the known entity ranked by relation co-occurrence (``kg.cooc``).
 
     Facts are sorted by descending co-occurrence of their relation with the
     query relation, ties broken by ascending relation id and then file
@@ -106,17 +102,15 @@ def rc_sample_neighbors(
         raise ValueError("gamma must be >= 0")
     pool = _neighbor_pool(kg, q)
     rel = pool[:, 1]
-    order = np.lexsort((np.arange(len(pool)), rel, -cooc[rel, q.relation]))
+    order = np.lexsort((np.arange(len(pool)), rel, -kg.cooc[rel, q.relation]))
     return [Triple(*fact) for fact in pool[order[:gamma]].tolist()]
 
 
 def _neighbor_pool(kg: KnowledgeGraph, q: Query) -> np.ndarray:
     """Train facts incident to the known entity, in file order, without the gold fact."""
     pool = kg.train[kg.incident_rows(q.known)]
-    if q.gold is not None:
-        h, r, t = q.completed(q.gold)
-        pool = pool[(pool[:, 0] != h) | (pool[:, 1] != r) | (pool[:, 2] != t)]
-    return pool
+    h, r, t = q.completed(q.gold)
+    return pool[(pool[:, 0] != h) | (pool[:, 1] != r) | (pool[:, 2] != t)]
 
 
 def _uniform_sample_neighbors(
@@ -178,9 +172,6 @@ def build_sample(
     uniform neighbor sampling) so output is independent of processing order.
     """
     q = rq.query
-    if q.gold is None:
-        raise ValueError("instruction samples require a gold answer")
-
     description = ""
     if not options.drop_description:
         description = kg.entity_descriptions[q.known][: options.max_description_chars]
@@ -188,15 +179,15 @@ def build_sample(
     neighbor_facts: list[Triple] = []
     if not options.drop_neighbors and options.gamma > 0:
         if options.rc_sampling:
-            neighbor_facts = rc_sample_neighbors(kg, kg.cooc, q, options.gamma)
+            neighbor_facts = rc_sample_neighbors(kg, q, options.gamma)
         else:
-            rng = np.random.default_rng((options.neighbor_seed, query_index))
+            rng = np.random.default_rng((options.seed, query_index))
             neighbor_facts = _uniform_sample_neighbors(kg, q, options.gamma, rng)
 
     # position k of the top-m holds base rank k + 1
     candidate_ranks = list(range(1, len(rq.topm_ids) + 1))
     if options.shuffle_candidates:
-        rng = np.random.default_rng((options.shuffle_seed, query_index))
+        rng = np.random.default_rng((options.seed, query_index))
         candidate_ranks = [candidate_ranks[i] for i in rng.permutation(len(candidate_ranks))]
     candidate_ids = [rq.topm_ids[rank - 1] for rank in candidate_ranks]
 
@@ -328,7 +319,7 @@ def build_finetune_set(
     """
     if len(kg.valid) == 0:
         raise DataError("finetune building requires a non-empty validation split")
-    rng = np.random.default_rng(options.split_seed)
+    rng = np.random.default_rng(options.seed)
     perm = rng.permutation(len(kg.valid))
     cut = (len(kg.valid) * 9) // 10
     part1 = sorted(int(i) for i in perm[:cut])

@@ -106,7 +106,7 @@ class KnowledgeGraph:
         all_keys = np.sort(np.concatenate(keys))
         if (all_keys[1:] == all_keys[:-1]).any():
             raise DataError("splits share triples; they must be disjoint")
-        self._train_keys = _readonly(np.sort(keys[0]))
+        self._train_keys = _readonly(keys[0])
 
         # filter index: every true fact's key (h·R + r)·E + t, sorted, and
         # its head-ordered key (r·E + t)·E + h, sorted; the facts of one
@@ -187,14 +187,12 @@ class KnowledgeGraph:
         return rows
 
     def _dedup(self, rows: np.ndarray, split_name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Rows without later duplicates, in file order, and their keys."""
-        keys = self._keys(rows)
-        _, first = np.unique(keys, return_index=True)
+        """Rows without later duplicates, in file order, and their keys, sorted."""
+        keys, first = np.unique(self._keys(rows), return_index=True)
         dropped = len(rows) - len(first)
         if dropped:
             logger.warning("%s split: dropped %d duplicated triple(s)", split_name, dropped)
-            first.sort()
-            rows, keys = rows[first], keys[first]
+            rows = rows[np.sort(first)]
         return rows, keys
 
 

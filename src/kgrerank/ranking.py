@@ -1,18 +1,19 @@
 """Filtered ranking: top-m candidates, the gold's rank, confidence scoring, and
 the MRR / Hits@k of gold ranks.
 
-Filtering replaces the scores of entities that complete a known-true triple
-(other than the gold answer) with -inf, so the gold rank is always defined.
+Every query carries its gold answer. Filtering replaces the scores of
+entities that complete a known-true triple (other than the gold answer) with
+-inf, so the gold rank is always defined.
 Nothing is sorted in full: the gold's rank is counted and the top-m come from
 a partition, both as positions in the order "score descending, ties to the
 smaller entity id". The counts need scores that are never NaN, so
 checkpoints holding NaN or infinite values are refused on load.
 
 ``rank_query`` scores every entity exactly, one query at a time.
-``rank_queries`` returns the same rankings bit for bit, but scores most
-entities only approximately, a block of queries at a time: its L2 first pass
-(``EmbeddingTable.coarse_distances``) computes squared distances as
-``|q|^2 - 2 q.e + |e|^2`` with one matrix product, while the exact scores
+``rank_queries`` returns the same rankings bit for bit. On an L2 table it
+scores most entities only approximately, a block of queries at a time: its
+first pass (``EmbeddingTable.coarse_distances``) computes squared distances
+as ``|q|^2 - 2 q.e + |e|^2`` with one matrix product, while the exact scores
 (``score_candidates``) are ``-sqrt(sum(u * u))`` of the residual u. Only the
 entities whose first-pass value lies within the bound
 ``delta = 16 (dim + 4) (eps R^2 + tiny)``, ``R = |q| + max |e|``, of the
@@ -35,8 +36,8 @@ roundoff u = eps / 2 and n = dim:
   of delta and of the comparisons themselves; the ``tiny`` term covers
   underflow.
 
-L1 has no such product: its first pass is the exact broadcast, with
-delta = 0, so the same steps select the same entities from exact values.
+L1 has no such product, so ``rank_queries`` ranks each query of an L1 table
+with ``rank_query``: every entity is scored once, exactly.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Query:
     known: int
     relation: int
     direction: str  # HEAD or TAIL
-    gold: int | None = None
+    gold: int
 
     def completed(self, entity: int) -> Triple:
         if self.direction == TAIL:
@@ -77,8 +78,8 @@ class RankedQuery:
     query: Query
     topm_ids: list[int]
     topm_scores: list[float]
-    gold_rank: int | None
-    gold_score: float | None
+    gold_rank: int
+    gold_score: float
 
 
 @dataclass
@@ -113,9 +114,7 @@ def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
         known_true = kg.known_tails(q.known, q.relation)
     else:
         known_true = kg.known_heads(q.relation, q.known)
-    if q.gold is not None:
-        known_true = known_true[known_true != q.gold]
-    return known_true
+    return known_true[known_true != q.gold]
 
 
 def _count_and_select(
@@ -125,13 +124,9 @@ def _count_and_select(
     ``ids`` (ascending; all entities when None). ``above`` counts the entities
     outside ``ids`` that are known to score strictly above the gold; every
     entity outside ``ids`` is known to score strictly below the m-th best."""
-    gold_rank = gold_score = None
-    if q.gold is not None:
-        gold_pos = q.gold if ids is None else int(np.searchsorted(ids, q.gold))
-        g = scores[gold_pos]
-        gold_score = float(g)
-        ties_before = np.count_nonzero(scores[:gold_pos] == g)
-        gold_rank = above + int(np.count_nonzero(scores > g) + ties_before) + 1
+    gold_pos = q.gold if ids is None else int(np.searchsorted(ids, q.gold))
+    g = scores[gold_pos]
+    ties_before = np.count_nonzero(scores[:gold_pos] == g)
     # everything above the m-th best score, sorted; then the ties at it, in id order
     mth = np.partition(scores, len(scores) - m)[len(scores) - m]
     above_mth = np.flatnonzero(scores > mth)
@@ -141,8 +136,8 @@ def _count_and_select(
         query=q,
         topm_ids=[int(e) for e in (topm if ids is None else ids[topm])],
         topm_scores=[float(s) for s in scores[topm]],
-        gold_rank=gold_rank,
-        gold_score=gold_score,
+        gold_rank=above + int(np.count_nonzero(scores > g) + ties_before) + 1,
+        gold_score=float(g),
     )
 
 
@@ -159,12 +154,13 @@ def rank_queries(
 ) -> Iterator[RankedQuery]:
     """``rank_query`` of each of ``queries``, in order, bit for bit; filtered.
 
-    Queries are taken a block at a time (see ``BLOCK_BYTES``). The block's
-    first pass, ``table.coarse_distances``, gives every entity a distance d
-    and each query a bound delta such that d_a < d_b - delta guarantees that
-    a's exact score is strictly above b's. Filtered entities get d = inf.
-    With t the m-th smallest d and d_g the gold's, exact scores are computed
-    only for the entities with d <= t + delta or |d - d_g| <= delta:
+    An L1 table has no first pass: each of its queries goes to ``rank_query``.
+    An L2 table's queries are taken a block at a time (see ``BLOCK_BYTES``).
+    The block's first pass, ``table.coarse_distances``, gives every entity a
+    distance d and each query a bound delta such that d_a < d_b - delta
+    guarantees that a's exact score is strictly above b's. Filtered entities
+    get d = inf. With t the m-th smallest d and d_g the gold's, exact scores
+    are computed only for the entities with d <= t + delta or |d - d_g| <= delta:
 
     - every entity with d > t + delta lies strictly below each of the (at
       least) m entities with d <= t, so it is neither in the top-m nor tied with the m-th;
@@ -178,6 +174,10 @@ def rank_queries(
     unfiltered entities into the -inf ties, or a value or the bound overflowed.
     """
     _check_m(kg, m)
+    if table.norm == "L1":
+        for q in queries:
+            yield rank_query(table, kg, q, m)
+        return
     rows = max(1, BLOCK_BYTES // (8 * kg.num_entities))
     it = iter(queries)
     while block := list(itertools.islice(it, rows)):
@@ -185,15 +185,12 @@ def rank_queries(
         for q, d, delta in zip(block, dist, bound):
             d[_known_true(kg, q)] = np.inf
             t = np.partition(d, m - 1)[m - 1]
-            dg = d[q.gold] if q.gold is not None else 0.0
+            dg = d[q.gold]
             if not np.isfinite([t, delta, dg]).all():
                 yield rank_query(table, kg, q, m)
                 continue
-            near = d <= t + delta
-            above = 0
-            if q.gold is not None:
-                near |= np.abs(d - dg) <= delta
-                above = int(np.count_nonzero((d < dg - delta) & ~near))
+            near = (d <= t + delta) | (np.abs(d - dg) <= delta)
+            above = int(np.count_nonzero((d < dg - delta) & ~near))
             ids = np.flatnonzero(near)
             scores = table.score_candidates(q.known, q.relation, q.direction, ids)
             yield _count_and_select(q, scores, m, ids, above)
@@ -210,8 +207,6 @@ def queries_for_triple(triple: Triple) -> tuple[Query, Query]:
 
 def global_confidence(rq: RankedQuery) -> float:
     """Reciprocal rank of the gold answer."""
-    if rq.gold_rank is None:
-        raise ValueError("query has no gold answer")
     return 1.0 / rq.gold_rank
 
 
@@ -222,8 +217,6 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
     so the value lands in [0, 1] regardless of the scorer's scale; with
     ``normalize=False`` the raw model score is returned instead.
     """
-    if rq.gold_rank is None or rq.gold_score is None:
-        raise ValueError("query has no gold answer")
     if m > len(rq.topm_scores):
         raise ValueError(
             f"m={m} exceeds the {len(rq.topm_scores)} candidates this ranking was built with"

@@ -151,8 +151,7 @@ def brute_force_rank(table, kg, q, m, filtered=True):
             if e != q.gold and tuple(q.completed(e)) in true_facts:
                 scores[e] = float("-inf")
     order = sorted(range(kg.num_entities), key=lambda e: (-scores[e], e))
-    gold_rank = order.index(q.gold) + 1 if q.gold is not None else None
-    return order, order[:m], gold_rank
+    return order, order[:m], order.index(q.gold) + 1
 
 
 def rerank(ranking, selection, candidate_ids):

@@ -242,7 +242,7 @@ def test_prompt_shape(tmp_path, toy_kg, toy_table):
         assert parse_candidate_names(rec["prompt"]) == rec["candidate_names"]
     for fact in np.concatenate([toy_kg.valid, toy_kg.test]):
         for q in queries_for_triple(fact):
-            facts = rc_sample_neighbors(toy_kg, toy_kg.cooc, q, gamma=10)
+            facts = rc_sample_neighbors(toy_kg, q, gamma=10)
             assert q.completed(q.gold) not in facts
             gold_text = render_fact(toy_kg, q.completed(q.gold))
             assert gold_text not in [render_fact(toy_kg, f) for f in facts]

@@ -103,18 +103,18 @@ def test_stage_digest_ignores_workdir(tmp_path, toy_dir):
 @pytest.mark.parametrize(
     "overrides, addresses",
     [
-        ([], ("embeddings-e0dae0a7aebd", "finetune-a6e73c2c110a", "eval-a6e73c2c110a", "report-ff80ea777f60")),
+        ([], ("embeddings-e0dae0a7aebd", "finetune-e93215503ce4", "eval-e93215503ce4", "report-320b314d8e45")),
         (
             [
                 "embedder.negatives=2",
                 "ranker.local_norm=raw",
                 "instruct.drop_neighbors=true",
-                "instruct.split_seed=3",
+                "instruct.seed=3",
                 "backend.kind=remote",
                 "backend.timeout=12",
                 "eval.audit=yes",
             ],
-            ("embeddings-49946a47ee7c", "finetune-60efb4d52c5f", "eval-60efb4d52c5f", "report-7f66cfeebb4d"),
+            ("embeddings-49946a47ee7c", "finetune-6d5112777e8f", "eval-6d5112777e8f", "report-29d274e6fc91"),
         ),
     ],
 )
@@ -426,7 +426,7 @@ def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
         tmp_path / "run.ini",
         toy_dir,
         workdir,
-        extra="\n[instruct]\nshuffle_candidates = true\nshuffle_seed = 9\n",
+        extra="\n[instruct]\nshuffle_candidates = true\nseed = 9\n",
     )
     assert main(["build-eval", "--config", cfg]) == 0
     records = read_instruction_records(workdir_file(workdir, "eval-", "instructions.jsonl"))
@@ -706,7 +706,7 @@ def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir
         "ranker.m=4", "ranker.alpha=0.5", "ranker.beta=0.25", "ranker.local_norm=raw",
         "instruct.gamma=3", "instruct.max_description_chars=40", "instruct.drop_description=true",
         "instruct.drop_neighbors=true", "instruct.rc_sampling=false", "instruct.shuffle_candidates=true",
-        "instruct.shuffle_seed=4", "instruct.neighbor_seed=5", "instruct.split_seed=6",
+        "instruct.seed=4",
     ]
     ranker, instruct = (dataclasses.fields(cli._SECTIONS[s]) for s in ("ranker", "instruct"))
     assert not {f.name for f in ranker} & {f.name for f in instruct}

@@ -215,7 +215,7 @@ def rerank_case(draw):
         draw(st.sampled_from(["L1", "L2"])),
     )
     m = draw(st.integers(min_value=1, max_value=n_e))
-    options = BuildOptions(shuffle_candidates=draw(st.booleans()), shuffle_seed=draw(st.integers(0, 9)))
+    options = BuildOptions(shuffle_candidates=draw(st.booleans()), seed=draw(st.integers(0, 9)))
     return kg, table, m, options
 
 
@@ -245,7 +245,7 @@ def test_rank_arithmetic_equals_permutation_then_rerank(case, backend):
 
 
 def test_shuffled_oracle_report_equals_unshuffled(toy_kg, toy_table, toy_set):
-    shuffled = eval_samples(toy_kg, toy_table, PARAMS, BuildOptions(shuffle_candidates=True, shuffle_seed=3))
+    shuffled = eval_samples(toy_kg, toy_table, PARAMS, BuildOptions(shuffle_candidates=True, seed=3))
     assert [s.candidate_ids for s in shuffled[0]] != [s.candidate_ids for s in toy_set[0]]
     report = evaluate(*shuffled, OracleBackend())
     assert report == evaluate(*toy_set, OracleBackend())

@@ -71,7 +71,7 @@ def film_prompt(**overrides):
         query_text=query_text_for(kg, q),
         description_text=kg.entity_descriptions[0],
         neighbor_texts=[
-            render_fact(kg, f) for f in rc_sample_neighbors(kg, kg.cooc, q, gamma=2)
+            render_fact(kg, f) for f in rc_sample_neighbors(kg, q, gamma=2)
         ],
         candidate_names=["English Language", "French Language", "United States of America"],
     )
@@ -89,15 +89,15 @@ def neighbor_lines(prompt):
 
 def test_rc_sampling_orders_by_cooccurrence():
     q = Query(known=0, relation=0, direction="tail", gold=1)
-    facts = rc_sample_neighbors(COOC_KG, COOC_KG.cooc, q, gamma=10)
+    facts = rc_sample_neighbors(COOC_KG, q, gamma=10)
     assert facts == [Triple(0, 1, 2), Triple(0, 2, 6)]
-    assert rc_sample_neighbors(COOC_KG, COOC_KG.cooc, q, gamma=1) == [Triple(0, 1, 2)]
-    assert rc_sample_neighbors(COOC_KG, COOC_KG.cooc, q, gamma=0) == []
+    assert rc_sample_neighbors(COOC_KG, q, gamma=1) == [Triple(0, 1, 2)]
+    assert rc_sample_neighbors(COOC_KG, q, gamma=0) == []
 
 
 def test_rc_sampling_never_returns_gold_fact():
     q = Query(known=0, relation=0, direction="tail", gold=1)
-    facts = rc_sample_neighbors(COOC_KG, COOC_KG.cooc, q, gamma=10)
+    facts = rc_sample_neighbors(COOC_KG, q, gamma=10)
     assert Triple(0, 0, 1) not in facts
 
 
@@ -142,7 +142,7 @@ def test_rc_sampling_matches_independent_ordering(case):
             pool, key=lambda item: (-cooc[item[1].relation][q.relation], item[1].relation, item[0])
         )
     ][:gamma]
-    assert rc_sample_neighbors(kg, kg.cooc, q, gamma) == expected
+    assert rc_sample_neighbors(kg, q, gamma) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +154,7 @@ def test_neighbor_sampling_is_subset_without_gold(case, rc_on, seed):
         rng.normal(size=(kg.num_entities, 4)), rng.normal(size=(kg.num_relations, 4)), "L2"
     )
     rq = rank_query(table, kg, q, m=min(3, kg.num_entities))
-    options = BuildOptions(gamma=gamma, rc_sampling=rc_on, neighbor_seed=seed)
+    options = BuildOptions(gamma=gamma, rc_sampling=rc_on, seed=seed)
     sample = build_sample(kg, rq, options, "s-0", query_index=0)
     rendered_neighbors = {render_fact(kg, f) for f in neighbors(kg, q.known)}
     listed = neighbor_lines(sample.prompt)
@@ -244,7 +244,7 @@ def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
     q = Query(known=0, relation=0, direction="tail", gold=1)
     rq = rank_query(toy_table, toy_kg, q, m=params.m)
     plain = build_sample(toy_kg, rq, BuildOptions(), "s", 3)
-    shuffled = build_sample(toy_kg, rq, BuildOptions(shuffle_candidates=True, shuffle_seed=5), "s", 3)
+    shuffled = build_sample(toy_kg, rq, BuildOptions(shuffle_candidates=True, seed=5), "s", 3)
     assert sorted(shuffled.candidate_ids) == sorted(plain.candidate_ids)
     assert shuffled.candidate_ids != plain.candidate_ids or len(plain.candidate_ids) == 1
     assert plain.candidate_ranks == list(range(1, params.m + 1))
@@ -279,7 +279,7 @@ def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg,
     sets = {}
     for name, options in (
         ("plain", BuildOptions()),
-        ("shuffled", BuildOptions(shuffle_candidates=True, shuffle_seed=11)),
+        ("shuffled", BuildOptions(shuffle_candidates=True, seed=11)),
     ):
         path = str(tmp_path / f"{name}.jsonl")
         build_eval_set(toy_kg, toy_table, params, options, path)
@@ -373,7 +373,7 @@ def test_finetune_build_is_byte_deterministic(tmp_path, toy_kg, toy_table):
         root = tmp_path / run
         root.mkdir()
         build_finetune_set(
-            toy_kg, toy_table, params, BuildOptions(split_seed=3), **finetune_paths(root)
+            toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(root)
         )
         blob = b"".join(
             open(os.path.join(root, n), "rb").read()
@@ -433,7 +433,7 @@ def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_tab
     monkeypatch.setattr(instructions, "build_sample", counting)
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
     summary = build_finetune_set(
-        toy_kg, toy_table, params, BuildOptions(split_seed=3), **finetune_paths(tmp_path)
+        toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(tmp_path)
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
     assert len(built) == summary["kept"] + summary["holdout_queries"]

@@ -337,3 +337,39 @@ def test_rank_queries_rescores_only_near_the_cut_and_the_gold():
     assert rq == rank_query(table, kg, q, m=1)
     assert rq.topm_ids == [1]
     assert [ids.tolist() for ids in rescored] == [[1, 2, 4]]
+
+
+@pytest.mark.parametrize("m", [1, 4, 10])
+def test_rank_queries_ranks_l1_queries_once_on_the_exact_path(m):
+    l2, kg, _ = random_setup(seed=5)
+    table = EmbeddingTable(l2.entity_vecs, l2.relation_vecs, "L1")
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    scored = []
+    score = table.score_candidates
+
+    def counted(known, relation, direction, entities=None):
+        scored.append(entities)
+        return score(known, relation, direction, entities)
+
+    with mock.patch.object(table, "score_candidates", counted), mock.patch.object(
+        table, "coarse_distances", wraps=table.coarse_distances
+    ) as coarse:
+        ranked = list(rank_queries(table, kg, queries, m))
+    assert len(scored) == len(queries)  # one full scoring per query, no rescoring
+    assert all(entities is None for entities in scored)
+    assert coarse.call_count == 0
+    for q, rq in zip(queries, ranked):
+        order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
+        assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
+
+
+def test_a_query_needs_its_gold():
+    with pytest.raises(TypeError):
+        Query(0, 0, "tail")
+
+
+def test_coarse_distances_refuses_an_l1_table():
+    l2, _, _ = random_setup(seed=2)
+    table = EmbeddingTable(l2.entity_vecs, l2.relation_vecs, "L1")
+    with pytest.raises(ValueError, match="L2"):
+        table.coarse_distances([(0, 0, "tail")])

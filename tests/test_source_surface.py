@@ -3,7 +3,8 @@ class and method of ``kgrerank`` is referenced from ``src/``, ``scripts/`` or
 ``perfbench/``. Code that only the tests call belongs in ``tests/helpers.py``.
 And the scripts use ``kgrerank`` through its public names, and set config
 values through the stages' ``--config`` and ``--set``, never through flags of
-their own that copy a config key.
+their own that copy a config key. Every config key is read by code outside
+its own section class.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -98,6 +99,32 @@ def test_no_script_declares_a_config_key_as_a_flag():
         os.path.basename(path): sorted(set(declared_flags(_parse(path))) & schema) for path in script_paths()
     }
     assert {script: flags for script, flags in clashes.items() if flags} == {}
+
+
+def attribute_reads(node, skip_classes):
+    """The names read as attributes (``x.name`` in a load) under ``node``,
+    outside the classes named in ``skip_classes``: a section's own
+    ``__post_init__`` checks are no use of its keys."""
+    if isinstance(node, ast.ClassDef) and node.name in skip_classes:
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from attribute_reads(child, skip_classes)
+
+
+def test_every_config_key_is_read_outside_its_section_class():
+    # a key that no code reads is a knob that changes a stage address and nothing else;
+    # reads are matched by name, so a key shares its reads with any same-named attribute
+    sections = {cls.__name__: cls for cls in _SECTIONS.values()}
+    reads = {
+        name
+        for pattern in ("src/kgrerank/*.py", "scripts/*.py")
+        for path in glob.glob(os.path.join(ROOT, pattern))
+        for name in attribute_reads(_parse(path), sections)
+    }
+    unread = {f"{cls.__name__}.{f.name}" for cls in sections.values() for f in fields(cls) if f.name not in reads}
+    assert unread == set()
 
 
 def test_no_script_imports_a_private_kgrerank_name():
