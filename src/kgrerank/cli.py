@@ -35,10 +35,9 @@ from .instructions import (
     BuildOptions,
     build_eval_set,
     build_finetune_set,
-    read_instruction_records,
     read_samples,
 )
-from .kg import DATASET_FILES, DataError, KnowledgeGraph, load_kg
+from .kg import DATASET_FILES, DataError, KnowledgeGraph, has_split_arrays, load_kg
 from .ranking import ConfidenceParams
 
 logger = logging.getLogger(__name__)
@@ -218,7 +217,7 @@ def _publish(path: str):
     _remove(tmp)  # left by a killed run
     try:
         yield tmp
-        _remove(path)  # a partial directory an older version left behind
+        _remove(path)  # incomplete: a graph lacking an array, or an older version's partial output
         os.replace(tmp, path)
     finally:
         _remove(tmp)
@@ -237,12 +236,13 @@ def _write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
-def load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
+def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
     """The dataset's graph, whose triple files are parsed once per workdir: the
     first load publishes the parsed arrays at the ``graph`` address, and later
-    loads read them from there."""
+    loads read them from there. An address that lacks an array is rebuilt and
+    replaced whole, never written into."""
     cache = stage_output(cfg, "graph")
-    if os.path.isdir(cache):
+    if has_split_arrays(cache):
         return load_kg(cfg.pipeline.dataset_dir, cache)
     os.makedirs(cfg.pipeline.workdir, exist_ok=True)
     with _publish(cache) as tmp:
@@ -259,7 +259,7 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
         logger.info("embeddings up to date: %s", ckpt)
         return ckpt
     if kg is None:
-        kg = load_graph(cfg)
+        kg = _load_graph(cfg)
     logger.info(
         "training embeddings: %d entities, %d relations, %d train triples",
         kg.num_entities, kg.num_relations, len(kg.train),
@@ -291,7 +291,7 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
     if os.path.isfile(os.path.join(outdir, "summary.json")):
         logger.info("%s set up to date: %s", which, outdir)
         return outdir
-    kg = load_graph(cfg)
+    kg = _load_graph(cfg)
     _check_m(cfg, kg)
     ckpt = ensure_embeddings(cfg, kg)
     table = EmbeddingTable.load(ckpt)
@@ -362,23 +362,23 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 def cmd_inspect(path: str, sample_id: str | None, index: int | None) -> int:
     if not os.path.isfile(path):
         raise DataError(f"instruction file not found: {path}")
-    records = read_instruction_records(path)
+    samples = read_samples(path)
     if sample_id is not None:
-        matches = [r for r in records if r["id"] == sample_id]
+        matches = [s for s in samples if s.id == sample_id]
         if not matches:
             raise DataError(f"no sample with id {sample_id!r} in {path}")
-        record = matches[0]
+        sample = matches[0]
     else:
         i = index or 0
-        if not 0 <= i < len(records):
-            raise DataError(f"index {i} out of range for {len(records)} samples")
-        record = records[i]
-    print(f"id: {record['id']}")
-    print(f"direction: {record['direction']}")
-    print(f"gold: {record['gold_name']} (id {record['gold_id']}, rank {record['gold_rank']})")
-    print(f"candidates: {record['candidate_ids']}")
+        if not 0 <= i < len(samples):
+            raise DataError(f"index {i} out of range for {len(samples)} samples")
+        sample = samples[i]
+    print(f"id: {sample.id}")
+    print(f"direction: {sample.direction}")
+    print(f"gold: {sample.gold_name} (id {sample.gold_id}, rank {sample.gold_rank})")
+    print(f"candidates: {sample.candidate_ids}")
     print("prompt:")
-    print(record["prompt"])
+    print(sample.prompt)
     return 0
 
 

@@ -100,6 +100,8 @@ class EmbeddingTable:
             u = (candidates + rel) - self.entity_vecs[known]
         else:
             raise ValueError(f"unknown direction {direction!r}")
+        if self.norm == "L1":  # u is this call's own temporary: take |u| in place
+            return -np.abs(u, out=u).sum(axis=-1)
         return -_residual_norm(u, self.norm)
 
     def coarse_distances(self, queries) -> tuple[np.ndarray, np.ndarray]:

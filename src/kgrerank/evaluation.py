@@ -15,6 +15,7 @@ pooled, next to the base model's: ``evaluate`` returns the dict that
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from .instructions import InstructionSample
@@ -59,21 +60,26 @@ def evaluate(
     instruction records and the summary, whose m, alpha, beta and gamma head
     the report. ``limit_triples`` N > 0 scores the first 2N samples, the
     first N test triples. ``audit_path`` names a per-query audit file to
-    write. A backend error ends the run; queries still queued are not sent.
+    write. A backend error ends the run: no worker takes up a query after it.
     """
     if limit_triples:
         samples = samples[: 2 * limit_triples]
     if not samples:
         raise DataError("evaluation requires a non-empty test split")
 
-    if threads > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
+    failed = threading.Event()  # set by the first error; workers then send nothing
+
+    def pick(sample: InstructionSample) -> int | None:
+        if failed.is_set():
+            return None  # never read: map raises at the failed sample, which comes earlier
         try:
-            picks = list(pool.map(lambda sample: _pick(backend, sample), samples))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        picks = [_pick(backend, sample) for sample in samples]
+            return _pick(backend, sample)
+        except Exception:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        picks = list(pool.map(pick, samples))
     final = [
         moved_rank(s.gold_rank, None if i is None else s.candidate_ranks[i])
         for s, i in zip(samples, picks)

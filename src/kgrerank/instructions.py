@@ -272,10 +272,6 @@ def read_samples(path: str) -> list[InstructionSample]:
     return samples
 
 
-def read_instruction_records(path: str) -> list[dict]:
-    return [vars(sample) for sample in read_samples(path)]
-
-
 def _options_summary(params: ConfidenceParams, options: BuildOptions) -> dict:
     """Every ``[ranker]`` and ``[instruct]`` value that built a set (the two
     sections share no key), and the template version."""

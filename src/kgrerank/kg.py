@@ -257,6 +257,16 @@ def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str,
     return np.array([heads, rels, tails], dtype=np.int64).T
 
 
+def _split_arrays(cache_dir: str) -> list[str]:
+    return [os.path.join(cache_dir, f"{name}.npy") for name in ("train", "valid", "test")]
+
+
+def has_split_arrays(cache_dir: str) -> bool:
+    """Whether ``cache_dir`` holds all three parsed split arrays, which
+    ``load_kg`` then reads in place of the triple files."""
+    return all(map(os.path.isfile, _split_arrays(cache_dir)))
+
+
 def load_kg(dataset_dir: str, cache_dir: str | None = None) -> KnowledgeGraph:
     """Load and validate a dataset directory.
 
@@ -283,12 +293,9 @@ def load_kg(dataset_dir: str, cache_dir: str | None = None) -> KnowledgeGraph:
             raise DataError(f"{ENTITY_DESC_FILE}: description for unknown entity {key!r}")
         descriptions[entity_ids[key]] = text
 
-    cached = []
-    if cache_dir:
-        cached = [os.path.join(cache_dir, f"{name}.npy") for name in ("train", "valid", "test")]
-    hit = bool(cached) and all(map(os.path.isfile, cached))
+    hit = cache_dir is not None and has_split_arrays(cache_dir)
     if hit:
-        splits = [np.load(path, allow_pickle=False) for path in cached]
+        splits = [np.load(path, allow_pickle=False) for path in _split_arrays(cache_dir)]
     else:
         splits = [
             _read_triples(os.path.join(dataset_dir, name), entity_ids, relation_ids)
@@ -297,7 +304,7 @@ def load_kg(dataset_dir: str, cache_dir: str | None = None) -> KnowledgeGraph:
     kg = KnowledgeGraph(
         entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits
     )
-    if cached and not hit:
-        for path, rows in zip(cached, splits):
+    if cache_dir is not None and not hit:
+        for path, rows in zip(_split_arrays(cache_dir), splits):
             np.save(path, rows)
     return kg

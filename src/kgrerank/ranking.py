@@ -257,25 +257,3 @@ def metrics(gold_ranks) -> dict:
         "hits10": float((ranks <= 10).mean()),
     }
 
-
-def base_model_metrics(
-    kg: KnowledgeGraph,
-    table,
-    m: int,
-    limit_triples: int = 0,
-) -> dict:
-    """Filtered metrics of the scorer itself, without prompts or reranking:
-    the ``metrics`` of the head, the tail and the pooled gold ranks."""
-    triples = kg.test
-    if limit_triples:
-        triples = triples[:limit_triples]
-    per_direction: dict[str, list[int]] = {"head": [], "tail": []}
-    queries = (q for triple in triples for q in queries_for_triple(triple))
-    for rq in rank_queries(table, kg, queries, m):
-        per_direction[rq.query.direction].append(rq.gold_rank)
-    pooled = per_direction["head"] + per_direction["tail"]
-    return {
-        "head": metrics(per_direction["head"]),
-        "tail": metrics(per_direction["tail"]),
-        "combined": metrics(pooled),
-    }

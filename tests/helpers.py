@@ -1,10 +1,13 @@
 """Shared test utilities: in-memory graphs, datasets written back to disk,
-eval sets read back from disk, prompt parsing, and independent oracles.
+eval sets and instruction records read back from disk, prompt parsing, and
+independent oracles.
 
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
 move-to-top rebuilds the whole permutation, co-occurrence is a quadratic
-scan, and gradients come from central finite differences.
+scan, and gradients come from central finite differences. The exception is
+``base_model_metrics``, which ranks through ``rank_queries`` to judge
+``evaluate``, a stage that reads its ranks from an eval set.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from kgrerank.kg import (
     KnowledgeGraph,
     Triple,
 )
+from kgrerank.ranking import metrics, queries_for_triple, rank_queries
 
 
 def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=None):
@@ -103,6 +107,28 @@ def eval_samples(kg, table, params, options=None, triples=None):
         summary = build_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
         samples = read_samples(path)
     return samples, summary
+
+
+def read_records(path):
+    """The records of an instruction file as dicts, field for field its lines."""
+    return [vars(sample) for sample in read_samples(path)]
+
+
+def base_model_metrics(kg, table, m, limit_triples=0):
+    """Filtered metrics of the scorer itself, without prompts or reranking: the
+    ``metrics`` of the head, the tail and the pooled gold ranks of the first
+    ``limit_triples`` test triples (0: all), ranked here rather than read from
+    an eval set, so that ``evaluate``'s base rows can be judged against it."""
+    triples = kg.test[:limit_triples] if limit_triples else kg.test
+    ranks = {"head": [], "tail": []}
+    queries = (q for triple in triples for q in queries_for_triple(triple))
+    for rq in rank_queries(table, kg, queries, m):
+        ranks[rq.query.direction].append(rq.gold_rank)
+    return {
+        "head": metrics(ranks["head"]),
+        "tail": metrics(ranks["tail"]),
+        "combined": metrics(ranks["head"] + ranks["tail"]),
+    }
 
 
 def parse_candidate_names(prompt):

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    base_model_metrics,
     brute_force_rank,
     build_kg,
     central_diff,
     eval_samples,
     find_benchmark_dir,
     parse_candidate_names,
+    read_records,
     rel_err,
 )
 from kgrerank.adapter import AdapterParams, project, project_grad
@@ -31,7 +33,6 @@ from kgrerank.evaluation import evaluate
 from kgrerank.instructions import (
     BuildOptions,
     build_eval_set,
-    read_instruction_records,
     rc_sample_neighbors,
     render_fact,
 )
@@ -40,7 +41,6 @@ from kgrerank.ranking import (
     ConfidenceParams,
     Query,
     RankedQuery,
-    base_model_metrics,
     local_confidence,
     queries_for_triple,
     rank_query,
@@ -234,7 +234,7 @@ def test_prompt_shape(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
     path = str(tmp_path / "eval.jsonl")
     build_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), path)
-    records = read_instruction_records(path)
+    records = read_records(path)
     assert len(records) == 2 * len(toy_kg.test)
     for rec in records:
         assert rec["prompt"].count("[QUERY]") == 1
@@ -291,7 +291,7 @@ def test_end_to_end_smoke(tmp_path, toy_dir):
     eval_dir = next(
         os.path.join(workdir, e) for e in sorted(os.listdir(workdir)) if e.startswith("eval-")
     )
-    records = read_instruction_records(os.path.join(eval_dir, "instructions.jsonl"))
+    records = read_records(os.path.join(eval_dir, "instructions.jsonl"))
     fixture = tmp_path / "outputs.tsv"
     with open(fixture, "w", encoding="utf-8") as f:
         for i, rec in enumerate(records):

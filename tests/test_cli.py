@@ -11,6 +11,7 @@ import re
 import typing
 import shutil
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -18,11 +19,11 @@ import time
 import numpy as np
 import pytest
 
+from helpers import read_records
 from kgrerank import cli, discriminator
 from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
-from kgrerank.instructions import read_instruction_records
 from kgrerank.kg import load_kg
 from kgrerank.ranking import metrics, queries_for_triple, rank_query
 
@@ -321,7 +322,7 @@ def test_build_eval_and_finetune_outputs(tmp_path, toy_dir):
     assert ft_summary["queries"] == 20  # 10 of 12 valid triples in the 90% part
     assert ft_summary["holdout_queries"] == 4
     assert ft_summary["kept"] <= ft_summary["queries"]
-    records = read_instruction_records(workdir_file(tmp_path / "w", "eval-", "instructions.jsonl"))
+    records = read_records(workdir_file(tmp_path / "w", "eval-", "instructions.jsonl"))
     assert len(records) == 24
 
 
@@ -429,7 +430,7 @@ def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
         extra="\n[instruct]\nshuffle_candidates = true\nseed = 9\n",
     )
     assert main(["build-eval", "--config", cfg]) == 0
-    records = read_instruction_records(workdir_file(workdir, "eval-", "instructions.jsonl"))
+    records = read_records(workdir_file(workdir, "eval-", "instructions.jsonl"))
     fixture = tmp_path / "outputs.tsv"
     with open(fixture, "w", encoding="utf-8") as f:
         for rec in records:
@@ -825,10 +826,10 @@ def test_the_triple_files_are_parsed_once_per_workdir(tmp_path, toy_dir, monkeyp
 
 def test_a_graph_read_from_the_cache_equals_the_parsed_graph(tmp_path, toy_dir, monkeypatch):
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
-    first = cli.load_graph(cfg)
+    first = cli._load_graph(cfg)
     assert sorted(os.listdir(stage_output(cfg, "graph"))) == ["test.npy", "train.npy", "valid.npy"]
     parsed = _count_parses(monkeypatch)
-    cached = cli.load_graph(cfg)
+    cached = cli._load_graph(cfg)
     assert parsed == []
     reference = load_kg(toy_dir)
     for graph in (first, cached):  # the miss returns what it parsed, the hit what it read
@@ -843,6 +844,25 @@ def test_a_graph_read_from_the_cache_equals_the_parsed_graph(tmp_path, toy_dir, 
         assert np.array_equal(graph.cooc, reference.cooc)
         assert graph.entity_names == reference.entity_names
         assert graph.entity_descriptions == reference.entity_descriptions
+
+
+@pytest.mark.parametrize("missing", ["train.npy", "valid.npy", "test.npy"])
+def test_a_graph_directory_missing_an_array_is_replaced_not_written_into(tmp_path, toy_dir, missing):
+    cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["train-embeddings", "--config", cfg_path]) == 0
+    graph = stage_output(load_config(cfg_path), "graph")
+    os.remove(os.path.join(graph, missing))
+    survivors = {name: os.stat(os.path.join(graph, name)).st_ino for name in os.listdir(graph)}
+    assert main(["build-eval", "--config", cfg_path]) == 0
+    for name, inode in survivors.items():  # a new file, renamed in with its directory
+        assert os.stat(os.path.join(graph, name)).st_ino != inode
+    reference = load_kg(toy_dir)
+    assert sorted(os.listdir(graph)) == ["test.npy", "train.npy", "valid.npy"]
+    for split in ("train", "valid", "test"):
+        cached = np.load(os.path.join(graph, f"{split}.npy"))
+        assert cached.dtype == np.int64 and cached.shape == getattr(reference, split).shape
+        assert cached.tobytes() == getattr(reference, split).tobytes()
+    assert glob.glob(str(tmp_path / "w" / "*.tmp")) == []
 
 
 @pytest.mark.parametrize(
@@ -913,39 +933,79 @@ def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
     assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every m
 
 
-def test_run_benchmark_transe_script(tmp_path, toy_dir, monkeypatch, capsys):
-    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    sets = ["embedder.epochs=5", "embedder.dim=8"]
-    ckpt = stage_output(load_config(cfg, sets), "embeddings") + ".ckpt"
-    args = ["--config", cfg, "--set", sets[0], "--set", sets[1]]
-    lines = run_script("run_benchmark_transe", args, monkeypatch, capsys)
-    combined = next(line.split() for line in lines if line.startswith("combined"))
+def report_rows(text):
+    """The metric rows of a printed report table: label -> [MRR, Hits@1, Hits@3, Hits@10]."""
+    return {line[:14].strip(): line[14:].split() for line in text.splitlines()[2:]}
+
+
+def printed(dm):
+    return [f"{dm[key]:.4f}" for key in ("mrr", "hits1", "hits3", "hits10")]
+
+
+def gold_ranks(toy_dir, ckpt, limit_triples=None):
+    """The ``rank_query`` gold rank of each test query at m = 5, by direction."""
     kg, table = load_kg(toy_dir), EmbeddingTable.load(ckpt)
-    ranks = [rank_query(table, kg, q, 5).gold_rank for t in kg.test for q in queries_for_triple(t)]
-    assert combined[1:3] == ["MRR", f"{metrics(ranks)['mrr']:.4f}"]
+    ranks = {"head": [], "tail": []}
+    for t in kg.test[:limit_triples]:
+        for q in queries_for_triple(t):
+            ranks[q.direction].append(rank_query(table, kg, q, 5).gold_rank)
+    return ranks
 
 
-def test_a_benchmark_rerun_reuses_the_staged_checkpoint_and_graph(tmp_path, toy_dir, monkeypatch, capsys, caplog):
+def test_first_candidate_evaluate_reports_the_base_model(tmp_path, toy_dir, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    sets = ["embedder.epochs=5", "embedder.dim=8", "backend.kind=first_candidate"]
+    assert main(["-v", "evaluate", "--config", cfg, *(f"--set={s}" for s in sets)]) == 0
+    rows = report_rows(capsys.readouterr().out)
+    ranks = gold_ranks(toy_dir, stage_output(load_config(cfg, sets), "embeddings") + ".ckpt")
+    assert rows["head"] == printed(metrics(ranks["head"]))
+    assert rows["tail"] == printed(metrics(ranks["tail"]))
+    assert rows["combined"] == printed(metrics(ranks["head"] + ranks["tail"]))
+    assert rows["base combined"] == rows["combined"]
+    report = json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))
+    assert report["base"] == {d: report[d] for d in ("head", "tail", "combined")}
+
+
+def test_a_base_model_rerun_trains_and_parses_nothing(tmp_path, toy_dir, monkeypatch, capsys, caplog):
     caplog.set_level(logging.DEBUG, logger="kgrerank.embeddings")
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    trained = []
-    original = cli.train
-    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(1) or original(*args, **kwargs))
+    trained, loaded = [], []
+    original_train, original_load = cli.train, cli.load_kg
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(1) or original_train(*args, **kwargs))
+    monkeypatch.setattr(cli, "load_kg", lambda *args: loaded.append(1) or original_load(*args))
     parsed = _count_parses(monkeypatch)
+    argv = ["-v", "evaluate", "--config", cfg, "--set", "backend.kind=first_candidate"]
 
-    def metric_rows(lines):
-        return [line for line in lines if line.split()[:1] in (["head"], ["tail"], ["combined"])]
-
-    first = metric_rows(run_script("run_benchmark_transe", ["--config", cfg], monkeypatch, capsys))
+    assert main(argv) == 0
+    first = report_rows(capsys.readouterr().out)
     assert (len(trained), len(parsed)) == (1, 3)
     assert "epoch 39 mean loss" in caplog.text  # the mean loss of the last of 40 epochs
-    del trained[:], parsed[:]
-    second = metric_rows(run_script("run_benchmark_transe", ["--config", cfg], monkeypatch, capsys))
-    assert (trained, parsed) == ([], [])
-    assert second == first and len(second) == 3
-    kg, table = load_kg(toy_dir), EmbeddingTable.load(stage_output(load_config(cfg), "embeddings") + ".ckpt")
-    ranks = [rank_query(table, kg, q, 5).gold_rank for t in kg.test for q in queries_for_triple(t)]
-    assert second[2].split()[1:3] == ["MRR", f"{metrics(ranks)['mrr']:.4f}"]
+    del trained[:], parsed[:], loaded[:]
+    assert main(argv) == 0
+    assert report_rows(capsys.readouterr().out) == first
+    # a new report scores the first 3 test triples of the same eval set
+    assert main(argv + ["--set", "eval.limit_triples=3"]) == 0
+    limited = report_rows(capsys.readouterr().out)
+    assert (trained, parsed, loaded) == ([], [], [])
+    ckpt = stage_output(load_config(cfg), "embeddings") + ".ckpt"
+    ranks = gold_ranks(toy_dir, ckpt)
+    assert first["combined"] == printed(metrics(ranks["head"] + ranks["tail"]))
+    ranks = gold_ranks(toy_dir, ckpt, limit_triples=3)
+    assert limited["combined"] == printed(metrics(ranks["head"] + ranks["tail"]))
+
+
+def test_verbose_logs_the_training_loss(tmp_path, toy_dir):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    stderr = {}
+    for flags in ([], ["-v"]):
+        cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / f"w{len(flags)}")
+        argv = [sys.executable, "-m", "kgrerank.cli", *flags, "train-embeddings", "--config", cfg]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        stderr[len(flags)] = run.stderr
+    assert "mean loss" not in stderr[0]
+    assert "DEBUG kgrerank.embeddings: epoch 39 mean loss" in stderr[1]
 
 
 def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):

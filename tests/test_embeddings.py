@@ -93,6 +93,21 @@ def test_score_candidates_agrees_with_single_scores():
             assert scores[e] == score(table, h, 1, t)
 
 
+def test_l1_score_candidates_is_bit_equal_to_the_norm_of_its_residual():
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable(rng.normal(size=(50, 7)), rng.normal(size=(3, 7)), "L1")
+    ev, rv = table.entity_vecs.copy(), table.relation_vecs.copy()
+    for direction in ("tail", "head"):
+        for entities in (None, np.array([0, 4, 11, 17, 49])):
+            candidates = ev if entities is None else ev[entities]
+            u = (ev[11] + rv[2]) - candidates if direction == "tail" else (candidates + rv[2]) - ev[11]
+            scores = table.score_candidates(11, 2, direction, entities)
+            assert scores.tobytes() == (-np.abs(u).sum(-1)).tobytes()
+    # |u| is taken in the call's own temporary, never in the table
+    assert table.entity_vecs.tobytes() == ev.tobytes()
+    assert table.relation_vecs.tobytes() == rv.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     vals=st.lists(

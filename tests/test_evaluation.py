@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_rank, build_kg, eval_samples, rerank
+from helpers import base_model_metrics, brute_force_rank, build_kg, eval_samples, rerank
 from kgrerank.cli import _write_json
 from kgrerank.discriminator import (
     BackendError,
@@ -19,7 +19,7 @@ from kgrerank.evaluation import evaluate, format_table
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import BuildOptions, InstructionSample
 from kgrerank.kg import DataError
-from kgrerank.ranking import ConfidenceParams, Query, base_model_metrics, metrics, queries_for_triple
+from kgrerank.ranking import ConfidenceParams, Query, metrics, queries_for_triple
 
 PARAMS = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_report")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg, neighbors, parse_candidate_names
+from helpers import brute_force_cooc, build_kg, neighbors, parse_candidate_names, read_records
 from kgrerank.adapter import attach_knowledge, init_adapter, project
 from kgrerank.cli import main
 from kgrerank.embeddings import EmbeddingTable
@@ -23,7 +23,6 @@ from kgrerank.instructions import (
     build_sample,
     query_text_for,
     rc_sample_neighbors,
-    read_instruction_records,
     read_samples,
     render_fact,
     render_prompt,
@@ -262,7 +261,7 @@ def test_build_eval_set_counts_and_candidates(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.05)
     path = str(tmp_path / "eval.jsonl")
     summary = build_eval_set(toy_kg, toy_table, params, BuildOptions(), path)
-    records = read_instruction_records(path)
+    records = read_records(path)
     assert os.listdir(tmp_path) == ["eval.jsonl"]  # no file beside the records
     assert summary["written"] == 2 * len(toy_kg.test)
     assert len(records) == 2 * len(toy_kg.test)
@@ -301,7 +300,7 @@ def test_build_eval_drop_neighbors(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
     path = str(tmp_path / "eval.jsonl")
     build_eval_set(toy_kg, toy_table, params, BuildOptions(drop_neighbors=True), path)
-    for rec in read_instruction_records(path):
+    for rec in read_records(path):
         assert "Known facts:" not in rec["prompt"]
 
 
@@ -341,7 +340,7 @@ def test_finetune_truncation_can_empty_output(tmp_path, toy_kg, toy_table, caplo
             toy_kg, toy_table, params, BuildOptions(), **finetune_paths(tmp_path)
         )
     assert summary["kept"] == 0
-    assert read_instruction_records(str(tmp_path / "ft.jsonl")) == []
+    assert read_records(str(tmp_path / "ft.jsonl")) == []
     assert any("kept no finetune samples" in r.message for r in caplog.records)
 
 
@@ -362,7 +361,7 @@ def test_finetune_default_truncation_keeps_gold_in_candidates(tmp_path):
         kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
-    for rec in read_instruction_records(str(tmp_path / "ft.jsonl")):
+    for rec in read_records(str(tmp_path / "ft.jsonl")):
         assert rec["gold_id"] in rec["candidate_ids"]
 
 
@@ -437,6 +436,6 @@ def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_tab
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
     assert len(built) == summary["kept"] + summary["holdout_queries"]
-    written = read_instruction_records(str(tmp_path / "ft.jsonl"))
-    written += read_instruction_records(str(tmp_path / "holdout.jsonl"))
+    written = read_records(str(tmp_path / "ft.jsonl"))
+    written += read_records(str(tmp_path / "holdout.jsonl"))
     assert built == [rec["id"] for rec in written]
