@@ -23,7 +23,7 @@ import logging
 import os
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
@@ -283,6 +283,44 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
+def _ranking_inputs(cfg: PipelineConfig) -> tuple[KnowledgeGraph, EmbeddingTable, str]:
+    """The graph, the embedding table and its checkpoint's path, trained if absent."""
+    kg = _load_graph(cfg)
+    _check_m(cfg, kg)
+    ckpt = ensure_embeddings(cfg, kg)
+    return kg, EmbeddingTable.load(ckpt), ckpt
+
+
+@contextmanager
+def _eval_set(cfg: PipelineConfig):
+    """Yield the eval set's samples and summary. A set at its content address
+    is read from there. A missing one is built under ``_publish`` as the caller
+    takes its samples, so the caller can score the first while the rest are
+    ranked; on leaving, the samples not taken are built, ``summary.json`` is
+    written and the whole set is published. If the caller raises, nothing is
+    published."""
+    evaldir = stage_output(cfg, "eval")
+    summary_path = os.path.join(evaldir, "summary.json")
+    if os.path.isfile(summary_path):
+        logger.info("eval set up to date: %s", evaldir)
+        with open(summary_path, encoding="utf-8") as f:
+            summary = json.load(f)
+        yield read_samples(os.path.join(evaldir, "instructions.jsonl")), summary
+        return
+    kg, table, ckpt = _ranking_inputs(cfg)
+    with _publish(evaldir) as tmp:
+        os.mkdir(tmp)
+        path = os.path.join(tmp, "instructions.jsonl")
+        samples, summary = build_eval_set(kg, table, cfg.ranker, cfg.instruct, instructions_path=path)
+        with closing(samples):
+            yield samples, summary
+            for _ in samples:  # the rest of the set
+                pass
+        summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
+        _write_json(os.path.join(tmp, "summary.json"), summary)
+    logger.info("eval summary: %s", summary)
+
+
 def ensure_build(cfg: PipelineConfig, which: str) -> str:
     """Build the ``finetune`` or ``eval`` set if its content address is absent;
     return its directory. The set's ``summary.json`` names the checkpoint whose
@@ -291,32 +329,24 @@ def ensure_build(cfg: PipelineConfig, which: str) -> str:
     if os.path.isfile(os.path.join(outdir, "summary.json")):
         logger.info("%s set up to date: %s", which, outdir)
         return outdir
-    kg = _load_graph(cfg)
-    _check_m(cfg, kg)
-    ckpt = ensure_embeddings(cfg, kg)
-    table = EmbeddingTable.load(ckpt)
+    if which == "eval":
+        with _eval_set(cfg):
+            pass  # leaving builds the whole set
+        return outdir
+    kg, table, ckpt = _ranking_inputs(cfg)
     with _publish(outdir) as tmp:
         os.mkdir(tmp)
-        if which == "finetune":
-            summary = build_finetune_set(
-                kg,
-                table,
-                cfg.ranker,
-                cfg.instruct,
-                instructions_path=os.path.join(tmp, "instructions.jsonl"),
-                holdout_instructions_path=os.path.join(tmp, "holdout.jsonl"),
-            )
-        else:
-            summary = build_eval_set(
-                kg,
-                table,
-                cfg.ranker,
-                cfg.instruct,
-                instructions_path=os.path.join(tmp, "instructions.jsonl"),
-            )
-        summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
+        summary = build_finetune_set(
+            kg,
+            table,
+            cfg.ranker,
+            cfg.instruct,
+            instructions_path=os.path.join(tmp, "instructions.jsonl"),
+            holdout_instructions_path=os.path.join(tmp, "holdout.jsonl"),
+        )
+        summary["checkpoint"] = os.path.basename(ckpt)
         _write_json(os.path.join(tmp, "summary.json"), summary)
-    logger.info("%s summary: %s", which, summary)
+    logger.info("finetune summary: %s", summary)
     return outdir
 
 
@@ -334,23 +364,23 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             print(f.read(), end="")
         return 0
     backend = make_backend(cfg.backend)
-    evaldir = ensure_build(cfg, "eval")
-    with open(os.path.join(evaldir, "summary.json"), encoding="utf-8") as f:
-        summary = json.load(f)
-    samples = read_samples(os.path.join(evaldir, "instructions.jsonl"))
     threads = cfg.pipeline.threads
     if cfg.backend.kind == "remote":  # the remote backend caps its requests in flight
         threads = min(threads, cfg.backend.in_flight)
+    os.makedirs(cfg.pipeline.workdir, exist_ok=True)
     with _publish(outdir) as tmp:
         os.mkdir(tmp)
-        report = evaluate(
-            samples,
-            summary,
-            backend,
-            limit_triples=cfg.eval.limit_triples,
-            audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
-            threads=threads,
-        )
+        # a missing eval set is built as evaluate takes its samples, and
+        # published before the report
+        with _eval_set(cfg) as (samples, summary):
+            report = evaluate(
+                samples,
+                summary,
+                backend,
+                limit_triples=cfg.eval.limit_triples,
+                audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
+                threads=threads,
+            )
         _write_json(os.path.join(tmp, "report.json"), report)
         table_text = format_table(report) + "\n"
         with open(os.path.join(tmp, "report.txt"), "w", encoding="utf-8") as f:

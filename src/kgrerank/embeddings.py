@@ -9,10 +9,10 @@ at a time in batch order, exactly as ``np.add.at`` adds them; a faster
 scatter must keep that order, or the checkpoint bytes change.
 
 Downstream code only relies on ``score_candidates``, ``coarse_distances``
-(the first pass of ranking, for L2 tables only), ``query_vector``,
-``entity_vector``, and checkpoint IO, so an alternative scorer can replace
-:class:`EmbeddingTable` without touching the ranking, prompt-building, or
-evaluation modules.
+and ``entity_sq_norms`` (the first pass of ranking, for L2 tables only),
+``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
+scorer can replace :class:`EmbeddingTable` without touching the ranking,
+prompt-building, or evaluation modules.
 """
 
 from __future__ import annotations
@@ -104,7 +104,15 @@ class EmbeddingTable:
             return -np.abs(u, out=u).sum(axis=-1)
         return -_residual_norm(u, self.norm)
 
-    def coarse_distances(self, queries) -> tuple[np.ndarray, np.ndarray]:
+    def entity_sq_norms(self) -> tuple[np.ndarray, float]:
+        """Every entity's squared norm ``|e|^2``, and the largest norm ``max |e|``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
+            return e_sq, np.sqrt(e_sq.max())
+
+    def coarse_distances(
+        self, queries, entity_sq: tuple[np.ndarray, float] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Every entity's squared L2 distance from each of a block of ``(known,
         relation, direction)`` queries, and each row's error bound.
 
@@ -114,21 +122,23 @@ class EmbeddingTable:
         q = e_known + r (tail) or e_known - r (head), and the bound is
         ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument is in
         :mod:`kgrerank.ranking`. A bound that overflows is inf. An L1 table
-        has no such product, and this is an error on one.
+        has no such product, and this is an error on one. ``entity_sq`` is
+        this table's ``entity_sq_norms()``, the same for every block: a caller
+        that passes many blocks computes it once.
         """
         if self.norm != "L2":
             raise ValueError(f"coarse_distances needs an L2 table, not {self.norm}")
+        e_sq, e_max = entity_sq or self.entity_sq_norms()
         known, relation, direction = zip(*queries)
         sign = np.where(np.asarray(direction) == TAIL, 1.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
             q_sq = np.einsum("ij,ij->i", q, q)
-            e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
             dist = q @ self.entity_vecs.T
             dist *= -2.0
             dist += q_sq[:, None]
             dist += e_sq
-            reach = (np.sqrt(q_sq) + np.sqrt(e_sq.max())) ** 2
+            reach = (np.sqrt(q_sq) + e_max) ** 2
             bound = 16 * (self.dim + 4) * (_EPS * reach + _TINY)
         return dist, bound
 

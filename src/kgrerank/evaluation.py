@@ -1,22 +1,25 @@
 """Scoring an eval set: backend selection, move-to-top, filtered metrics.
 
-``evaluate`` takes the samples that ``build_eval_set`` wrote (both
-directions of every test triple, in file order); it reads no graph and ranks
-nothing. Each sample goes to the backend, whose ``select`` returns a
-candidate index or None to abstain, and the pick moves to the top of the base
-ranking with all other relative positions preserved. Moving one entity to the
-top shifts the gold by at most one place, so the new rank follows from the
-gold's base rank and the chosen candidate's, both recorded in the sample (see
-``moved_rank``). MRR / Hits@k of the gold are reported per direction and
-pooled, next to the base model's: ``evaluate`` returns the dict that
-``report.json`` holds, and ``format_table`` renders it as ``report.txt``.
+``evaluate`` takes the samples of an eval set (both directions of every test
+triple, in ``build_eval_set``'s order) as they come: read back from the set's
+file, or straight from ``build_eval_set`` while it ranks the rest. It reads no
+graph and ranks nothing itself. Each sample goes to the backend, whose ``select``
+returns a candidate index or None to abstain, and the pick moves to the top
+of the base ranking with all other relative positions preserved. Moving one
+entity to the top shifts the gold by at most one place, so the new rank
+follows from the gold's base rank and the chosen candidate's, both recorded
+in the sample (see ``moved_rank``). MRR / Hits@k of the gold are reported per
+direction and pooled, next to the base model's: ``evaluate`` returns the dict
+that ``report.json`` holds, and ``format_table`` renders it as ``report.txt``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import Iterable
 
 from .instructions import InstructionSample
 from .kg import DataError
@@ -46,7 +49,7 @@ def _pick(backend, sample: InstructionSample) -> int | None:
 
 
 def evaluate(
-    samples: list[InstructionSample],
+    samples: Iterable[InstructionSample],
     summary: dict,
     backend,
     limit_triples: int = 0,
@@ -56,30 +59,35 @@ def evaluate(
     """Score an eval set with ``backend``, ``threads`` samples at a time, and
     return the report that ``report.json`` holds.
 
-    ``samples`` and ``summary`` are what ``build_eval_set`` wrote: the
-    instruction records and the summary, whose m, alpha, beta and gamma head
-    the report. ``limit_triples`` N > 0 scores the first 2N samples, the
-    first N test triples. ``audit_path`` names a per-query audit file to
-    write. A backend error ends the run: no worker takes up a query after it.
+    ``samples`` are the set's instruction records, in order, and ``summary``
+    its summary, whose m, alpha, beta and gamma head the report. Each sample
+    goes to a worker as soon as it is taken from ``samples``, so a generator
+    that builds them keeps building while the workers wait on the backend.
+    ``limit_triples`` N > 0 scores the first 2N samples, the first N test
+    triples, and takes no more. ``audit_path`` names a per-query audit file
+    to write. A backend error ends the run: after it, no further sample is
+    drawn from ``samples`` and no worker takes up a query.
     """
-    if limit_triples:
-        samples = samples[: 2 * limit_triples]
-    if not samples:
-        raise DataError("evaluation requires a non-empty test split")
-
     failed = threading.Event()  # set by the first error; workers then send nothing
 
-    def pick(sample: InstructionSample) -> int | None:
+    def pick(sample: InstructionSample) -> tuple[InstructionSample, int | None]:
         if failed.is_set():
-            return None  # never read: map raises at the failed sample, which comes earlier
+            return sample, None  # never read: map raises at the failed sample, which comes earlier
         try:
-            return _pick(backend, sample)
+            return sample, _pick(backend, sample)
         except Exception:
             failed.set()
             raise
 
+    taken = itertools.takewhile(lambda _: not failed.is_set(), samples)
+    if limit_triples:
+        taken = itertools.islice(taken, 2 * limit_triples)
+    # map submits every sample from this thread as it is taken, before it returns
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        picks = list(pool.map(pick, samples))
+        picked = list(pool.map(pick, taken))
+    if not picked:
+        raise DataError("evaluation requires a non-empty test split")
+    samples, picks = zip(*picked)
     final = [
         moved_rank(s.gold_rank, None if i is None else s.candidate_ranks[i])
         for s, i in zip(samples, picks)

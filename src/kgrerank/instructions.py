@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -244,17 +244,19 @@ def _write_samples(
     indexed_triples: Iterable[tuple[int, Triple]],
     id_prefix: str,
     truncate: bool,
-) -> None:
+) -> Iterator[InstructionSample]:
     """Rank both directions of each (original index, triple) and write their samples,
-    with ``truncate`` only those that survive. Ids are ``<prefix>-<index>-<direction>``."""
+    with ``truncate`` only those that survive, yielding each once it is written.
+    Ids are ``<prefix>-<index>-<direction>``."""
     queries = [
         (i, k, q) for i, triple in indexed_triples for k, q in enumerate(queries_for_triple(triple))
     ]
     ranked = rank_queries(table, kg, (q for _, _, q in queries), params.m)
     for (i, k, q), rq in zip(queries, ranked):
         if not truncate or survives_truncation(rq, params):
-            sample_id = f"{id_prefix}-{i}-{q.direction}"
-            w.write(build_sample(kg, rq, options, sample_id, 2 * i + k))
+            sample = build_sample(kg, rq, options, f"{id_prefix}-{i}-{q.direction}", 2 * i + k)
+            w.write(sample)
+            yield sample
 
 
 def read_samples(path: str) -> list[InstructionSample]:
@@ -285,19 +287,26 @@ def build_eval_set(
     options: BuildOptions,
     instructions_path: str,
     triples: list[Triple] | None = None,
-) -> dict:
-    """One untruncated sample per direction for every test triple."""
+) -> tuple[Iterator[InstructionSample], dict]:
+    """One untruncated sample per direction for every test triple: the samples,
+    each ranked, built and written as it is taken, and the set's summary. The
+    summary holds the ``[ranker]`` and ``[instruct]`` values from the start,
+    and the set's counts once the last sample has been taken."""
     source = kg.test if triples is None else triples
-    with InstructionWriter(instructions_path) as w:
-        _write_samples(w, kg, table, params, options, enumerate(source), "test", truncate=False)
-        written = w.count
-        chars = w.prompt_chars
-    return {
-        **_options_summary(params, options),
-        "queries": written,
-        "written": written,
-        "mean_prompt_chars": (chars / written) if written else 0.0,
-    }
+    summary = _options_summary(params, options)
+
+    def samples() -> Iterator[InstructionSample]:
+        with InstructionWriter(instructions_path) as w:
+            yield from _write_samples(
+                w, kg, table, params, options, enumerate(source), "test", truncate=False
+            )
+        summary.update(
+            queries=w.count,
+            written=w.count,
+            mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,
+        )
+
+    return samples(), summary
 
 
 def build_finetune_set(
@@ -323,7 +332,8 @@ def build_finetune_set(
 
     with InstructionWriter(instructions_path) as w:
         part = ((i, kg.valid[i]) for i in part1)
-        _write_samples(w, kg, table, params, options, part, "valid", truncate=True)
+        for _ in _write_samples(w, kg, table, params, options, part, "valid", truncate=True):
+            pass
         kept = w.count
         chars = w.prompt_chars
     if kept == 0:
@@ -331,7 +341,8 @@ def build_finetune_set(
 
     with InstructionWriter(holdout_instructions_path) as w:
         part = ((i, kg.valid[i]) for i in part2)
-        _write_samples(w, kg, table, params, options, part, "valid", truncate=False)
+        for _ in _write_samples(w, kg, table, params, options, part, "valid", truncate=False):
+            pass
         holdout = w.count
 
     return {

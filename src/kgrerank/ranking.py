@@ -179,9 +179,11 @@ def rank_queries(
             yield rank_query(table, kg, q, m)
         return
     rows = max(1, BLOCK_BYTES // (8 * kg.num_entities))
+    entity_sq = table.entity_sq_norms()  # the same for every block
     it = iter(queries)
     while block := list(itertools.islice(it, rows)):
-        dist, bound = table.coarse_distances([(q.known, q.relation, q.direction) for q in block])
+        keys = [(q.known, q.relation, q.direction) for q in block]
+        dist, bound = table.coarse_distances(keys, entity_sq)
         for q, d, delta in zip(block, dist, bound):
             d[_known_true(kg, q)] = np.inf
             t = np.partition(d, m - 1)[m - 1]

@@ -100,11 +100,19 @@ def find_benchmark_dir(name):
     return None
 
 
+def write_eval_set(kg, table, params, options, instructions_path, triples=None):
+    """Build the whole eval set that ``build_eval_set`` streams, as ``build-eval`` does; its summary."""
+    samples, summary = build_eval_set(kg, table, params, options, instructions_path, triples=triples)
+    for _ in samples:
+        pass
+    return summary
+
+
 def eval_samples(kg, table, params, options=None, triples=None):
     """(samples, summary) of the eval set that ``build_eval_set`` writes, read back from disk."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instructions.jsonl")
-        summary = build_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
+        summary = write_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
         samples = read_samples(path)
     return samples, summary
 

@@ -24,6 +24,7 @@ from helpers import (
     parse_candidate_names,
     read_records,
     rel_err,
+    write_eval_set,
 )
 from kgrerank.adapter import AdapterParams, project, project_grad
 from kgrerank.cli import main
@@ -32,7 +33,6 @@ from kgrerank.embeddings import EmbeddingTable, TrainConfig, train
 from kgrerank.evaluation import evaluate
 from kgrerank.instructions import (
     BuildOptions,
-    build_eval_set,
     rc_sample_neighbors,
     render_fact,
 )
@@ -233,7 +233,7 @@ def test_adapter_zero_case():
 def test_prompt_shape(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
     path = str(tmp_path / "eval.jsonl")
-    build_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), path)
+    write_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), path)
     records = read_records(path)
     assert len(records) == 2 * len(toy_kg.test)
     for rec in records:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import read_records
-from kgrerank import cli, discriminator
+from kgrerank import cli, discriminator, instructions
 from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
@@ -466,17 +466,102 @@ def test_evaluate_after_build_eval_loads_no_graph_or_checkpoint(tmp_path, toy_di
     assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
 
 
-def test_evaluate_in_a_fresh_workdir_builds_the_eval_set(tmp_path, toy_dir):
+def _count_selections(monkeypatch):
+    """The ids of the samples that the oracle backend is asked to select from."""
+    seen = []
+    select = discriminator.OracleBackend.select
+    monkeypatch.setattr(
+        discriminator.OracleBackend, "select", lambda self, sample: seen.append(sample.id) or select(self, sample)
+    )
+    return seen
+
+
+@pytest.mark.parametrize("limit", [0, 5])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_evaluate_in_a_fresh_workdir_builds_the_eval_set(tmp_path, toy_dir, monkeypatch, threads, limit):
+    seen = _count_selections(monkeypatch)
     outputs = []
     for run, commands in (("fresh", ["evaluate"]), ("staged", ["build-eval", "evaluate"])):
+        seen.clear()
         workdir = tmp_path / run
-        cfg = write_config(tmp_path / f"{run}.ini", toy_dir, workdir)
+        extra = f"\n[eval]\naudit = true\nlimit_triples = {limit}\n"
+        cfg = write_config(tmp_path / f"{run}.ini", toy_dir, workdir, extra=extra)
         for command in commands:
-            assert main([command, "--config", cfg]) == 0
-        assert os.path.isfile(workdir_file(workdir, "eval-", "summary.json"))
-        eval_dir = os.path.basename(workdir_file(workdir, "eval-"))
-        outputs.append((eval_dir, open(workdir_file(workdir, "report-", "report.json"), "rb").read()))
+            assert main([command, "--config", cfg, "--set", f"pipeline.threads={threads}"]) == 0
+        assert not [e for e in os.listdir(workdir) if e.endswith(".tmp")]
+        # the whole set is built and published; the backend sees its first 2N samples
+        records = read_records(workdir_file(workdir, "eval-", "instructions.jsonl"))
+        assert len(records) == 24
+        assert sorted(seen) == sorted(r["id"] for r in records[: 2 * limit or None])
+        assert len(seen) == (10 if limit else 24)
+        files = {
+            name: open(workdir_file(workdir, prefix, name), "rb").read()
+            for prefix, names in (
+                ("eval-", ("instructions.jsonl", "summary.json")),
+                ("report-", ("report.json", "report.txt", "audit.jsonl")),
+            )
+            for name in names
+        }
+        outputs.append((os.path.basename(workdir_file(workdir, "eval-")), files))
     assert outputs[0] == outputs[1]
+
+
+def test_evaluate_sends_samples_while_it_builds_the_rest_of_the_set(tmp_path, toy_dir, monkeypatch):
+    # from the third sample on, building waits until a sample has reached the
+    # backend: a build that finishes before the first request times out here
+    selected = threading.Event()
+    built = []
+    build_sample, select = instructions.build_sample, discriminator.OracleBackend.select
+
+    def waiting_build_sample(*args, **kwargs):
+        built.append(1)
+        if len(built) >= 3 and not selected.wait(timeout=10):
+            raise AssertionError("no sample reached the backend while the eval set was built")
+        return build_sample(*args, **kwargs)
+
+    def signalling_select(self, sample):
+        selected.set()
+        return select(self, sample)
+
+    monkeypatch.setattr(instructions, "build_sample", waiting_build_sample)
+    monkeypatch.setattr(discriminator.OracleBackend, "select", signalling_select)
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert len(built) == 24
+    assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
+
+
+def assert_a_backend_error_left_nothing(workdir):
+    """No report, no temporary, and no eval set: a set built by ``evaluate`` is
+    published only once the backend has seen every sample it was to see."""
+    names = os.listdir(workdir)
+    assert not [n for n in names if n.startswith(("report-", "eval-")) or n.endswith(".tmp")], names
+
+
+def test_a_backend_error_stops_building_the_eval_set(tmp_path, toy_dir, monkeypatch, capsys):
+    # the first selection fails; the second sample is built only once it has
+    failed = threading.Event()
+    built = []
+    build_sample = instructions.build_sample
+
+    def waiting_build_sample(*args, **kwargs):
+        built.append(1)
+        if len(built) == 2:
+            assert failed.wait(timeout=10)
+            time.sleep(0.2)  # for the worker to record the error
+        return build_sample(*args, **kwargs)
+
+    def failing_select(self, sample):
+        failed.set()
+        raise discriminator.BackendError("endpoint down")
+
+    monkeypatch.setattr(instructions, "build_sample", waiting_build_sample)
+    monkeypatch.setattr(discriminator.OracleBackend, "select", failing_select)
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["evaluate", "--config", cfg]) == 3
+    assert "endpoint down" in capsys.readouterr().err
+    assert len(built) == 2  # of 24
+    assert_a_backend_error_left_nothing(tmp_path / "w")
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -496,7 +581,7 @@ def test_dead_remote_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, ca
     )
     assert main(["evaluate", "--config", cfg, "--set", f"pipeline.threads={threads}"]) == 3
     assert "backend error" in capsys.readouterr().err
-    assert not any(name.startswith("report-") for name in os.listdir(workdir))
+    assert_a_backend_error_left_nothing(workdir)
 
 
 class _Stub(http.server.ThreadingHTTPServer):
@@ -587,7 +672,7 @@ def test_a_failing_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, caps
     if reply != "timeout":  # a timed-out request may not have reached the stub yet
         # a malformed body, a client error and any other success than 200 are not retried
         assert stub.requests == (1 if reply in ("malformed", "null", 400, 201) else 2)
-    assert not any(name.startswith("report-") for name in names)
+    assert_a_backend_error_left_nothing(tmp_path / "w")
 
 
 def test_evaluate_missing_scripted_file_exits_3(tmp_path, toy_dir, capsys):
@@ -724,24 +809,26 @@ def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir
 
 
 def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch):
-    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    calls = []
     original = cli.build_eval_set
+    for command in ("build-eval", "evaluate"):  # evaluate builds the set in a fresh workdir
+        workdir = tmp_path / command
+        cfg = write_config(tmp_path / f"{command}.ini", toy_dir, workdir)
+        calls = []
 
-    def build(*args, **kwargs):
-        summary = original(*args, **kwargs)
-        calls.append(summary)
-        if len(calls) == 1:  # json.dump fails after writing the other keys
-            summary["zz_unserializable"] = object()
-        return summary
+        def build(*args, **kwargs):
+            samples, summary = original(*args, **kwargs)
+            calls.append(summary)
+            if len(calls) == 1:  # json.dump fails after writing the other keys
+                summary["zz_unserializable"] = object()
+            return samples, summary
 
-    monkeypatch.setattr(cli, "build_eval_set", build)
-    with pytest.raises(TypeError):
-        main(["build-eval", "--config", cfg])
-    assert not any(name.startswith("eval-") for name in os.listdir(tmp_path / "w"))
-    assert main(["build-eval", "--config", cfg]) == 0
-    assert len(calls) == 2
-    assert json.load(open(workdir_file(tmp_path / "w", "eval-", "summary.json")))["written"] == 24
+        monkeypatch.setattr(cli, "build_eval_set", build)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            main([command, "--config", cfg])
+        assert not [e for e in os.listdir(workdir) if e.startswith(("eval-", "report-")) or e.endswith(".tmp")]
+        assert main([command, "--config", cfg]) == 0
+        assert len(calls) == 2
+        assert json.load(open(workdir_file(workdir, "eval-", "summary.json")))["written"] == 24
 
 
 def _raises_after(original):
@@ -754,26 +841,43 @@ def _raises_after(original):
     return partway
 
 
+def _raises_after_its_samples(original):
+    """``build_eval_set``, whose samples raise once the last one is written."""
+
+    def partway(*args, **kwargs):
+        samples, summary = original(*args, **kwargs)
+
+        def then_raise():
+            yield from samples
+            raise RuntimeError("killed partway")
+
+        return then_raise(), summary
+
+    return partway
+
+
 @pytest.mark.parametrize(
-    "command, owner, target, prefix, marker",
+    "command, owner, target, wrap, prefix, marker",
     [
-        ("train-embeddings", cli, "train", "embeddings-", None),
-        ("train-embeddings", cli.EmbeddingTable, "save", "embeddings-", None),
-        ("build-finetune", cli, "build_finetune_set", "finetune-", "summary.json"),
-        ("build-eval", cli, "build_eval_set", "eval-", "summary.json"),
-        ("evaluate", cli, "evaluate", "report-", "report.txt"),
+        ("train-embeddings", cli, "train", _raises_after, "embeddings-", None),
+        ("train-embeddings", cli.EmbeddingTable, "save", _raises_after, "embeddings-", None),
+        ("build-finetune", cli, "build_finetune_set", _raises_after, "finetune-", "summary.json"),
+        ("build-eval", cli, "build_eval_set", _raises_after_its_samples, "eval-", "summary.json"),
+        ("evaluate", cli, "evaluate", _raises_after, "report-", "report.txt"),
+        ("evaluate", cli, "build_eval_set", _raises_after_its_samples, "report-", "report.txt"),
     ],
-    ids=["train", "save", "build-finetune", "build-eval", "evaluate"],
+    ids=["train", "save", "build-finetune", "build-eval", "evaluate", "evaluate-build"],
 )
 def test_a_stage_that_fails_partway_leaves_nothing_at_its_address(
-    tmp_path, toy_dir, monkeypatch, command, owner, target, prefix, marker
+    tmp_path, toy_dir, monkeypatch, command, owner, target, wrap, prefix, marker
 ):
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir, extra="\n[eval]\naudit = true\n")
-    monkeypatch.setattr(owner, target, _raises_after(getattr(owner, target)))
+    monkeypatch.setattr(owner, target, wrap(getattr(owner, target)))
     with pytest.raises(RuntimeError, match="killed partway"):
         main([command, "--config", cfg])
-    assert not [e for e in os.listdir(workdir) if e.startswith(prefix) or e.endswith(".tmp")]
+    # evaluate in a fresh workdir builds the eval set too, and publishes neither
+    assert not [e for e in os.listdir(workdir) if e.startswith((prefix, "eval-")) or e.endswith(".tmp")]
     monkeypatch.undo()
     assert main([command, "--config", cfg]) == 0
     output = workdir_file(workdir, prefix)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg, neighbors, parse_candidate_names, read_records
+from helpers import (
+    brute_force_cooc,
+    build_kg,
+    neighbors,
+    parse_candidate_names,
+    read_records,
+    write_eval_set,
+)
 from kgrerank.adapter import attach_knowledge, init_adapter, project
 from kgrerank.cli import main
 from kgrerank.embeddings import EmbeddingTable
@@ -18,7 +25,6 @@ from kgrerank.instructions import (
     TEMPLATE_VERSION,
     BuildOptions,
     InstructionSample,
-    build_eval_set,
     build_finetune_set,
     build_sample,
     query_text_for,
@@ -260,7 +266,7 @@ def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
 def test_build_eval_set_counts_and_candidates(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.05)
     path = str(tmp_path / "eval.jsonl")
-    summary = build_eval_set(toy_kg, toy_table, params, BuildOptions(), path)
+    summary = write_eval_set(toy_kg, toy_table, params, BuildOptions(), path)
     records = read_records(path)
     assert os.listdir(tmp_path) == ["eval.jsonl"]  # no file beside the records
     assert summary["written"] == 2 * len(toy_kg.test)
@@ -281,7 +287,7 @@ def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg,
         ("shuffled", BuildOptions(shuffle_candidates=True, seed=11)),
     ):
         path = str(tmp_path / f"{name}.jsonl")
-        build_eval_set(toy_kg, toy_table, params, options, path)
+        write_eval_set(toy_kg, toy_table, params, options, path)
         sets[name] = read_samples(path)
     moved = 0
     for plain, shuffled in zip(sets["plain"], sets["shuffled"]):
@@ -299,7 +305,7 @@ def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg,
 def test_build_eval_drop_neighbors(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
     path = str(tmp_path / "eval.jsonl")
-    build_eval_set(toy_kg, toy_table, params, BuildOptions(drop_neighbors=True), path)
+    write_eval_set(toy_kg, toy_table, params, BuildOptions(drop_neighbors=True), path)
     for rec in read_records(path):
         assert "Known facts:" not in rec["prompt"]
 

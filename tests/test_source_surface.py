@@ -16,6 +16,9 @@ prose) is no reference.
 
 import ast
 import glob
+import importlib
+import importlib.util
+import inspect
 import os
 import re
 import sys
@@ -163,3 +166,21 @@ def test_numpy_is_the_only_declared_dependency():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
         dependencies = tomllib.load(f)["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_every_perfbench_hook_resolves_in_src():
+    # the benchmark's tracer lists a hook it cannot find as absent and runs on
+    # without its span, so a renamed or deleted target fails here instead
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = []
+    for module_name, path, _ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            try:
+                owner = inspect.getattr_static(owner, part)
+            except AttributeError:
+                absent.append(f"{module_name}.{path}")
+                break
+    assert tracer.TARGETS and absent == []
