@@ -23,6 +23,7 @@ import logging
 import os
 import shutil
 import sys
+import time
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
@@ -37,7 +38,7 @@ from .instructions import (
     build_finetune_set,
     read_samples,
 )
-from .kg import DATASET_FILES, DataError, KnowledgeGraph, has_split_arrays, load_kg
+from .kg import DATASET_FILES, GRAPH_LAYOUT, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
 
 logger = logging.getLogger(__name__)
@@ -184,6 +185,8 @@ def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
         payload["scripted_file"] = content_hash(cfg, cfg.backend.scripted_file)
     if "instruct" in sections:  # a new prompt or record layout is a new set
         payload["template_version"] = TEMPLATE_VERSION
+    if not sections:  # the graph: a new layout of its built files is a new graph
+        payload["graph_layout"] = GRAPH_LAYOUT
     for section in sections:
         payload[section] = asdict(getattr(cfg, section))
     blob = json.dumps(payload, sort_keys=True)
@@ -203,7 +206,7 @@ _STAGE_SECTIONS = {
 def stage_output(cfg: PipelineConfig, stage: str) -> str:
     """Where a stage writes: ``<workdir>/<stage>-<digest>``, a directory or, for
     ``embeddings``, the stem of the checkpoint ``<stem>.ckpt``. ``graph`` holds
-    the parsed triple arrays and depends on the dataset files alone."""
+    the built graph and depends on the dataset files alone."""
     digest = stage_digest(cfg, *_STAGE_SECTIONS[stage])
     return os.path.join(cfg.pipeline.workdir, f"{stage}-{digest}")
 
@@ -212,13 +215,15 @@ def stage_output(cfg: PipelineConfig, stage: str) -> str:
 def _publish(path: str):
     """Yield a temporary name beside the stage address ``path`` to build a file
     or a directory under. On success one rename puts it at ``path``, replacing
-    any incomplete entry there; on failure it is removed."""
+    any incomplete entry there; on failure it is removed. A body that builds
+    nothing, such as a graph load that read its address, leaves ``path`` as it is."""
     tmp = path + ".tmp"
     _remove(tmp)  # left by a killed run
     try:
         yield tmp
-        _remove(path)  # incomplete: a graph lacking an array, or an older version's partial output
-        os.replace(tmp, path)
+        if os.path.lexists(tmp):
+            _remove(path)  # incomplete: a damaged graph, or an older version's partial output
+            os.replace(tmp, path)
     finally:
         _remove(tmp)
 
@@ -237,17 +242,23 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
-    """The dataset's graph, whose triple files are parsed once per workdir: the
-    first load publishes the parsed arrays at the ``graph`` address, and later
-    loads read them from there. An address that lacks an array is rebuilt and
-    replaced whole, never written into."""
+    """The dataset's graph, built once per workdir: the first load parses the
+    dataset and publishes the built graph at the ``graph`` address, and later
+    loads read it back from there. An address with a file missing, cut short
+    or failing a check counts as absent: it is rebuilt and replaced whole,
+    never written into."""
     cache = stage_output(cfg, "graph")
-    if has_split_arrays(cache):
-        return load_kg(cfg.pipeline.dataset_dir, cache)
     os.makedirs(cfg.pipeline.workdir, exist_ok=True)
+    start = time.perf_counter()
     with _publish(cache) as tmp:
-        os.mkdir(tmp)
-        return load_kg(cfg.pipeline.dataset_dir, tmp)
+        kg = load_kg(cfg.pipeline.dataset_dir, cache, tmp)
+        parsed = os.path.isdir(tmp)
+    seconds = time.perf_counter() - start
+    if parsed:
+        logger.info("parsed %s and published %s in %.2f s", cfg.pipeline.dataset_dir, cache, seconds)
+    else:
+        logger.info("read %s in %.2f s", cache, seconds)
+    return kg
 
 
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:

@@ -14,10 +14,16 @@ and by ``(relation, tail)`` and searched with ``searchsorted``, the
 adjacency is a CSR list of train row numbers per entity, and negative
 sampling tests membership in the sorted train keys ``(h·R + r)·E + t``.
 
-Parsing the triple files line by line is most of a load. ``load_kg`` can
-keep the parsed split arrays as ``.npy`` files in a directory its caller
-addresses by the dataset's content, and read them from there on the next
-load; the text tables are always read and the graph is always validated.
+Parsing, validating and indexing a dataset is all of a first load.
+``load_kg`` can write the built graph to a directory its caller addresses
+by the dataset's content: every array the constructor derives as ``.npy``
+(the splits, the three key arrays, the adjacency and ``cooc``) and the five
+text tables as ``.txt``, one entry per line. A later load reads it back
+without parsing, sorting or forming ``cooc``: each array is a read-only
+memory map, and O(n) checks take the place of validation (dtypes, shapes,
+id ranges, strictly increasing keys, adjacency offsets, table lengths). A
+directory with a file missing, cut short or failing a check counts as
+absent.
 """
 
 from __future__ import annotations
@@ -45,6 +51,16 @@ DATASET_FILES = (
     TEST_FILE,
 )
 
+# the built graph's files: each of these attributes as <name>.npy, leading
+# "_" dropped, and each text table as <name>.txt, every entry ended by "\n";
+# a parsed entry never holds "\n" (files are read with universal newlines),
+# so the tables read back exactly. A change here must bump GRAPH_LAYOUT.
+GRAPH_LAYOUT = 2  # 1 held the three parsed splits alone
+_BUILT_ARRAYS = (
+    "train", "valid", "test", "_train_keys", "_all_keys", "_head_keys", "_adj_facts", "_adj_offsets", "cooc"
+)
+_BUILT_TABLES = ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names")
+
 
 class DataError(Exception):
     """Missing, malformed, or internally inconsistent dataset files."""
@@ -68,7 +84,8 @@ class KnowledgeGraph:
     triples within a split, and precomputes the adjacency, the all-splits
     filter index used by filtered ranking, and the relation co-occurrence
     matrix. Splits may be given as ``(n, 3)`` arrays or as sequences of
-    triples.
+    triples. ``load_kg`` also fills one from a built graph's files, without
+    running the constructor.
     """
 
     def __init__(
@@ -257,27 +274,7 @@ def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str,
     return np.array([heads, rels, tails], dtype=np.int64).T
 
 
-def _split_arrays(cache_dir: str) -> list[str]:
-    return [os.path.join(cache_dir, f"{name}.npy") for name in ("train", "valid", "test")]
-
-
-def has_split_arrays(cache_dir: str) -> bool:
-    """Whether ``cache_dir`` holds all three parsed split arrays, which
-    ``load_kg`` then reads in place of the triple files."""
-    return all(map(os.path.isfile, _split_arrays(cache_dir)))
-
-
-def load_kg(dataset_dir: str, cache_dir: str | None = None) -> KnowledgeGraph:
-    """Load and validate a dataset directory.
-
-    ``cache_dir`` is a directory for the parsed triple arrays, one
-    ``<split>.npy`` per split. When it holds all three they stand in for the
-    per-line parse of the triple files; otherwise the parse runs and its
-    arrays are saved there once the graph built from them has validated.
-    Either way the text tables are read and the constructor checks ranges,
-    duplicates and disjointness. The caller must key the directory by the
-    dataset files' content: a hit does not look at the triple files.
-    """
+def _parse(dataset_dir: str) -> KnowledgeGraph:
     ent_rows = _read_text_table(os.path.join(dataset_dir, ENTITY_NAME_FILE))
     rel_rows = _read_text_table(os.path.join(dataset_dir, RELATION_NAME_FILE))
     entity_keys = [k for k, _ in ent_rows]
@@ -293,18 +290,102 @@ def load_kg(dataset_dir: str, cache_dir: str | None = None) -> KnowledgeGraph:
             raise DataError(f"{ENTITY_DESC_FILE}: description for unknown entity {key!r}")
         descriptions[entity_ids[key]] = text
 
-    hit = cache_dir is not None and has_split_arrays(cache_dir)
-    if hit:
-        splits = [np.load(path, allow_pickle=False) for path in _split_arrays(cache_dir)]
-    else:
-        splits = [
-            _read_triples(os.path.join(dataset_dir, name), entity_ids, relation_ids)
-            for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
-        ]
-    kg = KnowledgeGraph(
-        entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits
+    splits = [
+        _read_triples(os.path.join(dataset_dir, name), entity_ids, relation_ids)
+        for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
+    ]
+    return KnowledgeGraph(entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits)
+
+
+def _built_file(directory: str, name: str) -> str:
+    suffix = ".npy" if name in _BUILT_ARRAYS else ".txt"
+    return os.path.join(directory, name.lstrip("_") + suffix)
+
+
+def _write_built(kg: KnowledgeGraph, out_dir: str) -> None:
+    os.mkdir(out_dir)
+    for name in _BUILT_ARRAYS:
+        np.save(_built_file(out_dir, name), getattr(kg, name))
+    for name in _BUILT_TABLES:
+        with open(_built_file(out_dir, name), "w", encoding="utf-8", newline="") as f:
+            f.write("".join(f"{entry}\n" for entry in getattr(kg, name)))
+
+
+def _read_built(cache_dir: str) -> KnowledgeGraph | None:
+    """The graph built in ``cache_dir``, or None when a file there is missing,
+    cut short or fails a check. Nothing is parsed, sorted or multiplied."""
+    kg = KnowledgeGraph.__new__(KnowledgeGraph)
+    try:
+        for name in _BUILT_ARRAYS:
+            # a read-only map, seen as a plain ndarray: a stage reads only the pages it touches
+            mapped = np.load(_built_file(cache_dir, name), mmap_mode="r", allow_pickle=False)
+            setattr(kg, name, np.asarray(mapped))
+        for name in _BUILT_TABLES:
+            with open(_built_file(cache_dir, name), encoding="utf-8", newline="") as f:
+                entries = f.read().split("\n")
+            if entries.pop():  # cut short: the last entry lacks its "\n"
+                return None
+            setattr(kg, name, entries)
+    except (OSError, ValueError, EOFError):  # missing, or cut short inside a header or the data
+        return None
+    return kg if _is_whole(kg) else None
+
+
+def _is_whole(kg: KnowledgeGraph) -> bool:
+    """O(n) structural checks on a graph read back from its built files."""
+    n_e, n_r = kg.num_entities, kg.num_relations
+    splits = (kg.train, kg.valid, kg.test)
+    offsets, facts = kg._adj_offsets, kg._adj_facts
+    if not (
+        all(getattr(kg, name).dtype == np.int64 for name in _BUILT_ARRAYS)
+        and all(rows.ndim == 2 and rows.shape[1] == 3 for rows in splits)
+        and facts.ndim == 1
+    ):
+        return False
+    n_all = sum(map(len, splits))
+    key_bound = n_e * n_r * n_e  # above every key (h·R + r)·E + t and (r·E + t)·E + h
+    return (
+        len(kg.entity_names) == len(kg.entity_descriptions) == n_e
+        and len(kg.relation_names) == n_r
+        and all(_within(rows[:, ::2], n_e) and _within(rows[:, 1], n_r) for rows in splits)
+        and _increasing(kg._train_keys, len(kg.train), key_bound)
+        and _increasing(kg._all_keys, n_all, key_bound)
+        and _increasing(kg._head_keys, n_all, key_bound)
+        and offsets.shape == (n_e + 1,)
+        and offsets[0] == 0
+        and offsets[-1] == len(facts)
+        and bool((offsets[1:] >= offsets[:-1]).all())
+        and _within(facts, len(kg.train))
+        and kg.cooc.shape == (n_r, n_r)
     )
-    if cache_dir is not None and not hit:
-        for path, rows in zip(_split_arrays(cache_dir), splits):
-            np.save(path, rows)
+
+
+def _within(ids: np.ndarray, bound: int) -> bool:
+    """Whether every id lies in ``[0, bound)``."""
+    return ids.size == 0 or (ids.min() >= 0 and ids.max() < bound)
+
+
+def _increasing(keys: np.ndarray, length: int, bound: int) -> bool:
+    """Whether ``keys`` is ``length`` strictly increasing values in ``[0, bound)``."""
+    return keys.shape == (length,) and (
+        length == 0 or (keys[0] >= 0 and keys[-1] < bound and bool((keys[1:] > keys[:-1]).all()))
+    )
+
+
+def load_kg(dataset_dir: str, cache_dir: str | None = None, build_dir: str | None = None) -> KnowledgeGraph:
+    """Load a dataset directory as a graph.
+
+    With ``cache_dir``, the graph built there is read back when every file
+    of it is present and passes its checks. The caller must key that
+    directory by the dataset files' content: a hit looks at none of them.
+    Otherwise the dataset is parsed and validated, and with ``build_dir``
+    the built graph is then written to that new directory.
+    """
+    if cache_dir is not None:
+        kg = _read_built(cache_dir)
+        if kg is not None:
+            return kg
+    kg = _parse(dataset_dir)
+    if build_dir is not None:
+        _write_built(kg, build_dir)
     return kg

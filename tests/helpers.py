@@ -58,6 +58,46 @@ def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=Non
     )
 
 
+def assert_same_graph(graph, reference):
+    """``graph`` equals ``reference`` on every attribute and accessor: each
+    split's bytes, dtype and shape, the five text tables, ``cooc``, and what
+    ``incident_rows``, ``known_tails``, ``known_heads`` and ``in_train`` answer
+    for every entity, relation and (h, r, t) row."""
+    for split in ("train", "valid", "test"):
+        a, b = getattr(graph, split), getattr(reference, split)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), split
+    for table in ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names"):
+        assert getattr(graph, table) == getattr(reference, table), table
+    assert graph.cooc.dtype == reference.cooc.dtype and np.array_equal(graph.cooc, reference.cooc)
+    n_e, n_r = reference.num_entities, reference.num_relations
+    for e in range(n_e):
+        assert np.array_equal(graph.incident_rows(e), reference.incident_rows(e))
+        for r in range(n_r):
+            assert np.array_equal(graph.known_tails(e, r), reference.known_tails(e, r))
+            assert np.array_equal(graph.known_heads(r, e), reference.known_heads(r, e))
+    every = np.array(np.meshgrid(range(n_e), range(n_r), range(n_e), indexing="ij"), dtype=np.int64)
+    every = every.reshape(3, -1).T
+    assert np.array_equal(graph.in_train(every), reference.in_train(every))
+
+
+def read_text(path):
+    """A UTF-8 file's text, read and closed."""
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def read_lines(path):
+    """A UTF-8 file's lines, each with its line end as ``readlines`` gives it, read and closed."""
+    with open(path, encoding="utf-8") as f:
+        return f.readlines()
+
+
+def read_bytes(path):
+    """A file's bytes, read and closed."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def neighbors(kg, entity):
     """Training facts incident to ``entity``, in train-file order."""
     return tuple(Triple(*row) for row in kg.train[kg.incident_rows(entity)].tolist())

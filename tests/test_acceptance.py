@@ -22,7 +22,9 @@ from helpers import (
     eval_samples,
     find_benchmark_dir,
     parse_candidate_names,
+    read_bytes,
     read_records,
+    read_text,
     rel_err,
     write_eval_set,
 )
@@ -266,11 +268,11 @@ def test_pipeline_determinism(tmp_path, toy_dir):
         for entry in sorted(os.listdir(workdir)):
             full = os.path.join(workdir, entry)
             if entry.endswith(".ckpt"):
-                blob.update(open(full, "rb").read())
+                blob.update(read_bytes(full))
             if os.path.isdir(full):
                 for name in sorted(os.listdir(full)):
                     if name.endswith(".jsonl") or name.startswith(("report", "summary")):
-                        blob.update(open(os.path.join(full, name), "rb").read())
+                        blob.update(read_bytes(os.path.join(full, name)))
         digests.append(blob.hexdigest())
     assert digests[0] == digests[1]
 
@@ -314,7 +316,7 @@ def test_end_to_end_smoke(tmp_path, toy_dir):
     report_dir = next(
         os.path.join(workdir, e) for e in sorted(os.listdir(workdir)) if e.startswith("report-")
     )
-    report = json.load(open(os.path.join(report_dir, "report.json")))
+    report = json.loads(read_text(os.path.join(report_dir, "report.json")))
     combined = report["combined"]
     assert combined["hits1"] <= combined["hits3"] <= combined["hits10"]
     assert time.monotonic() - start < 30

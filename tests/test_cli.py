@@ -19,13 +19,20 @@ import time
 import numpy as np
 import pytest
 
-from helpers import read_records
+from helpers import assert_same_graph, read_bytes, read_lines, read_records, read_text
 from kgrerank import cli, discriminator, instructions
 from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.kg import load_kg
 from kgrerank.ranking import metrics, queries_for_triple, rank_query
+
+# the built graph's files under graph-<digest>/, sorted
+GRAPH_FILES = [
+    "adj_facts.npy", "adj_offsets.npy", "all_keys.npy", "cooc.npy",
+    "entity_descriptions.txt", "entity_keys.txt", "entity_names.txt", "head_keys.npy",
+    "relation_keys.txt", "relation_names.txt", "test.npy", "train.npy", "train_keys.npy", "valid.npy",
+]
 
 FAST_EMBEDDER = """
 [embedder]
@@ -127,7 +134,7 @@ def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
 
 
 def test_readme_config_reference_matches_the_schema():
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    readme = read_text(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"))
     block = readme.split("## Config reference", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     parser.read_string(block)
@@ -181,11 +188,12 @@ def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["build-eval", "--config", cfg]) == 0
     path = workdir_file(tmp_path / "w", "eval-", "instructions.jsonl")
-    lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+    lines = read_text(path).splitlines(keepends=True)
     record = json.loads(lines[2])
     record["knowledge_ref_offsets"] = [0, 1, 2, 3, 4, 5]  # a key this layout does not have
     lines[2] = json.dumps(record) + "\n"
-    open(path, "w", encoding="utf-8").write("".join(lines))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(lines))
     assert main(["evaluate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"{path}:3:" in err and "knowledge_ref_offsets" in err
@@ -316,8 +324,8 @@ def test_build_eval_and_finetune_outputs(tmp_path, toy_dir):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["build-eval", "--config", cfg]) == 0
     assert main(["build-finetune", "--config", cfg]) == 0
-    eval_summary = json.load(open(workdir_file(tmp_path / "w", "eval-", "summary.json")))
-    ft_summary = json.load(open(workdir_file(tmp_path / "w", "finetune-", "summary.json")))
+    eval_summary = json.loads(read_text(workdir_file(tmp_path / "w", "eval-", "summary.json")))
+    ft_summary = json.loads(read_text(workdir_file(tmp_path / "w", "finetune-", "summary.json")))
     assert eval_summary["written"] == 24  # 12 test triples, both directions
     assert ft_summary["queries"] == 20  # 10 of 12 valid triples in the 90% part
     assert ft_summary["holdout_queries"] == 4
@@ -342,7 +350,7 @@ def test_build_summary_records_ablation_flags(tmp_path, toy_dir):
         )
         == 0
     )
-    summary = json.load(open(workdir_file(tmp_path / "w", "eval-", "summary.json")))
+    summary = json.loads(read_text(workdir_file(tmp_path / "w", "eval-", "summary.json")))
     assert summary["drop_description"] is True
     assert summary["rc_sampling"] is False
     assert summary["drop_neighbors"] is False
@@ -355,7 +363,7 @@ def test_beta_sweep_counts_non_increasing(tmp_path, toy_dir):
         assert main(["build-finetune", "--config", cfg, "--set", f"ranker.beta={beta}"]) == 0
     for entry in sorted(os.listdir(tmp_path / "w")):
         if entry.startswith("finetune-"):
-            summary = json.load(open(tmp_path / "w" / entry / "summary.json"))
+            summary = json.loads(read_text(tmp_path / "w" / entry / "summary.json"))
             kept.append((summary["beta"], summary["kept"]))
     kept.sort()
     counts = [k for _, k in kept]
@@ -370,7 +378,7 @@ def test_m_sweep_grows_prompts(tmp_path, toy_dir):
         assert main(["build-eval", "--config", cfg, "--set", f"ranker.m={m}"]) == 0
     for entry in sorted(os.listdir(tmp_path / "w")):
         if entry.startswith("eval-"):
-            summary = json.load(open(tmp_path / "w" / entry / "summary.json"))
+            summary = json.loads(read_text(tmp_path / "w" / entry / "summary.json"))
             means.append((summary["m"], summary["mean_prompt_chars"]))
     means.sort()
     assert [c for _, c in means] == sorted(c for _, c in means)
@@ -393,7 +401,7 @@ def test_evaluate_with_scripted_backend(tmp_path, toy_dir):
         extra=f"\n[backend]\nkind = scripted\nscripted_file = {fixture}\n",
     )
     assert main(["evaluate", "--config", cfg]) == 0
-    report = json.load(open(workdir_file(workdir, "report-", "report.json")))
+    report = json.loads(read_text(workdir_file(workdir, "report-", "report.json")))
     assert report["backend"] == "scripted"
     assert report["queries"] == 24
     assert report["abstentions"] >= 23  # only one scripted output
@@ -449,7 +457,7 @@ def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
         )
         == 0
     )
-    report = json.load(open(workdir_file(workdir, "report-", "report.json")))
+    report = json.loads(read_text(workdir_file(workdir, "report-", "report.json")))
     assert report["combined"]["hits1"] == report["candidate_recall"]
 
 
@@ -463,7 +471,7 @@ def test_evaluate_after_build_eval_loads_no_graph_or_checkpoint(tmp_path, toy_di
     monkeypatch.setattr(cli, "load_kg", refuse)
     monkeypatch.setattr(EmbeddingTable, "load", refuse)
     assert main(["evaluate", "--config", cfg]) == 0
-    assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
+    assert json.loads(read_text(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
 
 
 def _count_selections(monkeypatch):
@@ -495,7 +503,7 @@ def test_evaluate_in_a_fresh_workdir_builds_the_eval_set(tmp_path, toy_dir, monk
         assert sorted(seen) == sorted(r["id"] for r in records[: 2 * limit or None])
         assert len(seen) == (10 if limit else 24)
         files = {
-            name: open(workdir_file(workdir, prefix, name), "rb").read()
+            name: read_bytes(workdir_file(workdir, prefix, name))
             for prefix, names in (
                 ("eval-", ("instructions.jsonl", "summary.json")),
                 ("report-", ("report.json", "report.txt", "audit.jsonl")),
@@ -528,7 +536,7 @@ def test_evaluate_sends_samples_while_it_builds_the_rest_of_the_set(tmp_path, to
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["evaluate", "--config", cfg]) == 0
     assert len(built) == 24
-    assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
+    assert json.loads(read_text(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
 
 
 def assert_a_backend_error_left_nothing(workdir):
@@ -660,7 +668,7 @@ def test_a_retried_server_error_still_gives_a_clean_report(tmp_path, toy_dir):
     assert code == 0
     assert stub.requests == 24 + 1  # every query once, and one retry
     assert {"report.json", "report.txt"} <= set(os.listdir(workdir_file(tmp_path / "w", "report-")))
-    assert json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
+    assert json.loads(read_text(workdir_file(tmp_path / "w", "report-", "report.json")))["queries"] == 24
 
 
 @pytest.mark.parametrize("reply", [500, 429, 400, 201, "malformed", "null", "timeout"])
@@ -689,7 +697,7 @@ def test_evaluate_missing_scripted_file_exits_3(tmp_path, toy_dir, capsys):
 def test_evaluate_oracle_report_identities(tmp_path, toy_dir):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["evaluate", "--config", cfg]) == 0
-    report = json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))
+    report = json.loads(read_text(workdir_file(tmp_path / "w", "report-", "report.json")))
     assert report["combined"]["hits1"] == report["candidate_recall"]
 
 
@@ -702,7 +710,7 @@ def test_evaluate_audit_and_threads(tmp_path, toy_dir):
     )
     assert main(["evaluate", "--config", cfg, "--set", "pipeline.threads=3"]) == 0
     audit = workdir_file(tmp_path / "w", "report-", "audit.jsonl")
-    assert sum(1 for _ in open(audit)) == 24
+    assert len(read_lines(audit)) == 24
 
 
 def test_full_pipeline_runs_are_byte_identical(tmp_path, toy_dir):
@@ -722,15 +730,15 @@ def test_full_pipeline_runs_are_byte_identical(tmp_path, toy_dir):
             r"report-[0-9a-f]{12}",
         )
         assert len(entries) == 5 and all(map(re.fullmatch, patterns, entries)), entries
-        blob = open(workdir_file(workdir, "embeddings-"), "rb").read()
+        blob = read_bytes(workdir_file(workdir, "embeddings-"))
         for prefix, names in (
-            ("graph-", ("train.npy", "valid.npy", "test.npy")),
+            ("graph-", GRAPH_FILES),
             ("finetune-", ("instructions.jsonl", "holdout.jsonl", "summary.json")),
             ("eval-", ("instructions.jsonl", "summary.json")),
             ("report-", ("report.json",)),
         ):
             for name in names:
-                blob += open(workdir_file(workdir, prefix, name), "rb").read()
+                blob += read_bytes(workdir_file(workdir, prefix, name))
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
 
@@ -743,7 +751,7 @@ def test_auth_token_never_written_to_workdir(tmp_path, toy_dir, monkeypatch):
         assert main([command, "--config", cfg]) == 0
     for root, _, files in os.walk(tmp_path / "w"):
         for name in files:
-            data = open(os.path.join(root, name), "rb").read()
+            data = read_bytes(os.path.join(root, name))
             assert secret.encode() not in data
 
 
@@ -828,7 +836,7 @@ def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch)
         assert not [e for e in os.listdir(workdir) if e.startswith(("eval-", "report-")) or e.endswith(".tmp")]
         assert main([command, "--config", cfg]) == 0
         assert len(calls) == 2
-        assert json.load(open(workdir_file(workdir, "eval-", "summary.json")))["written"] == 24
+        assert json.loads(read_text(workdir_file(workdir, "eval-", "summary.json")))["written"] == 24
 
 
 def _raises_after(original):
@@ -888,7 +896,7 @@ def test_a_stage_that_fails_partway_leaves_nothing_at_its_address(
 def _tree(root):
     """Every file under ``root``: relative path -> bytes."""
     return {
-        os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+        os.path.relpath(os.path.join(d, name), root): read_bytes(os.path.join(d, name))
         for d, _, files in os.walk(root)
         for name in files
     }
@@ -931,42 +939,102 @@ def test_the_triple_files_are_parsed_once_per_workdir(tmp_path, toy_dir, monkeyp
 def test_a_graph_read_from_the_cache_equals_the_parsed_graph(tmp_path, toy_dir, monkeypatch):
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
     first = cli._load_graph(cfg)
-    assert sorted(os.listdir(stage_output(cfg, "graph"))) == ["test.npy", "train.npy", "valid.npy"]
+    assert sorted(os.listdir(stage_output(cfg, "graph"))) == GRAPH_FILES
     parsed = _count_parses(monkeypatch)
     cached = cli._load_graph(cfg)
     assert parsed == []
     reference = load_kg(toy_dir)
     for graph in (first, cached):  # the miss returns what it parsed, the hit what it read
-        for split in ("train", "valid", "test"):
-            assert getattr(graph, split).tobytes() == getattr(reference, split).tobytes()
-            assert getattr(graph, split).shape == getattr(reference, split).shape
-        for h in range(reference.num_entities):
-            assert np.array_equal(graph.incident_rows(h), reference.incident_rows(h))
-            for r in range(reference.num_relations):
-                assert np.array_equal(graph.known_tails(h, r), reference.known_tails(h, r))
-                assert np.array_equal(graph.known_heads(r, h), reference.known_heads(r, h))
-        assert np.array_equal(graph.cooc, reference.cooc)
-        assert graph.entity_names == reference.entity_names
-        assert graph.entity_descriptions == reference.entity_descriptions
+        assert_same_graph(graph, reference)
 
 
-@pytest.mark.parametrize("missing", ["train.npy", "valid.npy", "test.npy"])
-def test_a_graph_directory_missing_an_array_is_replaced_not_written_into(tmp_path, toy_dir, missing):
+def test_a_graph_load_logs_whether_it_read_or_parsed(tmp_path, toy_dir, caplog):
+    caplog.set_level(logging.INFO, logger="kgrerank.cli")
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
+    graph = stage_output(cfg, "graph")
+    cli._load_graph(cfg)
+    cli._load_graph(cfg)
+    loads = [r.getMessage() for r in caplog.records if r.name == "kgrerank.cli"]
+    assert len(loads) == 2
+    assert re.fullmatch(rf"parsed {re.escape(toy_dir)} and published {re.escape(graph)} in \d+\.\d\d s", loads[0])
+    assert re.fullmatch(rf"read {re.escape(graph)} in \d+\.\d\d s", loads[1])
+
+
+def test_the_graph_layout_readdresses_only_the_graph(tmp_path, toy_dir, monkeypatch):
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
+    stages = ("graph", "embeddings", "finetune", "eval", "report")
+    before = {stage: cli.stage_output(cfg, stage) for stage in stages}
+    monkeypatch.setattr(cli, "GRAPH_LAYOUT", cli.GRAPH_LAYOUT + 1)
+    after = {stage: cli.stage_output(cfg, stage) for stage in stages}
+    assert after["graph"] != before["graph"]
+    assert {s: after[s] for s in stages[1:]} == {s: before[s] for s in stages[1:]}
+
+
+def _damage_and_rebuild(tmp_path, toy_dir, damage):
+    """Damage the graph directory a first stage published, then run
+    ``build-eval``: it must exit 0 and replace the directory whole, with
+    files byte-equal to a fresh parse's and no ``*.tmp`` left."""
     cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["train-embeddings", "--config", cfg_path]) == 0
     graph = stage_output(load_config(cfg_path), "graph")
-    os.remove(os.path.join(graph, missing))
+    damage(graph)
     survivors = {name: os.stat(os.path.join(graph, name)).st_ino for name in os.listdir(graph)}
     assert main(["build-eval", "--config", cfg_path]) == 0
     for name, inode in survivors.items():  # a new file, renamed in with its directory
         assert os.stat(os.path.join(graph, name)).st_ino != inode
-    reference = load_kg(toy_dir)
-    assert sorted(os.listdir(graph)) == ["test.npy", "train.npy", "valid.npy"]
-    for split in ("train", "valid", "test"):
-        cached = np.load(os.path.join(graph, f"{split}.npy"))
-        assert cached.dtype == np.int64 and cached.shape == getattr(reference, split).shape
-        assert cached.tobytes() == getattr(reference, split).tobytes()
+    fresh = str(tmp_path / "fresh")
+    load_kg(toy_dir, None, fresh)
+    assert sorted(os.listdir(graph)) == GRAPH_FILES
+    for name in GRAPH_FILES:
+        assert read_bytes(os.path.join(graph, name)) == read_bytes(os.path.join(fresh, name)), name
     assert glob.glob(str(tmp_path / "w" / "*.tmp")) == []
+
+
+@pytest.mark.parametrize("missing", GRAPH_FILES)
+def test_a_graph_directory_missing_an_array_is_replaced_not_written_into(tmp_path, toy_dir, missing):
+    _damage_and_rebuild(tmp_path, toy_dir, lambda graph: os.remove(os.path.join(graph, missing)))
+
+
+@pytest.mark.parametrize("name", GRAPH_FILES)
+def test_a_graph_file_cut_short_is_replaced(tmp_path, toy_dir, name):
+    def cut(graph):
+        path = os.path.join(graph, name)
+        os.truncate(path, os.path.getsize(path) // 2)
+
+    _damage_and_rebuild(tmp_path, toy_dir, cut)
+
+
+def _rewrite_array(change):
+    return lambda path: np.save(path, change(np.load(path)))
+
+
+def _drop_first_line(path):
+    lines = read_text(path).splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(lines[1:]))
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("train.npy", _rewrite_array(lambda a: a + 100)),  # ids past the entity count
+        ("test.npy", _rewrite_array(np.ravel)),  # not (n, 3) rows
+        ("valid.npy", _rewrite_array(lambda a: a.astype(np.int32))),
+        ("all_keys.npy", _rewrite_array(lambda a: a[::-1])),  # not increasing
+        ("head_keys.npy", _rewrite_array(lambda a: a[1:])),  # shorter than the splits imply
+        ("adj_offsets.npy", _rewrite_array(lambda a: a[:-1])),
+        ("adj_facts.npy", _rewrite_array(lambda a: a + 1000)),  # rows past the train split
+        ("adj_facts.npy", _rewrite_array(lambda a: a[0])),  # a 0-d array, which has no length
+        ("cooc.npy", _rewrite_array(lambda a: a[:, :-1])),
+        ("entity_names.txt", _drop_first_line),  # one name short of the entity count
+    ],
+    ids=[
+        "train-range", "test-shape", "valid-dtype", "keys-order", "keys-length",
+        "offsets-length", "facts-range", "facts-scalar", "cooc-shape", "names-length",
+    ],
+)
+def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, name, damage):
+    _damage_and_rebuild(tmp_path, toy_dir, lambda graph: damage(os.path.join(graph, name)))
 
 
 @pytest.mark.parametrize(
@@ -1020,7 +1088,7 @@ def test_sweep_beta_script(tmp_path, toy_dir, monkeypatch, capsys):
     rows = [row for row in map(str.split, lines) if row[:1] in (["0.000"], ["1.000"])]
     assert rows[0][1:] == ["20", "20", "0"]  # beta 0 keeps every query
     assert int(rows[1][2]) <= 20 and int(rows[1][2]) + int(rows[1][3]) == 20
-    summaries = [json.load(open(path)) for path in glob.glob(str(tmp_path / "w" / "finetune-*" / "summary.json"))]
+    summaries = [json.loads(read_text(path)) for path in glob.glob(str(tmp_path / "w" / "finetune-*" / "summary.json"))]
     assert sorted(s["beta"] for s in summaries) == [0.0, 1.0]
     assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every beta
 
@@ -1032,7 +1100,7 @@ def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
     rows = [row for row in map(str.split, lines) if row[:1] in (["2"], ["9"])]
     assert [(r[0], r[1]) for r in rows] == [("2", "24"), ("9", "24")]
     assert float(rows[0][2]) < float(rows[1][2])
-    summaries = [json.load(open(path)) for path in glob.glob(str(tmp_path / "w" / "eval-*" / "summary.json"))]
+    summaries = [json.loads(read_text(path)) for path in glob.glob(str(tmp_path / "w" / "eval-*" / "summary.json"))]
     assert sorted(s["m"] for s in summaries) == [2, 9]
     assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every m
 
@@ -1066,7 +1134,7 @@ def test_first_candidate_evaluate_reports_the_base_model(tmp_path, toy_dir, caps
     assert rows["tail"] == printed(metrics(ranks["tail"]))
     assert rows["combined"] == printed(metrics(ranks["head"] + ranks["tail"]))
     assert rows["base combined"] == rows["combined"]
-    report = json.load(open(workdir_file(tmp_path / "w", "report-", "report.json")))
+    report = json.loads(read_text(workdir_file(tmp_path / "w", "report-", "report.json")))
     assert report["base"] == {d: report[d] for d in ("head", "tail", "combined")}
 
 

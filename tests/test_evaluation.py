@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import base_model_metrics, brute_force_rank, build_kg, eval_samples, rerank
+from helpers import base_model_metrics, brute_force_rank, build_kg, eval_samples, read_lines, rerank
 from kgrerank.cli import _write_json
 from kgrerank.discriminator import (
     BackendError,
@@ -146,8 +146,8 @@ def test_limit_triples(tmp_path, toy_set):
     evaluate(*toy_set, OracleBackend(), audit_path=paths["full"])
     report = evaluate(*toy_set, OracleBackend(), limit_triples=3, audit_path=paths["limited"])
     assert report["queries"] == 6
-    full = open(paths["full"], encoding="utf-8").readlines()
-    limited = open(paths["limited"], encoding="utf-8").readlines()
+    full = read_lines(paths["full"])
+    limited = read_lines(paths["limited"])
     assert limited == full[:6]
     assert [json.loads(row)["id"] for row in limited] == [
         f"test-{i}-{d}" for i in range(3) for d in ("tail", "head")
@@ -163,7 +163,7 @@ def test_threading_does_not_change_report(toy_set):
 def test_audit_file_rows(tmp_path, toy_set):
     audit = str(tmp_path / "audit.jsonl")
     report = evaluate(*toy_set, OracleBackend(), audit_path=audit)
-    rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
+    rows = [json.loads(line) for line in read_lines(audit)]
     assert len(rows) == report["queries"]
     for row in rows:
         assert set(row) == {
@@ -230,7 +230,7 @@ def test_rank_arithmetic_equals_permutation_then_rerank(case, backend):
     with tempfile.TemporaryDirectory() as tmp:
         audit = os.path.join(tmp, "audit.jsonl")
         evaluate(samples, summary, backend, audit_path=audit)
-        rows = [json.loads(line) for line in open(audit, encoding="utf-8")]
+        rows = [json.loads(line) for line in read_lines(audit)]
     assert len(rows) == len(samples) == 2 * len(kg.test)
     for i, (row, sample) in enumerate(zip(rows, samples)):
         q = Query(sample.known, sample.relation, sample.direction, sample.gold_id)

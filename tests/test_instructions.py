@@ -13,7 +13,9 @@ from helpers import (
     build_kg,
     neighbors,
     parse_candidate_names,
+    read_bytes,
     read_records,
+    read_text,
     write_eval_set,
 )
 from kgrerank.adapter import attach_knowledge, init_adapter, project
@@ -175,7 +177,7 @@ def test_render_golden_file():
 
 
 def test_readme_states_the_template_version():
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    readme = read_text(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"))
     assert f"Template version {TEMPLATE_VERSION}." in readme
 
 
@@ -381,7 +383,7 @@ def test_finetune_build_is_byte_deterministic(tmp_path, toy_kg, toy_table):
             toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(root)
         )
         blob = b"".join(
-            open(os.path.join(root, n), "rb").read()
+            read_bytes(os.path.join(root, n))
             for n in ("ft.jsonl", "holdout.jsonl")
         )
         digests.append(hashlib.sha256(blob).hexdigest())
@@ -419,7 +421,7 @@ def test_instruction_records_carry_the_documented_fields(tmp_path, toy_dir):
     assert (record["id"], record["known"], record["relation"], record["gold_id"]) == ("test-0-tail", h, r, t)
     assert record["candidate_ranks"] == [1, 2, 3]
     # the summary names the checkpoint the ids refer to: a file beside the set's directory
-    summary = json.load(open(evaldir / "summary.json", encoding="utf-8"))
+    summary = json.loads(read_text(evaldir / "summary.json"))
     assert summary["checkpoint"] == os.path.basename(summary["checkpoint"])
     assert summary["checkpoint"].endswith(".ckpt")
     assert os.path.isfile(workdir / summary["checkpoint"])

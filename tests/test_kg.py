@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cooc, build_kg, find_benchmark_dir, neighbors, write_kg
+from helpers import assert_same_graph, brute_force_cooc, build_kg, find_benchmark_dir, neighbors, write_kg
+from kgrerank import kg as kg_module
+from kgrerank.datasets import make_chain_dataset, make_synthetic_dataset
 from kgrerank.kg import (
     DataError,
     KnowledgeGraph,
@@ -268,3 +270,54 @@ def test_wn18rr_statistics():
     assert kg.num_entities == 40943
     assert kg.num_relations == 11
     assert len(kg.train) == 86835
+
+
+def _odd_dataset(root):
+    """A small dataset with what a text or array round trip could get wrong:
+    non-ASCII ids and names, a tab inside a name and a description, empty
+    descriptions, self-loops, an entity in no fact and an empty valid split."""
+    kg = KnowledgeGraph(
+        ["/e/0", "/é/1", "/実/2", "/e/3", "/e/lonely"],
+        ["zero", "ünïcode", "名前\twith a tab", "three", "never in a fact"],
+        ["", "eine Beschreibung, ß", "", "a\ttabbed description", ""],
+        ["/r/0", "/関係/1"],
+        ["relation zero", "関係"],
+        [Triple(0, 0, 1), Triple(1, 1, 1), Triple(2, 0, 3), Triple(3, 1, 0), Triple(0, 1, 0)],
+        [],
+        [Triple(1, 0, 2), Triple(3, 0, 3)],
+    )
+    write_kg(kg, root)
+    return root
+
+
+DATASETS = {
+    "toy": None,  # the shared fixture
+    "odd": _odd_dataset,
+    "chain": make_chain_dataset,
+    "synthetic": lambda root: make_synthetic_dataset(root, n_entities=40, n_relations=5, n_train=150, seed=3),
+}
+
+
+@pytest.mark.parametrize("which", DATASETS)
+def test_a_built_graph_reads_back_equal_to_the_parse(tmp_path, toy_dir, which):
+    dataset = toy_dir if DATASETS[which] is None else DATASETS[which](str(tmp_path / "dataset"))
+    built = str(tmp_path / "built")
+    parsed = load_kg(dataset, None, built)
+    read = load_kg(dataset, built)
+    assert read is not parsed
+    assert_same_graph(parsed, load_kg(dataset))
+    assert_same_graph(read, load_kg(dataset))
+    for name in ("train", "valid", "test", "cooc", "_train_keys", "_all_keys", "_head_keys", "_adj_facts"):
+        array = getattr(read, name)  # a plain read-only ndarray, not a memmap
+        assert type(array) is np.ndarray and not array.flags.writeable, name
+
+
+def test_a_hit_parses_sorts_and_multiplies_nothing(tmp_path, toy_dir, monkeypatch):
+    built = str(tmp_path / "built")
+    reference = load_kg(toy_dir, None, built)
+    called = []
+    for name in ("_read_text_table", "_read_triples", "build_cooccurrence"):
+        monkeypatch.setattr(kg_module, name, lambda *args, name=name: called.append(name))
+    monkeypatch.setattr(KnowledgeGraph, "__init__", lambda *args: called.append("__init__"))
+    assert_same_graph(load_kg(toy_dir, built), reference)
+    assert called == []
