@@ -275,7 +275,9 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
         "training embeddings: %d entities, %d relations, %d train triples",
         kg.num_entities, kg.num_relations, len(kg.train),
     )
+    start = time.perf_counter()
     table = train(kg, cfg.embedder)
+    logger.info("trained %d epoch(s) in %.2f s", cfg.embedder.epochs, time.perf_counter() - start)
     with _publish(ckpt) as tmp:
         table.save(tmp)
     return ckpt

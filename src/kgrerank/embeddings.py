@@ -4,9 +4,12 @@ A triple (h, r, t) is scored as the negated L1 or L2 norm of the residual
 e_h + e_r - e_t, so higher scores mean more plausible facts. Training
 minimizes the margin ranking loss between observed facts and corrupted
 negatives with plain SGD, renormalizing entity vectors to unit L2 norm
-after every epoch. Each batch's gradient rows are added to the tables one
-at a time in batch order, exactly as ``np.add.at`` adds them; a faster
-scatter must keep that order, or the checkpoint bytes change.
+after every epoch. Each batch's gradient rows are added to the tables in
+batch order, exactly as ``np.add.at`` adds them; a faster scatter must keep
+that order, or the checkpoint bytes change. When ``dim`` is even the scatter
+adds two adjacent float64 values per step, as one ``complex128``: a complex
+addition is two independent float64 additions, so every value still gets
+the same additions in the same order.
 
 Downstream code only relies on ``score_candidates``, ``coarse_distances``
 and ``entity_sq_norms`` (the first pass of ranking, for L2 tables only),
@@ -193,17 +196,29 @@ def _hinge_step(
     pos: np.ndarray,
     neg: np.ndarray,
     margin: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Hinge losses and raw gradient rows for aligned positive/negative pairs.
+    lr: float,
+    out: np.ndarray,
+) -> float:
+    """Hinge loss sum of aligned positive/negative pairs; writes their SGD steps.
 
-    Returns (loss_sum, entity_idx, entity_grads, relation_idx, relation_grads)
-    where the gradient rows are d(loss)/d(vector), to be scattered into the
-    tables by the caller. Pairs with inactive hinges contribute zero rows.
+    ``neg[i]`` corrupts the head or tail of ``pos[i]``, so the two share
+    ``pos[i]``'s relation. ``out`` is a ``(4, n, dim)`` buffer that receives
+    ``-lr`` times d(loss)/d(vector) for the positive heads, positive tails,
+    negative heads and negative tails, in that order; the relation rows' steps
+    are ``out[0]`` (positives) and ``out[2]`` (negatives). A pair whose hinge
+    is inactive has a +0 gradient, so its step rows are zeros.
+
+    The blocks are ``-lr*g_pos``, ``-(-lr*g_pos)``, ``lr*g_neg`` and
+    ``-(lr*g_neg)``: equal to ``(-lr)*[g_pos, -g_pos, -g_neg, g_neg]`` bit for
+    bit, signed zeros included, since IEEE products are symmetric in sign.
     """
-    ev, rv = table.entity_vecs, table.relation_vecs
+    ev = table.entity_vecs
     with np.errstate(over="ignore", invalid="ignore"):
-        u_pos = ev[pos[:, 0]] + rv[pos[:, 1]] - ev[pos[:, 2]]
-        u_neg = ev[neg[:, 0]] + rv[neg[:, 1]] - ev[neg[:, 2]]
+        rel = table.relation_vecs[pos[:, 1]]
+        u_pos = ev[pos[:, 0]] + rel
+        u_pos -= ev[pos[:, 2]]
+        u_neg = ev[neg[:, 0]] + rel
+        u_neg -= ev[neg[:, 2]]
         d_pos = _residual_norm(u_pos, table.norm)
         d_neg = _residual_norm(u_neg, table.norm)
         viol = margin + d_pos - d_neg
@@ -214,41 +229,44 @@ def _hinge_step(
         loss_sum = float(viol[viol > 0].sum())
     active = viol > 0
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if table.norm == "L1":
-            g_pos = np.sign(u_pos)
-            g_neg = np.sign(u_neg)
-        else:
-            g_pos = np.zeros_like(u_pos)
-            g_neg = np.zeros_like(u_neg)
-            np.divide(u_pos, d_pos[:, None], out=g_pos, where=d_pos[:, None] > 0)
-            np.divide(u_neg, d_neg[:, None], out=g_neg, where=d_neg[:, None] > 0)
-        g_pos = np.where(active[:, None], g_pos, 0.0)
-        g_neg = np.where(active[:, None], g_neg, 0.0)
-
-    entity_idx = np.concatenate([pos[:, 0], pos[:, 2], neg[:, 0], neg[:, 2]])
-    entity_grads = np.concatenate([g_pos, -g_pos, -g_neg, g_neg])
-    relation_idx = np.concatenate([pos[:, 1], neg[:, 1]])
-    relation_grads = np.concatenate([g_pos, -g_neg])
-    return loss_sum, entity_idx, entity_grads, relation_idx, relation_grads
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for u, d, step, scale in ((u_pos, d_pos, out[0], -lr), (u_neg, d_neg, out[2], lr)):
+            if table.norm == "L1":
+                np.sign(u, out=step)
+                off = ~active
+            else:  # a zero, NaN or inactive distance gets a zero gradient
+                np.divide(u, d[:, None], out=step)
+                off = ~(active & (d > 0))
+            step[off] = 0.0
+            step *= scale
+        np.negative(out[0], out=out[1])
+        np.negative(out[2], out=out[3])
+    return loss_sum
 
 
 def _scatter_add(table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     """``np.add.at(table, rows, grads)``, bit for bit, through a flat 1-D index.
 
-    ``ufunc.at`` applies ``a[i] += v`` once per index, in index order. Element
-    ``(r, d)`` of the C-contiguous ``table`` is element ``r * dim + d`` of its
-    flat view, and the flat index lists row ``rows[i]``'s ``dim`` elements for
-    i = 0, 1, ... in turn. So each element receives the same additions, in
-    the same order, as from the 2-D call, and the result is bit-equal by
-    construction. It is faster because numpy's ``add.at`` has a fast path for
-    a 1-D index into a 1-D array.
+    ``ufunc.at`` applies ``a[i] += v`` once per index, in index order. The
+    C-contiguous ``table`` and ``grads`` are viewed as flat arrays of elements
+    of ``w`` float64 values: ``w = 2`` (``complex128``) when ``dim`` is even,
+    else ``w = 1``. Element ``(r, j)`` is element ``r * dim / w + j`` of the
+    flat view, and the flat index lists row ``rows[i]``'s elements for
+    i = 0, 1, ... in turn. A complex addition is two independent float64
+    additions, so each float64 value receives the same additions, in the same
+    order, as from the 2-D call, and the result is bit-equal by construction.
+    It is faster because numpy's ``add.at`` has a fast path for a 1-D index
+    into a 1-D array, and pairing halves the index.
     """
-    if not table.flags.c_contiguous:
-        raise ValueError("scatter target must be C-contiguous")
+    if table.dtype != np.float64 or not table.flags.c_contiguous:
+        raise ValueError("scatter target must be a C-contiguous float64 array")
     dim = table.shape[1]
-    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
-    np.add.at(table.reshape(-1), flat, grads.ravel())
+    pairs = dim % 2 == 0
+    element = np.complex128 if pairs else np.float64
+    width = dim // 2 if pairs else dim
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    values = np.ascontiguousarray(grads).reshape(-1).view(element)
+    np.add.at(table.reshape(-1).view(element), flat, values)
 
 
 def _sample_negatives(
@@ -297,6 +315,8 @@ def train(
     k = config.negatives
     lr = config.learning_rate
 
+    # every batch's SGD steps, allocated once; a short last batch takes a prefix
+    buffer = np.empty((4 * min(config.batch_size, len(triples)) * k, config.dim))
     for epoch in range(config.epochs):
         order = rng.permutation(len(triples))
         total = 0.0
@@ -304,12 +324,14 @@ def train(
             pos = triples[order[start : start + config.batch_size]]
             pos_rep = np.repeat(pos, k, axis=0)
             neg = _sample_negatives(pos, kg, k, rng)
-            loss, e_idx, e_grads, r_idx, r_grads = _hinge_step(
-                table, pos_rep, neg, config.margin
-            )
-            total += loss
-            _scatter_add(table.entity_vecs, e_idx, -lr * e_grads)
-            _scatter_add(table.relation_vecs, r_idx, -lr * r_grads)
+            steps = buffer[: 4 * len(neg)]
+            blocks = steps.reshape(4, len(neg), config.dim)
+            total += _hinge_step(table, pos_rep, neg, config.margin, lr, blocks)
+            entity_rows = np.concatenate([pos_rep[:, 0], pos_rep[:, 2], neg[:, 0], neg[:, 2]])
+            _scatter_add(table.entity_vecs, entity_rows, steps)
+            # positives then negatives: the order of one call on both blocks
+            _scatter_add(table.relation_vecs, pos_rep[:, 1], blocks[0])
+            _scatter_add(table.relation_vecs, pos_rep[:, 1], blocks[2])
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: {total!r} "

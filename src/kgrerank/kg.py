@@ -170,10 +170,13 @@ class KnowledgeGraph:
     def in_train(self, rows: np.ndarray) -> np.ndarray:
         """Whether each (h, r, t) row of an ``(n, 3)`` id array is a training fact."""
         keys = self._keys(rows)
-        pos = np.searchsorted(self._train_keys, keys)
+        # sorted needles walk the train keys in order, which the cache favours
+        order = np.argsort(keys)
+        needles = keys[order]
+        pos = np.searchsorted(self._train_keys, needles)
         hit = np.zeros(len(keys), dtype=bool)
         inside = pos < len(self._train_keys)
-        hit[inside] = self._train_keys[pos[inside]] == keys[inside]
+        hit[order[inside]] = self._train_keys[pos[inside]] == needles[inside]
         return hit
 
     def incident_rows(self, entity: int) -> np.ndarray:

@@ -5,9 +5,11 @@ independent oracles.
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
 move-to-top rebuilds the whole permutation, co-occurrence is a quadratic
-scan, and gradients come from central finite differences. The exception is
-``base_model_metrics``, which ranks through ``rank_queries`` to judge
-``evaluate``, a stage that reads its ranks from an eval set.
+scan, gradients come from central finite differences, and the training
+epoch is the earlier loop that scattered with ``np.add.at`` on the 2-D
+tables. The exception is ``base_model_metrics``, which ranks through
+``rank_queries`` to judge ``evaluate``, a stage that reads its ranks from an
+eval set.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ import tempfile
 
 import numpy as np
 
-from kgrerank.embeddings import _hinge_step, _residual_norm
+from kgrerank import embeddings
+from kgrerank.embeddings import (
+    TrainingDiverged,
+    _hinge_step,
+    _normalize_rows,
+    _residual_norm,
+    _sample_negatives,
+)
 from kgrerank.instructions import (
     CANDIDATES_HEADER,
     ENTITY_PLACEHOLDER,
@@ -264,16 +273,95 @@ def brute_force_cooc(kg):
 
 def pair_loss_and_grads(table, pos, neg, margin):
     """Loss and accumulated per-vector gradients for one (positive, negative)
-    pair, from the training step's own hinge, for the finite-difference check."""
+    pair, from the training step's own hinge, for the finite-difference check.
+    With a learning rate of 1 the step rows are the negated gradients."""
     pos_arr = np.asarray([pos], dtype=np.int64)
     neg_arr = np.asarray([neg], dtype=np.int64)
-    loss, e_idx, e_grads, r_idx, r_grads = _hinge_step(table, pos_arr, neg_arr, margin)
+    steps = np.empty((4, 1, table.dim))
+    loss = _hinge_step(table, pos_arr, neg_arr, margin, 1.0, steps)
+    rows = [
+        ("entity", pos[0], steps[0]), ("entity", pos[2], steps[1]),
+        ("entity", neg[0], steps[2]), ("entity", neg[2], steps[3]),
+        ("relation", pos[1], steps[0]), ("relation", neg[1], steps[2]),
+    ]
     grads = {}
-    for kind, idx, rows in (("entity", e_idx, e_grads), ("relation", r_idx, r_grads)):
-        for i, row in zip(idx.tolist(), rows):
-            key = (kind, i)
-            grads[key] = grads.get(key, 0.0) + row
+    for kind, i, step in rows:
+        grads[(kind, i)] = grads.get((kind, i), 0.0) - step[0]
     return loss, grads
+
+
+def reference_hinge_step(table, pos, neg, margin):
+    """The hinge step that trained every earlier checkpoint, kept verbatim as
+    the reference for ``train``: (loss_sum, entity_idx, entity_grads,
+    relation_idx, relation_grads), the gradients unscaled."""
+    ev, rv = table.entity_vecs, table.relation_vecs
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_pos = ev[pos[:, 0]] + rv[pos[:, 1]] - ev[pos[:, 2]]
+        u_neg = ev[neg[:, 0]] + rv[neg[:, 1]] - ev[neg[:, 2]]
+        d_pos = _residual_norm(u_pos, table.norm)
+        d_neg = _residual_norm(u_neg, table.norm)
+        viol = margin + d_pos - d_neg
+    if not np.isfinite(viol).all():
+        # overflowed scores must surface as divergence, not vanish in the mask
+        loss_sum = float("nan")
+    else:
+        loss_sum = float(viol[viol > 0].sum())
+    active = viol > 0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if table.norm == "L1":
+            g_pos = np.sign(u_pos)
+            g_neg = np.sign(u_neg)
+        else:
+            g_pos = np.zeros_like(u_pos)
+            g_neg = np.zeros_like(u_neg)
+            np.divide(u_pos, d_pos[:, None], out=g_pos, where=d_pos[:, None] > 0)
+            np.divide(u_neg, d_neg[:, None], out=g_neg, where=d_neg[:, None] > 0)
+        g_pos = np.where(active[:, None], g_pos, 0.0)
+        g_neg = np.where(active[:, None], g_neg, 0.0)
+
+    entity_idx = np.concatenate([pos[:, 0], pos[:, 2], neg[:, 0], neg[:, 2]])
+    entity_grads = np.concatenate([g_pos, -g_pos, -g_neg, g_neg])
+    relation_idx = np.concatenate([pos[:, 1], neg[:, 1]])
+    relation_grads = np.concatenate([g_pos, -g_neg])
+    return loss_sum, entity_idx, entity_grads, relation_idx, relation_grads
+
+
+def reference_train(kg, config, *, epoch_losses=None):
+    """The training loop that wrote every earlier checkpoint, kept as it was
+    (less its logging) with ``np.add.at`` on the 2-D tables as its scatter:
+    ``train`` must equal it byte for byte. It draws its initial table through
+    the module, as ``train`` does, so a patched ``init_embeddings`` reaches
+    both."""
+    table = embeddings.init_embeddings(kg, config)
+    triples = kg.train
+    rng = np.random.default_rng((config.seed, 1))
+    k = config.negatives
+    lr = config.learning_rate
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(triples))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            pos = triples[order[start : start + config.batch_size]]
+            pos_rep = np.repeat(pos, k, axis=0)
+            neg = _sample_negatives(pos, kg, k, rng)
+            loss, e_idx, e_grads, r_idx, r_grads = reference_hinge_step(
+                table, pos_rep, neg, config.margin
+            )
+            total += loss
+            np.add.at(table.entity_vecs, e_idx, -lr * e_grads)
+            np.add.at(table.relation_vecs, r_idx, -lr * r_grads)
+        if not np.isfinite(total):
+            raise TrainingDiverged(
+                f"non-finite loss at epoch {epoch}: {total!r} "
+                f"(learning_rate={lr}, margin={config.margin})"
+            )
+        _normalize_rows(table.entity_vecs)
+        mean = total / (len(triples) * k)
+        if epoch_losses is not None:
+            epoch_losses.append(mean)
+    return table
 
 
 def rel_err(a, b):

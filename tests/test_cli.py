@@ -960,6 +960,16 @@ def test_a_graph_load_logs_whether_it_read_or_parsed(tmp_path, toy_dir, caplog):
     assert re.fullmatch(rf"read {re.escape(graph)} in \d+\.\d\d s", loads[1])
 
 
+def test_training_logs_its_epochs_and_time(tmp_path, toy_dir, caplog):
+    caplog.set_level(logging.INFO, logger="kgrerank.cli")
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
+    cli.ensure_embeddings(cfg)
+    cli.ensure_embeddings(cfg)  # up to date: trains nothing
+    trained = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trained ")]
+    assert len(trained) == 1
+    assert re.fullmatch(rf"trained {cfg.embedder.epochs} epoch\(s\) in \d+\.\d\d s", trained[0])
+
+
 def test_the_graph_layout_readdresses_only_the_graph(tmp_path, toy_dir, monkeypatch):
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
     stages = ("graph", "embeddings", "finetune", "eval", "report")

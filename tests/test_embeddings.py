@@ -1,11 +1,21 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_score, build_kg, central_diff, pair_loss_and_grads, rel_err, score
+from helpers import (
+    brute_force_score,
+    build_kg,
+    central_diff,
+    pair_loss_and_grads,
+    reference_train,
+    rel_err,
+    score,
+)
+from kgrerank import embeddings
 from kgrerank.embeddings import (
     EmbeddingTable,
     TrainConfig,
@@ -266,19 +276,84 @@ def _pinned_graph():
 
 
 # sha256 of the trained vectors as computed with np.add.at scattering rows;
-# an epoch change that is not bit-exact changes them
+# an epoch change that is not bit-exact changes them. dim 10 scatters float64
+# pairs, dim 7 single float64 values.
 @pytest.mark.parametrize(
-    "norm, digest",
+    "norm, dim, digest",
     [
-        ("L1", "01ed4484f460b7d4e15dc6d640e6a94c08232e52c472d8cbed495fed927a0f5e"),
-        ("L2", "f15c5076a58d15d71c40651106ad54472c66fb6c7b4fc5a2cf66ef417dd01c01"),
+        ("L1", 10, "01ed4484f460b7d4e15dc6d640e6a94c08232e52c472d8cbed495fed927a0f5e"),
+        ("L2", 10, "f15c5076a58d15d71c40651106ad54472c66fb6c7b4fc5a2cf66ef417dd01c01"),
+        ("L1", 7, "d7a8bbfc17449cc852f163d8cc4405134d3a91d6c29bcfd22ff6f5f8a7cde8ae"),
+        ("L2", 7, "00e5e08bfa7abf51a0491d7b69f4082f1e9682e57d408485493900814b16cab1"),
     ],
-    ids=["L1", "L2"],
+    ids=["L1", "L2", "L1-dim7", "L2-dim7"],
 )
-def test_trained_bytes_are_pinned(norm, digest):
-    cfg = TrainConfig(dim=10, learning_rate=0.05, epochs=4, batch_size=128, negatives=2, seed=5, norm=norm)
+def test_trained_bytes_are_pinned(norm, dim, digest):
+    cfg = TrainConfig(dim=dim, learning_rate=0.05, epochs=4, batch_size=128, negatives=2, seed=5, norm=norm)
     table = train(_pinned_graph(), cfg)
     assert hashlib.sha256(table.entity_vecs.tobytes() + table.relation_vecs.tobytes()).hexdigest() == digest
+
+
+def _collapsed_init(kg, config):
+    """The seeded init with every even entity row a copy of row 0 and relation
+    0 zero, so a relation-0 fact between even entities has distance 0."""
+    table = init_embeddings(kg, config)
+    table.entity_vecs[::2] = table.entity_vecs[0]
+    table.relation_vecs[0] = 0.0
+    return table
+
+
+@st.composite
+def training_case(draw):
+    """A small graph with repeated entities and self-loops; a config whose
+    batches may leave a short last batch, whose margin closes (1e-9) or opens
+    (50) nearly every hinge, and whose learning rate may diverge (1e307); and
+    whether training starts from ``_collapsed_init``."""
+    n_entities = draw(st.integers(min_value=2, max_value=10))
+    n_relations = draw(st.integers(min_value=1, max_value=3))
+    facts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_entities - 1), st.integers(0, n_relations - 1), st.integers(0, n_entities - 1)
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    kg = build_kg(n_entities, n_relations, train=facts)
+    cfg = TrainConfig(
+        dim=draw(st.integers(min_value=1, max_value=7)),
+        learning_rate=draw(st.sampled_from([0.01, 0.3, 1e307])),
+        margin=draw(st.sampled_from([1e-9, 1.0, 50.0])),
+        epochs=draw(st.integers(min_value=1, max_value=4)),
+        batch_size=draw(st.integers(min_value=1, max_value=len(kg.train) + 1)),
+        negatives=draw(st.integers(min_value=1, max_value=3)),
+        norm=draw(st.sampled_from(["L1", "L2"])),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    return kg, cfg, draw(st.booleans())
+
+
+def _train_or_divergence(trainer, kg, cfg):
+    losses = []
+    try:
+        table = trainer(kg, cfg, epoch_losses=losses)
+    except TrainingDiverged as exc:
+        return "diverged", str(exc), losses
+    return table.entity_vecs.tobytes(), table.relation_vecs.tobytes(), losses
+
+
+@given(training_case())
+@settings(max_examples=80, deadline=None)
+def test_train_is_bit_equal_to_the_reference_epoch(case):
+    kg, cfg, collapsed = case
+    init = _collapsed_init if collapsed else init_embeddings
+    # a diverging run may overflow its loss sum; both report it as divergence
+    with mock.patch.object(embeddings, "init_embeddings", init), np.errstate(over="ignore"):
+        got = _train_or_divergence(train, kg, cfg)
+        expected = _train_or_divergence(reference_train, kg, cfg)
+    assert got[:2] == expected[:2]
+    assert np.array(got[2]).tobytes() == np.array(expected[2]).tobytes()
 
 
 def test_train_empty_split_rejected():

@@ -207,6 +207,22 @@ def test_neighbor_lengths_sum_to_twice_train(kg):
         assert list(facts) == [f for f in train if e in (f.head, f.tail)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_kg(), st.data())
+def test_in_train_matches_a_set_oracle(kg, data):
+    facts = set(map(tuple, kg.train.tolist()))
+    n_e, n_r = kg.num_entities, kg.num_relations
+    any_row = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_r - 1), st.integers(0, n_e - 1))
+    hit = st.sampled_from(sorted(facts)) if facts else any_row
+    rows = data.draw(st.lists(st.one_of(hit, any_row), max_size=50))
+    # the largest key of all, above the last train key unless it is a fact
+    rows.append((n_e - 1, n_r - 1, n_e - 1))
+    found = kg.in_train(np.array(rows, dtype=np.int64))
+    assert found.dtype == bool
+    assert found.tolist() == [row in facts for row in rows]
+    assert kg.in_train(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+
+
 SAFE_TEXT = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
     min_size=0,
