@@ -222,12 +222,9 @@ def _hinge_step(
         d_pos = _residual_norm(u_pos, table.norm)
         d_neg = _residual_norm(u_neg, table.norm)
         viol = margin + d_pos - d_neg
-    if not np.isfinite(viol).all():
+        active = viol > 0
         # overflowed scores must surface as divergence, not vanish in the mask
-        loss_sum = float("nan")
-    else:
-        loss_sum = float(viol[viol > 0].sum())
-    active = viol > 0
+        loss_sum = float(viol[active].sum()) if np.isfinite(viol).all() else float("nan")
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for u, d, step, scale in ((u_pos, d_pos, out[0], -lr), (u_neg, d_neg, out[2], lr)):
@@ -244,8 +241,21 @@ def _hinge_step(
     return loss_sum
 
 
-def _scatter_add(table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    """``np.add.at(table, rows, grads)``, bit for bit, through a flat 1-D index.
+def _scatter_element(dim: int) -> tuple[type, int]:
+    """The scatter's element type for rows of ``dim`` float64 values, and the elements per row."""
+    return (np.complex128, dim // 2) if dim % 2 == 0 else (np.float64, dim)
+
+
+def _scatter_index(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The flat index of ``_scatter_add`` for ``rows`` of a table of width ``dim``."""
+    width = _scatter_element(dim)[1]
+    return (rows[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter_add(table: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
+    """``np.add.at(table, rows, grads)``, bit for bit, through the flat 1-D
+    ``index = _scatter_index(rows, dim)``; a caller that scatters twice into
+    the same rows builds it once.
 
     ``ufunc.at`` applies ``a[i] += v`` once per index, in index order. The
     C-contiguous ``table`` and ``grads`` are viewed as flat arrays of elements
@@ -260,13 +270,9 @@ def _scatter_add(table: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None
     """
     if table.dtype != np.float64 or not table.flags.c_contiguous:
         raise ValueError("scatter target must be a C-contiguous float64 array")
-    dim = table.shape[1]
-    pairs = dim % 2 == 0
-    element = np.complex128 if pairs else np.float64
-    width = dim // 2 if pairs else dim
-    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    element = _scatter_element(table.shape[1])[0]
     values = np.ascontiguousarray(grads).reshape(-1).view(element)
-    np.add.at(table.reshape(-1).view(element), flat, values)
+    np.add.at(table.reshape(-1).view(element), index, values)
 
 
 def _sample_negatives(
@@ -328,10 +334,11 @@ def train(
             blocks = steps.reshape(4, len(neg), config.dim)
             total += _hinge_step(table, pos_rep, neg, config.margin, lr, blocks)
             entity_rows = np.concatenate([pos_rep[:, 0], pos_rep[:, 2], neg[:, 0], neg[:, 2]])
-            _scatter_add(table.entity_vecs, entity_rows, steps)
+            _scatter_add(table.entity_vecs, _scatter_index(entity_rows, config.dim), steps)
             # positives then negatives: the order of one call on both blocks
-            _scatter_add(table.relation_vecs, pos_rep[:, 1], blocks[0])
-            _scatter_add(table.relation_vecs, pos_rep[:, 1], blocks[2])
+            relation_index = _scatter_index(pos_rep[:, 1], config.dim)
+            _scatter_add(table.relation_vecs, relation_index, blocks[0])
+            _scatter_add(table.relation_vecs, relation_index, blocks[2])
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: {total!r} "
@@ -373,11 +380,13 @@ def read_vector_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
             raise DataError(f"{path}: unsupported version {version}")
         if norm_code not in _NORM_NAMES:
             raise DataError(f"{path}: unknown norm code {norm_code}")
-        payload = f.read()
-    expected = (n_ent + n_rel) * dim * 8
-    if len(payload) != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype="<f8").copy()
+        expected = (n_ent + n_rel) * dim * 8
+        size = os.fstat(f.fileno()).st_size - _HEADER.size
+        if size != expected:  # checked before allocating what the header declares
+            raise DataError(f"{path}: expected {expected} payload bytes, got {size}")
+        data = np.empty(expected // 8, dtype="<f8")
+        if f.readinto(data) != expected or f.read(1):  # the file changed while it was read
+            raise DataError(f"{path}: expected {expected} payload bytes")
     if not np.isfinite(data).all():
         raise DataError(f"{path}: holds NaN or infinite values")
     entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)

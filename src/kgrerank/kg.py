@@ -14,23 +14,29 @@ and by ``(relation, tail)`` and searched with ``searchsorted``, the
 adjacency is a CSR list of train row numbers per entity, and negative
 sampling tests membership in the sorted train keys ``(h·R + r)·E + t``.
 
+The entity descriptions are a :class:`PackedTexts`: one UTF-8 blob and the
+offsets of its entries, each decoded when it is read. A prompt reads the
+description of its known entity alone, so a load decodes none of them.
+
 Parsing, validating and indexing a dataset is all of a first load.
 ``load_kg`` can write the built graph to a directory its caller addresses
 by the dataset's content: every array the constructor derives as ``.npy``
-(the splits, the three key arrays, the adjacency and ``cooc``) and the five
-text tables as ``.txt``, one entry per line. A later load reads it back
-without parsing, sorting or forming ``cooc``: each array is a read-only
-memory map, and O(n) checks take the place of validation (dtypes, shapes,
-id ranges, strictly increasing keys, adjacency offsets, table lengths). A
-directory with a file missing, cut short or failing a check counts as
-absent.
+(the splits, the three key arrays, the adjacency and ``cooc``), the
+descriptions as their blob and offsets, and the four name and key tables as
+``.txt``, one entry per line. A later load reads it back without parsing,
+sorting, forming ``cooc`` or decoding a description: each array is a
+read-only memory map, and O(n) checks take the place of validation (dtypes,
+shapes, id ranges, strictly increasing keys, adjacency and description
+offsets, valid UTF-8, table lengths). A directory with a file missing, cut
+short or failing a check counts as absent.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,14 +58,17 @@ DATASET_FILES = (
 )
 
 # the built graph's files: each of these attributes as <name>.npy, leading
-# "_" dropped, and each text table as <name>.txt, every entry ended by "\n";
-# a parsed entry never holds "\n" (files are read with universal newlines),
-# so the tables read back exactly. A change here must bump GRAPH_LAYOUT.
-GRAPH_LAYOUT = 2  # 1 held the three parsed splits alone
+# "_" dropped, each text table as <name>.txt, every entry ended by "\n", and
+# the descriptions' blob and offsets; a parsed entry never holds "\n" (files
+# are read with universal newlines), so the tables read back exactly. A
+# change here must bump GRAPH_LAYOUT.
+GRAPH_LAYOUT = 3  # 1 held the three parsed splits alone, 2 the descriptions as a .txt table
 _BUILT_ARRAYS = (
     "train", "valid", "test", "_train_keys", "_all_keys", "_head_keys", "_adj_facts", "_adj_offsets", "cooc"
 )
-_BUILT_TABLES = ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names")
+_BUILT_TABLES = ("entity_keys", "entity_names", "relation_keys", "relation_names")
+_DESCRIPTIONS = "entity_descriptions.bin"
+_DESCRIPTION_OFFSETS = "entity_descriptions_offsets.npy"
 
 
 class DataError(Exception):
@@ -75,6 +84,30 @@ class Triple(NamedTuple):
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class PackedTexts(Sequence):
+    """A read-only sequence of strings held as one UTF-8 blob: entry i is
+    ``blob[offsets[i]:offsets[i + 1]]``, decoded each time it is read."""
+
+    def __init__(self, blob: bytes, offsets: np.ndarray):
+        self.blob = blob
+        self.offsets = offsets  # int64, one more than the entries, from 0 to len(blob)
+
+    @classmethod
+    def pack(cls, entries: Iterable[str]) -> PackedTexts:
+        encoded = [entry.encode("utf-8") for entry in entries]
+        offsets = np.concatenate([[0], np.cumsum([len(b) for b in encoded], dtype=np.int64)])
+        return cls(b"".join(encoded), _readonly(offsets))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index):
+        index = range(len(self))[index]  # a negative index, a slice and IndexError as a list has them
+        if isinstance(index, range):
+            return [self[i] for i in index]
+        return self.blob[self.offsets[index] : self.offsets[index + 1]].decode("utf-8")
 
 
 class KnowledgeGraph:
@@ -105,7 +138,9 @@ class KnowledgeGraph:
             raise DataError("relation tables have inconsistent lengths")
         self.entity_keys = list(entity_keys)
         self.entity_names = list(entity_names)
-        self.entity_descriptions = list(entity_descriptions)
+        if not isinstance(entity_descriptions, PackedTexts):
+            entity_descriptions = PackedTexts.pack(entity_descriptions)
+        self.entity_descriptions = entity_descriptions
         self.relation_keys = list(relation_keys)
         self.relation_names = list(relation_names)
         if self.num_entities**2 * self.num_relations >= 2**63:
@@ -134,13 +169,16 @@ class KnowledgeGraph:
         self._head_keys = _readonly(np.sort((every[:, 1] * n_e + every[:, 2]) * n_e + every[:, 0]))
 
         # CSR adjacency: train row numbers per entity, in file order; a
-        # self-loop is listed once
+        # self-loop is listed once, so every packed end·n + row is distinct.
+        # Sorted and reduced in place: a second array of this size left a
+        # hole in the heap that raised the peak memory of a later training
+        n_train = max(len(self.train), 1)
         rows = np.arange(len(self.train), dtype=np.int64)
         loop = self.train[:, 0] == self.train[:, 2]
         ends = np.concatenate([self.train[:, 0], self.train[~loop, 2]])
-        facts = np.concatenate([rows, rows[~loop]])
-        order = np.argsort(ends * max(len(self.train), 1) + facts)
-        self._adj_facts = _readonly(facts[order])
+        packed = ends * n_train + np.concatenate([rows, rows[~loop]])
+        packed.sort()
+        self._adj_facts = _readonly(np.remainder(packed, n_train, out=packed))
         self._adj_offsets = _readonly(
             np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n_e))])
         )
@@ -207,13 +245,15 @@ class KnowledgeGraph:
         return rows
 
     def _dedup(self, rows: np.ndarray, split_name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Rows without later duplicates, in file order, and their keys, sorted."""
-        keys, first = np.unique(self._keys(rows), return_index=True)
-        dropped = len(rows) - len(first)
-        if dropped:
-            logger.warning("%s split: dropped %d duplicated triple(s)", split_name, dropped)
-            rows = rows[np.sort(first)]
-        return rows, keys
+        """Rows without later duplicates, in file order, and their keys, sorted
+        in place, as the adjacency is, to leave no second array behind."""
+        ordered = self._keys(rows)
+        ordered.sort()
+        if not (ordered[1:] == ordered[:-1]).any():
+            return rows, ordered
+        ordered, first = np.unique(self._keys(rows), return_index=True)
+        logger.warning("%s split: dropped %d duplicated triple(s)", split_name, len(rows) - len(first))
+        return rows[np.sort(first)], ordered
 
 
 def build_cooccurrence(kg: KnowledgeGraph) -> np.ndarray:
@@ -292,6 +332,7 @@ def _parse(dataset_dir: str) -> KnowledgeGraph:
         if key not in entity_ids:
             raise DataError(f"{ENTITY_DESC_FILE}: description for unknown entity {key!r}")
         descriptions[entity_ids[key]] = text
+    descriptions = PackedTexts.pack(descriptions)  # the strings are freed before the triples are read
 
     splits = [
         _read_triples(os.path.join(dataset_dir, name), entity_ids, relation_ids)
@@ -312,17 +353,27 @@ def _write_built(kg: KnowledgeGraph, out_dir: str) -> None:
     for name in _BUILT_TABLES:
         with open(_built_file(out_dir, name), "w", encoding="utf-8", newline="") as f:
             f.write("".join(f"{entry}\n" for entry in getattr(kg, name)))
+    with open(os.path.join(out_dir, _DESCRIPTIONS), "wb") as f:
+        f.write(kg.entity_descriptions.blob)
+    np.save(os.path.join(out_dir, _DESCRIPTION_OFFSETS), kg.entity_descriptions.offsets)
 
 
 def _read_built(cache_dir: str) -> KnowledgeGraph | None:
     """The graph built in ``cache_dir``, or None when a file there is missing,
-    cut short or fails a check. Nothing is parsed, sorted or multiplied."""
+    cut short or fails a check. Nothing is parsed, sorted or multiplied, and no
+    description is decoded (a blob that is not ASCII is decoded once, to check it)."""
+
+    def mapped(path: str) -> np.ndarray:
+        # a read-only map, seen as a plain ndarray: a stage reads only the pages it touches
+        return np.asarray(np.load(path, mmap_mode="r", allow_pickle=False))
+
     kg = KnowledgeGraph.__new__(KnowledgeGraph)
     try:
         for name in _BUILT_ARRAYS:
-            # a read-only map, seen as a plain ndarray: a stage reads only the pages it touches
-            mapped = np.load(_built_file(cache_dir, name), mmap_mode="r", allow_pickle=False)
-            setattr(kg, name, np.asarray(mapped))
+            setattr(kg, name, mapped(_built_file(cache_dir, name)))
+        with open(os.path.join(cache_dir, _DESCRIPTIONS), "rb") as f:
+            blob = f.read()
+        kg.entity_descriptions = PackedTexts(blob, mapped(os.path.join(cache_dir, _DESCRIPTION_OFFSETS)))
         for name in _BUILT_TABLES:
             with open(_built_file(cache_dir, name), encoding="utf-8", newline="") as f:
                 entries = f.read().split("\n")
@@ -348,9 +399,10 @@ def _is_whole(kg: KnowledgeGraph) -> bool:
     n_all = sum(map(len, splits))
     key_bound = n_e * n_r * n_e  # above every key (h·R + r)·E + t and (r·E + t)·E + h
     return (
-        len(kg.entity_names) == len(kg.entity_descriptions) == n_e
+        len(kg.entity_names) == n_e
         and len(kg.relation_names) == n_r
-        and all(_within(rows[:, ::2], n_e) and _within(rows[:, 1], n_r) for rows in splits)
+        and _is_packed(kg.entity_descriptions, n_e)
+        and all(_ids_within(rows, n_e, n_r) for rows in splits)
         and _increasing(kg._train_keys, len(kg.train), key_bound)
         and _increasing(kg._all_keys, n_all, key_bound)
         and _increasing(kg._head_keys, n_all, key_bound)
@@ -366,6 +418,39 @@ def _is_whole(kg: KnowledgeGraph) -> bool:
 def _within(ids: np.ndarray, bound: int) -> bool:
     """Whether every id lies in ``[0, bound)``."""
     return ids.size == 0 or (ids.min() >= 0 and ids.max() < bound)
+
+
+def _ids_within(rows: np.ndarray, n_e: int, n_r: int) -> bool:
+    """Whether every (h, r, t) row holds entity ids in ``[0, n_e)`` and a
+    relation id in ``[0, n_r)``: one pass over the whole array for the
+    minimum, then one maximum per column."""
+    return rows.size == 0 or (
+        rows.min() >= 0 and rows[:, 0].max() < n_e and rows[:, 1].max() < n_r and rows[:, 2].max() < n_e
+    )
+
+
+def _is_packed(texts: PackedTexts, length: int) -> bool:
+    """Whether ``texts`` is ``length`` valid UTF-8 entries: int64 offsets from
+    0 to the blob's length that never decrease, a blob that decodes, and no
+    non-empty entry that starts inside a character. Then every entry ends on
+    a character too: where the next non-empty entry starts, or at the end."""
+    blob, offsets = texts.blob, texts.offsets
+    if not (
+        offsets.dtype == np.int64
+        and offsets.shape == (length + 1,)
+        and offsets[0] == 0
+        and offsets[-1] == len(blob)
+        and bool((offsets[1:] >= offsets[:-1]).all())
+    ):
+        return False
+    if blob.isascii():  # valid UTF-8 that holds no continuation byte
+        return True
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    starts = offsets[:-1][offsets[1:] > offsets[:-1]]
+    return not ((np.frombuffer(blob, dtype=np.uint8)[starts] & 0xC0) == 0x80).any()
 
 
 def _increasing(keys: np.ndarray, length: int, bound: int) -> bool:

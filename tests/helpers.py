@@ -76,7 +76,7 @@ def assert_same_graph(graph, reference):
         a, b = getattr(graph, split), getattr(reference, split)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), split
     for table in ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names"):
-        assert getattr(graph, table) == getattr(reference, table), table
+        assert list(getattr(graph, table)) == list(getattr(reference, table)), table
     assert graph.cooc.dtype == reference.cooc.dtype and np.array_equal(graph.cooc, reference.cooc)
     n_e, n_r = reference.num_entities, reference.num_relations
     for e in range(n_e):

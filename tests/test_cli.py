@@ -29,8 +29,8 @@ from kgrerank.ranking import metrics, queries_for_triple, rank_query
 
 # the built graph's files under graph-<digest>/, sorted
 GRAPH_FILES = [
-    "adj_facts.npy", "adj_offsets.npy", "all_keys.npy", "cooc.npy",
-    "entity_descriptions.txt", "entity_keys.txt", "entity_names.txt", "head_keys.npy",
+    "adj_facts.npy", "adj_offsets.npy", "all_keys.npy", "cooc.npy", "entity_descriptions.bin",
+    "entity_descriptions_offsets.npy", "entity_keys.txt", "entity_names.txt", "head_keys.npy",
     "relation_keys.txt", "relation_names.txt", "test.npy", "train.npy", "train_keys.npy", "valid.npy",
 ]
 
@@ -780,7 +780,9 @@ def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "cut", [lambda b: b[: len(b) // 2], lambda b: b[:3], lambda b: b + bytes(8)], ids=["halved", "header", "longer"]
+    "cut",
+    [lambda b: b[: len(b) // 2], lambda b: b[:3], lambda b: b[:1], lambda b: b + bytes(8)],
+    ids=["halved", "header", "one-byte", "longer"],
 )
 def test_a_checkpoint_of_the_wrong_size_is_retrained(tmp_path, toy_dir, cut):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
@@ -1024,10 +1026,33 @@ def _drop_first_line(path):
         f.write("".join(lines[1:]))
 
 
+def _rewrite_blob(change):
+    def rewrite(path):
+        blob = read_bytes(path)
+        with open(path, "wb") as f:
+            f.write(change(blob))
+
+    return rewrite
+
+
+def _straddle_two_descriptions(path):
+    """Write "é" (two bytes) over the last byte of one description and the
+    first of the next: the blob stays valid UTF-8, but an offset falls inside
+    a character."""
+    offsets = np.load(os.path.join(os.path.dirname(path), "entity_descriptions_offsets.npy"))
+    # where the second non-empty description starts, right after the first
+    at = next(int(o) for o, end in zip(offsets[1:-1], offsets[2:]) if 0 < o < end)
+    _rewrite_blob(lambda b: b[: at - 1] + "é".encode("utf-8") + b[at + 1 :])(path)
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
         ("train.npy", _rewrite_array(lambda a: a + 100)),  # ids past the entity count
+        ("test.npy", _rewrite_array(lambda a: a + [100, 0, 0])),  # one column at a time
+        ("test.npy", _rewrite_array(lambda a: a + [0, 100, 0])),
+        ("test.npy", _rewrite_array(lambda a: a + [0, 0, 100])),
+        ("valid.npy", _rewrite_array(lambda a: a - [0, 0, 100])),
         ("test.npy", _rewrite_array(np.ravel)),  # not (n, 3) rows
         ("valid.npy", _rewrite_array(lambda a: a.astype(np.int32))),
         ("all_keys.npy", _rewrite_array(lambda a: a[::-1])),  # not increasing
@@ -1037,14 +1062,39 @@ def _drop_first_line(path):
         ("adj_facts.npy", _rewrite_array(lambda a: a[0])),  # a 0-d array, which has no length
         ("cooc.npy", _rewrite_array(lambda a: a[:, :-1])),
         ("entity_names.txt", _drop_first_line),  # one name short of the entity count
+        # offset 2 jumps to the end, so offset 3 falls; one offset short; not starting at 0
+        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.where(np.arange(a.size) == 2, a[-1], a))),
+        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.delete(a, 1))),
+        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.where(np.arange(a.size) < 2, 1, a))),
+        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: a.astype(np.int32))),
+        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.append(a[:-1], a[-1] - 1))),
+        ("entity_descriptions.bin", _rewrite_blob(lambda b: b"\xff" + b[1:])),  # not UTF-8
+        ("entity_descriptions.bin", _straddle_two_descriptions),
     ],
     ids=[
-        "train-range", "test-shape", "valid-dtype", "keys-order", "keys-length",
-        "offsets-length", "facts-range", "facts-scalar", "cooc-shape", "names-length",
+        "train-range", "head-range", "relation-range", "tail-range", "negative-id",
+        "test-shape", "valid-dtype", "keys-order", "keys-length", "offsets-length",
+        "facts-range", "facts-scalar", "cooc-shape", "names-length",
+        "descriptions-order", "descriptions-length", "descriptions-start", "descriptions-dtype", "descriptions-end",
+        "descriptions-utf8", "descriptions-inside-a-character",
     ],
 )
 def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, name, damage):
     _damage_and_rebuild(tmp_path, toy_dir, lambda graph: damage(os.path.join(graph, name)))
+
+
+def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir, monkeypatch):
+    decoded = []
+    decode = kg_module.PackedTexts.__getitem__
+    monkeypatch.setattr(kg_module.PackedTexts, "__getitem__", lambda texts, i: decoded.append(i) or decode(texts, i))
+    cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    cfg = load_config(cfg_path)
+    cli._load_graph(cfg)  # parses, builds and publishes the graph
+    cli._load_graph(cfg)  # reads it back
+    assert decoded == []
+    assert main(["build-eval", "--config", cfg_path]) == 0
+    samples = read_records(workdir_file(tmp_path / "w", "eval-", "instructions.jsonl"))
+    assert len(samples) == 24 and sorted(decoded) == sorted(s["known"] for s in samples)
 
 
 @pytest.mark.parametrize(

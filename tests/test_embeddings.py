@@ -21,6 +21,7 @@ from kgrerank.embeddings import (
     TrainConfig,
     TrainingDiverged,
     _scatter_add,
+    _scatter_index,
     init_embeddings,
     train,
 )
@@ -264,7 +265,7 @@ def test_scatter_add_is_bit_equal_to_add_at(case):
     table, rows, grads = case
     expected = table.copy()
     np.add.at(expected, rows, grads)
-    _scatter_add(table, rows, grads)
+    _scatter_add(table, _scatter_index(rows, table.shape[1]), grads)
     assert table.tobytes() == expected.tobytes()
 
 
@@ -362,9 +363,19 @@ def test_train_empty_split_rejected():
         train(empty, small_config(epochs=1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_raises():
     with pytest.raises(TrainingDiverged):
         train(CHAIN, small_config(learning_rate=1e307, epochs=5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_loss_sum_that_overflows_is_inf_without_a_warning():
+    # two finite hinges of about 1.5e308 each, whose sum overflows
+    table = EmbeddingTable(np.array([[0.0], [1.5e308]]), np.zeros((1, 1)), "L1")
+    pos = np.array([[0, 0, 1], [0, 0, 1]])
+    neg = np.array([[0, 0, 0], [0, 0, 0]])
+    assert embeddings._hinge_step(table, pos, neg, 1.0, 0.1, np.empty((4, 2, 1))) == np.inf
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -376,6 +387,24 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert back.norm == "L1"
     assert back.entity_vecs.tobytes() == table.entity_vecs.tobytes()
     assert back.relation_vecs.tobytes() == table.relation_vecs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda b: b[:1], "truncated header"),
+        (lambda b: b[: embeddings._HEADER.size], "expected 64 payload bytes, got 0"),
+        (lambda b: b[:-1], "expected 64 payload bytes, got 63"),
+        (lambda b: b + bytes(1), "expected 64 payload bytes, got 65"),
+    ],
+    ids=["one-byte", "header", "short", "longer"],
+)
+def test_a_checkpoint_of_the_wrong_size_is_rejected(tmp_path, cut, message):
+    path = tmp_path / "table.ckpt"
+    EmbeddingTable(np.ones((3, 2)), np.ones((1, 2)), "L2").save(str(path))
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(DataError, match=message):
+        EmbeddingTable.load(str(path))
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):

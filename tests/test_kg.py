@@ -12,6 +12,7 @@ from kgrerank.datasets import make_chain_dataset, make_synthetic_dataset
 from kgrerank.kg import (
     DataError,
     KnowledgeGraph,
+    PackedTexts,
     Triple,
     build_cooccurrence,
     load_kg,
@@ -54,7 +55,7 @@ def test_load_assigns_ids_by_text_file_order(tmp_path):
     assert kg.num_entities == 3
     assert kg.num_relations == 2
     assert kg.entity_names == ["alpha", "beta", "gamma entity"]
-    assert kg.entity_descriptions == ["", "the second entity", ""]
+    assert list(kg.entity_descriptions) == ["", "the second entity", ""]
     assert kg.train.tolist() == [[2, 1, 0]]
     assert kg.known_tails(2, 1).tolist() == [0]
     assert kg.known_heads(1, 0).tolist() == [2]
@@ -124,6 +125,34 @@ def test_duplicate_triples_deduplicated_with_warning(tmp_path, caplog):
         kg = load_kg(root)
     assert kg.train.tolist() == [[0, 0, 1], [2, 1, 0]]  # file order, first occurrence kept
     assert any("duplicated" in rec.message for rec in caplog.records)
+
+
+def test_a_duplicated_self_loop_is_kept_once(tmp_path, caplog):
+    root = write_dataset(
+        tmp_path / "d",
+        ENTITIES,
+        RELATIONS,
+        train=[("/e/a", "/r/x", "/e/a"), ("/e/b", "/r/y", "/e/a"), ("/e/a", "/r/x", "/e/a")],
+        valid=[],
+        test=[],
+    )
+    with caplog.at_level(logging.WARNING):
+        kg = load_kg(root)
+    assert kg.train.tolist() == [[0, 0, 0], [1, 1, 0]]
+    assert any("dropped 1 duplicated" in rec.message for rec in caplog.records)
+    assert [kg.incident_rows(e).tolist() for e in range(3)] == [[0, 1], [1], []]
+
+
+def test_packed_texts_read_like_a_list():
+    entries = ["", "ünïcode", "a\ttab", "", "名前"]
+    texts = PackedTexts.pack(entries)
+    assert len(texts) == 5 and list(texts) == entries
+    assert texts[-1] == "名前" and texts[np.int64(1)] == "ünïcode"
+    assert texts[1:4] == entries[1:4] and texts[::-2] == entries[::-2]
+    with pytest.raises(IndexError):
+        texts[5]
+    assert texts.offsets.dtype == np.int64 and texts.offsets.tolist() == [0, 0, 9, 14, 14, 20]
+    assert len(PackedTexts.pack([])) == 0
 
 
 def test_overlapping_splits_rejected():
