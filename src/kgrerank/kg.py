@@ -5,7 +5,17 @@ Datasets are directories of UTF-8 text files: ``train.txt`` / ``valid.txt`` /
 ``entity2text.txt`` and ``relation2text.txt`` map identifiers to surface
 names, and ``entity2textlong.txt`` maps identifiers to descriptions.
 Dense integer ids are assigned by order of first appearance in the text
-files, so id assignment is independent of triple order.
+files, so id assignment is independent of triple order. Every file is read
+with universal newlines, a blank line is skipped, and a file that is not
+UTF-8 or a malformed line is a :class:`DataError` naming its file and line.
+
+A triple file is tokenised as bytes, with no Python object made per field:
+one ``flatnonzero`` finds its tabs and newlines, so each fact line's three
+fields are byte ranges, and each field is read as the little-endian 8-byte
+words of its bytes through a strided view. A ``_KeyTable``, built once per
+key table, finds every field's id in an open-addressing table of the keys'
+words. It accepts a key only when the length and every word are equal, so
+keys match exactly, spaces and NULs included, and the hash never decides.
 
 In memory every split is an ``(n, 3)`` int64 array of ``(head, relation,
 tail)`` rows in file order, with later duplicates dropped. The indexes are
@@ -272,17 +282,32 @@ def build_cooccurrence(kg: KnowledgeGraph) -> np.ndarray:
     return (incidence.T @ incidence).astype(np.int64)
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_bytes(path: str) -> bytes:
+    r"""The file's bytes with universal newlines: each "\r\n" and lone "\r" as "\n"."""
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
-    with open(path, encoding="utf-8") as f:  # universal newlines: every line end reads as "\n"
-        return f.read().split("\n")
+    with open(path, "rb") as f:
+        data = f.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
-def _read_text_table(path: str) -> list[tuple[str, str]]:
+def _decoded(path: str, data: bytes) -> str:
+    """``data`` decoded as UTF-8, or a :class:`DataError` naming the line of
+    the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
+
+
+def _read_text_table(path: str) -> list[tuple[int, str, str]]:
+    """The ``(line number, key, text)`` of each non-blank line."""
     rows = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(_decoded(path, _read_bytes(path)).split("\n"), start=1):
         if not line:
             continue
         if "\t" not in line:
@@ -291,51 +316,175 @@ def _read_text_table(path: str) -> list[tuple[str, str]]:
         if key in seen:
             raise DataError(f"{path}:{lineno}: duplicate identifier {key!r}")
         seen.add(key)
-        rows.append((key, text))
+        rows.append((lineno, key, text))
     return rows
 
 
-def _read_triples(path: str, entity_ids: dict[str, int], relation_ids: dict[str, int]) -> np.ndarray:
-    heads: list[int] = []
-    rels: list[int] = []
-    tails: list[int] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        h, r, t = fields
-        try:
-            heads.append(entity_ids[h])
-            tails.append(entity_ids[t])
-            rels.append(relation_ids[r])
-        except KeyError:
-            for kind, key, ids in (("entity", h, entity_ids), ("entity", t, entity_ids), ("relation", r, relation_ids)):
-                if key not in ids:
-                    raise DataError(f"{path}:{lineno}: unknown {kind} {key!r}") from None
-    return np.array([heads, rels, tails], dtype=np.int64).T
+# the mask of the first n bytes of a little-endian 8-byte word, n = 0..8
+_WORD_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the 64-bit words
+
+
+def _words(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> list[np.ndarray]:
+    """Word j of each field ``padded[start:start + length]``, j < ``width``:
+    its bytes ``8j`` to ``8j + 7`` as one little-endian uint64, zero past
+    the field's end. Every start must lie ``8 * width`` bytes or more before
+    the end of ``padded``."""
+    # an 8-byte word at every byte offset: a strided view, nothing copied
+    at = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    words = [at[starts + 8 * j] for j in range(width)]
+    for j, word in enumerate(words):
+        word &= _WORD_MASKS[np.clip(lengths - 8 * j, 0, 8)]
+    return words
+
+
+class _KeyTable:
+    """The keys of a text table, found by their UTF-8 bytes.
+
+    A key is its byte length and the ``width`` words of ``_words``, enough
+    for the longest key. A hash of the length and the words gives each key
+    a home in an open-addressing table of at least four slots per key, and
+    a lookup probes linearly from the field's home to an empty slot. A
+    field matches a key only when its length and every word equal the
+    key's, so the hash never decides a match on its own.
+    """
+
+    def __init__(self, keys: Sequence[str]):
+        encoded = [key.encode("utf-8") for key in keys]
+        lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+        self.width = max(1, -(-int(lengths.max(initial=0)) // 8))
+        blob = b"".join(encoded)
+        padded = np.zeros(len(blob) + 8 * self.width, dtype=np.uint8)
+        padded[: len(blob)] = np.frombuffer(blob, dtype=np.uint8)
+        starts = np.cumsum(lengths) - lengths
+        words = _words(padded, starts, lengths, self.width)
+        self._mask = (1 << max(2, (4 * len(keys) - 1).bit_length())) - 1
+        self._slots = np.full(self._mask + 1, -1, dtype=np.int64)
+        # every key at once: in each round, a key that probes a free slot takes
+        # it unless a key before it probes the same slot
+        pending, slot = np.arange(len(keys)), self._home(words, lengths)
+        while pending.size:
+            free = np.flatnonzero(self._slots[slot] < 0)
+            taken, first = np.unique(slot[free], return_index=True)
+            self._slots[taken] = pending[free[first]]
+            left = np.ones(len(pending), dtype=bool)
+            left[free[first]] = False
+            pending, slot = pending[left], (slot[left] + 1) & self._mask
+        # each key's length and words, and at index -1, which an empty slot
+        # holds, a length that no field has
+        self._lengths = np.append(lengths, -1)
+        self._words = [np.append(column, np.uint64(0)) for column in words]
+
+    def _home(self, words: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
+        h = lengths.astype(np.uint64)
+        for column in words:
+            h ^= column
+            h *= _MIX
+            h ^= h >> np.uint64(29)
+        h *= _MIX
+        h >>= np.uint64(64 - self._mask.bit_length())  # the top bits mix every byte
+        return h.view(np.int64)
+
+    def find(self, padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The id of each field ``padded[start:start + length]``, -1 where no key equals it."""
+        words = _words(padded, starts, lengths, self.width)
+        slot = self._home(words, lengths)
+        ids = np.full(len(starts), -1, dtype=np.int64)
+        index = np.arange(len(starts))  # the fields still probing, which shrink each round
+        while index.size:
+            key = self._slots[slot]
+            match = self._lengths[key] == lengths
+            for mine, field in zip(self._words, words):
+                match &= mine[key] == field
+            ids[index[match]] = key[match]
+            # an empty slot ends a probe: no key equals that field
+            probe = np.flatnonzero(~match & (key >= 0))
+            index, slot, lengths = index[probe], (slot[probe] + 1) & self._mask, lengths[probe]
+            words = [field[probe] for field in words]
+        return ids
+
+
+def _padded_bytes(path: str, pad: int) -> np.ndarray:
+    """A dataset file's bytes, checked as UTF-8 and ended by a newline, then
+    ``pad`` zero bytes."""
+    data = _read_bytes(path)
+    if not data.isascii():
+        _decoded(path, data)
+    padded = np.zeros(len(data) + 1 + pad, dtype=np.uint8)
+    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    if not data.endswith(b"\n"):
+        padded[len(data)] = ord("\n")
+    return padded
+
+
+def _fact_fields(text: np.ndarray) -> tuple[np.ndarray, tuple, tuple[int, int] | None]:
+    r"""The fact lines of newline-ended ``text`` up to its first bad line:
+    their 0-based numbers, the ``(starts, first tabs, second tabs, ends)``
+    of their fields, and the number and field count of that bad line, if
+    any. A line ends at "\n"; a blank line is skipped, and any other must
+    hold exactly two tabs."""
+    seps = np.flatnonzero(text <= ord("\n"))
+    seps = seps[text[seps] >= ord("\t")]  # tabs and newlines, not the bytes below them
+    newline = text[seps] == ord("\n")
+    at_newline = np.flatnonzero(newline)
+    ends, tabs = seps[at_newline], seps[~newline]
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    tab_counts = np.diff(at_newline, prepend=-1) - 1
+    blank = starts == ends
+    bad = np.flatnonzero(~blank & (tab_counts != 2))
+    fault = None if not bad.size else (int(bad[0]), int(tab_counts[bad[0]]) + 1)
+    lines = np.flatnonzero(~blank[: len(ends) if fault is None else fault[0]])
+    n = len(lines)  # a fact line has two tabs and a blank line none, so its tabs come in pairs
+    return lines, (starts[lines], tabs[0 : 2 * n : 2], tabs[1 : 2 * n : 2], ends[lines]), fault
+
+
+def _read_triples(path: str, entities: _KeyTable, relations: _KeyTable) -> np.ndarray:
+    """The ``(n, 3)`` (head, relation, tail) ids of a triple file's facts.
+
+    One pass over the file's bytes, with no Python object made per field.
+    The first fault in line order is raised; on one line an unknown head
+    comes before an unknown tail, and that before an unknown relation."""
+    padded = _padded_bytes(path, 8 * max(entities.width, relations.width))
+    lines, (starts, first_tab, second_tab, ends), fault = _fact_fields(padded)
+    rows = np.empty((len(lines), 3), dtype=np.int64)
+    rows[:, 0] = entities.find(padded, starts, first_tab - starts)
+    rows[:, 1] = relations.find(padded, first_tab + 1, second_tab - first_tab - 1)
+    rows[:, 2] = entities.find(padded, second_tab + 1, ends - second_tab - 1)
+    if rows.min(initial=0) < 0:
+        i = int(np.argmax((rows < 0).any(axis=1)))
+        for kind, column, begin, end in (
+            ("entity", 0, starts[i], first_tab[i]),
+            ("entity", 2, second_tab[i] + 1, ends[i]),
+            ("relation", 1, first_tab[i] + 1, second_tab[i]),
+        ):
+            if rows[i, column] < 0:
+                key = padded[begin:end].tobytes().decode("utf-8")
+                raise DataError(f"{path}:{lines[i] + 1}: unknown {kind} {key!r}")
+    if fault is not None:
+        raise DataError(f"{path}:{fault[0] + 1}: expected 3 tab-separated fields, got {fault[1]}")
+    return rows
 
 
 def _parse(dataset_dir: str) -> KnowledgeGraph:
     ent_rows = _read_text_table(os.path.join(dataset_dir, ENTITY_NAME_FILE))
     rel_rows = _read_text_table(os.path.join(dataset_dir, RELATION_NAME_FILE))
-    entity_keys = [k for k, _ in ent_rows]
-    entity_names = [v for _, v in ent_rows]
-    relation_keys = [k for k, _ in rel_rows]
-    relation_names = [v for _, v in rel_rows]
+    entity_keys = [k for _, k, _ in ent_rows]
+    entity_names = [v for _, _, v in ent_rows]
+    relation_keys = [k for _, k, _ in rel_rows]
+    relation_names = [v for _, _, v in rel_rows]
     entity_ids = {k: i for i, k in enumerate(entity_keys)}
-    relation_ids = {k: i for i, k in enumerate(relation_keys)}
 
+    path = os.path.join(dataset_dir, ENTITY_DESC_FILE)
     descriptions = [""] * len(entity_keys)
-    for key, text in _read_text_table(os.path.join(dataset_dir, ENTITY_DESC_FILE)):
+    for lineno, key, text in _read_text_table(path):
         if key not in entity_ids:
-            raise DataError(f"{ENTITY_DESC_FILE}: description for unknown entity {key!r}")
+            raise DataError(f"{path}:{lineno}: description for unknown entity {key!r}")
         descriptions[entity_ids[key]] = text
     descriptions = PackedTexts.pack(descriptions)  # the strings are freed before the triples are read
 
+    entities, relations = _KeyTable(entity_keys), _KeyTable(relation_keys)
     splits = [
-        _read_triples(os.path.join(dataset_dir, name), entity_ids, relation_ids)
+        _read_triples(os.path.join(dataset_dir, name), entities, relations)
         for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
     ]
     return KnowledgeGraph(entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits)

@@ -5,11 +5,11 @@ independent oracles.
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
 move-to-top rebuilds the whole permutation, co-occurrence is a quadratic
-scan, gradients come from central finite differences, and the training
-epoch is the earlier loop that scattered with ``np.add.at`` on the 2-D
-tables. The exception is ``base_model_metrics``, which ranks through
-``rank_queries`` to judge ``evaluate``, a stage that reads its ranks from an
-eval set.
+scan, gradients come from central finite differences, the training epoch
+is the earlier loop that scattered with ``np.add.at`` on the 2-D tables,
+and a triple file is read line by line into dict lookups. The exception is
+``base_model_metrics``, which ranks through ``rank_queries`` to judge
+``evaluate``, a stage that reads its ranks from an eval set.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from kgrerank.kg import (
     TEST_FILE,
     TRAIN_FILE,
     VALID_FILE,
+    DataError,
     KnowledgeGraph,
     Triple,
 )
@@ -105,6 +106,29 @@ def read_bytes(path):
     """A file's bytes, read and closed."""
     with open(path, "rb") as f:
         return f.read()
+
+
+def read_triples_by_line(path, entity_ids, relation_ids):
+    """The ``(n, 3)`` (head, relation, tail) ids of a triple file, read as the
+    library once did: line by line with universal newlines, each field a
+    ``str`` looked up in a dict, the first fault raised as a DataError."""
+    heads, rels, tails = [], [], []
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        h, r, t = fields
+        for kind, key, ids in (("entity", h, entity_ids), ("entity", t, entity_ids), ("relation", r, relation_ids)):
+            if key not in ids:
+                raise DataError(f"{path}:{lineno}: unknown {kind} {key!r}")
+        heads.append(entity_ids[h])
+        rels.append(relation_ids[r])
+        tails.append(entity_ids[t])
+    return np.array([heads, rels, tails], dtype=np.int64).T
 
 
 def neighbors(kg, entity):

@@ -133,6 +133,12 @@ def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
     assert tuple(os.path.basename(stage_output(cfg, stage)) for stage in stages) == addresses
 
 
+def test_the_graph_address_is_pinned(tmp_path, toy_dir):
+    # golden value: only the dataset's bytes and kg.GRAPH_LAYOUT move it
+    cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
+    assert os.path.basename(stage_output(cfg, "graph")) == "graph-ae75720c64e7"
+
+
 def test_readme_config_reference_matches_the_schema():
     readme = read_text(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"))
     block = readme.split("## Config reference", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
@@ -296,6 +302,19 @@ def test_missing_dataset_dir_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.ini", tmp_path / "nope", tmp_path / "w")
     assert main(["train-embeddings", "--config", cfg]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", kg_module.DATASET_FILES)
+def test_a_dataset_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, toy_dir, capsys, name):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(toy_dir, dataset)
+    path = dataset / name
+    with open(path, "ab") as f:
+        f.write(b"\xff\xfe")
+    line = read_bytes(path).count(b"\n") + 1
+    cfg = write_config(tmp_path / "run.ini", dataset, tmp_path / "w")
+    assert main(["train-embeddings", "--config", cfg]) == 2
+    assert f"data error: {path}:{line}: not UTF-8" in capsys.readouterr().err
 
 
 def test_train_chain_fixture_is_fast_and_deterministic(tmp_path, chain_dir):

@@ -1,12 +1,24 @@
 import logging
 import os
+import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_graph, brute_force_cooc, build_kg, find_benchmark_dir, neighbors, write_kg
+from helpers import (
+    assert_same_graph,
+    brute_force_cooc,
+    build_kg,
+    find_benchmark_dir,
+    neighbors,
+    read_bytes,
+    read_triples_by_line,
+    write_kg,
+)
 from kgrerank import kg as kg_module
 from kgrerank.datasets import make_chain_dataset, make_synthetic_dataset
 from kgrerank.kg import (
@@ -366,3 +378,147 @@ def test_a_hit_parses_sorts_and_multiplies_nothing(tmp_path, toy_dir, monkeypatc
     monkeypatch.setattr(KnowledgeGraph, "__init__", lambda *args: called.append("__init__"))
     assert_same_graph(load_kg(toy_dir, built), reference)
     assert called == []
+
+
+def test_a_description_for_an_unknown_entity_names_its_file_and_line(tmp_path):
+    root = write_dataset(
+        tmp_path / "d", ENTITIES, RELATIONS, [], [], [], descriptions=[("/e/a", "first"), ("/e/zzz", "nobody")]
+    )
+    path = os.path.join(root, "entity2textlong.txt")
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}:2: description for unknown entity '/e/zzz'$"):
+        load_kg(root)
+
+
+# keys of 0, 7, 8, 9, 16, 17 and 25 bytes, each a prefix of the longer ones;
+# keys that differ only by trailing NULs or in their second word; and keys
+# with a space and 2- to 4-byte characters
+PREFIX_KEYS = ["k" * n for n in (0, 7, 8, 9, 16, 17, 25)]
+ODD_KEYS = ["a", "a\x00", "a\x00\x00", "kkkkkkkk\x00", "kkkkkkkky", "a b", "é" * 4, "実" * 3, "😀", "\x00"]
+RELATION_KEYS = ["r", "r\x00", "関係", "r" * 8 + "s", "/r/a b"]
+KEY = st.one_of(
+    st.integers(0, 26).map(lambda n: "k" * n),
+    st.sampled_from(ODD_KEYS + RELATION_KEYS),
+    st.text(st.sampled_from(["a", "b", "k", "/", " ", "\x00", "é", "実", "😀"]), max_size=10),
+)
+
+
+@st.composite
+def triple_files(draw):
+    """Entity keys, relation keys and the text of a triple file over them:
+    with blank lines and every line end, and when ``valid`` is drawn false,
+    with lines of 2 or 4 fields and unknown keys."""
+    entities = draw(st.lists(KEY, min_size=1, max_size=12, unique=True))
+    relations = draw(st.lists(KEY, min_size=1, max_size=6, unique=True))
+    valid = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        elif valid:
+            lines.append("\t".join(draw(st.sampled_from(keys)) for keys in (entities, relations, entities)))
+        else:
+            fields = st.one_of(st.sampled_from(entities), st.sampled_from(relations), KEY)
+            lines.append("\t".join(draw(st.lists(fields, min_size=2, max_size=4))))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return entities, relations, text
+
+
+def _outcome(read, path, entities, relations):
+    """What reading a triple file gives: its rows, or the text of its DataError."""
+    try:
+        rows = read(path, entities, relations)
+    except DataError as exc:
+        return "error", str(exc)
+    return "rows", rows.dtype, rows.shape, rows.tolist()
+
+
+FACTS = "\n".join(
+    f"{h}\t{r}\t{t}" for h, r, t in zip(PREFIX_KEYS + ODD_KEYS, RELATION_KEYS * 4, ODD_KEYS + PREFIX_KEYS)
+)
+TRIPLE_FILE_CASES = {
+    "an empty file": "",
+    "only blank lines": "\n\r\n\r\n",
+    "every key, no final newline": FACTS,
+    "CRLF, lone CR and blank lines": "\r\n"
+    + "".join(line + ("\r\n", "\r", "\n\r")[i % 3] for i, line in enumerate(FACTS.split("\n"))),
+    "2 fields": FACTS + "\nkkkkkkk\tr\n",
+    "4 fields": FACTS + "\nkkkkkkk\tr\tkkkkkkk\tr\n",
+    "unknown head, a prefix of a key": "\nkkkkkk\tr\ta\n",
+    "unknown tail, a key with a NUL added": "a\tr\ta\x00\x00\x00\n",
+    "unknown tail, a key's length and first word": "a\tr\tkkkkkkkkz\n",
+    "unknown relation, a key's prefix": "a\tr\x00\ta\na\t関\ta\n",
+    "unknown relation and head": "a\tr\ta\nzz\t関\ta\n",
+    "unknown relation and tail": "a\tr\ta\na\tzz\tkkkkkkkkkkkkkkkkkk\n",
+    "an unknown key before a short line": "a\tq\ta\na\tr\n",
+    "a short line before an unknown key": "a\tr\na\tq\ta\n",
+}
+
+
+def _assert_oracle_agrees(entities, relations, text, collide):
+    """``_read_triples`` reads ``text`` as the oracle does; with ``collide``,
+    every key and field hashes to slot 0, so each lookup compares the field
+    with every key in its probe and no hash can decide a match."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "train.txt")
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8"))
+        expected = _outcome(
+            read_triples_by_line,
+            path,
+            {key: i for i, key in enumerate(entities)},
+            {key: i for i, key in enumerate(relations)},
+        )
+        home = (lambda self, words, lengths: np.zeros_like(lengths)) if collide else kg_module._KeyTable._home
+        with mock.patch.object(kg_module._KeyTable, "_home", home):
+            got = _outcome(
+                kg_module._read_triples, path, kg_module._KeyTable(entities), kg_module._KeyTable(relations)
+            )
+    assert got == expected
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
+@pytest.mark.parametrize("text", TRIPLE_FILE_CASES.values(), ids=TRIPLE_FILE_CASES)
+def test_read_triples_matches_the_line_by_line_oracle_on_named_cases(text, collide):
+    _assert_oracle_agrees(PREFIX_KEYS + ODD_KEYS, RELATION_KEYS, text, collide)
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
+def test_read_triples_matches_the_line_by_line_oracle_without_keys(collide):
+    _assert_oracle_agrees([], [], "", collide)
+    _assert_oracle_agrees([], [], "\n\na\tr\ta\n", collide)
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
+@settings(max_examples=200, deadline=None)
+@given(case=triple_files())
+def test_read_triples_matches_the_line_by_line_oracle(case, collide):
+    _assert_oracle_agrees(*case, collide)
+
+
+@pytest.mark.parametrize("which", DATASETS)
+def test_the_byte_parser_builds_the_files_the_line_parser_built(tmp_path, toy_dir, monkeypatch, which):
+    dataset = toy_dir if DATASETS[which] is None else DATASETS[which](str(tmp_path / "dataset"))
+    load_kg(dataset, None, str(tmp_path / "bytes"))
+    parsed = load_kg(dataset)
+    entity_ids = {key: i for i, key in enumerate(parsed.entity_keys)}
+    relation_ids = {key: i for i, key in enumerate(parsed.relation_keys)}
+    monkeypatch.setattr(
+        kg_module, "_read_triples", lambda path, *tables: read_triples_by_line(path, entity_ids, relation_ids)
+    )
+    load_kg(dataset, None, str(tmp_path / "lines"))
+    names = sorted(os.listdir(tmp_path / "bytes"))
+    assert names == sorted(os.listdir(tmp_path / "lines"))
+    for name in names:
+        assert read_bytes(tmp_path / "bytes" / name) == read_bytes(tmp_path / "lines" / name), name
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_a_triple_file_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, end):
+    root = write_dataset(tmp_path / "d", ENTITIES, RELATIONS, [], [], [])
+    path = os.path.join(root, "valid.txt")
+    with open(path, "wb") as f:
+        f.write(f"/e/a\t/r/x\t/e/b{end}{end}/é/".encode("utf-8") + b"\xff\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}:3: not UTF-8"):
+        load_kg(root)
