@@ -296,70 +296,53 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
-def _ranking_inputs(cfg: PipelineConfig) -> tuple[KnowledgeGraph, EmbeddingTable, str]:
-    """The graph, the embedding table and its checkpoint's path, trained if absent."""
+@contextmanager
+def _instruction_set(cfg: PipelineConfig, which: str):
+    """Yield the samples and summary of the ``finetune`` or ``eval`` set. A set
+    at its content address is read from there. A missing one is built under
+    ``_publish`` as the caller takes its samples, so the caller can score the
+    first while the rest are ranked; on leaving, the samples not taken are
+    built, ``summary.json`` is written and the whole set is published. If the
+    caller raises, nothing is published. The summary names the checkpoint
+    whose vectors the records' ids refer to."""
+    outdir = stage_output(cfg, which)
+    summary_path = os.path.join(outdir, "summary.json")
+    if os.path.isfile(summary_path):
+        logger.info("%s set up to date: %s", which, outdir)
+        with open(summary_path, encoding="utf-8") as f:
+            summary = json.load(f)
+        yield read_samples(os.path.join(outdir, "instructions.jsonl")), summary
+        return
     kg = _load_graph(cfg)
     _check_m(cfg, kg)
     ckpt = ensure_embeddings(cfg, kg)
-    return kg, EmbeddingTable.load(ckpt), ckpt
-
-
-@contextmanager
-def _eval_set(cfg: PipelineConfig):
-    """Yield the eval set's samples and summary. A set at its content address
-    is read from there. A missing one is built under ``_publish`` as the caller
-    takes its samples, so the caller can score the first while the rest are
-    ranked; on leaving, the samples not taken are built, ``summary.json`` is
-    written and the whole set is published. If the caller raises, nothing is
-    published."""
-    evaldir = stage_output(cfg, "eval")
-    summary_path = os.path.join(evaldir, "summary.json")
-    if os.path.isfile(summary_path):
-        logger.info("eval set up to date: %s", evaldir)
-        with open(summary_path, encoding="utf-8") as f:
-            summary = json.load(f)
-        yield read_samples(os.path.join(evaldir, "instructions.jsonl")), summary
-        return
-    kg, table, ckpt = _ranking_inputs(cfg)
-    with _publish(evaldir) as tmp:
+    table = EmbeddingTable.load(ckpt)
+    with _publish(outdir) as tmp:
         os.mkdir(tmp)
-        path = os.path.join(tmp, "instructions.jsonl")
-        samples, summary = build_eval_set(kg, table, cfg.ranker, cfg.instruct, instructions_path=path)
+        instructions = os.path.join(tmp, "instructions.jsonl")
+        if which == "eval":
+            samples, summary = build_eval_set(kg, table, cfg.ranker, cfg.instruct, instructions)
+        else:
+            holdout = os.path.join(tmp, "holdout.jsonl")
+            samples, summary = build_finetune_set(kg, table, cfg.ranker, cfg.instruct, instructions, holdout)
         with closing(samples):
             yield samples, summary
             for _ in samples:  # the rest of the set
                 pass
         summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
         _write_json(os.path.join(tmp, "summary.json"), summary)
-    logger.info("eval summary: %s", summary)
+    logger.info("%s summary: %s", which, summary)
 
 
 def ensure_build(cfg: PipelineConfig, which: str) -> str:
     """Build the ``finetune`` or ``eval`` set if its content address is absent;
-    return its directory. The set's ``summary.json`` names the checkpoint whose
-    vectors the records' ids refer to."""
+    return its directory."""
     outdir = stage_output(cfg, which)
     if os.path.isfile(os.path.join(outdir, "summary.json")):
         logger.info("%s set up to date: %s", which, outdir)
-        return outdir
-    if which == "eval":
-        with _eval_set(cfg):
+    else:
+        with _instruction_set(cfg, which):
             pass  # leaving builds the whole set
-        return outdir
-    kg, table, ckpt = _ranking_inputs(cfg)
-    with _publish(outdir) as tmp:
-        os.mkdir(tmp)
-        summary = build_finetune_set(
-            kg,
-            table,
-            cfg.ranker,
-            cfg.instruct,
-            instructions_path=os.path.join(tmp, "instructions.jsonl"),
-            holdout_instructions_path=os.path.join(tmp, "holdout.jsonl"),
-        )
-        summary["checkpoint"] = os.path.basename(ckpt)
-        _write_json(os.path.join(tmp, "summary.json"), summary)
-    logger.info("finetune summary: %s", summary)
     return outdir
 
 
@@ -385,7 +368,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         os.mkdir(tmp)
         # a missing eval set is built as evaluate takes its samples, and
         # published before the report
-        with _eval_set(cfg) as (samples, summary):
+        with _instruction_set(cfg, "eval") as (samples, summary):
             report = evaluate(
                 samples,
                 summary,

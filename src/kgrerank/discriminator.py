@@ -24,6 +24,7 @@ import urllib.request
 from dataclasses import dataclass
 
 from .instructions import InstructionSample
+from .kg import DataError, read_text_table
 
 
 class BackendError(Exception):
@@ -77,19 +78,15 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
+        """The outputs of a ``<sample id><TAB><output>`` fixture, read as the
+        dataset's name tables are; a fault names the file and line."""
         if not os.path.isfile(path):
             raise BackendError(f"scripted fixture file not found: {path}")
-        outputs = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise BackendError(f"{path}:{lineno}: expected '<sample_id>\\t<output>'")
-                sample_id, text = line.split("\t", 1)
-                outputs[sample_id] = text
-        return cls(outputs)
+        try:
+            rows = read_text_table(path)
+        except DataError as exc:
+            raise BackendError(str(exc)) from None
+        return cls({sample_id: text for _, sample_id, text in rows})
 
     def select(self, sample: InstructionSample) -> int | None:
         text = self.outputs.get(sample.id)
@@ -136,20 +133,12 @@ def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
     exponential backoff up to ``config.retries`` extra attempts, then
     surfaced as :class:`BackendError`.
     """
-    if not config.endpoint:
-        raise BackendError("remote backend requires an endpoint URL")
     headers = {"Content-Type": "application/json", "User-Agent": "kgrerank"}
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": sample.prompt}],
     }
-    try:
-        parts = urllib.parse.urlsplit(config.endpoint)
-        if parts.scheme not in ("http", "https") or not parts.netloc:  # urlopen also reads file: and data:
-            raise ValueError(f"{config.endpoint!r} is not an http(s) URL")
-        request = urllib.request.Request(config.endpoint, json.dumps(payload).encode(), headers)
-    except ValueError as exc:
-        raise BackendError(f"bad endpoint URL: {exc}") from exc
+    request = _request(config.endpoint, json.dumps(payload).encode(), headers)
     token = os.environ.get(config.auth_token_env, "")
     if token:  # unredirected: a redirect, to any host, does not carry the token
         request.add_unredirected_header("Authorization", f"Bearer {token}")
@@ -182,6 +171,21 @@ def remote_request(sample: InstructionSample, config: BackendConfig) -> str:
     ) from last_error
 
 
+def _request(endpoint: str, data: bytes = b"", headers: dict | None = None) -> urllib.request.Request:
+    """A POST of ``data`` to ``endpoint``; a :class:`BackendError` when the
+    endpoint is empty or not an http(s) URL with a host."""
+    if not endpoint:
+        raise BackendError("remote backend requires an endpoint URL")
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        if parts.scheme not in ("http", "https") or not parts.netloc:  # urlopen also reads file: and data:
+            raise ValueError(f"{endpoint!r} is not an http(s) URL")
+        parts.port  # a port that is not a number in 0-65535 raises ValueError
+        return urllib.request.Request(endpoint, data, headers or {})
+    except ValueError as exc:
+        raise BackendError(f"bad endpoint URL: {exc}") from exc
+
+
 def _error_body(exc: urllib.error.HTTPError) -> bytes:
     """The body of an error response, or b"" when reading it fails."""
     try:
@@ -199,8 +203,7 @@ class RemoteBackend:
     name = "remote"
 
     def __init__(self, config: BackendConfig):
-        if not config.endpoint:
-            raise BackendError("remote backend requires an endpoint URL")
+        _request(config.endpoint)  # a bad endpoint fails here, before any stage runs
         self.config = config
 
     def select(self, sample: InstructionSample) -> int | None:

@@ -2,10 +2,12 @@
 
 ``evaluate`` takes the samples of an eval set (both directions of every test
 triple, in ``build_eval_set``'s order) as they come: read back from the set's
-file, or straight from ``build_eval_set`` while it ranks the rest. It reads no
-graph and ranks nothing itself. Each sample goes to the backend, whose ``select``
-returns a candidate index or None to abstain, and the pick moves to the top
-of the base ranking with all other relative positions preserved. Moving one
+file, or straight from ``build_eval_set`` while it ranks the rest, as
+``cli._instruction_set``, the one path that builds and publishes both
+instruction sets, hands them over. It reads no graph and ranks nothing
+itself. Each sample goes to the backend, whose ``select`` returns a
+candidate index or None to abstain, and the pick moves to the top of the
+base ranking with all other relative positions preserved. Moving one
 entity to the top shifts the gold by at most one place, so the new rank
 follows from the gold's base rank and the chosen candidate's, both recorded
 in the sample (see ``moved_rank``). MRR / Hits@k of the gold are reported per

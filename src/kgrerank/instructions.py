@@ -316,11 +316,14 @@ def build_finetune_set(
     options: BuildOptions,
     instructions_path: str,
     holdout_instructions_path: str,
-) -> dict:
-    """Confidence-truncated samples from 90% of the validation split.
+) -> tuple[Iterator[InstructionSample], dict]:
+    """Confidence-truncated samples from 90% of the validation split: the kept
+    samples, each ranked, built and written as it is taken, and the set's
+    summary, as :func:`build_eval_set` gives them.
 
-    The remaining 10% is written untruncated to the holdout file for
-    hyperparameter selection. The train split is never used here.
+    After the last kept sample the remaining 10% is written untruncated to the
+    holdout file for hyperparameter selection, and the summary's counts are
+    filled in. The train split is never used here.
     """
     if len(kg.valid) == 0:
         raise DataError("finetune building requires a non-empty validation split")
@@ -329,28 +332,25 @@ def build_finetune_set(
     cut = (len(kg.valid) * 9) // 10
     part1 = sorted(int(i) for i in perm[:cut])
     part2 = sorted(int(i) for i in perm[cut:])
+    summary = _options_summary(params, options)
 
-    with InstructionWriter(instructions_path) as w:
-        part = ((i, kg.valid[i]) for i in part1)
-        for _ in _write_samples(w, kg, table, params, options, part, "valid", truncate=True):
-            pass
-        kept = w.count
-        chars = w.prompt_chars
-    if kept == 0:
-        logger.warning("truncation at beta=%s kept no finetune samples", params.beta)
+    def samples() -> Iterator[InstructionSample]:
+        with InstructionWriter(instructions_path) as w:
+            part = ((i, kg.valid[i]) for i in part1)
+            yield from _write_samples(w, kg, table, params, options, part, "valid", truncate=True)
+        if w.count == 0:
+            logger.warning("truncation at beta=%s kept no finetune samples", params.beta)
+        with InstructionWriter(holdout_instructions_path) as h:
+            part = ((i, kg.valid[i]) for i in part2)
+            for _ in _write_samples(h, kg, table, params, options, part, "valid", truncate=False):
+                pass
+        summary.update(
+            valid_triples=len(kg.valid),
+            queries=2 * len(part1),
+            kept=w.count,
+            dropped=2 * len(part1) - w.count,
+            holdout_queries=h.count,
+            mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,
+        )
 
-    with InstructionWriter(holdout_instructions_path) as w:
-        part = ((i, kg.valid[i]) for i in part2)
-        for _ in _write_samples(w, kg, table, params, options, part, "valid", truncate=False):
-            pass
-        holdout = w.count
-
-    return {
-        **_options_summary(params, options),
-        "valid_triples": len(kg.valid),
-        "queries": 2 * len(part1),
-        "kept": kept,
-        "dropped": 2 * len(part1) - kept,
-        "holdout_queries": holdout,
-        "mean_prompt_chars": (chars / kept) if kept else 0.0,
-    }
+    return samples(), summary

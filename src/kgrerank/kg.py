@@ -303,8 +303,10 @@ def _decoded(path: str, data: bytes) -> str:
         raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
 
 
-def _read_text_table(path: str) -> list[tuple[int, str, str]]:
-    """The ``(line number, key, text)`` of each non-blank line."""
+def read_text_table(path: str) -> list[tuple[int, str, str]]:
+    """The ``(line number, key, text)`` of each non-blank ``<key><TAB><text>`` line;
+    a byte that is not UTF-8, a line without a tab or a repeated key is a
+    :class:`DataError` naming the file and line."""
     rows = []
     seen: set[str] = set()
     for lineno, line in enumerate(_decoded(path, _read_bytes(path)).split("\n"), start=1):
@@ -466,8 +468,8 @@ def _read_triples(path: str, entities: _KeyTable, relations: _KeyTable) -> np.nd
 
 
 def _parse(dataset_dir: str) -> KnowledgeGraph:
-    ent_rows = _read_text_table(os.path.join(dataset_dir, ENTITY_NAME_FILE))
-    rel_rows = _read_text_table(os.path.join(dataset_dir, RELATION_NAME_FILE))
+    ent_rows = read_text_table(os.path.join(dataset_dir, ENTITY_NAME_FILE))
+    rel_rows = read_text_table(os.path.join(dataset_dir, RELATION_NAME_FILE))
     entity_keys = [k for _, k, _ in ent_rows]
     entity_names = [v for _, _, v in ent_rows]
     relation_keys = [k for _, k, _ in rel_rows]
@@ -476,7 +478,7 @@ def _parse(dataset_dir: str) -> KnowledgeGraph:
 
     path = os.path.join(dataset_dir, ENTITY_DESC_FILE)
     descriptions = [""] * len(entity_keys)
-    for lineno, key, text in _read_text_table(path):
+    for lineno, key, text in read_text_table(path):
         if key not in entity_ids:
             raise DataError(f"{path}:{lineno}: description for unknown entity {key!r}")
         descriptions[entity_ids[key]] = text

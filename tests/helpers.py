@@ -1,6 +1,6 @@
 """Shared test utilities: in-memory graphs, datasets written back to disk,
-eval sets and instruction records read back from disk, prompt parsing, and
-independent oracles.
+instruction sets built whole and their records read back from disk, prompt
+parsing, and independent oracles.
 
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic,
@@ -33,6 +33,7 @@ from kgrerank.instructions import (
     ENTITY_PLACEHOLDER,
     BuildOptions,
     build_eval_set,
+    build_finetune_set,
     read_samples,
 )
 from kgrerank.kg import (
@@ -176,6 +177,14 @@ def find_benchmark_dir(name):
 def write_eval_set(kg, table, params, options, instructions_path, triples=None):
     """Build the whole eval set that ``build_eval_set`` streams, as ``build-eval`` does; its summary."""
     samples, summary = build_eval_set(kg, table, params, options, instructions_path, triples=triples)
+    for _ in samples:
+        pass
+    return summary
+
+
+def write_finetune_set(kg, table, params, options, instructions_path, holdout_instructions_path):
+    """Build the whole finetune set that ``build_finetune_set`` streams, as ``build-finetune`` does; its summary."""
+    samples, summary = build_finetune_set(kg, table, params, options, instructions_path, holdout_instructions_path)
     for _ in samples:
         pass
     return summary

@@ -713,6 +713,43 @@ def test_evaluate_missing_scripted_file_exits_3(tmp_path, toy_dir, capsys):
     assert "backend error" in capsys.readouterr().err
 
 
+def test_a_malformed_endpoint_exits_3_before_any_stage_runs(tmp_path, toy_dir, capsys):
+    # no scheme: checked when the backend is made, not at the first request
+    # after the graph is parsed and the embeddings are trained
+    workdir = tmp_path / "w"
+    cfg = write_config(
+        tmp_path / "run.ini",
+        toy_dir,
+        workdir,
+        extra="\n[backend]\nkind = remote\nendpoint = localhost:8000/v1/chat/completions\nmodel = m\n",
+    )
+    assert main(["evaluate", "--config", cfg]) == 3
+    assert "bad endpoint URL" in capsys.readouterr().err
+    assert not os.path.isdir(workdir) or not os.listdir(workdir)
+
+
+@pytest.mark.parametrize(
+    "fixture, fault",
+    [
+        (b"test-0-tail\tentity 1\ntest-1-tail\t\xff\n", "not UTF-8"),
+        (b"test-0-tail\tentity 1\ntest-1-tail entity 2\n", "expected"),
+        (b"test-0-tail\tentity 1\ntest-0-tail\tentity 2\n", "duplicate identifier 'test-0-tail'"),
+    ],
+    ids=["bad-byte", "no-tab", "duplicate-id"],
+)
+def test_a_malformed_fixture_exits_3_naming_its_line(tmp_path, toy_dir, capsys, fixture, fault):
+    path = tmp_path / "outputs.tsv"
+    path.write_bytes(fixture)
+    cfg = write_config(
+        tmp_path / "run.ini",
+        toy_dir,
+        tmp_path / "w",
+        extra=f"\n[backend]\nkind = scripted\nscripted_file = {path}\n",
+    )
+    assert main(["evaluate", "--config", cfg]) == 3
+    assert f"backend error: {path}:2: {fault}" in capsys.readouterr().err
+
+
 def test_evaluate_oracle_report_identities(tmp_path, toy_dir):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["evaluate", "--config", cfg]) == 0
@@ -760,6 +797,52 @@ def test_full_pipeline_runs_are_byte_identical(tmp_path, toy_dir):
                 blob += read_bytes(workdir_file(workdir, prefix, name))
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
+
+
+# each file of the finetune and eval sets, by the prefix of its directory
+SET_FILES = (
+    ("finetune-", "instructions.jsonl"),
+    ("finetune-", "holdout.jsonl"),
+    ("finetune-", "summary.json"),
+    ("eval-", "instructions.jsonl"),
+    ("eval-", "summary.json"),
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, digests",
+    [
+        (
+            [],
+            (
+                "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
+                "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
+                "067771c0951a440eb79ea44eff50d187130bceb32d117eb88fe85ba41f44c12e",
+                "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
+                "73b658f27279308ff1419692abbb4944c77ed559e265e21ce68455bb18e85b1b",
+            ),
+        ),
+        (
+            ["ranker.beta=0.5", "instruct.rc_sampling=false", "instruct.shuffle_candidates=true"],
+            (
+                "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
+                "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
+                "a1a22500e90734c14a4b8dc1764ed56666c1008adb6e9b5a70b02acbdab3b334",
+                "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
+                "8744e6b47a7a647181e73011d66c670426e307ef63fe1bc919bc798cc769f861",
+            ),
+        ),
+    ],
+    ids=["defaults", "truncating"],
+)
+def test_the_toy_sets_bytes_are_pinned(tmp_path, toy_dir, overrides, digests):
+    # golden values: two runs of the same code only agree with each other; these
+    # catch a byte change that every run shares
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    for command in ("build-finetune", "build-eval"):
+        assert main([command, "--config", cfg, *(f"--set={s}" for s in overrides)]) == 0
+    assert tuple(sha256(workdir_file(workdir, prefix, name)) for prefix, name in SET_FILES) == digests
 
 
 def test_auth_token_never_written_to_workdir(tmp_path, toy_dir, monkeypatch):
@@ -871,7 +954,7 @@ def _raises_after(original):
 
 
 def _raises_after_its_samples(original):
-    """``build_eval_set``, whose samples raise once the last one is written."""
+    """``build_finetune_set`` or ``build_eval_set``, whose samples raise once the last one is written."""
 
     def partway(*args, **kwargs):
         samples, summary = original(*args, **kwargs)
@@ -890,7 +973,7 @@ def _raises_after_its_samples(original):
     [
         ("train-embeddings", cli, "train", _raises_after, "embeddings-", None),
         ("train-embeddings", cli.EmbeddingTable, "save", _raises_after, "embeddings-", None),
-        ("build-finetune", cli, "build_finetune_set", _raises_after, "finetune-", "summary.json"),
+        ("build-finetune", cli, "build_finetune_set", _raises_after_its_samples, "finetune-", "summary.json"),
         ("build-eval", cli, "build_eval_set", _raises_after_its_samples, "eval-", "summary.json"),
         ("evaluate", cli, "evaluate", _raises_after, "report-", "report.txt"),
         ("evaluate", cli, "build_eval_set", _raises_after_its_samples, "report-", "report.txt"),

@@ -293,10 +293,19 @@ def test_remote_backend_grounds_and_raises_on_failure(http_server):
 
 
 def test_remote_request_unconfigured_endpoint():
-    with pytest.raises(BackendError):
+    with pytest.raises(BackendError, match="requires an endpoint URL"):
         remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="", model="m"))
+
+
+def test_a_malformed_endpoint_fails_when_the_backend_is_made():
+    with pytest.raises(BackendError, match="requires an endpoint URL"):
+        RemoteBackend(BackendConfig(kind="remote", endpoint="", model="m"))
     with pytest.raises(BackendError, match="bad endpoint URL"):  # no scheme
-        remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint="/v1/chat", model="m"))
-    for endpoint in ("data:,x", "file:///dev/null", "http:/v1/chat"):  # not http(s), or no host
+        RemoteBackend(BackendConfig(kind="remote", endpoint="/v1/chat", model="m"))
+    for endpoint in (
+        "data:,x", "file:///dev/null", "localhost:8000/v1/chat",  # not http(s)
+        "http:/v1/chat",  # no host
+        "http://localhost:abc/v1/chat", "http://localhost:99999/v1/chat",  # no port
+    ):
         with pytest.raises(BackendError, match="bad endpoint URL"):
-            remote_request(sample_with(["x"]), BackendConfig(kind="remote", endpoint=endpoint, model="m"))
+            RemoteBackend(BackendConfig(kind="remote", endpoint=endpoint, model="m"))

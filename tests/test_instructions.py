@@ -17,6 +17,7 @@ from helpers import (
     read_records,
     read_text,
     write_eval_set,
+    write_finetune_set,
 )
 from kgrerank.adapter import attach_knowledge, init_adapter, project
 from kgrerank.cli import main
@@ -332,7 +333,7 @@ def test_finetune_split_is_nine_to_one(tmp_path):
         rng.normal(size=(40, 4)), rng.normal(size=(3, 4)), "L2"
     )
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.0)
-    summary = build_finetune_set(
+    summary = write_finetune_set(
         kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
     )
     assert summary["valid_triples"] == 100
@@ -341,10 +342,24 @@ def test_finetune_split_is_nine_to_one(tmp_path):
     assert summary["kept"] == 180  # beta 0 keeps everything
 
 
+def test_finetune_samples_stream_and_the_holdout_follows_the_last(tmp_path, toy_kg, toy_table):
+    params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
+    paths = finetune_paths(tmp_path)
+    samples, summary = build_finetune_set(toy_kg, toy_table, params, BuildOptions(seed=3), **paths)
+    # the [ranker] and [instruct] values from the start, the counts once drained
+    assert summary["beta"] == 0.5 and summary["seed"] == 3 and "kept" not in summary
+    first = next(samples)
+    assert not os.path.exists(paths["holdout_instructions_path"])
+    rest = list(samples)
+    assert [first, *rest] == read_samples(paths["instructions_path"])
+    assert 0 < summary["kept"] == 1 + len(rest) < summary["queries"]
+    assert summary["holdout_queries"] == len(read_samples(paths["holdout_instructions_path"]))
+
+
 def test_finetune_truncation_can_empty_output(tmp_path, toy_kg, toy_table, caplog):
     params = ConfidenceParams(m=3, alpha=1.0, beta=1e9)
     with caplog.at_level(logging.WARNING):
-        summary = build_finetune_set(
+        summary = write_finetune_set(
             toy_kg, toy_table, params, BuildOptions(), **finetune_paths(tmp_path)
         )
     assert summary["kept"] == 0
@@ -365,7 +380,7 @@ def test_finetune_default_truncation_keeps_gold_in_candidates(tmp_path):
     kg = build_kg(40, 2, train=facts[:40], valid=facts[40:100], test=facts[100:110])
     table = EmbeddingTable(rng.normal(size=(40, 4)), rng.normal(size=(2, 4)), "L2")
     params = ConfidenceParams(m=20, alpha=1.0, beta=0.05)
-    summary = build_finetune_set(
+    summary = write_finetune_set(
         kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
@@ -379,7 +394,7 @@ def test_finetune_build_is_byte_deterministic(tmp_path, toy_kg, toy_table):
     for run in ("a", "b"):
         root = tmp_path / run
         root.mkdir()
-        build_finetune_set(
+        write_finetune_set(
             toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(root)
         )
         blob = b"".join(
@@ -439,7 +454,7 @@ def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_tab
 
     monkeypatch.setattr(instructions, "build_sample", counting)
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
-    summary = build_finetune_set(
+    summary = write_finetune_set(
         toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(tmp_path)
     )
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites

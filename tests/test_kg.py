@@ -373,7 +373,7 @@ def test_a_hit_parses_sorts_and_multiplies_nothing(tmp_path, toy_dir, monkeypatc
     built = str(tmp_path / "built")
     reference = load_kg(toy_dir, None, built)
     called = []
-    for name in ("_read_text_table", "_read_triples", "build_cooccurrence"):
+    for name in ("read_text_table", "_read_triples", "build_cooccurrence"):
         monkeypatch.setattr(kg_module, name, lambda *args, name=name: called.append(name))
     monkeypatch.setattr(KnowledgeGraph, "__init__", lambda *args: called.append("__init__"))
     assert_same_graph(load_kg(toy_dir, built), reference)
