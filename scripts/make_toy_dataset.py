@@ -21,15 +21,18 @@ def main():
     if args.kind == "chain":
         path = make_chain_dataset(args.out)
     else:
-        path = make_synthetic_dataset(
-            args.out,
-            n_entities=args.entities,
-            n_relations=args.relations,
-            n_train=args.train,
-            n_valid=args.valid,
-            n_test=args.test,
-            seed=args.seed,
-        )
+        try:
+            path = make_synthetic_dataset(
+                args.out,
+                n_entities=args.entities,
+                n_relations=args.relations,
+                n_train=args.train,
+                n_valid=args.valid,
+                n_test=args.test,
+                seed=args.seed,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     print(f"wrote dataset to {path}")
 
 

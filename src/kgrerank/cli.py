@@ -36,6 +36,7 @@ from .instructions import (
     BuildOptions,
     build_eval_set,
     build_finetune_set,
+    iter_samples,
     read_samples,
 )
 from .kg import DATASET_FILES, GRAPH_LAYOUT, DataError, KnowledgeGraph, load_kg
@@ -388,17 +389,19 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 def cmd_inspect(path: str, sample_id: str | None, index: int | None) -> int:
     if not os.path.isfile(path):
         raise DataError(f"instruction file not found: {path}")
-    samples = read_samples(path)
+    # reading stops at the sample printed; one not found is read to the end
     if sample_id is not None:
-        matches = [s for s in samples if s.id == sample_id]
-        if not matches:
+        sample = next((s for s in iter_samples(path) if s.id == sample_id), None)
+        if sample is None:
             raise DataError(f"no sample with id {sample_id!r} in {path}")
-        sample = matches[0]
     else:
-        i = index or 0
-        if not 0 <= i < len(samples):
-            raise DataError(f"index {i} out of range for {len(samples)} samples")
-        sample = samples[i]
+        i, count = index or 0, 0
+        for sample in iter_samples(path):
+            if count == i:
+                break
+            count += 1
+        else:
+            raise DataError(f"index {i} out of range for {count} samples")
     print(f"id: {sample.id}")
     print(f"direction: {sample.direction}")
     print(f"gold: {sample.gold_name} (id {sample.gold_id}, rank {sample.gold_rank})")

@@ -52,7 +52,21 @@ def make_synthetic_dataset(
     n_test: int = 12,
     seed: int = 0,
 ) -> str:
-    """Random triples split disjointly into train/valid/test files."""
+    """Random triples split disjointly into train/valid/test files. Counts
+    below 0, or more triples than ``n_entities·(n_entities−1)·n_relations``
+    distinct non-loop ones, are a ValueError."""
+    counts = dict(
+        n_entities=n_entities, n_relations=n_relations, n_train=n_train, n_valid=n_valid, n_test=n_test
+    )
+    if min(counts.values()) < 0:
+        raise ValueError("counts must not be negative: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
+    wanted = n_train + n_valid + n_test
+    distinct = n_entities * (n_entities - 1) * n_relations
+    if wanted > distinct:
+        raise ValueError(
+            f"n_train + n_valid + n_test = {wanted} triples, but {n_entities} entities and "
+            f"{n_relations} relations make only {distinct} distinct ones without a self-loop"
+        )
     rng = np.random.default_rng(seed)
     keys = [f"/ent/{i:03d}" for i in range(n_entities)]
     names = [f"entity {i}" for i in range(n_entities)]
@@ -63,7 +77,6 @@ def make_synthetic_dataset(
     rel_keys = [f"/rel/{j}" for j in range(n_relations)]
     rel_names = [f"relation {j}" for j in range(n_relations)]
 
-    wanted = n_train + n_valid + n_test
     triples: list[tuple[int, int, int]] = []
     seen = set()
     while len(triples) < wanted:

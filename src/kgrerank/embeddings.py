@@ -288,16 +288,18 @@ def _sample_negatives(
     corrupt_head = rng.integers(0, 2, size=n).astype(bool)
     neg[corrupt_head, 0] = rng.integers(0, num_entities, size=int(corrupt_head.sum()))
     neg[~corrupt_head, 2] = rng.integers(0, num_entities, size=int((~corrupt_head).sum()))
-    # dense tiny graphs may have no clean corruption; give up after a bound
+    # dense tiny graphs may have no clean corruption; give up after a bound.
+    # A row found clean is not redrawn, so each round tests only the last redraws
+    rows, tested = np.arange(n), neg
     for _ in range(50):
-        clash = kg.in_train(neg)
-        if not clash.any():
+        rows = rows[kg.in_train(tested)]
+        if not rows.size:
             break
-        redraw = rng.integers(0, num_entities, size=int(clash.sum()))
-        rows = np.where(clash)[0]
+        redraw = rng.integers(0, num_entities, size=rows.size)
         heads = corrupt_head[rows]
         neg[rows[heads], 0] = redraw[heads]
         neg[rows[~heads], 2] = redraw[~heads]
+        tested = neg[rows]
     return neg
 
 

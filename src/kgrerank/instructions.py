@@ -259,19 +259,24 @@ def _write_samples(
             yield sample
 
 
-def read_samples(path: str) -> list[InstructionSample]:
-    """The samples of an instruction file. A line that is not a record of this
-    layout (say, one written before ``TEMPLATE_VERSION`` changed) is a
-    :class:`DataError` naming the file and line."""
-    samples = []
+def iter_samples(path: str) -> Iterator[InstructionSample]:
+    """The samples of an instruction file, each read as it is taken. A line
+    that is not a record of this layout (say, one written before
+    ``TEMPLATE_VERSION`` changed) is a :class:`DataError` naming the file and
+    line."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
                 try:
-                    samples.append(InstructionSample(**json.loads(line)))
+                    sample = InstructionSample(**json.loads(line))
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}:{lineno}: not an instruction record: {exc}") from None
-    return samples
+                yield sample
+
+
+def read_samples(path: str) -> list[InstructionSample]:
+    """Every sample of an instruction file, as :func:`iter_samples` reads them."""
+    return list(iter_samples(path))
 
 
 def _options_summary(params: ConfidenceParams, options: BuildOptions) -> dict:

@@ -30,20 +30,24 @@ description of its known entity alone, so a load decodes none of them.
 
 Parsing, validating and indexing a dataset is all of a first load.
 ``load_kg`` can write the built graph to a directory its caller addresses
-by the dataset's content: every array the constructor derives as ``.npy``
-(the splits, the three key arrays, the adjacency and ``cooc``), the
-descriptions as their blob and offsets, and the four name and key tables as
-``.txt``, one entry per line. A later load reads it back without parsing,
-sorting, forming ``cooc`` or decoding a description: each array is a
-read-only memory map, and O(n) checks take the place of validation (dtypes,
-shapes, id ranges, strictly increasing keys, adjacency and description
-offsets, valid UTF-8, table lengths). A directory with a file missing, cut
-short or failing a check counts as absent.
+by the dataset's content, as two files: ``graph.npy``, one int64 array that
+holds every array the constructor derives (the splits, the three key
+arrays, the adjacency and ``cooc``) and the offsets of every text table's
+entries, and ``texts.bin``, the entries of the five text tables in UTF-8. A
+later load reads it back without parsing, sorting, forming ``cooc`` or
+decoding a key or a description: each array is a read-only view of one
+memory map, the keys and descriptions are :class:`PackedTexts` over the
+text blob, and only the two name tables are decoded. O(n) checks take the
+place of validation (section lengths, id ranges, strictly increasing keys,
+adjacency and text offsets, valid UTF-8). A directory with a file missing,
+cut short or failing a check counts as absent.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import mmap
 import os
 from collections.abc import Sequence
 from typing import Iterable, NamedTuple
@@ -67,18 +71,19 @@ DATASET_FILES = (
     TEST_FILE,
 )
 
-# the built graph's files: each of these attributes as <name>.npy, leading
-# "_" dropped, each text table as <name>.txt, every entry ended by "\n", and
-# the descriptions' blob and offsets; a parsed entry never holds "\n" (files
-# are read with universal newlines), so the tables read back exactly. A
-# change here must bump GRAPH_LAYOUT.
-GRAPH_LAYOUT = 3  # 1 held the three parsed splits alone, 2 the descriptions as a .txt table
+# the built graph's two files. graph.npy is one int64 array: the length of
+# each section below, then the sections end to end, each split's rows and
+# cooc flattened, and each text table as the offsets of its entries in
+# texts.bin, E + 1 or R + 1 of them, each table starting where the last one
+# ended. texts.bin is the tables' entries in this order, in UTF-8, each
+# followed by "\n". A change here must bump GRAPH_LAYOUT.
+GRAPH_LAYOUT = 4  # 1 held the three parsed splits alone, 2 the descriptions as a .txt table, 3 fifteen files
 _BUILT_ARRAYS = (
     "train", "valid", "test", "_train_keys", "_all_keys", "_head_keys", "_adj_facts", "_adj_offsets", "cooc"
 )
-_BUILT_TABLES = ("entity_keys", "entity_names", "relation_keys", "relation_names")
-_DESCRIPTIONS = "entity_descriptions.bin"
-_DESCRIPTION_OFFSETS = "entity_descriptions_offsets.npy"
+_BUILT_TABLES = ("entity_keys", "entity_names", "relation_keys", "relation_names", "entity_descriptions")
+_SECTIONS = _BUILT_ARRAYS + _BUILT_TABLES
+_GRAPH_ARRAY, _GRAPH_TEXTS = "graph.npy", "texts.bin"
 
 
 class DataError(Exception):
@@ -97,18 +102,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class PackedTexts(Sequence):
-    """A read-only sequence of strings held as one UTF-8 blob: entry i is
-    ``blob[offsets[i]:offsets[i + 1]]``, decoded each time it is read."""
+    r"""A read-only sequence of strings held in one blob, each in UTF-8 and
+    followed by "\n": entry i is ``blob[offsets[i]:offsets[i + 1] - 1]``,
+    decoded each time it is read."""
 
-    def __init__(self, blob: bytes, offsets: np.ndarray):
-        self.blob = blob
-        self.offsets = offsets  # int64, one more than the entries, from 0 to len(blob)
+    def __init__(self, blob: bytes | mmap.mmap, offsets: np.ndarray):
+        self.blob = blob  # or a read-only map of a file, whose slices are bytes too
+        self.offsets = offsets  # int64, one more than the entries, strictly increasing within the blob
 
     @classmethod
     def pack(cls, entries: Iterable[str]) -> PackedTexts:
-        encoded = [entry.encode("utf-8") for entry in entries]
-        offsets = np.concatenate([[0], np.cumsum([len(b) for b in encoded], dtype=np.int64)])
-        return cls(b"".join(encoded), _readonly(offsets))
+        entries = list(entries)
+        blob = "\n".join([*entries, ""]).encode("utf-8")
+        if blob.count(b"\n") == len(entries):  # no entry holds "\n", so each ends at one
+            ends = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n")) + 1
+        else:
+            ends = np.cumsum([len(entry.encode("utf-8")) + 1 for entry in entries], dtype=np.int64)
+        return cls(blob, _readonly(np.concatenate([[0], ends]).astype(np.int64)))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -117,7 +127,7 @@ class PackedTexts(Sequence):
         index = range(len(self))[index]  # a negative index, a slice and IndexError as a list has them
         if isinstance(index, range):
             return [self[i] for i in index]
-        return self.blob[self.offsets[index] : self.offsets[index + 1]].decode("utf-8")
+        return self.blob[self.offsets[index] : self.offsets[index + 1] - 1].decode("utf-8")
 
 
 class KnowledgeGraph:
@@ -492,48 +502,84 @@ def _parse(dataset_dir: str) -> KnowledgeGraph:
     return KnowledgeGraph(entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits)
 
 
-def _built_file(directory: str, name: str) -> str:
-    suffix = ".npy" if name in _BUILT_ARRAYS else ".txt"
-    return os.path.join(directory, name.lstrip("_") + suffix)
-
-
 def _write_built(kg: KnowledgeGraph, out_dir: str) -> None:
+    """Write a parsed graph's two files. Its descriptions, packed by the
+    parse, are a blob that holds them alone, from offset 0."""
     os.mkdir(out_dir)
-    for name in _BUILT_ARRAYS:
-        np.save(_built_file(out_dir, name), getattr(kg, name))
-    for name in _BUILT_TABLES:
-        with open(_built_file(out_dir, name), "w", encoding="utf-8", newline="") as f:
-            f.write("".join(f"{entry}\n" for entry in getattr(kg, name)))
-    with open(os.path.join(out_dir, _DESCRIPTIONS), "wb") as f:
-        f.write(kg.entity_descriptions.blob)
-    np.save(os.path.join(out_dir, _DESCRIPTION_OFFSETS), kg.entity_descriptions.offsets)
+    tables = [getattr(kg, name) for name in _BUILT_TABLES]
+    tables = [t if isinstance(t, PackedTexts) else PackedTexts.pack(t) for t in tables]
+    starts = np.cumsum([0] + [len(t.blob) for t in tables[:-1]])
+    sections = [getattr(kg, name).reshape(-1) for name in _BUILT_ARRAYS]
+    sections += [t.offsets + start for t, start in zip(tables, starts)]
+    size = len(sections) + sum(map(len, sections))
+    # written a section at a time, so no second copy of the graph is made
+    with open(os.path.join(out_dir, _GRAPH_ARRAY), "wb") as f:
+        np.lib.format.write_array_header_1_0(f, {"descr": "<i8", "fortran_order": False, "shape": (size,)})
+        f.write(np.array([len(s) for s in sections], dtype=np.int64))
+        for section in sections:
+            f.write(np.ascontiguousarray(section))
+    with open(os.path.join(out_dir, _GRAPH_TEXTS), "wb") as f:
+        f.writelines(t.blob for t in tables)
 
 
 def _read_built(cache_dir: str) -> KnowledgeGraph | None:
     """The graph built in ``cache_dir``, or None when a file there is missing,
-    cut short or fails a check. Nothing is parsed, sorted or multiplied, and no
-    description is decoded (a blob that is not ASCII is decoded once, to check it)."""
-
-    def mapped(path: str) -> np.ndarray:
-        # a read-only map, seen as a plain ndarray: a stage reads only the pages it touches
-        return np.asarray(np.load(path, mmap_mode="r", allow_pickle=False))
-
-    kg = KnowledgeGraph.__new__(KnowledgeGraph)
+    cut short or fails a check. Nothing is parsed, sorted or multiplied, and
+    only the names are decoded (a blob that is not ASCII is decoded once, to
+    check it)."""
     try:
-        for name in _BUILT_ARRAYS:
-            setattr(kg, name, mapped(_built_file(cache_dir, name)))
-        with open(os.path.join(cache_dir, _DESCRIPTIONS), "rb") as f:
-            blob = f.read()
-        kg.entity_descriptions = PackedTexts(blob, mapped(os.path.join(cache_dir, _DESCRIPTION_OFFSETS)))
-        for name in _BUILT_TABLES:
-            with open(_built_file(cache_dir, name), encoding="utf-8", newline="") as f:
-                entries = f.read().split("\n")
-            if entries.pop():  # cut short: the last entry lacks its "\n"
-                return None
-            setattr(kg, name, entries)
-    except (OSError, ValueError, EOFError):  # missing, or cut short inside a header or the data
+        # a read-only map, seen as a plain ndarray: a stage reads only the pages it touches
+        graph = np.asarray(np.load(os.path.join(cache_dir, _GRAPH_ARRAY), mmap_mode="r", allow_pickle=False))
+        with open(os.path.join(cache_dir, _GRAPH_TEXTS), "rb") as f:
+            # mapped too: a read would copy its megabytes into fresh pages (an empty file cannot be mapped)
+            blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if os.fstat(f.fileno()).st_size else b""
+    except (OSError, ValueError, EOFError):  # missing, or cut short inside its header or data
         return None
+    sections = _sections(graph)
+    if sections is None:
+        return None
+    counts = [len(sections[name]) - 1 for name in _BUILT_TABLES]
+    if not _is_packed(blob, graph[graph.size - len(counts) - sum(counts) :], counts):
+        return None
+    kg = KnowledgeGraph.__new__(KnowledgeGraph)
+    for name in _BUILT_ARRAYS:
+        setattr(kg, name, sections[name])
+    for name in ("entity_keys", "relation_keys", "entity_descriptions"):
+        setattr(kg, name, PackedTexts(blob, sections[name]))
+    for name in ("entity_names", "relation_names"):  # what every prompt reads
+        offsets = sections[name]
+        entries = blob[offsets[0] : offsets[-1]].decode("utf-8").split("\n")
+        entries.pop()  # "", after the last entry's "\n"
+        setattr(kg, name, entries)
     return kg if _is_whole(kg) else None
+
+
+def _sections(graph: np.ndarray) -> dict[str, np.ndarray] | None:
+    """Each section of a built graph's array, by name, or None when its length
+    prefix does not describe it: a length below 0, lengths that do not sum to
+    the array's size, a split that is not rows of 3, no entity or relation
+    keys' offsets, descriptions of another entity count, or a ``cooc`` that
+    is not R × R. The names are counted once split."""
+    if not (graph.dtype == np.int64 and graph.ndim == 1 and graph.size >= len(_SECTIONS)):
+        return None
+    lengths = dict(zip(_SECTIONS, graph[: len(_SECTIONS)].tolist()))
+    n_e, n_r = lengths["entity_keys"] - 1, lengths["relation_keys"] - 1
+    if not (
+        min(lengths.values()) >= 0
+        and sum(lengths.values()) == graph.size - len(_SECTIONS)
+        and lengths["train"] % 3 == lengths["valid"] % 3 == lengths["test"] % 3 == 0
+        and n_e >= 0
+        and n_r >= 0
+        and lengths["entity_descriptions"] == n_e + 1
+        and lengths["cooc"] == n_r * n_r
+    ):
+        return None
+    ends = list(itertools.accumulate(lengths.values(), initial=len(_SECTIONS)))
+    sections = {name: graph[start:end] for name, start, end in zip(_SECTIONS, ends, ends[1:])}
+    for name in ("train", "valid", "test"):
+        sections[name] = sections[name].reshape(-1, 3)
+    sections["cooc"] = sections["cooc"].reshape(n_r, n_r)
+    return sections
 
 
 def _is_whole(kg: KnowledgeGraph) -> bool:
@@ -541,18 +587,11 @@ def _is_whole(kg: KnowledgeGraph) -> bool:
     n_e, n_r = kg.num_entities, kg.num_relations
     splits = (kg.train, kg.valid, kg.test)
     offsets, facts = kg._adj_offsets, kg._adj_facts
-    if not (
-        all(getattr(kg, name).dtype == np.int64 for name in _BUILT_ARRAYS)
-        and all(rows.ndim == 2 and rows.shape[1] == 3 for rows in splits)
-        and facts.ndim == 1
-    ):
-        return False
     n_all = sum(map(len, splits))
     key_bound = n_e * n_r * n_e  # above every key (h·R + r)·E + t and (r·E + t)·E + h
     return (
         len(kg.entity_names) == n_e
         and len(kg.relation_names) == n_r
-        and _is_packed(kg.entity_descriptions, n_e)
         and all(_ids_within(rows, n_e, n_r) for rows in splits)
         and _increasing(kg._train_keys, len(kg.train), key_bound)
         and _increasing(kg._all_keys, n_all, key_bound)
@@ -562,46 +601,57 @@ def _is_whole(kg: KnowledgeGraph) -> bool:
         and offsets[-1] == len(facts)
         and bool((offsets[1:] >= offsets[:-1]).all())
         and _within(facts, len(kg.train))
-        and kg.cooc.shape == (n_r, n_r)
     )
 
 
 def _within(ids: np.ndarray, bound: int) -> bool:
-    """Whether every id lies in ``[0, bound)``."""
-    return ids.size == 0 or (ids.min() >= 0 and ids.max() < bound)
+    """Whether every id lies in ``[0, bound)``: one pass for the maximum of the
+    ids seen as uint64, where a negative id is huge."""
+    return ids.size == 0 or ids.view(np.uint64).max() < bound
 
 
 def _ids_within(rows: np.ndarray, n_e: int, n_r: int) -> bool:
     """Whether every (h, r, t) row holds entity ids in ``[0, n_e)`` and a
     relation id in ``[0, n_r)``: one pass over the whole array for the
-    minimum, then one maximum per column."""
-    return rows.size == 0 or (
-        rows.min() >= 0 and rows[:, 0].max() < n_e and rows[:, 1].max() < n_r and rows[:, 2].max() < n_e
-    )
+    larger bound, then one over the column or columns of the smaller."""
+    if rows.size == 0:
+        return True
+    if not _within(rows, max(n_e, n_r)):
+        return False
+    if n_r < n_e:
+        return rows[:, 1].max() < n_r
+    if n_e < n_r:
+        return rows[:, ::2].max() < n_e
+    return True
 
 
-def _is_packed(texts: PackedTexts, length: int) -> bool:
-    """Whether ``texts`` is ``length`` valid UTF-8 entries: int64 offsets from
-    0 to the blob's length that never decrease, a blob that decodes, and no
-    non-empty entry that starts inside a character. Then every entry ends on
-    a character too: where the next non-empty entry starts, or at the end."""
-    blob, offsets = texts.blob, texts.offsets
+def _is_packed(blob: bytes, offsets: np.ndarray, counts: list[int]) -> bool:
+    r"""Whether ``offsets`` is, end to end, the ``count + 1`` offsets of each of
+    tables of ``counts`` entries that fill ``blob``: the first table starts
+    at 0 and each later one where the last ended, offsets increase strictly
+    within a table and end at the blob's length, every entry ends in "\n",
+    and the blob is UTF-8. Then every entry starts on a character too: at 0,
+    or after a "\n"."""
+    steps = np.diff(offsets)
+    rises = steps > 0
+    joins = np.cumsum(np.add(counts[:-1], 1)) - 1  # the step from a table's last offset to the next one's first
     if not (
-        offsets.dtype == np.int64
-        and offsets.shape == (length + 1,)
-        and offsets[0] == 0
+        offsets[0] == 0
         and offsets[-1] == len(blob)
-        and bool((offsets[1:] >= offsets[:-1]).all())
+        and (steps[joins] == 0).all()
+        and np.count_nonzero(rises) == sum(counts)
     ):
         return False
-    if blob.isascii():  # valid UTF-8 that holds no continuation byte
+    text = np.frombuffer(blob, dtype=np.uint8)
+    if not (text[offsets[1:][rises] - 1] == ord("\n")).all():
+        return False
+    if text.max(initial=0) < 0x80:  # ASCII, which is UTF-8
         return True
     try:
-        blob.decode("utf-8")
+        str(blob, "utf-8")
     except UnicodeDecodeError:
         return False
-    starts = offsets[:-1][offsets[1:] > offsets[:-1]]
-    return not ((np.frombuffer(blob, dtype=np.uint8)[starts] & 0xC0) == 0x80).any()
+    return True
 
 
 def _increasing(keys: np.ndarray, length: int, bound: int) -> bool:

@@ -26,7 +26,6 @@ from kgrerank.embeddings import (
     _hinge_step,
     _normalize_rows,
     _residual_norm,
-    _sample_negatives,
 )
 from kgrerank.instructions import (
     CANDIDATES_HEADER,
@@ -360,9 +359,31 @@ def reference_hinge_step(table, pos, neg, margin):
     return loss_sum, entity_idx, entity_grads, relation_idx, relation_grads
 
 
+def reference_sample_negatives(positives, kg, k, rng):
+    """The negative sampler that drew every earlier checkpoint's negatives,
+    kept as it was: each round tests the whole batch again."""
+    num_entities = kg.num_entities
+    neg = np.repeat(positives, k, axis=0)
+    n = neg.shape[0]
+    corrupt_head = rng.integers(0, 2, size=n).astype(bool)
+    neg[corrupt_head, 0] = rng.integers(0, num_entities, size=int(corrupt_head.sum()))
+    neg[~corrupt_head, 2] = rng.integers(0, num_entities, size=int((~corrupt_head).sum()))
+    for _ in range(50):
+        clash = kg.in_train(neg)
+        if not clash.any():
+            break
+        redraw = rng.integers(0, num_entities, size=int(clash.sum()))
+        rows = np.where(clash)[0]
+        heads = corrupt_head[rows]
+        neg[rows[heads], 0] = redraw[heads]
+        neg[rows[~heads], 2] = redraw[~heads]
+    return neg
+
+
 def reference_train(kg, config, *, epoch_losses=None):
     """The training loop that wrote every earlier checkpoint, kept as it was
-    (less its logging) with ``np.add.at`` on the 2-D tables as its scatter:
+    (less its logging) with ``np.add.at`` on the 2-D tables as its scatter
+    and ``reference_sample_negatives`` as its sampler:
     ``train`` must equal it byte for byte. It draws its initial table through
     the module, as ``train`` does, so a patched ``init_embeddings`` reaches
     both."""
@@ -378,7 +399,7 @@ def reference_train(kg, config, *, epoch_losses=None):
         for start in range(0, len(order), config.batch_size):
             pos = triples[order[start : start + config.batch_size]]
             pos_rep = np.repeat(pos, k, axis=0)
-            neg = _sample_negatives(pos, kg, k, rng)
+            neg = reference_sample_negatives(pos, kg, k, rng)
             loss, e_idx, e_grads, r_idx, r_grads = reference_hinge_step(
                 table, pos_rep, neg, config.margin
             )

@@ -1,3 +1,4 @@
+import builtins
 import configparser
 import dataclasses
 import glob
@@ -28,11 +29,9 @@ from kgrerank.kg import load_kg
 from kgrerank.ranking import metrics, queries_for_triple, rank_query
 
 # the built graph's files under graph-<digest>/, sorted
-GRAPH_FILES = [
-    "adj_facts.npy", "adj_offsets.npy", "all_keys.npy", "cooc.npy", "entity_descriptions.bin",
-    "entity_descriptions_offsets.npy", "entity_keys.txt", "entity_names.txt", "head_keys.npy",
-    "relation_keys.txt", "relation_names.txt", "test.npy", "train.npy", "train_keys.npy", "valid.npy",
-]
+GRAPH_FILES = ["graph.npy", "texts.bin"]
+# the sections of graph.npy, in order
+GRAPH_SECTIONS = [name.lstrip("_") for name in kg_module._SECTIONS]
 
 FAST_EMBEDDER = """
 [embedder]
@@ -136,7 +135,7 @@ def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
 def test_the_graph_address_is_pinned(tmp_path, toy_dir):
     # golden value: only the dataset's bytes and kg.GRAPH_LAYOUT move it
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
-    assert os.path.basename(stage_output(cfg, "graph")) == "graph-ae75720c64e7"
+    assert os.path.basename(stage_output(cfg, "graph")) == "graph-50f0c4fc098e"
 
 
 def test_readme_config_reference_matches_the_schema():
@@ -270,8 +269,8 @@ def test_editing_a_dataset_file_in_place_retrains(tmp_path, toy_dir, monkeypatch
     new_graphs = {e for e in os.listdir(workdir) if e.startswith("graph-")} - graphs
     assert len(graphs) == 1 and len(new_graphs) == 1
     assert sorted(parsed) == ["test.txt", "train.txt", "valid.txt"]
-    cached = np.load(os.path.join(workdir, new_graphs.pop(), "train.npy"))
-    assert len(cached) == len(lines) - 1
+    cached = kg_module._read_built(os.path.join(workdir, new_graphs.pop()))
+    assert len(cached.train) == len(lines) - 1
 
 
 def test_editing_the_scripted_fixture_in_place_reevaluates(tmp_path, toy_dir):
@@ -869,6 +868,24 @@ def test_inspect_prints_prompt(tmp_path, toy_dir, capsys):
     assert main(["inspect", "--file", path, "--id", "missing"]) == 2
 
 
+def test_inspect_stops_reading_at_the_sample_it_prints(tmp_path, toy_dir, capsys):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["build-eval", "--config", cfg]) == 0
+    clean = workdir_file(tmp_path / "w", "eval-", "instructions.jsonl")
+    lines = read_lines(clean)
+    first = json.loads(lines[0])["id"]
+    assert main(["inspect", "--file", clean, "--index", "99"]) == 2
+    assert f"index 99 out of range for {len(lines)} samples" in capsys.readouterr().err
+    path = tmp_path / "foreign.jsonl"
+    path.write_text("".join(lines[:2]) + '{"foreign": true}\n' + "".join(lines[2:]), encoding="utf-8")
+    for args in (["--index", "0"], ["--index", "1"], ["--id", first]):
+        assert main(["inspect", "--file", str(path), *args]) == 0
+    assert f"id: {first}" in capsys.readouterr().out
+    for args in (["--index", "2"], ["--id", "missing"], ["--index", "-1"]):  # read past line 3
+        assert main(["inspect", "--file", str(path), *args]) == 2
+        assert f"{path}:3: not an instruction record" in capsys.readouterr().err
+
+
 def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["train-embeddings", "--config", cfg]) == 0
@@ -1105,7 +1122,7 @@ def _damage_and_rebuild(tmp_path, toy_dir, damage):
 
 
 @pytest.mark.parametrize("missing", GRAPH_FILES)
-def test_a_graph_directory_missing_an_array_is_replaced_not_written_into(tmp_path, toy_dir, missing):
+def test_a_graph_directory_missing_a_file_is_replaced_not_written_into(tmp_path, toy_dir, missing):
     _damage_and_rebuild(tmp_path, toy_dir, lambda graph: os.remove(os.path.join(graph, missing)))
 
 
@@ -1118,71 +1135,128 @@ def test_a_graph_file_cut_short_is_replaced(tmp_path, toy_dir, name):
     _damage_and_rebuild(tmp_path, toy_dir, cut)
 
 
-def _rewrite_array(change):
-    return lambda path: np.save(path, change(np.load(path)))
+def _read_sections(graph):
+    """graph.npy's sections by name, as copies: its length prefix, then the sections end to end."""
+    array = np.load(os.path.join(graph, "graph.npy"))
+    ends = np.cumsum([len(GRAPH_SECTIONS), *array[: len(GRAPH_SECTIONS)]])
+    return {name: array[start:end] for name, start, end in zip(GRAPH_SECTIONS, ends, ends[1:])}
 
 
-def _drop_first_line(path):
-    lines = read_text(path).splitlines(keepends=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(lines[1:]))
+def _rewrite_sections(change):
+    """Rewrite graph.npy with the sections ``change`` returns, each after its new length."""
 
-
-def _rewrite_blob(change):
-    def rewrite(path):
-        blob = read_bytes(path)
-        with open(path, "wb") as f:
-            f.write(change(blob))
+    def rewrite(graph):
+        sections = change(_read_sections(graph))
+        lengths = [len(section) for section in sections.values()]
+        np.save(os.path.join(graph, "graph.npy"), np.concatenate([lengths, *sections.values()]).astype(np.int64))
 
     return rewrite
 
 
-def _straddle_two_descriptions(path):
-    """Write "é" (two bytes) over the last byte of one description and the
-    first of the next: the blob stays valid UTF-8, but an offset falls inside
-    a character."""
-    offsets = np.load(os.path.join(os.path.dirname(path), "entity_descriptions_offsets.npy"))
-    # where the second non-empty description starts, right after the first
-    at = next(int(o) for o, end in zip(offsets[1:-1], offsets[2:]) if 0 < o < end)
-    _rewrite_blob(lambda b: b[: at - 1] + "é".encode("utf-8") + b[at + 1 :])(path)
+def _rewrite_section(name, change):
+    return _rewrite_sections(lambda sections: {**sections, name: change(sections[name])})
+
+
+@pytest.mark.parametrize("name", GRAPH_SECTIONS)
+def test_a_graph_section_dropped_with_its_length_is_replaced(tmp_path, toy_dir, name):
+    drop = _rewrite_sections(lambda sections: {n: s for n, s in sections.items() if n != name})
+    _damage_and_rebuild(tmp_path, toy_dir, drop)
+
+
+@pytest.mark.parametrize("name", GRAPH_SECTIONS)
+def test_a_graph_section_cut_short_is_replaced(tmp_path, toy_dir, name):
+    _damage_and_rebuild(tmp_path, toy_dir, _rewrite_section(name, lambda s: s[: len(s) // 2]))
+
+
+def _rewrite_graph_array(change):
+    def rewrite(graph):
+        path = os.path.join(graph, "graph.npy")
+        np.save(path, change(np.load(path)))
+
+    return rewrite
+
+
+def _rewrite_texts(change):
+    """Rewrite texts.bin with what ``change`` makes of its bytes and graph.npy's sections."""
+
+    def rewrite(graph):
+        path = os.path.join(graph, "texts.bin")
+        blob = change(read_bytes(path), _read_sections(graph))
+        with open(path, "wb") as f:
+            f.write(blob)
+
+    return rewrite
+
+
+def _rows(change):
+    """A change to a split's rows, applied to its flattened section."""
+    return lambda section: change(section.reshape(-1, 3)).reshape(-1)
+
+
+def _straddle_two_descriptions(blob, sections):
+    """Write "é" (two bytes) over the "\\n" that ends one description and the
+    first byte of the next: the blob stays valid UTF-8, but that description
+    ends inside a character."""
+    d = sections["entity_descriptions"]
+    # the end of a non-empty description that a non-empty one follows
+    at = next(int(d[i + 1]) for i in range(len(d) - 2) if d[i + 1] - d[i] > 1 and d[i + 2] - d[i + 1] > 1)
+    return blob[: at - 1] + "é".encode("utf-8") + blob[at + 1 :]
+
+
+def _not_utf8_in_a_description(blob, sections):
+    d = sections["entity_descriptions"]
+    at = next(int(d[i]) for i in range(len(d) - 1) if d[i + 1] - d[i] > 1)  # a non-empty one's first byte
+    return blob[:at] + b"\xff" + blob[at + 1 :]
+
+
+def _newline_in_a_name(blob, sections):
+    """Write "\\n" over the first byte of the first entity name: every entry
+    still ends in "\\n", but the names split into one more than the entities."""
+    at = int(sections["entity_names"][0])
+    return blob[:at] + b"\n" + blob[at + 1 :]
 
 
 @pytest.mark.parametrize(
-    "name, damage",
+    "damage",
     [
-        ("train.npy", _rewrite_array(lambda a: a + 100)),  # ids past the entity count
-        ("test.npy", _rewrite_array(lambda a: a + [100, 0, 0])),  # one column at a time
-        ("test.npy", _rewrite_array(lambda a: a + [0, 100, 0])),
-        ("test.npy", _rewrite_array(lambda a: a + [0, 0, 100])),
-        ("valid.npy", _rewrite_array(lambda a: a - [0, 0, 100])),
-        ("test.npy", _rewrite_array(np.ravel)),  # not (n, 3) rows
-        ("valid.npy", _rewrite_array(lambda a: a.astype(np.int32))),
-        ("all_keys.npy", _rewrite_array(lambda a: a[::-1])),  # not increasing
-        ("head_keys.npy", _rewrite_array(lambda a: a[1:])),  # shorter than the splits imply
-        ("adj_offsets.npy", _rewrite_array(lambda a: a[:-1])),
-        ("adj_facts.npy", _rewrite_array(lambda a: a + 1000)),  # rows past the train split
-        ("adj_facts.npy", _rewrite_array(lambda a: a[0])),  # a 0-d array, which has no length
-        ("cooc.npy", _rewrite_array(lambda a: a[:, :-1])),
-        ("entity_names.txt", _drop_first_line),  # one name short of the entity count
-        # offset 2 jumps to the end, so offset 3 falls; one offset short; not starting at 0
-        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.where(np.arange(a.size) == 2, a[-1], a))),
-        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.delete(a, 1))),
-        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.where(np.arange(a.size) < 2, 1, a))),
-        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: a.astype(np.int32))),
-        ("entity_descriptions_offsets.npy", _rewrite_array(lambda a: np.append(a[:-1], a[-1] - 1))),
-        ("entity_descriptions.bin", _rewrite_blob(lambda b: b"\xff" + b[1:])),  # not UTF-8
-        ("entity_descriptions.bin", _straddle_two_descriptions),
+        _rewrite_section("train", lambda a: a + 100),  # ids past the entity count
+        _rewrite_section("test", _rows(lambda a: a + [100, 0, 0])),  # one column at a time
+        _rewrite_section("test", _rows(lambda a: a + [0, 100, 0])),
+        _rewrite_section("test", _rows(lambda a: a + [0, 0, 100])),
+        _rewrite_section("valid", _rows(lambda a: a - [0, 0, 100])),
+        _rewrite_section("test", lambda a: a[:-1]),  # not (n, 3) rows
+        _rewrite_graph_array(lambda a: a.astype(np.int32)),
+        _rewrite_section("all_keys", lambda a: a[::-1]),  # not increasing
+        _rewrite_section("head_keys", lambda a: a[1:]),  # shorter than the splits imply
+        _rewrite_section("adj_offsets", lambda a: a[:-1]),
+        _rewrite_section("adj_facts", lambda a: a + 1000),  # rows past the train split
+        _rewrite_graph_array(lambda a: np.where(np.arange(a.size) == GRAPH_SECTIONS.index("adj_facts"), a + 1, a)),
+        _rewrite_section("cooc", lambda a: a.reshape(3, 3)[:, :-1].reshape(-1)),
+        _rewrite_section("entity_names", lambda a: a[1:]),  # one name short of the entity count
+        # offset 2 jumps to the end, so offset 3 falls; one offset short; starting
+        # before the relation names end; as big-endian int64; one short of the end
+        _rewrite_section("entity_descriptions", lambda a: np.where(np.arange(a.size) == 2, a[-1], a)),
+        _rewrite_section("entity_descriptions", lambda a: np.delete(a, 1)),
+        _rewrite_section("entity_descriptions", lambda a: np.where(np.arange(a.size) == 0, a[0] - 1, a)),
+        _rewrite_graph_array(lambda a: a.astype(">i8")),
+        _rewrite_section("entity_descriptions", lambda a: np.append(a[:-1], a[-1] - 1)),
+        _rewrite_texts(_not_utf8_in_a_description),
+        _rewrite_texts(_straddle_two_descriptions),
+        _rewrite_texts(_newline_in_a_name),
+        _rewrite_section("entity_keys", lambda a: np.where(np.arange(a.size) == 0, 1, a)),  # not starting at 0
+        _rewrite_section("adj_offsets", lambda a: np.where(np.arange(a.size) == 1, a[-1], a)),  # offset 2 falls
     ],
     ids=[
         "train-range", "head-range", "relation-range", "tail-range", "negative-id",
-        "test-shape", "valid-dtype", "keys-order", "keys-length", "offsets-length",
-        "facts-range", "facts-scalar", "cooc-shape", "names-length",
-        "descriptions-order", "descriptions-length", "descriptions-start", "descriptions-dtype", "descriptions-end",
+        "test-shape", "graph-int32", "keys-order", "keys-length", "offsets-length",
+        "facts-range", "prefix-sum", "cooc-shape", "names-length",
+        "descriptions-order", "descriptions-length", "descriptions-start", "graph-big-endian", "descriptions-end",
         "descriptions-utf8", "descriptions-inside-a-character",
+        "names-newline", "keys-start", "offsets-order",
     ],
 )
-def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, name, damage):
-    _damage_and_rebuild(tmp_path, toy_dir, lambda graph: damage(os.path.join(graph, name)))
+def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, damage):
+    _damage_and_rebuild(tmp_path, toy_dir, damage)
 
 
 def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir, monkeypatch):
@@ -1191,8 +1265,22 @@ def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir,
     monkeypatch.setattr(kg_module.PackedTexts, "__getitem__", lambda texts, i: decoded.append(i) or decode(texts, i))
     cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     cfg = load_config(cfg_path)
+    graph = stage_output(cfg, "graph")
     cli._load_graph(cfg)  # parses, builds and publishes the graph
-    cli._load_graph(cfg)  # reads it back
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.dirname(os.path.abspath(file)) == graph:
+            opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", recording_open)
+        hit = cli._load_graph(cfg)  # reads it back
+    assert sorted(set(opened)) == GRAPH_FILES
+    # the keys are packed as the descriptions are, so a key read would be recorded too
+    assert isinstance(hit.entity_keys, kg_module.PackedTexts) and isinstance(hit.relation_keys, kg_module.PackedTexts)
     assert decoded == []
     assert main(["build-eval", "--config", cfg_path]) == 0
     samples = read_records(workdir_file(tmp_path / "w", "eval-", "instructions.jsonl"))
@@ -1241,6 +1329,32 @@ def run_script(name, args, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     module.main()
     return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ("2 1 3 0 0", "= 3 triples, but 2 entities and 1 relations make only 2 distinct ones"),
+        ("1 4 1 0 0", "= 1 triples, but 1 entities and 4 relations make only 0 distinct ones"),
+        ("20 3 60 12 -1", "counts must not be negative: .*n_test=-1"),
+        ("-2 3 0 0 0", "counts must not be negative: n_entities=-2"),
+    ],
+    ids=["too-many", "one-entity", "negative-count", "negative-entities"],
+)
+def test_make_toy_dataset_refuses_counts_it_cannot_meet(tmp_path, monkeypatch, capsys, counts, message):
+    # the draws could never meet these counts, so they are refused before any draw
+    flags = ("--entities", "--relations", "--train", "--valid", "--test")
+    args = ["--out", str(tmp_path / "d"), *(x for pair in zip(flags, counts.split()) for x in pair)]
+    with pytest.raises(SystemExit) as exited:
+        run_script("make_toy_dataset", args, monkeypatch, capsys)
+    assert exited.value.code == 2 and re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "d").exists()
+
+
+def test_make_toy_dataset_meets_the_largest_count_it_can(tmp_path, monkeypatch, capsys):
+    args = ["--out", str(tmp_path / "d"), "--entities", "2", "--relations", "1", "--train", "2", "--valid", "0", "--test", "0"]
+    assert run_script("make_toy_dataset", args, monkeypatch, capsys) == [f"wrote dataset to {tmp_path / 'd'}"]
+    assert sorted(read_text(tmp_path / "d" / "train.txt").splitlines()) == ["/ent/000\t/rel/0\t/ent/001", "/ent/001\t/rel/0\t/ent/000"]
 
 
 def test_sweep_beta_script(tmp_path, toy_dir, monkeypatch, capsys):

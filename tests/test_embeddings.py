@@ -11,6 +11,7 @@ from helpers import (
     build_kg,
     central_diff,
     pair_loss_and_grads,
+    reference_sample_negatives,
     reference_train,
     rel_err,
     score,
@@ -20,6 +21,7 @@ from kgrerank.embeddings import (
     EmbeddingTable,
     TrainConfig,
     TrainingDiverged,
+    _sample_negatives,
     _scatter_add,
     _scatter_index,
     init_embeddings,
@@ -355,6 +357,30 @@ def test_train_is_bit_equal_to_the_reference_epoch(case):
         expected = _train_or_divergence(reference_train, kg, cfg)
     assert got[:2] == expected[:2]
     assert np.array(got[2]).tobytes() == np.array(expected[2]).tobytes()
+
+
+def _sample_counting(sampler, kg, positives, k, seed):
+    """The negatives ``sampler`` draws, and the rows of each ``in_train`` call it makes."""
+    tested = []
+    original = kg.in_train
+    kg.in_train = lambda rows: tested.append(len(rows)) or original(rows)
+    try:
+        return sampler(positives, kg, k, np.random.default_rng(seed)), tested
+    finally:
+        del kg.in_train
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_negatives_equal_the_reference_and_only_redraws_are_tested_again(seed):
+    # dense: three in four corruptions are training facts, so rows are redrawn for rounds
+    kg = build_kg(6, 1, train=[(h, 0, t) for h in range(6) for t in range(6) if (h + t) % 4])
+    positives = kg.train[:8]
+    neg, tested = _sample_counting(_sample_negatives, kg, positives, 4, seed)
+    expected, reference_tested = _sample_counting(reference_sample_negatives, kg, positives, 4, seed)
+    assert np.array_equal(neg, expected)
+    assert len(tested) == len(reference_tested) > 2
+    assert tested[0] == reference_tested[0] == 32 and sum(tested) < sum(reference_tested)
+    assert tested == sorted(tested, reverse=True)  # a round tests no more rows than the one before
 
 
 def test_train_empty_split_rejected():

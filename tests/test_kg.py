@@ -163,7 +163,9 @@ def test_packed_texts_read_like_a_list():
     assert texts[1:4] == entries[1:4] and texts[::-2] == entries[::-2]
     with pytest.raises(IndexError):
         texts[5]
-    assert texts.offsets.dtype == np.int64 and texts.offsets.tolist() == [0, 0, 9, 14, 14, 20]
+    # each entry is followed by "\n", so the offsets increase strictly
+    assert texts.blob == "".join(f"{entry}\n" for entry in entries).encode("utf-8")
+    assert texts.offsets.dtype == np.int64 and texts.offsets.tolist() == [0, 1, 11, 17, 18, 25]
     assert len(PackedTexts.pack([])) == 0
 
 
@@ -378,6 +380,31 @@ def test_a_hit_parses_sorts_and_multiplies_nothing(tmp_path, toy_dir, monkeypatc
     monkeypatch.setattr(KnowledgeGraph, "__init__", lambda *args: called.append("__init__"))
     assert_same_graph(load_kg(toy_dir, built), reference)
     assert called == []
+
+
+@pytest.mark.parametrize("n_e, n_r", [(3, 5), (5, 3)], ids=["more-relations", "more-entities"])
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["head", "relation", "tail"])
+def test_a_built_split_with_an_id_at_its_bound_is_not_read(tmp_path, n_e, n_r, column):
+    # the first pass bounds every id by the larger count, the second each column by its own
+    kg = KnowledgeGraph(
+        [f"/e/{i}" for i in range(n_e)],
+        [f"entity {i}" for i in range(n_e)],
+        [""] * n_e,
+        [f"/r/{j}" for j in range(n_r)],
+        [f"relation {j}" for j in range(n_r)],
+        [Triple(0, n_r - 1, n_e - 1), Triple(n_e - 1, 0, 0)],
+        [],
+        [Triple(1, 1, 2)],
+    )
+    dataset, built = str(tmp_path / "dataset"), str(tmp_path / "built")
+    write_kg(kg, dataset)
+    load_kg(dataset, None, built)
+    assert kg_module._read_built(built) is not None
+    path = os.path.join(built, "graph.npy")
+    graph = np.load(path)
+    graph[len(kg_module._SECTIONS) + column] = n_r if column == 1 else n_e  # the first train row's
+    np.save(path, graph)
+    assert kg_module._read_built(built) is None
 
 
 def test_a_description_for_an_unknown_entity_names_its_file_and_line(tmp_path):
