@@ -114,10 +114,9 @@ class PackedTexts(Sequence):
     def pack(cls, entries: Iterable[str]) -> PackedTexts:
         entries = list(entries)
         blob = "\n".join([*entries, ""]).encode("utf-8")
-        if blob.count(b"\n") == len(entries):  # no entry holds "\n", so each ends at one
-            ends = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n")) + 1
-        else:
-            ends = np.cumsum([len(entry.encode("utf-8")) + 1 for entry in entries], dtype=np.int64)
+        ends = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n")) + 1
+        if len(ends) != len(entries):
+            raise ValueError('an entry of PackedTexts may not contain "\\n"')
         return cls(blob, _readonly(np.concatenate([[0], ends]).astype(np.int64)))
 
     def __len__(self) -> int:
@@ -511,13 +510,15 @@ def _write_built(kg: KnowledgeGraph, out_dir: str) -> None:
     starts = np.cumsum([0] + [len(t.blob) for t in tables[:-1]])
     sections = [getattr(kg, name).reshape(-1) for name in _BUILT_ARRAYS]
     sections += [t.offsets + start for t, start in zip(tables, starts)]
-    size = len(sections) + sum(map(len, sections))
-    # written a section at a time, so no second copy of the graph is made
+    lengths = np.array([len(s) for s in sections], dtype=np.int64)
+    # written a section at a time: an np.save of their concatenation first
+    # copies the graph into fresh pages, 8-20 ms of a seed-7 miss
+    shape = (len(lengths) + int(lengths.sum()),)
     with open(os.path.join(out_dir, _GRAPH_ARRAY), "wb") as f:
-        np.lib.format.write_array_header_1_0(f, {"descr": "<i8", "fortran_order": False, "shape": (size,)})
-        f.write(np.array([len(s) for s in sections], dtype=np.int64))
-        for section in sections:
-            f.write(np.ascontiguousarray(section))
+        descr = np.lib.format.dtype_to_descr(lengths.dtype)  # native int64, as np.save writes it
+        np.lib.format.write_array_header_1_0(f, {"descr": descr, "fortran_order": False, "shape": shape})
+        for section in [lengths, *sections]:
+            f.write(np.ascontiguousarray(section, dtype=np.int64))
     with open(os.path.join(out_dir, _GRAPH_TEXTS), "wb") as f:
         f.writelines(t.blob for t in tables)
 
@@ -558,8 +559,9 @@ def _sections(graph: np.ndarray) -> dict[str, np.ndarray] | None:
     """Each section of a built graph's array, by name, or None when its length
     prefix does not describe it: a length below 0, lengths that do not sum to
     the array's size, a split that is not rows of 3, no entity or relation
-    keys' offsets, descriptions of another entity count, or a ``cooc`` that
-    is not R × R. The names are counted once split."""
+    keys' offsets, names or descriptions of another count than their keys,
+    or a ``cooc`` that is not R × R. The names are counted again once split,
+    which finds a newline inside one."""
     if not (graph.dtype == np.int64 and graph.ndim == 1 and graph.size >= len(_SECTIONS)):
         return None
     lengths = dict(zip(_SECTIONS, graph[: len(_SECTIONS)].tolist()))
@@ -570,7 +572,8 @@ def _sections(graph: np.ndarray) -> dict[str, np.ndarray] | None:
         and lengths["train"] % 3 == lengths["valid"] % 3 == lengths["test"] % 3 == 0
         and n_e >= 0
         and n_r >= 0
-        and lengths["entity_descriptions"] == n_e + 1
+        and lengths["entity_names"] == lengths["entity_descriptions"] == n_e + 1
+        and lengths["relation_names"] == n_r + 1
         and lengths["cooc"] == n_r * n_r
     ):
         return None

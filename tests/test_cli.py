@@ -1216,6 +1216,19 @@ def _newline_in_a_name(blob, sections):
     return blob[:at] + b"\n" + blob[at + 1 :]
 
 
+def _names_dropped_and_a_key_step_zeroed(kind):
+    """Drop one name table's offsets, let the last key of its kind run over
+    the names' bytes and zero one key step: the text offsets still run from 0
+    to the blob's end with one rise for each entry the other tables count."""
+
+    def change(sections):
+        keys = sections[f"{kind}_keys"].copy()
+        keys[1], keys[-1] = keys[0], sections[f"{kind}_names"][-1]
+        return {**sections, f"{kind}_keys": keys, f"{kind}_names": keys[:0]}
+
+    return _rewrite_sections(change)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -1245,6 +1258,8 @@ def _newline_in_a_name(blob, sections):
         _rewrite_texts(_newline_in_a_name),
         _rewrite_section("entity_keys", lambda a: np.where(np.arange(a.size) == 0, 1, a)),  # not starting at 0
         _rewrite_section("adj_offsets", lambda a: np.where(np.arange(a.size) == 1, a[-1], a)),  # offset 2 falls
+        _names_dropped_and_a_key_step_zeroed("entity"),
+        _names_dropped_and_a_key_step_zeroed("relation"),
     ],
     ids=[
         "train-range", "head-range", "relation-range", "tail-range", "negative-id",
@@ -1252,7 +1267,7 @@ def _newline_in_a_name(blob, sections):
         "facts-range", "prefix-sum", "cooc-shape", "names-length",
         "descriptions-order", "descriptions-length", "descriptions-start", "graph-big-endian", "descriptions-end",
         "descriptions-utf8", "descriptions-inside-a-character",
-        "names-newline", "keys-start", "offsets-order",
+        "names-newline", "keys-start", "offsets-order", "entity-names-dropped", "relation-names-dropped",
     ],
 )
 def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, damage):

@@ -169,6 +169,13 @@ def test_packed_texts_read_like_a_list():
     assert len(PackedTexts.pack([])) == 0
 
 
+def test_packed_texts_refuse_an_entry_holding_a_newline():
+    with pytest.raises(ValueError, match="may not contain"):
+        PackedTexts.pack(["a", "b\nc"])
+    with pytest.raises(ValueError, match="may not contain"):
+        build_kg(2, 1, [], descriptions=["one", "two\nlines"])
+
+
 def test_overlapping_splits_rejected():
     with pytest.raises(DataError, match="disjoint"):
         build_kg(3, 1, train=[(0, 0, 1)], valid=[(0, 0, 1)])
@@ -405,6 +412,19 @@ def test_a_built_split_with_an_id_at_its_bound_is_not_read(tmp_path, n_e, n_r, c
     graph[len(kg_module._SECTIONS) + column] = n_r if column == 1 else n_e  # the first train row's
     np.save(path, graph)
     assert kg_module._read_built(built) is None
+
+
+def test_the_built_graph_array_is_the_file_np_save_writes(tmp_path):
+    """graph.npy is written a section at a time, with a header of its own
+    making; the file must be what np.save writes for the same array."""
+    kg = build_kg(3, 2, [(0, 0, 1), (1, 1, 2)], valid=[(2, 0, 0)], test=[(0, 1, 2)])
+    built = tmp_path / "built"
+    kg_module._write_built(kg, str(built))
+    graph = np.load(built / "graph.npy")
+    assert graph.dtype == np.int64 and graph.ndim == 1
+    np.save(tmp_path / "saved.npy", graph)
+    assert read_bytes(built / "graph.npy") == read_bytes(tmp_path / "saved.npy")
+    assert kg_module._read_built(str(built)) is not None
 
 
 def test_a_description_for_an_unknown_entity_names_its_file_and_line(tmp_path):
