@@ -37,7 +37,6 @@ from .instructions import (
     build_eval_set,
     build_finetune_set,
     iter_samples,
-    read_samples,
 )
 from .kg import DATASET_FILES, GRAPH_LAYOUT, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
@@ -299,20 +298,22 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
 
 @contextmanager
 def _instruction_set(cfg: PipelineConfig, which: str):
-    """Yield the samples and summary of the ``finetune`` or ``eval`` set. A set
-    at its content address is read from there. A missing one is built under
-    ``_publish`` as the caller takes its samples, so the caller can score the
-    first while the rest are ranked; on leaving, the samples not taken are
-    built, ``summary.json`` is written and the whole set is published. If the
-    caller raises, nothing is published. The summary names the checkpoint
-    whose vectors the records' ids refer to."""
+    """Yield the samples and summary of the ``finetune`` or ``eval`` set. Each
+    sample is read from the set's content address or, if the set is missing,
+    built under ``_publish``, as the caller takes it: a caller that takes none
+    reads no record, and one that takes the first can score it while the rest
+    are ranked. On leaving a build, the samples not taken are built,
+    ``summary.json`` is written and the whole set is published. If the caller
+    raises, nothing is published. The summary names the checkpoint whose
+    vectors the records' ids refer to."""
     outdir = stage_output(cfg, which)
     summary_path = os.path.join(outdir, "summary.json")
     if os.path.isfile(summary_path):
         logger.info("%s set up to date: %s", which, outdir)
         with open(summary_path, encoding="utf-8") as f:
             summary = json.load(f)
-        yield read_samples(os.path.join(outdir, "instructions.jsonl")), summary
+        with closing(iter_samples(os.path.join(outdir, "instructions.jsonl"))) as samples:
+            yield samples, summary
         return
     kg = _load_graph(cfg)
     _check_m(cfg, kg)
@@ -338,13 +339,9 @@ def _instruction_set(cfg: PipelineConfig, which: str):
 def ensure_build(cfg: PipelineConfig, which: str) -> str:
     """Build the ``finetune`` or ``eval`` set if its content address is absent;
     return its directory."""
-    outdir = stage_output(cfg, which)
-    if os.path.isfile(os.path.join(outdir, "summary.json")):
-        logger.info("%s set up to date: %s", which, outdir)
-    else:
-        with _instruction_set(cfg, which):
-            pass  # leaving builds the whole set
-    return outdir
+    with _instruction_set(cfg, which):
+        pass  # leaving builds a missing set whole; a set at its address is not read
+    return stage_output(cfg, which)
 
 
 def cmd_build(cfg: PipelineConfig, which: str) -> int:
@@ -387,6 +384,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def cmd_inspect(path: str, sample_id: str | None, index: int | None) -> int:
+    if index is not None and index < 0:
+        raise ConfigError(f"--index must be >= 0, got {index}")
     if not os.path.isfile(path):
         raise DataError(f"instruction file not found: {path}")
     # reading stops at the sample printed; one not found is read to the end
@@ -396,10 +395,9 @@ def cmd_inspect(path: str, sample_id: str | None, index: int | None) -> int:
             raise DataError(f"no sample with id {sample_id!r} in {path}")
     else:
         i, count = index or 0, 0
-        for sample in iter_samples(path):
-            if count == i:
+        for count, sample in enumerate(iter_samples(path), start=1):
+            if count > i:
                 break
-            count += 1
         else:
             raise DataError(f"index {i} out of range for {count} samples")
     print(f"id: {sample.id}")

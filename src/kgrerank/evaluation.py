@@ -1,11 +1,9 @@
 """Scoring an eval set: backend selection, move-to-top, filtered metrics.
 
 ``evaluate`` takes the samples of an eval set (both directions of every test
-triple, in ``build_eval_set``'s order) as they come: read back from the set's
-file, or straight from ``build_eval_set`` while it ranks the rest, as
-``cli._instruction_set``, the one path that builds and publishes both
-instruction sets, hands them over. It reads no graph and ranks nothing
-itself. Each sample goes to the backend, whose ``select`` returns a
+triple, in ``build_eval_set``'s order) one at a time, read from the set's
+file or built by ``build_eval_set``, and keeps a few integers of each; it
+ranks nothing itself. Each sample goes to the backend, whose ``select`` returns a
 candidate index or None to abstain, and the pick moves to the top of the
 base ranking with all other relative positions preserved. Moving one
 entity to the top shifts the gold by at most one place, so the new rank
@@ -20,12 +18,16 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Iterable
 
 from .instructions import InstructionSample
 from .kg import DataError
 from .ranking import metrics
+
+WINDOW = 4  # samples in flight per worker: a request takes ~50 ms, a sample ~0.5 ms to build
 
 
 def moved_rank(gold_rank: int, chosen_rank: int | None) -> int:
@@ -43,13 +45,6 @@ def moved_rank(gold_rank: int, chosen_rank: int | None) -> int:
     return gold_rank if chosen_rank < gold_rank else gold_rank + 1
 
 
-def _pick(backend, sample: InstructionSample) -> int | None:
-    pick = backend.select(sample)
-    if pick is not None and not 0 <= pick < len(sample.candidate_ids):
-        raise ValueError(f"selection index {pick} out of range")
-    return pick
-
-
 def evaluate(
     samples: Iterable[InstructionSample],
     summary: dict,
@@ -62,9 +57,10 @@ def evaluate(
     return the report that ``report.json`` holds.
 
     ``samples`` are the set's instruction records, in order, and ``summary``
-    its summary, whose m, alpha, beta and gamma head the report. Each sample
-    goes to a worker as soon as it is taken from ``samples``, so a generator
-    that builds them keeps building while the workers wait on the backend.
+    its summary, whose m, alpha, beta and gamma head the report. With at most
+    ``WINDOW × threads`` samples in flight, a generator that builds them keeps
+    building while the workers wait on the backend; each answer, in order, is
+    folded into a few integers and an audit row, and its sample freed.
     ``limit_triples`` N > 0 scores the first 2N samples, the first N test
     triples, and takes no more. ``audit_path`` names a per-query audit file
     to write. A backend error ends the run: after it, no further sample is
@@ -72,66 +68,77 @@ def evaluate(
     """
     failed = threading.Event()  # set by the first error; workers then send nothing
 
-    def pick(sample: InstructionSample) -> tuple[InstructionSample, int | None]:
+    def pick(sample: InstructionSample) -> int | None:
         if failed.is_set():
-            return sample, None  # never read: map raises at the failed sample, which comes earlier
+            return None  # never read: the failed sample, which comes earlier, raises first
         try:
-            return sample, _pick(backend, sample)
+            i = backend.select(sample)
+            if i is not None and not 0 <= i < len(sample.candidate_ids):
+                raise ValueError(f"selection index {i} out of range")
+            return i
         except Exception:
             failed.set()
             raise
 
+    directions, picks, final, base = [], [], [], []  # per sample, in order
+
+    def fold(s: InstructionSample, answer: Future) -> None:
+        i = answer.result()  # raises the worker's error
+        rank = moved_rank(s.gold_rank, None if i is None else s.candidate_ranks[i])
+        directions.append(s.direction)
+        picks.append(i)
+        final.append(rank)
+        base.append(s.gold_rank)
+        if audit:
+            selected = None if i is None else s.candidate_ids[i]
+            row = {
+                "id": s.id,
+                "direction": s.direction,
+                "known": s.known,
+                "relation": s.relation,
+                "gold": s.gold_id,
+                "base_rank": s.gold_rank,
+                "selection": i,
+                "selected_id": selected,
+                "final_rank": rank,
+                "name_collision": selected not in (None, s.gold_id)
+                and s.candidate_names[i] == s.gold_name,
+            }
+            audit.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n")
+
     taken = itertools.takewhile(lambda _: not failed.is_set(), samples)
     if limit_triples:
         taken = itertools.islice(taken, 2 * limit_triples)
-    # map submits every sample from this thread as it is taken, before it returns
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        picked = list(pool.map(pick, taken))
-    if not picked:
+    in_flight = deque()  # (sample, its answer), oldest first
+    audit_file = open(audit_path, "w", encoding="utf-8") if audit_path else nullcontext()
+    with audit_file as audit, ThreadPoolExecutor(max_workers=threads) as pool:
+        for sample in taken:
+            in_flight.append((sample, pool.submit(pick, sample)))
+            if len(in_flight) == WINDOW * threads:
+                fold(*in_flight.popleft())
+        while in_flight:
+            fold(*in_flight.popleft())
+    if not final:
         raise DataError("evaluation requires a non-empty test split")
-    samples, picks = zip(*picked)
-    final = [
-        moved_rank(s.gold_rank, None if i is None else s.candidate_ranks[i])
-        for s, i in zip(samples, picks)
-    ]
-
-    if audit_path:
-        with open(audit_path, "w", encoding="utf-8") as f:
-            for s, i, rank in zip(samples, picks, final):
-                selected = None if i is None else s.candidate_ids[i]
-                row = {
-                    "id": s.id,
-                    "direction": s.direction,
-                    "known": s.known,
-                    "relation": s.relation,
-                    "gold": s.gold_id,
-                    "base_rank": s.gold_rank,
-                    "selection": i,
-                    "selected_id": selected,
-                    "final_rank": rank,
-                    "name_collision": selected not in (None, s.gold_id)
-                    and s.candidate_names[i] == s.gold_name,
-                }
-                f.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n")
 
     def by_direction(ranks: list[int]) -> dict:
-        head = [r for s, r in zip(samples, ranks) if s.direction == "head"]
-        tail = [r for s, r in zip(samples, ranks) if s.direction == "tail"]
+        head = [r for d, r in zip(directions, ranks) if d == "head"]
+        tail = [r for d, r in zip(directions, ranks) if d == "tail"]
         return {"head": metrics(head), "tail": metrics(tail), "combined": metrics(ranks)}
 
-    gold_in_topm = sum(1 for s in samples if s.gold_rank <= summary["m"])
+    gold_in_topm = sum(1 for r in base if r <= summary["m"])
     return {
         "backend": getattr(backend, "name", type(backend).__name__),
         "m": summary["m"],
         "alpha": summary["alpha"],
         "beta": summary["beta"],
         "gamma": summary["gamma"],
-        "queries": len(samples),
+        "queries": len(final),
         "abstentions": picks.count(None),
         "gold_in_topm": gold_in_topm,
-        "candidate_recall": gold_in_topm / len(samples),
+        "candidate_recall": gold_in_topm / len(final),
         **by_direction(final),
-        "base": by_direction([s.gold_rank for s in samples]),
+        "base": by_direction(base),
     }
 
 

@@ -274,11 +274,6 @@ def iter_samples(path: str) -> Iterator[InstructionSample]:
                 yield sample
 
 
-def read_samples(path: str) -> list[InstructionSample]:
-    """Every sample of an instruction file, as :func:`iter_samples` reads them."""
-    return list(iter_samples(path))
-
-
 def _options_summary(params: ConfidenceParams, options: BuildOptions) -> dict:
     """Every ``[ranker]`` and ``[instruct]`` value that built a set (the two
     sections share no key), and the template version."""

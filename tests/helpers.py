@@ -33,7 +33,7 @@ from kgrerank.instructions import (
     BuildOptions,
     build_eval_set,
     build_finetune_set,
-    read_samples,
+    iter_samples,
 )
 from kgrerank.kg import (
     ENTITY_DESC_FILE,
@@ -194,13 +194,13 @@ def eval_samples(kg, table, params, options=None, triples=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instructions.jsonl")
         summary = write_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
-        samples = read_samples(path)
+        samples = list(iter_samples(path))
     return samples, summary
 
 
 def read_records(path):
     """The records of an instruction file as dicts, field for field its lines."""
-    return [vars(sample) for sample in read_samples(path)]
+    return [vars(sample) for sample in iter_samples(path)]
 
 
 def base_model_metrics(kg, table, m, limit_triples=0):

@@ -532,6 +532,26 @@ def test_evaluate_in_a_fresh_workdir_builds_the_eval_set(tmp_path, toy_dir, monk
     assert outputs[0] == outputs[1]
 
 
+def test_a_cached_eval_set_is_read_only_as_far_as_it_is_scored(tmp_path, toy_dir, capsys):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    assert main(["build-eval", "--config", cfg]) == 0
+    path = workdir_file(workdir, "eval-", "instructions.jsonl")
+    lines = read_lines(path)
+    k = 11  # the first sample past eval.limit_triples = 5
+    lines[k - 1] = "garbage\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(lines))
+    assert main(["build-eval", "--config", cfg]) == 0  # a set at its address is not read
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{k}: not an instruction record" in err and "Traceback" not in err
+    assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
+    assert main(["evaluate", "--config", cfg, "--set", "eval.limit_triples=5"]) == 0
+    assert json.loads(read_text(workdir_file(workdir, "report-", "report.json")))["queries"] == 10
+
+
 def test_evaluate_sends_samples_while_it_builds_the_rest_of_the_set(tmp_path, toy_dir, monkeypatch):
     # from the third sample on, building waits until a sample has reached the
     # backend: a build that finishes before the first request times out here
@@ -881,9 +901,18 @@ def test_inspect_stops_reading_at_the_sample_it_prints(tmp_path, toy_dir, capsys
     for args in (["--index", "0"], ["--index", "1"], ["--id", first]):
         assert main(["inspect", "--file", str(path), *args]) == 0
     assert f"id: {first}" in capsys.readouterr().out
-    for args in (["--index", "2"], ["--id", "missing"], ["--index", "-1"]):  # read past line 3
+    for args in (["--index", "2"], ["--id", "missing"]):  # read past line 3
         assert main(["inspect", "--file", str(path), *args]) == 2
         assert f"{path}:3: not an instruction record" in capsys.readouterr().err
+
+
+def test_a_negative_inspect_index_is_a_usage_error(tmp_path, capsys):
+    # refused before the file is opened: reading either file would be a data error
+    foreign = tmp_path / "foreign.jsonl"
+    foreign.write_text('{"foreign": true}\n', encoding="utf-8")
+    for path in (foreign, tmp_path / "missing.jsonl"):
+        assert main(["inspect", "--file", str(path), "--index", "-1"]) == 1
+        assert "--index must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import os
 import tempfile
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from kgrerank.discriminator import (
     OracleBackend,
     ScriptedBackend,
 )
+from kgrerank import evaluation
 from kgrerank.evaluation import evaluate, format_table
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.instructions import BuildOptions, InstructionSample
@@ -275,6 +279,36 @@ def test_a_backend_error_ends_evaluation_and_drops_queued_queries(toy_set):
     with pytest.raises(BackendError):
         evaluate(*toy_set, backend, threads=2)
     assert backend.calls < len(toy_set[0]) // 2  # the queued queries were cancelled, not sent
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_evaluate_holds_a_bounded_window_of_samples(toy_set, monkeypatch, threads):
+    samples, summary = toy_set
+    window = evaluation.WINDOW * threads
+    folded = []  # one entry per answer folded into the report
+    moved_rank = evaluation.moved_rank
+    monkeypatch.setattr(evaluation, "moved_rank", lambda *args: folded.append(1) or moved_rank(*args))
+    drawn = []  # a weak reference to each sample drawn, in order
+    ahead = []  # at each draw, the samples drawn and not yet folded, this one included
+
+    def stream():
+        for s in samples * 4:
+            # every folded sample is freed while the run goes on, at the latest
+            # once the worker that answered it lets go of it
+            deadline = time.monotonic() + 5
+            while any(ref() is not None for ref in drawn[: len(folded)]) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert all(ref() is None for ref in drawn[: len(folded)])
+            sample = dataclasses.replace(s)  # held by evaluate alone
+            drawn.append(weakref.ref(sample))
+            ahead.append(len(drawn) - len(folded))
+            yield sample
+            del sample
+
+    report = evaluate(stream(), summary, OracleBackend(), threads=threads)
+    assert len(drawn) == len(folded) == 4 * len(samples) > window
+    assert max(ahead) == window  # the window is filled, never passed
+    assert report == evaluate(samples * 4, summary, OracleBackend())
 
 
 def test_out_of_range_selection_is_rejected(toy_set):

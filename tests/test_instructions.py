@@ -30,9 +30,9 @@ from kgrerank.instructions import (
     InstructionSample,
     build_finetune_set,
     build_sample,
+    iter_samples,
     query_text_for,
     rc_sample_neighbors,
-    read_samples,
     render_fact,
     render_prompt,
 )
@@ -291,7 +291,7 @@ def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg,
     ):
         path = str(tmp_path / f"{name}.jsonl")
         write_eval_set(toy_kg, toy_table, params, options, path)
-        sets[name] = read_samples(path)
+        sets[name] = list(iter_samples(path))
     moved = 0
     for plain, shuffled in zip(sets["plain"], sets["shuffled"]):
         rows = attach_knowledge(shuffled, adapter, toy_table)
@@ -351,9 +351,9 @@ def test_finetune_samples_stream_and_the_holdout_follows_the_last(tmp_path, toy_
     first = next(samples)
     assert not os.path.exists(paths["holdout_instructions_path"])
     rest = list(samples)
-    assert [first, *rest] == read_samples(paths["instructions_path"])
+    assert [first, *rest] == list(iter_samples(paths["instructions_path"]))
     assert 0 < summary["kept"] == 1 + len(rest) < summary["queries"]
-    assert summary["holdout_queries"] == len(read_samples(paths["holdout_instructions_path"]))
+    assert summary["holdout_queries"] == len(list(iter_samples(paths["holdout_instructions_path"])))
 
 
 def test_finetune_truncation_can_empty_output(tmp_path, toy_kg, toy_table, caplog):
