@@ -296,23 +296,37 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
+def _cached_samples(path: str, written: int | None):
+    """The samples of a published set's instruction file, each read as it is
+    taken; once the last is taken, a :class:`DataError` if their number is not
+    the ``written`` count of the set's summary."""
+    count = 0
+    with closing(iter_samples(path)) as samples:
+        for count, sample in enumerate(samples, start=1):
+            yield sample
+    if count != written:
+        raise DataError(f"{path}: {count} records, but the set's summary.json says {written}")
+
+
 @contextmanager
 def _instruction_set(cfg: PipelineConfig, which: str):
     """Yield the samples and summary of the ``finetune`` or ``eval`` set. Each
     sample is read from the set's content address or, if the set is missing,
     built under ``_publish``, as the caller takes it: a caller that takes none
     reads no record, and one that takes the first can score it while the rest
-    are ranked. On leaving a build, the samples not taken are built,
-    ``summary.json`` is written and the whole set is published. If the caller
-    raises, nothing is published. The summary names the checkpoint whose
-    vectors the records' ids refer to."""
+    are ranked. A cached set that its caller drains must hold the number of
+    records that its summary's ``written`` gives. On leaving a build, the
+    samples not taken are built, ``summary.json`` is written and the whole set
+    is published. If the caller raises, nothing is published. The summary
+    names the checkpoint whose vectors the records' ids refer to."""
     outdir = stage_output(cfg, which)
     summary_path = os.path.join(outdir, "summary.json")
     if os.path.isfile(summary_path):
         logger.info("%s set up to date: %s", which, outdir)
         with open(summary_path, encoding="utf-8") as f:
             summary = json.load(f)
-        with closing(iter_samples(os.path.join(outdir, "instructions.jsonl"))) as samples:
+        path = os.path.join(outdir, "instructions.jsonl")
+        with closing(_cached_samples(path, summary.get("written"))) as samples:
             yield samples, summary
         return
     kg = _load_graph(cfg)

@@ -55,12 +55,12 @@ DIRECTIVE = "Select the answer to the query from the candidates above and reply 
 @dataclass
 class BuildOptions:
     """The ``[instruct]`` config section: prompt contents, their ablations and
-    the seed of every random choice in building a set."""
+    the seed of every random choice in building a set. A prompt has no
+    description block at ``max_description_chars = 0`` and no neighbor block
+    at ``gamma = 0``."""
 
     gamma: int = 10
     max_description_chars: int = 512
-    drop_description: bool = False
-    drop_neighbors: bool = False
     rc_sampling: bool = True
     shuffle_candidates: bool = False
     seed: int = 0  # candidate shuffling, uniform neighbors, and the 9:1 validation split
@@ -172,12 +172,9 @@ def build_sample(
     uniform neighbor sampling) so output is independent of processing order.
     """
     q = rq.query
-    description = ""
-    if not options.drop_description:
-        description = kg.entity_descriptions[q.known][: options.max_description_chars]
-
+    description = kg.entity_descriptions[q.known][: options.max_description_chars]
     neighbor_facts: list[Triple] = []
-    if not options.drop_neighbors and options.gamma > 0:
+    if options.gamma > 0:
         if options.rc_sampling:
             neighbor_facts = rc_sample_neighbors(kg, q, options.gamma)
         else:
@@ -286,19 +283,17 @@ def build_eval_set(
     params: ConfidenceParams,
     options: BuildOptions,
     instructions_path: str,
-    triples: list[Triple] | None = None,
 ) -> tuple[Iterator[InstructionSample], dict]:
     """One untruncated sample per direction for every test triple: the samples,
     each ranked, built and written as it is taken, and the set's summary. The
     summary holds the ``[ranker]`` and ``[instruct]`` values from the start,
     and the set's counts once the last sample has been taken."""
-    source = kg.test if triples is None else triples
     summary = _options_summary(params, options)
 
     def samples() -> Iterator[InstructionSample]:
         with InstructionWriter(instructions_path) as w:
             yield from _write_samples(
-                w, kg, table, params, options, enumerate(source), "test", truncate=False
+                w, kg, table, params, options, enumerate(kg.test), "test", truncate=False
             )
         summary.update(
             queries=w.count,
@@ -348,6 +343,7 @@ def build_finetune_set(
             valid_triples=len(kg.valid),
             queries=2 * len(part1),
             kept=w.count,
+            written=w.count,  # as in the eval summary: the records of the instruction file
             dropped=2 * len(part1) - w.count,
             holdout_queries=h.count,
             mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,

@@ -14,9 +14,11 @@ and a triple file is read line by line into dict lookups. The exception is
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
+from contextlib import closing
 
 import numpy as np
 
@@ -173,9 +175,9 @@ def find_benchmark_dir(name):
     return None
 
 
-def write_eval_set(kg, table, params, options, instructions_path, triples=None):
+def write_eval_set(kg, table, params, options, instructions_path):
     """Build the whole eval set that ``build_eval_set`` streams, as ``build-eval`` does; its summary."""
-    samples, summary = build_eval_set(kg, table, params, options, instructions_path, triples=triples)
+    samples, summary = build_eval_set(kg, table, params, options, instructions_path)
     for _ in samples:
         pass
     return summary
@@ -189,11 +191,16 @@ def write_finetune_set(kg, table, params, options, instructions_path, holdout_in
     return summary
 
 
-def eval_samples(kg, table, params, options=None, triples=None):
-    """(samples, summary) of the eval set that ``build_eval_set`` writes, read back from disk."""
+def eval_samples(kg, table, params, options=None, limit=None):
+    """(samples, summary) of the eval set that ``build_eval_set`` writes, read
+    back from disk: its first ``limit`` samples (None: all of them); the rest
+    are never built. The summary's counts are filled in only for a whole set."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instructions.jsonl")
-        summary = write_eval_set(kg, table, params, options or BuildOptions(), path, triples=triples)
+        built, summary = build_eval_set(kg, table, params, options or BuildOptions(), path)
+        with closing(built):
+            for _ in itertools.islice(built, limit):
+                pass
         samples = list(iter_samples(path))
     return samples, summary
 

@@ -142,16 +142,29 @@ def test_metric_identity_fb15k237():
     start = time.monotonic()
     kg = load_kg(dataset)
     table = train(kg, TrainConfig(dim=64, learning_rate=0.01, epochs=1, batch_size=2048, seed=0))
-    params = ConfidenceParams(m=20, alpha=1.0, beta=0.05)
-    eval_set = eval_samples(kg, table, params, triples=kg.test[:500])
+    assert_identities_on_first_triples(kg, table, ConfidenceParams(m=20, alpha=1.0, beta=0.05), 500)
+    assert time.monotonic() - start < 300
+
+
+def assert_identities_on_first_triples(kg, table, params, triples):
+    """The first_candidate and oracle identities on the first ``2 * triples``
+    samples of the streamed eval set, the first ``triples`` test triples."""
+    eval_set = eval_samples(kg, table, params, limit=2 * triples)
     first = evaluate(*eval_set, FirstCandidateBackend())
-    base = base_model_metrics(kg, table, m=20, limit_triples=500)
-    assert first["queries"] == 1000
+    base = base_model_metrics(kg, table, m=params.m, limit_triples=triples)
+    assert first["queries"] == 2 * triples
     for attr in ("mrr", "hits1", "hits3", "hits10"):
         assert abs(first["combined"][attr] - base["combined"][attr]) <= 1e-12
     oracle = evaluate(*eval_set, OracleBackend())
     assert oracle["combined"]["hits1"] == oracle["gold_in_topm"] / oracle["queries"]
-    assert time.monotonic() - start < 300
+
+
+@criterion("first_candidate and oracle identities hold on the first 5 toy test triples")
+def test_metric_identity_on_the_first_toy_triples(toy_kg, toy_table):
+    params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
+    assert_identities_on_first_triples(toy_kg, toy_table, params, 5)
+    whole, _ = eval_samples(toy_kg, toy_table, params)
+    assert eval_samples(toy_kg, toy_table, params, limit=10)[0] == whole[:10] != whole
 
 
 @criterion("confidence truncation: monotone sweep, total recall at beta 0, strict boundary")

@@ -10,6 +10,7 @@ import logging
 import os
 import re
 import typing
+import shlex
 import shutil
 import socket
 import subprocess
@@ -110,18 +111,18 @@ def test_stage_digest_ignores_workdir(tmp_path, toy_dir):
 @pytest.mark.parametrize(
     "overrides, addresses",
     [
-        ([], ("embeddings-e0dae0a7aebd", "finetune-e93215503ce4", "eval-e93215503ce4", "report-320b314d8e45")),
+        ([], ("embeddings-e0dae0a7aebd", "finetune-5869fb805c3f", "eval-5869fb805c3f", "report-22dd5e1d01cd")),
         (
             [
                 "embedder.negatives=2",
                 "ranker.local_norm=raw",
-                "instruct.drop_neighbors=true",
+                "instruct.gamma=0",
                 "instruct.seed=3",
                 "backend.kind=remote",
                 "backend.timeout=12",
                 "eval.audit=yes",
             ],
-            ("embeddings-49946a47ee7c", "finetune-6d5112777e8f", "eval-6d5112777e8f", "report-29d274e6fc91"),
+            ("embeddings-49946a47ee7c", "finetune-dd584f7c0c9a", "eval-dd584f7c0c9a", "report-4835529b4be7"),
         ),
     ],
 )
@@ -361,7 +362,7 @@ def test_build_summary_records_ablation_flags(tmp_path, toy_dir):
                 "--config",
                 cfg,
                 "--set",
-                "instruct.drop_description=true",
+                "instruct.max_description_chars=0",
                 "--set",
                 "instruct.rc_sampling=false",
             ]
@@ -369,9 +370,19 @@ def test_build_summary_records_ablation_flags(tmp_path, toy_dir):
         == 0
     )
     summary = json.loads(read_text(workdir_file(tmp_path / "w", "eval-", "summary.json")))
-    assert summary["drop_description"] is True
+    assert summary["max_description_chars"] == 0
     assert summary["rc_sampling"] is False
-    assert summary["drop_neighbors"] is False
+    assert summary["gamma"] == 10
+    assert not {"drop_description", "drop_neighbors"} & set(summary)
+
+
+def test_a_config_that_sets_a_removed_drop_key_exits_1(tmp_path, toy_dir, capsys):
+    # max_description_chars = 0 and gamma = 0 do what drop_description and drop_neighbors did
+    for key in ("drop_description", "drop_neighbors"):
+        cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w", extra=f"\n[instruct]\n{key} = true\n")
+        assert main(["build-eval", "--config", cfg]) == 1
+        assert f"unknown config key instruct.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_beta_sweep_counts_non_increasing(tmp_path, toy_dir):
@@ -550,6 +561,63 @@ def test_a_cached_eval_set_is_read_only_as_far_as_it_is_scored(tmp_path, toy_dir
     assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
     assert main(["evaluate", "--config", cfg, "--set", "eval.limit_triples=5"]) == 0
     assert json.loads(read_text(workdir_file(workdir, "report-", "report.json")))["queries"] == 10
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("records", [10, 25])
+def test_a_cached_eval_set_that_lost_or_gained_records_exits_2(tmp_path, toy_dir, capsys, records, threads):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    assert main(["build-eval", "--config", cfg]) == 0
+    path = workdir_file(workdir, "eval-", "instructions.jsonl")
+    lines = read_lines(path)
+    with open(path, "w", encoding="utf-8") as f:  # whole records cut from its end, or one repeated
+        f.write("".join((lines * 2)[:records]))
+    capsys.readouterr()
+    argv = ["evaluate", "--config", cfg, "--set", f"pipeline.threads={threads}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {records} records, but the set's summary.json says 24" in err and "Traceback" not in err
+    assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
+    # a set that is not drained is not counted: its first 10 records are intact
+    assert main(argv + ["--set", "eval.limit_triples=5"]) == 0
+    assert json.loads(read_text(workdir_file(workdir, "report-", "report.json")))["queries"] == 10
+
+
+def test_a_cached_eval_set_whose_summary_has_no_count_exits_2(tmp_path, toy_dir, capsys):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    assert main(["build-eval", "--config", cfg]) == 0
+    path = workdir_file(workdir, "eval-", "summary.json")
+    summary = json.loads(read_text(path))
+    del summary["written"]
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(summary, f)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "24 records, but the set's summary.json says None" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["finetune", "eval"])
+def test_either_cached_set_is_counted_once_it_is_drained(tmp_path, toy_dir, which):
+    cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    cfg = load_config(cfg_path)
+    assert main([f"build-{which}", "--config", cfg_path]) == 0
+    path = os.path.join(stage_output(cfg, which), "instructions.jsonl")
+    lines = read_lines(path)
+    for changed in (lines[:-1], lines + lines[:1], lines):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("".join(changed))
+        with cli._instruction_set(cfg, which) as (samples, summary):
+            assert summary["written"] == len(lines)
+            assert next(samples).id == json.loads(lines[0])["id"]  # taken, not drained: not counted
+        with cli._instruction_set(cfg, which) as (samples, summary):
+            if changed is lines:
+                assert len(list(samples)) == len(lines)
+            else:
+                with pytest.raises(kg_module.DataError, match=f"{len(changed)} records, but .* says {len(lines)}"):
+                    list(samples)
 
 
 def test_evaluate_sends_samples_while_it_builds_the_rest_of_the_set(tmp_path, toy_dir, monkeypatch):
@@ -836,9 +904,9 @@ SET_FILES = (
             (
                 "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
                 "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
-                "067771c0951a440eb79ea44eff50d187130bceb32d117eb88fe85ba41f44c12e",
+                "8c88cf38b0c430aee44cb82075470efbb29b71768f2c92eb8fdb85b081eae091",
                 "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
-                "73b658f27279308ff1419692abbb4944c77ed559e265e21ce68455bb18e85b1b",
+                "80bfafa357bb2e6d7114d7da3c87546dc876143c2fc5e7380c4740c58b56f480",
             ),
         ),
         (
@@ -846,13 +914,36 @@ SET_FILES = (
             (
                 "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
                 "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
-                "a1a22500e90734c14a4b8dc1764ed56666c1008adb6e9b5a70b02acbdab3b334",
+                "f781f82dd63ac27fdcc940b366ecf55cd13c0d4fd0ce312e84e8bf909be7736f",
                 "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
-                "8744e6b47a7a647181e73011d66c670426e307ef63fe1bc919bc798cc769f861",
+                "941440b3de1813484f1d970a756cbf651c0b30f7011d76edf2f1e75eab286af7",
+            ),
+        ),
+        # the jsonl digests are those that instruct.drop_description=true gave
+        # before that key was removed: an empty description drops the block
+        (
+            ["instruct.max_description_chars=0"],
+            (
+                "7ad0c8670015e9daaff60d16df5cb492029558a4c62c1a71321bdc6acf488d5d",
+                "fb34ca51b65ca1540f1741a900eb2aa3e250dfa39810b1e57a7ac0f3ee59ab65",
+                "b136e6fdd65eb6c2012dc1a860fe0dc07d2fe59f802ca07202f67efd657b3c19",
+                "ccb5333f2a763922e27472429fdbf116f2e106fa49d12f4ee0dc33489995f305",
+                "32381335b3fb05c5841bd8570aacbcae52f49922aa3e3bd134d2d2aaa613beb2",
+            ),
+        ),
+        # and these, those that instruct.drop_neighbors=true gave
+        (
+            ["instruct.gamma=0"],
+            (
+                "b3cd7438fb35fb961d087207323cb8dbf0df12ab411e25515424257df430e8df",
+                "3139a2ddc835abf67c90fc006530ca10f576c109570fbd91966e82f5f4f7dfc1",
+                "8f12e97ee82e8d1c4c9e7724755676172bf8d848e8f6309cea895641581570ae",
+                "5968cb3f6a55ff102e1a46da0a9e0fbabcde0fe74037ea873734d7a9ec8df2c2",
+                "16439ce231e30612f966a217977dd17720e65463ad91f3474fae1eafca86d2e1",
             ),
         ),
     ],
-    ids=["defaults", "truncating"],
+    ids=["defaults", "truncating", "no-description", "no-neighbors"],
 )
 def test_the_toy_sets_bytes_are_pinned(tmp_path, toy_dir, overrides, digests):
     # golden values: two runs of the same code only agree with each other; these
@@ -948,9 +1039,8 @@ def test_a_checkpoint_of_the_wrong_size_is_retrained(tmp_path, toy_dir, cut):
 def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir):
     sets = [
         "ranker.m=4", "ranker.alpha=0.5", "ranker.beta=0.25", "ranker.local_norm=raw",
-        "instruct.gamma=3", "instruct.max_description_chars=40", "instruct.drop_description=true",
-        "instruct.drop_neighbors=true", "instruct.rc_sampling=false", "instruct.shuffle_candidates=true",
-        "instruct.seed=4",
+        "instruct.gamma=3", "instruct.max_description_chars=40", "instruct.rc_sampling=false",
+        "instruct.shuffle_candidates=true", "instruct.seed=4",
     ]
     ranker, instruct = (dataclasses.fields(cli._SECTIONS[s]) for s in ("ranker", "instruct"))
     assert not {f.name for f in ranker} & {f.name for f in instruct}
@@ -1401,28 +1491,47 @@ def test_make_toy_dataset_meets_the_largest_count_it_can(tmp_path, monkeypatch, 
     assert sorted(read_text(tmp_path / "d" / "train.txt").splitlines()) == ["/ent/000\t/rel/0\t/ent/001", "/ent/001\t/rel/0\t/ent/000"]
 
 
+def readme_sweep(stage, cfg, *extra):
+    """The arguments of README's ``scripts/sweep.py`` command line for ``stage``,
+    with ``cfg`` as its config and ``extra`` after them."""
+    readme = read_text(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).replace("\\\n", " ")
+    argv = next(shlex.split(line) for line in readme.splitlines() if line.startswith(f"python scripts/sweep.py {stage} "))
+    argv[argv.index("--config") + 1] = cfg
+    return argv[2:] + list(extra)
+
+
+def sweep_rows(lines, columns):
+    """A sweep's printed table as (label, cells) rows, after checking its header."""
+    assert lines[0].split()[0] == "row"
+    return [(row[0], row[1:]) for row in (line.rsplit(maxsplit=columns) for line in lines[1:])]
+
+
 def test_sweep_beta_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    args = ["--config", cfg, "--betas", "0,1.0", "--set", "instruct.drop_neighbors=true"]
-    lines = run_script("sweep_beta", args, monkeypatch, capsys)
-    rows = [row for row in map(str.split, lines) if row[:1] in (["0.000"], ["1.000"])]
-    assert rows[0][1:] == ["20", "20", "0"]  # beta 0 keeps every query
-    assert int(rows[1][2]) <= 20 and int(rows[1][2]) + int(rows[1][3]) == 20
+    # the row's beta wins over the shared one; the shared gamma reaches every row
+    args = readme_sweep("build-finetune", cfg, "--set", "ranker.beta=0.7", "--set", "instruct.gamma=0")
+    rows = sweep_rows(run_script("sweep", args, monkeypatch, capsys), 3)
+    assert [label for label, _ in rows] == ["beta=0", "beta=0.05", "beta=0.5", "beta=1.0"]
+    assert rows[0][1] == ["20", "20", "0"]  # beta 0 keeps every query
+    for _, (queries, kept, dropped) in rows:
+        assert queries == "20" and int(kept) + int(dropped) == 20
+    kept = [int(cells[1]) for _, cells in rows]
+    assert kept == sorted(kept, reverse=True)
     summaries = [json.loads(read_text(path)) for path in glob.glob(str(tmp_path / "w" / "finetune-*" / "summary.json"))]
-    assert sorted(s["beta"] for s in summaries) == [0.0, 1.0]
-    assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every beta
+    assert sorted(s["beta"] for s in summaries) == [0.0, 0.05, 0.5, 1.0]
+    assert all(s["gamma"] == 0 for s in summaries)  # the --set reached every beta
 
 
 def test_sweep_m_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    args = ["--config", cfg, "--ms", "2,9", "--set", "instruct.drop_neighbors=true"]
-    lines = run_script("sweep_m", args, monkeypatch, capsys)
-    rows = [row for row in map(str.split, lines) if row[:1] in (["2"], ["9"])]
-    assert [(r[0], r[1]) for r in rows] == [("2", "24"), ("9", "24")]
-    assert float(rows[0][2]) < float(rows[1][2])
+    args = readme_sweep("build-eval", cfg, "--set", "instruct.gamma=0")
+    rows = sweep_rows(run_script("sweep", args, monkeypatch, capsys), 2)
+    assert [(label, cells[0]) for label, cells in rows] == [("m=2", "24"), ("m=5", "24"), ("m=9", "24")]
+    means = [float(cells[1]) for _, cells in rows]
+    assert means == sorted(set(means))  # each candidate adds a line to every prompt
     summaries = [json.loads(read_text(path)) for path in glob.glob(str(tmp_path / "w" / "eval-*" / "summary.json"))]
-    assert sorted(s["m"] for s in summaries) == [2, 9]
-    assert all(s["drop_neighbors"] is True for s in summaries)  # the --set reached every m
+    assert sorted(s["m"] for s in summaries) == [2, 5, 9]
+    assert all(s["gamma"] == 0 for s in summaries)  # the --set reached every m
 
 
 def report_rows(text):
@@ -1502,11 +1611,12 @@ def test_verbose_logs_the_training_loss(tmp_path, toy_dir):
 
 def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    lines = run_script("run_ablation_grid", ["--config", cfg, "--set", "backend.kind=oracle"], monkeypatch, capsys)
-    table = lines[lines.index("") + 1 :]
-    assert table[0].split()[0] == "variant"
-    assert [line[:22].strip() for line in table[1:]] == [
+    rows = sweep_rows(run_script("sweep", readme_sweep("evaluate", cfg), monkeypatch, capsys), 5)
+    assert [label for label, _ in rows] == [
         "full", "no description", "no neighbors", "uniform neighbors", "shuffled candidates"
     ]
     reports = [e for e in os.listdir(tmp_path / "w") if e.startswith("report-")]
     assert len(reports) == 5
+    for path in glob.glob(str(tmp_path / "w" / "report-*" / "report.json")):
+        report = json.loads(read_text(path))
+        assert (report["backend"], report["queries"]) == ("oracle", 24)

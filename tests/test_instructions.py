@@ -305,12 +305,21 @@ def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg,
     assert moved > 0  # the shuffle reorders some lists
 
 
-def test_build_eval_drop_neighbors(tmp_path, toy_kg, toy_table):
+@pytest.mark.parametrize(
+    "options, header",
+    [(BuildOptions(gamma=0), "Known facts:"), (BuildOptions(max_description_chars=0), DESCRIPTION_PREFIX)],
+    ids=["gamma-0", "max-description-chars-0"],
+)
+def test_build_eval_without_a_block(tmp_path, toy_kg, toy_table, options, header):
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
-    path = str(tmp_path / "eval.jsonl")
-    write_eval_set(toy_kg, toy_table, params, BuildOptions(drop_neighbors=True), path)
-    for rec in read_records(path):
-        assert "Known facts:" not in rec["prompt"]
+    prompts = {}
+    for name, built_with in (("full", BuildOptions()), ("without", options)):
+        path = str(tmp_path / f"{name}.jsonl")
+        write_eval_set(toy_kg, toy_table, params, built_with, path)
+        prompts[name] = [rec["prompt"] for rec in read_records(path)]
+    assert any(block.startswith(header) for p in prompts["full"] for block in p.split("\n\n"))
+    for full, without in zip(prompts["full"], prompts["without"], strict=True):
+        assert without == "\n\n".join(b for b in full.split("\n\n") if not b.startswith(header))
 
 
 def finetune_paths(root):
