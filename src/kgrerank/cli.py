@@ -8,6 +8,9 @@ location. All randomness flows from explicit seeds in the config; artifact
 files contain no timestamps or absolute paths, which keeps reruns
 byte-identical. Each output is built under ``<address>.tmp`` and renamed to
 its address when done, so a crash never leaves an entry at a stage address.
+The graph and the checkpoint are checked by their readers alone: what a
+reader refuses is built again and replaced whole, and what a stage builds it
+hands on without reading it back.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -29,7 +32,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .discriminator import BackendConfig, BackendError, make_backend
-from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, is_whole_checkpoint, train
+from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from .evaluation import evaluate, format_table
 from .instructions import (
     TEMPLATE_VERSION,
@@ -181,14 +184,14 @@ def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
         if dataset[name] is None:
             raise DataError(f"missing dataset file: {path}")
     payload = {"dataset": dataset}
-    if "backend" in sections and cfg.backend.kind == "scripted":
-        payload["scripted_file"] = content_hash(cfg, cfg.backend.scripted_file)
     if "instruct" in sections:  # a new prompt or record layout is a new set
         payload["template_version"] = TEMPLATE_VERSION
     if not sections:  # the graph: a new layout of its built files is a new graph
         payload["graph_layout"] = GRAPH_LAYOUT
     for section in sections:
         payload[section] = asdict(getattr(cfg, section))
+    if "backend" in sections and cfg.backend.kind == "scripted":  # the fixture's bytes, not its path
+        payload["backend"]["scripted_file"] = content_hash(cfg, cfg.backend.scripted_file)
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
@@ -261,14 +264,20 @@ def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
     return kg
 
 
-def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> str:
-    """Train the embedding checkpoint if its content address is absent, or
-    holds a file shorter or longer than its header declares."""
+def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> tuple[str, EmbeddingTable]:
+    """The embedding checkpoint's address and its table, read from there or,
+    if no file is there or ``EmbeddingTable.load`` refuses it, trained and
+    published there whole."""
     os.makedirs(cfg.pipeline.workdir, exist_ok=True)
     ckpt = stage_output(cfg, "embeddings") + ".ckpt"
-    if os.path.isfile(ckpt) and is_whole_checkpoint(ckpt):
-        logger.info("embeddings up to date: %s", ckpt)
-        return ckpt
+    if os.path.isfile(ckpt):
+        try:
+            table = EmbeddingTable.load(ckpt)
+        except DataError as exc:
+            logger.warning("retraining a checkpoint its reader refuses: %s", exc)
+        else:
+            logger.info("embeddings up to date: %s", ckpt)
+            return ckpt, table
     if kg is None:
         kg = _load_graph(cfg)
     logger.info(
@@ -280,11 +289,11 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
     logger.info("trained %d epoch(s) in %.2f s", cfg.embedder.epochs, time.perf_counter() - start)
     with _publish(ckpt) as tmp:
         table.save(tmp)
-    return ckpt
+    return ckpt, table
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    ckpt = ensure_embeddings(cfg)
+    ckpt, _ = ensure_embeddings(cfg)
     print(f"checkpoint: {ckpt}")
     return 0
 
@@ -296,7 +305,7 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
-def _cached_samples(path: str, written: int | None):
+def _cached_samples(path: str, written: int):
     """The samples of a published set's instruction file, each read as it is
     taken; once the last is taken, a :class:`DataError` if their number is not
     the ``written`` count of the set's summary."""
@@ -314,8 +323,9 @@ def _instruction_set(cfg: PipelineConfig, which: str):
     sample is read from the set's content address or, if the set is missing,
     built under ``_publish``, as the caller takes it: a caller that takes none
     reads no record, and one that takes the first can score it while the rest
-    are ranked. A cached set that its caller drains must hold the number of
-    records that its summary's ``written`` gives. On leaving a build, the
+    are ranked. A cached set's ``summary.json`` must be a JSON object with an
+    integer ``written`` before any record is read, and a caller that drains
+    the set must find that many records. On leaving a build, the
     samples not taken are built, ``summary.json`` is written and the whole set
     is published. If the caller raises, nothing is published. The summary
     names the checkpoint whose vectors the records' ids refer to."""
@@ -323,16 +333,20 @@ def _instruction_set(cfg: PipelineConfig, which: str):
     summary_path = os.path.join(outdir, "summary.json")
     if os.path.isfile(summary_path):
         logger.info("%s set up to date: %s", which, outdir)
-        with open(summary_path, encoding="utf-8") as f:
-            summary = json.load(f)
+        try:
+            with open(summary_path, encoding="utf-8") as f:
+                summary = json.load(f)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"{summary_path}: {exc}") from None
+        if not isinstance(summary, dict) or type(summary.get("written")) is not int:
+            raise DataError(f"{summary_path}: not a JSON object with an integer 'written' count")
         path = os.path.join(outdir, "instructions.jsonl")
-        with closing(_cached_samples(path, summary.get("written"))) as samples:
+        with closing(_cached_samples(path, summary["written"])) as samples:
             yield samples, summary
         return
     kg = _load_graph(cfg)
     _check_m(cfg, kg)
-    ckpt = ensure_embeddings(cfg, kg)
-    table = EmbeddingTable.load(ckpt)
+    ckpt, table = ensure_embeddings(cfg, kg)
     with _publish(outdir) as tmp:
         os.mkdir(tmp)
         instructions = os.path.join(tmp, "instructions.jsonl")

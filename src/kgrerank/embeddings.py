@@ -11,6 +11,9 @@ adds two adjacent float64 values per step, as one ``complex128``: a complex
 addition is two independent float64 additions, so every value still gets
 the same additions in the same order.
 
+``EmbeddingTable.load`` is the only check of a checkpoint, and ``train``
+raises :class:`TrainingDiverged` rather than return a table it would refuse.
+
 Downstream code only relies on ``score_candidates``, ``coarse_distances``
 and ``entity_sq_norms`` (the first pass of ranking, for L2 tables only),
 ``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
@@ -45,7 +48,7 @@ TAIL = "tail"  # predict the tail: (h, r, ?), known entity is h
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss or the trained vectors become non-finite."""
 
 
 @dataclass
@@ -161,12 +164,44 @@ class EmbeddingTable:
         return self.entity_vecs[entity]
 
     def save(self, path: str) -> None:
-        write_vector_file(path, self.entity_vecs, self.relation_vecs, self.norm)
+        """Binary vector file: fixed header then row-major little-endian float64."""
+        ev = np.ascontiguousarray(self.entity_vecs, dtype="<f8")
+        rv = np.ascontiguousarray(self.relation_vecs, dtype="<f8")
+        header = _HEADER.pack(
+            CHECKPOINT_MAGIC, 1, ev.shape[0], rv.shape[0], ev.shape[1], _NORM_CODES[self.norm]
+        )
+        with open(path, "wb") as f:
+            f.write(header)
+            f.write(ev.tobytes())
+            f.write(rv.tobytes())
 
     @classmethod
     def load(cls, path: str) -> "EmbeddingTable":
-        entity_vecs, relation_vecs, norm = read_vector_file(path)
-        return cls(entity_vecs, relation_vecs, norm)
+        """The table saved at ``path``; a :class:`DataError` for a file cut short
+        or too long, of a bad magic, version or norm code, or not all finite."""
+        with open(path, "rb") as f:
+            header = f.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise DataError(f"{path}: truncated header")
+            magic, version, n_ent, n_rel, dim, norm_code = _HEADER.unpack(header)
+            if magic != CHECKPOINT_MAGIC:
+                raise DataError(f"{path}: bad magic {magic!r}")
+            if version != 1:
+                raise DataError(f"{path}: unsupported version {version}")
+            if norm_code not in _NORM_NAMES:
+                raise DataError(f"{path}: unknown norm code {norm_code}")
+            expected = (n_ent + n_rel) * dim * 8
+            size = os.fstat(f.fileno()).st_size - _HEADER.size
+            if size != expected:  # checked before allocating what the header declares
+                raise DataError(f"{path}: expected {expected} payload bytes, got {size}")
+            data = np.empty(expected // 8, dtype="<f8")
+            if f.readinto(data) != expected or f.read(1):  # the file changed while it was read
+                raise DataError(f"{path}: expected {expected} payload bytes")
+        if not np.isfinite(data).all():
+            raise DataError(f"{path}: holds NaN or infinite values")
+        entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
+        relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
+        return cls(entity_vecs, relation_vecs, _NORM_NAMES[norm_code])
 
 
 def _residual_norm(u: np.ndarray, kind: str) -> np.ndarray:
@@ -313,7 +348,8 @@ def train(
 
     With ``epochs == 0`` the freshly initialized table is returned unchanged.
     Pass a list as ``epoch_losses`` to collect the mean per-pair loss of each
-    epoch.
+    epoch. An epoch's loss is taken before its last step, so final vectors
+    that are not all finite raise :class:`TrainingDiverged` too.
     """
     if len(kg.train) == 0:
         raise DataError("cannot train on an empty train split")
@@ -352,57 +388,8 @@ def train(
             epoch_losses.append(mean)
         if epoch % 100 == 0 or epoch == config.epochs - 1:
             logger.debug("epoch %d mean loss %.6f", epoch, mean)
+    if not (np.isfinite(table.entity_vecs).all() and np.isfinite(table.relation_vecs).all()):
+        raise TrainingDiverged(
+            f"non-finite vectors after the last epoch (learning_rate={lr}, margin={config.margin})"
+        )
     return table
-
-
-def write_vector_file(
-    path: str, entity_vecs: np.ndarray, relation_vecs: np.ndarray, norm: str
-) -> None:
-    """Binary vector file: fixed header then row-major little-endian float64."""
-    ev = np.ascontiguousarray(entity_vecs, dtype="<f8")
-    rv = np.ascontiguousarray(relation_vecs, dtype="<f8")
-    header = _HEADER.pack(
-        CHECKPOINT_MAGIC, 1, ev.shape[0], rv.shape[0], ev.shape[1], _NORM_CODES[norm]
-    )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(ev.tobytes())
-        f.write(rv.tobytes())
-
-
-def read_vector_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
-    with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise DataError(f"{path}: truncated header")
-        magic, version, n_ent, n_rel, dim, norm_code = _HEADER.unpack(header)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        if version != 1:
-            raise DataError(f"{path}: unsupported version {version}")
-        if norm_code not in _NORM_NAMES:
-            raise DataError(f"{path}: unknown norm code {norm_code}")
-        expected = (n_ent + n_rel) * dim * 8
-        size = os.fstat(f.fileno()).st_size - _HEADER.size
-        if size != expected:  # checked before allocating what the header declares
-            raise DataError(f"{path}: expected {expected} payload bytes, got {size}")
-        data = np.empty(expected // 8, dtype="<f8")
-        if f.readinto(data) != expected or f.read(1):  # the file changed while it was read
-            raise DataError(f"{path}: expected {expected} payload bytes")
-    if not np.isfinite(data).all():
-        raise DataError(f"{path}: holds NaN or infinite values")
-    entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
-    relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
-    return entity_vecs, relation_vecs, _NORM_NAMES[norm_code]
-
-
-def is_whole_checkpoint(path: str) -> bool:
-    """Whether the file at ``path`` is as long as its header declares. Older
-    versions saved a checkpoint in place, so a crash could leave one cut short
-    at its address; the pipeline takes such a file for absent and retrains."""
-    with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        return False
-    _, _, n_ent, n_rel, dim, _ = _HEADER.unpack(header)
-    return os.path.getsize(path) == _HEADER.size + (n_ent + n_rel) * dim * 8

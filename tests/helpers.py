@@ -389,7 +389,8 @@ def reference_sample_negatives(positives, kg, k, rng):
 
 def reference_train(kg, config, *, epoch_losses=None):
     """The training loop that wrote every earlier checkpoint, kept as it was
-    (less its logging) with ``np.add.at`` on the 2-D tables as its scatter
+    (less its logging, and with the check that its final vectors are finite)
+    with ``np.add.at`` on the 2-D tables as its scatter
     and ``reference_sample_negatives`` as its sampler:
     ``train`` must equal it byte for byte. It draws its initial table through
     the module, as ``train`` does, so a patched ``init_embeddings`` reaches
@@ -422,6 +423,11 @@ def reference_train(kg, config, *, epoch_losses=None):
         mean = total / (len(triples) * k)
         if epoch_losses is not None:
             epoch_losses.append(mean)
+    if not (np.isfinite(table.entity_vecs).all() and np.isfinite(table.relation_vecs).all()):
+        raise TrainingDiverged(
+            f"non-finite vectors after the last epoch "
+            f"(learning_rate={lr}, margin={config.margin})"
+        )
     return table
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_graph, read_bytes, read_lines, read_records, read_text
-from kgrerank import cli, discriminator, instructions
+from kgrerank import cli, discriminator, embeddings, instructions
 from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
@@ -455,6 +455,21 @@ def test_scripted_reports_share_a_digest_across_workdirs(tmp_path, toy_dir):
     assert digests[0] == digests[1]
 
 
+def test_scripted_fixtures_with_equal_bytes_share_one_report_address(tmp_path, toy_dir):
+    workdir = tmp_path / "w"
+    addresses = []
+    for name, output in (("outputs.tsv", "entity 1"), ("copy.tsv", "entity 1"), ("other.tsv", "entity 2")):
+        fixture = tmp_path / name
+        fixture.write_text(f"test-0-tail\t{output}\n", encoding="utf-8")
+        extra = f"\n[backend]\nkind = scripted\nscripted_file = {fixture}\n"
+        cfg = write_config(tmp_path / "run.ini", toy_dir, workdir, extra=extra)
+        addresses.append(stage_output(load_config(cfg), "report"))
+        if name != "other.tsv":  # the copy finds the report the first fixture wrote
+            assert main(["evaluate", "--config", cfg]) == 0
+    assert addresses[0] == addresses[1] != addresses[2]
+    assert [e for e in os.listdir(workdir) if e.startswith("report-")] == [os.path.basename(addresses[0])]
+
+
 def test_shuffled_build_and_evaluate_stay_aligned(tmp_path, toy_dir):
     # echoing every gold name through a scripted backend must behave like the
     # oracle even when candidates are shuffled: evaluate scores the records
@@ -596,7 +611,39 @@ def test_a_cached_eval_set_whose_summary_has_no_count_exits_2(tmp_path, toy_dir,
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "24 records, but the set's summary.json says None" in err and "Traceback" not in err
+    assert f"{path}: not a JSON object with an integer 'written' count" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "summary, message",
+    [
+        (b'{"m": 5', "Expecting ',' delimiter"),
+        (b"[24]", "not a JSON object with an integer 'written' count"),
+        (b'{"written": "24"}', "not a JSON object with an integer 'written' count"),
+        (b'{"written": 24, "\xff": 1}', "can't decode byte 0xff"),
+    ],
+    ids=["not-json", "list", "written-text", "not-utf8"],
+)
+def test_a_cached_set_summary_is_checked_before_its_first_record(
+    tmp_path, toy_dir, monkeypatch, capsys, summary, message
+):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    assert main(["build-eval", "--config", cfg]) == 0
+    path = workdir_file(workdir, "eval-", "summary.json")
+    with open(path, "wb") as f:
+        f.write(summary)
+    opened, selected = [], []
+    iter_samples = cli.iter_samples
+    monkeypatch.setattr(cli, "iter_samples", lambda p: opened.append(p) or iter_samples(p))
+    monkeypatch.setattr(discriminator.OracleBackend, "select", lambda self, sample: selected.append(1))
+    capsys.readouterr()
+    for command in ("build-eval", "evaluate"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err and message in err and "Traceback" not in err
+    assert (opened, selected) == ([], [])
+    assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("which", ["finetune", "eval"])
@@ -1006,34 +1053,81 @@ def test_a_negative_inspect_index_is_a_usage_error(tmp_path, capsys):
         assert "--index must be >= 0, got -1" in capsys.readouterr().err
 
 
-def test_non_finite_checkpoint_exits_2(tmp_path, toy_dir, capsys):
+def _with_header_byte(offset, value):
+    """A damage that writes ``value`` over the checkpoint's byte at ``offset``."""
+    return lambda b: b[:offset] + bytes([value]) + b[offset + 1 :]
+
+
+_HEADER_SIZE = embeddings._HEADER.size
+_NAN = np.float64(np.nan).tobytes()
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda b: b[: len(b) // 2], "payload bytes, got"),
+        (lambda b: b[:3], "truncated header"),
+        (lambda b: b[:1], "truncated header"),
+        (lambda b: b + bytes(8), "payload bytes, got"),
+        (lambda b: b[:_HEADER_SIZE] + _NAN + b[_HEADER_SIZE + 8 :], "holds NaN or infinite values"),
+        (lambda b: b"KGE0" + b[4:], "bad magic b'KGE0'"),
+        (_with_header_byte(4, 2), "unsupported version 2"),
+        (_with_header_byte(_HEADER_SIZE - 1, 9), "unknown norm code 9"),
+    ],
+    ids=["halved", "header", "one-byte", "longer", "non-finite", "bad-magic", "version", "norm-code"],
+)
+def test_a_checkpoint_its_reader_refuses_is_retrained(tmp_path, toy_dir, caplog, damage, reason):
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["train-embeddings", "--config", cfg]) == 0
     ckpt = workdir_file(tmp_path / "w", "embeddings-")
     assert ckpt.endswith(".ckpt")
-    table = EmbeddingTable.load(ckpt)
-    table.entity_vecs[3] = np.nan
-    table.save(ckpt)
-    assert main(["build-eval", "--config", cfg]) == 2
-    assert "NaN or infinite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "cut",
-    [lambda b: b[: len(b) // 2], lambda b: b[:3], lambda b: b[:1], lambda b: b + bytes(8)],
-    ids=["halved", "header", "one-byte", "longer"],
-)
-def test_a_checkpoint_of_the_wrong_size_is_retrained(tmp_path, toy_dir, cut):
-    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
-    assert main(["train-embeddings", "--config", cfg]) == 0
-    ckpt = workdir_file(tmp_path / "w", "embeddings-")
-    with open(ckpt, "rb") as f:
-        whole = f.read()
-    with open(ckpt, "wb") as f:  # what a crash in an older version's in-place save left
-        f.write(cut(whole))
+    whole = read_bytes(ckpt)
+    with open(ckpt, "wb") as f:  # a crash in an older version's in-place save, or a damaged file
+        f.write(damage(whole))
     assert main(["build-eval", "--config", cfg]) == 0
-    with open(ckpt, "rb") as f:
-        assert f.read() == whole
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and reason in warnings[0] and ckpt in warnings[0]
+    assert read_bytes(ckpt) == whole
+    assert not [e for e in os.listdir(tmp_path / "w") if e.endswith(".tmp")]
+
+
+def test_a_stage_that_trains_the_checkpoint_does_not_read_it_back(tmp_path, toy_dir, monkeypatch):
+    loads = []
+    load = EmbeddingTable.load.__func__
+
+    def counting_load(cls, path):
+        table = load(cls, path)
+        loads.append(path)  # a load that raised is not counted
+        return table
+
+    monkeypatch.setattr(EmbeddingTable, "load", classmethod(counting_load))
+    names = ("instructions.jsonl", "summary.json")
+    sets = {}
+    for command in ("build-eval", "evaluate"):  # each trains the checkpoint itself
+        workdir = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path / f"{command}.ini", toy_dir, workdir)]) == 0
+        assert loads == []
+        sets[command] = [read_bytes(workdir_file(workdir, "eval-", name)) for name in names]
+    workdir = tmp_path / "trained-first"
+    cfg = write_config(tmp_path / "trained-first.ini", toy_dir, workdir)
+    assert main(["train-embeddings", "--config", cfg]) == 0
+    assert main(["build-eval", "--config", cfg]) == 0
+    assert len(loads) == 1  # build-eval read what train-embeddings trained
+    expected = [read_bytes(workdir_file(workdir, "eval-", name)) for name in names]
+    assert sets["build-eval"] == sets["evaluate"] == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_training_whose_last_step_overflows_exits_2_and_publishes_nothing(tmp_path, toy_dir, capsys):
+    # one batch of the 60 toy facts: its loss is finite, and its step overflows the vectors
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    sets = ["embedder.learning_rate=1e308", "embedder.epochs=1", "embedder.dim=8", "embedder.batch_size=64"]
+    assert main(["train-embeddings", "--config", cfg, *(f"--set={s}" for s in sets)]) == 2
+    assert "data error: non-finite vectors after the last epoch" in capsys.readouterr().err
+    names = os.listdir(workdir)
+    assert not [n for n in names if n.startswith("embeddings-") or n.endswith(".tmp")], names
 
 
 def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir):
@@ -1565,6 +1659,13 @@ def test_first_candidate_evaluate_reports_the_base_model(tmp_path, toy_dir, caps
     assert rows["base combined"] == rows["combined"]
     report = json.loads(read_text(workdir_file(tmp_path / "w", "report-", "report.json")))
     assert report["base"] == {d: report[d] for d in ("head", "tail", "combined")}
+    # with shuffled candidates the first in prompt order is any of the top m:
+    # the base rows hold, and the reranked ones no longer equal them
+    shuffled = sets + ["instruct.shuffle_candidates=true"]
+    assert main(["evaluate", "--config", cfg, *(f"--set={s}" for s in shuffled)]) == 0
+    rows = report_rows(capsys.readouterr().out)
+    assert rows["base combined"] == printed(metrics(ranks["head"] + ranks["tail"]))
+    assert rows["combined"] != rows["base combined"]
 
 
 def test_a_base_model_rerun_trains_and_parses_nothing(tmp_path, toy_dir, monkeypatch, capsys, caplog):
@@ -1615,6 +1716,8 @@ def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):
     assert [label for label, _ in rows] == [
         "full", "no description", "no neighbors", "uniform neighbors", "shuffled candidates"
     ]
+    # the oracle picks by gold_id and never reads the prompt: every row ranks the same candidates
+    assert len({tuple(cells) for _, cells in rows}) == 1
     reports = [e for e in os.listdir(tmp_path / "w") if e.startswith("report-")]
     assert len(reports) == 5
     for path in glob.glob(str(tmp_path / "w" / "report-*" / "report.json")):

@@ -395,6 +395,12 @@ def test_train_divergence_raises():
         train(CHAIN, small_config(learning_rate=1e307, epochs=5))
 
 
+def test_a_last_step_that_overflows_raises():
+    # one batch: its loss is taken before its L1 steps of +-1e308 add up to inf
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="non-finite vectors after the last epoch"):
+        train(CHAIN, small_config(learning_rate=1e308, epochs=1, norm="L1"))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_loss_sum_that_overflows_is_inf_without_a_warning():
     # two finite hinges of about 1.5e308 each, whose sum overflows
