@@ -4,12 +4,21 @@ A triple (h, r, t) is scored as the negated L1 or L2 norm of the residual
 e_h + e_r - e_t, so higher scores mean more plausible facts. Training
 minimizes the margin ranking loss between observed facts and corrupted
 negatives with plain SGD, renormalizing entity vectors to unit L2 norm
-after every epoch. Each batch's gradient rows are added to the tables in
-batch order, exactly as ``np.add.at`` adds them; a faster scatter must keep
-that order, or the checkpoint bytes change. When ``dim`` is even the scatter
+after every epoch. A batch's SGD steps are two ``(n, dim)`` blocks,
+``-lr * g_pos`` and ``lr * g_neg``: each is the step of its pairs' heads and
+relations, and its tails take the negated step. The scatter adds the
+positive heads' block, subtracts the positive tails', then does the same for
+the negatives: the order in which one ``np.add.at`` of the four blocks
+``[s_pos, -s_pos, s_neg, -s_neg]`` adds them, row by row. A faster scatter
+must keep that order, or the checkpoint bytes change. Subtracting is exact:
+IEEE ``x - s`` equals ``x + (-s)`` for every x and s, signed zeros
+included, so no negated block is made. When ``dim`` is even the scatter
 adds two adjacent float64 values per step, as one ``complex128``: a complex
-addition is two independent float64 additions, so every value still gets
-the same additions in the same order.
+addition or subtraction is two independent float64 ones, so every value
+still gets the same operations in the same order. Every row gather of a
+batch is an ``np.take`` along axis 0, which copies the same rows faster than
+indexing by a column of ids. The negatives' membership test is
+``KnowledgeGraph.in_train``.
 
 ``EmbeddingTable.load`` is the only check of a checkpoint, and ``train``
 raises :class:`TrainingDiverged` rather than return a table it would refuse.
@@ -237,32 +246,30 @@ def _hinge_step(
     """Hinge loss sum of aligned positive/negative pairs; writes their SGD steps.
 
     ``neg[i]`` corrupts the head or tail of ``pos[i]``, so the two share
-    ``pos[i]``'s relation. ``out`` is a ``(4, n, dim)`` buffer that receives
-    ``-lr`` times d(loss)/d(vector) for the positive heads, positive tails,
-    negative heads and negative tails, in that order; the relation rows' steps
-    are ``out[0]`` (positives) and ``out[2]`` (negatives). A pair whose hinge
-    is inactive has a +0 gradient, so its step rows are zeros.
-
-    The blocks are ``-lr*g_pos``, ``-(-lr*g_pos)``, ``lr*g_neg`` and
-    ``-(lr*g_neg)``: equal to ``(-lr)*[g_pos, -g_pos, -g_neg, g_neg]`` bit for
-    bit, signed zeros included, since IEEE products are symmetric in sign.
+    ``pos[i]``'s relation. ``out`` is a ``(2, n, dim)`` buffer that receives
+    the positive step ``-lr * g_pos`` and the negative step ``lr * g_neg``,
+    g being d(distance)/d(residual). Each block is the step of its heads and
+    its relations; its tails take the negated step, which the scatter
+    subtracts. A pair whose hinge is inactive has a +0 gradient, so its step
+    rows are zeros.
     """
     ev = table.entity_vecs
-    with np.errstate(over="ignore", invalid="ignore"):
-        rel = table.relation_vecs[pos[:, 1]]
-        u_pos = ev[pos[:, 0]] + rel
-        u_pos -= ev[pos[:, 2]]
-        u_neg = ev[neg[:, 0]] + rel
-        u_neg -= ev[neg[:, 2]]
-        d_pos = _residual_norm(u_pos, table.norm)
-        d_neg = _residual_norm(u_neg, table.norm)
-        viol = margin + d_pos - d_neg
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rel = np.take(table.relation_vecs, pos[:, 1], axis=0)
+        residuals = []
+        for rows in (pos, neg):
+            u = np.take(ev, rows[:, 0], axis=0)
+            u += rel
+            u -= np.take(ev, rows[:, 2], axis=0)
+            residuals.append(u)
+        dists = [_residual_norm(u, table.norm) for u in residuals]
+        d_pos, d_neg = dists
+        viol = margin + d_pos
+        viol -= d_neg
         active = viol > 0
         # overflowed scores must surface as divergence, not vanish in the mask
         loss_sum = float(viol[active].sum()) if np.isfinite(viol).all() else float("nan")
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for u, d, step, scale in ((u_pos, d_pos, out[0], -lr), (u_neg, d_neg, out[2], lr)):
+        for u, d, step, scale in zip(residuals, dists, out, (-lr, lr)):
             if table.norm == "L1":
                 np.sign(u, out=step)
                 off = ~active
@@ -271,43 +278,59 @@ def _hinge_step(
                 off = ~(active & (d > 0))
             step[off] = 0.0
             step *= scale
-        np.negative(out[0], out=out[1])
-        np.negative(out[2], out=out[3])
     return loss_sum
 
 
-def _scatter_element(dim: int) -> tuple[type, int]:
-    """The scatter's element type for rows of ``dim`` float64 values, and the elements per row."""
-    return (np.complex128, dim // 2) if dim % 2 == 0 else (np.float64, dim)
+def _scatter_target(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``table`` seen as a flat array of scatter elements, and the flat index
+    of each row's elements, one row of the index per row of ``table``: made
+    once per ``train`` call, so a batch gathers its index rather than
+    computing it.
 
-
-def _scatter_index(rows: np.ndarray, dim: int) -> np.ndarray:
-    """The flat index of ``_scatter_add`` for ``rows`` of a table of width ``dim``."""
-    width = _scatter_element(dim)[1]
-    return (rows[:, None] * width + np.arange(width)).ravel()
-
-
-def _scatter_add(table: np.ndarray, index: np.ndarray, grads: np.ndarray) -> None:
-    """``np.add.at(table, rows, grads)``, bit for bit, through the flat 1-D
-    ``index = _scatter_index(rows, dim)``; a caller that scatters twice into
-    the same rows builds it once.
-
-    ``ufunc.at`` applies ``a[i] += v`` once per index, in index order. The
-    C-contiguous ``table`` and ``grads`` are viewed as flat arrays of elements
-    of ``w`` float64 values: ``w = 2`` (``complex128``) when ``dim`` is even,
-    else ``w = 1``. Element ``(r, j)`` is element ``r * dim / w + j`` of the
-    flat view, and the flat index lists row ``rows[i]``'s elements for
-    i = 0, 1, ... in turn. A complex addition is two independent float64
-    additions, so each float64 value receives the same additions, in the same
-    order, as from the 2-D call, and the result is bit-equal by construction.
-    It is faster because numpy's ``add.at`` has a fast path for a 1-D index
-    into a 1-D array, and pairing halves the index.
+    An element is two adjacent float64 values, as one ``complex128``, when
+    the width is even, else one float64 value; element ``(r, j)`` of the
+    flat view is row r's j-th.
     """
     if table.dtype != np.float64 or not table.flags.c_contiguous:
         raise ValueError("scatter target must be a C-contiguous float64 array")
-    element = _scatter_element(table.shape[1])[0]
-    values = np.ascontiguousarray(grads).reshape(-1).view(element)
-    np.add.at(table.reshape(-1).view(element), index, values)
+    rows, dim = table.shape
+    element, width = (np.complex128, dim // 2) if dim % 2 == 0 else (np.float64, dim)
+    return table.reshape(-1).view(element), np.arange(rows * width).reshape(rows, width)
+
+
+def _scatter_steps(
+    entities: tuple[np.ndarray, np.ndarray],
+    relations: tuple[np.ndarray, np.ndarray],
+    pos: np.ndarray,
+    neg: np.ndarray,
+    steps: np.ndarray,
+) -> None:
+    """Add one batch's SGD steps to the tables, bit for bit as
+    ``np.add.at(entity_vecs, [h_pos, t_pos, h_neg, t_neg], [s_pos, -s_pos,
+    s_neg, -s_neg])`` and ``np.add.at(relation_vecs, [r_pos, r_pos],
+    [s_pos, s_neg])`` would, where ``entities`` and ``relations`` are the
+    tables' ``_scatter_target`` and ``steps`` holds ``s_pos`` and ``s_neg``.
+
+    ``ufunc.at`` applies ``a[i] = op(a[i], v)`` once per index, in index
+    order. Here each 2-D call becomes one flat call per block, in block
+    order: the flat index lists row ``rows[i]``'s elements for i = 0, 1, ...
+    in turn, so every float64 value receives the same operations in the
+    same order. A complex addition or subtraction is two independent
+    float64 ones. A tail block is subtracted: IEEE ``x - s`` equals
+    ``x + (-s)`` for every x and s, signed zeros included, so no negated
+    copy is made. It is faster than the 2-D calls because numpy's
+    ``ufunc.at`` has a fast path for a 1-D index into a 1-D array, and
+    pairing halves the index.
+    """
+    (entity_flat, entity_index), (relation_flat, relation_index) = entities, relations
+    values = [step.reshape(-1).view(entity_flat.dtype) for step in steps]
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is reported by train
+        for rows, value in zip((pos, neg), values):
+            np.add.at(entity_flat, np.take(entity_index, rows[:, 0], axis=0).ravel(), value)
+            np.subtract.at(entity_flat, np.take(entity_index, rows[:, 2], axis=0).ravel(), value)
+        index = np.take(relation_index, pos[:, 1], axis=0).ravel()
+        for value in values:  # positives then negatives
+            np.add.at(relation_flat, index, value)
 
 
 def _sample_negatives(
@@ -360,23 +383,18 @@ def train(
     lr = config.learning_rate
 
     # every batch's SGD steps, allocated once; a short last batch takes a prefix
-    buffer = np.empty((4 * min(config.batch_size, len(triples)) * k, config.dim))
+    buffer = np.empty((2, min(config.batch_size, len(triples)) * k, config.dim))
+    entities, relations = _scatter_target(table.entity_vecs), _scatter_target(table.relation_vecs)
     for epoch in range(config.epochs):
         order = rng.permutation(len(triples))
         total = 0.0
         for start in range(0, len(order), config.batch_size):
-            pos = triples[order[start : start + config.batch_size]]
+            pos = np.take(triples, order[start : start + config.batch_size], axis=0)
             pos_rep = np.repeat(pos, k, axis=0)
             neg = _sample_negatives(pos, kg, k, rng)
-            steps = buffer[: 4 * len(neg)]
-            blocks = steps.reshape(4, len(neg), config.dim)
-            total += _hinge_step(table, pos_rep, neg, config.margin, lr, blocks)
-            entity_rows = np.concatenate([pos_rep[:, 0], pos_rep[:, 2], neg[:, 0], neg[:, 2]])
-            _scatter_add(table.entity_vecs, _scatter_index(entity_rows, config.dim), steps)
-            # positives then negatives: the order of one call on both blocks
-            relation_index = _scatter_index(pos_rep[:, 1], config.dim)
-            _scatter_add(table.relation_vecs, relation_index, blocks[0])
-            _scatter_add(table.relation_vecs, relation_index, blocks[2])
+            steps = buffer[:, : len(neg)]
+            total += _hinge_step(table, pos_rep, neg, config.margin, lr, steps)
+            _scatter_steps(entities, relations, pos_rep, neg, steps)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: {total!r} "

@@ -22,7 +22,11 @@ tail)`` rows in file order, with later duplicates dropped. The indexes are
 arrays too: the filter sets are all true facts sorted by ``(head, relation)``
 and by ``(relation, tail)`` and searched with ``searchsorted``, the
 adjacency is a CSR list of train row numbers per entity, and negative
-sampling tests membership in the sorted train keys ``(h·R + r)·E + t``.
+sampling tests membership in the train keys ``(h·R + r)·E + t``: a key
+first looks up one bool of a 4 MB filter, set at every train key's
+multiplicative hash, and only a key that passes is searched for in the
+sorted train keys. The filter has no false negatives, and the search decides
+every hit. It is built at the first such test and held in memory only.
 
 The entity descriptions are a :class:`PackedTexts`: one UTF-8 blob and the
 offsets of its entries, each decoded when it is read. A prompt reads the
@@ -45,6 +49,7 @@ cut short or failing a check counts as absent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import mmap
@@ -94,6 +99,17 @@ class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
+
+
+_FILTER_BITS = 22  # 4 MB of slots, about 15 per train key at FB15K-237's size
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the 64-bit words
+
+
+def _filter_slot(keys: np.ndarray) -> np.ndarray:
+    """The slot of each int64 key in ``KnowledgeGraph._train_filter``: the top
+    bits of the key times an odd constant, modulo 2**64, as an int64 index."""
+    slots = (np.asarray(keys, dtype=np.int64).view(np.uint64) * _MIX) >> np.uint64(64 - _FILTER_BITS)
+    return slots.view(np.int64)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -225,16 +241,28 @@ class KnowledgeGraph:
         return self._head_keys[lo:hi] - base
 
     def in_train(self, rows: np.ndarray) -> np.ndarray:
-        """Whether each (h, r, t) row of an ``(n, 3)`` id array is a training fact."""
+        """Whether each (h, r, t) row of an ``(n, 3)`` id array is a training fact.
+
+        A key whose slot in ``_train_filter`` is clear is no train key; only
+        the keys that pass are searched for in the sorted train keys, so the
+        filter decides no hit on its own.
+        """
         keys = self._keys(rows)
-        # sorted needles walk the train keys in order, which the cache favours
-        order = np.argsort(keys)
-        needles = keys[order]
+        maybe = np.flatnonzero(self._train_filter[_filter_slot(keys)])
+        needles = keys[maybe]
         pos = np.searchsorted(self._train_keys, needles)
         hit = np.zeros(len(keys), dtype=bool)
         inside = pos < len(self._train_keys)
-        hit[order[inside]] = self._train_keys[pos[inside]] == needles[inside]
+        hit[maybe[inside]] = self._train_keys[pos[inside]] == needles[inside]
         return hit
+
+    @functools.cached_property
+    def _train_filter(self) -> np.ndarray:
+        """One bool per slot of ``_filter_slot``, set at every train key's slot:
+        built at the first ``in_train`` and held in memory only."""
+        seen = np.zeros(1 << _FILTER_BITS, dtype=bool)
+        seen[_filter_slot(self._train_keys)] = True
+        return seen
 
     def incident_rows(self, entity: int) -> np.ndarray:
         """Train row numbers of the facts incident to ``entity``, ascending."""
@@ -333,7 +361,6 @@ def read_text_table(path: str) -> list[tuple[int, str, str]]:
 
 # the mask of the first n bytes of a little-endian 8-byte word, n = 0..8
 _WORD_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the 64-bit words
 
 
 def _words(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> list[np.ndarray]:

@@ -313,19 +313,21 @@ def brute_force_cooc(kg):
 def pair_loss_and_grads(table, pos, neg, margin):
     """Loss and accumulated per-vector gradients for one (positive, negative)
     pair, from the training step's own hinge, for the finite-difference check.
-    With a learning rate of 1 the step rows are the negated gradients."""
+    With a learning rate of 1 the positive step block is the negated gradient
+    of the positive head and relation and the gradient of the positive tail;
+    the negative block is the same for the negative pair."""
     pos_arr = np.asarray([pos], dtype=np.int64)
     neg_arr = np.asarray([neg], dtype=np.int64)
-    steps = np.empty((4, 1, table.dim))
+    steps = np.empty((2, 1, table.dim))
     loss = _hinge_step(table, pos_arr, neg_arr, margin, 1.0, steps)
     rows = [
-        ("entity", pos[0], steps[0]), ("entity", pos[2], steps[1]),
-        ("entity", neg[0], steps[2]), ("entity", neg[2], steps[3]),
-        ("relation", pos[1], steps[0]), ("relation", neg[1], steps[2]),
+        ("entity", pos[0], -steps[0]), ("entity", pos[2], steps[0]),
+        ("entity", neg[0], -steps[1]), ("entity", neg[2], steps[1]),
+        ("relation", pos[1], -steps[0]), ("relation", neg[1], -steps[1]),
     ]
     grads = {}
-    for kind, i, step in rows:
-        grads[(kind, i)] = grads.get((kind, i), 0.0) - step[0]
+    for kind, i, grad in rows:
+        grads[(kind, i)] = grads.get((kind, i), 0.0) + grad[0]
     return loss, grads
 
 

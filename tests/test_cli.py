@@ -1710,6 +1710,19 @@ def test_verbose_logs_the_training_loss(tmp_path, toy_dir):
     assert "DEBUG kgrerank.embeddings: epoch 39 mean loss" in stderr[1]
 
 
+def test_a_diverging_training_exits_2_with_one_line_and_no_warning(tmp_path, toy_dir):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    sets = ["embedder.learning_rate=1e308", "embedder.epochs=1", "embedder.dim=8", "embedder.batch_size=64"]
+    argv = [sys.executable, "-m", "kgrerank.cli", "train-embeddings", "--config", cfg]
+    run = subprocess.run(argv + [f"--set={s}" for s in sets], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    # the steps overflow in the scatter; what the user reads is the one line that says so
+    lines = [line for line in run.stderr.splitlines() if not line.startswith("INFO ")]
+    assert len(lines) == 1 and lines[0].startswith("data error: non-finite vectors after the last epoch"), run.stderr
+
+
 def test_ablation_grid_script(tmp_path, toy_dir, monkeypatch, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     rows = sweep_rows(run_script("sweep", readme_sweep("evaluate", cfg), monkeypatch, capsys), 5)

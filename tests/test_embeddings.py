@@ -22,8 +22,8 @@ from kgrerank.embeddings import (
     TrainConfig,
     TrainingDiverged,
     _sample_negatives,
-    _scatter_add,
-    _scatter_index,
+    _scatter_steps,
+    _scatter_target,
     init_embeddings,
     train,
 )
@@ -239,18 +239,29 @@ def test_train_loss_windows_non_increasing():
 
 
 @st.composite
-def scatter_case(draw):
-    """A table, scatter rows and gradient rows of mixed magnitude (1e-200 to
-    1e200, either sign) with zeros of both signs. One row repeats hundreds of
-    times, as a frequent relation does in a batch."""
-    n_rows = draw(st.integers(min_value=1, max_value=12))
+def batch_scatter_case(draw):
+    """Tables, one batch's positive and negative rows, and its two step
+    blocks of mixed magnitude (1e-200 to 1e200, either sign) with zeros of
+    both signs. The rows of inactive pairs are signed zeros, -0 in the
+    positive block and +0 in the negative one, as ``_hinge_step`` writes
+    them. One entity is a positive tail and a negative head in hundreds of
+    pairs, and one relation repeats hundreds of times, as a hub and a
+    frequent relation do in a batch."""
+    n_entities = draw(st.integers(min_value=2, max_value=12))
+    n_relations = draw(st.integers(min_value=1, max_value=4))
     dim = draw(st.integers(min_value=1, max_value=6))
-    repeats = draw(st.integers(min_value=100, max_value=400))
-    others = draw(st.integers(min_value=0, max_value=60))
+    n = draw(st.integers(min_value=100, max_value=400))
+    hub = draw(st.integers(0, n_entities - 1))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    rows = rng.permutation(
-        np.concatenate([np.full(repeats, draw(st.integers(0, n_rows - 1))), rng.integers(0, n_rows, others)])
+    pos = np.stack(
+        [rng.integers(0, n_entities, n), rng.integers(0, n_relations, n), rng.integers(0, n_entities, n)], axis=1
     )
+    pos[rng.random(n) < 0.8, 1] = draw(st.integers(0, n_relations - 1))
+    pos[rng.random(n) < 0.5, 2] = hub
+    neg = pos.copy()
+    corrupt_head = rng.random(n) < 0.5
+    neg[corrupt_head, 0] = np.where(rng.random(n) < 0.6, hub, rng.integers(0, n_entities, n))[corrupt_head]
+    neg[~corrupt_head, 2] = rng.integers(0, n_entities, n)[~corrupt_head]
 
     def values(shape):
         v = rng.normal(size=shape) * 10.0 ** rng.integers(-200, 201, size=shape)
@@ -258,17 +269,34 @@ def scatter_case(draw):
         v[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
         return v
 
-    return values((n_rows, dim)), rows.astype(np.int64), values((len(rows), dim))
+    steps = values((2, n, dim))
+    inactive = rng.random(n) < 0.3
+    steps[0, inactive], steps[1, inactive] = -0.0, 0.0
+    return values((n_entities, dim)), values((n_relations, dim)), pos, neg, steps
 
 
-@given(scatter_case())
+@given(batch_scatter_case())
 @settings(max_examples=60, deadline=None)
-def test_scatter_add_is_bit_equal_to_add_at(case):
-    table, rows, grads = case
-    expected = table.copy()
-    np.add.at(expected, rows, grads)
-    _scatter_add(table, _scatter_index(rows, table.shape[1]), grads)
-    assert table.tobytes() == expected.tobytes()
+def test_scatter_steps_is_bit_equal_to_add_at_of_the_four_gradient_blocks(case):
+    entity_vecs, relation_vecs, pos, neg, steps = case
+    s_pos, s_neg = steps
+    expected_entities, expected_relations = entity_vecs.copy(), relation_vecs.copy()
+    np.add.at(
+        expected_entities,
+        np.concatenate([pos[:, 0], pos[:, 2], neg[:, 0], neg[:, 2]]),
+        np.concatenate([s_pos, -s_pos, s_neg, -s_neg]),
+    )
+    np.add.at(expected_relations, np.concatenate([pos[:, 1], pos[:, 1]]), np.concatenate([s_pos, s_neg]))
+    _scatter_steps(_scatter_target(entity_vecs), _scatter_target(relation_vecs), pos, neg, steps)
+    assert entity_vecs.tobytes() == expected_entities.tobytes()
+    assert relation_vecs.tobytes() == expected_relations.tobytes()
+
+
+def test_a_scatter_target_must_be_a_contiguous_float64_table():
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _scatter_target(np.zeros((4, 6))[:, ::2])
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _scatter_target(np.zeros((4, 6), dtype=np.float32))
 
 
 def _pinned_graph():
@@ -359,6 +387,35 @@ def test_train_is_bit_equal_to_the_reference_epoch(case):
     assert np.array(got[2]).tobytes() == np.array(expected[2]).tobytes()
 
 
+def _hub_graph():
+    """About 20,000 facts over 2,000 entities and 40 Zipf-weighted relations,
+    with entity 0 in one fact of six: some 170 facts of a 1,024-fact batch."""
+    rng = np.random.default_rng(29)
+    n = 24_000
+    weights = 1.0 / np.arange(1, 41)
+    facts = np.stack(
+        [rng.integers(0, 2000, n), rng.choice(40, size=n, p=weights / weights.sum()), rng.integers(0, 2000, n)],
+        axis=1,
+    )
+    hub = rng.random(n) < 1 / 6
+    facts[hub, np.where(rng.random(n) < 0.5, 0, 2)[hub]] = 0
+    facts = facts[facts[:, 0] != facts[:, 2]]
+    _, first = np.unique((facts[:, 0] * 40 + facts[:, 1]) * 2000 + facts[:, 2], return_index=True)
+    return build_kg(2000, 40, train=facts[np.sort(first)][:20_000].tolist())
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_one_epoch_at_the_benchmark_batch_shape_equals_the_reference(norm):
+    kg = _hub_graph()
+    assert len(kg.train) == 20_000
+    assert ((kg.train[:, 0] == 0) | (kg.train[:, 2] == 0)).sum() >= 100 * len(kg.train) / 1024
+    cfg = TrainConfig(dim=100, epochs=1, batch_size=1024, norm=norm, seed=4)
+    got = _train_or_divergence(train, kg, cfg)
+    expected = _train_or_divergence(reference_train, kg, cfg)
+    assert got[:2] == expected[:2]
+    assert np.array(got[2]).tobytes() == np.array(expected[2]).tobytes()
+
+
 def _sample_counting(sampler, kg, positives, k, seed):
     """The negatives ``sampler`` draws, and the rows of each ``in_train`` call it makes."""
     tested = []
@@ -395,9 +452,11 @@ def test_train_divergence_raises():
         train(CHAIN, small_config(learning_rate=1e307, epochs=5))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_last_step_that_overflows_raises():
-    # one batch: its loss is taken before its L1 steps of +-1e308 add up to inf
-    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="non-finite vectors after the last epoch"):
+    # one batch: its loss is taken before its L1 steps of +-1e308 add up to inf,
+    # and the scatter that overflows warns nothing
+    with pytest.raises(TrainingDiverged, match="non-finite vectors after the last epoch"):
         train(CHAIN, small_config(learning_rate=1e308, epochs=1, norm="L1"))
 
 
@@ -407,7 +466,7 @@ def test_a_loss_sum_that_overflows_is_inf_without_a_warning():
     table = EmbeddingTable(np.array([[0.0], [1.5e308]]), np.zeros((1, 1)), "L1")
     pos = np.array([[0, 0, 1], [0, 0, 1]])
     neg = np.array([[0, 0, 0], [0, 0, 0]])
-    assert embeddings._hinge_step(table, pos, neg, 1.0, 0.1, np.empty((4, 2, 1))) == np.inf
+    assert embeddings._hinge_step(table, pos, neg, 1.0, 0.1, np.empty((2, 2, 1))) == np.inf
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

@@ -273,6 +273,30 @@ def test_in_train_matches_a_set_oracle(kg, data):
     assert kg.in_train(np.empty((0, 3), dtype=np.int64)).shape == (0,)
 
 
+def test_in_train_passes_every_train_key_and_refuses_the_keys_sharing_its_filter_slots(tmp_path):
+    dataset = make_synthetic_dataset(
+        str(tmp_path / "dataset"), n_entities=3000, n_relations=20, n_train=20_000, seed=5
+    )
+    built = str(tmp_path / "built")
+    parsed = load_kg(dataset, None, built)
+    read = load_kg(dataset, built)
+    # the key space is some 40 times the filter's slots, so random rows share slots with train keys
+    rng = np.random.default_rng(8)
+    rows = np.stack([rng.integers(0, n, 400_000) for n in (3000, 20, 3000)], axis=1)
+    keys = parsed._keys(rows)
+    fact = np.isin(keys, parsed._train_keys)
+    shares = np.isin(kg_module._filter_slot(keys), kg_module._filter_slot(parsed._train_keys)) & ~fact
+    assert shares.sum() >= 100
+    for kg in (parsed, read):
+        assert not kg.in_train(rows[shares]).any()
+        assert kg.in_train(kg.train).all()
+        assert np.array_equal(kg.in_train(rows), fact)
+        assert kg.in_train(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+    # the filter is held in memory: the built graph is its two files still
+    assert sorted(os.listdir(built)) == ["graph.npy", "texts.bin"]
+    assert "_train_filter" not in kg_module._SECTIONS
+
+
 SAFE_TEXT = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
     min_size=0,
