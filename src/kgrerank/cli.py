@@ -8,9 +8,11 @@ location. All randomness flows from explicit seeds in the config; artifact
 files contain no timestamps or absolute paths, which keeps reruns
 byte-identical. Each output is built under ``<address>.tmp`` and renamed to
 its address when done, so a crash never leaves an entry at a stage address.
-The graph and the checkpoint are checked by their readers alone: what a
-reader refuses is built again and replaced whole, and what a stage builds it
-hands on without reading it back.
+The graph, the checkpoint and the report are checked by their readers alone:
+what a reader refuses is built again and replaced whole, and what a stage
+builds it hands on without reading it back. A report is read back only when
+its ``report.json`` parses and its ``report.txt`` and, under ``eval.audit``,
+its ``audit.jsonl`` are there.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -379,12 +381,20 @@ def cmd_build(cfg: PipelineConfig, which: str) -> int:
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     outdir = stage_output(cfg, "report")
-    report_txt = os.path.join(outdir, "report.txt")
-    if os.path.isfile(report_txt):
-        logger.info("report up to date: %s", outdir)
-        with open(report_txt, encoding="utf-8") as f:
-            print(f.read(), end="")
-        return 0
+    if os.path.isdir(outdir):
+        try:
+            with open(os.path.join(outdir, "report.json"), encoding="utf-8") as f:
+                json.load(f)
+            with open(os.path.join(outdir, "report.txt"), encoding="utf-8") as f:
+                table_text = f.read()
+            if cfg.eval.audit and not os.path.isfile(os.path.join(outdir, "audit.jsonl")):
+                raise FileNotFoundError("no audit.jsonl")
+        except (OSError, ValueError) as exc:  # missing, not UTF-8, or not JSON
+            logger.warning("rebuilding a report its reader refuses: %s: %s", outdir, exc)
+        else:
+            logger.info("report up to date: %s", outdir)
+            print(table_text, end="")
+            return 0
     backend = make_backend(cfg.backend)
     threads = cfg.pipeline.threads
     if cfg.backend.kind == "remote":  # the remote backend caps its requests in flight

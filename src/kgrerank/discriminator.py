@@ -24,7 +24,7 @@ import urllib.request
 from dataclasses import dataclass
 
 from .instructions import InstructionSample
-from .kg import DataError, read_text_table
+from .kg import DataError, TextTable
 
 
 class BackendError(Exception):
@@ -83,10 +83,10 @@ class ScriptedBackend:
         if not os.path.isfile(path):
             raise BackendError(f"scripted fixture file not found: {path}")
         try:
-            rows = read_text_table(path)
+            table = TextTable.read(path)
         except DataError as exc:
             raise BackendError(str(exc)) from None
-        return cls({sample_id: text for _, sample_id, text in rows})
+        return cls(dict(zip(table.keys().tolist(), table.texts().tolist())))
 
     def select(self, sample: InstructionSample) -> int | None:
         text = self.outputs.get(sample.id)

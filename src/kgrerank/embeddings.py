@@ -179,10 +179,10 @@ class EmbeddingTable:
         header = _HEADER.pack(
             CHECKPOINT_MAGIC, 1, ev.shape[0], rv.shape[0], ev.shape[1], _NORM_CODES[self.norm]
         )
-        with open(path, "wb") as f:
+        with open(path, "wb") as f:  # each array's own buffer: no copy of the vectors is made
             f.write(header)
-            f.write(ev.tobytes())
-            f.write(rv.tobytes())
+            f.write(ev)
+            f.write(rv)
 
     @classmethod
     def load(cls, path: str) -> "EmbeddingTable":

@@ -9,13 +9,19 @@ files, so id assignment is independent of triple order. Every file is read
 with universal newlines, a blank line is skipped, and a file that is not
 UTF-8 or a malformed line is a :class:`DataError` naming its file and line.
 
-A triple file is tokenised as bytes, with no Python object made per field:
-one ``flatnonzero`` finds its tabs and newlines, so each fact line's three
-fields are byte ranges, and each field is read as the little-endian 8-byte
-words of its bytes through a strided view. A ``_KeyTable``, built once per
-key table, finds every field's id in an open-addressing table of the keys'
-words. It accepts a key only when the length and every word are equal, so
-keys match exactly, spaces and NULs included, and the hash never decides.
+Every file is tokenised as bytes, with no Python object made per field.
+It is read once into a padded buffer, in which ``flatnonzero`` finds the
+tabs and newlines, so each line's fields are byte ranges (a text
+table's key ends at the line's first tab); a triple file is tokenised a
+slice of whole lines at a time, so that no temporary array grows with it.
+Each key or field is read as the little-endian 8-byte words of its bytes
+through a strided view. A ``_KeyTable``, built once per text table from its
+keys' byte ranges, finds every field's id in an open-addressing table of
+the keys' words, and finds a repeated key as it is built. It accepts a key
+only when the length and every word are equal, so keys match exactly,
+spaces and NULs included, and the hash never decides. No text is decoded
+to be encoded again: the names and keys are cut from the file's bytes and
+decoded as one block, and the descriptions are cut in entity-id order.
 
 In memory every split is an ``(n, 3)`` int64 array of ``(head, relation,
 tail)`` rows in file order, with later duplicates dropped. The indexes are
@@ -135,6 +141,19 @@ class PackedTexts(Sequence):
             raise ValueError('an entry of PackedTexts may not contain "\\n"')
         return cls(blob, _readonly(np.concatenate([[0], ends]).astype(np.int64)))
 
+    @classmethod
+    def cut(cls, data: bytes | bytearray, starts: np.ndarray, ends: np.ndarray) -> PackedTexts:
+        r"""The entries ``data[start:end]``, UTF-8 that holds no "\n"."""
+        pieces = [data[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
+        pieces.append(b"")  # the last entry's "\n"
+        return cls(b"\n".join(pieces), _readonly(np.concatenate([[0], np.cumsum(ends - starts + 1)])))
+
+    def tolist(self) -> list[str]:
+        """Every entry, from one decode of the blob."""
+        entries = self.blob[self.offsets[0] : self.offsets[-1]].decode("utf-8").split("\n")
+        entries.pop()  # "", after the last entry's "\n"
+        return entries
+
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -189,8 +208,9 @@ class KnowledgeGraph:
             keys.append(split_keys)
         self.train, self.valid, self.test = splits
 
-        # each split is duplicate-free, so a repeated key is shared by two splits
-        all_keys = np.sort(np.concatenate(keys))
+        # each split is duplicate-free, so a repeated key is shared by two
+        # splits; the keys are three sorted runs, which a stable sort merges
+        all_keys = np.sort(np.concatenate(keys), kind="stable")
         if (all_keys[1:] == all_keys[:-1]).any():
             raise DataError("splits share triples; they must be disjoint")
         self._train_keys = _readonly(keys[0])
@@ -200,20 +220,23 @@ class KnowledgeGraph:
         # (h, r) or (r, t) form one run of E consecutive key values
         n_e = self.num_entities
         self._all_keys = _readonly(all_keys)
-        every = np.concatenate(splits)
-        self._head_keys = _readonly(np.sort((every[:, 1] * n_e + every[:, 2]) * n_e + every[:, 0]))
+        head_keys = np.concatenate([(rows[:, 1] * n_e + rows[:, 2]) * n_e + rows[:, 0] for rows in splits])
+        head_keys.sort()
+        self._head_keys = _readonly(head_keys)
 
         # CSR adjacency: train row numbers per entity, in file order; a
-        # self-loop is listed once, so every packed end·n + row is distinct.
-        # Sorted and reduced in place: a second array of this size left a
-        # hole in the heap that raised the peak memory of a later training
-        n_train = max(len(self.train), 1)
-        rows = np.arange(len(self.train), dtype=np.int64)
-        loop = self.train[:, 0] == self.train[:, 2]
-        ends = np.concatenate([self.train[:, 0], self.train[~loop, 2]])
-        packed = ends * n_train + np.concatenate([rows, rows[~loop]])
+        # self-loop is listed once, so every packed end·2**bits + row is
+        # distinct. Sorted and reduced in place: a second array of this size
+        # left a hole in the heap that raised the peak memory of a later training
+        n_train = len(self.train)
+        bits = n_train.bit_length()  # above every row number
+        tailed = np.flatnonzero(self.train[:, 0] != self.train[:, 2])  # the rows listed at their tail too
+        ends = np.concatenate([self.train[:, 0], self.train[tailed, 2]])
+        packed = np.left_shift(ends, bits)
+        packed[:n_train] |= np.arange(n_train)
+        packed[n_train:] |= tailed
         packed.sort()
-        self._adj_facts = _readonly(np.remainder(packed, n_train, out=packed))
+        self._adj_facts = _readonly(np.bitwise_and(packed, (1 << bits) - 1, out=packed))
         self._adj_offsets = _readonly(
             np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n_e))])
         )
@@ -282,14 +305,14 @@ class KnowledgeGraph:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise DataError(f"{split_name}: expected (head, relation, tail) rows, got shape {rows.shape}")
+        if _ids_within(rows, self.num_entities, self.num_relations):
+            return rows
         ent = rows[:, [0, 2]]
         bad_entity = ((ent < 0) | (ent >= self.num_entities)).any(axis=1)
         bad = bad_entity | (rows[:, 1] < 0) | (rows[:, 1] >= self.num_relations)
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "entity" if bad_entity[i] else "relation"
-            raise DataError(f"{split_name}: {what} id out of range in {Triple(*rows[i].tolist())}")
-        return rows
+        i = int(np.argmax(bad))
+        what = "entity" if bad_entity[i] else "relation"
+        raise DataError(f"{split_name}: {what} id out of range in {Triple(*rows[i].tolist())}")
 
     def _dedup(self, rows: np.ndarray, split_name: str) -> tuple[np.ndarray, np.ndarray]:
         """Rows without later duplicates, in file order, and their keys, sorted
@@ -314,50 +337,64 @@ def build_cooccurrence(kg: KnowledgeGraph) -> np.ndarray:
     """
     dtype = np.float32 if kg.num_entities < 2**24 else np.float64
     incidence = np.zeros((kg.num_entities, kg.num_relations), dtype=dtype)
-    incidence[kg.train[:, 0], kg.train[:, 1]] = 1
-    incidence[kg.train[:, 2], kg.train[:, 1]] = 1
+    flat = incidence.reshape(-1)  # one flat index is faster to scatter to than a pair of them
+    flat[kg.train[:, 0] * kg.num_relations + kg.train[:, 1]] = 1
+    flat[kg.train[:, 2] * kg.num_relations + kg.train[:, 1]] = 1
     return (incidence.T @ incidence).astype(np.int64)
 
 
-def _read_bytes(path: str) -> bytes:
-    r"""The file's bytes with universal newlines: each "\r\n" and lone "\r" as "\n"."""
+def _text_bytes(path: str) -> bytearray:
+    r"""A dataset file's bytes with universal newlines (each "\r\n" and lone
+    "\r" as "\n"), checked as UTF-8 and ended by a newline, then 8 zero bytes
+    or more, past which ``_words`` reads no byte of a field. A byte that is
+    not UTF-8 is a :class:`DataError` naming its line."""
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
     with open(path, "rb") as f:
-        data = f.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        # read into the padded buffer itself: padding a read would copy the file again
+        data = bytearray(os.fstat(f.fileno()).st_size + 9)
+        size = f.readinto(memoryview(data)[:-9])
+    if data.find(b"\r", 0, size) >= 0:
+        data = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        size = len(data)
+        data += bytes(9)
+    if not data.isascii():
+        try:
+            str(memoryview(data)[:size], "utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
+    if not data.endswith(b"\n", 0, size):
+        data[size] = ord("\n")
     return data
 
 
-def _decoded(path: str, data: bytes) -> str:
-    """``data`` decoded as UTF-8, or a :class:`DataError` naming the line of
-    the first byte that is not."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
+def _lines(text: np.ndarray, fields: int, exact: bool) -> tuple:
+    r"""The lines of newline-ended ``text`` up to its first bad one.
+
+    A line ends at "\n". A blank line is skipped, and any other is bad
+    unless it holds ``fields`` tab-separated fields, or more when not
+    ``exact``. Returns the 0-based numbers of the lines before the first bad
+    one; the byte offsets of each one's start, first ``fields - 1`` tabs and
+    end; and the number and field count of the bad line, if any.
+    """
+    near = np.subtract(text, ord("\t"), dtype=np.uint8)  # a tab at 0, a newline at 1, any other byte above
+    seps = np.flatnonzero(np.less_equal(near, 1, out=near.view(bool)))  # in place: one pass, one temporary
+    at_newline = np.flatnonzero(text[seps] == ord("\n"))
+    first = np.concatenate([[0], at_newline[:-1] + 1])  # each line's first tab or, with none, its newline
+    ends = seps[at_newline]
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    counts = at_newline - first + 1
+    blank = starts == ends
+    bad = np.flatnonzero(~blank & ((counts != fields) if exact else (counts < fields)))
+    fault = None if not bad.size else (int(bad[0]), int(counts[bad[0]]))
+    lines = np.flatnonzero(~blank[: len(ends) if fault is None else fault[0]])
+    tabs = [seps[first[lines] + j] for j in range(fields - 1)]
+    return lines, [starts[lines], *tabs, ends[lines]], fault
 
 
-def read_text_table(path: str) -> list[tuple[int, str, str]]:
-    """The ``(line number, key, text)`` of each non-blank ``<key><TAB><text>`` line;
-    a byte that is not UTF-8, a line without a tab or a repeated key is a
-    :class:`DataError` naming the file and line."""
-    rows = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(_decoded(path, _read_bytes(path)).split("\n"), start=1):
-        if not line:
-            continue
-        if "\t" not in line:
-            raise DataError(f"{path}:{lineno}: expected '<id>\\t<text>'")
-        key, text = line.split("\t", 1)
-        if key in seen:
-            raise DataError(f"{path}:{lineno}: duplicate identifier {key!r}")
-        seen.add(key)
-        rows.append((lineno, key, text))
-    return rows
-
+# the bytes of whole lines of a triple file that are tokenised and looked up at once
+_SLICE = 1 << 20
 
 # the mask of the first n bytes of a little-endian 8-byte word, n = 0..8
 _WORD_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
@@ -366,13 +403,14 @@ _WORD_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
 def _words(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> list[np.ndarray]:
     """Word j of each field ``padded[start:start + length]``, j < ``width``:
     its bytes ``8j`` to ``8j + 7`` as one little-endian uint64, zero past
-    the field's end. Every start must lie ``8 * width`` bytes or more before
-    the end of ``padded``."""
+    the field's end. Every field must end 8 bytes or more before the end of
+    ``padded``; a word that lies wholly past a field is read where it fits,
+    and masked to zero."""
     # an 8-byte word at every byte offset: a strided view, nothing copied
     at = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    words = [at[starts + 8 * j] for j in range(width)]
+    words = [at[np.minimum(starts + 8 * j, len(at) - 1)] if j else at[starts] for j in range(width)]
     for j, word in enumerate(words):
-        word &= _WORD_MASKS[np.clip(lengths - 8 * j, 0, 8)]
+        word &= _WORD_MASKS[np.clip(lengths - 8 * j, 0, 8) if j else np.minimum(lengths, 8)]
     return words
 
 
@@ -384,34 +422,37 @@ class _KeyTable:
     a home in an open-addressing table of at least four slots per key, and
     a lookup probes linearly from the field's home to an empty slot. A
     field matches a key only when its length and every word equal the
-    key's, so the hash never decides a match on its own.
+    key's, so the hash never decides a match on its own. Equal keys probe
+    the same slots in the same rounds, so the table holds the first of them,
+    and ``repeats`` the indices of the others, found as the first is placed.
     """
 
-    def __init__(self, keys: Sequence[str]):
-        encoded = [key.encode("utf-8") for key in keys]
-        lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+    def __init__(self, padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        """The keys ``padded[start:start + length]``, laid out as ``_words`` reads them."""
         self.width = max(1, -(-int(lengths.max(initial=0)) // 8))
-        blob = b"".join(encoded)
-        padded = np.zeros(len(blob) + 8 * self.width, dtype=np.uint8)
-        padded[: len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-        starts = np.cumsum(lengths) - lengths
         words = _words(padded, starts, lengths, self.width)
-        self._mask = (1 << max(2, (4 * len(keys) - 1).bit_length())) - 1
-        self._slots = np.full(self._mask + 1, -1, dtype=np.int64)
-        # every key at once: in each round, a key that probes a free slot takes
-        # it unless a key before it probes the same slot
-        pending, slot = np.arange(len(keys)), self._home(words, lengths)
-        while pending.size:
-            free = np.flatnonzero(self._slots[slot] < 0)
-            taken, first = np.unique(slot[free], return_index=True)
-            self._slots[taken] = pending[free[first]]
-            left = np.ones(len(pending), dtype=bool)
-            left[free[first]] = False
-            pending, slot = pending[left], (slot[left] + 1) & self._mask
         # each key's length and words, and at index -1, which an empty slot
         # holds, a length that no field has
         self._lengths = np.append(lengths, -1)
         self._words = [np.append(column, np.uint64(0)) for column in words]
+        self._mask = (1 << max(2, (4 * len(lengths) - 1).bit_length())) - 1
+        self._slots = np.full(self._mask + 1, -1, dtype=np.int64)
+        repeated = np.zeros(len(lengths), dtype=bool)
+        # every key at once: in each round, a key that probes a free slot takes
+        # it unless a key before it probes the same slot, and a key that lost
+        # its slot to a key equal to it is a repeat
+        claim = np.full(self._mask + 1, len(lengths))  # the first key to probe each slot while it was free
+        pending, slot = np.arange(len(lengths)), self._home(words, lengths)
+        while pending.size:
+            free = self._slots[slot] < 0
+            np.minimum.at(claim, slot[free], pending[free])
+            won = claim[slot] == pending
+            self._slots[slot[won]] = pending[won]
+            pending, slot = pending[~won], slot[~won]
+            same = self._equal(self._slots[slot], [column[pending] for column in words], lengths[pending])
+            repeated[pending[same]] = True
+            pending, slot = pending[~same], (slot[~same] + 1) & self._mask
+        self.repeats = np.flatnonzero(repeated)
 
     def _home(self, words: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
         h = lengths.astype(np.uint64)
@@ -423,109 +464,134 @@ class _KeyTable:
         h >>= np.uint64(64 - self._mask.bit_length())  # the top bits mix every byte
         return h.view(np.int64)
 
+    def _equal(self, keys: np.ndarray, words: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
+        """Whether each field's length and words equal those of the key at its
+        index in ``keys``, where -1 stands for no key."""
+        match = self._lengths[keys] == lengths
+        for mine, field in zip(self._words, words):
+            match &= mine[keys] == field
+        return match
+
     def find(self, padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The id of each field ``padded[start:start + length]``, -1 where no key equals it."""
         words = _words(padded, starts, lengths, self.width)
         slot = self._home(words, lengths)
-        ids = np.full(len(starts), -1, dtype=np.int64)
-        index = np.arange(len(starts))  # the fields still probing, which shrink each round
+        key = self._slots[slot]
+        ids = np.where(self._equal(key, words, lengths), key, -1)
+        # the fields still probing, which shrink each round: those whose slot
+        # holds another key, not those it matched and not those at an empty slot
+        index = np.flatnonzero(ids < key)
         while index.size:
-            key = self._slots[slot]
-            match = self._lengths[key] == lengths
-            for mine, field in zip(self._words, words):
-                match &= mine[key] == field
+            slot[index] = (slot[index] + 1) & self._mask
+            key = self._slots[slot[index]]
+            match = self._equal(key, [field[index] for field in words], lengths[index])
             ids[index[match]] = key[match]
-            # an empty slot ends a probe: no key equals that field
-            probe = np.flatnonzero(~match & (key >= 0))
-            index, slot, lengths = index[probe], (slot[probe] + 1) & self._mask, lengths[probe]
-            words = [field[probe] for field in words]
+            index = index[~match & (key >= 0)]
         return ids
 
 
-def _padded_bytes(path: str, pad: int) -> np.ndarray:
-    """A dataset file's bytes, checked as UTF-8 and ended by a newline, then
-    ``pad`` zero bytes."""
-    data = _read_bytes(path)
-    if not data.isascii():
-        _decoded(path, data)
-    padded = np.zeros(len(data) + 1 + pad, dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    if not data.endswith(b"\n"):
-        padded[len(data)] = ord("\n")
-    return padded
+class TextTable(NamedTuple):
+    """The entries of a ``<key><TAB><text>`` file in line order: the file's
+    bytes, each entry's 0-based line number and the offsets of its line's
+    start, first tab and end, and the keys found by their bytes."""
 
+    data: bytearray
+    lines: np.ndarray
+    starts: np.ndarray
+    tabs: np.ndarray
+    ends: np.ndarray
+    index: _KeyTable
 
-def _fact_fields(text: np.ndarray) -> tuple[np.ndarray, tuple, tuple[int, int] | None]:
-    r"""The fact lines of newline-ended ``text`` up to its first bad line:
-    their 0-based numbers, the ``(starts, first tabs, second tabs, ends)``
-    of their fields, and the number and field count of that bad line, if
-    any. A line ends at "\n"; a blank line is skipped, and any other must
-    hold exactly two tabs."""
-    seps = np.flatnonzero(text <= ord("\n"))
-    seps = seps[text[seps] >= ord("\t")]  # tabs and newlines, not the bytes below them
-    newline = text[seps] == ord("\n")
-    at_newline = np.flatnonzero(newline)
-    ends, tabs = seps[at_newline], seps[~newline]
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    tab_counts = np.diff(at_newline, prepend=-1) - 1
-    blank = starts == ends
-    bad = np.flatnonzero(~blank & (tab_counts != 2))
-    fault = None if not bad.size else (int(bad[0]), int(tab_counts[bad[0]]) + 1)
-    lines = np.flatnonzero(~blank[: len(ends) if fault is None else fault[0]])
-    n = len(lines)  # a fact line has two tabs and a blank line none, so its tabs come in pairs
-    return lines, (starts[lines], tabs[0 : 2 * n : 2], tabs[1 : 2 * n : 2], ends[lines]), fault
+    @classmethod
+    def read(cls, path: str) -> TextTable:
+        """The non-blank lines of a text table, each split at its first tab,
+        with no Python object made per line. A byte that is not UTF-8, a line
+        without a tab or a repeated key is a :class:`DataError` naming the file
+        and line; of a missing tab and a repeated key, the first in line order."""
+        data = _text_bytes(path)
+        text = np.frombuffer(data, dtype=np.uint8)
+        lines, (starts, tabs, ends), fault = _lines(text, 2, exact=False)
+        table = cls(data, lines, starts, tabs, ends, _KeyTable(text, starts, tabs - starts))
+        repeats = table.index.repeats
+        if repeats.size and (fault is None or lines[repeats[0]] < fault[0]):
+            raise DataError(f"{path}:{lines[repeats[0]] + 1}: duplicate identifier {table.keys()[repeats[0]]!r}")
+        if fault is not None:
+            raise DataError(f"{path}:{fault[0] + 1}: expected '<id>\\t<text>'")
+        return table
+
+    def keys(self) -> PackedTexts:
+        return PackedTexts.cut(self.data, self.starts, self.tabs)
+
+    def texts(self) -> PackedTexts:
+        return PackedTexts.cut(self.data, self.tabs + 1, self.ends)
 
 
 def _read_triples(path: str, entities: _KeyTable, relations: _KeyTable) -> np.ndarray:
     """The ``(n, 3)`` (head, relation, tail) ids of a triple file's facts.
 
-    One pass over the file's bytes, with no Python object made per field.
+    The file is read once, then tokenised and looked up ``_SLICE`` bytes of
+    whole lines at a time, with no Python object made per field: every
+    temporary array stays small, in cache and in pages the last slice freed.
     The first fault in line order is raised; on one line an unknown head
     comes before an unknown tail, and that before an unknown relation."""
-    padded = _padded_bytes(path, 8 * max(entities.width, relations.width))
-    lines, (starts, first_tab, second_tab, ends), fault = _fact_fields(padded)
-    rows = np.empty((len(lines), 3), dtype=np.int64)
-    rows[:, 0] = entities.find(padded, starts, first_tab - starts)
-    rows[:, 1] = relations.find(padded, first_tab + 1, second_tab - first_tab - 1)
-    rows[:, 2] = entities.find(padded, second_tab + 1, ends - second_tab - 1)
-    if rows.min(initial=0) < 0:
-        i = int(np.argmax((rows < 0).any(axis=1)))
-        for kind, column, begin, end in (
-            ("entity", 0, starts[i], first_tab[i]),
-            ("entity", 2, second_tab[i] + 1, ends[i]),
-            ("relation", 1, first_tab[i] + 1, second_tab[i]),
-        ):
-            if rows[i, column] < 0:
-                key = padded[begin:end].tobytes().decode("utf-8")
-                raise DataError(f"{path}:{lines[i] + 1}: unknown {kind} {key!r}")
-    if fault is not None:
-        raise DataError(f"{path}:{fault[0] + 1}: expected 3 tab-separated fields, got {fault[1]}")
-    return rows
+    data = _text_bytes(path)
+    parts, start, line, end = [], 0, 0, data.rfind(b"\n") + 1
+    while start < end:
+        stop = (data.rfind(b"\n", start, start + _SLICE) + 1) or (data.find(b"\n", start + _SLICE) + 1)
+        text = np.frombuffer(data, dtype=np.uint8, offset=start)  # a field's words may read past the slice
+        lines, (starts, first_tab, second_tab, ends), fault = _lines(text[: stop - start], 3, exact=True)
+        rows = np.empty((len(lines), 3), dtype=np.int64)
+        rows[:, 0] = entities.find(text, starts, first_tab - starts)
+        rows[:, 1] = relations.find(text, first_tab + 1, second_tab - first_tab - 1)
+        rows[:, 2] = entities.find(text, second_tab + 1, ends - second_tab - 1)
+        if rows.min(initial=0) < 0:
+            i = int(np.argmax((rows < 0).any(axis=1)))
+            for kind, column, begin, finish in (
+                ("entity", 0, starts[i], first_tab[i]),
+                ("entity", 2, second_tab[i] + 1, ends[i]),
+                ("relation", 1, first_tab[i] + 1, second_tab[i]),
+            ):
+                if rows[i, column] < 0:
+                    key = text[begin:finish].tobytes().decode("utf-8")
+                    raise DataError(f"{path}:{line + lines[i] + 1}: unknown {kind} {key!r}")
+        if fault is not None:
+            raise DataError(f"{path}:{line + fault[0] + 1}: expected 3 tab-separated fields, got {fault[1]}")
+        parts.append(rows)
+        line += data.count(b"\n", start, stop)
+        start = stop
+    return np.concatenate(parts)
+
+
+def _descriptions(path: str, entities: TextTable) -> PackedTexts:
+    """Each entity's description, "" where the table has none, cut from the
+    table's bytes in entity-id order."""
+    table = TextTable.read(path)
+    ids = entities.index.find(np.frombuffer(table.data, dtype=np.uint8), table.starts, table.tabs - table.starts)
+    if ids.min(initial=0) < 0:
+        i = int(np.argmax(ids < 0))
+        raise DataError(f"{path}:{table.lines[i] + 1}: description for unknown entity {table.keys()[i]!r}")
+    starts, ends = np.zeros((2, len(entities.lines)), dtype=np.int64)
+    starts[ids], ends[ids] = table.tabs + 1, table.ends
+    return PackedTexts.cut(table.data, starts, ends)
 
 
 def _parse(dataset_dir: str) -> KnowledgeGraph:
-    ent_rows = read_text_table(os.path.join(dataset_dir, ENTITY_NAME_FILE))
-    rel_rows = read_text_table(os.path.join(dataset_dir, RELATION_NAME_FILE))
-    entity_keys = [k for _, k, _ in ent_rows]
-    entity_names = [v for _, _, v in ent_rows]
-    relation_keys = [k for _, k, _ in rel_rows]
-    relation_names = [v for _, _, v in rel_rows]
-    entity_ids = {k: i for i, k in enumerate(entity_keys)}
-
-    path = os.path.join(dataset_dir, ENTITY_DESC_FILE)
-    descriptions = [""] * len(entity_keys)
-    for lineno, key, text in read_text_table(path):
-        if key not in entity_ids:
-            raise DataError(f"{path}:{lineno}: description for unknown entity {key!r}")
-        descriptions[entity_ids[key]] = text
-    descriptions = PackedTexts.pack(descriptions)  # the strings are freed before the triples are read
-
-    entities, relations = _KeyTable(entity_keys), _KeyTable(relation_keys)
+    entities, relations = (
+        TextTable.read(os.path.join(dataset_dir, name)) for name in (ENTITY_NAME_FILE, RELATION_NAME_FILE)
+    )
+    descriptions = _descriptions(os.path.join(dataset_dir, ENTITY_DESC_FILE), entities)
     splits = [
-        _read_triples(os.path.join(dataset_dir, name), entities, relations)
+        _read_triples(os.path.join(dataset_dir, name), entities.index, relations.index)
         for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
     ]
-    return KnowledgeGraph(entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits)
+    return KnowledgeGraph(
+        entities.keys().tolist(),
+        entities.texts().tolist(),
+        descriptions,
+        relations.keys().tolist(),
+        relations.texts().tolist(),
+        *splits,
+    )
 
 
 def _write_built(kg: KnowledgeGraph, out_dir: str) -> None:
@@ -575,10 +641,7 @@ def _read_built(cache_dir: str) -> KnowledgeGraph | None:
     for name in ("entity_keys", "relation_keys", "entity_descriptions"):
         setattr(kg, name, PackedTexts(blob, sections[name]))
     for name in ("entity_names", "relation_names"):  # what every prompt reads
-        offsets = sections[name]
-        entries = blob[offsets[0] : offsets[-1]].decode("utf-8").split("\n")
-        entries.pop()  # "", after the last entry's "\n"
-        setattr(kg, name, entries)
+        setattr(kg, name, PackedTexts(blob, sections[name]).tolist())
     return kg if _is_whole(kg) else None
 
 

@@ -7,9 +7,10 @@ ranking is an exhaustive per-entity loop over plain Python arithmetic,
 move-to-top rebuilds the whole permutation, co-occurrence is a quadratic
 scan, gradients come from central finite differences, the training epoch
 is the earlier loop that scattered with ``np.add.at`` on the 2-D tables,
-and a triple file is read line by line into dict lookups. The exception is
-``base_model_metrics``, which ranks through ``rank_queries`` to judge
-``evaluate``, a stage that reads its ranks from an eval set.
+and a text table or a triple file is read line by line, each field looked
+up in a set or a dict. The exception is ``base_model_metrics``, which
+ranks through ``rank_queries`` to judge ``evaluate``, a stage that reads
+its ranks from an eval set.
 """
 
 from __future__ import annotations
@@ -110,6 +111,32 @@ def read_bytes(path):
         return f.read()
 
 
+def read_text_table_by_line(path):
+    """The ``(line number, key, text)`` of each non-blank ``<key><TAB><text>``
+    line of a text table, read as the library once did: decoded whole with
+    universal newlines, then line by line, a byte that is not UTF-8, a line
+    without a tab or a repeated key raised as a DataError naming the line."""
+    data = read_bytes(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
+    rows = []
+    seen = set()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{lineno}: expected '<id>\\t<text>'")
+        key, text = line.split("\t", 1)
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate identifier {key!r}")
+        seen.add(key)
+        rows.append((lineno, key, text))
+    return rows
+
+
 def read_triples_by_line(path, entity_ids, relation_ids):
     """The ``(n, 3)`` (head, relation, tail) ids of a triple file, read as the
     library once did: line by line with universal newlines, each field a
@@ -131,6 +158,36 @@ def read_triples_by_line(path, entity_ids, relation_ids):
         rels.append(relation_ids[r])
         tails.append(entity_ids[t])
     return np.array([heads, rels, tails], dtype=np.int64).T
+
+
+def parse_by_line(dataset_dir):
+    """The graph of a dataset directory as the library once parsed it: each
+    file read by the line-by-line oracles above, the descriptions placed by
+    a dict of the entity keys, and the constructor run on the result."""
+
+    def path(name):
+        return os.path.join(dataset_dir, name)
+
+    entities = read_text_table_by_line(path(ENTITY_NAME_FILE))
+    relations = read_text_table_by_line(path(RELATION_NAME_FILE))
+    entity_ids = {key: i for i, (_, key, _) in enumerate(entities)}
+    relation_ids = {key: i for i, (_, key, _) in enumerate(relations)}
+    descriptions = [""] * len(entities)
+    for lineno, key, text in read_text_table_by_line(path(ENTITY_DESC_FILE)):
+        if key not in entity_ids:
+            raise DataError(f"{path(ENTITY_DESC_FILE)}:{lineno}: description for unknown entity {key!r}")
+        descriptions[entity_ids[key]] = text
+    splits = [
+        read_triples_by_line(path(name), entity_ids, relation_ids) for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
+    ]
+    return KnowledgeGraph(
+        [key for _, key, _ in entities],
+        [name for _, _, name in entities],
+        descriptions,
+        [key for _, key, _ in relations],
+        [name for _, _, name in relations],
+        *splits,
+    )
 
 
 def neighbors(kg, entity):

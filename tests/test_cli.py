@@ -1092,6 +1092,40 @@ def test_a_checkpoint_its_reader_refuses_is_retrained(tmp_path, toy_dir, caplog,
     assert not [e for e in os.listdir(tmp_path / "w") if e.endswith(".tmp")]
 
 
+@pytest.mark.parametrize(
+    "name, damage, reason",
+    [
+        ("report.json", None, "report.json"),
+        ("report.json", b'{"combined": ', "Expecting value"),
+        ("report.json", b"\xff\n", "can't decode byte 0xff"),
+        ("report.txt", None, "report.txt"),
+        ("audit.jsonl", None, "no audit.jsonl"),
+    ],
+    ids=["no-json", "cut-json", "json-not-utf8", "no-table", "no-audit"],
+)
+def test_a_report_its_reader_refuses_is_rebuilt(tmp_path, toy_dir, capsys, caplog, name, damage, reason):
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
+    extra = "\n[eval]\naudit = true\n"
+    clean = write_config(tmp_path / "clean.ini", toy_dir, tmp_path / "clean", extra=extra)
+    assert main(["evaluate", "--config", clean]) == 0
+    table = capsys.readouterr().out
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w", extra=extra)
+    assert main(["evaluate", "--config", cfg]) == 0
+    path = workdir_file(tmp_path / "w", "report-", name)
+    if damage is None:
+        os.remove(path)
+    else:
+        with open(path, "wb") as f:
+            f.write(damage)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == table
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and reason in warnings[0] and "rebuilding a report" in warnings[0]
+    assert _tree(tmp_path / "w") == _tree(tmp_path / "clean")
+    assert not [e for e in os.listdir(tmp_path / "w") if e.endswith(".tmp")]
+
+
 def test_a_stage_that_trains_the_checkpoint_does_not_read_it_back(tmp_path, toy_dir, monkeypatch):
     loads = []
     load = EmbeddingTable.load.__func__

@@ -15,7 +15,9 @@ from helpers import (
     build_kg,
     find_benchmark_dir,
     neighbors,
+    parse_by_line,
     read_bytes,
+    read_text_table_by_line,
     read_triples_by_line,
     write_kg,
 )
@@ -406,8 +408,8 @@ def test_a_hit_parses_sorts_and_multiplies_nothing(tmp_path, toy_dir, monkeypatc
     built = str(tmp_path / "built")
     reference = load_kg(toy_dir, None, built)
     called = []
-    for name in ("read_text_table", "_read_triples", "build_cooccurrence"):
-        monkeypatch.setattr(kg_module, name, lambda *args, name=name: called.append(name))
+    for owner, name in ((kg_module.TextTable, "read"), (kg_module, "_read_triples"), (kg_module, "build_cooccurrence")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: called.append(name))
     monkeypatch.setattr(KnowledgeGraph, "__init__", lambda *args: called.append("__init__"))
     assert_same_graph(load_kg(toy_dir, built), reference)
     assert called == []
@@ -457,6 +459,119 @@ def test_a_description_for_an_unknown_entity_names_its_file_and_line(tmp_path):
     )
     path = os.path.join(root, "entity2textlong.txt")
     with pytest.raises(DataError, match=rf"^{re.escape(path)}:2: description for unknown entity '/e/zzz'$"):
+        load_kg(root)
+
+
+# each text table's lines in a dataset over ENTITIES and RELATIONS, what
+# load_kg reads from it (keys, then names or descriptions by entity id), and
+# what that is for these lines
+TEXT_TABLES = {
+    "entity2text.txt": (
+        ["/e/a\talpha", "/e/b\tbeta", "/e/c\tgamma entity"],
+        lambda kg: (kg.entity_keys, kg.entity_names),
+        (["/e/a", "/e/b", "/e/c"], ["alpha", "beta", "gamma entity"]),
+    ),
+    "relation2text.txt": (
+        ["/r/x\tconnected to", "/r/y\tdiffers from"],
+        lambda kg: (kg.relation_keys, kg.relation_names),
+        (["/r/x", "/r/y"], ["connected to", "differs from"]),
+    ),
+    "entity2textlong.txt": (
+        ["/e/c\tthe third", "/e/a\tthe first"],
+        lambda kg: (kg.entity_keys, kg.entity_descriptions),
+        (["/e/a", "/e/b", "/e/c"], ["the first", "", "the third"]),
+    ),
+}
+# each fault: the lines of a table made from the TEXT_TABLES lines, and the
+# line and message that name it (or a function of those lines that gives them)
+TEXT_TABLE_FAULTS = {
+    "no tab": (lambda lines: [lines[0], "", "/e/b beta", lines[1]], r"3: expected '<id>\\t<text>'"),
+    "no tab, after blank lines": (lambda lines: ["", "", "", lines[0], "no tab"], r"5: expected '<id>\\t<text>'"),
+    "a repeated key": (
+        lambda lines: [lines[0], lines[1], "", lines[0].split("\t")[0] + "\tagain"],
+        lambda lines: rf"4: duplicate identifier '{lines[0].split(chr(9))[0]}'",
+    ),
+    "a repeated key before a line without a tab": (
+        lambda lines: [lines[0], lines[0], "no tab"],
+        lambda lines: rf"2: duplicate identifier '{lines[0].split(chr(9))[0]}'",
+    ),
+    "a line without a tab before a repeated key": (
+        lambda lines: [lines[0], "no tab", lines[0]],
+        r"2: expected '<id>\\t<text>'",
+    ),
+}
+
+
+def _write_table(tmp_path, name, data):
+    """A dataset over ENTITIES and RELATIONS, one fact in each split, whose
+    table ``name`` holds ``data``; its path."""
+    root = write_dataset(
+        tmp_path / "d",
+        ENTITIES,
+        RELATIONS,
+        [("/e/a", "/r/x", "/e/b")],
+        [("/e/b", "/r/y", "/e/c")],
+        [("/e/c", "/r/x", "/e/a")],
+    )
+    path = os.path.join(root, name)
+    with open(path, "wb") as f:
+        f.write(data)
+    return root, path
+
+
+@pytest.mark.parametrize("fault", TEXT_TABLE_FAULTS)
+@pytest.mark.parametrize("name", TEXT_TABLES)
+def test_a_malformed_text_table_names_its_file_and_line(tmp_path, name, fault):
+    make, message = TEXT_TABLE_FAULTS[fault]
+    lines = TEXT_TABLES[name][0]
+    message = message(lines) if callable(message) else message
+    root, path = _write_table(tmp_path, name, "".join(f"{line}\n" for line in make(lines)).encode("utf-8"))
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}:{message}$"):
+        load_kg(root)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("name", TEXT_TABLES)
+def test_a_text_table_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, name, end):
+    # the bad byte comes after a line without a tab: the file is decoded before any line is read
+    lines = TEXT_TABLES[name][0]
+    data = f"{lines[0]}{end}no tab{end}{end}".encode("utf-8") + b"/e/z\tbad \xff byte" + end.encode("utf-8")
+    root, path = _write_table(tmp_path, name, data)
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}:4: not UTF-8"):
+        load_kg(root)
+
+
+@pytest.mark.parametrize("name", TEXT_TABLES)
+def test_a_text_table_skips_blank_lines_and_keeps_the_tabs_of_its_text(tmp_path, name):
+    lines, table, (keys, texts) = TEXT_TABLES[name]
+    root, _ = _write_table(tmp_path, name, "\n".join(lines).encode("utf-8"))  # no final newline
+    assert [list(t) for t in table(load_kg(root))] == [keys, texts]
+    # blank lines first, between entries and last, each line end, and a text with tabs
+    key, text = lines[0].split("\t")
+    data = "\r\n\n" + "\r".join([f"{key}\t\t{text}\tand more\t"] + lines[1:]) + "\n\r\n\n\r"
+    root, _ = _write_table(tmp_path / "blank", name, data.encode("utf-8"))
+    tabbed = [f"\t{t}\tand more\t" if t == text else t for t in texts]
+    assert [list(t) for t in table(load_kg(root))] == [keys, tabbed]
+
+
+@pytest.mark.parametrize(
+    "lines, lineno, key",
+    [
+        (["/e/a\tfirst", "", "/e/zzz\tnobody"], 3, "/e/zzz"),
+        (["/e/é\tnon-ASCII", "/e/a\tfirst"], 1, "/e/é"),
+        (["/e/a\tfirst", "/e/a \tthe key with a space", "/e/b\tsecond"], 2, "/e/a "),
+        (["\ta blank key"], 1, ""),
+    ],
+    ids=["after a blank line", "non-ASCII", "a key's prefix", "a blank key"],
+)
+def test_a_description_for_an_unknown_entity_comes_after_every_fault_of_its_lines(tmp_path, lines, lineno, key):
+    root, path = _write_table(tmp_path, "entity2textlong.txt", "\n".join(lines).encode("utf-8"))
+    message = f"{path}:{lineno}: description for unknown entity {key!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_kg(root)
+    # a repeated key after it is the fault that is named: the table is read before its keys are looked up
+    root, path = _write_table(tmp_path / "again", "entity2textlong.txt", "\n".join(lines + [lines[0]]).encode("utf-8"))
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}:{len(lines) + 1}: duplicate identifier"):
         load_kg(root)
 
 
@@ -527,10 +642,19 @@ TRIPLE_FILE_CASES = {
 }
 
 
+def _key_table(directory, name, keys):
+    """The key table of a text table of ``keys``, written to ``directory`` and read back."""
+    path = os.path.join(directory, name)
+    with open(path, "wb") as f:
+        f.write("".join(f"{key}\tname\n" for key in keys).encode("utf-8"))
+    return kg_module.TextTable.read(path).index
+
+
 def _assert_oracle_agrees(entities, relations, text, collide):
-    """``_read_triples`` reads ``text`` as the oracle does; with ``collide``,
-    every key and field hashes to slot 0, so each lookup compares the field
-    with every key in its probe and no hash can decide a match."""
+    """``_read_triples`` reads ``text`` as the oracle does, in slices of one
+    line, of a few lines and of the whole file; with ``collide``, every key
+    and field hashes to slot 0, so each lookup compares the field with every
+    key in its probe and no hash can decide a match."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "train.txt")
         with open(path, "wb") as f:
@@ -543,10 +667,13 @@ def _assert_oracle_agrees(entities, relations, text, collide):
         )
         home = (lambda self, words, lengths: np.zeros_like(lengths)) if collide else kg_module._KeyTable._home
         with mock.patch.object(kg_module._KeyTable, "_home", home):
-            got = _outcome(
-                kg_module._read_triples, path, kg_module._KeyTable(entities), kg_module._KeyTable(relations)
+            tables = (
+                _key_table(directory, "entity2text.txt", entities),
+                _key_table(directory, "relation2text.txt", relations),
             )
-    assert got == expected
+            for slice_bytes in (1, 13, kg_module._SLICE):
+                with mock.patch.object(kg_module, "_SLICE", slice_bytes):
+                    assert _outcome(kg_module._read_triples, path, *tables) == expected, slice_bytes
 
 
 @pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
@@ -568,16 +695,87 @@ def test_read_triples_matches_the_line_by_line_oracle(case, collide):
     _assert_oracle_agrees(*case, collide)
 
 
+@st.composite
+def text_tables(draw):
+    """The bytes of a text table: keys that repeat, blank lines, lines
+    without a tab, texts holding tabs, every line end, and at times no
+    final line end or a byte that is not UTF-8."""
+    keys = draw(st.lists(KEY, min_size=1, max_size=8))
+    text = st.text(st.sampled_from(["a", " ", "\t", "\x00", "é", "実", "😀"]), max_size=8)
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(draw(KEY))  # no tab
+        else:
+            lines.append(f"{draw(st.sampled_from(keys))}\t{draw(text)}")
+    data = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe5\xae"])) + data[at:]
+    return data
+
+
+def _table_rows(path):
+    """The ``(line number, key, text)`` of each entry ``TextTable.read`` reads."""
+    table = kg_module.TextTable.read(path)
+    return list(zip((table.lines + 1).tolist(), table.keys().tolist(), table.texts().tolist()))
+
+
+def _assert_table_oracle_agrees(data, collide):
+    """``TextTable.read`` reads ``data`` as the oracle does, its rows or its
+    DataError; with ``collide``, every key hashes to slot 0."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "entity2text.txt")
+        with open(path, "wb") as f:
+            f.write(data)
+        outcomes = []
+        for read in (read_text_table_by_line, _table_rows):
+            home = (lambda self, words, lengths: np.zeros_like(lengths)) if collide else kg_module._KeyTable._home
+            with mock.patch.object(kg_module._KeyTable, "_home", home):
+                try:
+                    outcomes.append(("rows", read(path)))
+                except DataError as exc:
+                    outcomes.append(("error", str(exc)))
+    assert outcomes[1] == outcomes[0]
+
+
+TEXT_TABLE_CASES = {
+    "an empty file": b"",
+    "only blank lines": b"\n\r\n\r\n",
+    "every key, no final newline": "\n".join(f"{key}\tname\tof {key}" for key in PREFIX_KEYS + ODD_KEYS).encode(),
+    "blank keys and texts": b"\t\n\r\nk\t\t\r",
+    "keys that differ by trailing NULs": b"a\tx\na\x00\tx\na\x00\x00\tx\nkkkkkkkk\x00\tx\nkkkkkkkk\tx\n",
+    "a repeated 9-byte key": b"kkkkkkkky\tx\nkkkkkkkkz\ty\r\nkkkkkkkky\tz\n",
+    "a repeated blank key": b"\tx\n\n\ty\n",
+    "a key repeated twice, then a line without a tab": b"a\t1\nb\t2\na\t3\na\t4\nno tab\n",
+    "a bad byte after a line without a tab": b"a\tx\rno tab\r\xff\n",
+}
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
+@pytest.mark.parametrize("data", TEXT_TABLE_CASES.values(), ids=TEXT_TABLE_CASES)
+def test_read_text_table_matches_the_line_by_line_oracle_on_named_cases(data, collide):
+    _assert_table_oracle_agrees(data, collide)
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
+@settings(max_examples=200, deadline=None)
+@given(data=text_tables())
+def test_read_text_table_matches_the_line_by_line_oracle(data, collide):
+    _assert_table_oracle_agrees(data, collide)
+
+
 @pytest.mark.parametrize("which", DATASETS)
 def test_the_byte_parser_builds_the_files_the_line_parser_built(tmp_path, toy_dir, monkeypatch, which):
     dataset = toy_dir if DATASETS[which] is None else DATASETS[which](str(tmp_path / "dataset"))
     load_kg(dataset, None, str(tmp_path / "bytes"))
-    parsed = load_kg(dataset)
-    entity_ids = {key: i for i, key in enumerate(parsed.entity_keys)}
-    relation_ids = {key: i for i, key in enumerate(parsed.relation_keys)}
-    monkeypatch.setattr(
-        kg_module, "_read_triples", lambda path, *tables: read_triples_by_line(path, entity_ids, relation_ids)
-    )
+    # every file read by the line-by-line oracles: the text tables and the triples
+    monkeypatch.setattr(kg_module, "_parse", parse_by_line)
     load_kg(dataset, None, str(tmp_path / "lines"))
     names = sorted(os.listdir(tmp_path / "bytes"))
     assert names == sorted(os.listdir(tmp_path / "lines"))
