@@ -6,13 +6,13 @@ and of the config keys that influence it, so rerunning with unchanged inputs
 performs no work and changing any relevant file or key writes to a fresh
 location. All randomness flows from explicit seeds in the config; artifact
 files contain no timestamps or absolute paths, which keeps reruns
-byte-identical. Each output is built under ``<address>.tmp`` and renamed to
-its address when done, so a crash never leaves an entry at a stage address.
-The graph, the checkpoint and the report are checked by their readers alone:
-what a reader refuses is built again and replaced whole, and what a stage
-builds it hands on without reading it back. A report is read back only when
-its ``report.json`` parses and its ``report.txt`` and, under ``eval.audit``,
-its ``audit.jsonl`` are there.
+byte-identical. Every output follows one rule, ``_output``: its reader
+returns it or refuses it, and what it refuses is logged once with the reason
+and built again under ``<address>.tmp``, which one rename puts at the
+address, so a crash never leaves an entry there. What a stage builds it
+hands on without reading it back. A set's reader checks its summary and the
+byte length of each record file and reads no record, so a record fault at an
+unchanged length is a data error (exit 2) found while the set is streamed.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -217,18 +217,30 @@ def stage_output(cfg: PipelineConfig, stage: str) -> str:
 
 
 @contextmanager
-def _publish(path: str):
-    """Yield a temporary name beside the stage address ``path`` to build a file
-    or a directory under. On success one rename puts it at ``path``, replacing
-    any incomplete entry there; on failure it is removed. A body that builds
-    nothing, such as a graph load that read its address, leaves ``path`` as it is."""
+def _output(path: str, read):
+    """The one rule for every stage output: yield ``(read(path), None)`` if
+    the reader accepts what is at the address ``path``. If nothing is there,
+    or ``read`` refuses it with a :class:`DataError` or an ``OSError`` (logged
+    once, with the reason), yield ``(None, tmp)``: the body builds the output
+    under ``tmp``, and one rename puts it at ``path``, replacing what was
+    there; a body that raises leaves nothing."""
+    if os.path.lexists(path):
+        start = time.perf_counter()
+        try:
+            value = read(path)
+        except (DataError, OSError) as exc:
+            logger.warning("rebuilding %s, which its reader refuses: %s", path, exc)
+        else:
+            logger.info("read %s in %.2f s", path, time.perf_counter() - start)
+            yield value, None
+            return
     tmp = path + ".tmp"
     _remove(tmp)  # left by a killed run
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     try:
-        yield tmp
-        if os.path.lexists(tmp):
-            _remove(path)  # incomplete: a damaged graph, or an older version's partial output
-            os.replace(tmp, path)
+        yield None, tmp
+        _remove(path)
+        os.replace(tmp, path)
     finally:
         _remove(tmp)
 
@@ -247,50 +259,33 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
-    """The dataset's graph, built once per workdir: the first load parses the
-    dataset and publishes the built graph at the ``graph`` address, and later
-    loads read it back from there. An address with a file missing, cut short
-    or failing a check counts as absent: it is rebuilt and replaced whole,
-    never written into."""
+    """The dataset's graph, parsed once per workdir and read back after that."""
     cache = stage_output(cfg, "graph")
-    os.makedirs(cfg.pipeline.workdir, exist_ok=True)
+    dataset = cfg.pipeline.dataset_dir
     start = time.perf_counter()
-    with _publish(cache) as tmp:
-        kg = load_kg(cfg.pipeline.dataset_dir, cache, tmp)
-        parsed = os.path.isdir(tmp)
-    seconds = time.perf_counter() - start
-    if parsed:
-        logger.info("parsed %s and published %s in %.2f s", cfg.pipeline.dataset_dir, cache, seconds)
-    else:
-        logger.info("read %s in %.2f s", cache, seconds)
+    with _output(cache, lambda path: load_kg(dataset, path)) as (kg, tmp):
+        if tmp:
+            kg = load_kg(dataset, None, tmp)
+    if tmp:
+        logger.info("parsed %s and published %s in %.2f s", dataset, cache, time.perf_counter() - start)
     return kg
 
 
 def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> tuple[str, EmbeddingTable]:
-    """The embedding checkpoint's address and its table, read from there or,
-    if no file is there or ``EmbeddingTable.load`` refuses it, trained and
-    published there whole."""
-    os.makedirs(cfg.pipeline.workdir, exist_ok=True)
+    """The checkpoint's address and its table, read by ``EmbeddingTable.load`` or trained."""
     ckpt = stage_output(cfg, "embeddings") + ".ckpt"
-    if os.path.isfile(ckpt):
-        try:
-            table = EmbeddingTable.load(ckpt)
-        except DataError as exc:
-            logger.warning("retraining a checkpoint its reader refuses: %s", exc)
-        else:
-            logger.info("embeddings up to date: %s", ckpt)
-            return ckpt, table
-    if kg is None:
-        kg = _load_graph(cfg)
-    logger.info(
-        "training embeddings: %d entities, %d relations, %d train triples",
-        kg.num_entities, kg.num_relations, len(kg.train),
-    )
-    start = time.perf_counter()
-    table = train(kg, cfg.embedder)
-    logger.info("trained %d epoch(s) in %.2f s", cfg.embedder.epochs, time.perf_counter() - start)
-    with _publish(ckpt) as tmp:
-        table.save(tmp)
+    with _output(ckpt, EmbeddingTable.load) as (table, tmp):
+        if tmp:
+            if kg is None:
+                kg = _load_graph(cfg)
+            logger.info(
+                "training embeddings: %d entities, %d relations, %d train triples",
+                kg.num_entities, kg.num_relations, len(kg.train),
+            )
+            start = time.perf_counter()
+            table = train(kg, cfg.embedder)
+            logger.info("trained %d epoch(s) in %.2f s", cfg.embedder.epochs, time.perf_counter() - start)
+            table.save(tmp)
     return ckpt, table
 
 
@@ -307,49 +302,48 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
-def _cached_samples(path: str, written: int):
-    """The samples of a published set's instruction file, each read as it is
-    taken; once the last is taken, a :class:`DataError` if their number is not
-    the ``written`` count of the set's summary."""
-    count = 0
-    with closing(iter_samples(path)) as samples:
-        for count, sample in enumerate(samples, start=1):
-            yield sample
-    if count != written:
-        raise DataError(f"{path}: {count} records, but the set's summary.json says {written}")
+def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
+    """A set's summary, read without a record: refused unless it holds an
+    integer ``written``, this config's ``[ranker]`` and ``[instruct]`` values
+    (the report copies them), and each record file's length in bytes."""
+    path = os.path.join(outdir, "summary.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            summary = json.load(f)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: {exc}") from None
+    values = {**asdict(cfg.ranker), **asdict(cfg.instruct)}
+    counted = isinstance(summary, dict) and type(summary.get("written")) is int
+    if not (counted and values.items() <= summary.items()):
+        raise DataError(f"{path}: not a summary of this config's set with an integer 'written' count")
+    if not isinstance(summary.get("record_bytes"), dict):  # a set written before they were recorded
+        raise DataError(f"{path}: no byte lengths of its record files")
+    for name, size in summary["record_bytes"].items():
+        if (actual := os.path.getsize(os.path.join(outdir, name))) != size:
+            raise DataError(f"{os.path.join(outdir, name)}: {actual} bytes, but summary.json records {size}")
+    return summary
 
 
 @contextmanager
 def _instruction_set(cfg: PipelineConfig, which: str):
     """Yield the samples and summary of the ``finetune`` or ``eval`` set. Each
-    sample is read from the set's content address or, if the set is missing,
-    built under ``_publish``, as the caller takes it: a caller that takes none
-    reads no record, and one that takes the first can score it while the rest
-    are ranked. A cached set's ``summary.json`` must be a JSON object with an
-    integer ``written`` before any record is read, and a caller that drains
-    the set must find that many records. On leaving a build, the
-    samples not taken are built, ``summary.json`` is written and the whole set
-    is published. If the caller raises, nothing is published. The summary
-    names the checkpoint whose vectors the records' ids refer to."""
+    sample is read from the set's address or, if ``_read_set`` refuses what is
+    there, built, as the caller takes it: a caller that takes none reads no
+    record, and one that takes the first can score it while the rest are
+    ranked. On leaving a build, the rest are built, ``summary.json`` (which
+    names the checkpoint that the records' ids refer to) is written, and the
+    set is published."""
     outdir = stage_output(cfg, which)
-    summary_path = os.path.join(outdir, "summary.json")
-    if os.path.isfile(summary_path):
-        logger.info("%s set up to date: %s", which, outdir)
-        try:
-            with open(summary_path, encoding="utf-8") as f:
-                summary = json.load(f)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise DataError(f"{summary_path}: {exc}") from None
-        if not isinstance(summary, dict) or type(summary.get("written")) is not int:
-            raise DataError(f"{summary_path}: not a JSON object with an integer 'written' count")
-        path = os.path.join(outdir, "instructions.jsonl")
-        with closing(_cached_samples(path, summary["written"])) as samples:
-            yield samples, summary
-        return
-    kg = _load_graph(cfg)
-    _check_m(cfg, kg)
-    ckpt, table = ensure_embeddings(cfg, kg)
-    with _publish(outdir) as tmp:
+    with _output(outdir, lambda path: _read_set(cfg, path)) as (summary, tmp):
+        if not tmp:
+            # iter_samples is called, and the file opened, when the first sample is taken
+            records = os.path.join(outdir, "instructions.jsonl")
+            with closing(sample for path in [records] for sample in iter_samples(path)) as samples:
+                yield samples, summary
+            return
+        kg = _load_graph(cfg)
+        _check_m(cfg, kg)
+        ckpt, table = ensure_embeddings(cfg, kg)
         os.mkdir(tmp)
         instructions = os.path.join(tmp, "instructions.jsonl")
         if which == "eval":
@@ -362,61 +356,57 @@ def _instruction_set(cfg: PipelineConfig, which: str):
             for _ in samples:  # the rest of the set
                 pass
         summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
+        summary["record_bytes"] = {name: os.path.getsize(os.path.join(tmp, name)) for name in os.listdir(tmp)}
         _write_json(os.path.join(tmp, "summary.json"), summary)
     logger.info("%s summary: %s", which, summary)
 
 
-def ensure_build(cfg: PipelineConfig, which: str) -> str:
-    """Build the ``finetune`` or ``eval`` set if its content address is absent;
-    return its directory."""
-    with _instruction_set(cfg, which):
-        pass  # leaving builds a missing set whole; a set at its address is not read
-    return stage_output(cfg, which)
-
-
 def cmd_build(cfg: PipelineConfig, which: str) -> int:
-    print(f"output: {ensure_build(cfg, which)}")
+    with _instruction_set(cfg, which):
+        pass  # leaving builds a refused set whole; an accepted one is not read
+    print(f"output: {stage_output(cfg, which)}")
     return 0
+
+
+def _read_report(audit: bool, outdir: str) -> str:
+    """A published report's table, refused unless ``report.json`` parses and,
+    under ``eval.audit``, ``audit.jsonl`` is there."""
+    try:
+        with open(os.path.join(outdir, "report.json"), encoding="utf-8") as f:
+            json.load(f)
+        with open(os.path.join(outdir, "report.txt"), encoding="utf-8") as f:
+            table_text = f.read()
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{outdir}: {exc}") from None
+    if audit and not os.path.isfile(os.path.join(outdir, "audit.jsonl")):
+        raise DataError(f"{outdir}: no audit.jsonl")
+    return table_text
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     outdir = stage_output(cfg, "report")
-    if os.path.isdir(outdir):
-        try:
-            with open(os.path.join(outdir, "report.json"), encoding="utf-8") as f:
-                json.load(f)
-            with open(os.path.join(outdir, "report.txt"), encoding="utf-8") as f:
-                table_text = f.read()
-            if cfg.eval.audit and not os.path.isfile(os.path.join(outdir, "audit.jsonl")):
-                raise FileNotFoundError("no audit.jsonl")
-        except (OSError, ValueError) as exc:  # missing, not UTF-8, or not JSON
-            logger.warning("rebuilding a report its reader refuses: %s: %s", outdir, exc)
-        else:
-            logger.info("report up to date: %s", outdir)
-            print(table_text, end="")
-            return 0
-    backend = make_backend(cfg.backend)
-    threads = cfg.pipeline.threads
-    if cfg.backend.kind == "remote":  # the remote backend caps its requests in flight
-        threads = min(threads, cfg.backend.in_flight)
-    os.makedirs(cfg.pipeline.workdir, exist_ok=True)
-    with _publish(outdir) as tmp:
-        os.mkdir(tmp)
-        # a missing eval set is built as evaluate takes its samples, and
-        # published before the report
-        with _instruction_set(cfg, "eval") as (samples, summary):
-            report = evaluate(
-                samples,
-                summary,
-                backend,
-                limit_triples=cfg.eval.limit_triples,
-                audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
-                threads=threads,
-            )
-        _write_json(os.path.join(tmp, "report.json"), report)
-        table_text = format_table(report) + "\n"
-        with open(os.path.join(tmp, "report.txt"), "w", encoding="utf-8") as f:
-            f.write(table_text)
+    with _output(outdir, lambda path: _read_report(cfg.eval.audit, path)) as (table_text, tmp):
+        if tmp:
+            backend = make_backend(cfg.backend)
+            threads = cfg.pipeline.threads
+            if cfg.backend.kind == "remote":  # the remote backend caps its requests in flight
+                threads = min(threads, cfg.backend.in_flight)
+            os.mkdir(tmp)
+            # a missing eval set is built as evaluate takes its samples, and
+            # published before the report
+            with _instruction_set(cfg, "eval") as (samples, summary):
+                report = evaluate(
+                    samples,
+                    summary,
+                    backend,
+                    limit_triples=cfg.eval.limit_triples,
+                    audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
+                    threads=threads,
+                )
+            _write_json(os.path.join(tmp, "report.json"), report)
+            table_text = format_table(report) + "\n"
+            with open(os.path.join(tmp, "report.txt"), "w", encoding="utf-8") as f:
+                f.write(table_text)
     print(table_text, end="")
     return 0
 

@@ -190,6 +190,15 @@ def test_template_version_readdresses_instruction_sets(tmp_path, toy_dir, monkey
         assert after[stage] != before[stage]
 
 
+def _at_length(record, length):
+    """``record`` as an ASCII instruction line of ``length`` bytes, its prompt cut to fit."""
+    line = json.dumps(record, separators=(",", ":")) + "\n"
+    record = {**record, "prompt": record["prompt"][: length - len(line)]}
+    line = json.dumps(record, separators=(",", ":")) + "\n"
+    assert line.isascii() and len(line) == length
+    return line
+
+
 def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     assert main(["build-eval", "--config", cfg]) == 0
@@ -197,7 +206,7 @@ def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
     lines = read_text(path).splitlines(keepends=True)
     record = json.loads(lines[2])
     record["knowledge_ref_offsets"] = [0, 1, 2, 3, 4, 5]  # a key this layout does not have
-    lines[2] = json.dumps(record) + "\n"
+    lines[2] = _at_length(record, len(lines[2].encode()))  # so the set's byte lengths hold
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(lines))
     assert main(["evaluate", "--config", cfg]) == 2
@@ -565,7 +574,7 @@ def test_a_cached_eval_set_is_read_only_as_far_as_it_is_scored(tmp_path, toy_dir
     path = workdir_file(workdir, "eval-", "instructions.jsonl")
     lines = read_lines(path)
     k = 11  # the first sample past eval.limit_triples = 5
-    lines[k - 1] = "garbage\n"
+    lines[k - 1] = "g" * (len(lines[k - 1].encode()) - 1) + "\n"  # at its length, so the set's byte lengths hold
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(lines))
     assert main(["build-eval", "--config", cfg]) == 0  # a set at its address is not read
@@ -578,9 +587,67 @@ def test_a_cached_eval_set_is_read_only_as_far_as_it_is_scored(tmp_path, toy_dir
     assert json.loads(read_text(workdir_file(workdir, "report-", "report.json")))["queries"] == 10
 
 
+def test_a_cached_eval_set_is_opened_only_by_a_stage_that_scores_it(tmp_path, toy_dir, monkeypatch):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["build-eval", "--config", cfg]) == 0
+    calls, records = [], []
+    iter_samples = cli.iter_samples
+
+    def counting(path):
+        calls.append(path)
+        for sample in iter_samples(path):
+            records.append(sample.id)
+            yield sample
+
+    monkeypatch.setattr(cli, "iter_samples", counting)
+    assert main(["build-eval", "--config", cfg]) == 0
+    assert calls == []
+    assert main(["evaluate", "--config", cfg, "--set", "eval.limit_triples=5"]) == 0
+    assert calls == [workdir_file(tmp_path / "w", "eval-", "instructions.jsonl")] and len(records) == 10
+
+
+def _watch_the_cached_set(monkeypatch):
+    """The instruction files opened through ``iter_samples``, the samples the
+    oracle backend selects from, and, at each refusal of ``_read_set``, how
+    many of each there were."""
+    seen = {"opened": [], "selected": [], "at_refusal": []}
+    iter_samples, select, read_set = cli.iter_samples, discriminator.OracleBackend.select, cli._read_set
+
+    def read_or_refuse(*args):
+        try:
+            return read_set(*args)
+        except kg_module.DataError:
+            seen["at_refusal"].append((len(seen["opened"]), len(seen["selected"])))
+            raise
+
+    monkeypatch.setattr(cli, "iter_samples", lambda path: seen["opened"].append(path) or iter_samples(path))
+    monkeypatch.setattr(
+        discriminator.OracleBackend, "select", lambda self, s: seen["selected"].append(s.id) or select(self, s)
+    )
+    monkeypatch.setattr(cli, "_read_set", read_or_refuse)
+    return seen
+
+
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def _clean_run(tmp_path, toy_dir, commands, *args):
+    """The files that ``commands`` leave in a fresh workdir."""
+    cfg = write_config(tmp_path / "clean.ini", toy_dir, tmp_path / "clean")
+    for command in commands:
+        assert main([command, "--config", cfg, *args]) == 0
+    return _tree(tmp_path / "clean")
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("records", [10, 25])
-def test_a_cached_eval_set_that_lost_or_gained_records_exits_2(tmp_path, toy_dir, capsys, records, threads):
+def test_a_cached_eval_set_that_lost_or_gained_records_is_rebuilt(
+    tmp_path, toy_dir, monkeypatch, caplog, records, threads
+):
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
+    argv = ["--set", f"pipeline.threads={threads}"]
+    clean = _clean_run(tmp_path, toy_dir, ["evaluate"], *argv)
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
     assert main(["build-eval", "--config", cfg]) == 0
@@ -588,83 +655,73 @@ def test_a_cached_eval_set_that_lost_or_gained_records_exits_2(tmp_path, toy_dir
     lines = read_lines(path)
     with open(path, "w", encoding="utf-8") as f:  # whole records cut from its end, or one repeated
         f.write("".join((lines * 2)[:records]))
-    capsys.readouterr()
-    argv = ["evaluate", "--config", cfg, "--set", f"pipeline.threads={threads}"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"{path}: {records} records, but the set's summary.json says 24" in err and "Traceback" not in err
-    assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
-    # a set that is not drained is not counted: its first 10 records are intact
-    assert main(argv + ["--set", "eval.limit_triples=5"]) == 0
-    assert json.loads(read_text(workdir_file(workdir, "report-", "report.json")))["queries"] == 10
-
-
-def test_a_cached_eval_set_whose_summary_has_no_count_exits_2(tmp_path, toy_dir, capsys):
-    workdir = tmp_path / "w"
-    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
-    assert main(["build-eval", "--config", cfg]) == 0
-    path = workdir_file(workdir, "eval-", "summary.json")
-    summary = json.loads(read_text(path))
-    del summary["written"]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f)
-    capsys.readouterr()
-    assert main(["evaluate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}: not a JSON object with an integer 'written' count" in err and "Traceback" not in err
+    seen = _watch_the_cached_set(monkeypatch)
+    assert main(["evaluate", "--config", cfg, *argv]) == 0
+    # refused before its first record: every sample scored is one of the rebuilt set
+    assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0)] and len(seen["selected"]) == 24
+    size = len("".join((lines * 2)[:records]).encode())
+    assert _warnings(caplog) == [
+        f"rebuilding {os.path.dirname(path)}, which its reader refuses: "
+        f"{path}: {size} bytes, but summary.json records {len(''.join(lines).encode())}"
+    ]
+    assert _tree(workdir) == clean
 
 
 @pytest.mark.parametrize(
     "summary, message",
     [
         (b'{"m": 5', "Expecting ',' delimiter"),
-        (b"[24]", "not a JSON object with an integer 'written' count"),
-        (b'{"written": "24"}', "not a JSON object with an integer 'written' count"),
+        (b"[24]", "not a summary of this config's set with an integer 'written' count"),
+        (b'{"written": "24"}', "not a summary of this config's set with an integer 'written' count"),
         (b'{"written": 24, "\xff": 1}', "can't decode byte 0xff"),
+        (b'{"written": 24}', "not a summary of this config's set with an integer 'written' count"),
+        (lambda s: {k: v for k, v in s.items() if k != "m"}, "not a summary of this config's set"),
+        (lambda s: {k: v for k, v in s.items() if k != "written"}, "with an integer 'written' count"),
+        (lambda s: {k: v for k, v in s.items() if k != "record_bytes"}, "no byte lengths of its record files"),
     ],
-    ids=["not-json", "list", "written-text", "not-utf8"],
+    ids=["not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "no-byte-lengths"],
 )
 def test_a_cached_set_summary_is_checked_before_its_first_record(
-    tmp_path, toy_dir, monkeypatch, capsys, summary, message
+    tmp_path, toy_dir, monkeypatch, caplog, summary, message
 ):
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
+    clean = _clean_run(tmp_path, toy_dir, ["build-eval", "evaluate"])
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
     assert main(["build-eval", "--config", cfg]) == 0
     path = workdir_file(workdir, "eval-", "summary.json")
-    with open(path, "wb") as f:
-        f.write(summary)
-    opened, selected = [], []
-    iter_samples = cli.iter_samples
-    monkeypatch.setattr(cli, "iter_samples", lambda p: opened.append(p) or iter_samples(p))
-    monkeypatch.setattr(discriminator.OracleBackend, "select", lambda self, sample: selected.append(1))
-    capsys.readouterr()
+    whole = json.loads(read_text(path))
+    seen = _watch_the_cached_set(monkeypatch)
     for command in ("build-eval", "evaluate"):
-        assert main([command, "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert f"data error: {path}: " in err and message in err and "Traceback" not in err
-    assert (opened, selected) == ([], [])
-    assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
+        with open(path, "wb") as f:  # "no-byte-lengths" is a set written before they were recorded
+            f.write(summary if isinstance(summary, bytes) else json.dumps(summary(whole)).encode())
+        caplog.clear()
+        assert main([command, "--config", cfg]) == 0
+        warnings = _warnings(caplog)
+        assert len(warnings) == 1 and f"{path}: " in warnings[0] and message in warnings[0]
+    assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0), (0, 0)]
+    assert _tree(workdir) == clean
 
 
 @pytest.mark.parametrize("which", ["finetune", "eval"])
-def test_either_cached_set_is_counted_once_it_is_drained(tmp_path, toy_dir, which):
+def test_either_cached_set_is_refused_when_a_record_file_changed_length(tmp_path, toy_dir, which):
     cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     cfg = load_config(cfg_path)
     assert main([f"build-{which}", "--config", cfg_path]) == 0
-    path = os.path.join(stage_output(cfg, which), "instructions.jsonl")
-    lines = read_lines(path)
-    for changed in (lines[:-1], lines + lines[:1], lines):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("".join(changed))
-        with cli._instruction_set(cfg, which) as (samples, summary):
-            assert summary["written"] == len(lines)
-            assert next(samples).id == json.loads(lines[0])["id"]  # taken, not drained: not counted
-        with cli._instruction_set(cfg, which) as (samples, summary):
+    outdir = stage_output(cfg, which)
+    summary = json.loads(read_text(os.path.join(outdir, "summary.json")))
+    assert sorted(summary["record_bytes"]) == sorted(set(os.listdir(outdir)) - {"summary.json"})
+    for name in summary["record_bytes"]:
+        path = os.path.join(outdir, name)
+        lines = read_lines(path)
+        for changed in (lines[:-1], lines + lines[:1], lines):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("".join(changed))
             if changed is lines:
-                assert len(list(samples)) == len(lines)
+                assert cli._read_set(cfg, outdir) == summary
             else:
-                with pytest.raises(kg_module.DataError, match=f"{len(changed)} records, but .* says {len(lines)}"):
-                    list(samples)
+                with pytest.raises(kg_module.DataError, match=f"{name}: .* bytes, but summary.json records"):
+                    cli._read_set(cfg, outdir)
 
 
 def test_evaluate_sends_samples_while_it_builds_the_rest_of_the_set(tmp_path, toy_dir, monkeypatch):
@@ -951,9 +1008,9 @@ SET_FILES = (
             (
                 "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
                 "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
-                "8c88cf38b0c430aee44cb82075470efbb29b71768f2c92eb8fdb85b081eae091",
+                "8dcc6f763938670445737d0399294e30ddaa88e3448a5eb64c1b11af305f0f00",
                 "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
-                "80bfafa357bb2e6d7114d7da3c87546dc876143c2fc5e7380c4740c58b56f480",
+                "c088e843f4d32f9252bb6351e32e971a32ee5c65d3c0bda3c2ed615104a3c22d",
             ),
         ),
         (
@@ -961,9 +1018,9 @@ SET_FILES = (
             (
                 "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
                 "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
-                "f781f82dd63ac27fdcc940b366ecf55cd13c0d4fd0ce312e84e8bf909be7736f",
+                "cb6582a597d52f119bfa6cd86fbf56c2d6e8c2b84e8bf75ab7ed2cc8fe264cbe",
                 "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
-                "941440b3de1813484f1d970a756cbf651c0b30f7011d76edf2f1e75eab286af7",
+                "218208b913e3befb020bb0c3894020eb49db9096cf9a1daf0d7baa57f115603b",
             ),
         ),
         # the jsonl digests are those that instruct.drop_description=true gave
@@ -973,9 +1030,9 @@ SET_FILES = (
             (
                 "7ad0c8670015e9daaff60d16df5cb492029558a4c62c1a71321bdc6acf488d5d",
                 "fb34ca51b65ca1540f1741a900eb2aa3e250dfa39810b1e57a7ac0f3ee59ab65",
-                "b136e6fdd65eb6c2012dc1a860fe0dc07d2fe59f802ca07202f67efd657b3c19",
+                "84fd5df8630184607fce3ddea8ced342eba25cea6493321a034d1700b9f57335",
                 "ccb5333f2a763922e27472429fdbf116f2e106fa49d12f4ee0dc33489995f305",
-                "32381335b3fb05c5841bd8570aacbcae52f49922aa3e3bd134d2d2aaa613beb2",
+                "2baf0f6998495fdae0aeb81913d1705aad595254f844b93101331a374b934beb",
             ),
         ),
         # and these, those that instruct.drop_neighbors=true gave
@@ -984,9 +1041,9 @@ SET_FILES = (
             (
                 "b3cd7438fb35fb961d087207323cb8dbf0df12ab411e25515424257df430e8df",
                 "3139a2ddc835abf67c90fc006530ca10f576c109570fbd91966e82f5f4f7dfc1",
-                "8f12e97ee82e8d1c4c9e7724755676172bf8d848e8f6309cea895641581570ae",
+                "a032e420d29ae060a21c307dbdd22202264690080fcd50330a409d37f3f27e7e",
                 "5968cb3f6a55ff102e1a46da0a9e0fbabcde0fe74037ea873734d7a9ec8df2c2",
-                "16439ce231e30612f966a217977dd17720e65463ad91f3474fae1eafca86d2e1",
+                "7642430e55ebb7b7d807510de2de42bfe69d0c838c43c1335cb9f077c9b7e39a",
             ),
         ),
     ],
@@ -1086,8 +1143,9 @@ def test_a_checkpoint_its_reader_refuses_is_retrained(tmp_path, toy_dir, caplog,
     with open(ckpt, "wb") as f:  # a crash in an older version's in-place save, or a damaged file
         f.write(damage(whole))
     assert main(["build-eval", "--config", cfg]) == 0
-    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and reason in warnings[0] and ckpt in warnings[0]
+    warnings = _warnings(caplog)
+    assert len(warnings) == 1 and reason in warnings[0]
+    assert warnings[0].startswith(f"rebuilding {ckpt}, which its reader refuses: {ckpt}: ")
     assert read_bytes(ckpt) == whole
     assert not [e for e in os.listdir(tmp_path / "w") if e.endswith(".tmp")]
 
@@ -1120,10 +1178,68 @@ def test_a_report_its_reader_refuses_is_rebuilt(tmp_path, toy_dir, capsys, caplo
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg]) == 0
     assert capsys.readouterr().out == table
-    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and reason in warnings[0] and "rebuilding a report" in warnings[0]
+    warnings = _warnings(caplog)
+    assert len(warnings) == 1 and reason in warnings[0]
+    assert warnings[0].startswith(f"rebuilding {os.path.dirname(path)}, which its reader refuses: ")
     assert _tree(tmp_path / "w") == _tree(tmp_path / "clean")
     assert not [e for e in os.listdir(tmp_path / "w") if e.endswith(".tmp")]
+
+
+def _grow(path):
+    with open(path, "ab") as f:
+        f.write(b"x\n")
+
+
+def _into_a_directory(path):
+    os.remove(path)
+    os.mkdir(path)
+    with open(os.path.join(path, "stray"), "wb") as f:
+        f.write(b"x")
+
+
+# each output: the prefix of its address, the file damaged in it (None: the
+# address is that file), the stage that publishes it and the next stage, which reads it
+OUTPUTS = {
+    "graph-array": ("graph-", "graph.npy", "train-embeddings", "build-eval"),
+    "graph-texts": ("graph-", "texts.bin", "train-embeddings", "build-eval"),
+    "checkpoint": ("embeddings-", None, "train-embeddings", "build-eval"),
+    "finetune-records": ("finetune-", "instructions.jsonl", "build-finetune", "build-finetune"),
+    "finetune-holdout": ("finetune-", "holdout.jsonl", "build-finetune", "build-finetune"),
+    "finetune-summary": ("finetune-", "summary.json", "build-finetune", "build-finetune"),
+    "eval-records": ("eval-", "instructions.jsonl", "build-eval", "evaluate"),
+    "eval-summary": ("eval-", "summary.json", "build-eval", "evaluate"),
+    "report": ("report-", "report.json", "evaluate", "evaluate"),
+}
+DAMAGES = {
+    "cut": lambda path: os.truncate(path, os.path.getsize(path) // 2),
+    "grown": _grow,
+    "removed": os.remove,
+    "directory": _into_a_directory,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_a_damaged_stage_output_is_rebuilt_with_one_warning(tmp_path, toy_dir, caplog, output, damage):
+    prefix, name, first, then = OUTPUTS[output]
+    clean = _clean_run(tmp_path, toy_dir, [first, then])
+    caplog.set_level(logging.WARNING)
+    caplog.clear()
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    assert main([first, "--config", cfg]) == 0
+    assert _warnings(caplog) == []  # nothing was at any address
+    address = workdir_file(workdir, prefix)
+    DAMAGES[damage](os.path.join(address, name) if name else address)
+    assert main([then, "--config", cfg]) == 0
+    warnings = _warnings(caplog)
+    if name is None and damage == "removed":  # nothing at the address, as in a first run
+        assert warnings == []
+    else:
+        assert len(warnings) == 1, warnings
+        assert re.fullmatch(rf"rebuilding {re.escape(address)}, which its reader refuses: .+", warnings[0])
+    assert _tree(workdir) == clean
+    assert not [e for e in os.listdir(workdir) if e.endswith(".tmp")]
 
 
 def test_a_stage_that_trains_the_checkpoint_does_not_read_it_back(tmp_path, toy_dir, monkeypatch):
@@ -1435,6 +1551,12 @@ def _rewrite_texts(change):
     return rewrite
 
 
+def _zip_magic(graph):
+    """Write a zip archive's magic over graph.npy's, which ``np.load`` would open as an .npz."""
+    with open(os.path.join(graph, "graph.npy"), "r+b") as f:
+        f.write(b"PK\x03\x04")
+
+
 def _rows(change):
     """A change to a split's rows, applied to its flattened section."""
     return lambda section: change(section.reshape(-1, 3)).reshape(-1)
@@ -1507,6 +1629,7 @@ def _names_dropped_and_a_key_step_zeroed(kind):
         _rewrite_section("adj_offsets", lambda a: np.where(np.arange(a.size) == 1, a[-1], a)),  # offset 2 falls
         _names_dropped_and_a_key_step_zeroed("entity"),
         _names_dropped_and_a_key_step_zeroed("relation"),
+        _zip_magic,
     ],
     ids=[
         "train-range", "head-range", "relation-range", "tail-range", "negative-id",
@@ -1515,6 +1638,7 @@ def _names_dropped_and_a_key_step_zeroed(kind):
         "descriptions-order", "descriptions-length", "descriptions-start", "graph-big-endian", "descriptions-end",
         "descriptions-utf8", "descriptions-inside-a-character",
         "names-newline", "keys-start", "offsets-order", "entity-names-dropped", "relation-names-dropped",
+        "zip-magic",
     ],
 )
 def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, damage):

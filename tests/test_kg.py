@@ -13,6 +13,7 @@ from helpers import (
     assert_same_graph,
     brute_force_cooc,
     build_kg,
+    cut_by_slices,
     find_benchmark_dir,
     neighbors,
     parse_by_line,
@@ -169,6 +170,27 @@ def test_packed_texts_read_like_a_list():
     assert texts.blob == "".join(f"{entry}\n" for entry in entries).encode("utf-8")
     assert texts.offsets.dtype == np.int64 and texts.offsets.tolist() == [0, 1, 11, 17, 18, 25]
     assert len(PackedTexts.pack([])) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_cut_is_its_entries_sliced_and_joined(data):
+    entries = data.draw(st.lists(st.text(st.characters(blacklist_characters="\n", blacklist_categories=["Cs"]))))
+    # bytes around each entry; the last may be none, which puts an entry at the buffer's end
+    gaps = data.draw(st.lists(st.binary(max_size=3), min_size=len(entries) + 1, max_size=len(entries) + 1))
+    buffer, starts, ends = bytearray(gaps[0]), [], []
+    for entry, gap in zip(entries, gaps[1:]):
+        starts.append(len(buffer))
+        buffer += entry.encode("utf-8")
+        ends.append(len(buffer))
+        buffer += gap
+    order = np.array(data.draw(st.permutations(range(len(entries)))), dtype=np.int64)
+    starts, ends = np.array(starts, dtype=np.int64)[order], np.array(ends, dtype=np.int64)[order]
+    buffer = data.draw(st.sampled_from([bytes, bytearray]))(buffer)
+    texts = PackedTexts.cut(buffer, starts, ends)
+    blob, offsets = cut_by_slices(buffer, starts, ends)
+    assert texts.blob == blob and texts.offsets.dtype == np.int64 and texts.offsets.tolist() == offsets.tolist()
+    assert list(texts) == [entries[i] for i in order]
 
 
 def test_packed_texts_refuse_an_entry_holding_a_newline():
@@ -432,12 +454,13 @@ def test_a_built_split_with_an_id_at_its_bound_is_not_read(tmp_path, n_e, n_r, c
     dataset, built = str(tmp_path / "dataset"), str(tmp_path / "built")
     write_kg(kg, dataset)
     load_kg(dataset, None, built)
-    assert kg_module._read_built(built) is not None
+    kg_module._read_built(built)  # accepted: it raises on a refusal
     path = os.path.join(built, "graph.npy")
     graph = np.load(path)
     graph[len(kg_module._SECTIONS) + column] = n_r if column == 1 else n_e  # the first train row's
     np.save(path, graph)
-    assert kg_module._read_built(built) is None
+    with pytest.raises(DataError, match="fails a check of its ids, keys or adjacency"):
+        kg_module._read_built(built)
 
 
 def test_the_built_graph_array_is_the_file_np_save_writes(tmp_path):
@@ -450,7 +473,7 @@ def test_the_built_graph_array_is_the_file_np_save_writes(tmp_path):
     assert graph.dtype == np.int64 and graph.ndim == 1
     np.save(tmp_path / "saved.npy", graph)
     assert read_bytes(built / "graph.npy") == read_bytes(tmp_path / "saved.npy")
-    assert kg_module._read_built(str(built)) is not None
+    kg_module._read_built(str(built))
 
 
 def test_a_description_for_an_unknown_entity_names_its_file_and_line(tmp_path):

@@ -184,3 +184,25 @@ def test_every_perfbench_hook_resolves_in_src():
                 absent.append(f"{module_name}.{path}")
                 break
     assert tracer.TARGETS and absent == []
+
+
+def data_error_handlers(node, owner=None):
+    """The name of the innermost function around each ``except`` clause under
+    ``node`` that names ``DataError``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.ExceptHandler) and node.type and re.search(r"\bDataError\b", ast.unparse(node.type)):
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from data_error_handlers(child, owner)
+
+
+def test_a_data_error_is_caught_only_by_the_one_refusal_rule():
+    # what a stage output's reader refuses is rebuilt by cli._output alone; main
+    # maps the rest to exit 2, and a scripted fixture's fault is a backend error
+    caught = {
+        (os.path.basename(path)[:-3], owner)
+        for path in glob.glob(os.path.join(ROOT, "src", "kgrerank", "*.py"))
+        for owner in data_error_handlers(_parse(path))
+    }
+    assert caught == {("cli", "_output"), ("cli", "main"), ("discriminator", "from_file")}
