@@ -220,15 +220,15 @@ def stage_output(cfg: PipelineConfig, stage: str) -> str:
 def _output(path: str, read):
     """The one rule for every stage output: yield ``(read(path), None)`` if
     the reader accepts what is at the address ``path``. If nothing is there,
-    or ``read`` refuses it with a :class:`DataError` or an ``OSError`` (logged
-    once, with the reason), yield ``(None, tmp)``: the body builds the output
-    under ``tmp``, and one rename puts it at ``path``, replacing what was
-    there; a body that raises leaves nothing."""
+    or ``read`` raises a :class:`DataError` or finds a file missing or a
+    directory in a file's place (logged once, with the reason), yield
+    ``(None, tmp)``: the body builds the output under ``tmp``, and one rename
+    puts it at ``path``, replacing what was there; a body that raises leaves nothing."""
     if os.path.lexists(path):
         start = time.perf_counter()
         try:
             value = read(path)
-        except (DataError, OSError) as exc:
+        except (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
             logger.warning("rebuilding %s, which its reader refuses: %s", path, exc)
         else:
             logger.info("read %s in %.2f s", path, time.perf_counter() - start)
@@ -305,7 +305,7 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
 def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
     """A set's summary, read without a record: refused unless it holds an
     integer ``written``, this config's ``[ranker]`` and ``[instruct]`` values
-    (the report copies them), and each record file's length in bytes."""
+    (the report copies them), and the length in bytes of each record file there."""
     path = os.path.join(outdir, "summary.json")
     try:
         with open(path, encoding="utf-8") as f:
@@ -316,9 +316,10 @@ def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
     counted = isinstance(summary, dict) and type(summary.get("written")) is int
     if not (counted and values.items() <= summary.items()):
         raise DataError(f"{path}: not a summary of this config's set with an integer 'written' count")
-    if not isinstance(summary.get("record_bytes"), dict):  # a set written before they were recorded
+    record_bytes = summary.get("record_bytes")  # None in a set written before they were recorded
+    if not (isinstance(record_bytes, dict) and set(record_bytes) == set(os.listdir(outdir)) - {"summary.json"}):
         raise DataError(f"{path}: no byte lengths of its record files")
-    for name, size in summary["record_bytes"].items():
+    for name, size in record_bytes.items():
         if (actual := os.path.getsize(os.path.join(outdir, name))) != size:
             raise DataError(f"{os.path.join(outdir, name)}: {actual} bytes, but summary.json records {size}")
     return summary
@@ -336,9 +337,11 @@ def _instruction_set(cfg: PipelineConfig, which: str):
     outdir = stage_output(cfg, which)
     with _output(outdir, lambda path: _read_set(cfg, path)) as (summary, tmp):
         if not tmp:
-            # iter_samples is called, and the file opened, when the first sample is taken
-            records = os.path.join(outdir, "instructions.jsonl")
-            with closing(sample for path in [records] for sample in iter_samples(path)) as samples:
+            def cached():  # opens the file when the first sample is taken
+                with closing(iter_samples(os.path.join(outdir, "instructions.jsonl"))) as records:
+                    yield from records
+
+            with closing(cached()) as samples:
                 yield samples, summary
             return
         kg = _load_graph(cfg)
@@ -369,17 +372,23 @@ def cmd_build(cfg: PipelineConfig, which: str) -> int:
 
 
 def _read_report(audit: bool, outdir: str) -> str:
-    """A published report's table, refused unless ``report.json`` parses and,
-    under ``eval.audit``, ``audit.jsonl`` is there."""
+    """A published report's table, refused unless ``report.json`` parses,
+    ``report.txt`` is its table and, under ``eval.audit``, ``audit.jsonl``
+    holds a line per query."""
     try:
         with open(os.path.join(outdir, "report.json"), encoding="utf-8") as f:
-            json.load(f)
+            report = json.load(f)
+        table_text = format_table(report) + "\n"
         with open(os.path.join(outdir, "report.txt"), encoding="utf-8") as f:
-            table_text = f.read()
-    except ValueError as exc:  # not UTF-8, or not JSON
+            if f.read() != table_text:
+                raise ValueError("report.txt is not the table of report.json")
+        if audit:
+            with open(os.path.join(outdir, "audit.jsonl"), "rb") as f:
+                rows = f.read()
+            if rows.count(b"\n") != report["queries"] or not rows.endswith(b"\n"):
+                raise ValueError(f"audit.jsonl does not hold a line for each of {report['queries']} queries")
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, or not a report
         raise DataError(f"{outdir}: {exc}") from None
-    if audit and not os.path.isfile(os.path.join(outdir, "audit.jsonl")):
-        raise DataError(f"{outdir}: no audit.jsonl")
     return table_text
 
 

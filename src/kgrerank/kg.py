@@ -143,16 +143,10 @@ class PackedTexts(Sequence):
 
     @classmethod
     def cut(cls, data: bytes | bytearray, starts: np.ndarray, ends: np.ndarray) -> PackedTexts:
-        r"""The entries ``data[start:end]``, UTF-8 that holds no "\n", gathered
-        through one index (byte j of entry i is ``data[start + j]``), for
-        short entries such as keys and names faster than a slice per entry."""
-        lengths = ends - starts + 1
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        index = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-        # clipped: an entry may end at the end of data, which may be empty
-        blob = np.take(np.frombuffer(data or b"\n", dtype=np.uint8), index, mode="clip")
-        blob[offsets[1:] - 1] = ord("\n")
-        return cls(blob.tobytes(), _readonly(offsets))
+        r"""The entries ``data[start:end]``, UTF-8 that holds no "\n"."""
+        pieces = [data[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
+        pieces.append(b"")  # the last entry's "\n"
+        return cls(b"\n".join(pieces), _readonly(np.concatenate([[0], np.cumsum(ends - starts + 1)])))
 
     def tolist(self) -> list[str]:
         """Every entry, from one decode of the blob."""
@@ -578,9 +572,7 @@ def _descriptions(path: str, entities: TextTable) -> PackedTexts:
         raise DataError(f"{path}:{table.lines[i] + 1}: description for unknown entity {table.keys()[i]!r}")
     starts, ends = np.zeros((2, len(entities.lines)), dtype=np.int64)
     starts[ids], ends[ids] = table.tabs + 1, table.ends
-    # a slice per entry: for entries this long, PackedTexts.cut's gather per byte costs 5x more
-    pieces = [table.data[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
-    return PackedTexts(b"\n".join([*pieces, b""]), _readonly(np.concatenate([[0], np.cumsum(ends - starts + 1)])))
+    return PackedTexts.cut(table.data, starts, ends)
 
 
 def _parse(dataset_dir: str) -> KnowledgeGraph:
@@ -638,7 +630,7 @@ def _read_built(cache_dir: str) -> KnowledgeGraph:
         with open(os.path.join(cache_dir, _GRAPH_TEXTS), "rb") as f:
             # mapped too: a read would copy its megabytes into fresh pages (an empty file cannot be mapped)
             blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if os.fstat(f.fileno()).st_size else b""
-    except (OSError, ValueError, EOFError) as exc:  # missing, cut short or grown
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError, EOFError) as exc:
         raise DataError(f"{cache_dir}: {exc}") from None
     sections = _sections(graph)
     counts = [len(sections[name]) - 1 for name in _BUILT_TABLES]

@@ -137,14 +137,6 @@ def read_text_table_by_line(path):
     return rows
 
 
-def cut_by_slices(data, starts, ends):
-    r"""The blob and offsets of ``PackedTexts.cut(data, starts, ends)``, as the
-    library once made them: each entry sliced from ``data`` into its own
-    bytes, then the slices joined, each followed by "\n"."""
-    pieces = [data[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
-    return b"\n".join([*pieces, b""]), np.concatenate([[0], np.cumsum(ends - starts + 1)])
-
-
 def read_triples_by_line(path, entity_ids, relation_ids):
     """The ``(n, 3)`` (head, relation, tail) ids of a triple file, read as the
     library once did: line by line with universal newlines, each field a

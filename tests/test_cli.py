@@ -678,8 +678,12 @@ def test_a_cached_eval_set_that_lost_or_gained_records_is_rebuilt(
         (lambda s: {k: v for k, v in s.items() if k != "m"}, "not a summary of this config's set"),
         (lambda s: {k: v for k, v in s.items() if k != "written"}, "with an integer 'written' count"),
         (lambda s: {k: v for k, v in s.items() if k != "record_bytes"}, "no byte lengths of its record files"),
+        (lambda s: {**s, "record_bytes": {}}, "no byte lengths of its record files"),
     ],
-    ids=["not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "no-byte-lengths"],
+    ids=[
+        "not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "no-byte-lengths",
+        "record-bytes-empty",
+    ],
 )
 def test_a_cached_set_summary_is_checked_before_its_first_record(
     tmp_path, toy_dir, monkeypatch, caplog, summary, message
@@ -1157,7 +1161,7 @@ def test_a_checkpoint_its_reader_refuses_is_retrained(tmp_path, toy_dir, caplog,
         ("report.json", b'{"combined": ', "Expecting value"),
         ("report.json", b"\xff\n", "can't decode byte 0xff"),
         ("report.txt", None, "report.txt"),
-        ("audit.jsonl", None, "no audit.jsonl"),
+        ("audit.jsonl", None, "audit.jsonl"),
     ],
     ids=["no-json", "cut-json", "json-not-utf8", "no-table", "no-audit"],
 )
@@ -1209,6 +1213,8 @@ OUTPUTS = {
     "eval-records": ("eval-", "instructions.jsonl", "build-eval", "evaluate"),
     "eval-summary": ("eval-", "summary.json", "build-eval", "evaluate"),
     "report": ("report-", "report.json", "evaluate", "evaluate"),
+    "report-txt": ("report-", "report.txt", "evaluate", "evaluate"),
+    "report-audit": ("report-", "audit.jsonl", "evaluate", "evaluate"),
 }
 DAMAGES = {
     "cut": lambda path: os.truncate(path, os.path.getsize(path) // 2),
@@ -1222,16 +1228,17 @@ DAMAGES = {
 @pytest.mark.parametrize("output", OUTPUTS)
 def test_a_damaged_stage_output_is_rebuilt_with_one_warning(tmp_path, toy_dir, caplog, output, damage):
     prefix, name, first, then = OUTPUTS[output]
-    clean = _clean_run(tmp_path, toy_dir, [first, then])
+    audit = "--set=eval.audit=yes"  # the report's audit.jsonl is one of its files
+    clean = _clean_run(tmp_path, toy_dir, [first, then], audit)
     caplog.set_level(logging.WARNING)
     caplog.clear()
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
-    assert main([first, "--config", cfg]) == 0
+    assert main([first, "--config", cfg, audit]) == 0
     assert _warnings(caplog) == []  # nothing was at any address
     address = workdir_file(workdir, prefix)
     DAMAGES[damage](os.path.join(address, name) if name else address)
-    assert main([then, "--config", cfg]) == 0
+    assert main([then, "--config", cfg, audit]) == 0
     warnings = _warnings(caplog)
     if name is None and damage == "removed":  # nothing at the address, as in a first run
         assert warnings == []
@@ -1240,6 +1247,21 @@ def test_a_damaged_stage_output_is_rebuilt_with_one_warning(tmp_path, toy_dir, c
         assert re.fullmatch(rf"rebuilding {re.escape(address)}, which its reader refuses: .+", warnings[0])
     assert _tree(workdir) == clean
     assert not [e for e in os.listdir(workdir) if e.endswith(".tmp")]
+
+
+def test_an_output_its_reader_cannot_open_is_left_in_place(tmp_path, toy_dir, monkeypatch):
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["train-embeddings", "--config", cfg]) == 0
+    ckpt = workdir_file(tmp_path / "w", "embeddings-")
+    whole = read_bytes(ckpt)
+
+    def unreadable(path):  # not a damage of the output: it is not rebuilt
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(EmbeddingTable, "load", unreadable)
+    with pytest.raises(PermissionError):
+        main(["build-eval", "--config", cfg])
+    assert read_bytes(ckpt) == whole
 
 
 def test_a_stage_that_trains_the_checkpoint_does_not_read_it_back(tmp_path, toy_dir, monkeypatch):

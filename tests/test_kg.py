@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 import re
@@ -13,7 +14,6 @@ from helpers import (
     assert_same_graph,
     brute_force_cooc,
     build_kg,
-    cut_by_slices,
     find_benchmark_dir,
     neighbors,
     parse_by_line,
@@ -188,8 +188,9 @@ def test_a_cut_is_its_entries_sliced_and_joined(data):
     starts, ends = np.array(starts, dtype=np.int64)[order], np.array(ends, dtype=np.int64)[order]
     buffer = data.draw(st.sampled_from([bytes, bytearray]))(buffer)
     texts = PackedTexts.cut(buffer, starts, ends)
-    blob, offsets = cut_by_slices(buffer, starts, ends)
-    assert texts.blob == blob and texts.offsets.dtype == np.int64 and texts.offsets.tolist() == offsets.tolist()
+    encoded = [entries[i].encode("utf-8") for i in order]
+    assert texts.blob == b"".join(e + b"\n" for e in encoded) and texts.offsets.dtype == np.int64
+    assert texts.offsets.tolist() == list(itertools.accumulate((len(e) + 1 for e in encoded), initial=0))
     assert list(texts) == [entries[i] for i in order]
 
 
