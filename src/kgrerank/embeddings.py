@@ -25,6 +25,7 @@ raises :class:`TrainingDiverged` rather than return a table it would refuse.
 
 Downstream code only relies on ``score_candidates``, ``coarse_distances``
 and ``entity_sq_norms`` (the first pass of ranking, for L2 tables only),
+``norm`` (which ``rank_queries`` reads to choose that pass),
 ``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
 scorer can replace :class:`EmbeddingTable` without touching the ranking,
 prompt-building, or evaluation modules.

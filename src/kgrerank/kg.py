@@ -20,8 +20,8 @@ keys' byte ranges, finds every field's id in an open-addressing table of
 the keys' words, and finds a repeated key as it is built. It accepts a key
 only when the length and every word are equal, so keys match exactly,
 spaces and NULs included, and the hash never decides. No text is decoded
-to be encoded again: the names and keys are cut from the file's bytes and
-decoded as one block, and the descriptions are cut in entity-id order.
+to be encoded again: each text table is cut from its file's bytes, the
+descriptions in entity-id order, and a built graph's texts are those bytes.
 
 In memory every split is an ``(n, 3)`` int64 array of ``(head, relation,
 tail)`` rows in file order, with later duplicates dropped. The indexes are
@@ -34,9 +34,12 @@ multiplicative hash, and only a key that passes is searched for in the
 sorted train keys. The filter has no false negatives, and the search decides
 every hit. It is built at the first such test and held in memory only.
 
-The entity descriptions are a :class:`PackedTexts`: one UTF-8 blob and the
-offsets of its entries, each decoded when it is read. A prompt reads the
-description of its known entity alone, so a load decodes none of them.
+A graph holds each text table in one form, whichever load made it: the
+keys and the descriptions are each a :class:`PackedTexts`, one UTF-8 blob
+and the offsets of its entries, each decoded when it is read, and the names
+are lists decoded once. A prompt reads the description of its known entity
+alone, so a load decodes none of them. The constructor stores the text
+tables as given, and takes over an int64 split array and makes it read-only.
 
 Parsing, validating and indexing a dataset is all of a first load.
 ``load_kg`` can write the built graph to a directory its caller addresses
@@ -133,15 +136,6 @@ class PackedTexts(Sequence):
         self.offsets = offsets  # int64, one more than the entries, strictly increasing within the blob
 
     @classmethod
-    def pack(cls, entries: Iterable[str]) -> PackedTexts:
-        entries = list(entries)
-        blob = "\n".join([*entries, ""]).encode("utf-8")
-        ends = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n")) + 1
-        if len(ends) != len(entries):
-            raise ValueError('an entry of PackedTexts may not contain "\\n"')
-        return cls(blob, _readonly(np.concatenate([[0], ends]).astype(np.int64)))
-
-    @classmethod
     def cut(cls, data: bytes | bytearray, starts: np.ndarray, ends: np.ndarray) -> PackedTexts:
         r"""The entries ``data[start:end]``, UTF-8 that holds no "\n"."""
         pieces = [data[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
@@ -157,10 +151,8 @@ class PackedTexts(Sequence):
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def __getitem__(self, index):
-        index = range(len(self))[index]  # a negative index, a slice and IndexError as a list has them
-        if isinstance(index, range):
-            return [self[i] for i in index]
+    def __getitem__(self, index: int) -> str:
+        index = range(len(self))[index]  # a negative index and IndexError as a list has them
         return self.blob[self.offsets[index] : self.offsets[index + 1] - 1].decode("utf-8")
 
 
@@ -171,7 +163,9 @@ class KnowledgeGraph:
     triples within a split, and precomputes the adjacency, the all-splits
     filter index used by filtered ranking, and the relation co-occurrence
     matrix. Splits may be given as ``(n, 3)`` arrays or as sequences of
-    triples. ``load_kg`` also fills one from a built graph's files, without
+    triples; an int64 C-contiguous array is taken over, not copied, and made
+    read-only. The five text tables are stored as given: any sequences of
+    strings. ``load_kg`` also fills one from a built graph's files, without
     running the constructor.
     """
 
@@ -190,13 +184,11 @@ class KnowledgeGraph:
             raise DataError("entity tables have inconsistent lengths")
         if len(relation_keys) != len(relation_names):
             raise DataError("relation tables have inconsistent lengths")
-        self.entity_keys = list(entity_keys)
-        self.entity_names = list(entity_names)
-        if not isinstance(entity_descriptions, PackedTexts):
-            entity_descriptions = PackedTexts.pack(entity_descriptions)
+        self.entity_keys = entity_keys
+        self.entity_names = entity_names
         self.entity_descriptions = entity_descriptions
-        self.relation_keys = list(relation_keys)
-        self.relation_names = list(relation_names)
+        self.relation_keys = relation_keys
+        self.relation_names = relation_names
         if self.num_entities**2 * self.num_relations >= 2**63:
             raise DataError("graph too large for int64 triple keys")
 
@@ -298,9 +290,7 @@ class KnowledgeGraph:
         return (rows[:, 0] * self.num_relations + rows[:, 1]) * self.num_entities + rows[:, 2]
 
     def _checked(self, triples, split_name: str) -> np.ndarray:
-        rows = np.array(
-            triples if isinstance(triples, np.ndarray) else list(triples), dtype=np.int64, order="C"
-        )
+        rows = np.asarray(triples if isinstance(triples, np.ndarray) else list(triples), dtype=np.int64, order="C")
         if rows.size == 0:
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
@@ -575,7 +565,9 @@ def _descriptions(path: str, entities: TextTable) -> PackedTexts:
     return PackedTexts.cut(table.data, starts, ends)
 
 
-def _parse(dataset_dir: str) -> KnowledgeGraph:
+def _parse(dataset_dir: str) -> tuple[KnowledgeGraph, list[PackedTexts]]:
+    """The graph of a dataset directory and its five text tables as they were
+    cut from the files' bytes, in ``_BUILT_TABLES`` order."""
     entities, relations = (
         TextTable.read(os.path.join(dataset_dir, name)) for name in (ENTITY_NAME_FILE, RELATION_NAME_FILE)
     )
@@ -584,22 +576,18 @@ def _parse(dataset_dir: str) -> KnowledgeGraph:
         _read_triples(os.path.join(dataset_dir, name), entities.index, relations.index)
         for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
     ]
-    return KnowledgeGraph(
-        entities.keys().tolist(),
-        entities.texts().tolist(),
-        descriptions,
-        relations.keys().tolist(),
-        relations.texts().tolist(),
-        *splits,
+    entity_keys, entity_names = entities.keys(), entities.texts()
+    relation_keys, relation_names = relations.keys(), relations.texts()
+    kg = KnowledgeGraph(
+        entity_keys, entity_names.tolist(), descriptions, relation_keys, relation_names.tolist(), *splits
     )
+    return kg, [entity_keys, entity_names, relation_keys, relation_names, descriptions]
 
 
-def _write_built(kg: KnowledgeGraph, out_dir: str) -> None:
-    """Write a parsed graph's two files. Its descriptions, packed by the
-    parse, are a blob that holds them alone, from offset 0."""
+def _write_built(kg: KnowledgeGraph, tables: list[PackedTexts], out_dir: str) -> None:
+    """Write a parsed graph's two files, its text tables the five that the
+    parse cut, in ``_BUILT_TABLES`` order, each a blob from offset 0."""
     os.mkdir(out_dir)
-    tables = [getattr(kg, name) for name in _BUILT_TABLES]
-    tables = [t if isinstance(t, PackedTexts) else PackedTexts.pack(t) for t in tables]
     starts = np.cumsum([0] + [len(t.blob) for t in tables[:-1]])
     sections = [getattr(kg, name).reshape(-1) for name in _BUILT_ARRAYS]
     sections += [t.offsets + start for t, start in zip(tables, starts)]
@@ -768,7 +756,7 @@ def load_kg(dataset_dir: str, cache_dir: str | None = None, build_dir: str | Non
     """
     if cache_dir is not None:
         return _read_built(cache_dir)
-    kg = _parse(dataset_dir)
+    kg, tables = _parse(dataset_dir)
     if build_dir is not None:
-        _write_built(kg, build_dir)
+        _write_built(kg, tables, build_dir)
     return kg

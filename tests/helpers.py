@@ -47,6 +47,7 @@ from kgrerank.kg import (
     VALID_FILE,
     DataError,
     KnowledgeGraph,
+    PackedTexts,
     Triple,
 )
 from kgrerank.ranking import metrics, queries_for_triple, rank_queries
@@ -161,9 +162,10 @@ def read_triples_by_line(path, entity_ids, relation_ids):
 
 
 def parse_by_line(dataset_dir):
-    """The graph of a dataset directory as the library once parsed it: each
-    file read by the line-by-line oracles above, the descriptions placed by
-    a dict of the entity keys, and the constructor run on the result."""
+    """The graph of a dataset directory as the library once parsed it, and
+    its five text tables packed in the order ``kg._write_built`` takes them:
+    each file read by the line-by-line oracles above, the descriptions
+    placed by a dict of the entity keys, and the constructor run on the result."""
 
     def path(name):
         return os.path.join(dataset_dir, name)
@@ -180,14 +182,23 @@ def parse_by_line(dataset_dir):
     splits = [
         read_triples_by_line(path(name), entity_ids, relation_ids) for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
     ]
-    return KnowledgeGraph(
+    tables = [
         [key for _, key, _ in entities],
         [name for _, _, name in entities],
-        descriptions,
         [key for _, key, _ in relations],
         [name for _, _, name in relations],
-        *splits,
-    )
+        descriptions,
+    ]
+    entity_keys, entity_names, relation_keys, relation_names, descriptions = tables
+    kg = KnowledgeGraph(entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits)
+    return kg, [pack_texts(table) for table in tables]
+
+
+def pack_texts(entries):
+    r"""``entries`` as a PackedTexts: each one's UTF-8 followed by "\n", and
+    the running sum of those lengths as its offsets."""
+    encoded = [entry.encode("utf-8") + b"\n" for entry in entries]
+    return PackedTexts(b"".join(encoded), np.array([0, *itertools.accumulate(map(len, encoded))], dtype=np.int64))
 
 
 def neighbors(kg, entity):

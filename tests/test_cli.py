@@ -237,6 +237,12 @@ def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
         "embedder.margin=inf",
         "backend.timeout=inf",
         "backend.backoff=inf",
+        "ranker.m=0",
+        "ranker.local_norm=l2",
+        "instruct.gamma=-1",
+        "instruct.max_description_chars=-1",
+        "eval.audit=maybe",
+        "embedder.dim=ten",
     ],
 )
 def test_values_that_would_do_the_wrong_thing_are_config_errors(tmp_path, toy_dir, capsys, override):
@@ -245,6 +251,33 @@ def test_values_that_would_do_the_wrong_thing_are_config_errors(tmp_path, toy_di
     assert main(["evaluate", "--config", cfg, "--set", override]) == 1
     assert override.split("=")[0] in capsys.readouterr().err
     assert not (workdir.exists() and any(e.startswith("eval-") for e in os.listdir(workdir)))
+
+
+# what is written before the config's own lines (None: no config file at
+# all), the --set values, and what the error says
+CONFIG_REFUSALS = {
+    "no-file": (None, [], "config file not found: {cfg}"),
+    "line-before-a-section": ("threads = 2\n", [], "cannot parse {cfg}: File contains no section headers"),
+    "set-without-equals": ("", ["pipeline.threads"], "must look like section.key=value, got 'pipeline.threads'"),
+    "set-without-a-section": ("", ["threads=2"], "must look like section.key=value, got 'threads=2'"),
+    "set-an-unknown-key": ("", ["pipeline.bogus=1"], "unknown config key pipeline.bogus"),
+}
+
+
+@pytest.mark.parametrize("prefix, overrides, message", CONFIG_REFUSALS.values(), ids=CONFIG_REFUSALS)
+def test_a_config_that_load_config_refuses_exits_1(tmp_path, toy_dir, capsys, prefix, overrides, message):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
+    if prefix is None:
+        os.remove(cfg)
+    else:
+        text = read_text(cfg)
+        with open(cfg, "w", encoding="utf-8") as f:
+            f.write(prefix + text)
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["evaluate", "--config", cfg, *sets]) == 1
+    assert message.format(cfg=cfg) in capsys.readouterr().err
+    assert not workdir.exists()
 
 
 def _count_parses(monkeypatch):
@@ -1668,13 +1701,19 @@ def test_a_graph_file_that_fails_a_check_is_replaced(tmp_path, toy_dir, damage):
 
 
 def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir, monkeypatch):
-    decoded = []
-    decode = kg_module.PackedTexts.__getitem__
+    decoded, whole = [], []
+    decode, decode_all = kg_module.PackedTexts.__getitem__, kg_module.PackedTexts.tolist
     monkeypatch.setattr(kg_module.PackedTexts, "__getitem__", lambda texts, i: decoded.append(i) or decode(texts, i))
+    monkeypatch.setattr(kg_module.PackedTexts, "tolist", lambda texts: whole.append(len(texts)) or decode_all(texts))
     cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     cfg = load_config(cfg_path)
     graph = stage_output(cfg, "graph")
-    cli._load_graph(cfg)  # parses, builds and publishes the graph
+    miss = cli._load_graph(cfg)  # parses, builds and publishes the graph
+    # one form per table whichever load made the graph: only the two name tables are decoded, once each
+    assert whole == [miss.num_entities, miss.num_relations]
+    for name in ("entity_keys", "relation_keys", "entity_descriptions"):
+        assert isinstance(getattr(miss, name), kg_module.PackedTexts), name
+    assert type(miss.entity_names) is list and type(miss.relation_names) is list
     opened = []
     real_open = builtins.open
 
@@ -1688,7 +1727,9 @@ def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir,
         hit = cli._load_graph(cfg)  # reads it back
     assert sorted(set(opened)) == GRAPH_FILES
     # the keys are packed as the descriptions are, so a key read would be recorded too
-    assert isinstance(hit.entity_keys, kg_module.PackedTexts) and isinstance(hit.relation_keys, kg_module.PackedTexts)
+    for name in ("entity_keys", "relation_keys", "entity_descriptions"):
+        assert isinstance(getattr(hit, name), kg_module.PackedTexts), name
+    assert type(hit.entity_names) is list and type(hit.relation_names) is list
     assert decoded == []
     assert main(["build-eval", "--config", cfg_path]) == 0
     samples = read_records(workdir_file(tmp_path / "w", "eval-", "instructions.jsonl"))

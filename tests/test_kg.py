@@ -160,16 +160,18 @@ def test_a_duplicated_self_loop_is_kept_once(tmp_path, caplog):
 
 def test_packed_texts_read_like_a_list():
     entries = ["", "ünïcode", "a\ttab", "", "名前"]
-    texts = PackedTexts.pack(entries)
+    data = "|".join(entries).encode("utf-8")
+    ends = np.flatnonzero(np.frombuffer(data + b"|", dtype=np.uint8) == ord("|"))
+    texts = PackedTexts.cut(data, np.concatenate([[0], ends[:-1] + 1]), ends)
     assert len(texts) == 5 and list(texts) == entries
     assert texts[-1] == "名前" and texts[np.int64(1)] == "ünïcode"
-    assert texts[1:4] == entries[1:4] and texts[::-2] == entries[::-2]
     with pytest.raises(IndexError):
         texts[5]
     # each entry is followed by "\n", so the offsets increase strictly
     assert texts.blob == "".join(f"{entry}\n" for entry in entries).encode("utf-8")
     assert texts.offsets.dtype == np.int64 and texts.offsets.tolist() == [0, 1, 11, 17, 18, 25]
-    assert len(PackedTexts.pack([])) == 0
+    empty = np.empty(0, dtype=np.int64)
+    assert len(PackedTexts.cut(b"", empty, empty)) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,11 +196,53 @@ def test_a_cut_is_its_entries_sliced_and_joined(data):
     assert list(texts) == [entries[i] for i in order]
 
 
-def test_packed_texts_refuse_an_entry_holding_a_newline():
-    with pytest.raises(ValueError, match="may not contain"):
-        PackedTexts.pack(["a", "b\nc"])
-    with pytest.raises(ValueError, match="may not contain"):
-        build_kg(2, 1, [], descriptions=["one", "two\nlines"])
+SMALL_GRAPH = {
+    "entity_keys": ["/e/a", "/e/b", "/e/c"],
+    "entity_names": ["a", "b", "c"],
+    "entity_descriptions": ["", "", ""],
+    "relation_keys": ["/r/x", "/r/y"],
+    "relation_names": ["x", "y"],
+    "train": [(0, 0, 1)],
+    "valid": [],
+    "test": [],
+}
+
+# what each case changes of SMALL_GRAPH, and what the constructor says of it
+CONSTRUCTOR_FAULTS = {
+    "entity-tables": ({"entity_names": ["a", "b"]}, "entity tables have inconsistent lengths"),
+    "relation-tables": ({"relation_names": ["x"]}, "relation tables have inconsistent lengths"),
+    # the tables are stored as given, so 2**31 entities allocate nothing
+    "int64-keys": (
+        dict.fromkeys(["entity_keys", "entity_names", "entity_descriptions"], range(2**31)),
+        "graph too large for int64 triple keys",
+    ),
+    "not-rows-of-3": (
+        {"valid": np.zeros((2, 2), dtype=np.int64)},
+        "valid: expected (head, relation, tail) rows, got shape (2, 2)",
+    ),
+    "entity-id": (
+        {"test": [(0, 0, 1), (0, 1, 3), (0, 2, 0)]},
+        "test: entity id out of range in Triple(head=0, relation=1, tail=3)",
+    ),
+    "relation-id": (
+        {"train": [(0, 0, 1), (1, 2, 0), (-1, 0, 0)]},
+        "train: relation id out of range in Triple(head=1, relation=2, tail=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", CONSTRUCTOR_FAULTS.values(), ids=CONSTRUCTOR_FAULTS)
+def test_the_constructor_refuses_tables_and_splits_no_graph_can_hold(change, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        KnowledgeGraph(**{**SMALL_GRAPH, **change})
+
+
+def test_the_constructor_stores_its_tables_and_takes_over_an_int64_split():
+    train = np.array([[0, 0, 1], [1, 1, 2]], dtype=np.int64)
+    kg = KnowledgeGraph(**{**SMALL_GRAPH, "train": train})
+    assert kg.train is train and not train.flags.writeable
+    for name in ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names"):
+        assert getattr(kg, name) is SMALL_GRAPH[name], name
 
 
 def test_overlapping_splits_rejected():
@@ -360,9 +404,9 @@ def test_round_trip_preserves_ids_and_triples(tmp_path_factory, data):
     out = str(tmp_path_factory.mktemp("rt"))
     write_kg(kg, out)
     back = load_kg(out)
-    assert back.entity_keys == kg.entity_keys
+    assert list(back.entity_keys) == kg.entity_keys
     assert back.entity_names == kg.entity_names
-    assert back.relation_keys == kg.relation_keys
+    assert list(back.relation_keys) == kg.relation_keys
     assert np.array_equal(back.train, kg.train)
     assert np.array_equal(back.valid, kg.valid)
     assert np.array_equal(back.test, kg.test)
@@ -468,8 +512,9 @@ def test_the_built_graph_array_is_the_file_np_save_writes(tmp_path):
     """graph.npy is written a section at a time, with a header of its own
     making; the file must be what np.save writes for the same array."""
     kg = build_kg(3, 2, [(0, 0, 1), (1, 1, 2)], valid=[(2, 0, 0)], test=[(0, 1, 2)])
-    built = tmp_path / "built"
-    kg_module._write_built(kg, str(built))
+    dataset, built = str(tmp_path / "dataset"), tmp_path / "built"
+    write_kg(kg, dataset)
+    load_kg(dataset, None, str(built))
     graph = np.load(built / "graph.npy")
     assert graph.dtype == np.int64 and graph.ndim == 1
     np.save(tmp_path / "saved.npy", graph)

@@ -206,3 +206,21 @@ def test_a_data_error_is_caught_only_by_the_one_refusal_rule():
         for owner in data_error_handlers(_parse(path))
     }
     assert caught == {("cli", "_output"), ("cli", "main"), ("discriminator", "from_file")}
+
+
+def test_src_and_scripts_parse_at_the_python_floor():
+    # pyproject.toml's requires-python is the oldest Python that must run the
+    # code; a newer grammar (an except* clause, a type statement) fails here
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as f:
+        floor = re.search(r'^requires-python = ">=3\.(\d+)"$', f.read(), re.MULTILINE)
+    assert floor, "requires-python is not of the form >=3.N"
+    too_new = []
+    for pattern in ("src/kgrerank/*.py", "scripts/*.py"):
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as f:
+                source = f.read()
+            try:
+                ast.parse(source, filename=path, feature_version=(3, int(floor.group(1))))
+            except SyntaxError as exc:
+                too_new.append(f"{os.path.relpath(path, ROOT)}:{exc.lineno}: {exc.msg}")
+    assert too_new == []
