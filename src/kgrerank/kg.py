@@ -47,7 +47,7 @@ by the dataset's content, as two files: ``graph.npy``, one int64 array that
 holds every array the constructor derives (the splits, the three key
 arrays, the adjacency and ``cooc``) and the offsets of every text table's
 entries, and ``texts.bin``, the entries of the five text tables in UTF-8. A
-later load reads it back without parsing, sorting, forming ``cooc`` or
+later load reads it back without parsing, sorting, counting ``cooc`` or
 decoding a key or a description: each array is a read-only view of one
 memory map, the keys and descriptions are :class:`PackedTexts` over the
 text blob, and only the two name tables are decoded. O(n) checks take the
@@ -319,18 +319,25 @@ class KnowledgeGraph:
 def build_cooccurrence(kg: KnowledgeGraph) -> np.ndarray:
     """``C[r, s]``: the entities incident to both r and s as head or tail of a training fact.
 
-    With the entity-by-relation incidence matrix B, ``C = BᵀB``, so the
-    diagonal ``C[r, r]`` is the number of entities incident to r. The
-    product runs in floating point, which BLAS accelerates; every partial
-    sum is an integer no larger than the entity count, so it is exact while
-    that count is below 2**24 in float32 (2**53 in float64).
+    The diagonal ``C[r, r]`` is the number of entities incident to r. Each
+    relation's incident entities are a bitset, one bit per entity in whole
+    uint64 words, and ``C[r, s]`` is the popcount of the AND of the two
+    bitsets, counted for s ≥ r and mirrored. The count is exact in integers
+    and makes no BLAS call; where a bit sits in its word changes no count.
     """
-    dtype = np.float32 if kg.num_entities < 2**24 else np.float64
-    incidence = np.zeros((kg.num_entities, kg.num_relations), dtype=dtype)
-    flat = incidence.reshape(-1)  # one flat index is faster to scatter to than a pair of them
-    flat[kg.train[:, 0] * kg.num_relations + kg.train[:, 1]] = 1
-    flat[kg.train[:, 2] * kg.num_relations + kg.train[:, 1]] = 1
-    return (incidence.T @ incidence).astype(np.int64)
+    n_r = kg.num_relations
+    width = -(-kg.num_entities // 64) * 64  # bits per relation
+    incident = np.zeros(n_r * width, dtype=bool)
+    row = kg.train[:, 1] * width
+    incident[row + kg.train[:, 0]] = True
+    incident[row + kg.train[:, 2]] = True
+    bits = np.packbits(incident.reshape(n_r, width), axis=1).view(np.uint64)
+    counts = np.empty((n_r, n_r), dtype=np.int64)
+    for r in range(n_r):
+        # summed in uint32: the constructor refuses E²·R ≥ 2**63, so E < 2**32
+        counts[r, r:] = np.add.reduce(np.bitwise_count(bits[r:] & bits[r]), axis=1, dtype=np.uint32)
+        counts[r:, r] = counts[r, r:]
+    return counts
 
 
 def _text_bytes(path: str) -> bytearray:
@@ -366,7 +373,8 @@ def _lines(text: np.ndarray, fields: int, exact: bool) -> tuple:
     unless it holds ``fields`` tab-separated fields, or more when not
     ``exact``. Returns the 0-based numbers of the lines before the first bad
     one; the byte offsets of each one's start, first ``fields - 1`` tabs and
-    end; and the number and field count of the bad line, if any.
+    end; the number and field count of the bad line, if any; and the number
+    of lines in ``text``.
     """
     near = np.subtract(text, ord("\t"), dtype=np.uint8)  # a tab at 0, a newline at 1, any other byte above
     seps = np.flatnonzero(np.less_equal(near, 1, out=near.view(bool)))  # in place: one pass, one temporary
@@ -380,7 +388,7 @@ def _lines(text: np.ndarray, fields: int, exact: bool) -> tuple:
     fault = None if not bad.size else (int(bad[0]), int(counts[bad[0]]))
     lines = np.flatnonzero(~blank[: len(ends) if fault is None else fault[0]])
     tabs = [seps[first[lines] + j] for j in range(fields - 1)]
-    return lines, [starts[lines], *tabs, ends[lines]], fault
+    return lines, [starts[lines], *tabs, ends[lines]], fault, len(ends)
 
 
 # the bytes of whole lines of a triple file that are tokenised and looked up at once
@@ -500,7 +508,7 @@ class TextTable(NamedTuple):
         and line; of a missing tab and a repeated key, the first in line order."""
         data = _text_bytes(path)
         text = np.frombuffer(data, dtype=np.uint8)
-        lines, (starts, tabs, ends), fault = _lines(text, 2, exact=False)
+        lines, (starts, tabs, ends), fault, _ = _lines(text, 2, exact=False)
         table = cls(data, lines, starts, tabs, ends, _KeyTable(text, starts, tabs - starts))
         repeats = table.index.repeats
         if repeats.size and (fault is None or lines[repeats[0]] < fault[0]):
@@ -529,7 +537,7 @@ def _read_triples(path: str, entities: _KeyTable, relations: _KeyTable) -> np.nd
     while start < end:
         stop = (data.rfind(b"\n", start, start + _SLICE) + 1) or (data.find(b"\n", start + _SLICE) + 1)
         text = np.frombuffer(data, dtype=np.uint8, offset=start)  # a field's words may read past the slice
-        lines, (starts, first_tab, second_tab, ends), fault = _lines(text[: stop - start], 3, exact=True)
+        lines, (starts, first_tab, second_tab, ends), fault, n_lines = _lines(text[: stop - start], 3, exact=True)
         rows = np.empty((len(lines), 3), dtype=np.int64)
         rows[:, 0] = entities.find(text, starts, first_tab - starts)
         rows[:, 1] = relations.find(text, first_tab + 1, second_tab - first_tab - 1)
@@ -547,7 +555,7 @@ def _read_triples(path: str, entities: _KeyTable, relations: _KeyTable) -> np.nd
         if fault is not None:
             raise DataError(f"{path}:{line + fault[0] + 1}: expected 3 tab-separated fields, got {fault[1]}")
         parts.append(rows)
-        line += data.count(b"\n", start, stop)
+        line += n_lines
         start = stop
     return np.concatenate(parts)
 
@@ -607,7 +615,7 @@ def _write_built(kg: KnowledgeGraph, tables: list[PackedTexts], out_dir: str) ->
 def _read_built(cache_dir: str) -> KnowledgeGraph:
     """The graph built in ``cache_dir``, or a :class:`DataError` naming the
     first check that a file there fails. Nothing is parsed, sorted or
-    multiplied, and only the names are decoded (a blob that is not ASCII is
+    counted, and only the names are decoded (a blob that is not ASCII is
     decoded once, to check it)."""
     path = os.path.join(cache_dir, _GRAPH_ARRAY)
     try:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -287,6 +287,13 @@ def test_cooccurrence_disjoint_supports():
     assert kg.cooc[0, 1] == 0
 
 
+def test_cooccurrence_counts_past_16_bits():
+    # every count is above what a uint8 or uint16 sum of word popcounts holds
+    n = 70_000
+    kg = build_kg(n, 2, train=[(e, 0, e) for e in range(n)] + [(e, 1, (e + 1) % n) for e in range(n)])
+    assert kg.cooc.dtype == np.int64 and kg.cooc.tolist() == [[n, n], [n, n]]
+
+
 @st.composite
 def small_kg(draw):
     n_e = draw(st.integers(min_value=2, max_value=30))
@@ -301,8 +308,37 @@ def small_kg(draw):
     return build_kg(n_e, n_r, train=sorted(facts))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_kg())
+@st.composite
+def cooc_kg(draw):
+    """Graphs for ``build_cooccurrence``'s bitsets: entity counts on both sides
+    of each 64-entity word, endpoints drawn often at a word's edges,
+    self-loops, an optional hub incident to every trained relation, an
+    optional last relation with a test fact and no train fact, and train
+    splits down to none."""
+    n_e = draw(st.one_of(st.integers(1, 30), st.sampled_from([63, 64, 65, 127, 128, 129, 192])))
+    n_r = draw(st.integers(1, 5))
+    unused = n_r > 1 and draw(st.booleans())
+    trained = n_r - unused
+    edges = sorted({0, 62, 63, 64, 65, 127, 128, n_e - 1} & set(range(n_e)))
+    entity = st.one_of(st.integers(0, n_e - 1), st.sampled_from(edges))
+    facts = set()
+    for _ in range(draw(st.integers(0, 40))):
+        h, r = draw(entity), draw(st.integers(0, trained - 1))
+        facts.add((h, r, h if draw(st.integers(0, 3)) == 0 else draw(entity)))
+    if draw(st.booleans()):
+        hub = draw(entity)
+        for r in range(trained):
+            other = draw(entity)
+            facts.add((hub, r, other) if r % 2 else (other, r, hub))
+    test = [(0, n_r - 1, n_e - 1)] if unused else []
+    return build_kg(n_e, n_r, train=sorted(facts), test=test)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cooc_kg())
+@example(build_kg(65, 3, train=[]))
+@example(build_kg(128, 3, train=[(e, e % 2, e) for e in range(128)] + [(63, 0, 64)], test=[(0, 2, 127)]))
+@example(build_kg(129, 4, train=[(128, r, 63 + r) for r in range(4)] + [(64, 2, 64)]))
 def test_cooccurrence_matches_quadratic_oracle(kg):
     table = build_cooccurrence(kg)
     assert table.dtype == np.int64

@@ -4,7 +4,8 @@ class and method of ``kgrerank`` is referenced from ``src/``, ``scripts/`` or
 And the scripts use ``kgrerank`` through its public names, and set config
 values through the stages' ``--config`` and ``--set``, never through flags of
 their own that copy a config key. Every config key is read by code outside
-its own section class.
+its own section class. And ``kg.py`` holds no matrix product, so a graph
+build makes no BLAS call.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -184,6 +185,33 @@ def test_every_perfbench_hook_resolves_in_src():
                 absent.append(f"{module_name}.{path}")
                 break
     assert tracer.TARGETS and absent == []
+
+
+MATRIX_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+
+
+def matrix_products(tree):
+    """The line and spelling of each ``@`` under ``tree``, and of each name,
+    attribute or imported module of a numpy matrix product."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS:
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            for name in modules + [alias.name for alias in node.names]:
+                if MATRIX_PRODUCTS & set(name.split(".")):
+                    yield node.lineno, name
+
+
+def test_a_graph_build_makes_no_matrix_product():
+    # a matrix product runs on the BLAS thread pool, whose second thread can
+    # stall a graph miss for a quarter of a second; kg counts in integers
+    found = sorted(matrix_products(_parse(os.path.join(ROOT, "src", "kgrerank", "kg.py"))))
+    assert found == []
 
 
 def data_error_handlers(node, owner=None):
