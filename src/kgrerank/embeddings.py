@@ -33,6 +33,9 @@ prompt-building, or evaluation modules.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
 import math
 import os
@@ -137,7 +140,11 @@ class EmbeddingTable:
         The rows are ``|q|^2 - 2 q.e + |e|^2`` from one matrix product, with
         q = e_known + r (tail) or e_known - r (head), and the bound is
         ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument is in
-        :mod:`kgrerank.ranking`. A bound that overflows is inf. An L1 table
+        :mod:`kgrerank.ranking`. A bound that overflows is inf. The product
+        runs on one BLAS thread (see ``_one_blas_thread``): on a box with few
+        cores OpenBLAS's second thread can stall it tenfold. The bound holds
+        for the product's sums in any order, so the thread count cannot
+        change a ranking. An L1 table
         has no such product, and this is an error on one. ``entity_sq`` is
         this table's ``entity_sq_norms()``, the same for every block: a caller
         that passes many blocks computes it once.
@@ -150,7 +157,8 @@ class EmbeddingTable:
         with np.errstate(over="ignore", invalid="ignore"):
             q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
             q_sq = np.einsum("ij,ij->i", q, q)
-            dist = q @ self.entity_vecs.T
+            with _one_blas_thread():
+                dist = q @ self.entity_vecs.T
             dist *= -2.0
             dist += q_sq[:, None]
             dist += e_sq
@@ -212,6 +220,54 @@ class EmbeddingTable:
         entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
         relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
         return cls(entity_vecs, relation_vecs, _NORM_NAMES[norm_code])
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
+    looked up once per process in the libraries mapped into it; None when
+    none of them is an OpenBLAS that exports them (an MKL or Accelerate
+    numpy) or the map cannot be read (no ``/proc``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as f:
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in f if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:  # already mapped: no library is loaded anew
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is no library
+            continue
+        # numpy's wheel prefixes its symbols with scipy_; 64_ marks a 64-bit-integer build
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get and set_:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the body, and restore its previous
+    count on the way out, also when the body raises. Without an OpenBLAS
+    setter the body runs as it is. The count is the process's: scopes open
+    on two threads at once could restore a wrong one, and every stage ranks
+    on its main thread."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _residual_norm(u: np.ndarray, kind: str) -> np.ndarray:

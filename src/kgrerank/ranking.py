@@ -27,14 +27,18 @@ roundoff u = eps / 2 and n = dim:
   products is within n u (1 + O(nu)) of its absolute value in any order.
 - The first pass is off by at most (n + 4) u R^2 (1 + O(nu)): forming q
   rounds once (2 u R^2), the dot products and both norms obey the same
-  sum bound, with or without fused multiply-adds, and the two additions
-  round once each.
+  sum bound, in any order, with or without fused multiply-adds, and the
+  two additions round once each.
 - So a first-pass gap above delta leaves the two exact sums of squares apart
   by more than delta - 2 (2n + 10) u R^2 >= 136 u R^2. ``sqrt`` is monotone
   and correctly rounded, so sums that far apart (more than 8 u R^2) keep
   their strict order after it. The rest of the margin covers the rounding
   of delta and of the comparisons themselves; the ``tiny`` term covers
   underflow.
+
+The product runs on one BLAS thread: OpenBLAS's pool can stall it tenfold
+on a box with few cores. A thread count changes only how the product splits
+and orders its sums, which the bound covers, so it cannot change a ranking.
 
 L1 has no such product, so ``rank_queries`` ranks each query of an L1 table
 with ``rank_query``: every entity is scored once, exactly.

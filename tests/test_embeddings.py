@@ -1,4 +1,5 @@
 import hashlib
+import io
 from unittest import mock
 
 import numpy as np
@@ -531,3 +532,75 @@ def test_query_vector_composition():
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
         small_config(**kwargs)
+
+
+class FakeBlas:
+    """A thread-count getter and setter that record every count set."""
+
+    def __init__(self, count):
+        self.count, self.counts_set = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+        self.counts_set.append(count)
+
+
+def test_one_blas_thread_holds_one_thread_and_restores_the_count(monkeypatch):
+    blas = FakeBlas(4)
+    monkeypatch.setattr(embeddings, "_openblas_threads", lambda: (blas.get, blas.set))
+    with embeddings._one_blas_thread():
+        assert blas.count == 1
+    assert blas.count == 4
+    with pytest.raises(ZeroDivisionError), embeddings._one_blas_thread():
+        assert blas.count == 1
+        1 / 0
+    assert blas.count == 4
+    assert blas.counts_set == [1, 4, 1, 4]
+
+
+def test_coarse_distances_runs_its_product_on_one_blas_thread(monkeypatch):
+    rng = np.random.default_rng(6)
+    table = EmbeddingTable(rng.normal(size=(9, 5)), rng.normal(size=(2, 5)), "L2")
+    keys = [(0, 1, "tail"), (3, 0, "head")]
+    blas = FakeBlas(2)
+    monkeypatch.setattr(embeddings, "_openblas_threads", lambda: (blas.get, blas.set))
+    pooled = table.coarse_distances(keys)
+    assert blas.counts_set == [1, 2]
+    # no OpenBLAS setter in the process: the same product, untouched
+    monkeypatch.setattr(embeddings, "_openblas_threads", lambda: None)
+    for got, expected in zip(table.coarse_distances(keys), pooled):
+        np.testing.assert_array_equal(got, expected)
+    ran = []
+    with embeddings._one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+
+
+@pytest.mark.parametrize("maps", [None, "7f00-7f01 r--p 0 08:01 1 {path}\n"])
+def test_no_openblas_setter_is_found_without_a_readable_map_or_library(monkeypatch, tmp_path, maps):
+    not_a_library = tmp_path / "libopenblas.so"
+    not_a_library.write_bytes(b"no ELF here")
+
+    def fake_open(path, *args, **kwargs):
+        if maps is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(maps.format(path=not_a_library))
+
+    monkeypatch.setattr(embeddings, "open", fake_open, raising=False)
+    assert embeddings._openblas_threads.__wrapped__() is None
+
+
+def test_the_openblas_that_numpy_loaded_is_found():
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("numpy is not built against OpenBLAS")
+    threads = embeddings._openblas_threads()
+    assert threads is not None
+    get, _ = threads
+    before = get()
+    with embeddings._one_blas_thread():
+        assert get() == 1
+    assert get() == before

@@ -298,29 +298,86 @@ def block_case(draw):
     ulp apart (ties and near-ties inside the first pass's error bound), with m
     up to the entity count and a small block size."""
     table, kg, m = draw(multi_answer_case())
-    ev = table.entity_vecs
+    draw(near_ties(table.entity_vecs))
+    m = draw(st.sampled_from([m, kg.num_entities]))
+    return table, kg, m, draw(st.integers(min_value=1, max_value=5))
+
+
+@st.composite
+def near_ties(draw, ev):
+    """Copy up to three rows of ``ev`` over others, some moved one ulp in one column."""
     for _ in range(draw(st.integers(0, 3))):
-        src, dst = draw(st.integers(0, kg.num_entities - 1)), draw(st.integers(0, kg.num_entities - 1))
+        src, dst = draw(st.integers(0, len(ev) - 1)), draw(st.integers(0, len(ev) - 1))
         ev[dst] = ev[src]
         if draw(st.booleans()):
             col = draw(st.integers(0, ev.shape[1] - 1))
             ev[dst, col] = np.nextafter(ev[dst, col], draw(st.sampled_from([-np.inf, np.inf])))
-    m = draw(st.sampled_from([m, kg.num_entities]))
-    return table, kg, m, draw(st.integers(min_value=1, max_value=5))
 
 
 @settings(max_examples=80, deadline=None)
 @given(block_case())
 def test_rank_queries_equals_rank_query_and_brute_force(case):
-    table, kg, m, rows = case
+    assert_blocks_rank_exactly(*case)
+
+
+def assert_blocks_rank_exactly(table, kg, m, rows, ranked=None):
+    """``rank_queries`` of every query of ``kg``, ``rows`` queries a block, on
+    ``ranked`` (``table`` when None) equals ``rank_query`` and the brute-force
+    ranking on ``table``."""
     queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
     with mock.patch.object(ranking, "BLOCK_BYTES", rows * 8 * kg.num_entities):
-        blocked = list(rank_queries(table, kg, iter(queries), m))
+        blocked = list(rank_queries(ranked or table, kg, iter(queries), m))
     assert len(blocked) == len(queries)
     for q, rq in zip(queries, blocked):
         assert rq == rank_query(table, kg, q, m)
         order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
         assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
+    return len(queries)
+
+
+class ReversedProducts(np.ndarray):
+    """An entity table whose matrix products sum from the last dimension to the
+    first, one product at a time; every other operation is numpy's own."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [x.view(np.ndarray) if isinstance(x, ReversedProducts) else x for x in inputs]
+        if ufunc is not np.matmul or method != "__call__" or kwargs:
+            return getattr(ufunc, method)(*inputs, **kwargs)
+        ReversedProducts.products += 1
+        a, b = inputs
+        out = a[:, -1:] * b[-1]
+        for k in reversed(range(a.shape[1] - 1)):
+            out += a[:, k : k + 1] * b[k]
+        return out
+
+
+@st.composite
+def reordered_case(draw):
+    """A block case whose L2 vectors are random floats of up to 8 dimensions
+    and of one of three scales, so that sums taken in another order round
+    differently, with duplicated rows and rows one ulp apart."""
+    _, kg, m, rows = draw(block_case())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    ev = scale * rng.normal(size=(kg.num_entities, dim))
+    draw(near_ties(ev))
+    table = EmbeddingTable(ev, scale * rng.normal(size=(kg.num_relations, dim)), "L2")
+    return table, kg, m, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(reordered_case())
+def test_rank_queries_is_exact_whatever_order_the_first_pass_sums_in(case):
+    # the bound covers the product's sums in any order, so the BLAS thread
+    # count, its blocking and its kernels cannot move a ranking
+    table, kg, m, rows = case
+    reordered = EmbeddingTable(table.entity_vecs.view(ReversedProducts), table.relation_vecs, "L2")
+    before = ReversedProducts.products
+    queries = assert_blocks_rank_exactly(table, kg, m, rows, reordered)
+    assert ReversedProducts.products - before == -(-queries // rows)  # one product a block
 
 
 def test_rank_queries_rescores_only_near_the_cut_and_the_gold():

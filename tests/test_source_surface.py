@@ -5,7 +5,8 @@ And the scripts use ``kgrerank`` through its public names, and set config
 values through the stages' ``--config`` and ``--set``, never through flags of
 their own that copy a config key. Every config key is read by code outside
 its own section class. And ``kg.py`` holds no matrix product, so a graph
-build makes no BLAS call.
+build makes no BLAS call, and the one product that a stage runs holds
+OpenBLAS to one thread.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -190,21 +191,27 @@ def test_every_perfbench_hook_resolves_in_src():
 MATRIX_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner", "linalg"}
 
 
+def product_spellings(node):
+    """The spelling of ``node`` when it is an ``@``, or a name, attribute or
+    imported module of a numpy matrix product."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        yield "@"
+    elif isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS:
+        yield node.attr
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        for name in modules + [alias.name for alias in node.names]:
+            if MATRIX_PRODUCTS & set(name.split(".")):
+                yield name
+
+
 def matrix_products(tree):
-    """The line and spelling of each ``@`` under ``tree``, and of each name,
-    attribute or imported module of a numpy matrix product."""
+    """The line and spelling of each matrix product under ``tree``."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            yield node.lineno, "@"
-        elif isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS:
-            yield node.lineno, node.id
-        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS:
-            yield node.lineno, node.attr
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            for name in modules + [alias.name for alias in node.names]:
-                if MATRIX_PRODUCTS & set(name.split(".")):
-                    yield node.lineno, name
+        for spelling in product_spellings(node):
+            yield node.lineno, spelling
 
 
 def test_a_graph_build_makes_no_matrix_product():
@@ -212,6 +219,40 @@ def test_a_graph_build_makes_no_matrix_product():
     # stall a graph miss for a quarter of a second; kg counts in integers
     found = sorted(matrix_products(_parse(os.path.join(ROOT, "src", "kgrerank", "kg.py"))))
     assert found == []
+
+
+def blas_products(node, owner=None, scoped=False):
+    """``(function, spelling, scoped)`` of each matrix product under ``node``
+    that can call BLAS, with the innermost function around it and whether a
+    ``with _one_blas_thread()`` holds it. A plain ``einsum`` call is none:
+    numpy's einsum reaches BLAS only through its ``optimize`` argument."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.With) and any(
+        isinstance(item.context_expr, ast.Call) and ast.unparse(item.context_expr.func).endswith("_one_blas_thread")
+        for item in node.items
+    ):
+        scoped = True
+    children = list(ast.iter_child_nodes(node))
+    if isinstance(node, ast.Call) and all(kw.arg != "optimize" for kw in node.keywords):
+        if "einsum" in product_spellings(node.func):
+            children.remove(node.func)
+    for spelling in product_spellings(node):
+        yield owner, spelling, scoped
+    for child in children:
+        yield from blas_products(child, owner, scoped)
+
+
+def test_no_stage_wakes_the_blas_pool():
+    # every matrix product that a stage runs holds OpenBLAS to one thread; the
+    # adapter is for an outside finetuner and no stage runs it
+    found = {
+        (os.path.basename(path)[:-3], *product)
+        for path in glob.glob(os.path.join(ROOT, "src", "kgrerank", "*.py"))
+        if os.path.basename(path) != "adapter.py"
+        for product in blas_products(_parse(path))
+    }
+    assert found == {("embeddings", "coarse_distances", "@", True)}
 
 
 def data_error_handlers(node, owner=None):
