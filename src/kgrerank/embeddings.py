@@ -23,10 +23,9 @@ indexing by a column of ids. The negatives' membership test is
 ``EmbeddingTable.load`` is the only check of a checkpoint, and ``train``
 raises :class:`TrainingDiverged` rather than return a table it would refuse.
 
-Downstream code only relies on ``score_candidates``, ``coarse_distances``
-and ``entity_sq_norms`` (the first pass of ranking, for L2 tables only),
-``norm`` (which ``rank_queries`` reads to choose that pass),
-``query_vector``, ``entity_vector``, and checkpoint IO, so an alternative
+Downstream code only relies on ``score_candidates``, ``first_pass`` (the
+first pass of ranking, for either norm), ``query_vector``,
+``entity_vector``, and checkpoint IO, so an alternative
 scorer can replace :class:`EmbeddingTable` without touching the ranking,
 prompt-building, or evaluation modules.
 """
@@ -36,11 +35,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import logging
 import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,6 +53,11 @@ CHECKPOINT_MAGIC = b"KGE1"
 _HEADER = struct.Struct("<4sIQQQB")
 _NORM_CODES = {"L1": 1, "L2": 2}
 _NORM_NAMES = {v: k for k, v in _NORM_CODES.items()}
+
+# The L2 first pass holds one block of keys x entities float64 distances;
+# capping it at 4 MiB (36 keys at 14,541 entities) keeps the memory of
+# ranking flat in the number of queries.
+BLOCK_BYTES = 4 << 20
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -123,48 +129,46 @@ class EmbeddingTable:
             return -np.abs(u, out=u).sum(axis=-1)
         return -_residual_norm(u, self.norm)
 
-    def entity_sq_norms(self) -> tuple[np.ndarray, float]:
-        """Every entity's squared norm ``|e|^2``, and the largest norm ``max |e|``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
-            return e_sq, np.sqrt(e_sq.max())
+    def first_pass(self, keys: Iterable[tuple[int, int, str]]) -> Iterator[tuple[np.ndarray, float]]:
+        """Each ``(known, relation, direction)`` key's distance to every entity,
+        and its error bound, in order, taking keys only as rows are asked for.
 
-    def coarse_distances(
-        self, queries, entity_sq: tuple[np.ndarray, float] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every entity's squared L2 distance from each of a block of ``(known,
-        relation, direction)`` queries, and each row's error bound.
-
-        For row i and entities a, b, ``dist[i, a] < dist[i, b] - bound[i]``
-        implies that ``score_candidates`` of query i scores a strictly above b.
-        The rows are ``|q|^2 - 2 q.e + |e|^2`` from one matrix product, with
-        q = e_known + r (tail) or e_known - r (head), and the bound is
+        For a row d and entities a, b, ``d[a] < d[b] - bound`` implies that
+        ``score_candidates`` of the key scores a strictly above b. An L1 row
+        is the exact distance ``-score_candidates(...)``, with bound 0, one
+        key at a time. L2 rows come a block of keys at a time (see
+        ``BLOCK_BYTES``): ``|q|^2 - 2 q.e + |e|^2`` from one matrix product,
+        with q = e_known + r (tail) or e_known - r (head), and the bound is
         ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument is in
         :mod:`kgrerank.ranking`. A bound that overflows is inf. The product
         runs on one BLAS thread (see ``_one_blas_thread``): on a box with few
         cores OpenBLAS's second thread can stall it tenfold. The bound holds
         for the product's sums in any order, so the thread count cannot
-        change a ranking. An L1 table
-        has no such product, and this is an error on one. ``entity_sq`` is
-        this table's ``entity_sq_norms()``, the same for every block: a caller
-        that passes many blocks computes it once.
+        change a ranking. A row is the caller's to change.
         """
-        if self.norm != "L2":
-            raise ValueError(f"coarse_distances needs an L2 table, not {self.norm}")
-        e_sq, e_max = entity_sq or self.entity_sq_norms()
-        known, relation, direction = zip(*queries)
-        sign = np.where(np.asarray(direction) == TAIL, 1.0, -1.0)
+        if self.norm == "L1":
+            for known, relation, direction in keys:
+                yield -self.score_candidates(known, relation, direction), 0.0
+            return
+        rows = max(1, BLOCK_BYTES // (8 * len(self.entity_vecs)))
+        keys = iter(keys)
         with np.errstate(over="ignore", invalid="ignore"):
-            q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
-            q_sq = np.einsum("ij,ij->i", q, q)
-            with _one_blas_thread():
-                dist = q @ self.entity_vecs.T
-            dist *= -2.0
-            dist += q_sq[:, None]
-            dist += e_sq
-            reach = (np.sqrt(q_sq) + e_max) ** 2
-            bound = 16 * (self.dim + 4) * (_EPS * reach + _TINY)
-        return dist, bound
+            e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
+            e_max = np.sqrt(e_sq.max())
+        while block := list(itertools.islice(keys, rows)):
+            known, relation, direction = zip(*block)
+            sign = np.where(np.asarray(direction) == TAIL, 1.0, -1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
+                q_sq = np.einsum("ij,ij->i", q, q)
+                with _one_blas_thread():
+                    dist = q @ self.entity_vecs.T
+                dist *= -2.0
+                dist += q_sq[:, None]
+                dist += e_sq
+                reach = (np.sqrt(q_sq) + e_max) ** 2
+                bound = 16 * (self.dim + 4) * (_EPS * reach + _TINY)
+            yield from zip(dist, bound)  # outside both scopes: a caller runs between rows
 
     def query_vector(self, known: int, relation: int, direction: str) -> np.ndarray:
         """Translational composition of a completion query.

@@ -9,17 +9,18 @@ a partition, both as positions in the order "score descending, ties to the
 smaller entity id". The counts need scores that are never NaN, so
 checkpoints holding NaN or infinite values are refused on load.
 
-``rank_query`` scores every entity exactly, one query at a time.
-``rank_queries`` returns the same rankings bit for bit. On an L2 table it
-scores most entities only approximately, a block of queries at a time: its
-first pass (``EmbeddingTable.coarse_distances``) computes squared distances
-as ``|q|^2 - 2 q.e + |e|^2`` with one matrix product, while the exact scores
-(``score_candidates``) are ``-sqrt(sum(u * u))`` of the residual u. Only the
-entities whose first-pass value lies within the bound
-``delta = 16 (dim + 4) (eps R^2 + tiny)``, ``R = |q| + max |e|``, of the
-m-th value or of the gold's get exact scores (see ``rank_queries``). Why a
-first-pass gap above delta fixes the order of the exact scores, with unit
-roundoff u = eps / 2 and n = dim:
+``rank_queries`` ranks every query on one path, whatever the table's norm.
+The table's first pass (``EmbeddingTable.first_pass``) gives each query a
+distance to every entity and a bound delta such that d_a < d_b - delta
+guarantees that a's exact score is strictly above b's; only the entities
+whose distance lies within delta of the m-th smallest or of the gold's get
+exact scores (see ``rank_queries``). An L1 table's distances are its exact
+scores negated, with delta = 0. An L2 table's are squared distances
+``|q|^2 - 2 q.e + |e|^2`` from one matrix product per block of queries,
+while the exact scores (``score_candidates``) are ``-sqrt(sum(u * u))`` of
+the residual u, and the bound is ``delta = 16 (dim + 4) (eps R^2 + tiny)``,
+``R = |q| + max |e|``. Why an L2 first-pass gap above delta fixes the order
+of the exact scores, with unit roundoff u = eps / 2 and n = dim:
 
 - Against the real squared distance, the residual formula's sum of squares
   is off by at most (n + 6) u R^2 (1 + O(nu)): each u_i carries two
@@ -39,9 +40,6 @@ roundoff u = eps / 2 and n = dim:
 The product runs on one BLAS thread: OpenBLAS's pool can stall it tenfold
 on a box with few cores. A thread count changes only how the product splits
 and orders its sums, which the bound covers, so it cannot change a ranking.
-
-L1 has no such product, so ``rank_queries`` ranks each query of an L1 table
-with ``rank_query``: every entity is scored once, exactly.
 """
 
 from __future__ import annotations
@@ -55,12 +53,6 @@ import numpy as np
 
 from .embeddings import HEAD, TAIL, EmbeddingTable
 from .kg import KnowledgeGraph, Triple
-
-# The first pass of rank_queries holds one block of queries x entities float64
-# distances; capping it at 4 MiB (36 queries at 14,541 entities) keeps the
-# memory of ranking flat in the number of queries.
-BLOCK_BYTES = 4 << 20
-
 
 @dataclass(frozen=True)
 class Query:
@@ -147,24 +139,21 @@ def _count_and_select(
 
 def rank_query(table: EmbeddingTable, kg: KnowledgeGraph, q: Query, m: int) -> RankedQuery:
     """The top-m entities and the gold's rank, filtered against known-true triples."""
-    _check_m(kg, m)
-    scores = table.score_candidates(q.known, q.relation, q.direction)
-    scores[_known_true(kg, q)] = -np.inf
-    return _count_and_select(q, scores, m)
+    return next(rank_queries(table, kg, [q], m))
 
 
 def rank_queries(
     table: EmbeddingTable, kg: KnowledgeGraph, queries: Iterable[Query], m: int
 ) -> Iterator[RankedQuery]:
-    """``rank_query`` of each of ``queries``, in order, bit for bit; filtered.
+    """The ranking of each of ``queries``, in order, as the exact scores of
+    every entity give it; filtered. A ranking is yielded as soon as the first
+    pass has its query's row, so a stream of queries is ranked as it comes.
 
-    An L1 table has no first pass: each of its queries goes to ``rank_query``.
-    An L2 table's queries are taken a block at a time (see ``BLOCK_BYTES``).
-    The block's first pass, ``table.coarse_distances``, gives every entity a
-    distance d and each query a bound delta such that d_a < d_b - delta
-    guarantees that a's exact score is strictly above b's. Filtered entities
-    get d = inf. With t the m-th smallest d and d_g the gold's, exact scores
-    are computed only for the entities with d <= t + delta or |d - d_g| <= delta:
+    ``table.first_pass`` gives every entity a distance d and each query a
+    bound delta such that d_a < d_b - delta guarantees that a's exact score is
+    strictly above b's. Filtered entities get d = inf. With t the m-th
+    smallest d and d_g the gold's, exact scores are computed only for the
+    entities with d <= t + delta or |d - d_g| <= delta:
 
     - every entity with d > t + delta lies strictly below each of the (at
       least) m entities with d <= t, so it is neither in the top-m nor tied with the m-th;
@@ -172,34 +161,30 @@ def rank_queries(
       every one with d > d_g + delta strictly below it, so only the band
       around d_g needs an exact comparison.
 
-    The counting and tie rules then run on exact scores of that set, which is
-    what ``rank_query`` sees of the same entities. A query falls back to
-    ``rank_query`` when t, delta or d_g is not finite: m reaches past the
-    unfiltered entities into the -inf ties, or a value or the bound overflowed.
+    The counting and tie rules then run on exact scores of that set, which
+    are the scores that scoring every entity gives them. When t, delta or
+    d_g is not finite (m reaches past the unfiltered entities into the -inf
+    ties, or a value or the bound overflowed), every entity is scored
+    exactly, with the filtered ones at -inf.
     """
     _check_m(kg, m)
-    if table.norm == "L1":
-        for q in queries:
-            yield rank_query(table, kg, q, m)
-        return
-    rows = max(1, BLOCK_BYTES // (8 * kg.num_entities))
-    entity_sq = table.entity_sq_norms()  # the same for every block
-    it = iter(queries)
-    while block := list(itertools.islice(it, rows)):
-        keys = [(q.known, q.relation, q.direction) for q in block]
-        dist, bound = table.coarse_distances(keys, entity_sq)
-        for q, d, delta in zip(block, dist, bound):
-            d[_known_true(kg, q)] = np.inf
-            t = np.partition(d, m - 1)[m - 1]
-            dg = d[q.gold]
-            if not np.isfinite([t, delta, dg]).all():
-                yield rank_query(table, kg, q, m)
-                continue
+    queries, keyed = itertools.tee(queries)
+    rows = table.first_pass((q.known, q.relation, q.direction) for q in keyed)
+    for q, (d, delta) in zip(queries, rows):
+        filtered = _known_true(kg, q)
+        d[filtered] = np.inf
+        t = np.partition(d, m - 1)[m - 1]
+        dg = d[q.gold]
+        if np.isfinite([t, delta, dg]).all():
             near = (d <= t + delta) | (np.abs(d - dg) <= delta)
             above = int(np.count_nonzero((d < dg - delta) & ~near))
             ids = np.flatnonzero(near)
-            scores = table.score_candidates(q.known, q.relation, q.direction, ids)
-            yield _count_and_select(q, scores, m, ids, above)
+        else:
+            ids, above = None, 0
+        scores = table.score_candidates(q.known, q.relation, q.direction, ids)
+        if ids is None:
+            scores[filtered] = -np.inf
+        yield _count_and_select(q, scores, m, ids, above)
 
 
 def queries_for_triple(triple: Triple) -> tuple[Query, Query]:

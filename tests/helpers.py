@@ -318,14 +318,17 @@ def score(table, h, r, t):
 
 
 def brute_force_score(table, h, r, t):
+    """The negated L1 or L2 norm of one triple's residual, formed an element
+    at a time. The residual row is summed with ``np.sum`` of a 1-D float64
+    array, which adds pairwise as the row sums of ``score_candidates`` do: a
+    sum in sequence can round two rows one ulp apart to a tie."""
     eh = table.entity_vecs[h]
     er = table.relation_vecs[r]
     et = table.entity_vecs[t]
+    u = np.array([float(eh[i]) + float(er[i]) - float(et[i]) for i in range(len(eh))])
     if table.norm == "L1":
-        return -sum(abs(float(eh[i]) + float(er[i]) - float(et[i])) for i in range(len(eh)))
-    return -math.sqrt(
-        sum((float(eh[i]) + float(er[i]) - float(et[i])) ** 2 for i in range(len(eh)))
-    )
+        return -float(np.sum(np.abs(u)))
+    return -math.sqrt(float(np.sum(u * u)))
 
 
 def brute_force_rank(table, kg, q, m, filtered=True):

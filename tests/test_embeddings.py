@@ -561,18 +561,25 @@ def test_one_blas_thread_holds_one_thread_and_restores_the_count(monkeypatch):
     assert blas.counts_set == [1, 4, 1, 4]
 
 
-def test_coarse_distances_runs_its_product_on_one_blas_thread(monkeypatch):
+def test_first_pass_runs_its_product_on_one_blas_thread(monkeypatch):
     rng = np.random.default_rng(6)
     table = EmbeddingTable(rng.normal(size=(9, 5)), rng.normal(size=(2, 5)), "L2")
     keys = [(0, 1, "tail"), (3, 0, "head")]
     blas = FakeBlas(2)
     monkeypatch.setattr(embeddings, "_openblas_threads", lambda: (blas.get, blas.set))
-    pooled = table.coarse_distances(keys)
+    rows = table.first_pass(keys)
+    pooled = [next(rows)]
+    assert blas.count == 2  # restored while the caller holds a row
+    pooled += rows
+    assert blas.counts_set == [1, 2]
+    # an L1 pass makes no product and leaves the count alone
+    list(EmbeddingTable(table.entity_vecs, table.relation_vecs, "L1").first_pass(keys))
     assert blas.counts_set == [1, 2]
     # no OpenBLAS setter in the process: the same product, untouched
     monkeypatch.setattr(embeddings, "_openblas_threads", lambda: None)
-    for got, expected in zip(table.coarse_distances(keys), pooled):
-        np.testing.assert_array_equal(got, expected)
+    for (d, bound), (expected_d, expected_bound) in zip(table.first_pass(keys), pooled, strict=True):
+        np.testing.assert_array_equal(d, expected_d)
+        assert bound == expected_bound
     ran = []
     with embeddings._one_blas_thread():
         ran.append(True)

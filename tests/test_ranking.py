@@ -3,11 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_rank, build_kg
-from kgrerank import ranking
+from kgrerank import embeddings, ranking
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.ranking import (
     ConfidenceParams,
@@ -320,16 +320,23 @@ def test_rank_queries_equals_rank_query_and_brute_force(case):
     assert_blocks_rank_exactly(*case)
 
 
+def exact_ranking(table, kg, q, m):
+    """The ranking from exact scores of every entity, the filtered ones at -inf."""
+    scores = table.score_candidates(q.known, q.relation, q.direction)
+    scores[ranking._known_true(kg, q)] = -np.inf
+    return ranking._count_and_select(q, scores, m)
+
+
 def assert_blocks_rank_exactly(table, kg, m, rows, ranked=None):
-    """``rank_queries`` of every query of ``kg``, ``rows`` queries a block, on
-    ``ranked`` (``table`` when None) equals ``rank_query`` and the brute-force
-    ranking on ``table``."""
+    """``rank_queries`` of every query of ``kg``, ``rows`` queries an L2 block,
+    on ``ranked`` (``table`` when None) equals the exact ranking and the
+    brute-force ranking on ``table``."""
     queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
-    with mock.patch.object(ranking, "BLOCK_BYTES", rows * 8 * kg.num_entities):
+    with mock.patch.object(embeddings, "BLOCK_BYTES", rows * 8 * kg.num_entities):
         blocked = list(rank_queries(ranked or table, kg, iter(queries), m))
     assert len(blocked) == len(queries)
     for q, rq in zip(queries, blocked):
-        assert rq == rank_query(table, kg, q, m)
+        assert rq == exact_ranking(table, kg, q, m)
         order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
         assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
     return len(queries)
@@ -354,22 +361,44 @@ class ReversedProducts(np.ndarray):
 
 
 @st.composite
-def reordered_case(draw):
-    """A block case whose L2 vectors are random floats of up to 8 dimensions
-    and of one of three scales, so that sums taken in another order round
-    differently, with duplicated rows and rows one ulp apart."""
+def float_case(draw, norm, max_dim):
+    """A block case whose vectors are random floats of up to ``max_dim``
+    dimensions and of one of three scales, so that sums taken in another order
+    round differently, with duplicated rows and rows one ulp apart."""
     _, kg, m, rows = draw(block_case())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, max_dim))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     ev = scale * rng.normal(size=(kg.num_entities, dim))
     draw(near_ties(ev))
-    table = EmbeddingTable(ev, scale * rng.normal(size=(kg.num_relations, dim)), "L2")
+    table = EmbeddingTable(ev, scale * rng.normal(size=(kg.num_relations, dim)), norm)
     return table, kg, m, rows
 
 
+def one_ulp_case():
+    """Entities 0 and 2, 8-dimensional, one ulp apart in their first column:
+    numpy's pairwise sums score the gold 0 one ulp below 2, where a sum in
+    sequence ties them."""
+    e0, e1, r = (
+        [float.fromhex(x) for x in row.split()]
+        for row in (
+            "-0x1.1d593441629cep-11 -0x1.4baa2d3cb95aap-12 0x1.afa03b1174dcbp-12 0x1.1149e34f41b36p-10 "
+            "-0x1.0d8e858f55e3ep-13 0x1.6635cfab33bd7p-10 -0x1.5cc0eaf1dd936p-11 0x1.7095c4158fe69p-12",
+            "-0x1.70f5be9529ee1p-11 -0x1.4bb8ff55cf682p-10 -0x1.46c67b76d8620p-11 0x1.5aaadd6927bcap-15 "
+            "-0x1.30bf16474e0c8p-9 -0x1.cad6e151bcc48p-13 -0x1.469bab16b66e8p-10 -0x1.7feb42b919059p-11",
+            "0x1.d849ab61b2b18p-10 0x1.58bf1ea43acfbp-10 0x1.76bd92d0f1306p-12 -0x1.3cc0e40902b43p-10 "
+            "-0x1.2ae96ca0f762fp-18 0x1.582e9303adedap-11 -0x1.51bc7968af400p-10 0x1.9e50c538f98e1p-12",
+        )
+    )
+    ev = np.array([e0, e1, e0])
+    ev[2, 0] = np.nextafter(ev[2, 0], -np.inf)
+    kg = build_kg(3, 1, train=[(0, 0, 0)], valid=[(0, 0, 1), (1, 0, 0)], test=[(0, 0, 2), (2, 0, 0)])
+    return EmbeddingTable(ev, np.array([r]), "L2"), kg, 1, 1
+
+
 @settings(max_examples=80, deadline=None)
-@given(reordered_case())
+@given(float_case("L2", 8))
+@example(one_ulp_case())
 def test_rank_queries_is_exact_whatever_order_the_first_pass_sums_in(case):
     # the bound covers the product's sums in any order, so the BLAS thread
     # count, its blocking and its kernels cannot move a ranking
@@ -378,6 +407,17 @@ def test_rank_queries_is_exact_whatever_order_the_first_pass_sums_in(case):
     before = ReversedProducts.products
     queries = assert_blocks_rank_exactly(table, kg, m, rows, reordered)
     assert ReversedProducts.products - before == -(-queries // rows)  # one product a block
+
+
+@settings(max_examples=80, deadline=None)
+@given(float_case("L1", 16))
+def test_rank_queries_is_exact_on_l1_near_ties(case):
+    # an L1 first pass is exact with a zero bound, and makes no matrix product
+    table, kg, m, rows = case
+    counted = EmbeddingTable(table.entity_vecs.view(ReversedProducts), table.relation_vecs, "L1")
+    before = ReversedProducts.products
+    assert_blocks_rank_exactly(table, kg, m, rows, counted)
+    assert ReversedProducts.products == before
 
 
 def test_rank_queries_rescores_only_near_the_cut_and_the_gold():
@@ -391,33 +431,64 @@ def test_rank_queries_rescores_only_near_the_cut_and_the_gold():
     score = table.score_candidates
     with mock.patch.object(table, "score_candidates", lambda *a: rescored.append(a[3]) or score(*a)):
         (rq,) = rank_queries(table, kg, [q], m=1)
-    assert rq == rank_query(table, kg, q, m=1)
+    assert rq == exact_ranking(table, kg, q, m=1)
     assert rq.topm_ids == [1]
     assert [ids.tolist() for ids in rescored] == [[1, 2, 4]]
 
 
-@pytest.mark.parametrize("m", [1, 4, 10])
-def test_rank_queries_ranks_l1_queries_once_on_the_exact_path(m):
-    l2, kg, _ = random_setup(seed=5)
-    table = EmbeddingTable(l2.entity_vecs, l2.relation_vecs, "L1")
-    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
-    scored = []
+def counting_scores(table, scored):
+    """Patch ``table.score_candidates`` to append each call's ``entities`` to ``scored``."""
     score = table.score_candidates
 
     def counted(known, relation, direction, entities=None):
         scored.append(entities)
         return score(known, relation, direction, entities)
 
-    with mock.patch.object(table, "score_candidates", counted), mock.patch.object(
-        table, "coarse_distances", wraps=table.coarse_distances
-    ) as coarse:
+    return mock.patch.object(table, "score_candidates", counted)
+
+
+@pytest.mark.parametrize("m", [1, 4, 10])
+def test_rank_queries_ranks_l1_queries_on_exact_distances(m):
+    l2, kg, _ = random_setup(seed=5)
+    table = EmbeddingTable(l2.entity_vecs.view(ReversedProducts), l2.relation_vecs, "L1")
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    scored = []
+    before = ReversedProducts.products
+    with counting_scores(table, scored):
         ranked = list(rank_queries(table, kg, queries, m))
-    assert len(scored) == len(queries)  # one full scoring per query, no rescoring
-    assert all(entities is None for entities in scored)
-    assert coarse.call_count == 0
+    assert ReversedProducts.products == before  # no matrix product
+    # the first pass scores each query in full once; a query whose m reaches
+    # into its filtered entities is scored in full again, any other only on its band
+    past = sum(m > kg.num_entities - len(ranking._known_true(kg, q)) for q in queries)
+    assert 0 < past < len(queries) if m == 10 else past == 0
+    assert len(scored) == 2 * len(queries)
+    assert sum(entities is None for entities in scored) == len(queries) + past
     for q, rq in zip(queries, ranked):
         order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
         assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
+
+
+@pytest.mark.parametrize("norm, taken_first", [("L1", 1), ("L2", 3)])
+def test_the_first_ranking_waits_for_one_first_pass_row_or_block(norm, taken_first):
+    # a stream of queries is ranked as it comes: an L1 table computes one
+    # row, an L2 table one block of (here) 3 rows with one product
+    l2, kg, _ = random_setup(seed=3)
+    table = EmbeddingTable(l2.entity_vecs.view(ReversedProducts), l2.relation_vecs, norm)
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    taken, scored = [], []
+
+    def stream():
+        for q in queries:
+            taken.append(q)
+            yield q
+
+    before = ReversedProducts.products
+    with mock.patch.object(embeddings, "BLOCK_BYTES", 3 * 8 * kg.num_entities), counting_scores(table, scored):
+        first = next(rank_queries(table, kg, stream(), m=2))
+    assert first == exact_ranking(table, kg, queries[0], m=2)
+    assert len(taken) == taken_first
+    full_rows = sum(entities is None for entities in scored)
+    assert (full_rows, ReversedProducts.products - before) == ((1, 0) if norm == "L1" else (0, 1))
 
 
 def test_a_query_needs_its_gold():
@@ -425,8 +496,12 @@ def test_a_query_needs_its_gold():
         Query(0, 0, "tail")
 
 
-def test_coarse_distances_refuses_an_l1_table():
+def test_an_l1_first_pass_row_is_the_exact_distance_with_bound_0():
     l2, _, _ = random_setup(seed=2)
     table = EmbeddingTable(l2.entity_vecs, l2.relation_vecs, "L1")
-    with pytest.raises(ValueError, match="L2"):
-        table.coarse_distances([(0, 0, "tail")])
+    keys = [(0, 0, "tail"), (3, 1, "head"), (0, 0, "tail"), (9, 1, "tail")]
+    rows = list(table.first_pass(iter(keys)))
+    assert len(rows) == len(keys)
+    for (known, relation, direction), (d, bound) in zip(keys, rows):
+        assert bound == 0
+        assert d.tobytes() == (-table.score_candidates(known, relation, direction)).tobytes()

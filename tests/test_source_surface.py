@@ -252,7 +252,7 @@ def test_no_stage_wakes_the_blas_pool():
         if os.path.basename(path) != "adapter.py"
         for product in blas_products(_parse(path))
     }
-    assert found == {("embeddings", "coarse_distances", "@", True)}
+    assert found == {("embeddings", "first_pass", "@", True)}
 
 
 def data_error_handlers(node, owner=None):
