@@ -336,12 +336,8 @@ def _instruction_set(cfg: PipelineConfig, which: str):
     set is published."""
     outdir = stage_output(cfg, which)
     with _output(outdir, lambda path: _read_set(cfg, path)) as (summary, tmp):
-        if not tmp:
-            def cached():  # opens the file when the first sample is taken
-                with closing(iter_samples(os.path.join(outdir, "instructions.jsonl"))) as records:
-                    yield from records
-
-            with closing(cached()) as samples:
+        if not tmp:  # a generator: the file is opened when the first sample is taken
+            with closing(iter_samples(os.path.join(outdir, "instructions.jsonl"))) as samples:
                 yield samples, summary
             return
         kg = _load_graph(cfg)

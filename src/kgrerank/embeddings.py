@@ -394,15 +394,12 @@ def _scatter_steps(
             np.add.at(relation_flat, index, value)
 
 
-def _sample_negatives(
-    positives: np.ndarray,
-    kg: KnowledgeGraph,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Corrupt head or tail uniformly; redraw corruptions that are training facts."""
+def _sample_negatives(positives: np.ndarray, kg: KnowledgeGraph, rng: np.random.Generator) -> np.ndarray:
+    """A corruption of each row of ``positives``, the batch with each fact
+    repeated once per negative: its head or tail, chosen uniformly, is
+    redrawn until it is no training fact."""
     num_entities = kg.num_entities
-    neg = np.repeat(positives, k, axis=0)
+    neg = positives.copy()
     n = neg.shape[0]
     corrupt_head = rng.integers(0, 2, size=n).astype(bool)
     neg[corrupt_head, 0] = rng.integers(0, num_entities, size=int(corrupt_head.sum()))
@@ -452,7 +449,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             pos = np.take(triples, order[start : start + config.batch_size], axis=0)
             pos_rep = np.repeat(pos, k, axis=0)
-            neg = _sample_negatives(pos, kg, k, rng)
+            neg = _sample_negatives(pos_rep, kg, rng)
             steps = buffer[:, : len(neg)]
             total += _hinge_step(table, pos_rep, neg, config.margin, lr, steps)
             _scatter_steps(entities, relations, pos_rep, neg, steps)

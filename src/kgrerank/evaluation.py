@@ -27,7 +27,10 @@ from .instructions import InstructionSample
 from .kg import DataError
 from .ranking import metrics
 
-WINDOW = 4  # samples in flight per worker: a request takes ~50 ms, a sample ~0.5 ms to build
+# samples in flight per worker: a request takes ~50 ms, a sample ~0.5 ms to build and, in a
+# set built as it is evaluated, ~10 ms to rank on L1; the 3 queued behind each request in
+# flight (~150 ms of work) outlast the ~10 ms in which the main thread makes the next sample
+WINDOW = 4
 
 
 def moved_rank(gold_rank: int, chosen_rank: int | None) -> int:

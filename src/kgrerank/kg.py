@@ -32,7 +32,8 @@ sampling tests membership in the train keys ``(h·R + r)·E + t``: a key
 first looks up one bool of a 4 MB filter, set at every train key's
 multiplicative hash, and only a key that passes is searched for in the
 sorted train keys. The filter has no false negatives, and the search decides
-every hit. It is built at the first such test and held in memory only.
+every hit. The sorted train keys and the filter are built at the first such
+test, whichever load made the graph, and held in memory only.
 
 A graph holds each text table in one form, whichever load made it: the
 keys and the descriptions are each a :class:`PackedTexts`, one UTF-8 blob
@@ -44,8 +45,8 @@ tables as given, and takes over an int64 split array and makes it read-only.
 Parsing, validating and indexing a dataset is all of a first load.
 ``load_kg`` can write the built graph to a directory its caller addresses
 by the dataset's content, as two files: ``graph.npy``, one int64 array that
-holds every array the constructor derives (the splits, the three key
-arrays, the adjacency and ``cooc``) and the offsets of every text table's
+holds every array the constructor stores (the splits, the filter index's two
+key arrays, the adjacency and ``cooc``) and the offsets of every text table's
 entries, and ``texts.bin``, the entries of the five text tables in UTF-8. A
 later load reads it back without parsing, sorting, counting ``cooc`` or
 decoding a key or a description: each array is a read-only view of one
@@ -91,10 +92,8 @@ DATASET_FILES = (
 # texts.bin, E + 1 or R + 1 of them, each table starting where the last one
 # ended. texts.bin is the tables' entries in this order, in UTF-8, each
 # followed by "\n". A change here must bump GRAPH_LAYOUT.
-GRAPH_LAYOUT = 4  # 1 held the three parsed splits alone, 2 the descriptions as a .txt table, 3 fifteen files
-_BUILT_ARRAYS = (
-    "train", "valid", "test", "_train_keys", "_all_keys", "_head_keys", "_adj_facts", "_adj_offsets", "cooc"
-)
+GRAPH_LAYOUT = 5  # 1 the parsed splits alone, 2 descriptions as a .txt table, 3 fifteen files, 4 the train keys
+_BUILT_ARRAYS = ("train", "valid", "test", "_all_keys", "_head_keys", "_adj_facts", "_adj_offsets", "cooc")
 _BUILT_TABLES = ("entity_keys", "entity_names", "relation_keys", "relation_names", "entity_descriptions")
 _SECTIONS = _BUILT_ARRAYS + _BUILT_TABLES
 _GRAPH_ARRAY, _GRAPH_TEXTS = "graph.npy", "texts.bin"
@@ -115,7 +114,7 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the 6
 
 
 def _filter_slot(keys: np.ndarray) -> np.ndarray:
-    """The slot of each int64 key in ``KnowledgeGraph._train_filter``: the top
+    """The slot of each int64 key in ``KnowledgeGraph._train_index``'s filter: the top
     bits of the key times an odd constant, modulo 2**64, as an int64 index."""
     slots = (np.asarray(keys, dtype=np.int64).view(np.uint64) * _MIX) >> np.uint64(64 - _FILTER_BITS)
     return slots.view(np.int64)
@@ -166,7 +165,8 @@ class KnowledgeGraph:
     triples; an int64 C-contiguous array is taken over, not copied, and made
     read-only. The five text tables are stored as given: any sequences of
     strings. ``load_kg`` also fills one from a built graph's files, without
-    running the constructor.
+    running the constructor; their ``graph.npy`` holds two key arrays, the
+    filter index's, and no train keys, which ``in_train`` sorts at its first call.
     """
 
     def __init__(
@@ -205,7 +205,6 @@ class KnowledgeGraph:
         all_keys = np.sort(np.concatenate(keys), kind="stable")
         if (all_keys[1:] == all_keys[:-1]).any():
             raise DataError("splits share triples; they must be disjoint")
-        self._train_keys = _readonly(keys[0])
 
         # filter index: every true fact's key (h·R + r)·E + t, sorted, and
         # its head-ordered key (r·E + t)·E + h, sorted; the facts of one
@@ -258,26 +257,28 @@ class KnowledgeGraph:
     def in_train(self, rows: np.ndarray) -> np.ndarray:
         """Whether each (h, r, t) row of an ``(n, 3)`` id array is a training fact.
 
-        A key whose slot in ``_train_filter`` is clear is no train key; only
-        the keys that pass are searched for in the sorted train keys, so the
-        filter decides no hit on its own.
+        A key whose filter slot is clear is no train key; only the keys that
+        pass are searched for in the sorted train keys, so the filter decides
+        no hit on its own.
         """
+        train_keys, seen = self._train_index
         keys = self._keys(rows)
-        maybe = np.flatnonzero(self._train_filter[_filter_slot(keys)])
+        maybe = np.flatnonzero(seen[_filter_slot(keys)])
         needles = keys[maybe]
-        pos = np.searchsorted(self._train_keys, needles)
+        pos = np.searchsorted(train_keys, needles)
         hit = np.zeros(len(keys), dtype=bool)
-        inside = pos < len(self._train_keys)
-        hit[maybe[inside]] = self._train_keys[pos[inside]] == needles[inside]
+        inside = pos < len(train_keys)
+        hit[maybe[inside]] = train_keys[pos[inside]] == needles[inside]
         return hit
 
     @functools.cached_property
-    def _train_filter(self) -> np.ndarray:
-        """One bool per slot of ``_filter_slot``, set at every train key's slot:
-        built at the first ``in_train`` and held in memory only."""
+    def _train_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted train keys, and one bool per slot of ``_filter_slot``, set at
+        each key's slot: built at the first ``in_train`` and held in memory only."""
+        keys = np.sort(self._keys(self.train))
         seen = np.zeros(1 << _FILTER_BITS, dtype=bool)
-        seen[_filter_slot(self._train_keys)] = True
-        return seen
+        seen[_filter_slot(keys)] = True
+        return keys, seen
 
     def incident_rows(self, entity: int) -> np.ndarray:
         """Train row numbers of the facts incident to ``entity``, ascending."""
@@ -685,7 +686,6 @@ def _is_whole(kg: KnowledgeGraph) -> bool:
         len(kg.entity_names) == n_e
         and len(kg.relation_names) == n_r
         and all(_ids_within(rows, n_e, n_r) for rows in splits)
-        and _increasing(kg._train_keys, len(kg.train), key_bound)
         and _increasing(kg._all_keys, n_all, key_bound)
         and _increasing(kg._head_keys, n_all, key_bound)
         and offsets.shape == (n_e + 1,)

@@ -205,7 +205,8 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
     """Gold score within the top-m, or 0 when the gold falls outside it.
 
     By default the score is min-max normalized over the finite top-m scores
-    so the value lands in [0, 1] regardless of the scorer's scale; with
+    so the value lands in [0, 1] regardless of the scorer's scale; equal
+    scores, or none finite (an overflowed score is -inf), give 1.0. With
     ``normalize=False`` the raw model score is returned instead.
     """
     if m > len(rq.topm_scores):
@@ -217,7 +218,7 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
     if not normalize:
         return rq.gold_score
     finite = [s for s in rq.topm_scores[:m] if math.isfinite(s)]
-    lo, hi = min(finite), max(finite)
+    lo, hi = min(finite, default=0.0), max(finite, default=0.0)
     if hi == lo:
         return 1.0
     return (rq.gold_score - lo) / (hi - lo)

@@ -50,7 +50,7 @@ from kgrerank.kg import (
     PackedTexts,
     Triple,
 )
-from kgrerank.ranking import metrics, queries_for_triple, rank_queries
+from kgrerank.ranking import _count_and_select, _known_true, metrics, queries_for_triple, rank_queries
 
 
 def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=None):
@@ -69,6 +69,38 @@ def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=Non
         [Triple(*t) for t in train],
         [Triple(*t) for t in valid],
         [Triple(*t) for t in test],
+    )
+
+
+def planted_graph(seed, n_entities=400, n_relations=5, dim=32, n_facts=5000, nearest=3):
+    """A graph that a translational embedder can learn: entities get random
+    unit vectors and relations N(0, 0.5²) ones, in ``dim`` dimensions, and a
+    fact (h, r, t) has t among the ``nearest`` entities to e_h + e_r, h
+    excluded. ``n_facts`` distinct facts are drawn uniformly from all such
+    (h, r, t), in random order, and split 8:1:1."""
+    rng = np.random.default_rng(seed)
+    ev = rng.normal(size=(n_entities, dim))
+    ev /= np.linalg.norm(ev, axis=1, keepdims=True)
+    rv = rng.normal(scale=0.5, size=(n_relations, dim))
+    points = (ev[:, None, :] + rv[None, :, :]).reshape(-1, dim)  # row h·R + r
+    dist, term = np.zeros((2, len(points), n_entities))
+    for p, e in zip(points.T, ev.T):  # a dimension at a time: no (points, entities, dim) temporary, no BLAS call
+        dist += np.square(np.subtract.outer(p, e, out=term), out=term)
+    heads = np.repeat(np.arange(n_entities), n_relations)
+    dist[np.arange(len(points)), heads] = np.inf
+    tails = np.argpartition(dist, nearest, axis=1)[:, :nearest]
+    facts = np.stack(
+        [np.repeat(heads, nearest), np.tile(np.repeat(np.arange(n_relations), nearest), n_entities), tails.ravel()],
+        axis=1,
+    )
+    facts = facts[rng.permutation(len(facts))[:n_facts]]
+    n_train, n_valid = 8 * n_facts // 10, n_facts // 10
+    return build_kg(
+        n_entities,
+        n_relations,
+        facts[:n_train].tolist(),
+        facts[n_train : n_train + n_valid].tolist(),
+        facts[n_train + n_valid :].tolist(),
     )
 
 
@@ -345,6 +377,13 @@ def brute_force_rank(table, kg, q, m, filtered=True):
                 scores[e] = float("-inf")
     order = sorted(range(kg.num_entities), key=lambda e: (-scores[e], e))
     return order, order[:m], order.index(q.gold) + 1
+
+
+def exact_ranking(table, kg, q, m):
+    """The ranking from exact scores of every entity, the filtered ones at -inf."""
+    scores = table.score_candidates(q.known, q.relation, q.direction)
+    scores[_known_true(kg, q)] = -np.inf
+    return _count_and_select(q, scores, m)
 
 
 def rerank(ranking, selection, candidate_ids):

@@ -136,7 +136,7 @@ def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
 def test_the_graph_address_is_pinned(tmp_path, toy_dir):
     # golden value: only the dataset's bytes and kg.GRAPH_LAYOUT move it
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
-    assert os.path.basename(stage_output(cfg, "graph")) == "graph-50f0c4fc098e"
+    assert os.path.basename(stage_output(cfg, "graph")) == "graph-96503d966370"
 
 
 def test_readme_config_reference_matches_the_schema():
@@ -1866,6 +1866,23 @@ def gold_ranks(toy_dir, ckpt, limit_triples=None):
         for q in queries_for_triple(t):
             ranks[q.direction].append(rank_query(table, kg, q, 5).gold_rank)
     return ranks
+
+
+def test_a_checkpoint_whose_scores_overflow_builds_both_sets(tmp_path, toy_dir, capsys):
+    # finite vectors whose L2 scores all overflow to -inf: no top-m score is
+    # finite, which is no config error, so both sets build and exit 0
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    overrides = ["embedder.dim=4", "embedder.epochs=1", "ranker.m=5"]
+    sets = [f"--set={s}" for s in overrides]
+    assert main(["train-embeddings", "--config", cfg, *sets]) == 0
+    ckpt = stage_output(load_config(cfg, overrides), "embeddings") + ".ckpt"
+    trained, rng = EmbeddingTable.load(ckpt), np.random.default_rng(0)
+    ev, rv = (1e160 * rng.normal(size=vecs.shape) for vecs in (trained.entity_vecs, trained.relation_vecs))
+    EmbeddingTable(ev, rv, trained.norm).save(ckpt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["build-finetune", "--config", cfg, *sets]) == 0
+        assert main(["build-eval", "--config", cfg, *sets]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_first_candidate_evaluate_reports_the_base_model(tmp_path, toy_dir, capsys):

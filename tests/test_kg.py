@@ -389,17 +389,27 @@ def test_in_train_passes_every_train_key_and_refuses_the_keys_sharing_its_filter
     rng = np.random.default_rng(8)
     rows = np.stack([rng.integers(0, n, 400_000) for n in (3000, 20, 3000)], axis=1)
     keys = parsed._keys(rows)
-    fact = np.isin(keys, parsed._train_keys)
-    shares = np.isin(kg_module._filter_slot(keys), kg_module._filter_slot(parsed._train_keys)) & ~fact
+    train_keys = parsed._keys(parsed.train)
+    fact = np.isin(keys, train_keys)
+    shares = np.isin(kg_module._filter_slot(keys), kg_module._filter_slot(train_keys)) & ~fact
     assert shares.sum() >= 100
+    # each train fact with its head or its tail redrawn, as negative sampling corrupts it
+    corrupted = np.repeat(parsed.train, 2, axis=0)
+    corrupted[0::2, 0], corrupted[1::2, 2] = rng.integers(0, 3000, (2, len(parsed.train)))
+    assert 0 < parsed.in_train(corrupted).sum() < len(corrupted)
     for kg in (parsed, read):
         assert not kg.in_train(rows[shares]).any()
         assert kg.in_train(kg.train).all()
         assert np.array_equal(kg.in_train(rows), fact)
+        assert np.array_equal(kg.in_train(corrupted), np.isin(kg._keys(corrupted), train_keys))
         assert kg.in_train(np.empty((0, 3), dtype=np.int64)).shape == (0,)
-    # the filter is held in memory: the built graph is its two files still
+    # the train keys and the filter are held in memory: the built graph is its
+    # two files still, and a graph read back sorts the same keys as the parse
     assert sorted(os.listdir(built)) == ["graph.npy", "texts.bin"]
     assert "_train_filter" not in kg_module._SECTIONS
+    assert not {"_train_keys", "_train_index"} & set(kg_module._SECTIONS)
+    for parsed_array, read_array in zip(parsed._train_index, read._train_index):
+        assert parsed_array.tobytes() == read_array.tobytes()
 
 
 SAFE_TEXT = st.text(
@@ -502,7 +512,7 @@ def test_a_built_graph_reads_back_equal_to_the_parse(tmp_path, toy_dir, which):
     assert read is not parsed
     assert_same_graph(parsed, load_kg(dataset))
     assert_same_graph(read, load_kg(dataset))
-    for name in ("train", "valid", "test", "cooc", "_train_keys", "_all_keys", "_head_keys", "_adj_facts"):
+    for name in ("train", "valid", "test", "cooc", "_all_keys", "_head_keys", "_adj_facts"):
         array = getattr(read, name)  # a plain read-only ndarray, not a memmap
         assert type(array) is np.ndarray and not array.flags.writeable, name
 

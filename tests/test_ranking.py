@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_rank, build_kg
+from helpers import brute_force_rank, build_kg, exact_ranking
 from kgrerank import embeddings, ranking
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.ranking import (
@@ -170,6 +170,13 @@ def test_local_confidence_degenerate_equal_scores():
     assert local_confidence(rq, m=3) == 1.0
 
 
+def test_local_confidence_with_no_finite_topm_score_is_the_equal_scores_value():
+    # scores that overflowed to -inf: none is finite to normalize over
+    rq = synthetic_rq(gold_rank=2, gold_score=-math.inf, topm_scores=[-math.inf] * 3)
+    assert local_confidence(rq, m=3) == 1.0
+    assert local_confidence(rq, m=3, normalize=False) == -math.inf
+
+
 def test_local_confidence_raw_switch():
     rq = synthetic_rq(gold_rank=2, gold_score=-2.0, topm_scores=[-1.0, -2.0, -5.0])
     assert local_confidence(rq, m=3, normalize=False) == -2.0
@@ -318,13 +325,6 @@ def near_ties(draw, ev):
 @given(block_case())
 def test_rank_queries_equals_rank_query_and_brute_force(case):
     assert_blocks_rank_exactly(*case)
-
-
-def exact_ranking(table, kg, q, m):
-    """The ranking from exact scores of every entity, the filtered ones at -inf."""
-    scores = table.score_candidates(q.known, q.relation, q.direction)
-    scores[ranking._known_true(kg, q)] = -np.inf
-    return ranking._count_and_select(q, scores, m)
 
 
 def assert_blocks_rank_exactly(table, kg, m, rows, ranked=None):
@@ -505,3 +505,32 @@ def test_an_l1_first_pass_row_is_the_exact_distance_with_bound_0():
     for (known, relation, direction), (d, bound) in zip(keys, rows):
         assert bound == 0
         assert d.tobytes() == (-table.score_candidates(known, relation, direction)).tobytes()
+
+
+@pytest.mark.parametrize("norm, scale", [("L2", 1e160), ("L1", 3e307)])
+def test_rank_queries_scores_every_entity_when_the_first_pass_overflows(toy_kg, norm, scale):
+    # finite vectors whose distances overflow: every L2 bound is inf, and on
+    # L1 (bound 0) some golds' distances are inf while the m-th is finite
+    rng = np.random.default_rng(0)
+    ev, rv = (scale * rng.normal(size=(n, 4)) for n in (toy_kg.num_entities, toy_kg.num_relations))
+    table, kg, m = EmbeddingTable(ev, rv, norm), toy_kg, 5
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    scored, finite = [], []  # finite: whether t, delta and d_g are, per query
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, (d, delta) in zip(queries, table.first_pass((q.known, q.relation, q.direction) for q in queries)):
+            d[ranking._known_true(kg, q)] = np.inf
+            t, dg = np.partition(d, m - 1)[m - 1], d[q.gold]
+            finite.append((np.isfinite(t), np.isfinite(delta), np.isfinite(dg)))
+        with counting_scores(table, scored):
+            ranked = list(rank_queries(table, kg, queries, m))
+        for q, rq in zip(queries, ranked):
+            assert rq == exact_ranking(table, kg, q, m)
+            order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
+            assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
+    if norm == "L2":
+        assert not any(finite_delta for _, finite_delta, _ in finite)
+    else:
+        assert any(finite_t and not finite_dg for finite_t, _, finite_dg in finite)
+        scored = scored[1::2]  # each L1 query's first-pass row scores every entity first
+    assert len(scored) == len(queries)
+    assert [entities is None for entities in scored] == [not all(values) for values in finite]
