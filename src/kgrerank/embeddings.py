@@ -20,8 +20,9 @@ batch is an ``np.take`` along axis 0, which copies the same rows faster than
 indexing by a column of ids. The negatives' membership test is
 ``KnowledgeGraph.in_train``.
 
-``EmbeddingTable.load`` is the only check of a checkpoint, and ``train``
-raises :class:`TrainingDiverged` rather than return a table it would refuse.
+``EmbeddingTable.load`` is the only check of a checkpoint, by the one rule
+``rankable``, and ``train`` raises :class:`TrainingDiverged` rather than
+return a table that fails it.
 
 Downstream code only relies on ``score_candidates``, ``first_pass`` (the
 first pass of ranking, for either norm), ``query_vector``,
@@ -67,7 +68,7 @@ TAIL = "tail"  # predict the tail: (h, r, ?), known entity is h
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or the trained vectors become non-finite."""
+    """Raised when the training loss becomes non-finite or the trained table is not rankable."""
 
 
 @dataclass
@@ -110,6 +111,17 @@ class EmbeddingTable:
     def dim(self) -> int:
         return int(self.entity_vecs.shape[1])
 
+    def rankable(self) -> bool:
+        """Whether ``dim c^2 < M / 4``, c = 2 max |e| + max |r| over the entries,
+        M float64's largest value; a NaN or inf entry fails. Then every value
+        ranking forms is finite, on both norms: a residual entry is at most c,
+        so an exact L2 sum of squares is below M / 4 and an L1 sum below
+        max(dim, dim c^2); an L2 first pass's (|q| + max |e|)^2 <= dim c^2 bounds
+        its distances, and with its far smaller delta t + delta and |d - d_g|, below M / 2."""
+        a, b = (max(v.max(initial=0.0), -v.min(initial=0.0)) for v in (self.entity_vecs, self.relation_vecs))
+        c = 2 * float(a) + float(b)  # Python floats: an overflow is inf, not a warning
+        return self.dim * c * c < np.finfo(np.float64).max / 4
+
     def score_candidates(
         self, known: int, relation: int, direction: str, entities: np.ndarray | None = None
     ) -> np.ndarray:
@@ -140,11 +152,9 @@ class EmbeddingTable:
         ``BLOCK_BYTES``): ``|q|^2 - 2 q.e + |e|^2`` from one matrix product,
         with q = e_known + r (tail) or e_known - r (head), and the bound is
         ``16 (dim + 4) (eps (|q| + max |e|)^2 + tiny)``; the argument is in
-        :mod:`kgrerank.ranking`. A bound that overflows is inf. The product
-        runs on one BLAS thread (see ``_one_blas_thread``): on a box with few
-        cores OpenBLAS's second thread can stall it tenfold. The bound holds
-        for the product's sums in any order, so the thread count cannot
-        change a ranking. A row is the caller's to change.
+        :mod:`kgrerank.ranking`. The product runs on one BLAS thread
+        (``_one_blas_thread``); the bound holds for its sums in any order. A
+        row is the caller's to change.
         """
         if self.norm == "L1":
             for known, relation, direction in keys:
@@ -152,23 +162,21 @@ class EmbeddingTable:
             return
         rows = max(1, BLOCK_BYTES // (8 * len(self.entity_vecs)))
         keys = iter(keys)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
-            e_max = np.sqrt(e_sq.max())
+        e_sq = np.einsum("ij,ij->i", self.entity_vecs, self.entity_vecs)
+        e_max = np.sqrt(e_sq.max())
         while block := list(itertools.islice(keys, rows)):
             known, relation, direction = zip(*block)
             sign = np.where(np.asarray(direction) == TAIL, 1.0, -1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
-                q_sq = np.einsum("ij,ij->i", q, q)
-                with _one_blas_thread():
-                    dist = q @ self.entity_vecs.T
-                dist *= -2.0
-                dist += q_sq[:, None]
-                dist += e_sq
-                reach = (np.sqrt(q_sq) + e_max) ** 2
-                bound = 16 * (self.dim + 4) * (_EPS * reach + _TINY)
-            yield from zip(dist, bound)  # outside both scopes: a caller runs between rows
+            q = self.entity_vecs[list(known)] + sign[:, None] * self.relation_vecs[list(relation)]
+            q_sq = np.einsum("ij,ij->i", q, q)
+            with _one_blas_thread():
+                dist = q @ self.entity_vecs.T
+            dist *= -2.0
+            dist += q_sq[:, None]
+            dist += e_sq
+            reach = (np.sqrt(q_sq) + e_max) ** 2
+            bound = 16 * (self.dim + 4) * (_EPS * reach + _TINY)
+            yield from zip(dist, bound)
 
     def query_vector(self, known: int, relation: int, direction: str) -> np.ndarray:
         """Translational composition of a completion query.
@@ -200,7 +208,7 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path: str) -> "EmbeddingTable":
         """The table saved at ``path``; a :class:`DataError` for a file cut short
-        or too long, of a bad magic, version or norm code, or not all finite."""
+        or too long, of a bad magic, version or norm code, or not ``rankable``."""
         with open(path, "rb") as f:
             header = f.read(_HEADER.size)
             if len(header) != _HEADER.size:
@@ -219,11 +227,11 @@ class EmbeddingTable:
             data = np.empty(expected // 8, dtype="<f8")
             if f.readinto(data) != expected or f.read(1):  # the file changed while it was read
                 raise DataError(f"{path}: expected {expected} payload bytes")
-        if not np.isfinite(data).all():
-            raise DataError(f"{path}: holds NaN or infinite values")
-        entity_vecs = data[: n_ent * dim].reshape(n_ent, dim)
-        relation_vecs = data[n_ent * dim :].reshape(n_rel, dim)
-        return cls(entity_vecs, relation_vecs, _NORM_NAMES[norm_code])
+        n = n_ent * dim
+        table = cls(data[:n].reshape(n_ent, dim), data[n:].reshape(n_rel, dim), _NORM_NAMES[norm_code])
+        if not table.rankable():
+            raise DataError(f"{path}: not rankable: NaN or infinite values, or scores that can overflow")
+        return table
 
 
 @functools.cache
@@ -429,8 +437,8 @@ def train(
 
     With ``epochs == 0`` the freshly initialized table is returned unchanged.
     Pass a list as ``epoch_losses`` to collect the mean per-pair loss of each
-    epoch. An epoch's loss is taken before its last step, so final vectors
-    that are not all finite raise :class:`TrainingDiverged` too.
+    epoch. An epoch's loss is taken before its last step, so a final table
+    that is not ``rankable`` raises :class:`TrainingDiverged` too.
     """
     if len(kg.train) == 0:
         raise DataError("cannot train on an empty train split")
@@ -439,6 +447,7 @@ def train(
     rng = np.random.default_rng((config.seed, 1))
     k = config.negatives
     lr = config.learning_rate
+    settings = f"(learning_rate={lr}, margin={config.margin})"
 
     # every batch's SGD steps, allocated once; a short last batch takes a prefix
     buffer = np.empty((2, min(config.batch_size, len(triples)) * k, config.dim))
@@ -454,18 +463,13 @@ def train(
             total += _hinge_step(table, pos_rep, neg, config.margin, lr, steps)
             _scatter_steps(entities, relations, pos_rep, neg, steps)
         if not np.isfinite(total):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}: {total!r} "
-                f"(learning_rate={lr}, margin={config.margin})"
-            )
+            raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {total!r} {settings}")
         _normalize_rows(table.entity_vecs)
         mean = total / (len(triples) * k)
         if epoch_losses is not None:
             epoch_losses.append(mean)
         if epoch % 100 == 0 or epoch == config.epochs - 1:
             logger.debug("epoch %d mean loss %.6f", epoch, mean)
-    if not (np.isfinite(table.entity_vecs).all() and np.isfinite(table.relation_vecs).all()):
-        raise TrainingDiverged(
-            f"non-finite vectors after the last epoch (learning_rate={lr}, margin={config.margin})"
-        )
+    if not table.rankable():
+        raise TrainingDiverged(f"non-finite vectors after the last epoch, or scores that overflow {settings}")
     return table

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -256,16 +256,25 @@ def _write_samples(
             yield sample
 
 
+def _of_type(value, kind: str) -> bool:
+    if kind.startswith("list["):  # a field's annotation: str, int, list[int] or list[str]
+        return type(value) is list and all(_of_type(v, kind[5:-1]) for v in value)
+    return type(value) is (str if kind == "str" else int)  # a bool is no int
+
+
 def iter_samples(path: str) -> Iterator[InstructionSample]:
     """The samples of an instruction file, each read as it is taken. A line
-    that is not a record of this layout (say, one written before
-    ``TEMPLATE_VERSION`` changed) is a :class:`DataError` naming the file and
-    line."""
-    with open(path, encoding="utf-8") as f:
+    that is not UTF-8 or not a record of this layout (say, one written before
+    ``TEMPLATE_VERSION`` changed, or with a field of another type) is a
+    :class:`DataError` naming the file and line."""
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
-                try:
-                    sample = InstructionSample(**json.loads(line))
+                try:  # a UnicodeDecodeError is a ValueError
+                    sample = InstructionSample(**json.loads(line.decode("utf-8")))
+                    for field in fields(sample):
+                        if not _of_type(getattr(sample, field.name), field.type):
+                            raise TypeError(f"{field.name!r} is not of type {field.type}")
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}:{lineno}: not an instruction record: {exc}") from None
                 yield sample

@@ -6,8 +6,8 @@ entities that complete a known-true triple (other than the gold answer) with
 -inf, so the gold rank is always defined.
 Nothing is sorted in full: the gold's rank is counted and the top-m come from
 a partition, both as positions in the order "score descending, ties to the
-smaller entity id". The counts need scores that are never NaN, so
-checkpoints holding NaN or infinite values are refused on load.
+smaller entity id". The counts need finite first-pass values and unfiltered
+scores, which ``EmbeddingTable.rankable`` guarantees.
 
 ``rank_queries`` ranks every query on one path, whatever the table's norm.
 The table's first pass (``EmbeddingTable.first_pass``) gives each query a
@@ -36,10 +36,6 @@ of the exact scores, with unit roundoff u = eps / 2 and n = dim:
   their strict order after it. The rest of the margin covers the rounding
   of delta and of the comparisons themselves; the ``tiny`` term covers
   underflow.
-
-The product runs on one BLAS thread: OpenBLAS's pool can stall it tenfold
-on a box with few cores. A thread count changes only how the product splits
-and orders its sums, which the bound covers, so it cannot change a ranking.
 """
 
 from __future__ import annotations
@@ -99,11 +95,6 @@ class ConfidenceParams:
             raise ValueError("local_norm must be 'minmax' or 'raw'")
 
 
-def _check_m(kg: KnowledgeGraph, m: int) -> None:
-    if not 1 <= m <= kg.num_entities:
-        raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
-
-
 def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
     """The entities filtered out of q's ranking: known-true completions other than the gold."""
     if q.direction == TAIL:
@@ -113,14 +104,12 @@ def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
     return known_true[known_true != q.gold]
 
 
-def _count_and_select(
-    q: Query, scores: np.ndarray, m: int, ids: np.ndarray | None = None, above: int = 0
-) -> RankedQuery:
+def _count_and_select(q: Query, scores: np.ndarray, m: int, ids: np.ndarray, above: int) -> RankedQuery:
     """The gold's rank and the top-m from exact filtered scores of the entities
-    ``ids`` (ascending; all entities when None). ``above`` counts the entities
-    outside ``ids`` that are known to score strictly above the gold; every
-    entity outside ``ids`` is known to score strictly below the m-th best."""
-    gold_pos = q.gold if ids is None else int(np.searchsorted(ids, q.gold))
+    ``ids`` (ascending). ``above`` counts the entities outside ``ids`` that
+    are known to score strictly above the gold; every entity outside ``ids``
+    is known to score strictly below the m-th best."""
+    gold_pos = int(np.searchsorted(ids, q.gold))
     g = scores[gold_pos]
     ties_before = np.count_nonzero(scores[:gold_pos] == g)
     # everything above the m-th best score, sorted; then the ties at it, in id order
@@ -130,7 +119,7 @@ def _count_and_select(
     topm = np.concatenate([above_mth, np.flatnonzero(scores == mth)[: m - len(above_mth)]])
     return RankedQuery(
         query=q,
-        topm_ids=[int(e) for e in (topm if ids is None else ids[topm])],
+        topm_ids=[int(e) for e in ids[topm]],
         topm_scores=[float(s) for s in scores[topm]],
         gold_rank=above + int(np.count_nonzero(scores > g) + ties_before) + 1,
         gold_score=float(g),
@@ -162,28 +151,26 @@ def rank_queries(
       around d_g needs an exact comparison.
 
     The counting and tie rules then run on exact scores of that set, which
-    are the scores that scoring every entity gives them. When t, delta or
-    d_g is not finite (m reaches past the unfiltered entities into the -inf
-    ties, or a value or the bound overflowed), every entity is scored
-    exactly, with the filtered ones at -inf.
+    are the scores that scoring every entity gives them. On a ``rankable``
+    table t is inf only when m reaches past the unfiltered entities: then
+    the band holds every entity, and those of d = inf, the filtered ones,
+    get -inf. A bound or gold distance that is not finite raises ValueError.
     """
-    _check_m(kg, m)
+    if not 1 <= m <= kg.num_entities:
+        raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
     queries, keyed = itertools.tee(queries)
     rows = table.first_pass((q.known, q.relation, q.direction) for q in keyed)
     for q, (d, delta) in zip(queries, rows):
-        filtered = _known_true(kg, q)
-        d[filtered] = np.inf
-        t = np.partition(d, m - 1)[m - 1]
         dg = d[q.gold]
-        if np.isfinite([t, delta, dg]).all():
-            near = (d <= t + delta) | (np.abs(d - dg) <= delta)
-            above = int(np.count_nonzero((d < dg - delta) & ~near))
-            ids = np.flatnonzero(near)
-        else:
-            ids, above = None, 0
+        if not np.isfinite([delta, dg]).all():
+            raise ValueError(f"{q}: a first-pass bound or gold distance overflowed: the table is unrankable")
+        d[_known_true(kg, q)] = np.inf
+        t = np.partition(d, m - 1)[m - 1]
+        near = (d <= t + delta) | (np.abs(d - dg) <= delta)
+        above = int(np.count_nonzero((d < dg - delta) & ~near))
+        ids = np.flatnonzero(near)
         scores = table.score_candidates(q.known, q.relation, q.direction, ids)
-        if ids is None:
-            scores[filtered] = -np.inf
+        scores[np.isinf(d[ids])] = -np.inf
         yield _count_and_select(q, scores, m, ids, above)
 
 
@@ -205,8 +192,8 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
     """Gold score within the top-m, or 0 when the gold falls outside it.
 
     By default the score is min-max normalized over the finite top-m scores
-    so the value lands in [0, 1] regardless of the scorer's scale; equal
-    scores, or none finite (an overflowed score is -inf), give 1.0. With
+    (a filtered entity's is -inf), so the value lands in [0, 1] regardless
+    of the scorer's scale; equal scores, or none finite, give 1.0. With
     ``normalize=False`` the raw model score is returned instead.
     """
     if m > len(rq.topm_scores):

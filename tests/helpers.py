@@ -383,7 +383,7 @@ def exact_ranking(table, kg, q, m):
     """The ranking from exact scores of every entity, the filtered ones at -inf."""
     scores = table.score_candidates(q.known, q.relation, q.direction)
     scores[_known_true(kg, q)] = -np.inf
-    return _count_and_select(q, scores, m)
+    return _count_and_select(q, scores, m, np.arange(kg.num_entities), 0)
 
 
 def rerank(ranking, selection, candidate_ids):
@@ -501,7 +501,7 @@ def reference_sample_negatives(positives, kg, k, rng):
 
 def reference_train(kg, config, *, epoch_losses=None):
     """The training loop that wrote every earlier checkpoint, kept as it was
-    (less its logging, and with the check that its final vectors are finite)
+    (less its logging, and with the check that its final table is rankable)
     with ``np.add.at`` on the 2-D tables as its scatter
     and ``reference_sample_negatives`` as its sampler:
     ``train`` must equal it byte for byte. It draws its initial table through
@@ -512,6 +512,7 @@ def reference_train(kg, config, *, epoch_losses=None):
     rng = np.random.default_rng((config.seed, 1))
     k = config.negatives
     lr = config.learning_rate
+    settings = f"(learning_rate={lr}, margin={config.margin})"
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(triples))
@@ -527,19 +528,13 @@ def reference_train(kg, config, *, epoch_losses=None):
             np.add.at(table.entity_vecs, e_idx, -lr * e_grads)
             np.add.at(table.relation_vecs, r_idx, -lr * r_grads)
         if not np.isfinite(total):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}: {total!r} "
-                f"(learning_rate={lr}, margin={config.margin})"
-            )
+            raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {total!r} {settings}")
         _normalize_rows(table.entity_vecs)
         mean = total / (len(triples) * k)
         if epoch_losses is not None:
             epoch_losses.append(mean)
-    if not (np.isfinite(table.entity_vecs).all() and np.isfinite(table.relation_vecs).all()):
-        raise TrainingDiverged(
-            f"non-finite vectors after the last epoch "
-            f"(learning_rate={lr}, margin={config.margin})"
-        )
+    if not table.rankable():
+        raise TrainingDiverged(f"non-finite vectors after the last epoch, or scores that overflow {settings}")
     return table
 
 

@@ -193,26 +193,48 @@ def test_template_version_readdresses_instruction_sets(tmp_path, toy_dir, monkey
 def _at_length(record, length):
     """``record`` as an ASCII instruction line of ``length`` bytes, its prompt cut to fit."""
     line = json.dumps(record, separators=(",", ":")) + "\n"
-    record = {**record, "prompt": record["prompt"][: length - len(line)]}
+    record = {**record, "prompt": record["prompt"][: len(record["prompt"]) + length - len(line)]}
     line = json.dumps(record, separators=(",", ":")) + "\n"
     assert line.isascii() and len(line) == length
     return line
 
 
-def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys):
-    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+# each edit keeps the line's byte length, so the set's recorded lengths hold
+RECORD_EDITS = {
+    "foreign-key": (  # a key this layout does not have
+        lambda line: _at_length({**json.loads(line), "knowledge_ref_offsets": [0, 1, 2, 3, 4, 5]}, len(line)).encode(),
+        "knowledge_ref_offsets",
+    ),
+    "not-utf8": (  # a lone 0xff byte inside the prompt
+        lambda line: line.replace(b"Candidates:", b"\xffandidates:", 1),
+        "'utf-8' codec can't decode byte 0xff",
+    ),
+    "another-type": (  # a list where an int belongs
+        lambda line: _at_length({**json.loads(line), "gold_rank": []}, len(line)).encode(),
+        "'gold_rank' is not of type int",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, reason", RECORD_EDITS.values(), ids=RECORD_EDITS)
+def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys, edit, reason):
+    workdir = tmp_path / "w"
+    cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
     assert main(["build-eval", "--config", cfg]) == 0
-    path = workdir_file(tmp_path / "w", "eval-", "instructions.jsonl")
-    lines = read_text(path).splitlines(keepends=True)
-    record = json.loads(lines[2])
-    record["knowledge_ref_offsets"] = [0, 1, 2, 3, 4, 5]  # a key this layout does not have
-    lines[2] = _at_length(record, len(lines[2].encode()))  # so the set's byte lengths hold
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(lines))
-    assert main(["evaluate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}:3:" in err and "knowledge_ref_offsets" in err
-    assert "Traceback" not in err
+    path = workdir_file(workdir, "eval-", "instructions.jsonl")
+    lines = read_bytes(path).splitlines(keepends=True)
+    edited = edit(lines[2])
+    assert edited != lines[2] and len(edited) == len(lines[2])
+    lines[2] = edited
+    with open(path, "wb") as f:
+        f.write(b"".join(lines))
+    capsys.readouterr()
+    for argv in (["evaluate", "--config", cfg], ["inspect", "--file", path, "--index", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: not an instruction record: " in err and reason in err
+        assert "Traceback" not in err
+    assert not [e for e in os.listdir(workdir) if e.startswith("report-")]
 
 
 @pytest.mark.parametrize(
@@ -1163,7 +1185,7 @@ _NAN = np.float64(np.nan).tobytes()
         (lambda b: b[:3], "truncated header"),
         (lambda b: b[:1], "truncated header"),
         (lambda b: b + bytes(8), "payload bytes, got"),
-        (lambda b: b[:_HEADER_SIZE] + _NAN + b[_HEADER_SIZE + 8 :], "holds NaN or infinite values"),
+        (lambda b: b[:_HEADER_SIZE] + _NAN + b[_HEADER_SIZE + 8 :], "not rankable: NaN or infinite values, or scores that can overflow"),
         (lambda b: b"KGE0" + b[4:], "bad magic b'KGE0'"),
         (_with_header_byte(4, 2), "unsupported version 2"),
         (_with_header_byte(_HEADER_SIZE - 1, 9), "unknown norm code 9"),
@@ -1868,20 +1890,27 @@ def gold_ranks(toy_dir, ckpt, limit_triples=None):
     return ranks
 
 
-def test_a_checkpoint_whose_scores_overflow_builds_both_sets(tmp_path, toy_dir, capsys):
-    # finite vectors whose L2 scores all overflow to -inf: no top-m score is
-    # finite, which is no config error, so both sets build and exit 0
+def test_a_checkpoint_whose_scores_overflow_is_retrained(tmp_path, toy_dir, caplog, capsys):
+    # finite vectors whose L2 scores all overflow: its reader refuses the
+    # checkpoint, so each stage that reads it retrains it and builds its set
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
     cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     overrides = ["embedder.dim=4", "embedder.epochs=1", "ranker.m=5"]
     sets = [f"--set={s}" for s in overrides]
     assert main(["train-embeddings", "--config", cfg, *sets]) == 0
     ckpt = stage_output(load_config(cfg, overrides), "embeddings") + ".ckpt"
+    whole = read_bytes(ckpt)
     trained, rng = EmbeddingTable.load(ckpt), np.random.default_rng(0)
     ev, rv = (1e160 * rng.normal(size=vecs.shape) for vecs in (trained.entity_vecs, trained.relation_vecs))
-    EmbeddingTable(ev, rv, trained.norm).save(ckpt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["build-finetune", "--config", cfg, *sets]) == 0
-        assert main(["build-eval", "--config", cfg, *sets]) == 0
+    for command in ("build-finetune", "build-eval"):
+        EmbeddingTable(ev, rv, trained.norm).save(ckpt)
+        caplog.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", cfg, *sets]) == 0
+        warnings = _warnings(caplog)
+        assert len(warnings) == 1, warnings
+        assert warnings[0].startswith(f"rebuilding {ckpt}, which its reader refuses: {ckpt}: not rankable")
+        assert read_bytes(ckpt) == whole
     assert "error" not in capsys.readouterr().err
 
 

@@ -470,6 +470,20 @@ def test_negatives_equal_the_reference_and_only_redraws_are_tested_again(seed):
     assert tested == sorted(tested, reverse=True)  # a round tests no more rows than the one before
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_negatives_are_no_training_facts_and_corrupt_one_end(seed):
+    # three in four corruptions are training facts, yet every fact has clean
+    # ones at both ends: judged by a set of the train triples, not by in_train
+    kg = build_kg(6, 2, train=[(h, r, t) for h in range(6) for r in range(2) for t in range(6) if (h + r + t) % 4])
+    positives = np.repeat(kg.train, 3, axis=0)
+    neg = _sample_negatives(positives, kg, np.random.default_rng(seed))
+    facts = {tuple(fact) for fact in kg.train.tolist()}
+    assert [fact for fact in neg.tolist() if tuple(fact) in facts] == []
+    assert np.array_equal(neg[:, 1], positives[:, 1])
+    changed = (neg[:, [0, 2]] != positives[:, [0, 2]]).sum(axis=1)
+    assert (changed == 1).all()
+
+
 def test_train_empty_split_rejected():
     empty = build_kg(3, 1, train=[])
     with pytest.raises(DataError):

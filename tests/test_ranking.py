@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_rank, build_kg, exact_ranking
 from kgrerank import embeddings, ranking
-from kgrerank.embeddings import EmbeddingTable
+from kgrerank.embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
+from kgrerank.kg import DataError
 from kgrerank.ranking import (
     ConfidenceParams,
     Query,
@@ -457,12 +459,15 @@ def test_rank_queries_ranks_l1_queries_on_exact_distances(m):
     with counting_scores(table, scored):
         ranked = list(rank_queries(table, kg, queries, m))
     assert ReversedProducts.products == before  # no matrix product
-    # the first pass scores each query in full once; a query whose m reaches
-    # into its filtered entities is scored in full again, any other only on its band
+    # the first pass scores each query in full once, then its band on ids. At
+    # m = 10, the number of entities, every band holds them all, the filtered
+    # ones too where there are some; at m = 1 and 4 no band is full width
     past = sum(m > kg.num_entities - len(ranking._known_true(kg, q)) for q in queries)
     assert 0 < past < len(queries) if m == 10 else past == 0
     assert len(scored) == 2 * len(queries)
-    assert sum(entities is None for entities in scored) == len(queries) + past
+    assert all(entities is None for entities in scored[::2])
+    full = [len(ids) == kg.num_entities for ids in scored[1::2]]
+    assert full == [m == 10] * len(queries)
     for q, rq in zip(queries, ranked):
         order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
         assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
@@ -507,30 +512,78 @@ def test_an_l1_first_pass_row_is_the_exact_distance_with_bound_0():
         assert d.tobytes() == (-table.score_candidates(known, relation, direction)).tobytes()
 
 
-@pytest.mark.parametrize("norm, scale", [("L2", 1e160), ("L1", 3e307)])
-def test_rank_queries_scores_every_entity_when_the_first_pass_overflows(toy_kg, norm, scale):
-    # finite vectors whose distances overflow: every L2 bound is inf, and on
-    # L1 (bound 0) some golds' distances are inf while the m-th is finite
+def overflowing_table(kg, norm, scale):
+    """A table of finite N(0, 1) times ``scale`` vectors, in 4 dimensions,
+    whose first-pass values overflow: at 1e160 every L2 bound is inf, and at
+    3e307 some L1 golds' distances are inf while the m-th is finite."""
     rng = np.random.default_rng(0)
-    ev, rv = (scale * rng.normal(size=(n, 4)) for n in (toy_kg.num_entities, toy_kg.num_relations))
-    table, kg, m = EmbeddingTable(ev, rv, norm), toy_kg, 5
+    ev, rv = (scale * rng.normal(size=(n, 4)) for n in (kg.num_entities, kg.num_relations))
+    return EmbeddingTable(ev, rv, norm)
+
+
+@pytest.mark.parametrize("norm, scale", [("L2", 1e160), ("L1", 3e307)])
+def test_a_table_whose_first_pass_overflows_is_refused(toy_kg, tmp_path, norm, scale):
+    table, kg, m = overflowing_table(toy_kg, norm, scale), toy_kg, 5
     queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
-    scored, finite = [], []  # finite: whether t, delta and d_g are, per query
+    finite = []  # whether t, delta and d_g are, per query
     with np.errstate(over="ignore", invalid="ignore"):
         for q, (d, delta) in zip(queries, table.first_pass((q.known, q.relation, q.direction) for q in queries)):
             d[ranking._known_true(kg, q)] = np.inf
             t, dg = np.partition(d, m - 1)[m - 1], d[q.gold]
             finite.append((np.isfinite(t), np.isfinite(delta), np.isfinite(dg)))
-        with counting_scores(table, scored):
-            ranked = list(rank_queries(table, kg, queries, m))
-        for q, rq in zip(queries, ranked):
-            assert rq == exact_ranking(table, kg, q, m)
-            order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
-            assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
-    if norm == "L2":
-        assert not any(finite_delta for _, finite_delta, _ in finite)
-    else:
-        assert any(finite_t and not finite_dg for finite_t, _, finite_dg in finite)
-        scored = scored[1::2]  # each L1 query's first-pass row scores every entity first
-    assert len(scored) == len(queries)
-    assert [entities is None for entities in scored] == [not all(values) for values in finite]
+        if norm == "L2":
+            assert not any(finite_delta for _, finite_delta, _ in finite)
+        else:
+            assert any(finite_t and not finite_dg for finite_t, _, finite_dg in finite)
+        with pytest.raises(ValueError, match="the table is unrankable"):
+            list(rank_queries(table, kg, queries, m))
+    path = str(tmp_path / "overflowing.ckpt")
+    table.save(path)
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: not rankable"):
+        EmbeddingTable.load(path)
+
+
+def limit_tables(kg, norm):
+    """Two N(0, 1) tables scaled by adjacent floats: the one at the rule's
+    limit, which ``rankable`` accepts, and the one just past it."""
+    rng = np.random.default_rng(1)
+    ev, rv = rng.normal(size=(kg.num_entities, 4)), rng.normal(size=(kg.num_relations, 4))
+    # 4 (2 a + b)^2 < M / 4, with a = max |e| and b = max |r|
+    limit = math.sqrt(np.finfo(np.float64).max / 16) / (2 * np.abs(ev).max() + np.abs(rv).max())
+    below, above = limit / 2, limit * 2
+    while np.nextafter(below, np.inf) < above:
+        middle = below + (above - below) / 2
+        if EmbeddingTable(middle * ev, middle * rv, norm).rankable():
+            below = middle
+        else:
+            above = middle
+    return (EmbeddingTable(s * ev, s * rv, norm) for s in (below, np.nextafter(below, np.inf)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("norm", ["L2", "L1"])
+def test_a_table_at_the_rules_limit_ranks_exactly_and_one_past_it_is_refused(toy_kg, tmp_path, norm):
+    kg, m = toy_kg, 5
+    at, past = limit_tables(kg, norm)
+    assert at.rankable() and not past.rankable()
+    a, b = np.abs(at.entity_vecs).max(), np.abs(at.relation_vecs).max()
+    assert 4 * (2 * a + b) ** 2 == pytest.approx(np.finfo(np.float64).max / 4, rel=1e-12)
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    for q, rq in zip(queries, rank_queries(at, kg, queries, m)):
+        assert rq == exact_ranking(at, kg, q, m)
+        order, topm, gold_rank = brute_force_rank(at, kg, q, m=m)
+        assert (rq.topm_ids, rq.gold_rank) == (topm, gold_rank)
+    for table, path in ((at, tmp_path / "at.ckpt"), (past, tmp_path / "past.ckpt")):
+        table.save(str(path))
+    loaded = EmbeddingTable.load(str(tmp_path / "at.ckpt"))
+    assert loaded.entity_vecs.tobytes() == at.entity_vecs.tobytes()
+    assert loaded.relation_vecs.tobytes() == at.relation_vecs.tobytes()
+    with pytest.raises(DataError, match="past.ckpt: not rankable"):
+        EmbeddingTable.load(str(tmp_path / "past.ckpt"))
+    # an epoch-free run returns its initial table: the one at the limit, or a refusal
+    config = TrainConfig(dim=4, epochs=0, norm=norm)
+    with mock.patch.object(embeddings, "init_embeddings", lambda kg, config: at):
+        assert train(kg, config) is at
+    with mock.patch.object(embeddings, "init_embeddings", lambda kg, config: past):
+        with pytest.raises(TrainingDiverged, match="or scores that overflow"):
+            train(kg, config)
