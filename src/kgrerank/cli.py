@@ -271,13 +271,22 @@ def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
     return kg
 
 
-def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> tuple[str, EmbeddingTable]:
-    """The checkpoint's address and its table, read by ``EmbeddingTable.load`` or trained."""
+def _read_checkpoint(cfg: PipelineConfig, kg: KnowledgeGraph, path: str) -> EmbeddingTable:
+    """``EmbeddingTable.load``'s table, refused unless it has the graph's entity
+    and relation counts and ``[embedder]``'s dim and norm: ids index its rows."""
+    table = EmbeddingTable.load(path)
+    shape = (len(table.entity_vecs), len(table.relation_vecs), table.dim, table.norm)
+    wanted = (kg.num_entities, kg.num_relations, cfg.embedder.dim, cfg.embedder.norm)
+    if shape != wanted:
+        raise DataError(f"{path}: a table of (entities, relations, dim, norm) {shape}, not {wanted}")
+    return table
+
+
+def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph) -> tuple[str, EmbeddingTable]:
+    """The checkpoint's address and its table, read by ``_read_checkpoint`` or trained."""
     ckpt = stage_output(cfg, "embeddings") + ".ckpt"
-    with _output(ckpt, EmbeddingTable.load) as (table, tmp):
+    with _output(ckpt, lambda path: _read_checkpoint(cfg, kg, path)) as (table, tmp):
         if tmp:
-            if kg is None:
-                kg = _load_graph(cfg)
             logger.info(
                 "training embeddings: %d entities, %d relations, %d train triples",
                 kg.num_entities, kg.num_relations, len(kg.train),
@@ -290,7 +299,7 @@ def ensure_embeddings(cfg: PipelineConfig, kg: KnowledgeGraph | None = None) -> 
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    ckpt, _ = ensure_embeddings(cfg)
+    ckpt, _ = ensure_embeddings(cfg, _load_graph(cfg))
     print(f"checkpoint: {ckpt}")
     return 0
 

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .embeddings import TAIL, EmbeddingTable
+from .embeddings import HEAD, TAIL, EmbeddingTable
 from .kg import DataError, KnowledgeGraph, Triple
 from .ranking import (
     ConfidenceParams,
@@ -225,12 +226,6 @@ class InstructionWriter:
     def close(self) -> None:
         self._f.close()
 
-    def __enter__(self) -> "InstructionWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def _write_samples(
     w: InstructionWriter,
@@ -265,8 +260,8 @@ def _of_type(value, kind: str) -> bool:
 def iter_samples(path: str) -> Iterator[InstructionSample]:
     """The samples of an instruction file, each read as it is taken. A line
     that is not UTF-8 or not a record of this layout (say, one written before
-    ``TEMPLATE_VERSION`` changed, or with a field of another type) is a
-    :class:`DataError` naming the file and line."""
+    ``TEMPLATE_VERSION`` changed, with a field of another type, or with a value
+    ``evaluate`` cannot score) is a :class:`DataError` naming the file and line."""
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
@@ -275,6 +270,12 @@ def iter_samples(path: str) -> Iterator[InstructionSample]:
                     for field in fields(sample):
                         if not _of_type(getattr(sample, field.name), field.type):
                             raise TypeError(f"{field.name!r} is not of type {field.type}")
+                    if sample.direction not in (HEAD, TAIL):
+                        raise ValueError(f"direction {sample.direction!r} is neither {HEAD!r} nor {TAIL!r}")
+                    if not len(sample.candidate_ids) == len(sample.candidate_names) == len(sample.candidate_ranks):
+                        raise ValueError("candidate_ids, candidate_names and candidate_ranks differ in length")
+                    if min(sample.candidate_ranks, default=1) < 1 or sample.gold_rank < 1:
+                        raise ValueError("gold_rank and candidate_ranks must be >= 1")
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}:{lineno}: not an instruction record: {exc}") from None
                 yield sample
@@ -300,7 +301,7 @@ def build_eval_set(
     summary = _options_summary(params, options)
 
     def samples() -> Iterator[InstructionSample]:
-        with InstructionWriter(instructions_path) as w:
+        with closing(InstructionWriter(instructions_path)) as w:
             yield from _write_samples(
                 w, kg, table, params, options, enumerate(kg.test), "test", truncate=False
             )
@@ -339,12 +340,12 @@ def build_finetune_set(
     summary = _options_summary(params, options)
 
     def samples() -> Iterator[InstructionSample]:
-        with InstructionWriter(instructions_path) as w:
+        with closing(InstructionWriter(instructions_path)) as w:
             part = ((i, kg.valid[i]) for i in part1)
             yield from _write_samples(w, kg, table, params, options, part, "valid", truncate=True)
         if w.count == 0:
             logger.warning("truncation at beta=%s kept no finetune samples", params.beta)
-        with InstructionWriter(holdout_instructions_path) as h:
+        with closing(InstructionWriter(holdout_instructions_path)) as h:
             part = ((i, kg.valid[i]) for i in part2)
             for _ in _write_samples(h, kg, table, params, options, part, "valid", truncate=False):
                 pass

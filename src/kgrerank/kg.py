@@ -35,26 +35,26 @@ sorted train keys. The filter has no false negatives, and the search decides
 every hit. The sorted train keys and the filter are built at the first such
 test, whichever load made the graph, and held in memory only.
 
-A graph holds each text table in one form, whichever load made it: the
-keys and the descriptions are each a :class:`PackedTexts`, one UTF-8 blob
-and the offsets of its entries, each decoded when it is read, and the names
-are lists decoded once. A prompt reads the description of its known entity
-alone, so a load decodes none of them. The constructor stores the text
-tables as given, and takes over an int64 split array and makes it read-only.
+A graph holds no key table: ids stand for the keys past the parse. It holds
+each text table in one form, whichever load made it: the descriptions are a
+:class:`PackedTexts`, one UTF-8 blob and the offsets of its entries, each
+decoded when it is read (a prompt reads its known entity's alone), and the
+names are lists decoded once. The constructor stores the text tables as
+given, and takes over an int64 split array and makes it read-only.
 
 Parsing, validating and indexing a dataset is all of a first load.
 ``load_kg`` can write the built graph to a directory its caller addresses
 by the dataset's content, as two files: ``graph.npy``, one int64 array that
 holds every array the constructor stores (the splits, the filter index's two
 key arrays, the adjacency and ``cooc``) and the offsets of every text table's
-entries, and ``texts.bin``, the entries of the five text tables in UTF-8. A
+entries, and ``texts.bin``, the entries of the three text tables in UTF-8. A
 later load reads it back without parsing, sorting, counting ``cooc`` or
-decoding a key or a description: each array is a read-only view of one
-memory map, the keys and descriptions are :class:`PackedTexts` over the
-text blob, and only the two name tables are decoded. O(n) checks take the
-place of validation (section lengths, id ranges, strictly increasing keys,
-adjacency and text offsets, valid UTF-8). A file there that is missing,
-cut short, grown or fails a check is a :class:`DataError` that says why.
+decoding a description: each array is a read-only view of one memory map,
+the descriptions are a :class:`PackedTexts` over the text blob, and only the
+two name tables are decoded. O(n) checks take the place of validation
+(section lengths, id ranges, strictly increasing keys, adjacency and text
+offsets, valid UTF-8). A file there that is missing, cut short, grown or
+fails a check is a :class:`DataError` that says why.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ DATASET_FILES = (
 # texts.bin, E + 1 or R + 1 of them, each table starting where the last one
 # ended. texts.bin is the tables' entries in this order, in UTF-8, each
 # followed by "\n". A change here must bump GRAPH_LAYOUT.
-GRAPH_LAYOUT = 5  # 1 the parsed splits alone, 2 descriptions as a .txt table, 3 fifteen files, 4 the train keys
+GRAPH_LAYOUT = 6  # 1 the parsed splits alone, 2 descriptions as a .txt table, 3 fifteen files, 4 the train keys, 5 the key tables
 _BUILT_ARRAYS = ("train", "valid", "test", "_all_keys", "_head_keys", "_adj_facts", "_adj_offsets", "cooc")
-_BUILT_TABLES = ("entity_keys", "entity_names", "relation_keys", "relation_names", "entity_descriptions")
+_BUILT_TABLES = ("entity_names", "relation_names", "entity_descriptions")
 _SECTIONS = _BUILT_ARRAYS + _BUILT_TABLES
 _GRAPH_ARRAY, _GRAPH_TEXTS = "graph.npy", "texts.bin"
 
@@ -163,31 +163,26 @@ class KnowledgeGraph:
     filter index used by filtered ranking, and the relation co-occurrence
     matrix. Splits may be given as ``(n, 3)`` arrays or as sequences of
     triples; an int64 C-contiguous array is taken over, not copied, and made
-    read-only. The five text tables are stored as given: any sequences of
-    strings. ``load_kg`` also fills one from a built graph's files, without
-    running the constructor; their ``graph.npy`` holds two key arrays, the
-    filter index's, and no train keys, which ``in_train`` sorts at its first call.
+    read-only. The three text tables, whose names count the entities and
+    relations, are stored as given: any sequences of strings. ``load_kg``
+    also fills one from a built graph's files, without running the
+    constructor; their ``graph.npy`` holds two key arrays, the filter
+    index's, and no train keys, which ``in_train`` sorts at its first call.
     """
 
     def __init__(
         self,
-        entity_keys: Sequence[str],
         entity_names: Sequence[str],
         entity_descriptions: Sequence[str],
-        relation_keys: Sequence[str],
         relation_names: Sequence[str],
         train: Iterable[Triple] | np.ndarray,
         valid: Iterable[Triple] | np.ndarray,
         test: Iterable[Triple] | np.ndarray,
     ):
-        if not (len(entity_keys) == len(entity_names) == len(entity_descriptions)):
+        if len(entity_names) != len(entity_descriptions):
             raise DataError("entity tables have inconsistent lengths")
-        if len(relation_keys) != len(relation_names):
-            raise DataError("relation tables have inconsistent lengths")
-        self.entity_keys = entity_keys
         self.entity_names = entity_names
         self.entity_descriptions = entity_descriptions
-        self.relation_keys = relation_keys
         self.relation_names = relation_names
         if self.num_entities**2 * self.num_relations >= 2**63:
             raise DataError("graph too large for int64 triple keys")
@@ -236,11 +231,11 @@ class KnowledgeGraph:
 
     @property
     def num_entities(self) -> int:
-        return len(self.entity_keys)
+        return len(self.entity_names)
 
     @property
     def num_relations(self) -> int:
-        return len(self.relation_keys)
+        return len(self.relation_names)
 
     def known_tails(self, head: int, relation: int) -> np.ndarray:
         """Sorted ids t with (head, relation, t) true in any split."""
@@ -575,7 +570,7 @@ def _descriptions(path: str, entities: TextTable) -> PackedTexts:
 
 
 def _parse(dataset_dir: str) -> tuple[KnowledgeGraph, list[PackedTexts]]:
-    """The graph of a dataset directory and its five text tables as they were
+    """The graph of a dataset directory and its three text tables as they were
     cut from the files' bytes, in ``_BUILT_TABLES`` order."""
     entities, relations = (
         TextTable.read(os.path.join(dataset_dir, name)) for name in (ENTITY_NAME_FILE, RELATION_NAME_FILE)
@@ -585,16 +580,13 @@ def _parse(dataset_dir: str) -> tuple[KnowledgeGraph, list[PackedTexts]]:
         _read_triples(os.path.join(dataset_dir, name), entities.index, relations.index)
         for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
     ]
-    entity_keys, entity_names = entities.keys(), entities.texts()
-    relation_keys, relation_names = relations.keys(), relations.texts()
-    kg = KnowledgeGraph(
-        entity_keys, entity_names.tolist(), descriptions, relation_keys, relation_names.tolist(), *splits
-    )
-    return kg, [entity_keys, entity_names, relation_keys, relation_names, descriptions]
+    entity_names, relation_names = entities.texts(), relations.texts()
+    kg = KnowledgeGraph(entity_names.tolist(), descriptions, relation_names.tolist(), *splits)
+    return kg, [entity_names, relation_names, descriptions]
 
 
 def _write_built(kg: KnowledgeGraph, tables: list[PackedTexts], out_dir: str) -> None:
-    """Write a parsed graph's two files, its text tables the five that the
+    """Write a parsed graph's two files, its text tables the three that the
     parse cut, in ``_BUILT_TABLES`` order, each a blob from offset 0."""
     os.mkdir(out_dir)
     starts = np.cumsum([0] + [len(t.blob) for t in tables[:-1]])
@@ -636,10 +628,8 @@ def _read_built(cache_dir: str) -> KnowledgeGraph:
     kg = KnowledgeGraph.__new__(KnowledgeGraph)
     for name in _BUILT_ARRAYS:
         setattr(kg, name, sections[name])
-    for name in ("entity_keys", "relation_keys", "entity_descriptions"):
-        setattr(kg, name, PackedTexts(blob, sections[name]))
-    for name in ("entity_names", "relation_names"):  # what every prompt reads
-        setattr(kg, name, PackedTexts(blob, sections[name]).tolist())
+    names, relations, kg.entity_descriptions = (PackedTexts(blob, sections[name]) for name in _BUILT_TABLES)
+    kg.entity_names, kg.relation_names = names.tolist(), relations.tolist()  # what every prompt reads
     if not _is_whole(kg):
         raise DataError(f"{_GRAPH_ARRAY} fails a check of its ids, keys or adjacency")
     return kg
@@ -649,21 +639,20 @@ def _sections(graph: np.ndarray) -> dict[str, np.ndarray]:
     """Each section of a built graph's array, by name; a DataError when its length
     prefix does not describe it: a length below 0, lengths that do not sum to
     the array's size, a split that is not rows of 3, no entity or relation
-    keys' offsets, names or descriptions of another count than their keys,
-    or a ``cooc`` that is not R × R. The names are counted again once split,
-    which finds a newline inside one."""
+    names' offsets, descriptions of another count than the entity names, or
+    a ``cooc`` that is not R × R, R the relation names. ``_is_whole`` counts
+    the names again once split, which finds a newline inside one."""
     if not (graph.dtype == np.int64 and graph.ndim == 1 and graph.size >= len(_SECTIONS)):
         raise DataError(f"{_GRAPH_ARRAY} has a length prefix that does not describe it")
     lengths = dict(zip(_SECTIONS, graph[: len(_SECTIONS)].tolist()))
-    n_e, n_r = lengths["entity_keys"] - 1, lengths["relation_keys"] - 1
+    n_e, n_r = lengths["entity_names"] - 1, lengths["relation_names"] - 1
     if not (
         min(lengths.values()) >= 0
         and sum(lengths.values()) == graph.size - len(_SECTIONS)
         and lengths["train"] % 3 == lengths["valid"] % 3 == lengths["test"] % 3 == 0
         and n_e >= 0
         and n_r >= 0
-        and lengths["entity_names"] == lengths["entity_descriptions"] == n_e + 1
-        and lengths["relation_names"] == n_r + 1
+        and lengths["entity_descriptions"] == n_e + 1
         and lengths["cooc"] == n_r * n_r
     ):
         raise DataError(f"{_GRAPH_ARRAY} has a length prefix that does not describe it")
@@ -677,7 +666,7 @@ def _sections(graph: np.ndarray) -> dict[str, np.ndarray]:
 
 def _is_whole(kg: KnowledgeGraph) -> bool:
     """O(n) structural checks on a graph read back from its built files."""
-    n_e, n_r = kg.num_entities, kg.num_relations
+    n_e, n_r = len(kg.entity_descriptions), len(kg.cooc)  # as many as the names' offsets
     splits = (kg.train, kg.valid, kg.test)
     offsets, facts = kg._adj_offsets, kg._adj_facts
     n_all = sum(map(len, splits))

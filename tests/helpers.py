@@ -54,17 +54,13 @@ from kgrerank.ranking import _count_and_select, _known_true, metrics, queries_fo
 
 
 def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=None):
-    keys = [f"E{i}" for i in range(n_entities)]
     names = [f"entity {i}" for i in range(n_entities)]
     if descriptions is None:
         descriptions = [f"about entity {i}" for i in range(n_entities)]
-    rel_keys = [f"R{j}" for j in range(n_relations)]
     rel_names = [f"relation {j}" for j in range(n_relations)]
     return KnowledgeGraph(
-        keys,
         names,
         descriptions,
-        rel_keys,
         rel_names,
         [Triple(*t) for t in train],
         [Triple(*t) for t in valid],
@@ -106,13 +102,13 @@ def planted_graph(seed, n_entities=400, n_relations=5, dim=32, n_facts=5000, nea
 
 def assert_same_graph(graph, reference):
     """``graph`` equals ``reference`` on every attribute and accessor: each
-    split's bytes, dtype and shape, the five text tables, ``cooc``, and what
+    split's bytes, dtype and shape, the three text tables, ``cooc``, and what
     ``incident_rows``, ``known_tails``, ``known_heads`` and ``in_train`` answer
     for every entity, relation and (h, r, t) row."""
     for split in ("train", "valid", "test"):
         a, b = getattr(graph, split), getattr(reference, split)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), split
-    for table in ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names"):
+    for table in ("entity_names", "entity_descriptions", "relation_names"):
         assert list(getattr(graph, table)) == list(getattr(reference, table)), table
     assert graph.cooc.dtype == reference.cooc.dtype and np.array_equal(graph.cooc, reference.cooc)
     n_e, n_r = reference.num_entities, reference.num_relations
@@ -195,7 +191,7 @@ def read_triples_by_line(path, entity_ids, relation_ids):
 
 def parse_by_line(dataset_dir):
     """The graph of a dataset directory as the library once parsed it, and
-    its five text tables packed in the order ``kg._write_built`` takes them:
+    its three text tables packed in the order ``kg._write_built`` takes them:
     each file read by the line-by-line oracles above, the descriptions
     placed by a dict of the entity keys, and the constructor run on the result."""
 
@@ -214,16 +210,10 @@ def parse_by_line(dataset_dir):
     splits = [
         read_triples_by_line(path(name), entity_ids, relation_ids) for name in (TRAIN_FILE, VALID_FILE, TEST_FILE)
     ]
-    tables = [
-        [key for _, key, _ in entities],
-        [name for _, _, name in entities],
-        [key for _, key, _ in relations],
-        [name for _, _, name in relations],
-        descriptions,
-    ]
-    entity_keys, entity_names, relation_keys, relation_names, descriptions = tables
-    kg = KnowledgeGraph(entity_keys, entity_names, descriptions, relation_keys, relation_names, *splits)
-    return kg, [pack_texts(table) for table in tables]
+    entity_names = [name for _, _, name in entities]
+    relation_names = [name for _, _, name in relations]
+    kg = KnowledgeGraph(entity_names, descriptions, relation_names, *splits)
+    return kg, [pack_texts(table) for table in (entity_names, relation_names, descriptions)]
 
 
 def pack_texts(entries):
@@ -238,26 +228,32 @@ def neighbors(kg, entity):
     return tuple(Triple(*row) for row in kg.train[kg.incident_rows(entity)].tolist())
 
 
-def write_kg(kg, out_dir):
-    """Serialize a graph back to the dataset file format (round-trip safe)."""
+def write_kg(kg, out_dir, entity_keys=None, relation_keys=None):
+    """Serialize a graph back to the dataset file format (round-trip safe),
+    each entity and relation under its key in ``entity_keys`` and
+    ``relation_keys``, by default ``E<id>`` and ``R<id>``."""
     os.makedirs(out_dir, exist_ok=True)
+    if entity_keys is None:
+        entity_keys = [f"E{i}" for i in range(kg.num_entities)]
+    if relation_keys is None:
+        relation_keys = [f"R{j}" for j in range(kg.num_relations)]
 
     def dump(name, lines):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
             for line in lines:
                 f.write(line + "\n")
 
-    dump(ENTITY_NAME_FILE, (f"{k}\t{n}" for k, n in zip(kg.entity_keys, kg.entity_names)))
+    dump(ENTITY_NAME_FILE, (f"{k}\t{n}" for k, n in zip(entity_keys, kg.entity_names)))
     dump(
         ENTITY_DESC_FILE,
-        (f"{k}\t{d}" for k, d in zip(kg.entity_keys, kg.entity_descriptions) if d),
+        (f"{k}\t{d}" for k, d in zip(entity_keys, kg.entity_descriptions) if d),
     )
-    dump(RELATION_NAME_FILE, (f"{k}\t{n}" for k, n in zip(kg.relation_keys, kg.relation_names)))
+    dump(RELATION_NAME_FILE, (f"{k}\t{n}" for k, n in zip(relation_keys, kg.relation_names)))
     for name, triples in ((TRAIN_FILE, kg.train), (VALID_FILE, kg.valid), (TEST_FILE, kg.test)):
         dump(
             name,
             (
-                f"{kg.entity_keys[h]}\t{kg.relation_keys[r]}\t{kg.entity_keys[t]}"
+                f"{entity_keys[h]}\t{relation_keys[r]}\t{entity_keys[t]}"
                 for h, r, t in triples.tolist()
             ),
         )

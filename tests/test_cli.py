@@ -136,7 +136,7 @@ def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
 def test_the_graph_address_is_pinned(tmp_path, toy_dir):
     # golden value: only the dataset's bytes and kg.GRAPH_LAYOUT move it
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
-    assert os.path.basename(stage_output(cfg, "graph")) == "graph-96503d966370"
+    assert os.path.basename(stage_output(cfg, "graph")) == "graph-3eac623a4195"
 
 
 def test_readme_config_reference_matches_the_schema():
@@ -212,6 +212,27 @@ RECORD_EDITS = {
     "another-type": (  # a list where an int belongs
         lambda line: _at_length({**json.loads(line), "gold_rank": []}, len(line)).encode(),
         "'gold_rank' is not of type int",
+    ),
+    # values of the right types that evaluate cannot score
+    "gold-rank-below-1": (
+        lambda line: _at_length({**json.loads(line), "gold_rank": -4}, len(line)).encode(),
+        "gold_rank and candidate_ranks must be >= 1",
+    ),
+    "candidate-rank-below-1": (
+        lambda line: _at_length(
+            {**json.loads(line), "candidate_ranks": [-1, *json.loads(line)["candidate_ranks"][1:]]}, len(line)
+        ).encode(),
+        "gold_rank and candidate_ranks must be >= 1",
+    ),
+    "candidate-lengths": (  # a name more than there are ids and ranks
+        lambda line: _at_length(
+            {**json.loads(line), "candidate_names": [*json.loads(line)["candidate_names"], "extra"]}, len(line)
+        ).encode(),
+        "candidate_ids, candidate_names and candidate_ranks differ in length",
+    ),
+    "direction": (
+        lambda line: _at_length({**json.loads(line), "direction": "sideways"}, len(line)).encode(),
+        "direction 'sideways' is neither 'head' nor 'tail'",
     ),
 }
 
@@ -1524,8 +1545,9 @@ def test_a_graph_load_logs_whether_it_read_or_parsed(tmp_path, toy_dir, caplog):
 def test_training_logs_its_epochs_and_time(tmp_path, toy_dir, caplog):
     caplog.set_level(logging.INFO, logger="kgrerank.cli")
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"))
-    cli.ensure_embeddings(cfg)
-    cli.ensure_embeddings(cfg)  # up to date: trains nothing
+    kg = cli._load_graph(cfg)
+    cli.ensure_embeddings(cfg, kg)
+    cli.ensure_embeddings(cfg, kg)  # up to date: trains nothing
     trained = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trained ")]
     assert len(trained) == 1
     assert re.fullmatch(rf"trained {cfg.embedder.epochs} epoch\(s\) in \d+\.\d\d s", trained[0])
@@ -1662,15 +1684,20 @@ def _newline_in_a_name(blob, sections):
     return blob[:at] + b"\n" + blob[at + 1 :]
 
 
-def _names_dropped_and_a_key_step_zeroed(kind):
-    """Drop one name table's offsets, let the last key of its kind run over
-    the names' bytes and zero one key step: the text offsets still run from 0
-    to the blob's end with one rise for each entry the other tables count."""
+def _a_name_moved_from(kind):
+    """Move the last entity name to the front of the relation names, or the
+    first relation name to the end of the entity names: the text offsets
+    still run from 0 to the blob's end with a rise for each entry, but the
+    names no longer count the entities or relations that the descriptions
+    and ``cooc`` count."""
 
     def change(sections):
-        keys = sections[f"{kind}_keys"].copy()
-        keys[1], keys[-1] = keys[0], sections[f"{kind}_names"][-1]
-        return {**sections, f"{kind}_keys": keys, f"{kind}_names": keys[:0]}
+        entities, relations = sections["entity_names"], sections["relation_names"]
+        if kind == "entity":
+            entities, relations = entities[:-1], np.concatenate([entities[-2:-1], relations])
+        else:
+            entities, relations = np.append(entities, relations[1]), relations[1:]
+        return {**sections, "entity_names": entities, "relation_names": relations}
 
     return _rewrite_sections(change)
 
@@ -1702,10 +1729,10 @@ def _names_dropped_and_a_key_step_zeroed(kind):
         _rewrite_texts(_not_utf8_in_a_description),
         _rewrite_texts(_straddle_two_descriptions),
         _rewrite_texts(_newline_in_a_name),
-        _rewrite_section("entity_keys", lambda a: np.where(np.arange(a.size) == 0, 1, a)),  # not starting at 0
+        _rewrite_section("entity_names", lambda a: np.where(np.arange(a.size) == 0, 1, a)),  # not starting at 0
         _rewrite_section("adj_offsets", lambda a: np.where(np.arange(a.size) == 1, a[-1], a)),  # offset 2 falls
-        _names_dropped_and_a_key_step_zeroed("entity"),
-        _names_dropped_and_a_key_step_zeroed("relation"),
+        _a_name_moved_from("entity"),
+        _a_name_moved_from("relation"),
         _zip_magic,
     ],
     ids=[
@@ -1714,7 +1741,7 @@ def _names_dropped_and_a_key_step_zeroed(kind):
         "facts-range", "prefix-sum", "cooc-shape", "names-length",
         "descriptions-order", "descriptions-length", "descriptions-start", "graph-big-endian", "descriptions-end",
         "descriptions-utf8", "descriptions-inside-a-character",
-        "names-newline", "keys-start", "offsets-order", "entity-names-dropped", "relation-names-dropped",
+        "names-newline", "names-start", "offsets-order", "entity-name-moved", "relation-name-moved",
         "zip-magic",
     ],
 )
@@ -1733,8 +1760,7 @@ def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir,
     miss = cli._load_graph(cfg)  # parses, builds and publishes the graph
     # one form per table whichever load made the graph: only the two name tables are decoded, once each
     assert whole == [miss.num_entities, miss.num_relations]
-    for name in ("entity_keys", "relation_keys", "entity_descriptions"):
-        assert isinstance(getattr(miss, name), kg_module.PackedTexts), name
+    assert isinstance(miss.entity_descriptions, kg_module.PackedTexts)
     assert type(miss.entity_names) is list and type(miss.relation_names) is list
     opened = []
     real_open = builtins.open
@@ -1748,9 +1774,7 @@ def test_a_description_is_decoded_only_when_a_prompt_reads_it(tmp_path, toy_dir,
         patch.setattr(builtins, "open", recording_open)
         hit = cli._load_graph(cfg)  # reads it back
     assert sorted(set(opened)) == GRAPH_FILES
-    # the keys are packed as the descriptions are, so a key read would be recorded too
-    for name in ("entity_keys", "relation_keys", "entity_descriptions"):
-        assert isinstance(getattr(hit, name), kg_module.PackedTexts), name
+    assert isinstance(hit.entity_descriptions, kg_module.PackedTexts)
     assert type(hit.entity_names) is list and type(hit.relation_names) is list
     assert decoded == []
     assert main(["build-eval", "--config", cfg_path]) == 0
@@ -1910,6 +1934,37 @@ def test_a_checkpoint_whose_scores_overflow_is_retrained(tmp_path, toy_dir, capl
         warnings = _warnings(caplog)
         assert len(warnings) == 1, warnings
         assert warnings[0].startswith(f"rebuilding {ckpt}, which its reader refuses: {ckpt}: not rankable")
+        assert read_bytes(ckpt) == whole
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cut, reason",
+    [
+        (lambda ev, rv, norm: (ev[:10], rv, norm), "(10, 3, 8, 'L2'), not (20, 3, 8, 'L2')"),
+        (lambda ev, rv, norm: (ev, rv[:2], norm), "(20, 2, 8, 'L2'), not (20, 3, 8, 'L2')"),
+        (lambda ev, rv, norm: (ev[:, :4], rv[:, :4], norm), "(20, 3, 4, 'L2'), not (20, 3, 8, 'L2')"),
+        (lambda ev, rv, norm: (ev, rv, "L1"), "(20, 3, 8, 'L1'), not (20, 3, 8, 'L2')"),
+    ],
+    ids=["entities", "relations", "dim", "norm"],
+)
+def test_a_checkpoint_that_does_not_fit_the_graph_is_retrained(tmp_path, toy_dir, caplog, capsys, cut, reason):
+    # a table of fewer rows than the graph has ids would be indexed past its
+    # end; its reader refuses it, so each stage that reads it retrains it
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    sets = ["--set=embedder.epochs=5", "--set=embedder.dim=8"]
+    assert main(["train-embeddings", "--config", cfg, *sets]) == 0
+    ckpt = workdir_file(tmp_path / "w", "embeddings-")
+    whole, trained = read_bytes(ckpt), EmbeddingTable.load(ckpt)
+    for command in ("train-embeddings", "build-finetune"):
+        EmbeddingTable(*cut(trained.entity_vecs, trained.relation_vecs, trained.norm)).save(ckpt)
+        caplog.clear()
+        assert main([command, "--config", cfg, *sets]) == 0
+        warnings = _warnings(caplog)
+        assert len(warnings) == 1, warnings
+        prefix = f"rebuilding {ckpt}, which its reader refuses: {ckpt}: a table of (entities, relations, dim, norm) "
+        assert warnings[0] == prefix + reason
         assert read_bytes(ckpt) == whole
     assert "error" not in capsys.readouterr().err
 

@@ -47,7 +47,6 @@ COOC_KG = build_kg(7, 3, train=[(0, 0, 1), (0, 1, 2), (3, 0, 4), (3, 1, 5), (0, 
 
 def film_kg():
     return KnowledgeGraph(
-        entity_keys=["/m/titanic", "/m/english", "/m/usa", "/m/cameron", "/m/french", "/m/dicaprio"],
         entity_names=[
             "Titanic",
             "English Language",
@@ -64,7 +63,6 @@ def film_kg():
             "a Romance language",
             "an American actor",
         ],
-        relation_keys=["/film/language", "/film/country", "/film/director", "/film/actor"],
         relation_names=["film language", "film country", "directed by", "featured actor"],
         train=[Triple(0, 1, 2), Triple(0, 2, 3), Triple(0, 3, 5)],
         valid=[],

@@ -197,10 +197,8 @@ def test_a_cut_is_its_entries_sliced_and_joined(data):
 
 
 SMALL_GRAPH = {
-    "entity_keys": ["/e/a", "/e/b", "/e/c"],
     "entity_names": ["a", "b", "c"],
     "entity_descriptions": ["", "", ""],
-    "relation_keys": ["/r/x", "/r/y"],
     "relation_names": ["x", "y"],
     "train": [(0, 0, 1)],
     "valid": [],
@@ -210,10 +208,9 @@ SMALL_GRAPH = {
 # what each case changes of SMALL_GRAPH, and what the constructor says of it
 CONSTRUCTOR_FAULTS = {
     "entity-tables": ({"entity_names": ["a", "b"]}, "entity tables have inconsistent lengths"),
-    "relation-tables": ({"relation_names": ["x"]}, "relation tables have inconsistent lengths"),
     # the tables are stored as given, so 2**31 entities allocate nothing
     "int64-keys": (
-        dict.fromkeys(["entity_keys", "entity_names", "entity_descriptions"], range(2**31)),
+        dict.fromkeys(["entity_names", "entity_descriptions"], range(2**31)),
         "graph too large for int64 triple keys",
     ),
     "not-rows-of-3": (
@@ -241,8 +238,9 @@ def test_the_constructor_stores_its_tables_and_takes_over_an_int64_split():
     train = np.array([[0, 0, 1], [1, 1, 2]], dtype=np.int64)
     kg = KnowledgeGraph(**{**SMALL_GRAPH, "train": train})
     assert kg.train is train and not train.flags.writeable
-    for name in ("entity_keys", "entity_names", "entity_descriptions", "relation_keys", "relation_names"):
+    for name in ("entity_names", "entity_descriptions", "relation_names"):
         assert getattr(kg, name) is SMALL_GRAPH[name], name
+    assert (kg.num_entities, kg.num_relations) == (3, 2)
 
 
 def test_overlapping_splits_rejected():
@@ -424,9 +422,7 @@ SAFE_TEXT = st.text(
 def test_round_trip_preserves_ids_and_triples(tmp_path_factory, data):
     n_e = data.draw(st.integers(min_value=2, max_value=8))
     n_r = data.draw(st.integers(min_value=1, max_value=3))
-    names = data.draw(
-        st.lists(SAFE_TEXT, min_size=n_e, max_size=n_e)
-    )
+    names, descriptions = (data.draw(st.lists(SAFE_TEXT, min_size=n_e, max_size=n_e)) for _ in range(2))
     facts = data.draw(
         st.lists(
             st.tuples(
@@ -438,24 +434,17 @@ def test_round_trip_preserves_ids_and_triples(tmp_path_factory, data):
     )
     cut1, cut2 = len(facts) // 3, 2 * len(facts) // 3
     kg = KnowledgeGraph(
-        [f"K{i}" for i in range(n_e)],
         names,
-        ["" for _ in range(n_e)],
-        [f"R{j}" for j in range(n_r)],
+        descriptions,
         [f"rel {j}" for j in range(n_r)],
         [Triple(*f) for f in facts[:cut1]],
         [Triple(*f) for f in facts[cut1:cut2]],
         [Triple(*f) for f in facts[cut2:]],
     )
     out = str(tmp_path_factory.mktemp("rt"))
-    write_kg(kg, out)
-    back = load_kg(out)
-    assert list(back.entity_keys) == kg.entity_keys
-    assert back.entity_names == kg.entity_names
-    assert list(back.relation_keys) == kg.relation_keys
-    assert np.array_equal(back.train, kg.train)
-    assert np.array_equal(back.valid, kg.valid)
-    assert np.array_equal(back.test, kg.test)
+    # keys in reverse id order: the ids come from the order of the lines, not from the keys
+    write_kg(kg, out, [f"K{i}" for i in reversed(range(n_e))], [f"R{j}" for j in reversed(range(n_r))])
+    assert_same_graph(load_kg(out), kg)  # names, descriptions, every split and every index
 
 
 def test_fb15k237_statistics(fb15k237_dir):
@@ -482,16 +471,14 @@ def _odd_dataset(root):
     non-ASCII ids and names, a tab inside a name and a description, empty
     descriptions, self-loops, an entity in no fact and an empty valid split."""
     kg = KnowledgeGraph(
-        ["/e/0", "/é/1", "/実/2", "/e/3", "/e/lonely"],
         ["zero", "ünïcode", "名前\twith a tab", "three", "never in a fact"],
         ["", "eine Beschreibung, ß", "", "a\ttabbed description", ""],
-        ["/r/0", "/関係/1"],
         ["relation zero", "関係"],
         [Triple(0, 0, 1), Triple(1, 1, 1), Triple(2, 0, 3), Triple(3, 1, 0), Triple(0, 1, 0)],
         [],
         [Triple(1, 0, 2), Triple(3, 0, 3)],
     )
-    write_kg(kg, root)
+    write_kg(kg, root, ["/e/0", "/é/1", "/実/2", "/e/3", "/e/lonely"], ["/r/0", "/関係/1"])
     return root
 
 
@@ -533,10 +520,8 @@ def test_a_hit_parses_sorts_and_multiplies_nothing(tmp_path, toy_dir, monkeypatc
 def test_a_built_split_with_an_id_at_its_bound_is_not_read(tmp_path, n_e, n_r, column):
     # the first pass bounds every id by the larger count, the second each column by its own
     kg = KnowledgeGraph(
-        [f"/e/{i}" for i in range(n_e)],
         [f"entity {i}" for i in range(n_e)],
         [""] * n_e,
-        [f"/r/{j}" for j in range(n_r)],
         [f"relation {j}" for j in range(n_r)],
         [Triple(0, n_r - 1, n_e - 1), Triple(n_e - 1, 0, 0)],
         [],
@@ -578,25 +563,34 @@ def test_a_description_for_an_unknown_entity_names_its_file_and_line(tmp_path):
 
 
 # each text table's lines in a dataset over ENTITIES and RELATIONS, what
-# load_kg reads from it (keys, then names or descriptions by entity id), and
-# what that is for these lines
+# load_kg reads from it (names, or descriptions by entity id), and what that
+# is for these lines
 TEXT_TABLES = {
     "entity2text.txt": (
         ["/e/a\talpha", "/e/b\tbeta", "/e/c\tgamma entity"],
-        lambda kg: (kg.entity_keys, kg.entity_names),
-        (["/e/a", "/e/b", "/e/c"], ["alpha", "beta", "gamma entity"]),
+        lambda kg: kg.entity_names,
+        ["alpha", "beta", "gamma entity"],
     ),
     "relation2text.txt": (
         ["/r/x\tconnected to", "/r/y\tdiffers from"],
-        lambda kg: (kg.relation_keys, kg.relation_names),
-        (["/r/x", "/r/y"], ["connected to", "differs from"]),
+        lambda kg: kg.relation_names,
+        ["connected to", "differs from"],
     ),
     "entity2textlong.txt": (
         ["/e/c\tthe third", "/e/a\tthe first"],
-        lambda kg: (kg.entity_keys, kg.entity_descriptions),
-        (["/e/a", "/e/b", "/e/c"], ["the first", "", "the third"]),
+        lambda kg: kg.entity_descriptions,
+        ["the first", "", "the third"],
     ),
 }
+# the ids of the one fact of each split that _write_table writes, which the
+# keys of the entity and relation tables decide
+SPLIT_IDS = [[[0, 0, 1]], [[1, 1, 2]], [[2, 0, 0]]]
+
+
+def _split_ids(kg):
+    return [split.tolist() for split in (kg.train, kg.valid, kg.test)]
+
+
 # each fault: the lines of a table made from the TEXT_TABLES lines, and the
 # line and message that name it (or a function of those lines that gives them)
 TEXT_TABLE_FAULTS = {
@@ -658,15 +652,17 @@ def test_a_text_table_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_
 
 @pytest.mark.parametrize("name", TEXT_TABLES)
 def test_a_text_table_skips_blank_lines_and_keeps_the_tabs_of_its_text(tmp_path, name):
-    lines, table, (keys, texts) = TEXT_TABLES[name]
+    lines, table, texts = TEXT_TABLES[name]
     root, _ = _write_table(tmp_path, name, "\n".join(lines).encode("utf-8"))  # no final newline
-    assert [list(t) for t in table(load_kg(root))] == [keys, texts]
+    kg = load_kg(root)
+    assert list(table(kg)) == texts and _split_ids(kg) == SPLIT_IDS
     # blank lines first, between entries and last, each line end, and a text with tabs
     key, text = lines[0].split("\t")
     data = "\r\n\n" + "\r".join([f"{key}\t\t{text}\tand more\t"] + lines[1:]) + "\n\r\n\n\r"
     root, _ = _write_table(tmp_path / "blank", name, data.encode("utf-8"))
     tabbed = [f"\t{t}\tand more\t" if t == text else t for t in texts]
-    assert [list(t) for t in table(load_kg(root))] == [keys, tabbed]
+    kg = load_kg(root)
+    assert list(table(kg)) == tabbed and _split_ids(kg) == SPLIT_IDS
 
 
 @pytest.mark.parametrize(

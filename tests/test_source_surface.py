@@ -4,9 +4,10 @@ class and method of ``kgrerank`` is referenced from ``src/``, ``scripts/`` or
 And the scripts use ``kgrerank`` through its public names, and set config
 values through the stages' ``--config`` and ``--set``, never through flags of
 their own that copy a config key. Every config key is read by code outside
-its own section class. And ``kg.py`` holds no matrix product, so a graph
-build makes no BLAS call, and the one product that a stage runs holds
-OpenBLAS to one thread.
+its own section class, and every text table of a built graph by code
+outside ``kg.py``. And ``kg.py`` holds no matrix product, so a graph build
+makes no BLAS call, and the one product that a stage runs holds OpenBLAS to
+one thread.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -28,6 +29,7 @@ from dataclasses import fields
 
 import pytest
 
+from kgrerank import kg
 from kgrerank.cli import _SECTIONS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -130,6 +132,18 @@ def test_every_config_key_is_read_outside_its_section_class():
     }
     unread = {f"{cls.__name__}.{f.name}" for cls in sections.values() for f in fields(cls) if f.name not in reads}
     assert unread == set()
+
+
+def test_every_built_text_table_is_read_outside_kg():
+    # a text table that no stage reads only makes every graph build, every
+    # built graph and every load larger
+    reads = {
+        name
+        for path in glob.glob(os.path.join(ROOT, "src/kgrerank/*.py"))
+        if os.path.basename(path) != "kg.py"
+        for name in attribute_reads(_parse(path), ())
+    }
+    assert set(kg._BUILT_TABLES) - reads == set()
 
 
 def test_no_script_imports_a_private_kgrerank_name():
