@@ -261,7 +261,9 @@ def iter_samples(path: str) -> Iterator[InstructionSample]:
     """The samples of an instruction file, each read as it is taken. A line
     that is not UTF-8 or not a record of this layout (say, one written before
     ``TEMPLATE_VERSION`` changed, with a field of another type, or with a value
-    ``evaluate`` cannot score) is a :class:`DataError` naming the file and line."""
+    ``evaluate`` cannot score or would score wrongly, such as a direction other
+    than its id's suffix or a gold that is not the candidate at its rank) is a
+    :class:`DataError` naming the file and line."""
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
@@ -276,6 +278,14 @@ def iter_samples(path: str) -> Iterator[InstructionSample]:
                         raise ValueError("candidate_ids, candidate_names and candidate_ranks differ in length")
                     if min(sample.candidate_ranks, default=1) < 1 or sample.gold_rank < 1:
                         raise ValueError("gold_rank and candidate_ranks must be >= 1")
+                    if not sample.id.endswith("-" + sample.direction):
+                        raise ValueError(f"direction {sample.direction!r} disagrees with id {sample.id!r}")
+                    m = len(sample.candidate_ranks)
+                    if sorted(sample.candidate_ranks) != list(range(1, m + 1)):
+                        raise ValueError(f"candidate_ranks are not a permutation of 1..{m}")
+                    gold_at = [r for e, r in zip(sample.candidate_ids, sample.candidate_ranks) if e == sample.gold_id]
+                    if gold_at != ([sample.gold_rank] if sample.gold_rank <= m else []):
+                        raise ValueError(f"gold_rank {sample.gold_rank} disagrees with the gold's candidate ranks {gold_at}")
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}:{lineno}: not an instruction record: {exc}") from None
                 yield sample

@@ -4,10 +4,10 @@ the MRR / Hits@k of gold ranks.
 Every query carries its gold answer. Filtering replaces the scores of
 entities that complete a known-true triple (other than the gold answer) with
 -inf, so the gold rank is always defined.
-Nothing is sorted in full: the gold's rank is counted and the top-m come from
-a partition, both as positions in the order "score descending, ties to the
-smaller entity id". The counts need finite first-pass values and unfiltered
-scores, which ``EmbeddingTable.rankable`` guarantees.
+Only a band of entities is sorted: one stable sort of its exact scores gives
+the order "score descending, ties to the smaller entity id", and the top-m and
+the gold's rank both come from it. The band needs finite first-pass values and
+unfiltered scores, which ``EmbeddingTable.rankable`` guarantees.
 
 ``rank_queries`` ranks every query on one path, whatever the table's norm.
 The table's first pass (``EmbeddingTable.first_pass``) gives each query a
@@ -104,28 +104,6 @@ def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
     return known_true[known_true != q.gold]
 
 
-def _count_and_select(q: Query, scores: np.ndarray, m: int, ids: np.ndarray, above: int) -> RankedQuery:
-    """The gold's rank and the top-m from exact filtered scores of the entities
-    ``ids`` (ascending). ``above`` counts the entities outside ``ids`` that
-    are known to score strictly above the gold; every entity outside ``ids``
-    is known to score strictly below the m-th best."""
-    gold_pos = int(np.searchsorted(ids, q.gold))
-    g = scores[gold_pos]
-    ties_before = np.count_nonzero(scores[:gold_pos] == g)
-    # everything above the m-th best score, sorted; then the ties at it, in id order
-    mth = np.partition(scores, len(scores) - m)[len(scores) - m]
-    above_mth = np.flatnonzero(scores > mth)
-    above_mth = above_mth[np.argsort(-scores[above_mth], kind="stable")]
-    topm = np.concatenate([above_mth, np.flatnonzero(scores == mth)[: m - len(above_mth)]])
-    return RankedQuery(
-        query=q,
-        topm_ids=[int(e) for e in ids[topm]],
-        topm_scores=[float(s) for s in scores[topm]],
-        gold_rank=above + int(np.count_nonzero(scores > g) + ties_before) + 1,
-        gold_score=float(g),
-    )
-
-
 def rank_query(table: EmbeddingTable, kg: KnowledgeGraph, q: Query, m: int) -> RankedQuery:
     """The top-m entities and the gold's rank, filtered against known-true triples."""
     return next(rank_queries(table, kg, [q], m))
@@ -142,19 +120,21 @@ def rank_queries(
     bound delta such that d_a < d_b - delta guarantees that a's exact score is
     strictly above b's. Filtered entities get d = inf. With t the m-th
     smallest d and d_g the gold's, exact scores are computed only for the
-    entities with d <= t + delta or |d - d_g| <= delta:
+    band, the entities with d <= t + delta or |d - d_g| <= delta:
 
     - every entity with d > t + delta lies strictly below each of the (at
       least) m entities with d <= t, so it is neither in the top-m nor tied with the m-th;
     - every entity with d < d_g - delta scores strictly above the gold and
-      every one with d > d_g + delta strictly below it, so only the band
-      around d_g needs an exact comparison.
+      every one with d > d_g + delta strictly below it, so only those
+      within delta of d_g need an exact comparison.
 
-    The counting and tie rules then run on exact scores of that set, which
-    are the scores that scoring every entity gives them. On a ``rankable``
-    table t is inf only when m reaches past the unfiltered entities: then
-    the band holds every entity, and those of d = inf, the filtered ones,
-    get -inf. A bound or gold distance that is not finite raises ValueError.
+    The band's ids ascend, so a stable sort of its exact scores, descending,
+    breaks ties toward the smaller id: its first m entries are the top-m, and
+    the gold (always in the band) ranks after those before it there and the
+    entities outside with d < d_g - delta. On a ``rankable`` table t is inf
+    only when m reaches past the unfiltered entities: then the band holds
+    every entity, and the filtered ones, of d = inf, get -inf. A bound or
+    gold distance that is not finite raises ValueError.
     """
     if not 1 <= m <= kg.num_entities:
         raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
@@ -171,7 +151,10 @@ def rank_queries(
         ids = np.flatnonzero(near)
         scores = table.score_candidates(q.known, q.relation, q.direction, ids)
         scores[np.isinf(d[ids])] = -np.inf
-        yield _count_and_select(q, scores, m, ids, above)
+        order = np.argsort(-scores, kind="stable")
+        top, gold = order[:m], int(np.searchsorted(ids, q.gold))
+        gold_rank = above + int(np.flatnonzero(order == gold)[0]) + 1
+        yield RankedQuery(q, ids[top].tolist(), scores[top].tolist(), gold_rank, float(scores[gold]))
 
 
 def queries_for_triple(triple: Triple) -> tuple[Query, Query]:

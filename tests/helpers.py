@@ -3,14 +3,16 @@ instruction sets built whole and their records read back from disk, prompt
 parsing, and independent oracles.
 
 The oracles here deliberately avoid the library's vectorized code paths:
-ranking is an exhaustive per-entity loop over plain Python arithmetic,
-move-to-top rebuilds the whole permutation, co-occurrence is a quadratic
-scan, gradients come from central finite differences, the training epoch
-is the earlier loop that scattered with ``np.add.at`` on the 2-D tables,
-and a text table or a triple file is read line by line, each field looked
-up in a set or a dict. The exception is ``base_model_metrics``, which
-ranks through ``rank_queries`` to judge ``evaluate``, a stage that reads
-its ranks from an eval set.
+ranking is an exhaustive per-entity loop over plain Python arithmetic (or,
+in ``exact_ranking``, a Python sort of the table's own score of every
+entity), filtered by facts looked up in the splits, move-to-top rebuilds
+the whole permutation, co-occurrence is a quadratic scan, gradients come
+from central finite differences, the training epoch is the earlier loop
+that scattered with ``np.add.at`` on the 2-D tables, and a text table or a
+triple file is read line by line, each field looked up in a set or a dict.
+The exception is ``base_model_metrics``, which ranks through
+``rank_queries`` to judge ``evaluate``, a stage that reads its ranks from
+an eval set.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from kgrerank.kg import (
     PackedTexts,
     Triple,
 )
-from kgrerank.ranking import _count_and_select, _known_true, metrics, queries_for_triple, rank_queries
+from kgrerank.ranking import RankedQuery, metrics, queries_for_triple, rank_queries
 
 
 def build_kg(n_entities, n_relations, train, valid=(), test=(), descriptions=None):
@@ -359,27 +361,37 @@ def brute_force_score(table, h, r, t):
     return -math.sqrt(float(np.sum(u * u)))
 
 
+def filtered_out(kg, q):
+    """The entities that complete a known-true triple of q other than its gold,
+    found in the splits themselves, not in a library index."""
+    true_facts = {tuple(f) for split in (kg.train, kg.valid, kg.test) for f in split.tolist()}
+    return [e for e in range(kg.num_entities) if e != q.gold and tuple(q.completed(e)) in true_facts]
+
+
+def sort_ranking(scores, q):
+    """Every entity of ``scores`` (a list by id), score descending and ties
+    to the smaller id, and the gold's rank in that order."""
+    order = sorted(range(len(scores)), key=lambda e: (-scores[e], e))
+    return order, order.index(q.gold) + 1
+
+
 def brute_force_rank(table, kg, q, m, filtered=True):
     """Exhaustive ranking oracle: per-entity scores, filtering, explicit sort."""
-    scores = {}
-    for e in range(kg.num_entities):
-        h, r, t = q.completed(e)
-        scores[e] = brute_force_score(table, h, r, t)
-    if filtered:
-        # the truth set comes from the splits themselves, not from a library index
-        true_facts = {tuple(f) for split in (kg.train, kg.valid, kg.test) for f in split.tolist()}
-        for e in range(kg.num_entities):
-            if e != q.gold and tuple(q.completed(e)) in true_facts:
-                scores[e] = float("-inf")
-    order = sorted(range(kg.num_entities), key=lambda e: (-scores[e], e))
-    return order, order[:m], order.index(q.gold) + 1
+    scores = [brute_force_score(table, *q.completed(e)) for e in range(kg.num_entities)]
+    for e in filtered_out(kg, q) if filtered else ():
+        scores[e] = -math.inf
+    order, gold_rank = sort_ranking(scores, q)
+    return order, order[:m], gold_rank
 
 
 def exact_ranking(table, kg, q, m):
-    """The ranking from exact scores of every entity, the filtered ones at -inf."""
-    scores = table.score_candidates(q.known, q.relation, q.direction)
-    scores[_known_true(kg, q)] = -np.inf
-    return _count_and_select(q, scores, m, np.arange(kg.num_entities), 0)
+    """The ranking from the table's exact score of every entity, the filtered
+    ones at -inf, sorted in full."""
+    scores = table.score_candidates(q.known, q.relation, q.direction).tolist()
+    for e in filtered_out(kg, q):
+        scores[e] = -math.inf
+    order, gold_rank = sort_ranking(scores, q)
+    return RankedQuery(q, order[:m], [scores[e] for e in order[:m]], gold_rank, scores[q.gold])
 
 
 def rerank(ranking, selection, candidate_ids):

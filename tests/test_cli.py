@@ -191,9 +191,9 @@ def test_template_version_readdresses_instruction_sets(tmp_path, toy_dir, monkey
 
 
 def _at_length(record, length):
-    """``record`` as an ASCII instruction line of ``length`` bytes, its prompt cut to fit."""
+    """``record`` as an ASCII instruction line of ``length`` bytes, its prompt cut or padded to fit."""
     line = json.dumps(record, separators=(",", ":")) + "\n"
-    record = {**record, "prompt": record["prompt"][: len(record["prompt"]) + length - len(line)]}
+    record = {**record, "prompt": (record["prompt"] + " " * length)[: len(record["prompt"]) + length - len(line)]}
     line = json.dumps(record, separators=(",", ":")) + "\n"
     assert line.isascii() and len(line) == length
     return line
@@ -233,6 +233,27 @@ RECORD_EDITS = {
     "direction": (
         lambda line: _at_length({**json.loads(line), "direction": "sideways"}, len(line)).encode(),
         "direction 'sideways' is neither 'head' nor 'tail'",
+    ),
+    # values that evaluate would score wrongly or not at all: line 3 is test-1-tail,
+    # its gold at rank 18, outside the top 5
+    "direction-against-id": (
+        lambda line: _at_length({**json.loads(line), "direction": "head"}, len(line)).encode(),
+        "direction 'head' disagrees with id 'test-1-tail'",
+    ),
+    "candidate-ranks-repeat": (
+        lambda line: _at_length({**json.loads(line), "candidate_ranks": [1, 2, 3, 4, 4]}, len(line)).encode(),
+        "candidate_ranks are not a permutation of 1..5",
+    ),
+    "gold-rank-within-m": (  # the gold is no candidate
+        lambda line: _at_length({**json.loads(line), "gold_rank": 1}, len(line)).encode(),
+        "gold_rank 1 disagrees with the gold's candidate ranks []",
+    ),
+    "gold-among-candidates-past-m": (  # the first candidate becomes the gold
+        lambda line: _at_length(
+            {**json.loads(line), "candidate_ids": [json.loads(line)["gold_id"], *json.loads(line)["candidate_ids"][1:]]},
+            len(line),
+        ).encode(),
+        "gold_rank 18 disagrees with the gold's candidate ranks [1]",
     ),
 }
 

@@ -7,7 +7,8 @@ their own that copy a config key. Every config key is read by code outside
 its own section class, and every text table of a built graph by code
 outside ``kg.py``. And ``kg.py`` holds no matrix product, so a graph build
 makes no BLAS call, and the one product that a stage runs holds OpenBLAS to
-one thread.
+one thread. And ``tests/helpers.py`` uses no private name of
+``kgrerank.ranking``, so a ranking oracle never runs the code it judges.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -307,3 +308,23 @@ def test_src_and_scripts_parse_at_the_python_floor():
             except SyntaxError as exc:
                 too_new.append(f"{os.path.relpath(path, ROOT)}:{exc.lineno}: {exc.msg}")
     assert too_new == []
+
+
+def test_the_test_oracles_import_no_private_ranking_name():
+    # an oracle that calls the ranking's own selection or filter judges the
+    # fast path by its own code
+    tree = _parse(os.path.join(ROOT, "tests", "helpers.py"))
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "kgrerank.ranking"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    private |= {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ranking"
+        if node.attr.startswith("_")
+    }
+    assert private == set()
