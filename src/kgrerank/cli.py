@@ -11,8 +11,8 @@ returns it or refuses it, and what it refuses is logged once with the reason
 and built again under ``<address>.tmp``, which one rename puts at the
 address, so a crash never leaves an entry there. What a stage builds it
 hands on without reading it back. A set's reader checks its summary and the
-byte length of each record file and reads no record, so a record fault at an
-unchanged length is a data error (exit 2) found while the set is streamed.
+sha256 of each record file: it reads their bytes but parses no record, so a
+set with any record byte changed is rebuilt before one of its samples is scored.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -160,17 +160,19 @@ def _load_section(section: str, cls, raw: dict[str, str]):
         raise ConfigError(f"{section}.{exc}") from exc
 
 
+def _sha256(path: str) -> str:
+    """The hex sha256 of a file's bytes, read in 1 MiB blocks."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()
+
+
 def content_hash(cfg: PipelineConfig, path: str) -> str | None:
     """sha256 of a file, or None when there is none; each file is read once per config."""
     if path not in cfg.file_hashes:
-        digest = None
-        if os.path.isfile(path):
-            sha = hashlib.sha256()
-            with open(path, "rb") as f:
-                for block in iter(lambda: f.read(1 << 20), b""):
-                    sha.update(block)
-            digest = sha.hexdigest()
-        cfg.file_hashes[path] = digest
+        cfg.file_hashes[path] = _sha256(path) if os.path.isfile(path) else None
     return cfg.file_hashes[path]
 
 
@@ -312,9 +314,9 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
 
 
 def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
-    """A set's summary, read without a record: refused unless it holds an
-    integer ``written``, this config's ``[ranker]`` and ``[instruct]`` values
-    (the report copies them), and the length in bytes of each record file there."""
+    """A set's summary, refused unless it holds an integer ``written``, this
+    config's ``[ranker]`` and ``[instruct]`` values (the report copies them),
+    and the sha256 of each record file there. The record files are hashed, not parsed."""
     path = os.path.join(outdir, "summary.json")
     try:
         with open(path, encoding="utf-8") as f:
@@ -325,12 +327,12 @@ def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
     counted = isinstance(summary, dict) and type(summary.get("written")) is int
     if not (counted and values.items() <= summary.items()):
         raise DataError(f"{path}: not a summary of this config's set with an integer 'written' count")
-    record_bytes = summary.get("record_bytes")  # None in a set written before they were recorded
-    if not (isinstance(record_bytes, dict) and set(record_bytes) == set(os.listdir(outdir)) - {"summary.json"}):
-        raise DataError(f"{path}: no byte lengths of its record files")
-    for name, size in record_bytes.items():
-        if (actual := os.path.getsize(os.path.join(outdir, name))) != size:
-            raise DataError(f"{os.path.join(outdir, name)}: {actual} bytes, but summary.json records {size}")
+    record_sha256 = summary.get("record_sha256")  # None in a set written before it was recorded
+    if not (isinstance(record_sha256, dict) and set(record_sha256) == set(os.listdir(outdir)) - {"summary.json"}):
+        raise DataError(f"{path}: no sha256 of each of its record files")
+    for name, digest in record_sha256.items():
+        if (actual := _sha256(os.path.join(outdir, name))) != digest:
+            raise DataError(f"{os.path.join(outdir, name)}: sha256 {actual}, but summary.json records {digest}")
     return summary
 
 
@@ -338,7 +340,7 @@ def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
 def _instruction_set(cfg: PipelineConfig, which: str):
     """Yield the samples and summary of the ``finetune`` or ``eval`` set. Each
     sample is read from the set's address or, if ``_read_set`` refuses what is
-    there, built, as the caller takes it: a caller that takes none reads no
+    there, built, as the caller takes it: a caller that takes none parses no
     record, and one that takes the first can score it while the rest are
     ranked. On leaving a build, the rest are built, ``summary.json`` (which
     names the checkpoint that the records' ids refer to) is written, and the
@@ -364,14 +366,13 @@ def _instruction_set(cfg: PipelineConfig, which: str):
             for _ in samples:  # the rest of the set
                 pass
         summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
-        summary["record_bytes"] = {name: os.path.getsize(os.path.join(tmp, name)) for name in os.listdir(tmp)}
         _write_json(os.path.join(tmp, "summary.json"), summary)
     logger.info("%s summary: %s", which, summary)
 
 
 def cmd_build(cfg: PipelineConfig, which: str) -> int:
     with _instruction_set(cfg, which):
-        pass  # leaving builds a refused set whole; an accepted one is not read
+        pass  # leaving builds a refused set whole; an accepted one is hashed, not parsed
     print(f"output: {stage_output(cfg, which)}")
     return 0
 

@@ -21,15 +21,17 @@ include the version, so sets cached under an old one are never served.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
 from contextlib import closing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .embeddings import HEAD, TAIL, EmbeddingTable
+from .embeddings import TAIL, EmbeddingTable
 from .kg import DataError, KnowledgeGraph, Triple
 from .ranking import (
     ConfidenceParams,
@@ -211,15 +213,19 @@ def build_sample(
 
 
 class InstructionWriter:
-    """Writes a JSONL instruction file, one sample per line."""
+    """Writes a JSONL instruction file, one sample per line, and the sha256 of
+    the bytes it writes (``sha256``)."""
 
     def __init__(self, instructions_path: str):
-        self._f = open(instructions_path, "w", encoding="utf-8")
+        self._f = open(instructions_path, "wb")
+        self.sha256 = hashlib.sha256()
         self.count = 0
         self.prompt_chars = 0
 
     def write(self, sample: InstructionSample) -> None:
-        self._f.write(json.dumps(vars(sample), ensure_ascii=False, separators=(",", ":")) + "\n")
+        line = (json.dumps(vars(sample), ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+        self._f.write(line)
+        self.sha256.update(line)
         self.count += 1
         self.prompt_chars += len(sample.prompt)
 
@@ -251,41 +257,17 @@ def _write_samples(
             yield sample
 
 
-def _of_type(value, kind: str) -> bool:
-    if kind.startswith("list["):  # a field's annotation: str, int, list[int] or list[str]
-        return type(value) is list and all(_of_type(v, kind[5:-1]) for v in value)
-    return type(value) is (str if kind == "str" else int)  # a bool is no int
-
-
 def iter_samples(path: str) -> Iterator[InstructionSample]:
     """The samples of an instruction file, each read as it is taken. A line
-    that is not UTF-8 or not a record of this layout (say, one written before
-    ``TEMPLATE_VERSION`` changed, with a field of another type, or with a value
-    ``evaluate`` cannot score or would score wrongly, such as a direction other
-    than its id's suffix or a gold that is not the candidate at its rank) is a
-    :class:`DataError` naming the file and line."""
+    that is not UTF-8 JSON with exactly the record's keys (say, one written
+    before ``TEMPLATE_VERSION`` changed) is a :class:`DataError` naming the
+    file and line. No value is checked: a cached set's records are those its
+    summary's ``record_sha256`` names, or the set is rebuilt before one is read."""
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
                 try:  # a UnicodeDecodeError is a ValueError
                     sample = InstructionSample(**json.loads(line.decode("utf-8")))
-                    for field in fields(sample):
-                        if not _of_type(getattr(sample, field.name), field.type):
-                            raise TypeError(f"{field.name!r} is not of type {field.type}")
-                    if sample.direction not in (HEAD, TAIL):
-                        raise ValueError(f"direction {sample.direction!r} is neither {HEAD!r} nor {TAIL!r}")
-                    if not len(sample.candidate_ids) == len(sample.candidate_names) == len(sample.candidate_ranks):
-                        raise ValueError("candidate_ids, candidate_names and candidate_ranks differ in length")
-                    if min(sample.candidate_ranks, default=1) < 1 or sample.gold_rank < 1:
-                        raise ValueError("gold_rank and candidate_ranks must be >= 1")
-                    if not sample.id.endswith("-" + sample.direction):
-                        raise ValueError(f"direction {sample.direction!r} disagrees with id {sample.id!r}")
-                    m = len(sample.candidate_ranks)
-                    if sorted(sample.candidate_ranks) != list(range(1, m + 1)):
-                        raise ValueError(f"candidate_ranks are not a permutation of 1..{m}")
-                    gold_at = [r for e, r in zip(sample.candidate_ids, sample.candidate_ranks) if e == sample.gold_id]
-                    if gold_at != ([sample.gold_rank] if sample.gold_rank <= m else []):
-                        raise ValueError(f"gold_rank {sample.gold_rank} disagrees with the gold's candidate ranks {gold_at}")
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}:{lineno}: not an instruction record: {exc}") from None
                 yield sample
@@ -307,7 +289,8 @@ def build_eval_set(
     """One untruncated sample per direction for every test triple: the samples,
     each ranked, built and written as it is taken, and the set's summary. The
     summary holds the ``[ranker]`` and ``[instruct]`` values from the start,
-    and the set's counts once the last sample has been taken."""
+    and the set's counts and its record file's sha256 (``record_sha256``, by
+    file name) once the last sample has been taken."""
     summary = _options_summary(params, options)
 
     def samples() -> Iterator[InstructionSample]:
@@ -319,6 +302,7 @@ def build_eval_set(
             queries=w.count,
             written=w.count,
             mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,
+            record_sha256={os.path.basename(instructions_path): w.sha256.hexdigest()},
         )
 
     return samples(), summary
@@ -337,8 +321,8 @@ def build_finetune_set(
     summary, as :func:`build_eval_set` gives them.
 
     After the last kept sample the remaining 10% is written untruncated to the
-    holdout file for hyperparameter selection, and the summary's counts are
-    filled in. The train split is never used here.
+    holdout file for hyperparameter selection, and the summary's counts and
+    the sha256 of both record files are filled in. The train split is never used here.
     """
     if len(kg.valid) == 0:
         raise DataError("finetune building requires a non-empty validation split")
@@ -367,6 +351,10 @@ def build_finetune_set(
             dropped=2 * len(part1) - w.count,
             holdout_queries=h.count,
             mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,
+            record_sha256={
+                os.path.basename(instructions_path): w.sha256.hexdigest(),
+                os.path.basename(holdout_instructions_path): h.sha256.hexdigest(),
+            },
         )
 
     return samples(), summary

@@ -199,7 +199,8 @@ def _at_length(record, length):
     return line
 
 
-# each edit keeps the line's byte length, so the set's recorded lengths hold
+# each edit keeps the line's byte length; the last element is what ``inspect``
+# says of line 3, or None where it prints that line
 RECORD_EDITS = {
     "foreign-key": (  # a key this layout does not have
         lambda line: _at_length({**json.loads(line), "knowledge_ref_offsets": [0, 1, 2, 3, 4, 5]}, len(line)).encode(),
@@ -211,72 +212,102 @@ RECORD_EDITS = {
     ),
     "another-type": (  # a list where an int belongs
         lambda line: _at_length({**json.loads(line), "gold_rank": []}, len(line)).encode(),
-        "'gold_rank' is not of type int",
+        None,
     ),
     # values of the right types that evaluate cannot score
     "gold-rank-below-1": (
         lambda line: _at_length({**json.loads(line), "gold_rank": -4}, len(line)).encode(),
-        "gold_rank and candidate_ranks must be >= 1",
+        None,
     ),
     "candidate-rank-below-1": (
         lambda line: _at_length(
             {**json.loads(line), "candidate_ranks": [-1, *json.loads(line)["candidate_ranks"][1:]]}, len(line)
         ).encode(),
-        "gold_rank and candidate_ranks must be >= 1",
+        None,
     ),
     "candidate-lengths": (  # a name more than there are ids and ranks
         lambda line: _at_length(
             {**json.loads(line), "candidate_names": [*json.loads(line)["candidate_names"], "extra"]}, len(line)
         ).encode(),
-        "candidate_ids, candidate_names and candidate_ranks differ in length",
+        None,
     ),
     "direction": (
         lambda line: _at_length({**json.loads(line), "direction": "sideways"}, len(line)).encode(),
-        "direction 'sideways' is neither 'head' nor 'tail'",
+        None,
     ),
     # values that evaluate would score wrongly or not at all: line 3 is test-1-tail,
     # its gold at rank 18, outside the top 5
     "direction-against-id": (
         lambda line: _at_length({**json.loads(line), "direction": "head"}, len(line)).encode(),
-        "direction 'head' disagrees with id 'test-1-tail'",
+        None,
     ),
     "candidate-ranks-repeat": (
         lambda line: _at_length({**json.loads(line), "candidate_ranks": [1, 2, 3, 4, 4]}, len(line)).encode(),
-        "candidate_ranks are not a permutation of 1..5",
+        None,
     ),
     "gold-rank-within-m": (  # the gold is no candidate
         lambda line: _at_length({**json.loads(line), "gold_rank": 1}, len(line)).encode(),
-        "gold_rank 1 disagrees with the gold's candidate ranks []",
+        None,
     ),
     "gold-among-candidates-past-m": (  # the first candidate becomes the gold
         lambda line: _at_length(
             {**json.loads(line), "candidate_ids": [json.loads(line)["gold_id"], *json.loads(line)["candidate_ids"][1:]]},
             len(line),
         ).encode(),
-        "gold_rank 18 disagrees with the gold's candidate ranks [1]",
+        None,
+    ),
+    # what a backend reads: the prompt it is sent and the names it selects from
+    "prompt-byte": (
+        lambda line: line.replace(b"Candidates:", b"Candidatez:", 1),
+        None,
+    ),
+    "candidate-name": (  # the first name, its letters upper-cased
+        lambda line: _at_length(
+            {**json.loads(line), "candidate_names": [json.loads(line)["candidate_names"][0].upper(),
+                                                     *json.loads(line)["candidate_names"][1:]]},
+            len(line),
+        ).encode(),
+        None,
     ),
 }
 
 
-@pytest.mark.parametrize("edit, reason", RECORD_EDITS.values(), ids=RECORD_EDITS)
-def test_a_record_of_another_layout_exits_2(tmp_path, toy_dir, capsys, edit, reason):
+@pytest.mark.parametrize("edit, inspect_error", RECORD_EDITS.values(), ids=RECORD_EDITS)
+def test_a_cached_set_with_an_edited_record_is_rebuilt_before_it_is_scored(
+    tmp_path, toy_dir, monkeypatch, caplog, capsys, edit, inspect_error
+):
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
+    audit = "--set=eval.audit=yes"  # the report's audit.jsonl is one of its files
+    clean = _clean_run(tmp_path, toy_dir, ["evaluate"], audit)
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
     assert main(["build-eval", "--config", cfg]) == 0
     path = workdir_file(workdir, "eval-", "instructions.jsonl")
+    built = sha256(path)
     lines = read_bytes(path).splitlines(keepends=True)
     edited = edit(lines[2])
     assert edited != lines[2] and len(edited) == len(lines[2])
     lines[2] = edited
     with open(path, "wb") as f:
         f.write(b"".join(lines))
+    damaged = sha256(path)
     capsys.readouterr()
-    for argv in (["evaluate", "--config", cfg], ["inspect", "--file", path, "--index", "2"]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"{path}:3: not an instruction record: " in err and reason in err
-        assert "Traceback" not in err
-    assert not [e for e in os.listdir(workdir) if e.startswith("report-")]
+    # inspect reads any instruction file: it refuses only a line it cannot print
+    assert main(["inspect", "--file", path, "--index", "2"]) == (0 if inspect_error is None else 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if inspect_error is not None:
+        assert f"{path}:3: not an instruction record: " in err and inspect_error in err
+    seen = _watch_the_cached_set(monkeypatch)
+    caplog.clear()
+    assert main(["evaluate", "--config", cfg, audit]) == 0
+    # refused before its first record: every sample scored is one of the rebuilt set
+    assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0)] and len(seen["selected"]) == 24
+    assert _warnings(caplog) == [
+        f"rebuilding {os.path.dirname(path)}, which its reader refuses: "
+        f"{path}: sha256 {damaged}, but summary.json records {built}"
+    ]
+    assert _tree(workdir) == clean
 
 
 @pytest.mark.parametrize(
@@ -664,24 +695,24 @@ def test_evaluate_in_a_fresh_workdir_builds_the_eval_set(tmp_path, toy_dir, monk
     assert outputs[0] == outputs[1]
 
 
-def test_a_cached_eval_set_is_read_only_as_far_as_it_is_scored(tmp_path, toy_dir, capsys):
+def test_a_cached_eval_set_is_hashed_whole_though_it_is_scored_in_part(tmp_path, toy_dir, caplog):
+    caplog.set_level(logging.WARNING, logger="kgrerank.cli")
+    limit = "--set=eval.limit_triples=5"
+    clean = _clean_run(tmp_path, toy_dir, ["evaluate"], limit)
     workdir = tmp_path / "w"
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
     assert main(["build-eval", "--config", cfg]) == 0
     path = workdir_file(workdir, "eval-", "instructions.jsonl")
     lines = read_lines(path)
     k = 11  # the first sample past eval.limit_triples = 5
-    lines[k - 1] = "g" * (len(lines[k - 1].encode()) - 1) + "\n"  # at its length, so the set's byte lengths hold
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(lines))
-    assert main(["build-eval", "--config", cfg]) == 0  # a set at its address is not read
-    capsys.readouterr()
-    assert main(["evaluate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert f"{path}:{k}: not an instruction record" in err and "Traceback" not in err
-    assert not [n for n in os.listdir(workdir) if n.startswith("report-") or n.endswith(".tmp")]
-    assert main(["evaluate", "--config", cfg, "--set", "eval.limit_triples=5"]) == 0
-    assert json.loads(read_text(workdir_file(workdir, "report-", "report.json")))["queries"] == 10
+    for command in ("build-eval", "evaluate"):
+        with open(path, "w", encoding="utf-8") as f:  # a record evaluate would not score, at its length
+            f.write("".join(lines[: k - 1] + ["g" * (len(lines[k - 1].encode()) - 1) + "\n"] + lines[k:]))
+        caplog.clear()
+        assert main([command, "--config", cfg, limit]) == 0
+        warnings = _warnings(caplog)
+        assert len(warnings) == 1 and f"refuses: {path}: sha256 " in warnings[0]
+    assert _tree(workdir) == clean
 
 
 def test_a_cached_eval_set_is_opened_only_by_a_stage_that_scores_it(tmp_path, toy_dir, monkeypatch):
@@ -756,10 +787,10 @@ def test_a_cached_eval_set_that_lost_or_gained_records_is_rebuilt(
     assert main(["evaluate", "--config", cfg, *argv]) == 0
     # refused before its first record: every sample scored is one of the rebuilt set
     assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0)] and len(seen["selected"]) == 24
-    size = len("".join((lines * 2)[:records]).encode())
+    digests = [hashlib.sha256("".join(kept).encode()).hexdigest() for kept in ((lines * 2)[:records], lines)]
     assert _warnings(caplog) == [
         f"rebuilding {os.path.dirname(path)}, which its reader refuses: "
-        f"{path}: {size} bytes, but summary.json records {len(''.join(lines).encode())}"
+        f"{path}: sha256 {digests[0]}, but summary.json records {digests[1]}"
     ]
     assert _tree(workdir) == clean
 
@@ -767,19 +798,30 @@ def test_a_cached_eval_set_that_lost_or_gained_records_is_rebuilt(
 @pytest.mark.parametrize(
     "summary, message",
     [
-        (b'{"m": 5', "Expecting ',' delimiter"),
-        (b"[24]", "not a summary of this config's set with an integer 'written' count"),
-        (b'{"written": "24"}', "not a summary of this config's set with an integer 'written' count"),
-        (b'{"written": 24, "\xff": 1}', "can't decode byte 0xff"),
-        (b'{"written": 24}', "not a summary of this config's set with an integer 'written' count"),
-        (lambda s: {k: v for k, v in s.items() if k != "m"}, "not a summary of this config's set"),
-        (lambda s: {k: v for k, v in s.items() if k != "written"}, "with an integer 'written' count"),
-        (lambda s: {k: v for k, v in s.items() if k != "record_bytes"}, "no byte lengths of its record files"),
-        (lambda s: {**s, "record_bytes": {}}, "no byte lengths of its record files"),
+        (b'{"m": 5', "summary.json: Expecting ',' delimiter"),
+        (b"[24]", "summary.json: not a summary of this config's set with an integer 'written' count"),
+        (b'{"written": "24"}', "summary.json: not a summary of this config's set with an integer 'written' count"),
+        (b'{"written": 24, "\xff": 1}', "summary.json: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"written": 24}', "summary.json: not a summary of this config's set with an integer 'written' count"),
+        (lambda s, _: _without(s, "m"), "summary.json: not a summary of this config's set"),
+        (
+            lambda s, _: _without(s, "written"),
+            "summary.json: not a summary of this config's set with an integer 'written' count",
+        ),
+        (lambda s, _: _without(s, "record_sha256"), "summary.json: no sha256 of each of its record files"),
+        (lambda s, _: {**s, "record_sha256": {}}, "summary.json: no sha256 of each of its record files"),
+        (
+            lambda s, _: {**s, "record_sha256": {"instructions.jsonl": "0" * 64}},
+            "instructions.jsonl: sha256 ",
+        ),
+        (  # a set written before record_sha256 was
+            lambda s, outdir: {**_without(s, "record_sha256"), "record_bytes": _sizes(outdir)},
+            "summary.json: no sha256 of each of its record files",
+        ),
     ],
     ids=[
-        "not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "no-byte-lengths",
-        "record-bytes-empty",
+        "not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "no-record-sha256",
+        "record-sha256-empty", "record-sha256-wrong", "record-bytes-alone",
     ],
 )
 def test_a_cached_set_summary_is_checked_before_its_first_record(
@@ -791,37 +833,49 @@ def test_a_cached_set_summary_is_checked_before_its_first_record(
     cfg = write_config(tmp_path / "run.ini", toy_dir, workdir)
     assert main(["build-eval", "--config", cfg]) == 0
     path = workdir_file(workdir, "eval-", "summary.json")
+    outdir = os.path.dirname(path)
     whole = json.loads(read_text(path))
     seen = _watch_the_cached_set(monkeypatch)
     for command in ("build-eval", "evaluate"):
-        with open(path, "wb") as f:  # "no-byte-lengths" is a set written before they were recorded
-            f.write(summary if isinstance(summary, bytes) else json.dumps(summary(whole)).encode())
+        with open(path, "wb") as f:
+            f.write(summary if isinstance(summary, bytes) else json.dumps(summary(whole, outdir)).encode())
         caplog.clear()
         assert main([command, "--config", cfg]) == 0
         warnings = _warnings(caplog)
-        assert len(warnings) == 1 and f"{path}: " in warnings[0] and message in warnings[0]
+        assert len(warnings) == 1 and f"refuses: {os.path.join(outdir, message)}" in warnings[0]
     assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0), (0, 0)]
     assert _tree(workdir) == clean
 
 
+def _without(summary, key):
+    return {k: v for k, v in summary.items() if k != key}
+
+
+def _sizes(outdir):
+    """The byte length of each record file in a set's directory, by name."""
+    return {name: os.path.getsize(os.path.join(outdir, name)) for name in os.listdir(outdir) if name != "summary.json"}
+
+
 @pytest.mark.parametrize("which", ["finetune", "eval"])
-def test_either_cached_set_is_refused_when_a_record_file_changed_length(tmp_path, toy_dir, which):
+def test_either_cached_set_is_refused_when_a_record_file_changed_bytes(tmp_path, toy_dir, which):
     cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
     cfg = load_config(cfg_path)
     assert main([f"build-{which}", "--config", cfg_path]) == 0
     outdir = stage_output(cfg, which)
     summary = json.loads(read_text(os.path.join(outdir, "summary.json")))
-    assert sorted(summary["record_bytes"]) == sorted(set(os.listdir(outdir)) - {"summary.json"})
-    for name in summary["record_bytes"]:
+    assert sorted(summary["record_sha256"]) == sorted(set(os.listdir(outdir)) - {"summary.json"})
+    for name, digest in summary["record_sha256"].items():
         path = os.path.join(outdir, name)
+        assert sha256(path) == digest
         lines = read_lines(path)
-        for changed in (lines[:-1], lines + lines[:1], lines):
+        same_length = [lines[0].replace("Candidates:", "Candidatez:", 1), *lines[1:]]
+        for changed in (lines[:-1], lines + lines[:1], same_length, lines):
             with open(path, "w", encoding="utf-8") as f:
                 f.write("".join(changed))
             if changed is lines:
                 assert cli._read_set(cfg, outdir) == summary
             else:
-                with pytest.raises(kg_module.DataError, match=f"{name}: .* bytes, but summary.json records"):
+                with pytest.raises(kg_module.DataError, match=f"{name}: sha256 .*, but summary.json records {digest}"):
                     cli._read_set(cfg, outdir)
 
 
@@ -1109,9 +1163,9 @@ SET_FILES = (
             (
                 "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
                 "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
-                "8dcc6f763938670445737d0399294e30ddaa88e3448a5eb64c1b11af305f0f00",
+                "383ee2c71c593c8512fe154b7f5d27f091cce3e7433f5884fc84a794d68e5d12",
                 "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
-                "c088e843f4d32f9252bb6351e32e971a32ee5c65d3c0bda3c2ed615104a3c22d",
+                "4090475cdb05574fe0f847d7a3704e310db4705bd2525a6dbd083b37ffffbd71",
             ),
         ),
         (
@@ -1119,9 +1173,9 @@ SET_FILES = (
             (
                 "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
                 "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
-                "cb6582a597d52f119bfa6cd86fbf56c2d6e8c2b84e8bf75ab7ed2cc8fe264cbe",
+                "4bca045ac8e04308b4fdbdc40bb08bb356554fd968ce5fa61f6786bc3b1c2a1f",
                 "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
-                "218208b913e3befb020bb0c3894020eb49db9096cf9a1daf0d7baa57f115603b",
+                "c5b37baa3a00836057fb27f8ed00289b7db07d2bb6c710a2245f5d01c856af25",
             ),
         ),
         # the jsonl digests are those that instruct.drop_description=true gave
@@ -1131,9 +1185,9 @@ SET_FILES = (
             (
                 "7ad0c8670015e9daaff60d16df5cb492029558a4c62c1a71321bdc6acf488d5d",
                 "fb34ca51b65ca1540f1741a900eb2aa3e250dfa39810b1e57a7ac0f3ee59ab65",
-                "84fd5df8630184607fce3ddea8ced342eba25cea6493321a034d1700b9f57335",
+                "3bad4133b90c4e78f936dded2aa4bf94db0acf66c8e128ba637a695ff7d92064",
                 "ccb5333f2a763922e27472429fdbf116f2e106fa49d12f4ee0dc33489995f305",
-                "2baf0f6998495fdae0aeb81913d1705aad595254f844b93101331a374b934beb",
+                "8d4985aed1fe95a9292b8b26c7b21cb42a00bce135e7355ee5be99ec7b583b08",
             ),
         ),
         # and these, those that instruct.drop_neighbors=true gave
@@ -1142,9 +1196,9 @@ SET_FILES = (
             (
                 "b3cd7438fb35fb961d087207323cb8dbf0df12ab411e25515424257df430e8df",
                 "3139a2ddc835abf67c90fc006530ca10f576c109570fbd91966e82f5f4f7dfc1",
-                "a032e420d29ae060a21c307dbdd22202264690080fcd50330a409d37f3f27e7e",
+                "d397172ddb68fd7feee9e7fef8bdf0827bfaee3e38c8e143d78041570294d284",
                 "5968cb3f6a55ff102e1a46da0a9e0fbabcde0fe74037ea873734d7a9ec8df2c2",
-                "7642430e55ebb7b7d807510de2de42bfe69d0c838c43c1335cb9f077c9b7e39a",
+                "b8956d284ce31593a1fd880ed0100713ab8a968c5294a1afaf769b86b018c262",
             ),
         ),
     ],
