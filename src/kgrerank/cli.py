@@ -10,9 +10,11 @@ byte-identical. Every output follows one rule, ``_output``: its reader
 returns it or refuses it, and what it refuses is logged once with the reason
 and built again under ``<address>.tmp``, which one rename puts at the
 address, so a crash never leaves an entry there. What a stage builds it
-hands on without reading it back. A set's reader checks its summary and the
-sha256 of each record file: it reads their bytes but parses no record, so a
-set with any record byte changed is rebuilt before one of its samples is scored.
+hands on without reading it back. A set's reader takes nothing from its
+summary but the sha256 of each record file, and checks it: it reads their
+bytes but parses no record, so a set with any record byte changed is rebuilt
+before one of its samples is scored. The report's header (m, alpha, beta,
+gamma) comes from the config, whose values the set's address digests.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 backend or
 transport error.
@@ -31,18 +33,12 @@ import sys
 import time
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 from .discriminator import BackendConfig, BackendError, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from .evaluation import evaluate, format_table
-from .instructions import (
-    TEMPLATE_VERSION,
-    BuildOptions,
-    build_eval_set,
-    build_finetune_set,
-    iter_samples,
-)
+from .instructions import TEMPLATE_VERSION, BuildOptions, InstructionSample, build_set, iter_samples
 from .kg import DATASET_FILES, GRAPH_LAYOUT, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
 
@@ -313,61 +309,49 @@ def _check_m(cfg: PipelineConfig, kg: KnowledgeGraph) -> None:
         )
 
 
-def _read_set(cfg: PipelineConfig, outdir: str) -> dict:
-    """A set's summary, refused unless it holds an integer ``written``, this
-    config's ``[ranker]`` and ``[instruct]`` values (the report copies them),
-    and the sha256 of each record file there. The record files are hashed, not parsed."""
+def _read_set(outdir: str) -> Iterator[InstructionSample]:
+    """The samples of the set at ``outdir``, as an unstarted ``iter_samples``
+    generator, refused unless its ``summary.json`` is a JSON object whose
+    ``record_sha256`` gives the sha256 of each record file there, one of them
+    ``instructions.jsonl``. The record files are hashed, not parsed, and
+    nothing else of the summary is read."""
     path = os.path.join(outdir, "summary.json")
     try:
         with open(path, encoding="utf-8") as f:
             summary = json.load(f)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path}: {exc}") from None
-    values = {**asdict(cfg.ranker), **asdict(cfg.instruct)}
-    counted = isinstance(summary, dict) and type(summary.get("written")) is int
-    if not (counted and values.items() <= summary.items()):
-        raise DataError(f"{path}: not a summary of this config's set with an integer 'written' count")
-    record_sha256 = summary.get("record_sha256")  # None in a set written before it was recorded
-    if not (isinstance(record_sha256, dict) and set(record_sha256) == set(os.listdir(outdir)) - {"summary.json"}):
-        raise DataError(f"{path}: no sha256 of each of its record files")
+    record_sha256 = summary.get("record_sha256") if isinstance(summary, dict) else None
+    files = set(os.listdir(outdir)) - {"summary.json"}
+    if not (isinstance(record_sha256, dict) and set(record_sha256) == files and "instructions.jsonl" in files):
+        raise DataError(f"{path}: not a JSON object with the sha256 of each of its record files")
     for name, digest in record_sha256.items():
         if (actual := _sha256(os.path.join(outdir, name))) != digest:
             raise DataError(f"{os.path.join(outdir, name)}: sha256 {actual}, but summary.json records {digest}")
-    return summary
+    return iter_samples(os.path.join(outdir, "instructions.jsonl"))
 
 
 @contextmanager
 def _instruction_set(cfg: PipelineConfig, which: str):
-    """Yield the samples and summary of the ``finetune`` or ``eval`` set. Each
-    sample is read from the set's address or, if ``_read_set`` refuses what is
-    there, built, as the caller takes it: a caller that takes none parses no
-    record, and one that takes the first can score it while the rest are
-    ranked. On leaving a build, the rest are built, ``summary.json`` (which
-    names the checkpoint that the records' ids refer to) is written, and the
+    """Yield the samples of the ``finetune`` or ``eval`` set. Each sample is
+    read from the set's address or, if ``_read_set`` refuses what is there,
+    built, as the caller takes it: a caller that takes none parses no record,
+    and one that takes the first can score it while the rest are ranked. On
+    leaving a build, the rest of the set and its summary are written, and the
     set is published."""
-    outdir = stage_output(cfg, which)
-    with _output(outdir, lambda path: _read_set(cfg, path)) as (summary, tmp):
-        if not tmp:  # a generator: the file is opened when the first sample is taken
-            with closing(iter_samples(os.path.join(outdir, "instructions.jsonl"))) as samples:
-                yield samples, summary
-            return
-        kg = _load_graph(cfg)
-        _check_m(cfg, kg)
-        ckpt, table = ensure_embeddings(cfg, kg)
-        os.mkdir(tmp)
-        instructions = os.path.join(tmp, "instructions.jsonl")
-        if which == "eval":
-            samples, summary = build_eval_set(kg, table, cfg.ranker, cfg.instruct, instructions)
-        else:
-            holdout = os.path.join(tmp, "holdout.jsonl")
-            samples, summary = build_finetune_set(kg, table, cfg.ranker, cfg.instruct, instructions, holdout)
+    with _output(stage_output(cfg, which), _read_set) as (samples, tmp):
+        if tmp:
+            kg = _load_graph(cfg)
+            _check_m(cfg, kg)
+            ckpt, table = ensure_embeddings(cfg, kg)
+            os.mkdir(tmp)
+            # the summary names the checkpoint by its file name: it sits beside the set's directory
+            samples = build_set(kg, table, cfg.ranker, cfg.instruct, tmp, which, os.path.basename(ckpt))
         with closing(samples):
-            yield samples, summary
-            for _ in samples:  # the rest of the set
-                pass
-        summary["checkpoint"] = os.path.basename(ckpt)  # beside the set's directory
-        _write_json(os.path.join(tmp, "summary.json"), summary)
-    logger.info("%s summary: %s", which, summary)
+            yield samples
+            if tmp:
+                for _ in samples:  # the rest of the set
+                    pass
 
 
 def cmd_build(cfg: PipelineConfig, which: str) -> int:
@@ -409,10 +393,12 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             os.mkdir(tmp)
             # a missing eval set is built as evaluate takes its samples, and
             # published before the report
-            with _instruction_set(cfg, "eval") as (samples, summary):
+            ranker = cfg.ranker
+            header = {"m": ranker.m, "alpha": ranker.alpha, "beta": ranker.beta, "gamma": cfg.instruct.gamma}
+            with _instruction_set(cfg, "eval") as samples:
                 report = evaluate(
                     samples,
-                    summary,
+                    header,
                     backend,
                     limit_triples=cfg.eval.limit_triples,
                     audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,

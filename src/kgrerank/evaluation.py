@@ -1,9 +1,9 @@
 """Scoring an eval set: backend selection, move-to-top, filtered metrics.
 
 ``evaluate`` takes the samples of an eval set (both directions of every test
-triple, in ``build_eval_set``'s order) one at a time, read from the set's
-file or built by ``build_eval_set``, and keeps a few integers of each; it
-ranks nothing itself. Each sample goes to the backend, whose ``select`` returns a
+triple, in ``build_set``'s order) one at a time, read from the set's file or
+built by ``build_set``, and keeps a few integers of each; it ranks nothing
+itself. Each sample goes to the backend, whose ``select`` returns a
 candidate index or None to abstain, and the pick moves to the top of the
 base ranking with all other relative positions preserved. Moving one
 entity to the top shifts the gold by at most one place, so the new rank
@@ -50,7 +50,7 @@ def moved_rank(gold_rank: int, chosen_rank: int | None) -> int:
 
 def evaluate(
     samples: Iterable[InstructionSample],
-    summary: dict,
+    header: dict,
     backend,
     limit_triples: int = 0,
     audit_path: str | None = None,
@@ -59,9 +59,9 @@ def evaluate(
     """Score an eval set with ``backend``, ``threads`` samples at a time, and
     return the report that ``report.json`` holds.
 
-    ``samples`` are the set's instruction records, in order, and ``summary``
-    its summary, whose m, alpha, beta and gamma head the report. With at most
-    ``WINDOW × threads`` samples in flight, a generator that builds them keeps
+    ``samples`` are the set's instruction records, in order, and ``header``
+    the head of the report: the m, alpha, beta and gamma that built them. With
+    at most ``WINDOW × threads`` samples in flight, a generator that builds them keeps
     building while the workers wait on the backend; each answer, in order, is
     folded into a few integers and an audit row, and its sample freed.
     ``limit_triples`` N > 0 scores the first 2N samples, the first N test
@@ -129,13 +129,10 @@ def evaluate(
         tail = [r for d, r in zip(directions, ranks) if d == "tail"]
         return {"head": metrics(head), "tail": metrics(tail), "combined": metrics(ranks)}
 
-    gold_in_topm = sum(1 for r in base if r <= summary["m"])
+    gold_in_topm = sum(1 for r in base if r <= header["m"])
     return {
         "backend": getattr(backend, "name", type(backend).__name__),
-        "m": summary["m"],
-        "alpha": summary["alpha"],
-        "beta": summary["beta"],
-        "gamma": summary["gamma"],
+        **header,
         "queries": len(final),
         "abstentions": picks.count(None),
         "gold_in_topm": gold_in_topm,

@@ -8,6 +8,9 @@ chosen by relation co-occurrence with the query relation (or uniformly at
 random when that is disabled), capped at ``gamma`` facts, and never include
 the query's own gold fact.
 
+Both sets are built by :func:`build_set`: it ranks a split, writes a record
+per kept query and, after the last, the set's ``summary.json``.
+
 A record holds ids, not vectors: the knowledge vectors of a sample are the
 query vector of (``known``, ``relation``, ``direction``) and the entity
 vector of each of ``candidate_ids``, read from the checkpoint that the set's
@@ -273,88 +276,70 @@ def iter_samples(path: str) -> Iterator[InstructionSample]:
                 yield sample
 
 
-def _options_summary(params: ConfidenceParams, options: BuildOptions) -> dict:
-    """Every ``[ranker]`` and ``[instruct]`` value that built a set (the two
-    sections share no key), and the template version."""
-    return {**asdict(params), **asdict(options), "template_version": TEMPLATE_VERSION}
-
-
-def build_eval_set(
+def build_set(
     kg: KnowledgeGraph,
     table: EmbeddingTable,
     params: ConfidenceParams,
     options: BuildOptions,
-    instructions_path: str,
-) -> tuple[Iterator[InstructionSample], dict]:
-    """One untruncated sample per direction for every test triple: the samples,
-    each ranked, built and written as it is taken, and the set's summary. The
-    summary holds the ``[ranker]`` and ``[instruct]`` values from the start,
-    and the set's counts and its record file's sha256 (``record_sha256``, by
-    file name) once the last sample has been taken."""
-    summary = _options_summary(params, options)
+    outdir: str,
+    which: str,
+    checkpoint: str,
+) -> Iterator[InstructionSample]:
+    """Build the ``eval`` or ``finetune`` set in the directory ``outdir``,
+    yielding each record once it is written, in file order.
 
-    def samples() -> Iterator[InstructionSample]:
-        with closing(InstructionWriter(instructions_path)) as w:
-            yield from _write_samples(
-                w, kg, table, params, options, enumerate(kg.test), "test", truncate=False
-            )
-        summary.update(
-            queries=w.count,
-            written=w.count,
-            mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,
-            record_sha256={os.path.basename(instructions_path): w.sha256.hexdigest()},
-        )
+    The eval set holds one untruncated sample per direction of every test
+    triple in ``instructions.jsonl``. The finetune set cuts the validation
+    split 9:1 by ``options.seed``: the 90% part, confidence-truncated, goes to
+    ``instructions.jsonl`` and the 10% part, untruncated, to ``holdout.jsonl``
+    for hyperparameter selection. The train split is never used here.
 
-    return samples(), summary
-
-
-def build_finetune_set(
-    kg: KnowledgeGraph,
-    table: EmbeddingTable,
-    params: ConfidenceParams,
-    options: BuildOptions,
-    instructions_path: str,
-    holdout_instructions_path: str,
-) -> tuple[Iterator[InstructionSample], dict]:
-    """Confidence-truncated samples from 90% of the validation split: the kept
-    samples, each ranked, built and written as it is taken, and the set's
-    summary, as :func:`build_eval_set` gives them.
-
-    After the last kept sample the remaining 10% is written untruncated to the
-    holdout file for hyperparameter selection, and the summary's counts and
-    the sha256 of both record files are filled in. The train split is never used here.
+    After the last record comes ``summary.json``: the ``[ranker]`` and
+    ``[instruct]`` values (the two sections share no key), the template
+    version, ``checkpoint`` (the file that the records' ids refer to), the
+    counts of ``instructions.jsonl`` and the sha256 of each record file
+    (``record_sha256``, by file name).
     """
-    if len(kg.valid) == 0:
-        raise DataError("finetune building requires a non-empty validation split")
-    rng = np.random.default_rng(options.seed)
-    perm = rng.permutation(len(kg.valid))
-    cut = (len(kg.valid) * 9) // 10
-    part1 = sorted(int(i) for i in perm[:cut])
-    part2 = sorted(int(i) for i in perm[cut:])
-    summary = _options_summary(params, options)
-
-    def samples() -> Iterator[InstructionSample]:
-        with closing(InstructionWriter(instructions_path)) as w:
-            part = ((i, kg.valid[i]) for i in part1)
-            yield from _write_samples(w, kg, table, params, options, part, "valid", truncate=True)
-        if w.count == 0:
+    if which == "eval":
+        split, prefix = kg.test, "test"
+        parts = [("instructions.jsonl", range(len(split)), False)]
+    else:
+        split, prefix = kg.valid, "valid"
+        if len(split) == 0:
+            raise DataError("finetune building requires a non-empty validation split")
+        perm = np.random.default_rng(options.seed).permutation(len(split))
+        cut = (len(split) * 9) // 10
+        parts = [
+            ("instructions.jsonl", sorted(int(i) for i in perm[:cut]), True),
+            ("holdout.jsonl", sorted(int(i) for i in perm[cut:]), False),
+        ]
+    writers = {}
+    for name, rows, truncate in parts:
+        with closing(InstructionWriter(os.path.join(outdir, name))) as w:
+            indexed = ((i, split[i]) for i in rows)
+            yield from _write_samples(w, kg, table, params, options, indexed, prefix, truncate)
+        if truncate and w.count == 0:
             logger.warning("truncation at beta=%s kept no finetune samples", params.beta)
-        with closing(InstructionWriter(holdout_instructions_path)) as h:
-            part = ((i, kg.valid[i]) for i in part2)
-            for _ in _write_samples(h, kg, table, params, options, part, "valid", truncate=False):
-                pass
-        summary.update(
-            valid_triples=len(kg.valid),
-            queries=2 * len(part1),
-            kept=w.count,
-            written=w.count,  # as in the eval summary: the records of the instruction file
-            dropped=2 * len(part1) - w.count,
-            holdout_queries=h.count,
-            mean_prompt_chars=(w.prompt_chars / w.count) if w.count else 0.0,
-            record_sha256={
-                os.path.basename(instructions_path): w.sha256.hexdigest(),
-                os.path.basename(holdout_instructions_path): h.sha256.hexdigest(),
-            },
-        )
-
-    return samples(), summary
+        writers[name] = w
+    queries = [2 * len(rows) for _, rows, _ in parts]  # both directions of each triple
+    w = writers["instructions.jsonl"]
+    summary = {
+        **asdict(params),
+        **asdict(options),
+        "template_version": TEMPLATE_VERSION,
+        "checkpoint": checkpoint,
+        "queries": queries[0],
+        "kept": w.count,
+        "written": w.count,
+        "dropped": queries[0] - w.count,
+        "holdout_queries": sum(queries[1:]),
+        "mean_prompt_chars": (w.prompt_chars / w.count) if w.count else 0.0,
+        "record_sha256": {name: writer.sha256.hexdigest() for name, writer in writers.items()},
+    }
+    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
+        f.write("\n")
+    logger.info(
+        "built the %s set: %d queries, %d kept, %d dropped, %d holdout queries",
+        which, *(summary[key] for key in ("queries", "kept", "dropped", "holdout_queries")),
+    )

@@ -18,6 +18,7 @@ an eval set.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import tempfile
@@ -36,8 +37,7 @@ from kgrerank.instructions import (
     CANDIDATES_HEADER,
     ENTITY_PLACEHOLDER,
     BuildOptions,
-    build_eval_set,
-    build_finetune_set,
+    build_set,
     iter_samples,
 )
 from kgrerank.kg import (
@@ -273,34 +273,42 @@ def find_benchmark_dir(name):
     return None
 
 
-def write_eval_set(kg, table, params, options, instructions_path):
-    """Build the whole eval set that ``build_eval_set`` streams, as ``build-eval`` does; its summary."""
-    samples, summary = build_eval_set(kg, table, params, options, instructions_path)
-    for _ in samples:
+def write_set(kg, table, params, options, outdir, which):
+    """Build the whole ``which`` set into ``outdir`` through ``build_set``, as
+    ``build-eval`` or ``build-finetune`` does; its summary."""
+    os.makedirs(outdir, exist_ok=True)
+    for _ in build_set(kg, table, params, options, str(outdir), which, "embeddings.ckpt"):
         pass
-    return summary
+    return json.loads(read_text(os.path.join(outdir, "summary.json")))
 
 
-def write_finetune_set(kg, table, params, options, instructions_path, holdout_instructions_path):
-    """Build the whole finetune set that ``build_finetune_set`` streams, as ``build-finetune`` does; its summary."""
-    samples, summary = build_finetune_set(kg, table, params, options, instructions_path, holdout_instructions_path)
-    for _ in samples:
-        pass
-    return summary
+def write_eval_set(kg, table, params, options, outdir):
+    """Build the whole eval set into ``outdir``; its summary."""
+    return write_set(kg, table, params, options, outdir, "eval")
+
+
+def write_finetune_set(kg, table, params, options, outdir):
+    """Build the whole finetune set into ``outdir``; its summary."""
+    return write_set(kg, table, params, options, outdir, "finetune")
+
+
+def report_header(params, options=None):
+    """The head of a report on a set built with ``params`` and ``options``, as ``evaluate`` takes it."""
+    gamma = (options or BuildOptions()).gamma
+    return {"m": params.m, "alpha": params.alpha, "beta": params.beta, "gamma": gamma}
 
 
 def eval_samples(kg, table, params, options=None, limit=None):
-    """(samples, summary) of the eval set that ``build_eval_set`` writes, read
+    """(samples, report header) of the eval set that ``build_set`` writes, read
     back from disk: its first ``limit`` samples (None: all of them); the rest
-    are never built. The summary's counts are filled in only for a whole set."""
+    are never built."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "instructions.jsonl")
-        built, summary = build_eval_set(kg, table, params, options or BuildOptions(), path)
+        built = build_set(kg, table, params, options or BuildOptions(), tmp, "eval", "embeddings.ckpt")
         with closing(built):
             for _ in itertools.islice(built, limit):
                 pass
-        samples = list(iter_samples(path))
-    return samples, summary
+        samples = list(iter_samples(os.path.join(tmp, "instructions.jsonl")))
+    return samples, report_header(params, options)
 
 
 def read_records(path):

@@ -245,9 +245,8 @@ def test_adapter_zero_case():
 @criterion("prompt shape: placeholder counts, parse round-trip, no gold leakage")
 def test_prompt_shape(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.05)
-    path = str(tmp_path / "eval.jsonl")
-    write_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), path)
-    records = read_records(path)
+    write_eval_set(toy_kg, toy_table, params, BuildOptions(gamma=4), tmp_path)
+    records = read_records(str(tmp_path / "instructions.jsonl"))
     assert len(records) == 2 * len(toy_kg.test)
     for rec in records:
         assert rec["prompt"].count("[QUERY]") == 1

@@ -1,12 +1,14 @@
 import builtins
 import configparser
 import dataclasses
+import functools
 import glob
 import hashlib
 import http.server
 import importlib.util
 import json
 import logging
+import operator
 import os
 import re
 import typing
@@ -748,7 +750,11 @@ def _watch_the_cached_set(monkeypatch):
             seen["at_refusal"].append((len(seen["opened"]), len(seen["selected"])))
             raise
 
-    monkeypatch.setattr(cli, "iter_samples", lambda path: seen["opened"].append(path) or iter_samples(path))
+    def opening(path):  # a generator, as iter_samples is: the file is opened when a sample is taken
+        seen["opened"].append(path)
+        yield from iter_samples(path)
+
+    monkeypatch.setattr(cli, "iter_samples", opening)
     monkeypatch.setattr(
         discriminator.OracleBackend, "select", lambda self, s: seen["selected"].append(s.id) or select(self, s)
     )
@@ -795,33 +801,36 @@ def test_a_cached_eval_set_that_lost_or_gained_records_is_rebuilt(
     assert _tree(workdir) == clean
 
 
+NOT_A_SET_SUMMARY = "summary.json: not a JSON object with the sha256 of each of its record files"
+
+
 @pytest.mark.parametrize(
     "summary, message",
     [
         (b'{"m": 5', "summary.json: Expecting ',' delimiter"),
-        (b"[24]", "summary.json: not a summary of this config's set with an integer 'written' count"),
-        (b'{"written": "24"}', "summary.json: not a summary of this config's set with an integer 'written' count"),
+        (b"[24]", NOT_A_SET_SUMMARY),
+        (b'{"written": "24"}', NOT_A_SET_SUMMARY),
         (b'{"written": 24, "\xff": 1}', "summary.json: 'utf-8' codec can't decode byte 0xff"),
-        (b'{"written": 24}', "summary.json: not a summary of this config's set with an integer 'written' count"),
-        (lambda s, _: _without(s, "m"), "summary.json: not a summary of this config's set"),
-        (
-            lambda s, _: _without(s, "written"),
-            "summary.json: not a summary of this config's set with an integer 'written' count",
-        ),
-        (lambda s, _: _without(s, "record_sha256"), "summary.json: no sha256 of each of its record files"),
-        (lambda s, _: {**s, "record_sha256": {}}, "summary.json: no sha256 of each of its record files"),
+        (b'{"written": 24}', NOT_A_SET_SUMMARY),
+        # accepted: nothing but record_sha256 is read, and the report's header comes from the config
+        (lambda s, _: _without(s, "m"), None),
+        (lambda s, _: _without(s, "written"), None),
+        (lambda s, _: {**s, "beta": 0.5}, None),
+        (lambda s, _: _without(s, "record_sha256"), NOT_A_SET_SUMMARY),
+        (lambda s, _: {**s, "record_sha256": {}}, NOT_A_SET_SUMMARY),
+        (lambda s, outdir: _without_records(outdir) or {**s, "record_sha256": {}}, NOT_A_SET_SUMMARY),
         (
             lambda s, _: {**s, "record_sha256": {"instructions.jsonl": "0" * 64}},
             "instructions.jsonl: sha256 ",
         ),
         (  # a set written before record_sha256 was
             lambda s, outdir: {**_without(s, "record_sha256"), "record_bytes": _sizes(outdir)},
-            "summary.json: no sha256 of each of its record files",
+            NOT_A_SET_SUMMARY,
         ),
     ],
     ids=[
-        "not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "no-record-sha256",
-        "record-sha256-empty", "record-sha256-wrong", "record-bytes-alone",
+        "not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "beta-edited",
+        "no-record-sha256", "record-sha256-empty", "no-records", "record-sha256-wrong", "record-bytes-alone",
     ],
 )
 def test_a_cached_set_summary_is_checked_before_its_first_record(
@@ -835,20 +844,34 @@ def test_a_cached_set_summary_is_checked_before_its_first_record(
     path = workdir_file(workdir, "eval-", "summary.json")
     outdir = os.path.dirname(path)
     whole = json.loads(read_text(path))
+    edited = summary if isinstance(summary, bytes) else json.dumps(summary(whole, outdir)).encode()
     seen = _watch_the_cached_set(monkeypatch)
     for command in ("build-eval", "evaluate"):
         with open(path, "wb") as f:
-            f.write(summary if isinstance(summary, bytes) else json.dumps(summary(whole, outdir)).encode())
+            f.write(edited)
         caplog.clear()
         assert main([command, "--config", cfg]) == 0
         warnings = _warnings(caplog)
-        assert len(warnings) == 1 and f"refuses: {os.path.join(outdir, message)}" in warnings[0]
-    assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0), (0, 0)]
-    assert _tree(workdir) == clean
+        if message is None:
+            assert warnings == []
+        else:
+            assert len(warnings) == 1 and f"refuses: {os.path.join(outdir, message)}" in warnings[0]
+    if message is None:  # build-eval hashed the cached records, and evaluate scored them
+        instructions = os.path.join(outdir, "instructions.jsonl")
+        assert seen["opened"] == [instructions] and seen["at_refusal"] == [] and len(seen["selected"]) == 24
+        assert _tree(workdir) == {**clean, os.path.relpath(path, workdir): edited}
+    else:
+        assert seen["opened"] == [] and seen["at_refusal"] == [(0, 0), (0, 0)]
+        assert _tree(workdir) == clean
 
 
 def _without(summary, key):
     return {k: v for k, v in summary.items() if k != key}
+
+
+def _without_records(outdir):
+    """Remove the set's record file: a summary naming no record file then names every one there."""
+    os.remove(os.path.join(outdir, "instructions.jsonl"))
 
 
 def _sizes(outdir):
@@ -873,10 +896,11 @@ def test_either_cached_set_is_refused_when_a_record_file_changed_bytes(tmp_path,
             with open(path, "w", encoding="utf-8") as f:
                 f.write("".join(changed))
             if changed is lines:
-                assert cli._read_set(cfg, outdir) == summary
+                records = os.path.join(outdir, "instructions.jsonl")
+                assert list(cli._read_set(outdir)) == list(instructions.iter_samples(records))
             else:
                 with pytest.raises(kg_module.DataError, match=f"{name}: sha256 .*, but summary.json records {digest}"):
-                    cli._read_set(cfg, outdir)
+                    cli._read_set(outdir)
 
 
 def test_evaluate_sends_samples_while_it_builds_the_rest_of_the_set(tmp_path, toy_dir, monkeypatch):
@@ -1163,9 +1187,9 @@ SET_FILES = (
             (
                 "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
                 "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
-                "383ee2c71c593c8512fe154b7f5d27f091cce3e7433f5884fc84a794d68e5d12",
+                "523179f45f731fff1592adaf2326feb3fb5690f7b53dd6e9fea12ef0fb239db2",
                 "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
-                "4090475cdb05574fe0f847d7a3704e310db4705bd2525a6dbd083b37ffffbd71",
+                "eac04cddfe192d1acaf8161fc893e82a14aa3eed8630c2d94380a012bdbbbf7b",
             ),
         ),
         (
@@ -1173,9 +1197,9 @@ SET_FILES = (
             (
                 "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
                 "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
-                "4bca045ac8e04308b4fdbdc40bb08bb356554fd968ce5fa61f6786bc3b1c2a1f",
+                "c3246cba799d5ffd76c048a53e141af867c7b9a8ae4cdc475293c144be542f4e",
                 "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
-                "c5b37baa3a00836057fb27f8ed00289b7db07d2bb6c710a2245f5d01c856af25",
+                "39c5d1d503546c59359ef10b67c6d478fc0c6288d9fa59e531c86e2e6b3bb074",
             ),
         ),
         # the jsonl digests are those that instruct.drop_description=true gave
@@ -1185,9 +1209,9 @@ SET_FILES = (
             (
                 "7ad0c8670015e9daaff60d16df5cb492029558a4c62c1a71321bdc6acf488d5d",
                 "fb34ca51b65ca1540f1741a900eb2aa3e250dfa39810b1e57a7ac0f3ee59ab65",
-                "3bad4133b90c4e78f936dded2aa4bf94db0acf66c8e128ba637a695ff7d92064",
+                "11a63c62464605e6e3f20f62457d96e0e3fcd0031b35200b5d101ca8a87a7a1f",
                 "ccb5333f2a763922e27472429fdbf116f2e106fa49d12f4ee0dc33489995f305",
-                "8d4985aed1fe95a9292b8b26c7b21cb42a00bce135e7355ee5be99ec7b583b08",
+                "97f312283bc5131bee3b4689dc6af7488f0ca8a155b584a7a1aac0ede73861b4",
             ),
         ),
         # and these, those that instruct.drop_neighbors=true gave
@@ -1196,9 +1220,9 @@ SET_FILES = (
             (
                 "b3cd7438fb35fb961d087207323cb8dbf0df12ab411e25515424257df430e8df",
                 "3139a2ddc835abf67c90fc006530ca10f576c109570fbd91966e82f5f4f7dfc1",
-                "d397172ddb68fd7feee9e7fef8bdf0827bfaee3e38c8e143d78041570294d284",
+                "74f9286d20fba1d3664665a2f3c6faaa2144546a82e3974036e6c7d1f216d1d2",
                 "5968cb3f6a55ff102e1a46da0a9e0fbabcde0fe74037ea873734d7a9ec8df2c2",
-                "b8956d284ce31593a1fd880ed0100713ab8a968c5294a1afaf769b86b018c262",
+                "0590629c879e88e73c033dc6263b662aa6fa338429efb6b4c70b0975b9778125",
             ),
         ),
     ],
@@ -1473,21 +1497,44 @@ def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir
                 assert summary[f.name] == getattr(getattr(cfg, section), f.name), (which, f.name)
 
 
+def test_both_set_summaries_have_one_layout(tmp_path, toy_dir):
+    cfg_path = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    sets = ["--set=ranker.beta=0.5"]  # truncation drops finetune queries
+    for command in ("build-finetune", "build-eval", "evaluate"):
+        assert main([command, "--config", cfg_path, *sets]) == 0
+    cfg = load_config(cfg_path, [s.removeprefix("--set=") for s in sets])
+    read = {}
+    for output, name in (("finetune", "summary.json"), ("eval", "summary.json"), ("report", "report.json")):
+        with open(os.path.join(stage_output(cfg, output), name), encoding="utf-8") as f:
+            read[output] = json.load(f)
+    finetune, evaluation = read["finetune"], read["eval"]
+    assert sorted(finetune) == sorted(evaluation)
+    assert evaluation["kept"] == evaluation["written"] == evaluation["queries"] == 24
+    assert evaluation["dropped"] == evaluation["holdout_queries"] == 0
+    counts = ("queries", "kept", "written", "dropped", "holdout_queries")
+    assert [finetune[key] for key in counts] == [20, 3, 3, 17, 4]  # as the two builders counted them
+    # what scripts/sweep.py prints and perfbench/run.py reads is there
+    for output, _, columns in load_script("sweep").COLUMNS.values():
+        for _, key, _ in columns:
+            functools.reduce(operator.getitem, key.split("."), read[output])
+    for key in ("queries", "kept", "holdout_queries"):
+        assert key in finetune and key in evaluation
+
+
 def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch):
-    original = cli.build_eval_set
+    original = cli.build_set
     for command in ("build-eval", "evaluate"):  # evaluate builds the set in a fresh workdir
         workdir = tmp_path / command
         cfg = write_config(tmp_path / f"{command}.ini", toy_dir, workdir)
         calls = []
 
-        def build(*args, **kwargs):
-            samples, summary = original(*args, **kwargs)
-            calls.append(summary)
-            if len(calls) == 1:  # json.dump fails after writing the other keys
-                summary["zz_unserializable"] = object()
-            return samples, summary
+        def build(*args):
+            calls.append(args)
+            if len(calls) == 1:  # json.dump fails after writing the keys before "checkpoint"
+                args = (*args[:-1], object())
+            return original(*args)
 
-        monkeypatch.setattr(cli, "build_eval_set", build)
+        monkeypatch.setattr(cli, "build_set", build)
         with pytest.raises(TypeError, match="not JSON serializable"):
             main([command, "--config", cfg])
         assert not [e for e in os.listdir(workdir) if e.startswith(("eval-", "report-")) or e.endswith(".tmp")]
@@ -1507,16 +1554,11 @@ def _raises_after(original):
 
 
 def _raises_after_its_samples(original):
-    """``build_finetune_set`` or ``build_eval_set``, whose samples raise once the last one is written."""
+    """``build_set``, whose samples raise once the last one and the summary are written."""
 
     def partway(*args, **kwargs):
-        samples, summary = original(*args, **kwargs)
-
-        def then_raise():
-            yield from samples
-            raise RuntimeError("killed partway")
-
-        return then_raise(), summary
+        yield from original(*args, **kwargs)
+        raise RuntimeError("killed partway")
 
     return partway
 
@@ -1526,10 +1568,10 @@ def _raises_after_its_samples(original):
     [
         ("train-embeddings", cli, "train", _raises_after, "embeddings-", None),
         ("train-embeddings", cli.EmbeddingTable, "save", _raises_after, "embeddings-", None),
-        ("build-finetune", cli, "build_finetune_set", _raises_after_its_samples, "finetune-", "summary.json"),
-        ("build-eval", cli, "build_eval_set", _raises_after_its_samples, "eval-", "summary.json"),
+        ("build-finetune", cli, "build_set", _raises_after_its_samples, "finetune-", "summary.json"),
+        ("build-eval", cli, "build_set", _raises_after_its_samples, "eval-", "summary.json"),
         ("evaluate", cli, "evaluate", _raises_after, "report-", "report.txt"),
-        ("evaluate", cli, "build_eval_set", _raises_after_its_samples, "report-", "report.txt"),
+        ("evaluate", cli, "build_set", _raises_after_its_samples, "report-", "report.txt"),
     ],
     ids=["train", "save", "build-finetune", "build-eval", "evaluate", "evaluate-build"],
 )
@@ -1891,11 +1933,17 @@ def test_an_empty_split_is_a_data_error(tmp_path, toy_dir, capsys, command, empt
     assert re.search(r"^data error: .*non-empty", capsys.readouterr().err, re.MULTILINE)
 
 
-def run_script(name, args, monkeypatch, capsys):
+def load_script(name):
+    """``scripts/<name>.py`` as a module."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, args, monkeypatch, capsys):
+    module = load_script(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     module.main()
     return capsys.readouterr().out.splitlines()

@@ -31,7 +31,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_report")
 
 @pytest.fixture(scope="module")
 def toy_set(toy_kg, toy_table):
-    """(samples, summary) of the toy graph's eval set."""
+    """(samples, report header) of the toy graph's eval set."""
     return eval_samples(toy_kg, toy_table, PARAMS)
 
 
@@ -230,10 +230,10 @@ def rerank_case(draw):
 )
 def test_rank_arithmetic_equals_permutation_then_rerank(case, backend):
     kg, table, m, options = case
-    samples, summary = eval_samples(kg, table, ConfidenceParams(m=m, alpha=1.0, beta=0.05), options)
+    samples, header = eval_samples(kg, table, ConfidenceParams(m=m, alpha=1.0, beta=0.05), options)
     with tempfile.TemporaryDirectory() as tmp:
         audit = os.path.join(tmp, "audit.jsonl")
-        evaluate(samples, summary, backend, audit_path=audit)
+        evaluate(samples, header, backend, audit_path=audit)
         rows = [json.loads(line) for line in read_lines(audit)]
     assert len(rows) == len(samples) == 2 * len(kg.test)
     for i, (row, sample) in enumerate(zip(rows, samples)):
@@ -283,7 +283,7 @@ def test_a_backend_error_ends_evaluation_and_drops_queued_queries(toy_set):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_evaluate_holds_a_bounded_window_of_samples(toy_set, monkeypatch, threads):
-    samples, summary = toy_set
+    samples, header = toy_set
     window = evaluation.WINDOW * threads
     folded = []  # one entry per answer folded into the report
     moved_rank = evaluation.moved_rank
@@ -305,10 +305,10 @@ def test_evaluate_holds_a_bounded_window_of_samples(toy_set, monkeypatch, thread
             yield sample
             del sample
 
-    report = evaluate(stream(), summary, OracleBackend(), threads=threads)
+    report = evaluate(stream(), header, OracleBackend(), threads=threads)
     assert len(drawn) == len(folded) == 4 * len(samples) > window
     assert max(ahead) == window  # the window is filled, never passed
-    assert report == evaluate(samples * 4, summary, OracleBackend())
+    assert report == evaluate(samples * 4, header, OracleBackend())
 
 
 def test_out_of_range_selection_is_rejected(toy_set):
@@ -323,7 +323,7 @@ def test_out_of_range_selection_is_rejected(toy_set):
 
 
 def golden_eval_set():
-    """(samples, summary) of six hand-made samples, m = 4: three test triples,
+    """(samples, report header) of six hand-made samples, m = 4: three test triples,
     both directions. Candidate names repeat, so a pick can be a non-gold
     candidate that bears the gold's name, and one gold lies outside the top-m."""
 

@@ -28,8 +28,8 @@ from kgrerank.instructions import (
     TEMPLATE_VERSION,
     BuildOptions,
     InstructionSample,
-    build_finetune_set,
     build_sample,
+    build_set,
     iter_samples,
     query_text_for,
     rc_sample_neighbors,
@@ -266,10 +266,9 @@ def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
 
 def test_build_eval_set_counts_and_candidates(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.05)
-    path = str(tmp_path / "eval.jsonl")
-    summary = write_eval_set(toy_kg, toy_table, params, BuildOptions(), path)
-    records = read_records(path)
-    assert os.listdir(tmp_path) == ["eval.jsonl"]  # no file beside the records
+    summary = write_eval_set(toy_kg, toy_table, params, BuildOptions(), tmp_path)
+    records = read_records(str(tmp_path / "instructions.jsonl"))
+    assert sorted(os.listdir(tmp_path)) == ["instructions.jsonl", "summary.json"]  # the records and their summary
     assert summary["written"] == 2 * len(toy_kg.test)
     assert len(records) == 2 * len(toy_kg.test)
     for rec in records:
@@ -287,9 +286,8 @@ def test_build_eval_shuffled_knowledge_follows_candidate_order(tmp_path, toy_kg,
         ("plain", BuildOptions()),
         ("shuffled", BuildOptions(shuffle_candidates=True, seed=11)),
     ):
-        path = str(tmp_path / f"{name}.jsonl")
-        write_eval_set(toy_kg, toy_table, params, options, path)
-        sets[name] = list(iter_samples(path))
+        write_eval_set(toy_kg, toy_table, params, options, tmp_path / name)
+        sets[name] = list(iter_samples(str(tmp_path / name / "instructions.jsonl")))
     moved = 0
     for plain, shuffled in zip(sets["plain"], sets["shuffled"]):
         rows = attach_knowledge(shuffled, adapter, toy_table)
@@ -312,19 +310,11 @@ def test_build_eval_without_a_block(tmp_path, toy_kg, toy_table, options, header
     params = ConfidenceParams(m=3, alpha=1.0, beta=0.05)
     prompts = {}
     for name, built_with in (("full", BuildOptions()), ("without", options)):
-        path = str(tmp_path / f"{name}.jsonl")
-        write_eval_set(toy_kg, toy_table, params, built_with, path)
-        prompts[name] = [rec["prompt"] for rec in read_records(path)]
+        write_eval_set(toy_kg, toy_table, params, built_with, tmp_path / name)
+        prompts[name] = [rec["prompt"] for rec in read_records(str(tmp_path / name / "instructions.jsonl"))]
     assert any(block.startswith(header) for p in prompts["full"] for block in p.split("\n\n"))
     for full, without in zip(prompts["full"], prompts["without"], strict=True):
         assert without == "\n\n".join(b for b in full.split("\n\n") if not b.startswith(header))
-
-
-def finetune_paths(root):
-    return dict(
-        instructions_path=str(root / "ft.jsonl"),
-        holdout_instructions_path=str(root / "holdout.jsonl"),
-    )
 
 
 def test_finetune_split_is_nine_to_one(tmp_path):
@@ -340,10 +330,8 @@ def test_finetune_split_is_nine_to_one(tmp_path):
         rng.normal(size=(40, 4)), rng.normal(size=(3, 4)), "L2"
     )
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.0)
-    summary = write_finetune_set(
-        kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
-    )
-    assert summary["valid_triples"] == 100
+    summary = write_finetune_set(kg, table, params, BuildOptions(), tmp_path)
+    assert summary["queries"] + summary["holdout_queries"] == 2 * len(kg.valid) == 200
     assert summary["queries"] == 180  # 90 triples, both directions
     assert summary["holdout_queries"] == 20
     assert summary["kept"] == 180  # beta 0 keeps everything
@@ -351,26 +339,25 @@ def test_finetune_split_is_nine_to_one(tmp_path):
 
 def test_finetune_samples_stream_and_the_holdout_follows_the_last(tmp_path, toy_kg, toy_table):
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
-    paths = finetune_paths(tmp_path)
-    samples, summary = build_finetune_set(toy_kg, toy_table, params, BuildOptions(seed=3), **paths)
-    # the [ranker] and [instruct] values from the start, the counts once drained
-    assert summary["beta"] == 0.5 and summary["seed"] == 3 and "kept" not in summary
+    samples = build_set(toy_kg, toy_table, params, BuildOptions(seed=3), str(tmp_path), "finetune", "t.ckpt")
     first = next(samples)
-    assert not os.path.exists(paths["holdout_instructions_path"])
+    assert os.listdir(tmp_path) == ["instructions.jsonl"]  # the holdout and the summary follow the last kept
     rest = list(samples)
-    assert [first, *rest] == list(iter_samples(paths["instructions_path"]))
-    assert 0 < summary["kept"] == 1 + len(rest) < summary["queries"]
-    assert summary["holdout_queries"] == len(list(iter_samples(paths["holdout_instructions_path"])))
+    kept = list(iter_samples(str(tmp_path / "instructions.jsonl")))
+    holdout = list(iter_samples(str(tmp_path / "holdout.jsonl")))
+    assert [first, *rest] == kept + holdout  # every record, in file order
+    summary = json.loads(read_text(tmp_path / "summary.json"))
+    assert summary["beta"] == 0.5 and summary["seed"] == 3 and summary["checkpoint"] == "t.ckpt"
+    assert 0 < summary["kept"] == len(kept) < summary["queries"]
+    assert summary["holdout_queries"] == len(holdout)
 
 
 def test_finetune_truncation_can_empty_output(tmp_path, toy_kg, toy_table, caplog):
     params = ConfidenceParams(m=3, alpha=1.0, beta=1e9)
     with caplog.at_level(logging.WARNING):
-        summary = write_finetune_set(
-            toy_kg, toy_table, params, BuildOptions(), **finetune_paths(tmp_path)
-        )
+        summary = write_finetune_set(toy_kg, toy_table, params, BuildOptions(), tmp_path)
     assert summary["kept"] == 0
-    assert read_records(str(tmp_path / "ft.jsonl")) == []
+    assert read_records(str(tmp_path / "instructions.jsonl")) == []
     assert any("kept no finetune samples" in r.message for r in caplog.records)
 
 
@@ -387,11 +374,9 @@ def test_finetune_default_truncation_keeps_gold_in_candidates(tmp_path):
     kg = build_kg(40, 2, train=facts[:40], valid=facts[40:100], test=facts[100:110])
     table = EmbeddingTable(rng.normal(size=(40, 4)), rng.normal(size=(2, 4)), "L2")
     params = ConfidenceParams(m=20, alpha=1.0, beta=0.05)
-    summary = write_finetune_set(
-        kg, table, params, BuildOptions(), **finetune_paths(tmp_path)
-    )
+    summary = write_finetune_set(kg, table, params, BuildOptions(), tmp_path)
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
-    for rec in read_records(str(tmp_path / "ft.jsonl")):
+    for rec in read_records(str(tmp_path / "instructions.jsonl")):
         assert rec["gold_id"] in rec["candidate_ids"]
 
 
@@ -400,13 +385,10 @@ def test_finetune_build_is_byte_deterministic(tmp_path, toy_kg, toy_table):
     digests = []
     for run in ("a", "b"):
         root = tmp_path / run
-        root.mkdir()
-        write_finetune_set(
-            toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(root)
-        )
+        write_finetune_set(toy_kg, toy_table, params, BuildOptions(seed=3), root)
         blob = b"".join(
             read_bytes(os.path.join(root, n))
-            for n in ("ft.jsonl", "holdout.jsonl")
+            for n in ("instructions.jsonl", "holdout.jsonl", "summary.json")
         )
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
@@ -461,11 +443,9 @@ def test_finetune_builds_only_kept_and_holdout_samples(tmp_path, toy_kg, toy_tab
 
     monkeypatch.setattr(instructions, "build_sample", counting)
     params = ConfidenceParams(m=4, alpha=1.0, beta=0.5)
-    summary = write_finetune_set(
-        toy_kg, toy_table, params, BuildOptions(seed=3), **finetune_paths(tmp_path)
-    )
+    summary = write_finetune_set(toy_kg, toy_table, params, BuildOptions(seed=3), tmp_path)
     assert 0 < summary["kept"] < summary["queries"]  # truncation actually bites
     assert len(built) == summary["kept"] + summary["holdout_queries"]
-    written = read_records(str(tmp_path / "ft.jsonl"))
+    written = read_records(str(tmp_path / "instructions.jsonl"))
     written += read_records(str(tmp_path / "holdout.jsonl"))
     assert built == [rec["id"] for rec in written]
