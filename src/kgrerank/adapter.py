@@ -26,31 +26,31 @@ class AdapterParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        rows = self.w1.shape[0]
+        rows = self.w1.shape[-2]
         if rows % 2:
             raise ValueError("W1 needs an even number of rows (gate + value)")
         d1 = rows // 2
-        if self.b1.shape != (rows,):
-            raise ValueError(f"b1 must have shape ({rows},)")
-        if self.w2.shape[1] != d1:
-            raise ValueError(f"W2 must have {d1} columns, got {self.w2.shape[1]}")
-        if self.b2.shape != (self.w2.shape[0],):
-            raise ValueError(f"b2 must have shape ({self.w2.shape[0]},)")
+        if self.b1.shape[-1:] != (rows,):
+            raise ValueError(f"b1 must have shape (..., {rows})")
+        if self.w2.shape[-1] != d1:
+            raise ValueError(f"W2 must have {d1} columns, got {self.w2.shape[-1]}")
+        if self.b2.shape[-1:] != (self.d2,):
+            raise ValueError(f"b2 must have shape (..., {self.d2})")
         for name, arr in (("W1", self.w1), ("b1", self.b1), ("W2", self.w2), ("b2", self.b2)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
 
     @property
     def d0(self) -> int:
-        return int(self.w1.shape[1])
+        return int(self.w1.shape[-1])
 
     @property
     def d1(self) -> int:
-        return int(self.w2.shape[1])
+        return int(self.w2.shape[-1])
 
     @property
     def d2(self) -> int:
-        return int(self.w2.shape[0])
+        return int(self.w2.shape[-2])
 
 
 @dataclass
@@ -96,14 +96,16 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 
 def project(params: AdapterParams, e: np.ndarray) -> np.ndarray:
-    """Map a d0-vector into the d2-dimensional target space."""
+    """Map a d0-vector into the d2-dimensional target space. Leading axes of
+    ``e`` and of the parameter arrays (a stack of parameter sets) broadcast;
+    each output row has the bits that its vector and parameter set give alone."""
     e = np.asarray(e, dtype=np.float64)
-    if e.shape != (params.d0,):
-        raise ValueError(f"expected input shape ({params.d0},), got {e.shape}")
-    z = params.w1 @ e + params.b1
-    gate, up = z[: params.d1], z[params.d1 :]
+    if e.shape[-1:] != (params.d0,):
+        raise ValueError(f"expected input shape (..., {params.d0}), got {e.shape}")
+    z = (params.w1 @ e[..., None])[..., 0] + params.b1
+    gate, up = z[..., : params.d1], z[..., params.d1 :]
     hidden = _silu(gate) * up
-    return params.w2 @ hidden + params.b2
+    return (params.w2 @ hidden[..., None])[..., 0] + params.b2
 
 
 def project_grad(params: AdapterParams, e: np.ndarray, upstream: np.ndarray) -> AdapterGrads:
@@ -149,9 +151,6 @@ def attach_knowledge(sample, params: AdapterParams, table: EmbeddingTable) -> np
     for kind, ref, count in refs:
         if not 0 <= ref < count:
             raise DataError(f"sample {sample.id}: {kind} id {ref} outside the checkpoint's [0, {count})")
-    out = np.empty((len(sample.candidate_ids) + 1, params.d2), dtype=np.float64)
-    out[0] = project(params, table.query_vector(sample.known, sample.relation, sample.direction))
-    for row, ent in enumerate(sample.candidate_ids, start=1):
-        out[row] = project(params, table.entity_vector(ent))
-    return out
+    query = table.query_vector(sample.known, sample.relation, sample.direction)
+    return project(params, np.array([query, *map(table.entity_vector, sample.candidate_ids)]))
 

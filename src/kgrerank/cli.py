@@ -190,6 +190,9 @@ def stage_digest(cfg: PipelineConfig, *sections: str) -> str:
         payload["graph_layout"] = GRAPH_LAYOUT
     for section in sections:
         payload[section] = asdict(getattr(cfg, section))
+    if "backend" in sections:  # how requests are sent: a run that fails under them publishes nothing
+        for key in ("timeout", "retries", "backoff", "in_flight"):
+            del payload["backend"][key]
     if "backend" in sections and cfg.backend.kind == "scripted":  # the fixture's bytes, not its path
         payload["backend"]["scripted_file"] = content_hash(cfg, cfg.backend.scripted_file)
     blob = json.dumps(payload, sort_keys=True)

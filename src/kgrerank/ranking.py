@@ -82,7 +82,6 @@ class ConfidenceParams:
     m: int = 20
     alpha: float = 1.0
     beta: float = 0.05
-    local_norm: str = "minmax"  # or "raw": the unnormalized gold score
 
     def __post_init__(self):
         if self.m < 1:
@@ -91,8 +90,6 @@ class ConfidenceParams:
             raise ValueError("alpha must be finite and >= 0")
         if not 0 <= self.beta < math.inf:
             raise ValueError("beta must be finite and >= 0")
-        if self.local_norm not in ("minmax", "raw"):
-            raise ValueError("local_norm must be 'minmax' or 'raw'")
 
 
 def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
@@ -171,13 +168,12 @@ def global_confidence(rq: RankedQuery) -> float:
     return 1.0 / rq.gold_rank
 
 
-def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
+def local_confidence(rq: RankedQuery, m: int) -> float:
     """Gold score within the top-m, or 0 when the gold falls outside it.
 
-    By default the score is min-max normalized over the finite top-m scores
-    (a filtered entity's is -inf), so the value lands in [0, 1] regardless
-    of the scorer's scale; equal scores, or none finite, give 1.0. With
-    ``normalize=False`` the raw model score is returned instead.
+    The score is min-max normalized over the finite top-m scores (a filtered
+    entity's is -inf), so the value lands in [0, 1] regardless of the
+    scorer's scale; equal scores, or none finite, give 1.0.
     """
     if m > len(rq.topm_scores):
         raise ValueError(
@@ -185,8 +181,6 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
         )
     if rq.gold_rank > m:
         return 0.0
-    if not normalize:
-        return rq.gold_score
     finite = [s for s in rq.topm_scores[:m] if math.isfinite(s)]
     lo, hi = min(finite, default=0.0), max(finite, default=0.0)
     if hi == lo:
@@ -195,9 +189,7 @@ def local_confidence(rq: RankedQuery, m: int, normalize: bool = True) -> float:
 
 
 def sample_confidence(rq: RankedQuery, params: ConfidenceParams) -> float:
-    return global_confidence(rq) + params.alpha * local_confidence(
-        rq, params.m, params.local_norm == "minmax"
-    )
+    return global_confidence(rq) + params.alpha * local_confidence(rq, params.m)
 
 
 def survives_truncation(rq: RankedQuery, params: ConfidenceParams) -> bool:

@@ -559,18 +559,20 @@ def rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def central_diff(f, x, h=1e-6):
-    """Central finite-difference gradient of scalar f at 1-D or 2-D array x."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        up = f(x)
-        x[idx] = orig - h
-        down = f(x)
-        x[idx] = orig
-        grad[idx] = (up - down) / (2 * h)
-    return grad
+def central_diff(f, x, h=1e-6, batch=128):
+    """Central finite-difference gradient of a scalar function at array x.
+
+    ``f`` takes a stack of arrays shaped like x, ``(k, *x.shape)``, and returns
+    their k values. Each call differences up to ``batch`` entries: the stack
+    holds x with one entry moved by +h, for each of them, then by -h."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
+    grad = np.empty_like(flat)
+    for lo in range(0, flat.size, batch):
+        entries = np.arange(lo, min(lo + batch, flat.size))
+        k = entries.size
+        stack = np.tile(flat, (2 * k, 1))
+        stack[np.arange(k), entries] = flat[entries] + h
+        stack[np.arange(k, 2 * k), entries] = flat[entries] - h
+        values = f(stack.reshape(2 * k, *np.shape(x)))
+        grad[entries] = (values[:k] - values[k:]) / (2 * h)
+    return grad.reshape(np.shape(x))

@@ -218,12 +218,14 @@ def test_adapter_gradient_check():
             grads = project_grad(params, e, upstream)
             for name in ("w1", "b1", "w2", "b2"):
                 analytic = getattr(grads, name)
-                # one set of parameters holds the copy that central_diff perturbs in place
-                perturbed = dataclasses.replace(params, **{name: getattr(params, name).copy()})
-                fd = central_diff(lambda _: float(upstream @ project(perturbed, e)), getattr(perturbed, name))
+                # one stack of parameter sets holds every perturbation of a batch
+                fd = central_diff(
+                    lambda stack: project(dataclasses.replace(params, **{name: stack}), e) @ upstream,
+                    getattr(params, name),
+                )
                 assert (np.abs(np.asarray(analytic) - fd)
                         <= 1e-5 * np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))).all()
-            fd_e = central_diff(lambda x: float(upstream @ project(params, x)), e.copy())
+            fd_e = central_diff(lambda stack: project(params, stack) @ upstream, e)
             for a, b in zip(grads.e, fd_e):
                 assert rel_err(a, b) < 1e-5
     assert time.monotonic() - start < 60

@@ -113,18 +113,18 @@ def test_stage_digest_ignores_workdir(tmp_path, toy_dir):
 @pytest.mark.parametrize(
     "overrides, addresses",
     [
-        ([], ("embeddings-e0dae0a7aebd", "finetune-5869fb805c3f", "eval-5869fb805c3f", "report-22dd5e1d01cd")),
+        ([], ("embeddings-e0dae0a7aebd", "finetune-8fd730536385", "eval-8fd730536385", "report-5dde8bc88fa1")),
         (
             [
                 "embedder.negatives=2",
-                "ranker.local_norm=raw",
+                "ranker.alpha=0.5",
                 "instruct.gamma=0",
                 "instruct.seed=3",
                 "backend.kind=remote",
                 "backend.timeout=12",
                 "eval.audit=yes",
             ],
-            ("embeddings-49946a47ee7c", "finetune-dd584f7c0c9a", "eval-dd584f7c0c9a", "report-4835529b4be7"),
+            ("embeddings-49946a47ee7c", "finetune-344fd4a2e538", "eval-344fd4a2e538", "report-7a9275f5cbf2"),
         ),
     ],
 )
@@ -133,6 +133,26 @@ def test_stage_addresses_are_pinned(tmp_path, toy_dir, overrides, addresses):
     cfg = load_config(write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w"), overrides)
     stages = ("embeddings", "finetune", "eval", "report")
     assert tuple(os.path.basename(stage_output(cfg, stage)) for stage in stages) == addresses
+
+
+def test_only_what_shapes_a_report_moves_its_address(tmp_path, toy_dir):
+    # a run that fails under a transport setting exits 3 and publishes nothing,
+    # so a longer timeout finds the report that a shorter one wrote
+    cfg = write_config(
+        tmp_path / "run.ini",
+        toy_dir,
+        tmp_path / "w",
+        extra="\n[backend]\nkind = remote\nendpoint = http://127.0.0.1:1/v1\nmodel = m\n",
+    )
+    report = stage_output(load_config(cfg), "report")
+    for override in (
+        "backend.timeout=99", "backend.retries=7", "backend.backoff=3", "backend.in_flight=9", "pipeline.threads=4",
+    ):
+        assert stage_output(load_config(cfg, [override]), "report") == report, override
+    for override in (
+        "backend.kind=oracle", "backend.endpoint=http://127.0.0.1:2/v1", "backend.model=n", "backend.auth_token_env=T",
+    ):
+        assert stage_output(load_config(cfg, [override]), "report") != report, override
 
 
 def test_the_graph_address_is_pinned(tmp_path, toy_dir):
@@ -516,11 +536,18 @@ def test_build_summary_records_ablation_flags(tmp_path, toy_dir):
 
 
 def test_a_config_that_sets_a_removed_drop_key_exits_1(tmp_path, toy_dir, capsys):
-    # max_description_chars = 0 and gamma = 0 do what drop_description and drop_neighbors did
+    # max_description_chars = 0 and gamma = 0 do what drop_description and drop_neighbors did;
+    # the local confidence term is always min-max normalised, as local_norm = minmax made it
     for key in ("drop_description", "drop_neighbors"):
         cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w", extra=f"\n[instruct]\n{key} = true\n")
         assert main(["build-eval", "--config", cfg]) == 1
         assert f"unknown config key instruct.{key}" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w", extra="local_norm = raw\n")  # in [ranker]
+    assert main(["build-finetune", "--config", cfg]) == 1
+    assert "unknown config key ranker.local_norm" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "run.ini", toy_dir, tmp_path / "w")
+    assert main(["build-finetune", "--config", cfg, "--set", "ranker.local_norm=minmax"]) == 1
+    assert "unknown config key ranker.local_norm" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
@@ -1187,9 +1214,9 @@ SET_FILES = (
             (
                 "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
                 "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
-                "523179f45f731fff1592adaf2326feb3fb5690f7b53dd6e9fea12ef0fb239db2",
+                "fa6ea4093b3d96226a42d9352077c20728d84123f1f8f1c789640be17573535e",
                 "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
-                "eac04cddfe192d1acaf8161fc893e82a14aa3eed8630c2d94380a012bdbbbf7b",
+                "66c4dcd27d33d506d87d4f74ee85598d114c7dba3929bed00d9256b84c128f3e",
             ),
         ),
         (
@@ -1197,9 +1224,9 @@ SET_FILES = (
             (
                 "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
                 "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
-                "c3246cba799d5ffd76c048a53e141af867c7b9a8ae4cdc475293c144be542f4e",
+                "4ccdf7d7a9bcf3f2cdb02d4e0b159b44507b50a8d703244f604b4f3d27fde357",
                 "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
-                "39c5d1d503546c59359ef10b67c6d478fc0c6288d9fa59e531c86e2e6b3bb074",
+                "68f742fac800339976318a4d8400cf78f7047fa768a44579a4a3facceca2f742",
             ),
         ),
         # the jsonl digests are those that instruct.drop_description=true gave
@@ -1209,9 +1236,9 @@ SET_FILES = (
             (
                 "7ad0c8670015e9daaff60d16df5cb492029558a4c62c1a71321bdc6acf488d5d",
                 "fb34ca51b65ca1540f1741a900eb2aa3e250dfa39810b1e57a7ac0f3ee59ab65",
-                "11a63c62464605e6e3f20f62457d96e0e3fcd0031b35200b5d101ca8a87a7a1f",
+                "a1a78ab4bde52cf38fd39c7f3090b92cc465c401c0e547ba6ef9633da153bf1d",
                 "ccb5333f2a763922e27472429fdbf116f2e106fa49d12f4ee0dc33489995f305",
-                "97f312283bc5131bee3b4689dc6af7488f0ca8a155b584a7a1aac0ede73861b4",
+                "97afdcf39f7a4ac2af9ab5ba5c898061f472236e599a0843955496d578830923",
             ),
         ),
         # and these, those that instruct.drop_neighbors=true gave
@@ -1220,9 +1247,9 @@ SET_FILES = (
             (
                 "b3cd7438fb35fb961d087207323cb8dbf0df12ab411e25515424257df430e8df",
                 "3139a2ddc835abf67c90fc006530ca10f576c109570fbd91966e82f5f4f7dfc1",
-                "74f9286d20fba1d3664665a2f3c6faaa2144546a82e3974036e6c7d1f216d1d2",
+                "f9c1712e3221f05614bd4b612dc23ffbafbebe10694d9eddfc7193a73c069456",
                 "5968cb3f6a55ff102e1a46da0a9e0fbabcde0fe74037ea873734d7a9ec8df2c2",
-                "0590629c879e88e73c033dc6263b662aa6fa338429efb6b4c70b0975b9778125",
+                "f9e08d4636b7b7919de1f7b7bf1bab4b40a132dbee369e1d23013f9409b51df2",
             ),
         ),
     ],
@@ -1479,7 +1506,7 @@ def test_training_whose_last_step_overflows_exits_2_and_publishes_nothing(tmp_pa
 
 def test_a_set_summary_records_every_ranker_and_instruct_value(tmp_path, toy_dir):
     sets = [
-        "ranker.m=4", "ranker.alpha=0.5", "ranker.beta=0.25", "ranker.local_norm=raw",
+        "ranker.m=4", "ranker.alpha=0.5", "ranker.beta=0.25",
         "instruct.gamma=3", "instruct.max_description_chars=40", "instruct.rc_sampling=false",
         "instruct.shuffle_candidates=true", "instruct.seed=4",
     ]

@@ -158,14 +158,17 @@ def test_pair_gradients_match_finite_differences(norm):
             # keep clear of the absolute-value kinks
             u = table.entity_vecs[pos[0]] + table.relation_vecs[pos[1]] - table.entity_vecs[pos[2]]
             assert np.abs(u).min() > 1e-3
-        def f(row, vecs=vecs, idx=idx):
+        def f(stack, vecs=vecs, idx=idx):
             saved = vecs[idx].copy()
-            vecs[idx] = row
+            values = []
             try:
-                return loss_fn(table)
+                for row in stack:
+                    vecs[idx] = row
+                    values.append(loss_fn(table))
             finally:
                 vecs[idx] = saved
-        fd = central_diff(f, vecs[idx].copy())
+            return np.array(values)
+        fd = central_diff(f, vecs[idx].copy())  # f writes into vecs[idx]
         for a, b in zip(np.asarray(grad).ravel(), fd.ravel()):
             assert rel_err(a, b) < 1e-5
 

@@ -176,12 +176,6 @@ def test_local_confidence_with_no_finite_topm_score_is_the_equal_scores_value():
     # scores that overflowed to -inf: none is finite to normalize over
     rq = synthetic_rq(gold_rank=2, gold_score=-math.inf, topm_scores=[-math.inf] * 3)
     assert local_confidence(rq, m=3) == 1.0
-    assert local_confidence(rq, m=3, normalize=False) == -math.inf
-
-
-def test_local_confidence_raw_switch():
-    rq = synthetic_rq(gold_rank=2, gold_score=-2.0, topm_scores=[-1.0, -2.0, -5.0])
-    assert local_confidence(rq, m=3, normalize=False) == -2.0
 
 
 def test_local_confidence_rejects_wider_m_than_built():
