@@ -25,7 +25,7 @@ COLUMNS = {
         "finetune", "summary.json", [("queries", "queries", "d"), ("kept", "kept", "d"), ("dropped", "dropped", "d")]
     ),
     "build-eval": (
-        "eval", "summary.json", [("samples", "written", "d"), ("mean prompt chars", "mean_prompt_chars", ".1f")]
+        "eval", "summary.json", [("samples", "kept", "d"), ("mean prompt chars", "mean_prompt_chars", ".1f")]
     ),
     "evaluate": ("report", "report.json", [
         ("MRR", "combined.mrr", ".4f"), ("Hits@1", "combined.hits1", ".4f"), ("Hits@3", "combined.hits3", ".4f"),

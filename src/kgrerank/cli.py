@@ -38,7 +38,7 @@ from typing import Iterator, get_type_hints
 from .discriminator import BackendConfig, BackendError, make_backend
 from .embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from .evaluation import evaluate, format_table
-from .instructions import TEMPLATE_VERSION, BuildOptions, InstructionSample, build_set, iter_samples
+from .instructions import TEMPLATE_VERSION, BuildOptions, InstructionSample, build_set, iter_samples, write_json
 from .kg import DATASET_FILES, GRAPH_LAYOUT, DataError, KnowledgeGraph, load_kg
 from .ranking import ConfidenceParams
 
@@ -110,7 +110,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> PipelineConfig
     """Parse and validate the INI config; unknown sections or keys are errors."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="")  # [DEFAULT] is no special section
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -251,12 +251,6 @@ def _remove(path: str) -> None:
         shutil.rmtree(path)
     elif os.path.lexists(path):
         os.remove(path)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
@@ -407,7 +401,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
                     audit_path=os.path.join(tmp, "audit.jsonl") if cfg.eval.audit else None,
                     threads=threads,
                 )
-            _write_json(os.path.join(tmp, "report.json"), report)
+            write_json(os.path.join(tmp, "report.json"), report)
             table_text = format_table(report) + "\n"
             with open(os.path.join(tmp, "report.txt"), "w", encoding="utf-8") as f:
                 f.write(table_text)

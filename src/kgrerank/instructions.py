@@ -108,7 +108,7 @@ def rc_sample_neighbors(kg: KnowledgeGraph, q: Query, gamma: int) -> list[Triple
         raise ValueError("gamma must be >= 0")
     pool = _neighbor_pool(kg, q)
     rel = pool[:, 1]
-    order = np.lexsort((np.arange(len(pool)), rel, -kg.cooc[rel, q.relation]))
+    order = np.lexsort((rel, -kg.cooc[rel, q.relation]))  # stable: ties keep the pool's file order
     return [Triple(*fact) for fact in pool[order[:gamma]].tolist()]
 
 
@@ -123,10 +123,7 @@ def _uniform_sample_neighbors(
     kg: KnowledgeGraph, q: Query, gamma: int, rng: np.random.Generator
 ) -> list[Triple]:
     pool = _neighbor_pool(kg, q)
-    k = min(gamma, len(pool))
-    if k == 0:
-        return []
-    picks = rng.choice(len(pool), size=k, replace=False)
+    picks = rng.choice(len(pool), size=min(gamma, len(pool)), replace=False)
     return [Triple(*fact) for fact in pool[picks].tolist()]
 
 
@@ -236,6 +233,13 @@ class InstructionWriter:
         self._f.close()
 
 
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as a JSON file: keys sorted, indented by 2, one closing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_samples(
     w: InstructionWriter,
     kg: KnowledgeGraph,
@@ -297,7 +301,8 @@ def build_set(
     After the last record comes ``summary.json``: the ``[ranker]`` and
     ``[instruct]`` values (the two sections share no key), the template
     version, ``checkpoint`` (the file that the records' ids refer to), the
-    counts of ``instructions.jsonl`` and the sha256 of each record file
+    counts of ``instructions.jsonl`` (``kept`` is the number of its records),
+    its mean prompt length and the sha256 of each record file
     (``record_sha256``, by file name).
     """
     if which == "eval":
@@ -330,15 +335,12 @@ def build_set(
         "checkpoint": checkpoint,
         "queries": queries[0],
         "kept": w.count,
-        "written": w.count,
         "dropped": queries[0] - w.count,
         "holdout_queries": sum(queries[1:]),
         "mean_prompt_chars": (w.prompt_chars / w.count) if w.count else 0.0,
         "record_sha256": {name: writer.sha256.hexdigest() for name, writer in writers.items()},
     }
-    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(outdir, "summary.json"), summary)
     logger.info(
         "built the %s set: %d queries, %d kept, %d dropped, %d holdout queries",
         which, *(summary[key] for key in ("queries", "kept", "dropped", "holdout_queries")),

@@ -102,7 +102,8 @@ def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
 
 
 def rank_query(table: EmbeddingTable, kg: KnowledgeGraph, q: Query, m: int) -> RankedQuery:
-    """The top-m entities and the gold's rank, filtered against known-true triples."""
+    """The top-m entities and the gold's rank, filtered: ``rank_queries`` of one
+    query, kept only as the benchmark's ``ranking.rank_query`` trace hook."""
     return next(rank_queries(table, kg, [q], m))
 
 

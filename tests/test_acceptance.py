@@ -46,7 +46,7 @@ from kgrerank.ranking import (
     RankedQuery,
     local_confidence,
     queries_for_triple,
-    rank_query,
+    rank_queries,
     sample_confidence,
     survives_truncation,
 )
@@ -103,9 +103,9 @@ def test_ranking_oracle_equivalence():
             fact = facts[int(rng.integers(0, len(facts)))]
             q = queries_for_triple(fact)[int(rng.integers(0, 2))]
             m = int(rng.integers(1, kg.num_entities + 1))
-            rq = rank_query(table, kg, q, m)
+            (rq,) = rank_queries(table, kg, [q], m)
             order, topm, gold_rank = brute_force_rank(table, kg, q, m)
-            assert rank_query(table, kg, q, kg.num_entities).topm_ids == order
+            assert next(rank_queries(table, kg, [q], kg.num_entities)).topm_ids == order
             assert rq.topm_ids == topm
             assert rq.gold_rank == gold_rank
     assert time.monotonic() - start < 60
@@ -170,11 +170,7 @@ def test_metric_identity_on_the_first_toy_triples(toy_kg, toy_table):
 
 @criterion("confidence truncation: monotone sweep, total recall at beta 0, strict boundary")
 def test_truncated_sampling_behavior(toy_kg, toy_table):
-    rqs = [
-        rank_query(toy_table, toy_kg, q, m=5)
-        for fact in toy_kg.valid
-        for q in queries_for_triple(fact)
-    ]
+    rqs = list(rank_queries(toy_table, toy_kg, [q for fact in toy_kg.valid for q in queries_for_triple(fact)], m=5))
     counts = []
     for beta in (0.0, 0.05, 0.5, 1.0):
         params = ConfidenceParams(m=5, alpha=1.0, beta=beta)

@@ -29,7 +29,7 @@ from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
 from kgrerank.embeddings import EmbeddingTable
 from kgrerank.kg import load_kg
-from kgrerank.ranking import metrics, queries_for_triple, rank_query
+from kgrerank.ranking import metrics, queries_for_triple, rank_queries
 
 # the built graph's files under graph-<digest>/, sorted
 GRAPH_FILES = ["graph.npy", "texts.bin"]
@@ -378,6 +378,8 @@ CONFIG_REFUSALS = {
     "set-without-equals": ("", ["pipeline.threads"], "must look like section.key=value, got 'pipeline.threads'"),
     "set-without-a-section": ("", ["threads=2"], "must look like section.key=value, got 'threads=2'"),
     "set-an-unknown-key": ("", ["pipeline.bogus=1"], "unknown config key pipeline.bogus"),
+    # configparser would copy its keys into every section, where each is an unknown key
+    "a-default-section": ("[DEFAULT]\nseed = 3\n", [], "unknown config section [DEFAULT]"),
 }
 
 
@@ -504,7 +506,7 @@ def test_build_eval_and_finetune_outputs(tmp_path, toy_dir):
     assert main(["build-finetune", "--config", cfg]) == 0
     eval_summary = json.loads(read_text(workdir_file(tmp_path / "w", "eval-", "summary.json")))
     ft_summary = json.loads(read_text(workdir_file(tmp_path / "w", "finetune-", "summary.json")))
-    assert eval_summary["written"] == 24  # 12 test triples, both directions
+    assert eval_summary["kept"] == 24  # 12 test triples, both directions
     assert ft_summary["queries"] == 20  # 10 of 12 valid triples in the 90% part
     assert ft_summary["holdout_queries"] == 4
     assert ft_summary["kept"] <= ft_summary["queries"]
@@ -836,12 +838,12 @@ NOT_A_SET_SUMMARY = "summary.json: not a JSON object with the sha256 of each of 
     [
         (b'{"m": 5', "summary.json: Expecting ',' delimiter"),
         (b"[24]", NOT_A_SET_SUMMARY),
-        (b'{"written": "24"}', NOT_A_SET_SUMMARY),
-        (b'{"written": 24, "\xff": 1}', "summary.json: 'utf-8' codec can't decode byte 0xff"),
-        (b'{"written": 24}', NOT_A_SET_SUMMARY),
+        (b'{"kept": "24"}', NOT_A_SET_SUMMARY),
+        (b'{"kept": 24, "\xff": 1}', "summary.json: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"kept": 24}', NOT_A_SET_SUMMARY),
         # accepted: nothing but record_sha256 is read, and the report's header comes from the config
         (lambda s, _: _without(s, "m"), None),
-        (lambda s, _: _without(s, "written"), None),
+        (lambda s, _: _without(s, "kept"), None),
         (lambda s, _: {**s, "beta": 0.5}, None),
         (lambda s, _: _without(s, "record_sha256"), NOT_A_SET_SUMMARY),
         (lambda s, _: {**s, "record_sha256": {}}, NOT_A_SET_SUMMARY),
@@ -856,7 +858,7 @@ NOT_A_SET_SUMMARY = "summary.json: not a JSON object with the sha256 of each of 
         ),
     ],
     ids=[
-        "not-json", "list", "written-text", "not-utf8", "written-alone", "no-m", "no-written", "beta-edited",
+        "not-json", "list", "kept-text", "not-utf8", "kept-alone", "no-m", "no-kept", "beta-edited",
         "no-record-sha256", "record-sha256-empty", "no-records", "record-sha256-wrong", "record-bytes-alone",
     ],
 )
@@ -1214,9 +1216,9 @@ SET_FILES = (
             (
                 "47310a4a65dfba64b86a1e9f5f2bad1ada555b3da0a254c6a099de9c9e030d5b",
                 "31163453a9ba20e1187b27665a77541d49609feea7f8fd921f6be7f34d6103fc",
-                "fa6ea4093b3d96226a42d9352077c20728d84123f1f8f1c789640be17573535e",
+                "9457a588c66be098d2e6acc751ed2864de546369c772b5877a74934b1d32b8af",
                 "7b6380c4dc52224f556dfb362753410588f8c91a7b43e6224d8e4e69c3da6521",
-                "66c4dcd27d33d506d87d4f74ee85598d114c7dba3929bed00d9256b84c128f3e",
+                "f2543d073c20b6a5ebed1703205fb2dee621607f067ac49e089514982ed3c25c",
             ),
         ),
         (
@@ -1224,9 +1226,9 @@ SET_FILES = (
             (
                 "9fa526fc283ebc7e4e38c2d80f5e55fe92dcf90b88c4d4924620f70a739b316f",
                 "e1e9372050903ae9c4aef9532a7e1469547033889e6b22fb6aeeb4ed5e504dcd",
-                "4ccdf7d7a9bcf3f2cdb02d4e0b159b44507b50a8d703244f604b4f3d27fde357",
+                "8f10b42cd5de4d9a4f4c751098eef03e8c17503e5821c1f4d9886d6893b5c12a",
                 "8bbb44953ef6aeba03fa8b3412941dbfcdecec2be22252da62c38d97f9a1f6d0",
-                "68f742fac800339976318a4d8400cf78f7047fa768a44579a4a3facceca2f742",
+                "7366244a24fc297f9f61a299e4f96edb557e4a856db6da88c6ffe32131b2bc5c",
             ),
         ),
         # the jsonl digests are those that instruct.drop_description=true gave
@@ -1236,9 +1238,9 @@ SET_FILES = (
             (
                 "7ad0c8670015e9daaff60d16df5cb492029558a4c62c1a71321bdc6acf488d5d",
                 "fb34ca51b65ca1540f1741a900eb2aa3e250dfa39810b1e57a7ac0f3ee59ab65",
-                "a1a78ab4bde52cf38fd39c7f3090b92cc465c401c0e547ba6ef9633da153bf1d",
+                "516eec6546dc65db620cfb61f1dc4e60366827bd6e71e335254801213227010a",
                 "ccb5333f2a763922e27472429fdbf116f2e106fa49d12f4ee0dc33489995f305",
-                "97afdcf39f7a4ac2af9ab5ba5c898061f472236e599a0843955496d578830923",
+                "bc8ebb74a47ff85e71f17980ce37d3efb4b43f50faccde8b5b801421585387af",
             ),
         ),
         # and these, those that instruct.drop_neighbors=true gave
@@ -1247,9 +1249,9 @@ SET_FILES = (
             (
                 "b3cd7438fb35fb961d087207323cb8dbf0df12ab411e25515424257df430e8df",
                 "3139a2ddc835abf67c90fc006530ca10f576c109570fbd91966e82f5f4f7dfc1",
-                "f9c1712e3221f05614bd4b612dc23ffbafbebe10694d9eddfc7193a73c069456",
+                "e580458d3a28512fcdab7ca341b6e28609426fb701e18796209f6f537a8c3a70",
                 "5968cb3f6a55ff102e1a46da0a9e0fbabcde0fe74037ea873734d7a9ec8df2c2",
-                "f9e08d4636b7b7919de1f7b7bf1bab4b40a132dbee369e1d23013f9409b51df2",
+                "43cc66e02aaa39a8e71d0f038b34c093f42e42406a00a9f0f0b0eb982ffd70d5",
             ),
         ),
     ],
@@ -1536,10 +1538,10 @@ def test_both_set_summaries_have_one_layout(tmp_path, toy_dir):
             read[output] = json.load(f)
     finetune, evaluation = read["finetune"], read["eval"]
     assert sorted(finetune) == sorted(evaluation)
-    assert evaluation["kept"] == evaluation["written"] == evaluation["queries"] == 24
+    assert evaluation["kept"] == evaluation["queries"] == 24
     assert evaluation["dropped"] == evaluation["holdout_queries"] == 0
-    counts = ("queries", "kept", "written", "dropped", "holdout_queries")
-    assert [finetune[key] for key in counts] == [20, 3, 3, 17, 4]  # as the two builders counted them
+    counts = ("queries", "kept", "dropped", "holdout_queries")
+    assert [finetune[key] for key in counts] == [20, 3, 17, 4]  # as the two builders counted them
     # what scripts/sweep.py prints and perfbench/run.py reads is there
     for output, _, columns in load_script("sweep").COLUMNS.values():
         for _, key, _ in columns:
@@ -1567,7 +1569,7 @@ def test_a_failed_summary_write_leaves_no_marker(tmp_path, toy_dir, monkeypatch)
         assert not [e for e in os.listdir(workdir) if e.startswith(("eval-", "report-")) or e.endswith(".tmp")]
         assert main([command, "--config", cfg]) == 0
         assert len(calls) == 2
-        assert json.loads(read_text(workdir_file(workdir, "eval-", "summary.json")))["written"] == 24
+        assert json.loads(read_text(workdir_file(workdir, "eval-", "summary.json")))["kept"] == 24
 
 
 def _raises_after(original):
@@ -2055,12 +2057,12 @@ def printed(dm):
 
 
 def gold_ranks(toy_dir, ckpt, limit_triples=None):
-    """The ``rank_query`` gold rank of each test query at m = 5, by direction."""
+    """The ``rank_queries`` gold rank of each test query at m = 5, by direction."""
     kg, table = load_kg(toy_dir), EmbeddingTable.load(ckpt)
     ranks = {"head": [], "tail": []}
     for t in kg.test[:limit_triples]:
         for q in queries_for_triple(t):
-            ranks[q.direction].append(rank_query(table, kg, q, 5).gold_rank)
+            ranks[q.direction].append(next(rank_queries(table, kg, [q], 5)).gold_rank)
     return ranks
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import base_model_metrics, brute_force_rank, build_kg, eval_samples, read_lines, rerank
-from kgrerank.cli import _write_json
 from kgrerank.discriminator import (
     BackendError,
     FirstCandidateBackend,
@@ -21,7 +20,7 @@ from kgrerank.discriminator import (
 from kgrerank import evaluation
 from kgrerank.evaluation import evaluate, format_table
 from kgrerank.embeddings import EmbeddingTable
-from kgrerank.instructions import BuildOptions, InstructionSample
+from kgrerank.instructions import BuildOptions, InstructionSample, write_json
 from kgrerank.kg import DataError
 from kgrerank.ranking import ConfidenceParams, Query, metrics, queries_for_triple
 
@@ -375,7 +374,7 @@ def test_golden_report_bytes(tmp_path, threads):
     report = evaluate(
         *golden_eval_set(), ScriptedBackend(GOLDEN_OUTPUTS), audit_path=str(audit), threads=threads
     )
-    _write_json(str(tmp_path / "report.json"), report)
+    write_json(str(tmp_path / "report.json"), report)
     (tmp_path / "report.txt").write_text(format_table(report) + "\n", encoding="utf-8")
     for name in ("report.json", "report.txt", "audit.jsonl"):
         with open(os.path.join(GOLDEN_DIR, name), "rb") as f:

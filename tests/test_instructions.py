@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -37,7 +37,7 @@ from kgrerank.instructions import (
     render_prompt,
 )
 from kgrerank.kg import KnowledgeGraph, Triple, load_kg
-from kgrerank.ranking import ConfidenceParams, Query, rank_query
+from kgrerank.ranking import ConfidenceParams, Query, rank_queries
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_prompt.txt")
 
@@ -132,8 +132,15 @@ def kg_and_query(draw):
     return kg, q, gamma
 
 
+# five of entity 0's relation-0 facts, not in id order in the file, tie on
+# (co-occurrence, relation) past gamma = 2: file order alone picks the two kept
+TIED_POOL = build_kg(8, 2, train=[(0, 0, 5), (0, 1, 6), (0, 0, 3), (7, 0, 0), (0, 0, 4), (0, 0, 2), (0, 0, 1)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(kg_and_query())
+@example((TIED_POOL, Query(known=0, relation=0, direction="tail", gold=3), 2))
+@example((TIED_POOL, Query(known=0, relation=0, direction="head", gold=7), 2))
 def test_rc_sampling_matches_independent_ordering(case):
     kg, q, gamma = case
     cooc = brute_force_cooc(kg)
@@ -159,7 +166,7 @@ def test_neighbor_sampling_is_subset_without_gold(case, rc_on, seed):
     table = EmbeddingTable(
         rng.normal(size=(kg.num_entities, 4)), rng.normal(size=(kg.num_relations, 4)), "L2"
     )
-    rq = rank_query(table, kg, q, m=min(3, kg.num_entities))
+    (rq,) = rank_queries(table, kg, [q], m=min(3, kg.num_entities))
     options = BuildOptions(gamma=gamma, rc_sampling=rc_on, seed=seed)
     sample = build_sample(kg, rq, options, "s-0", query_index=0)
     rendered_neighbors = {render_fact(kg, f) for f in neighbors(kg, q.known)}
@@ -229,7 +236,7 @@ def test_parse_rejects_prompt_without_candidates():
 def test_full_candidate_list_renders_twenty_entity_slots(toy_kg, toy_table):
     # m equal to the whole entity set still renders one slot per candidate
     q = Query(known=0, relation=0, direction="tail", gold=1)
-    rq = rank_query(toy_table, toy_kg, q, m=20)
+    (rq,) = rank_queries(toy_table, toy_kg, [q], m=20)
     sample = build_sample(toy_kg, rq, BuildOptions(), "s-0", 0)
     assert sample.prompt.count("[ENTITY]") == 20
     assert sample.prompt.count("[QUERY]") == 1
@@ -238,7 +245,7 @@ def test_full_candidate_list_renders_twenty_entity_slots(toy_kg, toy_table):
 
 def test_description_truncated_to_limit(toy_kg, toy_table):
     q = Query(known=1, relation=0, direction="tail", gold=2)
-    rq = rank_query(toy_table, toy_kg, q, m=3)
+    (rq,) = rank_queries(toy_table, toy_kg, [q], m=3)
     options = BuildOptions(max_description_chars=5)
     sample = build_sample(toy_kg, rq, options, "s-0", 0)
     description = DESCRIPTION_PREFIX + toy_kg.entity_descriptions[1][:5]
@@ -248,7 +255,7 @@ def test_description_truncated_to_limit(toy_kg, toy_table):
 def test_shuffle_permutes_candidates_and_vectors_in_lockstep(toy_kg, toy_table):
     params = ConfidenceParams(m=5, alpha=1.0, beta=0.0)
     q = Query(known=0, relation=0, direction="tail", gold=1)
-    rq = rank_query(toy_table, toy_kg, q, m=params.m)
+    (rq,) = rank_queries(toy_table, toy_kg, [q], m=params.m)
     plain = build_sample(toy_kg, rq, BuildOptions(), "s", 3)
     shuffled = build_sample(toy_kg, rq, BuildOptions(shuffle_candidates=True, seed=5), "s", 3)
     assert sorted(shuffled.candidate_ids) == sorted(plain.candidate_ids)
@@ -269,7 +276,7 @@ def test_build_eval_set_counts_and_candidates(tmp_path, toy_kg, toy_table):
     summary = write_eval_set(toy_kg, toy_table, params, BuildOptions(), tmp_path)
     records = read_records(str(tmp_path / "instructions.jsonl"))
     assert sorted(os.listdir(tmp_path)) == ["instructions.jsonl", "summary.json"]  # the records and their summary
-    assert summary["written"] == 2 * len(toy_kg.test)
+    assert summary["kept"] == 2 * len(toy_kg.test)
     assert len(records) == 2 * len(toy_kg.test)
     for rec in records:
         assert len(rec["candidate_ids"]) == params.m

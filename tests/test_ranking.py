@@ -19,7 +19,6 @@ from kgrerank.ranking import (
     local_confidence,
     queries_for_triple,
     rank_queries,
-    rank_query,
     sample_confidence,
     survives_truncation,
 )
@@ -72,7 +71,7 @@ def test_exact_translation_ranks_first():
         norm="L2",
     )
     kg = build_kg(4, 1, train=[])
-    rq = rank_query(table, kg, Query(0, 0, "tail", gold=1), m=2)
+    (rq,) = rank_queries(table, kg, [Query(0, 0, "tail", gold=1)], m=2)
     assert rq.gold_rank == 1
     assert rq.topm_ids[0] == 1
     assert rq.gold_score == 0.0
@@ -84,9 +83,9 @@ def test_ranking_matches_brute_force_including_filtering():
     for i in range(20):
         fact = all_facts[int(rng.integers(0, len(all_facts)))]
         q = queries_for_triple(fact)[i % 2]
-        rq = rank_query(table, kg, q, m=5)
+        (rq,) = rank_queries(table, kg, [q], m=5)
         order, topm, gold_rank = brute_force_rank(table, kg, q, m=5)
-        assert rank_query(table, kg, q, m=kg.num_entities).topm_ids == order
+        assert next(rank_queries(table, kg, [q], m=kg.num_entities)).topm_ids == order
         assert rq.topm_ids == topm
         assert rq.gold_rank == gold_rank
 
@@ -95,7 +94,7 @@ def test_identical_vectors_tie_breaks_to_smaller_id():
     vecs = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     table = EmbeddingTable(vecs, np.array([[1.0, 1.0]]), "L2")
     kg = build_kg(4, 1, train=[])
-    rq = rank_query(table, kg, Query(0, 0, "tail", gold=2), m=4)
+    (rq,) = rank_queries(table, kg, [Query(0, 0, "tail", gold=2)], m=4)
     pos2 = rq.topm_ids.index(2)
     pos3 = rq.topm_ids.index(3)
     assert pos2 < pos3  # entities 2 and 3 are bit-identical
@@ -109,7 +108,7 @@ def test_ties_at_the_mth_score_go_to_smaller_ids(m, gold):
     table = EmbeddingTable(vecs, np.array([[1.0, 0.0]]), "L2")
     kg = build_kg(7, 1, train=[(0, 0, 3)])  # 3 is filtered unless it is the gold
     q = Query(0, 0, "tail", gold=gold)
-    rq = rank_query(table, kg, q, m=m)
+    (rq,) = rank_queries(table, kg, [q], m=m)
     order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
     assert rq.topm_ids == topm
     assert rq.gold_rank == gold_rank
@@ -119,7 +118,7 @@ def test_filtering_excludes_known_true_but_never_gold():
     table, kg, _ = random_setup(seed=4)
     fact = kg.test[0]
     q = queries_for_triple(fact)[0]
-    rq = rank_query(table, kg, q, m=kg.num_entities)
+    (rq,) = rank_queries(table, kg, [q], m=kg.num_entities)
     competitors = {
         t
         for h, r, t in np.concatenate([kg.train, kg.valid, kg.test]).tolist()
@@ -136,13 +135,13 @@ def test_filtered_gold_rank_never_worse_than_unfiltered():
     for fact in np.concatenate([kg.train, kg.valid, kg.test])[:12]:
         for q in queries_for_triple(fact):
             _, _, unfiltered_rank = brute_force_rank(table, kg, q, m=3, filtered=False)
-            assert rank_query(table, kg, q, m=3).gold_rank <= unfiltered_rank
+            assert next(rank_queries(table, kg, [q], m=3)).gold_rank <= unfiltered_rank
 
 
 def test_m_out_of_range_rejected():
     table, kg, _ = random_setup(seed=1)
     with pytest.raises(ValueError):
-        rank_query(table, kg, Query(0, 0, "tail", gold=1), m=kg.num_entities + 1)
+        next(rank_queries(table, kg, [Query(0, 0, "tail", gold=1)], m=kg.num_entities + 1))
 
 
 def test_global_confidence_examples():
@@ -242,7 +241,7 @@ def test_confidence_ranges(seed):
     params = ConfidenceParams(m=4, alpha=alpha, beta=0.0)
     for fact in np.concatenate([kg.train, kg.valid, kg.test])[:6]:
         for q in queries_for_triple(fact):
-            rq = rank_query(table, kg, q, m=4)
+            (rq,) = rank_queries(table, kg, [q], m=4)
             g = global_confidence(rq)
             l = local_confidence(rq, 4)
             c = sample_confidence(rq, params)
@@ -288,9 +287,9 @@ def test_filtered_ranking_matches_brute_force_on_multi_answer_keys(case):
     table, kg, m = case
     for fact in np.concatenate([kg.train, kg.valid, kg.test]):
         for q in queries_for_triple(fact):
-            rq = rank_query(table, kg, q, m=m)
+            (rq,) = rank_queries(table, kg, [q], m=m)
             order, topm, gold_rank = brute_force_rank(table, kg, q, m=m)
-            assert rank_query(table, kg, q, m=kg.num_entities).topm_ids == order
+            assert next(rank_queries(table, kg, [q], m=kg.num_entities)).topm_ids == order
             assert rq.topm_ids == topm
             assert rq.gold_rank == gold_rank
 

@@ -9,10 +9,11 @@ outside ``kg.py``. And ``kg.py`` holds no matrix product, so a graph build
 makes no BLAS call, and the one product that a stage runs holds OpenBLAS to
 one thread. And ``tests/helpers.py`` uses no private name of
 ``kgrerank.ranking``, so a ranking oracle never runs the code it judges.
+And one function, ``instructions.write_json``, writes every JSON file.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
-``perfbench/`` patches targets such as ``ranking.rank_query`` and
+``perfbench/`` patches targets such as ``instructions.build_sample`` and
 ``EmbeddingTable.save`` by those names, and docstrings point readers to
 ``adapter.attach_knowledge``. A bare word in a string (a label, a word of
 prose) is no reference.
@@ -270,26 +271,46 @@ def test_no_stage_wakes_the_blas_pool():
     assert found == {("embeddings", "first_pass", "@", True)}
 
 
-def data_error_handlers(node, owner=None):
-    """The name of the innermost function around each ``except`` clause under
-    ``node`` that names ``DataError``."""
+def owners(node, matches, owner=None):
+    """The name of the innermost function around each node under ``node``
+    for which ``matches`` is true."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         owner = node.name
-    if isinstance(node, ast.ExceptHandler) and node.type and re.search(r"\bDataError\b", ast.unparse(node.type)):
+    if matches(node):
         yield owner
     for child in ast.iter_child_nodes(node):
-        yield from data_error_handlers(child, owner)
+        yield from owners(child, matches, owner)
+
+
+def src_owners(matches):
+    """``(module, function)`` of each node in ``src/kgrerank/`` for which ``matches`` is true."""
+    return {
+        (os.path.basename(path)[:-3], owner)
+        for path in glob.glob(os.path.join(ROOT, "src", "kgrerank", "*.py"))
+        for owner in owners(_parse(path), matches)
+    }
+
+
+def catches_data_error(node):
+    return isinstance(node, ast.ExceptHandler) and node.type and re.search(r"\bDataError\b", ast.unparse(node.type))
 
 
 def test_a_data_error_is_caught_only_by_the_one_refusal_rule():
     # what a stage output's reader refuses is rebuilt by cli._output alone; main
     # maps the rest to exit 2, and a scripted fixture's fault is a backend error
-    caught = {
-        (os.path.basename(path)[:-3], owner)
-        for path in glob.glob(os.path.join(ROOT, "src", "kgrerank", "*.py"))
-        for owner in data_error_handlers(_parse(path))
-    }
+    caught = src_owners(catches_data_error)
     assert caught == {("cli", "_output"), ("cli", "main"), ("discriminator", "from_file")}
+
+
+def writes_json(node):
+    """A ``json.dump`` call, the one that writes to a file, however it was imported."""
+    return isinstance(node, ast.Call) and "dump" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def test_one_function_writes_json_files():
+    # every summary.json and report.json goes through one writer, so their
+    # layouts (sorted keys, indent 2, closing newline) cannot drift apart
+    assert src_owners(writes_json) == {("instructions", "write_json")}
 
 
 def test_src_and_scripts_parse_at_the_python_floor():
