@@ -152,5 +152,5 @@ def attach_knowledge(sample, params: AdapterParams, table: EmbeddingTable) -> np
         if not 0 <= ref < count:
             raise DataError(f"sample {sample.id}: {kind} id {ref} outside the checkpoint's [0, {count})")
     query = table.query_vector(sample.known, sample.relation, sample.direction)
-    return project(params, np.array([query, *map(table.entity_vector, sample.candidate_ids)]))
+    return project(params, np.vstack([query, table.entity_vecs[sample.candidate_ids]]))
 

@@ -25,8 +25,8 @@ indexing by a column of ids. The negatives' membership test is
 return a table that fails it.
 
 Downstream code only relies on ``score_candidates``, ``first_pass`` (the
-first pass of ranking, for either norm), ``query_vector``,
-``entity_vector``, and checkpoint IO, so an alternative
+first pass of ranking, for either norm), ``query_vector``, the rows of
+``entity_vecs``, and checkpoint IO, so an alternative
 scorer can replace :class:`EmbeddingTable` without touching the ranking,
 prompt-building, or evaluation modules.
 """
@@ -189,9 +189,6 @@ class EmbeddingTable:
         if direction == HEAD:
             return self.entity_vecs[known] - self.relation_vecs[relation]
         raise ValueError(f"unknown direction {direction!r}")
-
-    def entity_vector(self, entity: int) -> np.ndarray:
-        return self.entity_vecs[entity]
 
     def save(self, path: str) -> None:
         """Binary vector file: fixed header then row-major little-endian float64."""

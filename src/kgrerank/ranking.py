@@ -12,15 +12,16 @@ unfiltered scores, which ``EmbeddingTable.rankable`` guarantees.
 ``rank_queries`` ranks every query on one path, whatever the table's norm.
 The table's first pass (``EmbeddingTable.first_pass``) gives each query a
 distance to every entity and a bound delta such that d_a < d_b - delta
-guarantees that a's exact score is strictly above b's; only the entities
-whose distance lies within delta of the m-th smallest or of the gold's get
-exact scores (see ``rank_queries``). An L1 table's distances are its exact
-scores negated, with delta = 0. An L2 table's are squared distances
-``|q|^2 - 2 q.e + |e|^2`` from one matrix product per block of queries,
-while the exact scores (``score_candidates``) are ``-sqrt(sum(u * u))`` of
-the residual u, and the bound is ``delta = 16 (dim + 4) (eps R^2 + tiny)``,
-``R = |q| + max |e|``. Why an L2 first-pass gap above delta fixes the order
-of the exact scores, with unit roundoff u = eps / 2 and n = dim:
+guarantees that a's exact score is strictly above b's, and ``rank_query``
+ranks each query from its row: only the entities whose distance lies within
+delta of the m-th smallest or of the gold's get exact scores. An L1 table's
+distances are its exact scores negated, with delta = 0. An L2 table's are
+squared distances ``|q|^2 - 2 q.e + |e|^2`` from one matrix product per block
+of queries, while the exact scores (``score_candidates``) are
+``-sqrt(sum(u * u))`` of the residual u, and the bound is
+``delta = 16 (dim + 4) (eps R^2 + tiny)``, ``R = |q| + max |e|``. Why an L2
+first-pass gap above delta fixes the order of the exact scores, with unit
+roundoff u = eps / 2 and n = dim:
 
 - Against the real squared distance, the residual formula's sum of squares
   is off by at most (n + 6) u R^2 (1 + O(nu)): each u_i carries two
@@ -67,6 +68,8 @@ class Query:
 
 @dataclass
 class RankedQuery:
+    """A ranking at m: the top-m ids and their scores, m of each, and the gold's rank and score."""
+
     query: Query
     topm_ids: list[int]
     topm_scores: list[float]
@@ -92,33 +95,32 @@ class ConfidenceParams:
             raise ValueError("beta must be finite and >= 0")
 
 
-def _known_true(kg: KnowledgeGraph, q: Query) -> np.ndarray:
-    """The entities filtered out of q's ranking: known-true completions other than the gold."""
-    if q.direction == TAIL:
-        known_true = kg.known_tails(q.known, q.relation)
-    else:
-        known_true = kg.known_heads(q.relation, q.known)
-    return known_true[known_true != q.gold]
-
-
-def rank_query(table: EmbeddingTable, kg: KnowledgeGraph, q: Query, m: int) -> RankedQuery:
-    """The top-m entities and the gold's rank, filtered: ``rank_queries`` of one
-    query, kept only as the benchmark's ``ranking.rank_query`` trace hook."""
-    return next(rank_queries(table, kg, [q], m))
-
-
 def rank_queries(
     table: EmbeddingTable, kg: KnowledgeGraph, queries: Iterable[Query], m: int
 ) -> Iterator[RankedQuery]:
     """The ranking of each of ``queries``, in order, as the exact scores of
     every entity give it; filtered. A ranking is yielded as soon as the first
-    pass has its query's row, so a stream of queries is ranked as it comes.
+    pass (``table.first_pass``) has its query's row, so a stream of queries is
+    ranked as it comes; ``rank_query`` ranks each row.
+    """
+    if not 1 <= m <= kg.num_entities:
+        raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
+    queries, keyed = itertools.tee(queries)
+    rows = table.first_pass((q.known, q.relation, q.direction) for q in keyed)
+    for q, (d, delta) in zip(queries, rows):
+        yield rank_query(table, kg, q, m, d, delta)
 
-    ``table.first_pass`` gives every entity a distance d and each query a
-    bound delta such that d_a < d_b - delta guarantees that a's exact score is
-    strictly above b's. Filtered entities get d = inf. With t the m-th
-    smallest d and d_g the gold's, exact scores are computed only for the
-    band, the entities with d <= t + delta or |d - d_g| <= delta:
+
+def rank_query(
+    table: EmbeddingTable, kg: KnowledgeGraph, q: Query, m: int, d: np.ndarray, delta: float
+) -> RankedQuery:
+    """The filtered ranking of q from its first-pass row: every entity's
+    distance d and a bound delta such that d_a < d_b - delta guarantees that
+    a's exact score is strictly above b's.
+
+    Filtered entities get d = inf. With t the m-th smallest d and d_g the
+    gold's, exact scores are computed only for the band, the entities with
+    d <= t + delta or |d - d_g| <= delta:
 
     - every entity with d > t + delta lies strictly below each of the (at
       least) m entities with d <= t, so it is neither in the top-m nor tied with the m-th;
@@ -134,25 +136,24 @@ def rank_queries(
     every entity, and the filtered ones, of d = inf, get -inf. A bound or
     gold distance that is not finite raises ValueError.
     """
-    if not 1 <= m <= kg.num_entities:
-        raise ValueError(f"m must be in [1, {kg.num_entities}], got {m}")
-    queries, keyed = itertools.tee(queries)
-    rows = table.first_pass((q.known, q.relation, q.direction) for q in keyed)
-    for q, (d, delta) in zip(queries, rows):
-        dg = d[q.gold]
-        if not np.isfinite([delta, dg]).all():
-            raise ValueError(f"{q}: a first-pass bound or gold distance overflowed: the table is unrankable")
-        d[_known_true(kg, q)] = np.inf
-        t = np.partition(d, m - 1)[m - 1]
-        near = (d <= t + delta) | (np.abs(d - dg) <= delta)
-        above = int(np.count_nonzero((d < dg - delta) & ~near))
-        ids = np.flatnonzero(near)
-        scores = table.score_candidates(q.known, q.relation, q.direction, ids)
-        scores[np.isinf(d[ids])] = -np.inf
-        order = np.argsort(-scores, kind="stable")
-        top, gold = order[:m], int(np.searchsorted(ids, q.gold))
-        gold_rank = above + int(np.flatnonzero(order == gold)[0]) + 1
-        yield RankedQuery(q, ids[top].tolist(), scores[top].tolist(), gold_rank, float(scores[gold]))
+    dg = d[q.gold]
+    if not np.isfinite([delta, dg]).all():
+        raise ValueError(f"{q}: a first-pass bound or gold distance overflowed: the table is unrankable")
+    if q.direction == TAIL:
+        known_true = kg.known_tails(q.known, q.relation)
+    else:
+        known_true = kg.known_heads(q.relation, q.known)
+    d[known_true[known_true != q.gold]] = np.inf
+    t = np.partition(d, m - 1)[m - 1]
+    near = (d <= t + delta) | (np.abs(d - dg) <= delta)
+    above = int(np.count_nonzero((d < dg - delta) & ~near))
+    ids = np.flatnonzero(near)
+    scores = table.score_candidates(q.known, q.relation, q.direction, ids)
+    scores[np.isinf(d[ids])] = -np.inf
+    order = np.argsort(-scores, kind="stable")
+    top, gold = order[:m], int(np.searchsorted(ids, q.gold))
+    gold_rank = above + int(np.flatnonzero(order == gold)[0]) + 1
+    return RankedQuery(q, ids[top].tolist(), scores[top].tolist(), gold_rank, float(scores[gold]))
 
 
 def queries_for_triple(triple: Triple) -> tuple[Query, Query]:
@@ -169,20 +170,16 @@ def global_confidence(rq: RankedQuery) -> float:
     return 1.0 / rq.gold_rank
 
 
-def local_confidence(rq: RankedQuery, m: int) -> float:
+def local_confidence(rq: RankedQuery) -> float:
     """Gold score within the top-m, or 0 when the gold falls outside it.
 
     The score is min-max normalized over the finite top-m scores (a filtered
     entity's is -inf), so the value lands in [0, 1] regardless of the
     scorer's scale; equal scores, or none finite, give 1.0.
     """
-    if m > len(rq.topm_scores):
-        raise ValueError(
-            f"m={m} exceeds the {len(rq.topm_scores)} candidates this ranking was built with"
-        )
-    if rq.gold_rank > m:
+    if rq.gold_rank > len(rq.topm_scores):
         return 0.0
-    finite = [s for s in rq.topm_scores[:m] if math.isfinite(s)]
+    finite = [s for s in rq.topm_scores if math.isfinite(s)]
     lo, hi = min(finite, default=0.0), max(finite, default=0.0)
     if hi == lo:
         return 1.0
@@ -190,7 +187,7 @@ def local_confidence(rq: RankedQuery, m: int) -> float:
 
 
 def sample_confidence(rq: RankedQuery, params: ConfidenceParams) -> float:
-    return global_confidence(rq) + params.alpha * local_confidence(rq, params.m)
+    return global_confidence(rq) + params.alpha * local_confidence(rq)
 
 
 def survives_truncation(rq: RankedQuery, params: ConfidenceParams) -> bool:

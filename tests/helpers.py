@@ -1,6 +1,7 @@
 """Shared test utilities: in-memory graphs, datasets written back to disk,
-instruction sets built whole and their records read back from disk, prompt
-parsing, and independent oracles.
+instruction sets built whole and their records read back from disk, a
+chat-completion stub served on a thread, prompt parsing, and independent
+oracles.
 
 The oracles here deliberately avoid the library's vectorized code paths:
 ranking is an exhaustive per-entity loop over plain Python arithmetic (or,
@@ -17,12 +18,15 @@ an eval set.
 
 from __future__ import annotations
 
+import http.server
 import itertools
 import json
 import math
 import os
 import tempfile
-from contextlib import closing
+import threading
+import time
+from contextlib import closing, contextmanager
 
 import numpy as np
 
@@ -271,6 +275,68 @@ def find_benchmark_dir(name):
     ):
         return path
     return None
+
+
+class ChatStub(http.server.ThreadingHTTPServer):
+    """A chat-completion endpoint whose n-th request (from 1) gets ``reply(n)``:
+    a status, ``"malformed"`` for a 200 whose body is not JSON, ``"null"`` for
+    a 200 whose message content is null (a refusal or a tool call), or
+    ``"timeout"`` for no answer before the client gives up."""
+
+    def __init__(self, reply):
+        super().__init__(("127.0.0.1", 0), _ChatStubHandler)
+        self.reply = reply
+        self.requests = 0
+        self.lock = threading.Lock()
+
+    @property
+    def endpoint(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+
+
+class _ChatStubHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.requests += 1
+            reply = self.server.reply(self.server.requests)
+        if reply == "timeout":  # hang up once the client has given up
+            time.sleep(1.0)
+            self.close_connection = True
+            return
+        body = json.dumps({"choices": [{"message": {"content": "entity 1"}}]}).encode()
+        if reply == "malformed":
+            body = b"{not json"
+        elif reply == "null":
+            body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
+        elif reply != 200:
+            body = b'{"error": "busy"}'
+        self.send_response(200 if reply in ("malformed", "null") else reply)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def serving(server):
+    """``server`` (an HTTP server) answering on a thread while the block runs;
+    then shut down, closed and its thread joined. It polls for the shutdown
+    every 10 ms, so the shutdown waits no longer than that."""
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def write_set(kg, table, params, options, outdir, which):

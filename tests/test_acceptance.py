@@ -178,7 +178,7 @@ def test_truncated_sampling_behavior(toy_kg, toy_table):
         counts.append(len(kept))
         kept_set = {id(rq) for rq in kept}
         for rq in rqs:
-            if beta > 0 and local_confidence(rq, params.m) == 0.0 and rq.gold_rank > 1 / beta:
+            if beta > 0 and local_confidence(rq) == 0.0 and rq.gold_rank > 1 / beta:
                 assert id(rq) not in kept_set
     assert counts[0] == len(rqs)
     assert counts == sorted(counts, reverse=True)

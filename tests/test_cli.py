@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import glob
 import hashlib
-import http.server
 import importlib.util
 import json
 import logging
@@ -23,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import assert_same_graph, read_bytes, read_lines, read_records, read_text
+from helpers import ChatStub, assert_same_graph, read_bytes, read_lines, read_records, read_text, serving
 from kgrerank import cli, discriminator, embeddings, instructions
 from kgrerank import kg as kg_module
 from kgrerank.cli import ConfigError, load_config, main, stage_digest, stage_output
@@ -1010,59 +1009,10 @@ def test_dead_remote_endpoint_exits_3_and_writes_no_report(tmp_path, toy_dir, ca
     assert_a_backend_error_left_nothing(workdir)
 
 
-class _Stub(http.server.ThreadingHTTPServer):
-    """A chat-completion endpoint whose n-th request (from 1) gets ``reply(n)``:
-    a status, ``"malformed"`` for a 200 whose body is not JSON, ``"null"`` for
-    a 200 whose message content is null (a refusal or a tool call), or
-    ``"timeout"`` for no answer before the client gives up."""
-
-    def __init__(self, reply):
-        super().__init__(("127.0.0.1", 0), _StubHandler)
-        self.reply = reply
-        self.requests = 0
-        self.lock = threading.Lock()
-
-    @property
-    def endpoint(self):
-        return f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
-
-
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        with self.server.lock:
-            self.server.requests += 1
-            reply = self.server.reply(self.server.requests)
-        if reply == "timeout":  # hang up once the client has given up
-            time.sleep(1.0)
-            self.close_connection = True
-            return
-        body = json.dumps({"choices": [{"message": {"content": "entity 1"}}]}).encode()
-        if reply == "malformed":
-            body = b"{not json"
-        elif reply == "null":
-            body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
-        elif reply != 200:
-            body = b'{"error": "busy"}'
-        self.send_response(200 if reply in ("malformed", "null") else reply)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 def evaluate_against_stub(tmp_path, toy_dir, reply, timeout=5.0):
     """(exit code, the stub, names in the workdir) of one evaluate."""
-    stub = _Stub(reply)
-    thread = threading.Thread(target=stub.serve_forever, daemon=True)
-    thread.start()
-    try:
-        workdir = tmp_path / "w"
+    workdir = tmp_path / "w"
+    with serving(ChatStub(reply)) as stub:
         cfg = write_config(
             tmp_path / "run.ini",
             toy_dir,
@@ -1073,11 +1023,6 @@ def evaluate_against_stub(tmp_path, toy_dir, reply, timeout=5.0):
             ),
         )
         code = main(["evaluate", "--config", cfg])
-    finally:
-        stub.shutdown()
-        stub.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
     return code, stub, os.listdir(workdir)
 
 

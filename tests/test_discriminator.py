@@ -1,13 +1,13 @@
 import contextlib
 import http.server
 import json
-import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import serving
 from kgrerank.discriminator import (
     BackendError,
     FirstCandidateBackend,
@@ -198,14 +198,8 @@ class _RedirectTarget(_Handler):
 
 @contextlib.contextmanager
 def _serving(handler):
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)) as server:
         yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_rank, build_kg, exact_ranking
+from helpers import brute_force_rank, build_kg, exact_ranking, filtered_out
 from kgrerank import embeddings, ranking
 from kgrerank.embeddings import EmbeddingTable, TrainConfig, TrainingDiverged, train
 from kgrerank.kg import DataError
@@ -153,34 +153,28 @@ def test_global_confidence_examples():
 
 def test_local_confidence_outside_topm_is_zero():
     rq = synthetic_rq(gold_rank=4, gold_score=-9.0, topm_scores=[-1.0, -2.0, -3.0])
-    assert local_confidence(rq, m=3) == 0.0
+    assert local_confidence(rq) == 0.0
 
 
 def test_local_confidence_best_candidate_is_one():
     rq = synthetic_rq(gold_rank=1, gold_score=-1.0, topm_scores=[-1.0, -2.0, -5.0])
-    assert local_confidence(rq, m=3) == 1.0
+    assert local_confidence(rq) == 1.0
 
 
 def test_local_confidence_min_max_arithmetic():
     rq = synthetic_rq(gold_rank=2, gold_score=-2.0, topm_scores=[-1.0, -2.0, -5.0])
-    assert local_confidence(rq, m=3) == pytest.approx(0.75)
+    assert local_confidence(rq) == pytest.approx(0.75)
 
 
 def test_local_confidence_degenerate_equal_scores():
     rq = synthetic_rq(gold_rank=2, gold_score=-1.0, topm_scores=[-1.0, -1.0, -1.0])
-    assert local_confidence(rq, m=3) == 1.0
+    assert local_confidence(rq) == 1.0
 
 
 def test_local_confidence_with_no_finite_topm_score_is_the_equal_scores_value():
     # scores that overflowed to -inf: none is finite to normalize over
     rq = synthetic_rq(gold_rank=2, gold_score=-math.inf, topm_scores=[-math.inf] * 3)
-    assert local_confidence(rq, m=3) == 1.0
-
-
-def test_local_confidence_rejects_wider_m_than_built():
-    rq = synthetic_rq(gold_rank=2, gold_score=-2.0, topm_scores=[-1.0, -2.0, -5.0])
-    with pytest.raises(ValueError):
-        local_confidence(rq, m=10)
+    assert local_confidence(rq) == 1.0
 
 
 def test_sample_confidence_examples():
@@ -192,7 +186,7 @@ def test_sample_confidence_examples():
     scores = [-float(i) for i in range(1, 21)]
     # scores span [-20, -1]; a gold score of -16.2 min-max normalizes to 0.2
     rq = synthetic_rq(gold_rank=20, gold_score=-16.2, topm_scores=scores)
-    assert local_confidence(rq, m=20) == pytest.approx(0.2)
+    assert local_confidence(rq) == pytest.approx(0.2)
     assert sample_confidence(rq, p) == pytest.approx(0.25)
 
     rq = synthetic_rq(gold_rank=25, gold_score=-50.0, topm_scores=scores)
@@ -243,7 +237,7 @@ def test_confidence_ranges(seed):
         for q in queries_for_triple(fact):
             (rq,) = rank_queries(table, kg, [q], m=4)
             g = global_confidence(rq)
-            l = local_confidence(rq, 4)
+            l = local_confidence(rq)
             c = sample_confidence(rq, params)
             assert 0 < g <= 1
             assert 0 <= l <= 1
@@ -455,7 +449,7 @@ def test_rank_queries_ranks_l1_queries_on_exact_distances(m):
     # the first pass scores each query in full once, then its band on ids. At
     # m = 10, the number of entities, every band holds them all, the filtered
     # ones too where there are some; at m = 1 and 4 no band is full width
-    past = sum(m > kg.num_entities - len(ranking._known_true(kg, q)) for q in queries)
+    past = sum(m > kg.num_entities - len(filtered_out(kg, q)) for q in queries)
     assert 0 < past < len(queries) if m == 10 else past == 0
     assert len(scored) == 2 * len(queries)
     assert all(entities is None for entities in scored[::2])
@@ -487,6 +481,19 @@ def test_the_first_ranking_waits_for_one_first_pass_row_or_block(norm, taken_fir
     assert len(taken) == taken_first
     full_rows = sum(entities is None for entities in scored)
     assert (full_rows, ReversedProducts.products - before) == ((1, 0) if norm == "L1" else (0, 1))
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_rank_queries_runs_rank_query_once_per_query_in_order(norm, monkeypatch):
+    # tail and head queries alternate, over several 3-row L2 blocks
+    l2, kg, _ = random_setup(seed=6)
+    table = EmbeddingTable(l2.entity_vecs, l2.relation_vecs, norm)
+    queries = [q for fact in np.concatenate([kg.train, kg.valid, kg.test]) for q in queries_for_triple(fact)]
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 3 * 8 * kg.num_entities)
+    ranked, step = [], ranking.rank_query
+    monkeypatch.setattr(ranking, "rank_query", lambda table, kg, q, *row: ranked.append(q) or step(table, kg, q, *row))
+    assert list(rank_queries(table, kg, iter(queries), m=4)) == [exact_ranking(table, kg, q, 4) for q in queries]
+    assert ranked == queries
 
 
 def test_a_query_needs_its_gold():
@@ -521,7 +528,7 @@ def test_a_table_whose_first_pass_overflows_is_refused(toy_kg, tmp_path, norm, s
     finite = []  # whether t, delta and d_g are, per query
     with np.errstate(over="ignore", invalid="ignore"):
         for q, (d, delta) in zip(queries, table.first_pass((q.known, q.relation, q.direction) for q in queries)):
-            d[ranking._known_true(kg, q)] = np.inf
+            d[filtered_out(kg, q)] = np.inf
             t, dg = np.partition(d, m - 1)[m - 1], d[q.gold]
             finite.append((np.isfinite(t), np.isfinite(delta), np.isfinite(dg)))
         if norm == "L2":

@@ -9,7 +9,9 @@ outside ``kg.py``. And ``kg.py`` holds no matrix product, so a graph build
 makes no BLAS call, and the one product that a stage runs holds OpenBLAS to
 one thread. And ``tests/helpers.py`` uses no private name of
 ``kgrerank.ranking``, so a ranking oracle never runs the code it judges.
-And one function, ``instructions.write_json``, writes every JSON file.
+And one function, ``instructions.write_json``, writes every JSON file. And
+every hook of the benchmark's tracer names code in ``src/`` that the four
+stages run.
 
 A name counts as referenced when code there uses it (a name, an attribute or
 an import) or a string there names it in a dotted path: the tracer in
@@ -31,7 +33,8 @@ from dataclasses import fields
 
 import pytest
 
-from kgrerank import kg
+from helpers import ChatStub, serving
+from kgrerank import cli, kg
 from kgrerank.cli import _SECTIONS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -186,12 +189,18 @@ def test_numpy_is_the_only_declared_dependency():
     assert [re.match(r"[\w.-]+", dep).group() for dep in dependencies] == ["numpy"]
 
 
-def test_every_perfbench_hook_resolves_in_src():
-    # the benchmark's tracer lists a hook it cannot find as absent and runs on
-    # without its span, so a renamed or deleted target fails here instead
+def perfbench_tracer():
+    """``perfbench/tracer.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_perfbench_hook_resolves_in_src():
+    # the benchmark's tracer lists a hook it cannot find as absent and runs on
+    # without its span, so a renamed or deleted target fails here instead
+    tracer = perfbench_tracer()
     absent = []
     for module_name, path, _ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
@@ -202,6 +211,30 @@ def test_every_perfbench_hook_resolves_in_src():
                 absent.append(f"{module_name}.{path}")
                 break
     assert tracer.TARGETS and absent == []
+
+
+def test_every_perfbench_hook_runs_in_the_toy_pipeline(tmp_path, toy_dir):
+    # a hook that resolves but that no stage calls records no span, and its
+    # metrics read 0: the four stages, evaluate on the remote backend, call each
+    module = perfbench_tracer()
+    tracer = module.Tracer()
+    with serving(ChatStub(lambda n: 200)) as stub:
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[pipeline]\ndataset_dir = {toy_dir}\nworkdir = {tmp_path / 'w'}\n"
+            "[embedder]\ndim = 8\nepochs = 2\n[ranker]\nm = 5\n"
+            f"[backend]\nkind = remote\nendpoint = {stub.endpoint}\nmodel = m\n",
+            encoding="utf-8",
+        )
+        tracer.install()
+        try:
+            stages = ("train-embeddings", "build-finetune", "build-eval", "evaluate")
+            codes = [cli.main([stage, "--config", str(config)]) for stage in stages]
+        finally:
+            tracer.uninstall()
+    assert codes == [0] * len(stages)
+    hooks = {name for _, _, name in module.TARGETS} | {"discriminator.select"}
+    assert hooks - {span[0] for span in tracer.spans} == set()
 
 
 MATRIX_PRODUCTS = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner", "linalg"}
